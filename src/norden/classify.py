@@ -34,7 +34,7 @@ from .fundamental import (
     structure_pack,
 )
 from .structures import AcnModel
-from .tensors import Tensor, einsum_scalar, invert_symmetric
+from .tensors import Tensor, einsum_scalar, exact_einsum, invert_symmetric
 
 
 def is_f0(model: AcnModel, f: Tensor) -> bool:
@@ -93,7 +93,7 @@ def curvature_phi_kahler(model: AcnModel, pack: CurvaturePack) -> bool:
     ``R(x, y, phi z, phi u) = -R(x, y, z, u)`` on all basis tuples."""
     R = pack.r04.components
     phi = model.phi.components
-    twisted = np.einsum("ijmn,mk,nu->ijku", R, phi, phi, optimize=True)
+    twisted = exact_einsum("ijmn,mk,nu->ijku", R, phi, phi)
     return bool(np.all(twisted == -R))
 
 
@@ -119,10 +119,10 @@ class IdentityVerdict:
 
 
 def _first_mismatch(a: np.ndarray, b: np.ndarray) -> tuple | None:
-    for idx in np.ndindex(a.shape):
-        if a[idx] != b[idx]:
-            return idx
-    return None
+    bad = np.flatnonzero(a != b)
+    if bad.size == 0:
+        return None
+    return tuple(int(i) for i in np.unravel_index(bad[0], a.shape))
 
 
 def _verdict(name: str, lhs: np.ndarray, rhs: np.ndarray, detail: str = "") -> IdentityVerdict:
@@ -177,15 +177,15 @@ def verify_identities(
     nnphi = covariant_derivative(conn, covariant_derivative(conn, model.phi)).components
     asym_phi = nnphi - np.einsum("jiak->ijak", nnphi)
     r13 = curv.r13.components
-    rhs_phi = np.einsum("aijm,mk->ijak", r13, phi, optimize=True) - np.einsum(
-        "mijk,am->ijak", r13, phi, optimize=True
+    rhs_phi = exact_einsum("aijm,mk->ijak", r13, phi) - exact_einsum(
+        "mijk,am->ijak", r13, phi
     )
     put(_verdict("ricci_identity_phi", asym_phi, rhs_phi,
                  detail="nabla^2 phi antisymmetrized = curvature acting on phi"))
 
     nneta = covariant_derivative(conn, covariant_derivative(conn, model.eta)).components
     asym_eta = nneta - np.einsum("jik->ijk", nneta)
-    rhs_eta = -np.einsum("mijk,m->ijk", r13, eta, optimize=True)
+    rhs_eta = -exact_einsum("mijk,m->ijk", r13, eta)
     put(_verdict("ricci_identity_eta", asym_eta, rhs_eta,
                  detail="nabla^2 eta antisymmetrized = -eta(R(.,.) .)"))
 
@@ -220,7 +220,7 @@ def verify_identities(
     # --- First-derivative identity for omega_star.
     nomega = covariant_derivative(conn, pack.omega).components
     nostar = covariant_derivative(conn, pack.omega_star).components
-    rhs = np.einsum("im,mj->ij", nomega, phi, optimize=True) + np.multiply.outer(
+    rhs = exact_einsum("im,mj->ij", nomega, phi) + np.multiply.outer(
         eta, eta
     ) * oo
     put(_verdict("omega_star_derivative", nostar, rhs,
@@ -231,7 +231,7 @@ def verify_identities(
     #     + psi4(S)(x, y, z, u).
     R = curv.r04.components
     p4 = psi4(pack.s, model.eta).components
-    twisted = np.einsum("ijmn,mk,nu->ijku", R, phi, phi, optimize=True)
+    twisted = exact_einsum("ijmn,mk,nu->ijku", R, phi, phi)
     put(_verdict("curvature_phi_twist", twisted, -R + p4,
                  detail="R twisted by phi in the last two slots differs "
                         "from -R by psi4(S)"))
@@ -246,7 +246,7 @@ def verify_identities(
         rhs_ricci = np.multiply.outer(eta, eta) * trs + pack.s.components
         put(_verdict("ricci_from_s", curv.ricci.components, rhs_ricci,
                      detail="ricci = tr(S) eta (x) eta + S"))
-        phi_omega_v = np.einsum("ij,j->i", phi, pack.omega_vec.components)
+        phi_omega_v = exact_einsum("ij,j->i", phi, pack.omega_vec.components)
         div_po = divergence(model, conn, phi_omega_v)
         put(IdentityVerdict(
             name="s_trace_divergence", applicable=True, passed=trs == div_po,
@@ -261,7 +261,7 @@ def verify_identities(
 
     # --- Scalar curvature chain: tau + tau_2star = 2 div(phi Omega)
     #     = 2 ricci(xi, xi).
-    phi_omega = np.einsum("ij,j->i", phi, pack.omega_vec.components)
+    phi_omega = exact_einsum("ij,j->i", phi, pack.omega_vec.components)
     div_phi_omega = divergence(model, conn, phi_omega)
     ricci_xixi = einsum_scalar("ij,i,j->", curv.ricci.components, xi, xi)
     chain = [curv.tau + curv.tau_2star, 2 * div_phi_omega, 2 * ricci_xixi]

@@ -125,7 +125,13 @@ def _run_validated(args) -> AcnModel:
 def _cmd_report(args) -> int:
     model = _run_validated(args)
     report = run_report(model)
-    _emit(args, report_to_text(report), json.loads(report_to_json(report)))
+    # Render only the requested format; report_to_json is already the
+    # canonical encoding that _emit would produce.
+    if not args.quiet:
+        if args.json:
+            print(report_to_json(report))
+        else:
+            print(report_to_text(report), end="")
     return EXIT_OK if all_identities_ok(report) else EXIT_FAIL
 
 

@@ -18,7 +18,15 @@ import numpy as np
 
 from .errors import DimensionMismatch, VarianceMismatch
 from .structures import AcnModel
-from .tensors import DOWN, UP, Tensor, exact_div, invert_symmetric, zeros_array
+from .tensors import (
+    DOWN,
+    UP,
+    Tensor,
+    exact_div,
+    exact_einsum,
+    invert_symmetric,
+    zeros_array,
+)
 
 
 @dataclass(frozen=True)
@@ -52,10 +60,10 @@ def levi_civita(model: AcnModel) -> Connection:
     c = model.algebra.c.components
     ginv = invert_symmetric(model.g).components
     # b[i, j, k] = g([x_i, x_j], x_k)
-    b = np.einsum("mij,mk->ijk", c, g, optimize=True)
+    b = exact_einsum("mij,mk->ijk", c, g)
     two_k = b + np.einsum("kij->ijk", b) + np.einsum("kji->ijk", b)
     # gamma[m, i, j] = (1/2) * two_k[i, j, k] g^{k m}
-    gamma = exact_div(np.einsum("ijk,km->mij", two_k, ginv, optimize=True), 2)
+    gamma = exact_div(exact_einsum("ijk,km->mij", two_k, ginv), 2)
     return Connection(Tensor(gamma, "udd"))
 
 
@@ -73,9 +81,9 @@ def covariant_derivative(conn: Connection, t: Tensor) -> Tensor:
     for slot, var in enumerate(t.variance):
         moved = np.moveaxis(t.components, slot, -1)
         if var == UP:
-            term = np.einsum("kim,...m->i...k", gamma, moved, optimize=True)
+            term = exact_einsum("kim,...m->i...k", gamma, moved)
         else:
-            term = -np.einsum("mik,...m->i...k", gamma, moved, optimize=True)
+            term = -exact_einsum("mik,...m->i...k", gamma, moved)
         result = result + np.moveaxis(term, -1, slot + 1)
     return Tensor(result, DOWN + t.variance)
 

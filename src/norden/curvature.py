@@ -23,6 +23,7 @@ from .structures import AcnModel
 from .tensors import (
     Tensor,
     einsum_scalar,
+    exact_einsum,
     invert_symmetric,
     matrix_rank,
     vector_components,
@@ -51,7 +52,7 @@ def _scalars_from_r04(model: AcnModel, r04: Tensor):
     phi = model.phi.components
     R = r04.components
     # ricci(y, z) = g^{is} R(x_i, y, z, x_s)
-    ricci = np.einsum("is,iyzs->yz", ginv, R, optimize=True)
+    ricci = exact_einsum("is,iyzs->yz", ginv, R)
     tau = einsum_scalar("jk,jk->", ginv, ricci)
     # tau_star: twist the third argument by phi before tracing.
     tau_star = einsum_scalar("is,jk,mk,ijms->", ginv, ginv, phi, R)
@@ -66,11 +67,11 @@ def riemann(model: AcnModel, conn: Connection) -> CurvaturePack:
     c = model.algebra.c.components
     g = model.g.components
     r13 = (
-        np.einsum("mjk,lim->lijk", gamma, gamma, optimize=True)
-        - np.einsum("mik,ljm->lijk", gamma, gamma, optimize=True)
-        - np.einsum("mij,lmk->lijk", c, gamma, optimize=True)
+        exact_einsum("mjk,lim->lijk", gamma, gamma)
+        - exact_einsum("mik,ljm->lijk", gamma, gamma)
+        - exact_einsum("mij,lmk->lijk", c, gamma)
     )
-    r04 = np.einsum("lijk,lu->ijku", r13, g, optimize=True)
+    r04 = exact_einsum("lijk,lu->ijku", r13, g)
     ricci, tau, tau_star, tau_2star = _scalars_from_r04(model, Tensor(r04, "dddd"))
     return CurvaturePack(
         r13=Tensor(r13, "uddd"),
@@ -141,8 +142,8 @@ def classify_section(model: AcnModel, x, y) -> SectionType:
     phi = model.phi.components
     g = model.g.components
     xiv = model.xi.components
-    phix = np.einsum("ij,j->i", phi, xv)
-    phiy = np.einsum("ij,j->i", phi, yv)
+    phix = exact_einsum("ij,j->i", phi, xv)
+    phiy = exact_einsum("ij,j->i", phi, yv)
     contains_xi = matrix_rank([xv, yv, xiv]) == 2
     phi_invariant = (
         matrix_rank([xv, yv, phix]) == 2 and matrix_rank([xv, yv, phiy]) == 2

@@ -21,7 +21,13 @@ import numpy as np
 from .connection import Connection, covariant_derivative
 from .errors import InternalInconsistency, NotApplicable
 from .structures import AcnModel
-from .tensors import Tensor, einsum_scalar, invert_symmetric, vector_components
+from .tensors import (
+    Tensor,
+    einsum_scalar,
+    exact_einsum,
+    invert_symmetric,
+    vector_components,
+)
 
 
 class OneForms(NamedTuple):
@@ -46,7 +52,7 @@ def fundamental_tensor(model: AcnModel, conn: Connection) -> Tensor:
     """``F[i, j, k] = g((nabla_{x_i} phi) x_j, x_k)``, variance ``ddd``."""
     nphi = covariant_derivative(conn, model.phi).components
     return Tensor(
-        np.einsum("iaj,ak->ijk", nphi, model.g.components, optimize=True), "ddd"
+        exact_einsum("iaj,ak->ijk", nphi, model.g.components), "ddd"
     )
 
 
@@ -57,11 +63,11 @@ def one_forms(model: AcnModel, f: Tensor) -> OneForms:
     ginv = invert_symmetric(model.g).components
     phi = model.phi.components
     xi = model.xi.components
-    theta = np.einsum("ij,ijk->k", ginv, F, optimize=True)
-    theta_star = np.einsum("ij,mj,imk->k", ginv, phi, F, optimize=True)
-    omega = np.einsum("a,b,abk->k", xi, xi, F, optimize=True)
-    omega_star = np.einsum("m,mk->k", omega, phi)
-    omega_vec = np.einsum("ij,j->i", ginv, omega)
+    theta = exact_einsum("ij,ijk->k", ginv, F)
+    theta_star = exact_einsum("ij,mj,imk->k", ginv, phi, F)
+    omega = exact_einsum("a,b,abk->k", xi, xi, F)
+    omega_star = exact_einsum("m,mk->k", omega, phi)
+    omega_vec = exact_einsum("ij,j->i", ginv, omega)
     return OneForms(
         Tensor(theta, "d"),
         Tensor(theta_star, "d"),
@@ -79,9 +85,8 @@ def nabla_eta(model: AcnModel, conn: Connection) -> Tensor:
 def nabla_eta_from_fundamental(model: AcnModel, f: Tensor) -> Tensor:
     """The same tensor through ``(nabla_x eta) y = F(x, phi y, xi)``:
     an independent route used to cross-check :func:`nabla_eta`."""
-    comps = np.einsum(
-        "imk,mj,k->ij", f.components, model.phi.components, model.xi.components,
-        optimize=True,
+    comps = exact_einsum(
+        "imk,mj,k->ij", f.components, model.phi.components, model.xi.components
     )
     return Tensor(comps, "dd")
 
@@ -96,13 +101,13 @@ def nijenhuis_from_brackets(model: AcnModel, conn: Connection) -> Tensor:
     phi = model.phi.components
     xi = model.xi.components
     neta = covariant_derivative(conn, model.eta).components
-    phi2 = np.einsum("am,ms->as", phi, phi, optimize=True)
-    t = np.einsum("as,sij->aij", phi2, c, optimize=True)
-    t = t + np.einsum("ams,mi,sj->aij", c, phi, phi, optimize=True)
-    t = t - np.einsum("am,msj,si->aij", phi, c, phi, optimize=True)
-    t = t - np.einsum("am,mis,sj->aij", phi, c, phi, optimize=True)
+    phi2 = exact_einsum("am,ms->as", phi, phi)
+    t = exact_einsum("as,sij->aij", phi2, c)
+    t = t + exact_einsum("ams,mi,sj->aij", c, phi, phi)
+    t = t - exact_einsum("am,msj,si->aij", phi, c, phi)
+    t = t - exact_einsum("am,mis,sj->aij", phi, c, phi)
     deta = neta - neta.T
-    t = t + np.einsum("a,ij->aij", xi, deta, optimize=True)
+    t = t + exact_einsum("a,ij->aij", xi, deta)
     return Tensor(t, "udd")
 
 
@@ -115,12 +120,12 @@ def nijenhuis_from_derivatives(model: AcnModel, conn: Connection) -> Tensor:
     xi = model.xi.components
     nphi = covariant_derivative(conn, model.phi).components
     neta = covariant_derivative(conn, model.eta).components
-    t = np.einsum("mi,maj->aij", phi, nphi, optimize=True)
-    t = t - np.einsum("mj,mai->aij", phi, nphi, optimize=True)
-    t = t - np.einsum("am,imj->aij", phi, nphi, optimize=True)
-    t = t + np.einsum("am,jmi->aij", phi, nphi, optimize=True)
+    t = exact_einsum("mi,maj->aij", phi, nphi)
+    t = t - exact_einsum("mj,mai->aij", phi, nphi)
+    t = t - exact_einsum("am,imj->aij", phi, nphi)
+    t = t + exact_einsum("am,jmi->aij", phi, nphi)
     deta = neta - neta.T
-    t = t + np.einsum("a,ij->aij", xi, deta, optimize=True)
+    t = t + exact_einsum("a,ij->aij", xi, deta)
     return Tensor(t, "udd")
 
 
@@ -178,7 +183,7 @@ def tensor_s(model: AcnModel, conn: Connection) -> Tensor:
     nomega = covariant_derivative(conn, forms.omega).components
     phi = model.phi.components
     ostar = forms.omega_star.components
-    comps = np.einsum("im,mj->ij", nomega, phi, optimize=True) - np.multiply.outer(
+    comps = exact_einsum("im,mj->ij", nomega, phi) - np.multiply.outer(
         ostar, ostar
     )
     return Tensor(comps, "dd")
@@ -202,10 +207,10 @@ def psi4(s: Tensor, eta: Tensor) -> Tensor:
     S = s.components
     e = eta.components
     comps = (
-        np.einsum("y,z,xu->xyzu", e, e, S, optimize=True)
-        - np.einsum("x,z,yu->xyzu", e, e, S, optimize=True)
-        + np.einsum("x,u,yz->xyzu", e, e, S, optimize=True)
-        - np.einsum("y,u,xz->xyzu", e, e, S, optimize=True)
+        exact_einsum("y,z,xu->xyzu", e, e, S)
+        - exact_einsum("x,z,yu->xyzu", e, e, S)
+        + exact_einsum("x,u,yz->xyzu", e, e, S)
+        - exact_einsum("y,u,xz->xyzu", e, e, S)
     )
     return Tensor(comps, "dddd")
 
@@ -225,9 +230,9 @@ def matches_class_f11(model: AcnModel, f: Tensor) -> bool:
     F = f.components
     eta = model.eta.components
     xi = model.xi.components
-    omega = np.einsum("a,b,abk->k", xi, xi, F, optimize=True)
-    expected = np.einsum("i,j,k->ijk", eta, eta, omega, optimize=True)
-    expected = expected + np.einsum("i,k,j->ijk", eta, eta, omega, optimize=True)
+    omega = exact_einsum("a,b,abk->k", xi, xi, F)
+    expected = exact_einsum("i,j,k->ijk", eta, eta, omega)
+    expected = expected + exact_einsum("i,k,j->ijk", eta, eta, omega)
     return bool(np.all(F == expected))
 
 
@@ -250,7 +255,7 @@ def nabla_omega_star_check(model: AcnModel, conn: Connection) -> bool:
     nomega = covariant_derivative(conn, forms.omega).components
     eta = model.eta.components
     oo = einsum_scalar("k,k->", forms.omega.components, forms.omega_vec.components)
-    rhs = np.einsum("im,mj->ij", nomega, model.phi.components, optimize=True)
+    rhs = exact_einsum("im,mj->ij", nomega, model.phi.components)
     rhs = rhs + np.multiply.outer(eta, eta) * oo
     return bool(np.all(lhs == rhs))
 
@@ -275,7 +280,7 @@ def structure_pack(model: AcnModel, conn: Connection) -> StructurePack:
     """Compute the full structure-level package for a model."""
     nphi = covariant_derivative(conn, model.phi)
     f = Tensor(
-        np.einsum("iaj,ak->ijk", nphi.components, model.g.components, optimize=True),
+        exact_einsum("iaj,ak->ijk", nphi.components, model.g.components),
         "ddd",
     )
     forms = one_forms(model, f)
@@ -283,7 +288,7 @@ def structure_pack(model: AcnModel, conn: Connection) -> StructurePack:
     nomega = covariant_derivative(conn, forms.omega).components
     ostar = forms.omega_star.components
     s = Tensor(
-        np.einsum("im,mj->ij", nomega, model.phi.components, optimize=True)
+        exact_einsum("im,mj->ij", nomega, model.phi.components)
         - np.multiply.outer(ostar, ostar),
         "dd",
     )

@@ -20,6 +20,7 @@ from .errors import (
 )
 from .tensors import (
     Tensor,
+    exact_einsum,
     row_space_basis,
     scalar_array,
     vector_components,
@@ -77,7 +78,7 @@ def bracket(algebra: LieAlgebra, x, y) -> Tensor:
     """The product ``[x, y]`` of two coordinate vectors, as a vector."""
     xv = vector_components(x, algebra.dim, name="x")
     yv = vector_components(y, algebra.dim, name="y")
-    comps = np.einsum("kij,i,j->k", algebra.c.components, xv, yv, optimize=True)
+    comps = exact_einsum("kij,i,j->k", algebra.c.components, xv, yv)
     return Tensor(comps, "u")
 
 
@@ -103,9 +104,9 @@ def validate(algebra: LieAlgebra) -> ValidationReport:
                     detail=f"[x{i},x{j}] != -[x{j},x{i}] in components {bad}",
                 )
     jac = (
-        np.einsum("mjk,lim->lijk", c, c, optimize=True)
-        + np.einsum("mki,ljm->lijk", c, c, optimize=True)
-        + np.einsum("mij,lkm->lijk", c, c, optimize=True)
+        exact_einsum("mjk,lim->lijk", c, c)
+        + exact_einsum("mki,ljm->lijk", c, c)
+        + exact_einsum("mij,lkm->lijk", c, c)
     )
     for i in range(n):
         for j in range(i + 1, n):
@@ -137,8 +138,8 @@ def is_solvable(algebra: LieAlgebra) -> bool:
         products = []
         for a in range(len(basis)):
             for b in range(a + 1, len(basis)):
-                v = np.einsum("kij,i,j->k", c, scalar_array(basis[a]),
-                              scalar_array(basis[b]), optimize=True)
+                v = exact_einsum("kij,i,j->k", c, scalar_array(basis[a]),
+                                 scalar_array(basis[b]))
                 if any(val != 0 for val in v):
                     products.append(list(v))
         new_basis = row_space_basis(products)

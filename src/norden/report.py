@@ -25,7 +25,7 @@ from .connection import levi_civita
 from .curvature import riemann
 from .fundamental import divergence, psi4, s_trace, square_norms, structure_pack
 from .structures import AcnModel, associated_metric
-from .tensors import Tensor, einsum_scalar, format_scalar, signature
+from .tensors import Tensor, einsum_scalar, exact_einsum, format_scalar, signature
 
 #: Class labels the classifier cannot decide; reported as "unknown".
 UNDECIDED_CLASSES = tuple(f"f{i}" for i in range(1, 11) if i != 11)
@@ -67,7 +67,7 @@ def run_report(model: AcnModel) -> GeometryReport:
     identities = verify_identities(model, conn=conn, pack=pack, curv=curv)
     norms = square_norms(model, conn, pack=pack)
     oo = einsum_scalar("k,k->", pack.omega.components, pack.omega_vec.components)
-    phi_omega = np.einsum(
+    phi_omega = exact_einsum(
         "ij,j->i", model.phi.components, pack.omega_vec.components
     )
     ricci_xi_xi = einsum_scalar(

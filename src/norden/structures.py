@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ValidationReport, VarianceMismatch
 from .lie import LieAlgebra, validate as validate_algebra
-from .tensors import Tensor, signature
+from .tensors import Tensor, exact_einsum, signature
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,8 @@ def validate_structure(model: AcnModel) -> ValidationReport:
 
     Includes the underlying algebra's antisymmetry/Jacobi checks, the
     almost contact identities, compatibility of ``g`` with ``phi`` and
-    ``eta``, and the signature requirement ``(n+1, n)``.
+    ``eta``, and the signature requirement ``(n+1, n)``, which is checked
+    only when ``g`` is symmetric.
     """
     report = ValidationReport(subject=model.name or "model")
     report.extend(validate_algebra(model.algebra))
@@ -85,7 +86,7 @@ def validate_structure(model: AcnModel) -> ValidationReport:
     g = model.g.components
 
     # phi^2 = -Id + eta (x) xi, column by column.
-    phi2 = np.einsum("ia,aj->ij", phi, phi, optimize=True)
+    phi2 = exact_einsum("ia,aj->ij", phi, phi)
     for i in range(d):
         for j in range(d):
             expected = -(1 if i == j else 0) + xi[i] * eta[j]
@@ -93,27 +94,30 @@ def validate_structure(model: AcnModel) -> ValidationReport:
                 report.add("phi_square", where=(i, j),
                            detail=f"(phi^2)[{i},{j}] = {phi2[i, j]}, expected {expected}")
 
-    if np.einsum("i,i->", eta, xi) != 1:
-        report.add("eta_xi", detail=f"eta(xi) = {np.einsum('i,i->', eta, xi)}, expected 1")
+    eta_xi = exact_einsum("i,i->", eta, xi)
+    if eta_xi != 1:
+        report.add("eta_xi", detail=f"eta(xi) = {eta_xi}, expected 1")
 
-    phixi = np.einsum("ij,j->i", phi, xi)
+    phixi = exact_einsum("ij,j->i", phi, xi)
     for i in range(d):
         if phixi[i] != 0:
             report.add("phi_xi", where=(i,), detail=f"(phi xi)[{i}] = {phixi[i]}")
 
-    etaphi = np.einsum("i,ij->j", eta, phi)
+    etaphi = exact_einsum("i,ij->j", eta, phi)
     for j in range(d):
         if etaphi[j] != 0:
             report.add("eta_phi", where=(j,), detail=f"(eta o phi)[{j}] = {etaphi[j]}")
 
+    symmetric = True
     for i in range(d):
         for j in range(i, d):
             if g[i, j] != g[j, i]:
+                symmetric = False
                 report.add("metric_symmetric", where=(i, j),
                            detail=f"g[{i},{j}] != g[{j},{i}]")
 
     # g(phi x, phi y) = -g(x, y) + eta(x) eta(y) on basis pairs.
-    gphiphi = np.einsum("ai,ab,bj->ij", phi, g, phi, optimize=True)
+    gphiphi = exact_einsum("ai,ab,bj->ij", phi, g, phi)
     for i in range(d):
         for j in range(d):
             expected = -g[i, j] + eta[i] * eta[j]
@@ -123,7 +127,7 @@ def validate_structure(model: AcnModel) -> ValidationReport:
                                   f"expected {expected}")
 
     # phi is g-symmetric: g(phi x, y) = g(x, phi y).
-    gphi = np.einsum("ai,aj->ij", phi, g)
+    gphi = exact_einsum("ai,aj->ij", phi, g)
     for i in range(d):
         for j in range(d):
             if gphi[i, j] != gphi[j, i]:
@@ -131,12 +135,15 @@ def validate_structure(model: AcnModel) -> ValidationReport:
                            detail=f"g(phi x{i}, x{j}) != g(x{i}, phi x{j})")
 
     # eta is the g-dual of xi.
-    gxi = np.einsum("ij,j->i", g, xi)
+    gxi = exact_einsum("ij,j->i", g, xi)
     for i in range(d):
         if gxi[i] != eta[i]:
             report.add("eta_g_dual", where=(i,),
                        detail=f"g(x{i}, xi) = {gxi[i]}, eta(x{i}) = {eta[i]}")
 
+    # A signature is defined for symmetric forms only.
+    if not symmetric:
+        return report
     plus, minus, null = signature(model.g)
     if null != 0:
         report.add("metric_nondegenerate", detail=f"{null} null direction(s)")
@@ -154,5 +161,5 @@ def associated_metric(model: AcnModel) -> Tensor:
     g = model.g.components
     phi = model.phi.components
     eta = model.eta.components
-    comps = np.einsum("ia,aj->ij", g, phi, optimize=True) + np.multiply.outer(eta, eta)
+    comps = exact_einsum("ia,aj->ij", g, phi) + np.multiply.outer(eta, eta)
     return Tensor(comps, "dd")

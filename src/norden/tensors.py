@@ -4,11 +4,22 @@ Every number in this package is an exact rational — a Python int or a
 :class:`fractions.Fraction` in lowest terms; floating point is rejected
 at the door, so equality of computed quantities is always literal
 equality of rationals.  Components live in numpy arrays of ``object``
-dtype, which keeps ``einsum``-style multilinear algebra available while
-all sums and products run through exact Python arithmetic.  Keeping
-integer components as plain ints (rather than unit-denominator
-Fractions) makes the dense contractions substantially faster; public
-scalar-valued functions still always return Fractions.
+dtype whose entries are in canonical form: plain ints for integer
+values, Fractions otherwise.  Public scalar-valued functions always
+return Fractions.
+
+Multilinear algebra goes through one contraction kernel,
+:func:`exact_einsum`.  It scales each operand to integer numerators over
+the lcm of its entries' denominators, so a contraction of rationals is
+a contraction of integers followed by one division by the product of
+those denominators.  Before contracting it bounds every result entry by
+the product of the operands' largest numerator magnitudes times the
+number of summed index combinations.  When that bound and the
+denominator product are both below ``2**62`` the integers are
+contracted as ``int64`` arrays (numpy's own einsum, exact because no
+entry can overflow); otherwise as object arrays of Python ints, whose
+precision is unbounded.  Floats are never involved, and the kernel keeps
+no state between calls.
 
 A tensor slot is either contravariant (``"u"``) or covariant (``"d"``);
 the ``variance`` string has one letter per axis.  Contractions are only
@@ -16,6 +27,8 @@ allowed between one ``u`` slot and one ``d`` slot.
 """
 from __future__ import annotations
 
+import itertools
+import math
 import numbers
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -72,6 +85,8 @@ def as_entry(value):
 
 def format_scalar(value) -> str:
     """Render a rational as ``"p"`` or ``"p/q"`` in lowest terms."""
+    if type(value) is int:
+        return str(value)
     f = as_scalar(value)
     if f.denominator == 1:
         return str(f.numerator)
@@ -82,9 +97,15 @@ def scalar_array(components) -> np.ndarray:
     """Copy ``components`` into an object ndarray of exact rationals
     (Python ints for integer values, Fractions otherwise)."""
     arr = np.array(components, dtype=object)
-    for idx in np.ndindex(arr.shape):
-        arr[idx] = as_entry(arr[idx])
-    return arr
+    return _object_array([v if type(v) is int else as_entry(v)
+                          for v in arr.ravel().tolist()], arr.shape)
+
+
+def _object_array(entries: list, shape) -> np.ndarray:
+    """An object ndarray of ``shape`` holding ``entries`` in C order."""
+    arr = np.empty(len(entries), dtype=object)
+    arr[:] = entries
+    return arr.reshape(shape)
 
 
 def zeros_array(shape) -> np.ndarray:
@@ -206,12 +227,9 @@ class Tensor:
 
     def nonzero_items(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Sorted ``(index, value)`` pairs for all nonzero components."""
-        out = []
-        for idx in np.ndindex(self.shape):
-            v = self.components[idx]
-            if v != 0:
-                out.append((idx, v))
-        return out
+        indices = itertools.product(*map(range, self.shape))
+        return [(idx, v) for idx, v in zip(indices, self.components.ravel().tolist())
+                if v != 0]
 
 
 def tensor_product(a: Tensor, b: Tensor) -> Tensor:
@@ -373,12 +391,93 @@ def matrix_rank(rows: Iterable[Sequence]) -> int:
     return len(row_space_basis(rows))
 
 
+#: Entries of an int64 contraction are kept below this magnitude.
+INT64_SAFE = 1 << 62
+
+
+def _integer_form(arr) -> tuple[list[int], int]:
+    """The entries of ``arr`` as integer numerators over one common
+    denominator (the lcm of theirs): ``(numerators, denominator)``."""
+    flat = np.asarray(arr, dtype=object).ravel().tolist()
+    denominators = {v.denominator for v in flat if type(v) is not int}
+    if not denominators:
+        return flat, 1
+    den = math.lcm(*denominators)
+    return [v * den if type(v) is int else v.numerator * (den // v.denominator)
+            for v in flat], den
+
+
+def _summed_combinations(subscripts: str, shapes) -> int:
+    """How many index combinations each output entry of an explicit-mode
+    einsum sums over (an upper bound when an ellipsis is summed)."""
+    if "->" not in subscripts:
+        raise ValueError(f"exact_einsum needs explicit subscripts with '->': {subscripts!r}")
+    inputs, output = subscripts.replace(" ", "").split("->")
+    sizes: dict[str, int] = {}
+    ellipsis = 1
+    for term, shape in zip(inputs.split(","), shapes):
+        head, dots, tail = term.partition("...")
+        if dots:
+            ellipsis = max(ellipsis, math.prod(shape[len(head):len(shape) - len(tail)]))
+            shape = shape[:len(head)] + shape[len(shape) - len(tail):]
+        for ch, n in zip(head + tail, shape):
+            sizes[ch] = max(sizes.get(ch, 1), n)
+    total = math.prod(n for ch, n in sizes.items() if ch not in output)
+    return total if "..." in output else total * ellipsis
+
+
+def _contract_python_ints(subscripts: str, operands: list[np.ndarray]):
+    """Contract object arrays of Python ints pairwise along numpy's greedy
+    path, one unoptimized einsum per pair.  (``einsum(optimize=True)``
+    cannot be used here: when both sides of a pair reduce to scalars it
+    multiplies them as int64 and wraps.)"""
+    if len(operands) <= 2 or "..." in subscripts:
+        return np.einsum(subscripts, *operands)
+    inputs, output = subscripts.replace(" ", "").split("->")
+    terms, ops = inputs.split(","), list(operands)
+    for pair in np.einsum_path(subscripts, *ops, optimize="greedy")[0][1:]:
+        picked = [(terms.pop(k), ops.pop(k)) for k in sorted(pair, reverse=True)]
+        needed = set(output).union(*terms)
+        kept = "".join(dict.fromkeys(ch for t, _ in picked for ch in t if ch in needed))
+        step = np.einsum(",".join(t for t, _ in picked) + "->" + kept,
+                         *(op for _, op in picked))
+        ops.append(np.asarray(step, dtype=object))   # a bare int would become int64
+        terms.append(kept)
+    return np.einsum(f"{terms[0]}->{output}", ops[0])
+
+
+def exact_einsum(subscripts: str, *operands):
+    """``np.einsum(subscripts, *operands)`` over exact rationals.
+
+    The operands are object arrays of ints and Fractions; the result is
+    one in canonical form (a bare entry for an empty output).  See the
+    module docstring for the integer contraction and its int64 bound.
+    """
+    shapes = [np.shape(op) for op in operands]
+    forms = [_integer_form(op) for op in operands]
+    bound = _summed_combinations(subscripts, shapes)
+    den = 1
+    for nums, d in forms:
+        # A zero operand counts as 1, so the bound also covers every
+        # operand's own entries and every intermediate of the contraction.
+        bound *= max(max(map(abs, nums), default=0), 1)
+        den *= d
+    fits = bound < INT64_SAFE and den < INT64_SAFE
+    ints = [np.array(nums, dtype=np.int64 if fits else object).reshape(shape)
+            for (nums, _), shape in zip(forms, shapes)]
+    if fits:
+        out = np.asarray(np.einsum(subscripts, *ints, optimize=True))
+    else:
+        out = np.asarray(_contract_python_ints(subscripts, ints))
+    flat = out.ravel().tolist()
+    if den != 1:
+        flat = [v // den if v % den == 0 else Fraction(v, den) for v in flat]
+    return flat[0] if out.ndim == 0 else _object_array(flat, out.shape)
+
+
 def einsum_scalar(subscripts: str, *arrays) -> Fraction:
-    """An einsum contraction with empty output, unwrapped to a Fraction."""
-    out = np.einsum(subscripts, *arrays, optimize=True)
-    if isinstance(out, np.ndarray):
-        out = out.item()
-    return as_scalar(out)
+    """An exact contraction with empty output, as a Fraction."""
+    return as_scalar(exact_einsum(subscripts, *arrays))
 
 
 def vector_components(x, dim: int, name: str = "vector") -> np.ndarray:

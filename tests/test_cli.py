@@ -42,6 +42,17 @@ def broken_path(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def asymmetric_path(model_path, tmp_path_factory):
+    """The lambda = (2, 3) member with one off-diagonal metric entry
+    changed, so that g[0,1] = 5 but g[1,0] = 0."""
+    path = tmp_path_factory.mktemp("models") / "asymmetric.txt"
+    text = Path(model_path).read_text()
+    assert "[metric]\n1 0 0\n" in text
+    path.write_text(text.replace("[metric]\n1 0 0\n", "[metric]\n1 5 0\n"))
+    return str(path)
+
+
 def test_family_emits_parseable_model(model_path, capsys):
     assert main(["validate", model_path]) == EXIT_OK
     out = capsys.readouterr().out
@@ -100,6 +111,28 @@ def test_report_rejects_invalid_model(broken_path, capsys):
     assert main(["report", broken_path, "--json"]) == EXIT_FAIL
     obj = json.loads(capsys.readouterr().out)
     assert obj["valid"] is False
+
+
+def test_asymmetric_metric_is_a_violation_not_a_traceback(asymmetric_path):
+    """An asymmetric metric has no signature: validation reports
+    metric_symmetric and skips the signature rule (exit 1, no traceback)."""
+    command = [sys.executable, "-m", "norden"]
+    proc = _run(command + ["validate", asymmetric_path, "--json"])
+    assert proc.returncode == EXIT_FAIL, proc.stderr
+    assert "Traceback" not in proc.stderr
+    obj = json.loads(proc.stdout)
+    assert obj["valid"] is False
+    rules = {v["rule"] for v in obj["violations"]}
+    assert "metric_symmetric" in rules
+    assert {"metric_signature", "metric_nondegenerate"}.isdisjoint(rules)
+    proc = _run(command + ["report", asymmetric_path])
+    assert proc.returncode == EXIT_FAIL
+    assert "Traceback" not in proc.stderr
+    assert "metric_symmetric" in proc.stderr
+    proc = _run(command + ["report", asymmetric_path, "--json"])
+    assert proc.returncode == EXIT_FAIL
+    assert "Traceback" not in proc.stderr
+    assert "metric_symmetric" in {v["rule"] for v in json.loads(proc.stdout)["violations"]}
 
 
 def test_report_quiet(model_path, capsys):
