@@ -4,11 +4,12 @@ structures with Norden metric on Lie groups.
 Everything is computed in :class:`fractions.Fraction` arithmetic: no
 floats, no tolerances.  The typical workflow::
 
-    from norden import FamilyParams, generate_family, run_report
+    from norden import FamilyParams, Geometry, generate_family, run_report
 
     model = generate_family(FamilyParams(n=1, lam=(2, 3)))
     report = run_report(model)
     print(report.invariants["tau"])        # Fraction(10, 1)
+    print(Geometry(model).curv.tau)        # the same layer, read directly
 """
 from .classify import (
     IdentityVerdict,
@@ -72,6 +73,7 @@ from .fundamental import (
     structure_pack,
     tensor_s,
 )
+from .geometry import Geometry
 from .lie import (
     LieAlgebra,
     algebra_from_brackets,

@@ -15,26 +15,15 @@ rather than passed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .connection import Connection, covariant_derivative, levi_civita
-from .curvature import CurvaturePack, riemann
-from .errors import NotApplicable
-from .fundamental import (
-    SquareNorms,
-    StructurePack,
-    divergence,
-    fundamental_tensor,
-    matches_class_f11,
-    psi4,
-    s_trace,
-    square_norms,
-    structure_pack,
-)
+from .connection import Connection
+from .curvature import CurvaturePack
+from .fundamental import SquareNorms, StructurePack, matches_class_f11
+from .geometry import Geometry
 from .structures import AcnModel
-from .tensors import Tensor, einsum_scalar, exact_einsum, invert_symmetric
+from .tensors import Tensor, exact_einsum
 
 
 def is_f0(model: AcnModel, f: Tensor) -> bool:
@@ -61,20 +50,7 @@ def forms_closed(
     - (nabla_y omega) x``, so closedness is symmetry of the covariant
     derivative.
     """
-    if pack is None:
-        from .fundamental import one_forms
-
-        f = fundamental_tensor(model, conn)
-        forms = one_forms(model, f)
-        omega, omega_star = forms.omega, forms.omega_star
-    else:
-        omega, omega_star = pack.omega, pack.omega_star
-    nomega = covariant_derivative(conn, omega).components
-    nostar = covariant_derivative(conn, omega_star).components
-    return (
-        bool(np.all(nomega == nomega.T)),
-        bool(np.all(nostar == nostar.T)),
-    )
+    return Geometry(model, conn=conn, pack=pack).forms_closed
 
 
 def is_isotropic_kahler(
@@ -83,18 +59,13 @@ def is_isotropic_kahler(
     """Whether both square norms ``||nabla phi||^2`` and
     ``||nabla eta||^2`` vanish (possible with ``nabla phi != 0`` only
     because the metric is indefinite)."""
-    if norms is None:
-        norms = square_norms(model, conn)
-    return norms.nabla_phi == 0 and norms.nabla_eta == 0
+    return Geometry(model, conn=conn, norms=norms).isotropic_kahler
 
 
 def curvature_phi_kahler(model: AcnModel, pack: CurvaturePack) -> bool:
     """Whether the curvature has the Kahler-type phi-property
     ``R(x, y, phi z, phi u) = -R(x, y, z, u)`` on all basis tuples."""
-    R = pack.r04.components
-    phi = model.phi.components
-    twisted = exact_einsum("ijmn,mk,nu->ijku", R, phi, phi)
-    return bool(np.all(twisted == -R))
+    return Geometry(model, curv=pack).curvature_phi_kahler
 
 
 @dataclass(frozen=True)
@@ -152,29 +123,25 @@ def verify_identities(
     outside it; everything else is checked unconditionally.  The
     optional arguments allow reuse of already-computed packages.
     """
-    if conn is None:
-        conn = levi_civita(model)
-    if pack is None:
-        pack = structure_pack(model, conn)
-    if curv is None:
-        curv = riemann(model, conn)
-    f11 = matches_class_f11(model, pack.f)
+    return Geometry(model, conn=conn, pack=pack, curv=curv).identities
+
+
+def check_identities(geo: Geometry) -> dict[str, IdentityVerdict]:
+    """The identity battery of :func:`verify_identities`, read from the
+    layers of ``geo``."""
     verdicts: dict[str, IdentityVerdict] = {}
 
     def put(v: IdentityVerdict) -> None:
         verdicts[v.name] = v
 
-    g = model.g.components
-    ginv = invert_symmetric(model.g).components
+    model, curv = geo.model, geo.curv
     phi = model.phi.components
     eta = model.eta.components
-    xi = model.xi.components
-    d = model.dim
 
     # --- Ricci identities: second-derivative antisymmetrization equals
     # the curvature action.  Holds for every metric connection, so it is
     # checked unconditionally, for both phi and eta.
-    nnphi = covariant_derivative(conn, covariant_derivative(conn, model.phi)).components
+    nnphi = geo.nabla2_phi.components
     asym_phi = nnphi - np.einsum("jiak->ijak", nnphi)
     r13 = curv.r13.components
     rhs_phi = exact_einsum("aijm,mk->ijak", r13, phi) - exact_einsum(
@@ -183,13 +150,13 @@ def verify_identities(
     put(_verdict("ricci_identity_phi", asym_phi, rhs_phi,
                  detail="nabla^2 phi antisymmetrized = curvature acting on phi"))
 
-    nneta = covariant_derivative(conn, covariant_derivative(conn, model.eta)).components
+    nneta = geo.nabla2_eta.components
     asym_eta = nneta - np.einsum("jik->ijk", nneta)
     rhs_eta = -exact_einsum("mijk,m->ijk", r13, eta)
     put(_verdict("ricci_identity_eta", asym_eta, rhs_eta,
                  detail="nabla^2 eta antisymmetrized = -eta(R(.,.) .)"))
 
-    if not f11:
+    if not geo.f11:
         for name in (
             "norm_chain",
             "omega_star_derivative",
@@ -207,8 +174,8 @@ def verify_identities(
 
     # --- Norm chain: ||nabla phi||^2 = -||N||^2 = -2 ||nabla eta||^2
     #     = 2 omega(omega_vec).
-    norms = square_norms(model, conn, pack=pack)
-    oo = einsum_scalar("k,k->", pack.omega.components, pack.omega_vec.components)
+    norms = geo.norms
+    oo = geo.omega_norm
     chain = [norms.nabla_phi, -norms.nijenhuis, -2 * norms.nabla_eta, 2 * oo]
     passed = all(v == chain[0] for v in chain)
     put(IdentityVerdict(
@@ -218,8 +185,8 @@ def verify_identities(
     ))
 
     # --- First-derivative identity for omega_star.
-    nomega = covariant_derivative(conn, pack.omega).components
-    nostar = covariant_derivative(conn, pack.omega_star).components
+    nomega = geo.nabla_omega.components
+    nostar = geo.nabla_omega_star.components
     rhs = exact_einsum("im,mj->ij", nomega, phi) + np.multiply.outer(
         eta, eta
     ) * oo
@@ -230,8 +197,8 @@ def verify_identities(
     # --- Curvature phi-twist: R(x, y, phi z, phi u) = -R(x, y, z, u)
     #     + psi4(S)(x, y, z, u).
     R = curv.r04.components
-    p4 = psi4(pack.s, model.eta).components
-    twisted = exact_einsum("ijmn,mk,nu->ijku", R, phi, phi)
+    p4 = geo.psi4_s.components
+    twisted = geo.twisted_r
     put(_verdict("curvature_phi_twist", twisted, -R + p4,
                  detail="R twisted by phi in the last two slots differs "
                         "from -R by psi4(S)"))
@@ -242,12 +209,11 @@ def verify_identities(
     twist_vanishes = bool(np.all(twisted == 0))
     if twist_vanishes:
         put(_verdict("r_equals_psi4_s", R, p4, detail="R = psi4(S)"))
-        trs = s_trace(model, pack.s)
-        rhs_ricci = np.multiply.outer(eta, eta) * trs + pack.s.components
+        trs = geo.s_trace
+        rhs_ricci = np.multiply.outer(eta, eta) * trs + geo.s.components
         put(_verdict("ricci_from_s", curv.ricci.components, rhs_ricci,
                      detail="ricci = tr(S) eta (x) eta + S"))
-        phi_omega_v = exact_einsum("ij,j->i", phi, pack.omega_vec.components)
-        div_po = divergence(model, conn, phi_omega_v)
+        div_po = geo.div_phi_omega
         put(IdentityVerdict(
             name="s_trace_divergence", applicable=True, passed=trs == div_po,
             witness=None if trs == div_po else (str(trs), str(div_po)),
@@ -261,10 +227,7 @@ def verify_identities(
 
     # --- Scalar curvature chain: tau + tau_2star = 2 div(phi Omega)
     #     = 2 ricci(xi, xi).
-    phi_omega = exact_einsum("ij,j->i", phi, pack.omega_vec.components)
-    div_phi_omega = divergence(model, conn, phi_omega)
-    ricci_xixi = einsum_scalar("ij,i,j->", curv.ricci.components, xi, xi)
-    chain = [curv.tau + curv.tau_2star, 2 * div_phi_omega, 2 * ricci_xixi]
+    chain = [curv.tau + curv.tau_2star, 2 * geo.div_phi_omega, 2 * geo.ricci_xi_xi]
     passed = all(v == chain[0] for v in chain)
     put(IdentityVerdict(
         name="scalar_curvature_chain", applicable=True, passed=passed,
@@ -275,8 +238,8 @@ def verify_identities(
     # --- Kahler-type curvature criterion: the twisted curvature
     # property holds iff (nabla_x omega_star) y
     # = eta(x) eta(y) omega(Omega) + omega_star(x) omega_star(y).
-    lhs_flag = curvature_phi_kahler(model, curv)
-    ostar = pack.omega_star.components
+    lhs_flag = geo.curvature_phi_kahler
+    ostar = geo.forms.omega_star.components
     crit_rhs = np.multiply.outer(eta, eta) * oo + np.multiply.outer(ostar, ostar)
     rhs_flag = bool(np.all(nostar == crit_rhs))
     put(IdentityVerdict(
@@ -299,11 +262,7 @@ def verify_identities(
 
     # --- Isotropy equivalence: isotropic Kahler <=> omega(Omega) = 0
     #     <=> ||N||^2 = 0.
-    flags = (
-        is_isotropic_kahler(model, conn, norms=norms),
-        oo == 0,
-        norms.nijenhuis == 0,
-    )
+    flags = (geo.isotropic_kahler, oo == 0, norms.nijenhuis == 0)
     passed = len(set(flags)) == 1
     put(IdentityVerdict(
         name="isotropy_equivalence", applicable=True, passed=passed,

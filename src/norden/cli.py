@@ -20,9 +20,7 @@ import json
 import sys
 from fractions import Fraction
 
-from .classify import verify_identities
-from .curvature import classify_section, riemann, sectional_curvature
-from .connection import levi_civita
+from .curvature import classify_section, sectional_curvature
 from .errors import (
     BadParams,
     DegenerateSection,
@@ -32,6 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .family import FamilyParams, generate_family
+from .geometry import Geometry
 from .modelfile import parse_model, serialize_model
 from .report import (
     all_identities_ok,
@@ -137,7 +136,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_identities(args) -> int:
     model = _run_validated(args)
-    verdicts = verify_identities(model)
+    verdicts = Geometry(model).identities
     lines = []
     obj = {}
     ok = True
@@ -189,11 +188,9 @@ def _cmd_section(args) -> int:
         section = classify_section(model, x, y)
     except LinearlyDependent as exc:
         raise _CliFailure(EXIT_INPUT, str(exc))
-    conn = levi_civita(model)
-    pack = riemann(model, conn)
     note = ""
     try:
-        k = sectional_curvature(model, pack, x, y)
+        k = sectional_curvature(model, Geometry(model).curv, x, y)
     except DegenerateSection:
         k = None
         note = "restricted metric is degenerate; no sectional curvature"

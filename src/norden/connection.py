@@ -9,6 +9,7 @@ vanish, so the Koszul formula collapses to bracket terms:
 Connection coefficients are stored as ``gamma[k, i, j]``: the ``x_k``
 coefficient of ``nabla_{x_i} x_j``.  Covariant derivatives of constant
 tensors then consist purely of Gamma correction terms, one per slot.
+The Koszul solve is :attr:`norden.geometry.Geometry.conn`.
 """
 from __future__ import annotations
 
@@ -18,15 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, VarianceMismatch
 from .structures import AcnModel
-from .tensors import (
-    DOWN,
-    UP,
-    Tensor,
-    exact_div,
-    exact_einsum,
-    invert_symmetric,
-    zeros_array,
-)
+from .tensors import DOWN, UP, Tensor, exact_einsum, zeros_array
 
 
 @dataclass(frozen=True)
@@ -56,15 +49,9 @@ def levi_civita(model: AcnModel) -> Connection:
 
     Raises :class:`SingularMetric` if the metric is degenerate.
     """
-    g = model.g.components
-    c = model.algebra.c.components
-    ginv = invert_symmetric(model.g).components
-    # b[i, j, k] = g([x_i, x_j], x_k)
-    b = exact_einsum("mij,mk->ijk", c, g)
-    two_k = b + np.einsum("kij->ijk", b) + np.einsum("kji->ijk", b)
-    # gamma[m, i, j] = (1/2) * two_k[i, j, k] g^{k m}
-    gamma = exact_div(exact_einsum("ijk,km->mij", two_k, ginv), 2)
-    return Connection(Tensor(gamma, "udd"))
+    from .geometry import Geometry  # geometry imports this module
+
+    return Geometry(model).conn
 
 
 def covariant_derivative(conn: Connection, t: Tensor) -> Tensor:

@@ -9,6 +9,7 @@ a pure Gamma/structure-constant expression.  The covariant tensor is
 ``R(x, y, z, u) = g(R(x, y) z, u)``, and three scalar curvatures are
 taken: ``tau`` (full g-trace), ``tau_star`` (one argument twisted by
 ``phi``) and ``tau_2star`` (two arguments twisted by ``phi``).
+The curvature package is :attr:`norden.geometry.Geometry.curv`.
 """
 from __future__ import annotations
 
@@ -47,8 +48,9 @@ class CurvaturePack:
     tau_2star: Fraction
 
 
-def _scalars_from_r04(model: AcnModel, r04: Tensor):
-    ginv = invert_symmetric(model.g).components
+def _scalars_from_r04(model: AcnModel, r04: Tensor, ginv: np.ndarray):
+    """``(ricci, tau, tau_star, tau_2star)`` of the covariant curvature
+    ``r04``; ``ginv`` holds the inverse metric's components."""
     phi = model.phi.components
     R = r04.components
     # ricci(y, z) = g^{is} R(x_i, y, z, x_s)
@@ -63,29 +65,14 @@ def _scalars_from_r04(model: AcnModel, r04: Tensor):
 
 def riemann(model: AcnModel, conn: Connection) -> CurvaturePack:
     """Compute the full curvature package of a model."""
-    gamma = conn.gamma.components
-    c = model.algebra.c.components
-    g = model.g.components
-    r13 = (
-        exact_einsum("mjk,lim->lijk", gamma, gamma)
-        - exact_einsum("mik,ljm->lijk", gamma, gamma)
-        - exact_einsum("mij,lmk->lijk", c, gamma)
-    )
-    r04 = exact_einsum("lijk,lu->ijku", r13, g)
-    ricci, tau, tau_star, tau_2star = _scalars_from_r04(model, Tensor(r04, "dddd"))
-    return CurvaturePack(
-        r13=Tensor(r13, "uddd"),
-        r04=Tensor(r04, "dddd"),
-        ricci=ricci,
-        tau=tau,
-        tau_star=tau_star,
-        tau_2star=tau_2star,
-    )
+    from .geometry import Geometry  # geometry imports this module
+
+    return Geometry(model, conn=conn).curv
 
 
 def ricci_and_scalars(model: AcnModel, pack: CurvaturePack):
     """``(ricci, tau, tau_star, tau_2star)`` recomputed from ``pack.r04``."""
-    return _scalars_from_r04(model, pack.r04)
+    return _scalars_from_r04(model, pack.r04, invert_symmetric(model.g).components)
 
 
 def _pi1(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> Fraction:

@@ -9,6 +9,9 @@ Central object: ``F(x, y, z) = g((nabla_x phi) y, z)``, a covariant
 square norms that decide the isotropic-Kahler property, and the
 auxiliary symmetric tensor ``S`` whose quadruple extension reproduces
 the curvature on the main class of interest.
+
+Each of these is a layer of :class:`norden.geometry.Geometry`, computed
+once per model there; the functions below read those layers.
 """
 from __future__ import annotations
 
@@ -18,16 +21,10 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .connection import Connection, covariant_derivative
-from .errors import InternalInconsistency, NotApplicable
+from .connection import Connection
+from .errors import NotApplicable
 from .structures import AcnModel
-from .tensors import (
-    Tensor,
-    einsum_scalar,
-    exact_einsum,
-    invert_symmetric,
-    vector_components,
-)
+from .tensors import Tensor, exact_einsum
 
 
 class OneForms(NamedTuple):
@@ -48,38 +45,47 @@ class SquareNorms(NamedTuple):
     nijenhuis: Fraction
 
 
+@dataclass(frozen=True)
+class StructurePack:
+    """Every structure-level tensor of a model, computed once."""
+
+    f: Tensor            # fundamental 3-tensor, "ddd"
+    theta: Tensor
+    theta_star: Tensor
+    omega: Tensor
+    omega_star: Tensor
+    omega_vec: Tensor
+    nabla_phi: Tensor    # "dud"
+    nabla_eta: Tensor    # "dd"
+    n: Tensor            # Nijenhuis, "udd"
+    s: Tensor            # auxiliary symmetric tensor, "dd"
+
+
+def _geometry(model: AcnModel, **layers):
+    from .geometry import Geometry  # geometry imports this module
+
+    return Geometry(model, **layers)
+
+
+def structure_pack(model: AcnModel, conn: Connection) -> StructurePack:
+    """Compute the full structure-level package for a model."""
+    return _geometry(model, conn=conn).pack
+
+
 def fundamental_tensor(model: AcnModel, conn: Connection) -> Tensor:
     """``F[i, j, k] = g((nabla_{x_i} phi) x_j, x_k)``, variance ``ddd``."""
-    nphi = covariant_derivative(conn, model.phi).components
-    return Tensor(
-        exact_einsum("iaj,ak->ijk", nphi, model.g.components), "ddd"
-    )
+    return _geometry(model, conn=conn).f
 
 
 def one_forms(model: AcnModel, f: Tensor) -> OneForms:
     """All 1-forms derived from the fundamental tensor, plus ``omega``'s
     g-dual vector (which needs the inverse metric)."""
-    F = f.components
-    ginv = invert_symmetric(model.g).components
-    phi = model.phi.components
-    xi = model.xi.components
-    theta = exact_einsum("ij,ijk->k", ginv, F)
-    theta_star = exact_einsum("ij,mj,imk->k", ginv, phi, F)
-    omega = exact_einsum("a,b,abk->k", xi, xi, F)
-    omega_star = exact_einsum("m,mk->k", omega, phi)
-    omega_vec = exact_einsum("ij,j->i", ginv, omega)
-    return OneForms(
-        Tensor(theta, "d"),
-        Tensor(theta_star, "d"),
-        Tensor(omega, "d"),
-        Tensor(omega_star, "d"),
-        Tensor(omega_vec, "u"),
-    )
+    return _geometry(model, f=f).forms
 
 
 def nabla_eta(model: AcnModel, conn: Connection) -> Tensor:
     """``(nabla eta)[i, j] = (nabla_{x_i} eta)(x_j)`` via the connection."""
-    return covariant_derivative(conn, model.eta)
+    return _geometry(model, conn=conn).nabla_eta
 
 
 def nabla_eta_from_fundamental(model: AcnModel, f: Tensor) -> Tensor:
@@ -92,41 +98,15 @@ def nabla_eta_from_fundamental(model: AcnModel, f: Tensor) -> Tensor:
 
 
 def nijenhuis_from_brackets(model: AcnModel, conn: Connection) -> Tensor:
-    """``N`` from the bracket definition
-    ``phi^2 [x,y] + [phi x, phi y] - phi[phi x, y] - phi[x, phi y]``
-    plus the ``(nabla eta)`` antisymmetrization times ``xi``.
-    Variance ``udd``: ``N[a, i, j]`` is the ``x_a`` component of
-    ``N(x_i, x_j)``."""
-    c = model.algebra.c.components
-    phi = model.phi.components
-    xi = model.xi.components
-    neta = covariant_derivative(conn, model.eta).components
-    phi2 = exact_einsum("am,ms->as", phi, phi)
-    t = exact_einsum("as,sij->aij", phi2, c)
-    t = t + exact_einsum("ams,mi,sj->aij", c, phi, phi)
-    t = t - exact_einsum("am,msj,si->aij", phi, c, phi)
-    t = t - exact_einsum("am,mis,sj->aij", phi, c, phi)
-    deta = neta - neta.T
-    t = t + exact_einsum("a,ij->aij", xi, deta)
-    return Tensor(t, "udd")
+    """``N`` from the bracket definition, see
+    :attr:`norden.geometry.Geometry.n_from_brackets`."""
+    return _geometry(model, conn=conn).n_from_brackets
 
 
 def nijenhuis_from_derivatives(model: AcnModel, conn: Connection) -> Tensor:
-    """``N`` from covariant derivatives of ``phi`` and ``eta``:
-    ``(nabla_{phi x} phi) y - (nabla_{phi y} phi) x
-    - phi (nabla_x phi) y + phi (nabla_y phi) x``
-    plus the same ``(nabla eta)`` terms."""
-    phi = model.phi.components
-    xi = model.xi.components
-    nphi = covariant_derivative(conn, model.phi).components
-    neta = covariant_derivative(conn, model.eta).components
-    t = exact_einsum("mi,maj->aij", phi, nphi)
-    t = t - exact_einsum("mj,mai->aij", phi, nphi)
-    t = t - exact_einsum("am,imj->aij", phi, nphi)
-    t = t + exact_einsum("am,jmi->aij", phi, nphi)
-    deta = neta - neta.T
-    t = t + exact_einsum("a,ij->aij", xi, deta)
-    return Tensor(t, "udd")
+    """``N`` from covariant derivatives of ``phi`` and ``eta``, see
+    :attr:`norden.geometry.Geometry.n_from_derivatives`."""
+    return _geometry(model, conn=conn).n_from_derivatives
 
 
 def nijenhuis(model: AcnModel, conn: Connection) -> Tensor:
@@ -135,40 +115,17 @@ def nijenhuis(model: AcnModel, conn: Connection) -> Tensor:
     Raises :class:`InternalInconsistency` if they disagree (which would
     indicate a bug, never bad input).
     """
-    via_brackets = nijenhuis_from_brackets(model, conn)
-    via_derivatives = nijenhuis_from_derivatives(model, conn)
-    if via_brackets != via_derivatives:
-        raise InternalInconsistency(
-            "Nijenhuis tensor: bracket and derivative constructions disagree"
-        )
-    return via_brackets
+    return _geometry(model, conn=conn).n
 
 
 def square_norms(
-    model: AcnModel, conn: Connection, pack: "StructurePack | None" = None
+    model: AcnModel, conn: Connection, pack: StructurePack | None = None
 ) -> SquareNorms:
     """The three square norms, each a full-basis contraction with the
-    inverse metric in every argument slot, e.g.
-    ``||nabla phi||^2 = g^{ij} g^{ks} g((nabla_{x_i} phi) x_k,
-    (nabla_{x_j} phi) x_s)``.
-
-    Passing an already-computed :class:`StructurePack` avoids
-    recomputing the Nijenhuis tensor and the derivatives.
-    """
-    g = model.g.components
-    ginv = invert_symmetric(model.g).components
-    if pack is not None:
-        nphi = pack.nabla_phi.components
-        neta = pack.nabla_eta.components
-        nj = pack.n.components
-    else:
-        nphi = covariant_derivative(conn, model.phi).components
-        neta = covariant_derivative(conn, model.eta).components
-        nj = nijenhuis(model, conn).components
-    nphi2 = einsum_scalar("ij,ks,ab,iak,jbs->", ginv, ginv, g, nphi, nphi)
-    neta2 = einsum_scalar("ij,ks,ik,js->", ginv, ginv, neta, neta)
-    nj2 = einsum_scalar("ij,ks,ab,aik,bjs->", ginv, ginv, g, nj, nj)
-    return SquareNorms(nphi2, neta2, nj2)
+    inverse metric in every argument slot.  Passing an already-computed
+    :class:`StructurePack` avoids recomputing the Nijenhuis tensor and
+    the derivatives."""
+    return _geometry(model, conn=conn, pack=pack).norms
 
 
 def tensor_s(model: AcnModel, conn: Connection) -> Tensor:
@@ -178,21 +135,12 @@ def tensor_s(model: AcnModel, conn: Connection) -> Tensor:
     Its quadruple extension (:func:`psi4`) reproduces the curvature on
     the class where ``F`` is carried entirely by ``eta`` and ``omega``.
     """
-    f = fundamental_tensor(model, conn)
-    forms = one_forms(model, f)
-    nomega = covariant_derivative(conn, forms.omega).components
-    phi = model.phi.components
-    ostar = forms.omega_star.components
-    comps = exact_einsum("im,mj->ij", nomega, phi) - np.multiply.outer(
-        ostar, ostar
-    )
-    return Tensor(comps, "dd")
+    return _geometry(model, conn=conn).s
 
 
 def s_trace(model: AcnModel, s: Tensor) -> Fraction:
     """``tr S = g^{ij} S(x_i, x_j)``."""
-    ginv = invert_symmetric(model.g).components
-    return einsum_scalar("ij,ij->", ginv, s.components)
+    return _geometry(model, s=s).s_trace
 
 
 def psi4(s: Tensor, eta: Tensor) -> Tensor:
@@ -217,10 +165,7 @@ def psi4(s: Tensor, eta: Tensor) -> Tensor:
 
 def divergence(model: AcnModel, conn: Connection, x) -> Fraction:
     """``div X = g^{ij} g(nabla_{x_i} X, x_j)`` for a constant vector."""
-    xv = Tensor(vector_components(x, model.dim, name="x"), "u")
-    nx = covariant_derivative(conn, xv).components
-    ginv = invert_symmetric(model.g).components
-    return einsum_scalar("ij,ik,kj->", ginv, nx, model.g.components)
+    return _geometry(model, conn=conn).divergence(x)
 
 
 def matches_class_f11(model: AcnModel, f: Tensor) -> bool:
@@ -245,62 +190,9 @@ def nabla_omega_star_check(model: AcnModel, conn: Connection) -> bool:
     Only meaningful on the pure class above; raises
     :class:`NotApplicable` otherwise.
     """
-    f = fundamental_tensor(model, conn)
-    if not matches_class_f11(model, f):
+    verdict = _geometry(model, conn=conn).identities["omega_star_derivative"]
+    if not verdict.applicable:
         raise NotApplicable(
             "omega_star derivative identity requires the pure eta-omega class"
         )
-    forms = one_forms(model, f)
-    lhs = covariant_derivative(conn, forms.omega_star).components
-    nomega = covariant_derivative(conn, forms.omega).components
-    eta = model.eta.components
-    oo = einsum_scalar("k,k->", forms.omega.components, forms.omega_vec.components)
-    rhs = exact_einsum("im,mj->ij", nomega, model.phi.components)
-    rhs = rhs + np.multiply.outer(eta, eta) * oo
-    return bool(np.all(lhs == rhs))
-
-
-@dataclass(frozen=True)
-class StructurePack:
-    """Every structure-level tensor of a model, computed once."""
-
-    f: Tensor            # fundamental 3-tensor, "ddd"
-    theta: Tensor
-    theta_star: Tensor
-    omega: Tensor
-    omega_star: Tensor
-    omega_vec: Tensor
-    nabla_phi: Tensor    # "dud"
-    nabla_eta: Tensor    # "dd"
-    n: Tensor            # Nijenhuis, "udd"
-    s: Tensor            # auxiliary symmetric tensor, "dd"
-
-
-def structure_pack(model: AcnModel, conn: Connection) -> StructurePack:
-    """Compute the full structure-level package for a model."""
-    nphi = covariant_derivative(conn, model.phi)
-    f = Tensor(
-        exact_einsum("iaj,ak->ijk", nphi.components, model.g.components),
-        "ddd",
-    )
-    forms = one_forms(model, f)
-    neta = nabla_eta(model, conn)
-    nomega = covariant_derivative(conn, forms.omega).components
-    ostar = forms.omega_star.components
-    s = Tensor(
-        exact_einsum("im,mj->ij", nomega, model.phi.components)
-        - np.multiply.outer(ostar, ostar),
-        "dd",
-    )
-    return StructurePack(
-        f=f,
-        theta=forms.theta,
-        theta_star=forms.theta_star,
-        omega=forms.omega,
-        omega_star=forms.omega_star,
-        omega_vec=forms.omega_vec,
-        nabla_phi=nphi,
-        nabla_eta=neta,
-        n=nijenhuis(model, conn),
-        s=s,
-    )
+    return verdict.passed

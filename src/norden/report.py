@@ -10,25 +10,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .classify import (
-    IdentityVerdict,
-    curvature_phi_kahler,
-    forms_closed,
-    is_f0,
-    is_f11,
-    is_isotropic_kahler,
-    verify_identities,
-)
-from .connection import levi_civita
-from .curvature import riemann
-from .fundamental import divergence, psi4, s_trace, square_norms, structure_pack
+from .classify import IdentityVerdict, is_f0
+from .geometry import Geometry
 from .structures import AcnModel, associated_metric
-from .tensors import Tensor, einsum_scalar, exact_einsum, format_scalar, signature
+from .tensors import Tensor, format_scalar, signature
 
 #: Class labels the classifier cannot decide; reported as "unknown".
-UNDECIDED_CLASSES = tuple(f"f{i}" for i in range(1, 11) if i != 11)
+UNDECIDED_CLASSES = tuple(f"f{i}" for i in range(1, 11))
 
 
 @dataclass(frozen=True)
@@ -58,22 +46,13 @@ def all_identities_ok(report: GeometryReport) -> bool:
 
 
 def run_report(model: AcnModel) -> GeometryReport:
-    """Compute the full report.  The model must already be valid (see
-    :func:`norden.structures.validate_structure`); computations on an
-    invalid model are not meaningful."""
-    conn = levi_civita(model)
-    pack = structure_pack(model, conn)
-    curv = riemann(model, conn)
-    identities = verify_identities(model, conn=conn, pack=pack, curv=curv)
-    norms = square_norms(model, conn, pack=pack)
-    oo = einsum_scalar("k,k->", pack.omega.components, pack.omega_vec.components)
-    phi_omega = exact_einsum(
-        "ij,j->i", model.phi.components, pack.omega_vec.components
-    )
-    ricci_xi_xi = einsum_scalar(
-        "ij,i,j->", curv.ricci.components, model.xi.components, model.xi.components
-    )
-    omega_closed, omega_star_closed = forms_closed(model, conn, pack=pack)
+    """Compute the full report from one :class:`Geometry`.  The model must
+    already be valid (see :func:`norden.structures.validate_structure`);
+    computations on an invalid model are not meaningful."""
+    geo = Geometry(model)
+    conn, pack, curv, norms = geo.conn, geo.pack, geo.curv, geo.norms
+    omega_closed, omega_star_closed = geo.forms_closed
+    twin = associated_metric(model)
     invariants: dict[str, Fraction] = {
         "tau": curv.tau,
         "tau_star": curv.tau_star,
@@ -81,10 +60,10 @@ def run_report(model: AcnModel) -> GeometryReport:
         "nabla_phi_square_norm": norms.nabla_phi,
         "nabla_eta_square_norm": norms.nabla_eta,
         "nijenhuis_square_norm": norms.nijenhuis,
-        "omega_square_norm": oo,
-        "div_phi_omega_vec": divergence(model, conn, phi_omega),
-        "ricci_xi_xi": ricci_xi_xi,
-        "s_trace": s_trace(model, pack.s),
+        "omega_square_norm": geo.omega_norm,
+        "div_phi_omega_vec": geo.div_phi_omega,
+        "ricci_xi_xi": geo.ricci_xi_xi,
+        "s_trace": geo.s_trace,
     }
     tensors: dict[str, Tensor] = {
         "gamma": conn.gamma,
@@ -97,25 +76,25 @@ def run_report(model: AcnModel) -> GeometryReport:
         "nabla_eta": pack.nabla_eta,
         "nijenhuis": pack.n,
         "s": pack.s,
-        "psi4_s": psi4(pack.s, model.eta),
+        "psi4_s": geo.psi4_s,
         "riemann": curv.r04,
         "ricci": curv.ricci,
-        "associated_metric": associated_metric(model),
+        "associated_metric": twin,
     }
     return GeometryReport(
         name=model.name,
         dim=model.dim,
         n=model.n,
         metric_signature=signature(model.g),
-        associated_signature=signature(associated_metric(model)),
+        associated_signature=signature(twin),
         is_f0=is_f0(model, pack.f),
-        is_f11=is_f11(model, pack.f),
+        is_f11=geo.f11,
         normal=pack.n.is_zero(),
         omega_closed=omega_closed,
         omega_star_closed=omega_star_closed,
-        isotropic_kahler=is_isotropic_kahler(model, conn, norms=norms),
-        curvature_phi_kahler=curvature_phi_kahler(model, curv),
-        identities=identities,
+        isotropic_kahler=geo.isotropic_kahler,
+        curvature_phi_kahler=geo.curvature_phi_kahler,
+        identities=geo.identities,
         invariants=invariants,
         tensors=tensors,
     )
@@ -133,13 +112,14 @@ def _witness_json(witness):
     return out
 
 
-def _tensor_json(t: Tensor):
-    def rec(arr):
-        if not isinstance(arr, np.ndarray) or arr.ndim == 0:
-            return format_scalar(arr if not isinstance(arr, np.ndarray) else arr.item())
-        return [rec(arr[i]) for i in range(arr.shape[0])]
+def _format_nested(value):
+    if isinstance(value, list):
+        return [_format_nested(v) for v in value]
+    return format_scalar(value)
 
-    return {"variance": t.variance, "components": rec(t.components)}
+
+def _tensor_json(t: Tensor):
+    return {"variance": t.variance, "components": _format_nested(t.components.tolist())}
 
 
 def report_to_json_dict(report: GeometryReport) -> dict:

@@ -30,6 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import re
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -46,19 +47,40 @@ DOWN = "d"
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
+#: Largest decimal exponent magnitude accepted in a string such as
+#: ``"1e300"``: Python's own limit on the digits of an int parsed from a
+#: string.  ``Fraction("1e1000000")`` would build a 3.3-Mbit integer.
+MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?([\d_]+)\s*\Z", re.IGNORECASE)
+
+
+def _exponent_too_large(text: str) -> bool:
+    if "e" not in text and "E" not in text:  # the common case, cheaply
+        return False
+    match = _EXPONENT.search(text)
+    digits = match.group(1).replace("_", "").lstrip("0") if match else ""
+    # Five significant digits already exceed the cap; reading no more
+    # keeps a long exponent string cheap.
+    return int(digits[:5] or 0) > MAX_EXPONENT
+
 
 def as_scalar(value) -> Fraction:
     """Coerce ``value`` to an exact rational.
 
-    Accepts Fractions, Python/NumPy integers and strings like ``"-3/4"``.
-    Floats are rejected: silently converting them would smuggle rounding
-    error into a library whose whole point is exactness.
+    Accepts Fractions, Python/NumPy integers and strings like ``"-3/4"``
+    or ``"1.5e3"``; a decimal exponent beyond ``MAX_EXPONENT`` is a
+    ``ValueError``.  Floats are rejected: silently converting them would
+    smuggle rounding error into a library whose whole point is exactness.
     """
     if isinstance(value, Fraction):
         return value
     if isinstance(value, numbers.Rational):
         return Fraction(value)
     if isinstance(value, str):
+        if _exponent_too_large(value):
+            raise ValueError(
+                f"decimal exponent beyond +-{MAX_EXPONENT}: {value[:40]!r}"
+            )
         try:
             return Fraction(value.strip())
         except (ValueError, ZeroDivisionError) as exc:

@@ -1,44 +1,14 @@
-"""Shared fixtures: a small zoo of models with precomputed geometry.
+"""Shared fixtures: a small zoo of models, each with its :class:`Geometry`.
 
 Also hosts the terminal-summary hook that prints one PASS/FAIL line per
 acceptance criterion after any run that included them.
 """
-from dataclasses import dataclass
-
 import pytest
 
-from norden import (
-    AcnModel,
-    Connection,
-    CurvaturePack,
-    FamilyParams,
-    StructurePack,
-    generate_family,
-    heisenberg_model,
-    levi_civita,
-    riemann,
-    structure_pack,
-)
+from norden import FamilyParams, Geometry, generate_family, heisenberg_model
 
-
-@dataclass(frozen=True)
-class Geometry:
-    """A model with its connection, structure and curvature packages."""
-
-    model: AcnModel
-    conn: Connection
-    pack: StructurePack
-    curv: CurvaturePack
-
-
-def build_geometry(model: AcnModel) -> Geometry:
-    conn = levi_civita(model)
-    return Geometry(
-        model=model,
-        conn=conn,
-        pack=structure_pack(model, conn),
-        curv=riemann(model, conn),
-    )
+#: ``Geometry(model)`` computes ``.conn``, ``.pack`` and ``.curv`` on first use.
+build_geometry = Geometry
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -91,6 +92,32 @@ def test_validate_broken_model(broken_path, capsys):
 def test_validate_missing_file(capsys):
     assert main(["validate", "/nonexistent/nowhere.txt"]) == EXIT_INPUT
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_huge_exponent_in_model_file_is_input_error(fmt, tmp_path, capsys):
+    """A few bytes of exponent must fail fast, not build a 3.3-Mbit integer."""
+    flags = ["--json"] if fmt == "json" else []
+    assert main(["family", "--n", "1", "--lambda", "2,3"] + flags) == EXIT_OK
+    text = capsys.readouterr().out
+    needle = "-2" if fmt == "text" else '"-2"'
+    assert needle in text
+    path = tmp_path / f"huge.{fmt}"
+    path.write_text(text.replace(needle, needle.replace("-2", "-1e1000000"), 1))
+    for argv in (["validate", str(path)], ["report", str(path), "--json"]):
+        t0 = time.perf_counter()
+        assert main(argv) == EXIT_INPUT
+        assert time.perf_counter() - t0 < 0.1
+        assert "decimal exponent beyond" in capsys.readouterr().err
+
+
+def test_huge_exponent_in_lambda_is_input_error(capsys):
+    t0 = time.perf_counter()
+    assert main(["family", "--n", "1", "--lambda", "1e1000000,2"]) == EXIT_INPUT
+    assert time.perf_counter() - t0 < 0.1
+    err = capsys.readouterr().err
+    assert "bad family parameters" in err and "decimal exponent beyond" in err
+    assert main(["family", "--n", "1", "--lambda", "1e3,-3/4", "--quiet"]) == EXIT_OK
 
 
 def test_report_text_and_exit_code(model_path, capsys):

@@ -56,6 +56,16 @@ def test_as_scalar_rejects_floats_and_junk():
         as_scalar(None)
 
 
+def test_as_scalar_caps_decimal_exponents():
+    assert as_scalar("1e3") == 1000
+    assert as_scalar("-1.5E-2") == Fr(-3, 200)
+    assert as_scalar("1e4300") == 10 ** 4300
+    assert as_scalar(" 2e-0_4300 ") == Fr(2, 10 ** 4300)
+    for text in ("1e4301", "1e-4301", "1e1000000", "1E+1_000_000", "1e" + "9" * 10_000):
+        with pytest.raises(ValueError, match="exponent"):
+            as_scalar(text)
+
+
 def test_as_entry_keeps_integers_plain():
     assert as_entry(3) is not None and type(as_entry(3)) is int
     assert type(as_entry(Fr(4, 2))) is int and as_entry(Fr(4, 2)) == 2
