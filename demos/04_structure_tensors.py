@@ -7,22 +7,14 @@ F(x, y, z) = g((nabla_x phi) y, z).  Its traces give four 1-forms, its
 xi-row gives omega and the dual vector Omega, and together with the
 Nijenhuis tensor they decide how far the structure is from parallel.
 """
-from norden import (
-    FamilyParams,
-    generate_family,
-    levi_civita,
-    nijenhuis_from_brackets,
-    nijenhuis_from_derivatives,
-    square_norms,
-    structure_pack,
-)
+from norden import FamilyParams, Geometry, generate_family
 
-model = generate_family(FamilyParams(1, (2, 3)))
-conn = levi_civita(model)
+# A Geometry holds one model and computes each layer once, on first read.
+geo = Geometry(generate_family(FamilyParams(1, (2, 3))))
 
-# structure_pack computes everything at once: F, the 1-forms, nabla eta,
-# the Nijenhuis tensor, and the auxiliary symmetric tensor S.
-pack = structure_pack(model, conn)
+# The structure pack gathers F, the 1-forms, nabla eta, the Nijenhuis
+# tensor, and the auxiliary symmetric tensor S.
+pack = geo.pack
 
 print("nonzero F components:")
 for idx, value in pack.f.nonzero_items():
@@ -41,9 +33,9 @@ print("Omega :", pack.omega_vec.components.tolist())
 
 # The Nijenhuis tensor is computed by two independent routes — straight
 # from brackets, and from covariant derivatives of phi and eta — and
-# the library cross-checks them on every call to nijenhuis().
-nb = nijenhuis_from_brackets(model, conn)
-nd = nijenhuis_from_derivatives(model, conn)
+# the library cross-checks them whenever the layer geo.n is read.
+nb = geo.n_from_brackets
+nd = geo.n_from_derivatives
 print()
 print("Nijenhuis routes agree:", nb == nd)
 print("nonzero N components:")
@@ -52,7 +44,7 @@ for idx, value in nb.nonzero_items():
 
 # Square norms are full-basis contractions against g; with an
 # indefinite metric they can be negative or vanish on nonzero tensors.
-norms = square_norms(model, conn, pack=pack)
+norms = geo.norms
 print()
 print("||nabla phi||^2 =", norms.nabla_phi)
 print("||nabla eta||^2 =", norms.nabla_eta)

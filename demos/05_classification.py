@@ -9,32 +9,17 @@ rational equality and reported with a verdict.
 """
 from fractions import Fraction
 
-from norden import (
-    FamilyParams,
-    fundamental_tensor,
-    generate_family,
-    heisenberg_model,
-    is_f0,
-    is_f11,
-    is_isotropic_kahler,
-    levi_civita,
-    verify_identities,
-)
+from norden import FamilyParams, Geometry, generate_family, heisenberg_model
 
 # --- a scan across the parameter space -------------------------------------
-# is_isotropic_kahler is true exactly when the lambda balance
-# sum(lambda_k^2 - lambda_{k+n}^2) vanishes: the indefinite metric lets
-# a nonzero nabla phi have zero square norm.
+# The flags are layers of one Geometry per model: f0 (F = 0), f11 (the
+# pure class) and isotropic_kahler.  The last is true exactly when the
+# lambda balance sum(lambda_k^2 - lambda_{k+n}^2) vanishes: the
+# indefinite metric lets a nonzero nabla phi have zero square norm.
 print("lambda     F=0    pure   isotropic")
 for lam in ((0, 0), (2, 3), (1, 1), (Fraction(3, 2), Fraction(3, 2)), (3, -3)):
-    model = generate_family(FamilyParams(1, lam))
-    conn = levi_civita(model)
-    f = fundamental_tensor(model, conn)
-    flags = (
-        is_f0(model, f),
-        is_f11(model, f),
-        is_isotropic_kahler(model, conn),
-    )
+    geo = Geometry(generate_family(FamilyParams(1, lam)))
+    flags = (geo.f0, geo.f11, geo.isotropic_kahler)
     shown = ",".join(str(v) for v in lam)
     print(f"{shown:10s} {flags[0]!s:6s} {flags[1]!s:6s} {flags[2]!s}")
 
@@ -42,8 +27,7 @@ for lam in ((0, 0), (2, 3), (1, 1), (Fraction(3, 2), Fraction(3, 2)), (3, -3)):
 # norms vanish — isotropic but not parallel, the interesting middle.
 
 # --- the identity battery ---------------------------------------------------
-model = generate_family(FamilyParams(1, (2, 3)))
-verdicts = verify_identities(model)
+verdicts = Geometry(generate_family(FamilyParams(1, (2, 3)))).identities
 print()
 print("identity verdicts on lambda = (2, 3):")
 for name, verdict in verdicts.items():
@@ -57,12 +41,10 @@ for name, verdict in verdicts.items():
 # The Heisenberg-type control model is a valid structure whose F is not
 # carried by eta and omega alone: the pure-class identities are
 # reported as inapplicable rather than silently skipped or failed.
-heis = heisenberg_model()
-conn = levi_civita(heis)
-f = fundamental_tensor(heis, conn)
+heis = Geometry(heisenberg_model())
 print()
-print("Heisenberg control: pure class =", is_f11(heis, f))
-verdicts = verify_identities(heis)
+print("Heisenberg control: pure class =", heis.f11)
+verdicts = heis.identities
 inapplicable = [n for n, v in verdicts.items() if not v.applicable]
 print("inapplicable identities:", ", ".join(inapplicable))
 unconditional = [n for n, v in verdicts.items() if v.applicable]

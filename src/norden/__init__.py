@@ -11,29 +11,17 @@ floats, no tolerances.  The typical workflow::
     print(report.invariants["tau"])        # Fraction(10, 1)
     print(Geometry(model).curv.tau)        # the same layer, read directly
 """
-from .classify import (
-    IdentityVerdict,
-    curvature_phi_kahler,
-    forms_closed,
-    is_f0,
-    is_f11,
-    is_isotropic_kahler,
-    verify_identities,
-)
+from .classify import IdentityVerdict
 from .connection import (
     Connection,
     covariant_derivative,
     is_metric_compatible,
     is_torsion_free,
-    levi_civita,
-    second_covariant_derivative,
 )
 from .curvature import (
     CurvaturePack,
     SectionType,
     classify_section,
-    ricci_and_scalars,
-    riemann,
     sectional_curvature,
 )
 from .errors import (
@@ -44,7 +32,6 @@ from .errors import (
     InvalidAlgebra,
     LinearlyDependent,
     NordenError,
-    NotApplicable,
     ParseError,
     SingularMetric,
     ValidationError,
@@ -54,26 +41,20 @@ from .errors import (
 )
 from .family import FamilyParams, generate_family, heisenberg_model
 from .fundamental import (
-    OneForms,
     SquareNorms,
     StructurePack,
-    divergence,
-    fundamental_tensor,
     matches_class_f11,
-    nabla_eta,
     nabla_eta_from_fundamental,
-    nabla_omega_star_check,
-    nijenhuis,
-    nijenhuis_from_brackets,
-    nijenhuis_from_derivatives,
-    one_forms,
     psi4,
-    s_trace,
+)
+from .geometry import (
+    Geometry,
+    levi_civita,
+    riemann,
     square_norms,
     structure_pack,
-    tensor_s,
+    verify_identities,
 )
-from .geometry import Geometry
 from .lie import (
     LieAlgebra,
     algebra_from_brackets,

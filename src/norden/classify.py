@@ -1,13 +1,14 @@
-"""Class membership decisions and exact identity verification.
+"""Exact identity verification on the decidable classes.
 
-The two decidable classes here are the integrable Kahler-type class
-(``F = 0``) and the pure class in which ``F`` is carried entirely by
-``eta`` and ``omega``:
+The two decidable classes are the integrable Kahler-type class
+(``F = 0``, :attr:`norden.geometry.Geometry.f0`) and the pure class in
+which ``F`` is carried entirely by ``eta`` and ``omega``
+(:attr:`~norden.geometry.Geometry.f11`):
 
     F(x, y, z) = eta(x) (eta(y) omega(z) + eta(z) omega(y)).
 
 On that pure class a family of exact identities ties the structure
-tensors to the curvature; :func:`verify_identities` evaluates every one
+tensors to the curvature; :func:`check_identities` evaluates every one
 of them with literal rational equality and reports a verdict per
 identity, flagging those whose preconditions fail as inapplicable
 rather than passed.
@@ -18,54 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import Connection
-from .curvature import CurvaturePack
-from .fundamental import SquareNorms, StructurePack, matches_class_f11
-from .geometry import Geometry
-from .structures import AcnModel
-from .tensors import Tensor, exact_einsum
-
-
-def is_f0(model: AcnModel, f: Tensor) -> bool:
-    """Whether the structure is of Kahler type: ``F`` vanishes
-    identically (equivalently ``nabla phi = 0``)."""
-    return f.is_zero()
-
-
-def is_f11(model: AcnModel, f: Tensor) -> bool:
-    """Whether ``F`` has the pure eta-omega form (see module docstring).
-
-    The zero tensor qualifies: the Kahler-type class is contained in
-    the closure of every pure class.
-    """
-    return matches_class_f11(model, f)
-
-
-def forms_closed(
-    model: AcnModel, conn: Connection, pack: StructurePack | None = None
-) -> tuple[bool, bool]:
-    """Exact closedness of ``omega`` and ``omega_star``.
-
-    For constant forms ``d omega(x, y) = (nabla_x omega) y
-    - (nabla_y omega) x``, so closedness is symmetry of the covariant
-    derivative.
-    """
-    return Geometry(model, conn=conn, pack=pack).forms_closed
-
-
-def is_isotropic_kahler(
-    model: AcnModel, conn: Connection, norms: SquareNorms | None = None
-) -> bool:
-    """Whether both square norms ``||nabla phi||^2`` and
-    ``||nabla eta||^2`` vanish (possible with ``nabla phi != 0`` only
-    because the metric is indefinite)."""
-    return Geometry(model, conn=conn, norms=norms).isotropic_kahler
-
-
-def curvature_phi_kahler(model: AcnModel, pack: CurvaturePack) -> bool:
-    """Whether the curvature has the Kahler-type phi-property
-    ``R(x, y, phi z, phi u) = -R(x, y, z, u)`` on all basis tuples."""
-    return Geometry(model, curv=pack).curvature_phi_kahler
+from .tensors import exact_einsum
 
 
 @dataclass(frozen=True)
@@ -110,25 +64,14 @@ def _not_applicable(name: str, detail: str) -> IdentityVerdict:
     )
 
 
-def verify_identities(
-    model: AcnModel,
-    conn: Connection | None = None,
-    pack: StructurePack | None = None,
-    curv: CurvaturePack | None = None,
-) -> dict[str, IdentityVerdict]:
-    """Evaluate every supported exact identity on a model.
+def check_identities(geo) -> dict[str, IdentityVerdict]:
+    """Evaluate every supported exact identity on the layers of ``geo``,
+    a :class:`norden.geometry.Geometry`.
 
     Returns a dict keyed by identity name.  Identities restricted to
     the pure eta-omega class are reported as inapplicable on models
-    outside it; everything else is checked unconditionally.  The
-    optional arguments allow reuse of already-computed packages.
+    outside it; everything else is checked unconditionally.
     """
-    return Geometry(model, conn=conn, pack=pack, curv=curv).identities
-
-
-def check_identities(geo: Geometry) -> dict[str, IdentityVerdict]:
-    """The identity battery of :func:`verify_identities`, read from the
-    layers of ``geo``."""
     verdicts: dict[str, IdentityVerdict] = {}
 
     def put(v: IdentityVerdict) -> None:
@@ -239,7 +182,7 @@ def check_identities(geo: Geometry) -> dict[str, IdentityVerdict]:
     # property holds iff (nabla_x omega_star) y
     # = eta(x) eta(y) omega(Omega) + omega_star(x) omega_star(y).
     lhs_flag = geo.curvature_phi_kahler
-    ostar = geo.forms.omega_star.components
+    ostar = geo.omega_star.components
     crit_rhs = np.multiply.outer(eta, eta) * oo + np.multiply.outer(ostar, ostar)
     rhs_flag = bool(np.all(nostar == crit_rhs))
     put(IdentityVerdict(

@@ -44,16 +44,6 @@ class Connection:
         return self.gamma.shape[0]
 
 
-def levi_civita(model: AcnModel) -> Connection:
-    """The unique torsion-free, metric connection of ``model.g``.
-
-    Raises :class:`SingularMetric` if the metric is degenerate.
-    """
-    from .geometry import Geometry  # geometry imports this module
-
-    return Geometry(model).conn
-
-
 def covariant_derivative(conn: Connection, t: Tensor) -> Tensor:
     """``nabla t`` of a constant tensor: a new covariant direction slot
     is prepended, and each original slot receives its Gamma correction
@@ -73,17 +63,6 @@ def covariant_derivative(conn: Connection, t: Tensor) -> Tensor:
             term = -exact_einsum("mik,...m->i...k", gamma, moved)
         result = result + np.moveaxis(term, -1, slot + 1)
     return Tensor(result, DOWN + t.variance)
-
-
-def second_covariant_derivative(conn: Connection, t: Tensor) -> Tensor:
-    """``nabla nabla t``, two new direction slots in front.
-
-    Because all tensors are constant, iterating
-    :func:`covariant_derivative` already produces the tensorial second
-    derivative: the recursion's correction on the first direction slot
-    is exactly the ``- nabla_{nabla_x y}`` term.
-    """
-    return covariant_derivative(conn, covariant_derivative(conn, t))
 
 
 def is_torsion_free(conn: Connection, model: AcnModel) -> bool:

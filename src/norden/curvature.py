@@ -18,14 +18,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .connection import Connection
 from .errors import DegenerateSection, LinearlyDependent
 from .structures import AcnModel
 from .tensors import (
     Tensor,
     einsum_scalar,
     exact_einsum,
-    invert_symmetric,
     matrix_rank,
     vector_components,
 )
@@ -46,33 +44,6 @@ class CurvaturePack:
     tau: Fraction
     tau_star: Fraction
     tau_2star: Fraction
-
-
-def _scalars_from_r04(model: AcnModel, r04: Tensor, ginv: np.ndarray):
-    """``(ricci, tau, tau_star, tau_2star)`` of the covariant curvature
-    ``r04``; ``ginv`` holds the inverse metric's components."""
-    phi = model.phi.components
-    R = r04.components
-    # ricci(y, z) = g^{is} R(x_i, y, z, x_s)
-    ricci = exact_einsum("is,iyzs->yz", ginv, R)
-    tau = einsum_scalar("jk,jk->", ginv, ricci)
-    # tau_star: twist the third argument by phi before tracing.
-    tau_star = einsum_scalar("is,jk,mk,ijms->", ginv, ginv, phi, R)
-    # tau_2star: twist the third and fourth arguments by phi.
-    tau_2star = einsum_scalar("is,jk,mk,ns,ijmn->", ginv, ginv, phi, phi, R)
-    return Tensor(ricci, "dd"), tau, tau_star, tau_2star
-
-
-def riemann(model: AcnModel, conn: Connection) -> CurvaturePack:
-    """Compute the full curvature package of a model."""
-    from .geometry import Geometry  # geometry imports this module
-
-    return Geometry(model, conn=conn).curv
-
-
-def ricci_and_scalars(model: AcnModel, pack: CurvaturePack):
-    """``(ricci, tau, tau_star, tau_2star)`` recomputed from ``pack.r04``."""
-    return _scalars_from_r04(model, pack.r04, invert_symmetric(model.g).components)
 
 
 def _pi1(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> Fraction:

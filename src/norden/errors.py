@@ -37,10 +37,6 @@ class InternalInconsistency(NordenError):
     """
 
 
-class NotApplicable(NordenError):
-    """A check or identity has an unmet precondition on this model."""
-
-
 class DegenerateSection(NordenError):
     """The restricted metric on a 2-plane is degenerate, so no sectional
     curvature is defined."""

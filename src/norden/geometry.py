@@ -8,11 +8,10 @@ time it is read, from the layers below it, and every later read returns
 the same object.  The cache lives in the ``Geometry`` object and dies with
 it; nothing is memoized between objects.
 
-The functions of the other modules (:func:`~norden.connection.levi_civita`,
-:func:`~norden.fundamental.structure_pack`,
-:func:`~norden.curvature.riemann`,
-:func:`~norden.classify.verify_identities`, ...) are thin wrappers that
-build a ``Geometry`` seeded with their arguments and read one layer.
+Every quantity is read from its layer.  The five entry points below
+the class (:func:`levi_civita`, :func:`structure_pack`, :func:`riemann`,
+:func:`verify_identities` and :func:`square_norms`) build a
+``Geometry`` seeded with their arguments and read one layer.
 """
 from __future__ import annotations
 
@@ -21,11 +20,11 @@ from functools import cached_property
 
 import numpy as np
 
+from .classify import IdentityVerdict, check_identities
 from .connection import Connection, covariant_derivative
-from .curvature import CurvaturePack, _scalars_from_r04
+from .curvature import CurvaturePack
 from .errors import InternalInconsistency
 from .fundamental import (
-    OneForms,
     SquareNorms,
     StructurePack,
     matches_class_f11,
@@ -36,36 +35,36 @@ from .structures import AcnModel
 from .tensors import (
     Tensor,
     einsum_scalar,
-    exact_div,
     exact_einsum,
     invert_symmetric,
     vector_components,
 )
 
+#: The 1/2 of the Koszul formula, a 0-d operand of the kernel.
+HALF = np.array(Fraction(1, 2), dtype=object)
+
 
 class Geometry:
     """One model and every layer computed from it.
 
-    ``Geometry(model)`` computes nothing up front.  Layers may be seeded
-    with objects computed elsewhere, e.g. ``Geometry(model, conn=conn,
-    pack=pack)``; a seeded :class:`StructurePack` also seeds the tensors
-    it holds.  Seeds set to ``None`` are ignored, so optional arguments
-    can be passed straight through.  The model must be valid (see
-    :func:`norden.structures.validate_structure`); on an invalid model
-    the layers are not meaningful.
+    ``Geometry(model)`` computes nothing up front.  The connection, the
+    structure pack and the curvature may be seeded with objects computed
+    elsewhere, e.g. ``Geometry(model, conn=conn, pack=pack)``; a seeded
+    :class:`StructurePack` also seeds each of its fields, which are
+    layers of the same names.  Seeds set to ``None`` are ignored, so
+    optional arguments can be passed straight through.  The model must
+    be valid (see :func:`norden.structures.validate_structure`); on an
+    invalid model the layers are not meaningful.
     """
 
-    def __init__(self, model: AcnModel, **layers):
+    def __init__(self, model: AcnModel, conn: Connection | None = None,
+                 pack: StructurePack | None = None,
+                 curv: CurvaturePack | None = None):
         self.model = model
-        pack = layers.get("pack")
+        seeds = {"conn": conn, "curv": curv}
         if pack is not None:
-            forms = OneForms(pack.theta, pack.theta_star, pack.omega,
-                             pack.omega_star, pack.omega_vec)
-            layers = {"f": pack.f, "forms": forms, "nabla_phi": pack.nabla_phi,
-                      "nabla_eta": pack.nabla_eta, "n": pack.n, "s": pack.s, **layers}
-        for name, value in layers.items():
-            if not isinstance(getattr(type(self), name, None), cached_property):
-                raise TypeError(f"Geometry has no layer {name!r}")
+            seeds.update(vars(pack), pack=pack)
+        for name, value in seeds.items():
             if value is not None:
                 self.__dict__[name] = value
 
@@ -87,7 +86,7 @@ class Geometry:
                          self.model.g.components)
         two_k = b + np.einsum("kij->ijk", b) + np.einsum("kji->ijk", b)
         # gamma[m, i, j] = (1/2) * two_k[i, j, k] g^{k m}
-        gamma = exact_div(exact_einsum("ijk,km->mij", two_k, self.ginv), 2)
+        gamma = exact_einsum("ijk,km,->mij", two_k, self.ginv, HALF)
         return Connection(Tensor(gamma, "udd"))
 
     # --- structure tensors ----------------------------------------------
@@ -119,26 +118,40 @@ class Geometry:
         return direct
 
     @cached_property
-    def forms(self) -> OneForms:
-        """The 1-forms traced from ``F`` and ``omega``'s g-dual vector."""
-        F, ginv = self.f.components, self.ginv
-        phi, xi = self.model.phi.components, self.model.xi.components
-        omega = exact_einsum("a,b,abk->k", xi, xi, F)
-        return OneForms(
-            Tensor(exact_einsum("ij,ijk->k", ginv, F), "d"),
-            Tensor(exact_einsum("ij,mj,imk->k", ginv, phi, F), "d"),
-            Tensor(omega, "d"),
-            Tensor(exact_einsum("m,mk->k", omega, phi), "d"),
-            Tensor(exact_einsum("ij,j->i", ginv, omega), "u"),
-        )
+    def theta(self) -> Tensor:
+        """``theta(z) = g^{ij} F(x_i, x_j, z)``."""
+        return Tensor(exact_einsum("ij,ijk->k", self.ginv, self.f.components), "d")
+
+    @cached_property
+    def theta_star(self) -> Tensor:
+        """``theta_star(z) = g^{ij} F(x_i, phi x_j, z)``."""
+        return Tensor(exact_einsum("ij,mj,imk->k", self.ginv, self.model.phi.components,
+                                   self.f.components), "d")
+
+    @cached_property
+    def omega(self) -> Tensor:
+        """``omega(z) = F(xi, xi, z)``."""
+        xi = self.model.xi.components
+        return Tensor(exact_einsum("a,b,abk->k", xi, xi, self.f.components), "d")
+
+    @cached_property
+    def omega_star(self) -> Tensor:
+        """``omega_star = omega o phi``."""
+        return Tensor(exact_einsum("m,mk->k", self.omega.components,
+                                   self.model.phi.components), "d")
+
+    @cached_property
+    def omega_vec(self) -> Tensor:
+        """``Omega``, the vector with ``g(x, Omega) = omega(x)``."""
+        return Tensor(exact_einsum("ij,j->i", self.ginv, self.omega.components), "u")
 
     @cached_property
     def nabla_omega(self) -> Tensor:
-        return covariant_derivative(self.conn, self.forms.omega)
+        return covariant_derivative(self.conn, self.omega)
 
     @cached_property
     def nabla_omega_star(self) -> Tensor:
-        return covariant_derivative(self.conn, self.forms.omega_star)
+        return covariant_derivative(self.conn, self.omega_star)
 
     def _deta_xi(self) -> np.ndarray:
         """``xi (x) (nabla eta)`` antisymmetrized, the term both Nijenhuis
@@ -189,7 +202,7 @@ class Geometry:
     @cached_property
     def s(self) -> Tensor:
         """``S(x, y) = (nabla_x omega) phi y - omega(phi x) omega(phi y)``."""
-        ostar = self.forms.omega_star.components
+        ostar = self.omega_star.components
         comps = exact_einsum("im,mj->ij", self.nabla_omega.components,
                              self.model.phi.components)
         return Tensor(comps - np.multiply.outer(ostar, ostar), "dd")
@@ -197,13 +210,22 @@ class Geometry:
     @cached_property
     def pack(self) -> StructurePack:
         return StructurePack(
-            f=self.f, **self.forms._asdict(), nabla_phi=self.nabla_phi,
-            nabla_eta=self.nabla_eta, n=self.n, s=self.s,
+            f=self.f, theta=self.theta, theta_star=self.theta_star,
+            omega=self.omega, omega_star=self.omega_star, omega_vec=self.omega_vec,
+            nabla_phi=self.nabla_phi, nabla_eta=self.nabla_eta, n=self.n, s=self.s,
         )
 
     @cached_property
+    def f0(self) -> bool:
+        """Whether the structure is of Kahler type: ``F`` vanishes
+        identically (equivalently ``nabla phi = 0``)."""
+        return self.f.is_zero()
+
+    @cached_property
     def f11(self) -> bool:
-        """Whether ``F`` has the pure eta-omega form."""
+        """Whether ``F`` has the pure eta-omega form.  The zero tensor
+        qualifies: the Kahler-type class lies in the closure of every
+        pure class."""
         return matches_class_f11(self.model, self.f)
 
     # --- curvature ------------------------------------------------------
@@ -214,14 +236,23 @@ class Geometry:
         - nabla_{[x_i, x_j]} x_k``, lowered, with Ricci and the scalars."""
         gamma = self.conn.gamma.components
         c = self.model.algebra.c.components
+        ginv, phi = self.ginv, self.model.phi.components
         r13 = (
             exact_einsum("mjk,lim->lijk", gamma, gamma)
             - exact_einsum("mik,ljm->lijk", gamma, gamma)
             - exact_einsum("mij,lmk->lijk", c, gamma)
         )
-        r04 = Tensor(exact_einsum("lijk,lu->ijku", r13, self.model.g.components), "dddd")
-        return CurvaturePack(Tensor(r13, "uddd"), r04,
-                             *_scalars_from_r04(self.model, r04, self.ginv))
+        R = exact_einsum("lijk,lu->ijku", r13, self.model.g.components)
+        # ricci(y, z) = g^{is} R(x_i, y, z, x_s)
+        ricci = exact_einsum("is,iyzs->yz", ginv, R)
+        return CurvaturePack(
+            Tensor(r13, "uddd"), Tensor(R, "dddd"), Tensor(ricci, "dd"),
+            einsum_scalar("jk,jk->", ginv, ricci),
+            # tau_star: twist the third argument by phi before tracing.
+            einsum_scalar("is,jk,mk,ijms->", ginv, ginv, phi, R),
+            # tau_2star: twist the third and fourth arguments by phi.
+            einsum_scalar("is,jk,mk,ns,ijmn->", ginv, ginv, phi, phi, R),
+        )
 
     @cached_property
     def psi4_s(self) -> Tensor:
@@ -268,14 +299,13 @@ class Geometry:
     @cached_property
     def omega_norm(self) -> Fraction:
         """``omega(Omega)``."""
-        return einsum_scalar("k,k->", self.forms.omega.components,
-                             self.forms.omega_vec.components)
+        return einsum_scalar("k,k->", self.omega.components, self.omega_vec.components)
 
     @cached_property
     def phi_omega(self) -> np.ndarray:
         """Components of the vector ``phi Omega``."""
         return exact_einsum("ij,j->i", self.model.phi.components,
-                            self.forms.omega_vec.components)
+                            self.omega_vec.components)
 
     @cached_property
     def div_phi_omega(self) -> Fraction:
@@ -305,10 +335,8 @@ class Geometry:
         return self.norms.nabla_phi == 0 and self.norms.nabla_eta == 0
 
     @cached_property
-    def identities(self) -> dict:
+    def identities(self) -> dict[str, IdentityVerdict]:
         """The identity verdicts, see :func:`norden.classify.check_identities`."""
-        from .classify import check_identities  # classify imports this module
-
         return check_identities(self)
 
     def divergence(self, x) -> Fraction:
@@ -316,3 +344,47 @@ class Geometry:
         xv = Tensor(vector_components(x, self.model.dim, name="x"), "u")
         nx = covariant_derivative(self.conn, xv).components
         return einsum_scalar("ij,ik,kj->", self.ginv, nx, self.model.g.components)
+
+
+def levi_civita(model: AcnModel) -> Connection:
+    """The unique torsion-free, metric connection of ``model.g``.
+
+    Raises :class:`SingularMetric` if the metric is degenerate.
+    """
+    return Geometry(model).conn
+
+
+def structure_pack(model: AcnModel, conn: Connection) -> StructurePack:
+    """Compute the full structure-level package for a model."""
+    return Geometry(model, conn=conn).pack
+
+
+def riemann(model: AcnModel, conn: Connection) -> CurvaturePack:
+    """Compute the full curvature package of a model."""
+    return Geometry(model, conn=conn).curv
+
+
+def verify_identities(
+    model: AcnModel,
+    conn: Connection | None = None,
+    pack: StructurePack | None = None,
+    curv: CurvaturePack | None = None,
+) -> dict[str, IdentityVerdict]:
+    """Evaluate every supported exact identity on a model.
+
+    Returns a dict keyed by identity name.  Identities restricted to
+    the pure eta-omega class are reported as inapplicable on models
+    outside it; everything else is checked unconditionally.  The
+    optional arguments allow reuse of already-computed packages.
+    """
+    return Geometry(model, conn, pack, curv).identities
+
+
+def square_norms(
+    model: AcnModel, conn: Connection, pack: StructurePack | None = None
+) -> SquareNorms:
+    """The three square norms, each a full-basis contraction with the
+    inverse metric in every argument slot.  Passing an already-computed
+    :class:`StructurePack` avoids recomputing the Nijenhuis tensor and
+    the derivatives."""
+    return Geometry(model, conn=conn, pack=pack).norms

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classify import IdentityVerdict, is_f0
+from .classify import IdentityVerdict
 from .geometry import Geometry
 from .structures import AcnModel, associated_metric
 from .tensors import Tensor, format_scalar, signature
@@ -87,7 +87,7 @@ def run_report(model: AcnModel) -> GeometryReport:
         n=model.n,
         metric_signature=signature(model.g),
         associated_signature=signature(twin),
-        is_f0=is_f0(model, pack.f),
+        is_f0=geo.f0,
         is_f11=geo.f11,
         normal=pack.n.is_zero(),
         omega_closed=omega_closed,

@@ -135,20 +135,6 @@ def zeros_array(shape) -> np.ndarray:
     return np.full(shape, 0, dtype=object)
 
 
-def exact_div(arr: np.ndarray, divisor: int) -> np.ndarray:
-    """Elementwise exact division of an object array by an integer,
-    preserving int entries where they stay integral."""
-    out = arr.copy()
-    for idx in np.ndindex(out.shape):
-        v = out[idx]
-        if v:
-            if type(v) is int and v % divisor == 0:
-                out[idx] = v // divisor
-            else:
-                out[idx] = as_entry(Fraction(v) / divisor)
-    return out
-
-
 class Tensor:
     """A dense tensor of exact rationals.
 
@@ -300,7 +286,7 @@ def _symmetric_rows(t: Tensor, name: str) -> list[list[Fraction]]:
     return rows
 
 
-def invert_symmetric(g: Tensor, dim: int | None = None) -> Tensor:
+def invert_symmetric(g: Tensor) -> Tensor:
     """Exact inverse of a symmetric covariant metric; raises
     :class:`SingularMetric` when the form is degenerate.
 
@@ -309,8 +295,6 @@ def invert_symmetric(g: Tensor, dim: int | None = None) -> Tensor:
     """
     rows = _symmetric_rows(g, "invert_symmetric")
     n = len(rows)
-    if dim is not None and dim != n:
-        raise DimensionMismatch(f"expected dimension {dim}, got {n}")
     a = [row[:] for row in rows]
     inv = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
     for col in range(n):

@@ -22,15 +22,10 @@ from norden import (
     classify_section,
     einsum_scalar,
     generate_family,
-    is_f0,
-    is_f11,
-    is_isotropic_kahler,
     is_metric_compatible,
     is_solvable,
     is_torsion_free,
     levi_civita,
-    nijenhuis_from_brackets,
-    nijenhuis_from_derivatives,
     parse_model,
     sectional_curvature,
     serialize_model,
@@ -41,7 +36,6 @@ from norden import (
     validate_structure,
     verify_identities,
 )
-from norden.classify import forms_closed
 from norden.tensors import zeros_array
 
 SEED = 20260819
@@ -176,11 +170,11 @@ def test_criterion_03_fundamental_tensor_and_class(pool):
     1-forms are closed."""
     for n, lam, geo in pool:
         assert geo.pack.f == _expected_f(n, lam)
-        assert is_f11(geo.model, geo.pack.f)
+        assert geo.f11
         assert geo.pack.omega == Tensor(_expected_omega(n, lam), "d")
         assert geo.pack.theta == geo.pack.omega
         assert geo.pack.theta_star.is_zero()
-        assert forms_closed(geo.model, geo.conn, pack=geo.pack) == (True, True)
+        assert geo.forms_closed == (True, True)
 
 
 # --- criterion 4: curvature tensors ---------------------------------------
@@ -288,8 +282,10 @@ ISOTROPY_POSITIVES = (
 def _isotropy_flags(model, conn, pack):
     norms = square_norms(model, conn, pack=pack)
     oo = einsum_scalar("k,k->", pack.omega.components, pack.omega_vec.components)
+    geo = Geometry(model, conn=conn, pack=pack)
+    assert geo.norms == norms
     return (
-        is_isotropic_kahler(model, conn, norms=norms),
+        geo.isotropic_kahler,
         oo == 0,
         norms.nijenhuis == 0,
     )
@@ -358,7 +354,7 @@ BROKEN_FILES = (
 def test_criterion_09_degenerate_controls(fam_zero):
     """lambda = 0 is the flat Kahler-type member; hand-broken model
     files are each rejected with the specific itemized violation."""
-    assert is_f0(fam_zero.model, fam_zero.pack.f)
+    assert fam_zero.f0
     assert fam_zero.curv.r04.is_zero()
     assert fam_zero.curv.r13.is_zero()
     norms = square_norms(fam_zero.model, fam_zero.conn, pack=fam_zero.pack)
@@ -383,9 +379,7 @@ def test_criterion_10_oracle_cross_checks(pool, heis, fam_zero, fam23):
     model exactly in both formats."""
     geos = [geo for _, _, geo in pool] + [heis, fam_zero, fam23]
     for geo in geos:
-        nb = nijenhuis_from_brackets(geo.model, geo.conn)
-        nd = nijenhuis_from_derivatives(geo.model, geo.conn)
-        assert nb == nd
+        assert geo.n_from_brackets == geo.n_from_derivatives
         for fmt in ("text", "json"):
             text = serialize_model(geo.model, fmt=fmt)
             back = parse_model(text, require_valid=False)

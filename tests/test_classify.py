@@ -8,13 +8,9 @@ from hypothesis import strategies as st
 
 from norden import (
     FamilyParams,
+    Geometry,
     IdentityVerdict,
-    curvature_phi_kahler,
-    forms_closed,
     generate_family,
-    is_f0,
-    is_f11,
-    is_isotropic_kahler,
     levi_civita,
     square_norms,
     verify_identities,
@@ -38,39 +34,42 @@ UNCONDITIONAL = ("ricci_identity_phi", "ricci_identity_eta")
 
 
 def test_class_flags(fam23, heis, fam_zero):
-    assert is_f11(fam23.model, fam23.pack.f)
-    assert not is_f0(fam23.model, fam23.pack.f)
-    assert not is_f11(heis.model, heis.pack.f)
-    assert not is_f0(heis.model, heis.pack.f)
-    assert is_f0(fam_zero.model, fam_zero.pack.f)
-    assert is_f11(fam_zero.model, fam_zero.pack.f)
+    assert fam23.f11
+    assert not fam23.f0
+    assert not heis.f11
+    assert not heis.f0
+    assert fam_zero.f0
+    assert fam_zero.f11
 
 
 def test_forms_closed(fam23, heis):
-    assert forms_closed(fam23.model, fam23.conn) == (True, True)
-    assert forms_closed(heis.model, heis.conn) == (True, True)
+    assert Geometry(fam23.model, conn=fam23.conn).forms_closed == (True, True)
+    assert Geometry(heis.model, conn=heis.conn).forms_closed == (True, True)
     # the precomputed-pack path agrees
-    assert forms_closed(fam23.model, fam23.conn, pack=fam23.pack) == (True, True)
+    seeded = Geometry(fam23.model, conn=fam23.conn, pack=fam23.pack)
+    assert seeded.forms_closed == (True, True)
 
 
 def test_is_isotropic_kahler(fam23, fam_zero):
-    assert not is_isotropic_kahler(fam23.model, fam23.conn)
-    assert is_isotropic_kahler(fam_zero.model, fam_zero.conn)
+    assert not Geometry(fam23.model, conn=fam23.conn).isotropic_kahler
+    assert Geometry(fam_zero.model, conn=fam_zero.conn).isotropic_kahler
     m = generate_family(FamilyParams(1, (1, 1)))
     conn = levi_civita(m)
-    assert is_isotropic_kahler(m, conn)
+    assert Geometry(m, conn=conn).isotropic_kahler
     # with norms != 0 despite nabla phi != 0 being possible, the check
-    # accepts precomputed norms
+    # reads the same norms as square_norms on a precomputed pack
     norms = square_norms(fam23.model, fam23.conn, pack=fam23.pack)
-    assert is_isotropic_kahler(fam23.model, fam23.conn, norms=norms) is False
+    geo = Geometry(fam23.model, conn=fam23.conn, pack=fam23.pack)
+    assert geo.norms == norms
+    assert geo.isotropic_kahler is False
 
 
 def test_curvature_phi_kahler_flag(fam23, fam_zero, heis):
     # family curvature satisfies R(.,.,phi.,phi.) = 0, which equals -R
     # only when R = 0
-    assert not curvature_phi_kahler(fam23.model, fam23.curv)
-    assert curvature_phi_kahler(fam_zero.model, fam_zero.curv)
-    assert not curvature_phi_kahler(heis.model, heis.curv)
+    assert not Geometry(fam23.model, curv=fam23.curv).curvature_phi_kahler
+    assert Geometry(fam_zero.model, curv=fam_zero.curv).curvature_phi_kahler
+    assert not Geometry(heis.model, curv=heis.curv).curvature_phi_kahler
 
 
 def test_identity_verdict_ok_semantics():
@@ -125,13 +124,13 @@ def test_phi_kahler_criterion_biconditional_both_ways(fam23, fam_zero):
         fam23.model, conn=fam23.conn, pack=fam23.pack, curv=fam23.curv
     )["phi_kahler_criterion"]
     assert v23.passed
-    assert not curvature_phi_kahler(fam23.model, fam23.curv)
+    assert not fam23.curvature_phi_kahler
 
     v0 = verify_identities(
         fam_zero.model, conn=fam_zero.conn, pack=fam_zero.pack, curv=fam_zero.curv
     )["phi_kahler_criterion"]
     assert v0.passed
-    assert curvature_phi_kahler(fam_zero.model, fam_zero.curv)
+    assert fam_zero.curvature_phi_kahler
 
 
 def test_closedness_addendum_applicable_on_flat_member(fam_zero):
@@ -169,6 +168,5 @@ def test_isotropy_criterion_matches_lambda_condition(lam):
     """Isotropic Kahler holds exactly when sum(lambda_k^2) cancels
     between the two metric blocks."""
     m = generate_family(FamilyParams(1, tuple(lam)))
-    conn = levi_civita(m)
     expected = (lam[0] ** 2 - lam[1] ** 2) == 0
-    assert is_isotropic_kahler(m, conn) == expected
+    assert Geometry(m).isotropic_kahler == expected

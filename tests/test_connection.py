@@ -19,7 +19,6 @@ from norden import (
     is_metric_compatible,
     is_torsion_free,
     levi_civita,
-    second_covariant_derivative,
 )
 
 lam_values = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -130,7 +129,7 @@ def test_covariant_derivative_leibniz_on_product(fam23):
 
 
 def test_second_covariant_derivative_prepends_two_slots(fam23):
-    nn = second_covariant_derivative(fam23.conn, fam23.model.phi)
+    nn = fam23.nabla2_phi
     assert nn.variance == "ddud"
     assert nn.shape == (3, 3, 3, 3)
     once = covariant_derivative(fam23.conn, fam23.model.phi)

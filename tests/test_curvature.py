@@ -14,7 +14,6 @@ from norden import (
     classify_section,
     generate_family,
     levi_civita,
-    ricci_and_scalars,
     riemann,
     sectional_curvature,
 )
@@ -71,12 +70,6 @@ def test_frozen_ricci_and_scalars(fam23):
     assert fam23.curv.tau == 10
     assert fam23.curv.tau_star == -12
     assert fam23.curv.tau_2star == 0
-
-
-def test_ricci_and_scalars_recompute(fam23):
-    ricci, tau, tau_star, tau_2star = ricci_and_scalars(fam23.model, fam23.curv)
-    assert ricci == fam23.curv.ricci
-    assert (tau, tau_star, tau_2star) == (10, -12, 0)
 
 
 def test_heisenberg_scalars(heis):

@@ -4,32 +4,19 @@ cross-route comparisons."""
 from fractions import Fraction as Fr
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from norden import (
     FamilyParams,
-    NotApplicable,
+    Geometry,
     Tensor,
     covariant_derivative,
-    divergence,
-    fundamental_tensor,
     generate_family,
-    levi_civita,
     matches_class_f11,
-    nabla_eta,
     nabla_eta_from_fundamental,
-    nabla_omega_star_check,
-    nijenhuis,
-    nijenhuis_from_brackets,
-    nijenhuis_from_derivatives,
-    one_forms,
     psi4,
-    s_trace,
     square_norms,
-    structure_pack,
-    tensor_s,
 )
 
 lam_values = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -75,13 +62,12 @@ def test_fundamental_vanishes_on_double_xi(fam23, heis):
 
 
 def test_frozen_one_forms(fam23):
-    forms = one_forms(fam23.model, fam23.pack.f)
-    assert list(forms.theta.components) == [0, -3, 2]
-    assert list(forms.theta_star.components) == [0, 0, 0]
-    assert list(forms.omega.components) == [0, -3, 2]
-    assert list(forms.omega_star.components) == [0, 2, 3]
-    assert forms.omega_vec.variance == "u"
-    assert list(forms.omega_vec.components) == [0, -3, -2]
+    assert list(fam23.theta.components) == [0, -3, 2]
+    assert list(fam23.theta_star.components) == [0, 0, 0]
+    assert list(fam23.omega.components) == [0, -3, 2]
+    assert list(fam23.omega_star.components) == [0, 2, 3]
+    assert fam23.omega_vec.variance == "u"
+    assert list(fam23.omega_vec.components) == [0, -3, -2]
 
 
 def test_heisenberg_one_forms_vanish(heis):
@@ -92,28 +78,27 @@ def test_heisenberg_one_forms_vanish(heis):
 @settings(max_examples=8, deadline=None)
 @given(st.lists(lam_values, min_size=2, max_size=2))
 def test_family_theta_equals_omega_and_theta_star_zero(lam):
-    m = generate_family(FamilyParams(1, tuple(lam)))
-    conn = levi_civita(m)
-    forms = one_forms(m, fundamental_tensor(m, conn))
-    assert np.all(forms.theta.components == forms.omega.components)
-    assert forms.theta_star.is_zero()
+    geo = Geometry(generate_family(FamilyParams(1, tuple(lam))))
+    assert np.all(geo.theta.components == geo.omega.components)
+    assert geo.theta_star.is_zero()
     # omega picks out the lambdas: omega(x_i) = -lambda_{i+n}, lambda_i pattern
-    assert list(forms.omega.components)[1:] == [-lam[1], lam[0]]
+    assert list(geo.omega.components)[1:] == [-lam[1], lam[0]]
 
 
 def test_nabla_eta_two_routes(fam23, fam5, heis):
     for geo in (fam23, fam5, heis):
-        direct = nabla_eta(geo.model, geo.conn)
+        direct = Geometry(geo.model, conn=geo.conn).nabla_eta
         via_f = nabla_eta_from_fundamental(geo.model, geo.pack.f)
         assert direct == via_f
 
 
 def test_nijenhuis_routes_agree(fam23, fam5, heis, fam_zero):
     for geo in (fam23, fam5, heis, fam_zero):
-        via_b = nijenhuis_from_brackets(geo.model, geo.conn)
-        via_d = nijenhuis_from_derivatives(geo.model, geo.conn)
+        fresh = Geometry(geo.model, conn=geo.conn)
+        via_b = fresh.n_from_brackets
+        via_d = fresh.n_from_derivatives
         assert via_b == via_d
-        assert nijenhuis(geo.model, geo.conn) == via_b
+        assert fresh.n == via_b
 
 
 def test_nijenhuis_antisymmetry(fam23, heis):
@@ -143,20 +128,19 @@ def test_heisenberg_square_norms(heis):
 
 
 def test_frozen_tensor_s(fam23):
-    s = tensor_s(fam23.model, fam23.conn)
+    fresh = Geometry(fam23.model, conn=fam23.conn)
+    s = fresh.s
     got = {idx: v for idx, v in np.ndenumerate(s.components) if v != 0}
     assert got == {(1, 1): -4, (1, 2): -6, (2, 1): -6, (2, 2): -9}
     assert s == fam23.pack.s
-    assert s_trace(fam23.model, s) == 5
+    assert fresh.s_trace == 5
 
 
 @settings(max_examples=8, deadline=None)
 @given(st.lists(lam_values, min_size=2, max_size=2))
 def test_family_s_is_minus_lambda_outer(lam):
     """S(x_i, x_j) = -lambda_i lambda_j on the nonzero block."""
-    m = generate_family(FamilyParams(1, tuple(lam)))
-    conn = levi_civita(m)
-    s = tensor_s(m, conn).components
+    s = Geometry(generate_family(FamilyParams(1, tuple(lam)))).s.components
     for i in (1, 2):
         for j in (1, 2):
             assert s[i, j] == -lam[i - 1] * lam[j - 1]
@@ -178,11 +162,11 @@ def test_divergence_of_phi_omega_vec(fam23):
     phi_omega = np.einsum(
         "ij,j->i", fam23.model.phi.components, fam23.pack.omega_vec.components
     )
-    assert divergence(fam23.model, fam23.conn, phi_omega) == 5
+    assert fam23.divergence(phi_omega) == 5
 
 
 def test_divergence_of_zero_vector(fam23):
-    assert divergence(fam23.model, fam23.conn, [0, 0, 0]) == 0
+    assert fam23.divergence([0, 0, 0]) == 0
 
 
 def test_matches_class_f11(fam23, heis, fam_zero):
@@ -193,20 +177,20 @@ def test_matches_class_f11(fam23, heis, fam_zero):
 
 
 def test_nabla_omega_star_check(fam23, heis):
-    assert nabla_omega_star_check(fam23.model, fam23.conn)
-    with pytest.raises(NotApplicable):
-        nabla_omega_star_check(heis.model, heis.conn)
+    assert fam23.identities["omega_star_derivative"].passed
+    verdict = heis.identities["omega_star_derivative"]
+    assert not verdict.applicable and verdict.passed is None
 
 
 def test_structure_pack_is_consistent(fam5):
     geo = fam5
-    assert geo.pack.f == fundamental_tensor(geo.model, geo.conn)
-    assert geo.pack.s == tensor_s(geo.model, geo.conn)
+    fresh = Geometry(geo.model, conn=geo.conn)
+    assert geo.pack.f == fresh.f
+    assert geo.pack.s == fresh.s
     assert geo.pack.nabla_phi == covariant_derivative(geo.conn, geo.model.phi)
-    assert geo.pack.nabla_eta == nabla_eta(geo.model, geo.conn)
-    assert geo.pack.n == nijenhuis(geo.model, geo.conn)
-    forms = one_forms(geo.model, geo.pack.f)
-    assert geo.pack.theta == forms.theta
-    assert geo.pack.omega == forms.omega
-    assert geo.pack.omega_star == forms.omega_star
-    assert geo.pack.omega_vec == forms.omega_vec
+    assert geo.pack.nabla_eta == fresh.nabla_eta
+    assert geo.pack.n == fresh.n
+    assert geo.pack.theta == fresh.theta
+    assert geo.pack.omega == fresh.omega
+    assert geo.pack.omega_star == fresh.omega_star
+    assert geo.pack.omega_vec == fresh.omega_vec

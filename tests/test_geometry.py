@@ -1,7 +1,9 @@
 """One ``Geometry`` per model: every layer is computed once, seeds are
-returned as given, and the public functions agree with its layers."""
+returned as given, and the five entry points agree with its layers."""
+import ast
 import collections
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -9,21 +11,12 @@ import pytest
 import norden
 from norden import (
     Geometry,
-    curvature_phi_kahler,
-    divergence,
-    forms_closed,
-    fundamental_tensor,
-    is_isotropic_kahler,
     levi_civita,
-    nijenhuis,
-    one_forms,
     psi4,
     riemann,
     run_report,
-    s_trace,
     square_norms,
     structure_pack,
-    tensor_s,
     verify_identities,
 )
 from test_golden import _dense_model
@@ -73,11 +66,22 @@ def test_seeds_are_returned_as_given(fam23):
     assert geo.pack is pack
     assert geo.curv is curv
     assert geo.f is pack.f and geo.n is pack.n and geo.s is pack.s
-    assert geo.forms.omega_vec is pack.omega_vec
+    assert geo.omega_vec is pack.omega_vec
     # None seeds are ignored; unknown names are refused.
     assert Geometry(fam23.model, conn=None).conn == conn
     with pytest.raises(TypeError):
         Geometry(fam23.model, gamma=conn.gamma)
+
+
+def test_no_module_imports_inside_a_function():
+    """The package has no import cycle to break with a lazy import."""
+    for module in MODULES:
+        tree = ast.parse(inspect.getsource(module))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                nested = [n for n in ast.walk(node)
+                          if isinstance(n, ast.ImportFrom) and n.level > 0]
+                assert not nested, (module.__name__, node.name)
 
 
 @pytest.mark.parametrize("which", ["fam23", "heis", "fam_zero"])
@@ -94,16 +98,12 @@ def test_public_functions_agree_with_layers(which, request):
     assert verify_identities(model) == geo.identities
     assert square_norms(model, conn, pack=pack) == geo.norms
     assert square_norms(model, conn) == geo.norms
-    assert forms_closed(model, conn) == geo.forms_closed
-    assert is_isotropic_kahler(model, conn) == geo.isotropic_kahler
-    assert curvature_phi_kahler(model, curv) == geo.curvature_phi_kahler
-    assert fundamental_tensor(model, conn) == geo.f
-    assert one_forms(model, geo.f) == geo.forms
-    assert nijenhuis(model, conn) == geo.n
-    assert tensor_s(model, conn) == geo.s
-    assert s_trace(model, geo.s) == geo.s_trace
     assert psi4(geo.s, model.eta) == geo.psi4_s
-    assert divergence(model, conn, geo.phi_omega) == geo.div_phi_omega
+    # A Geometry seeded with the entry points' results reads the same layers.
+    seeded = Geometry(model, conn=conn, pack=pack, curv=curv)
+    for name in ("f0", "f11", "forms_closed", "isotropic_kahler",
+                 "curvature_phi_kahler", "s_trace", "div_phi_omega"):
+        assert getattr(seeded, name) == getattr(geo, name), name
 
     report = run_report(model)
     assert report.identities == geo.identities

@@ -26,7 +26,7 @@ from norden import (
     signature,
     tensor_product,
 )
-from norden.tensors import as_entry, exact_div, scalar_array, vector_components, zeros_array
+from norden.tensors import as_entry, scalar_array, vector_components, zeros_array
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
@@ -86,13 +86,6 @@ def test_scalar_array_and_zeros():
     assert type(arr[1, 0]) is int
     z = zeros_array((2, 2))
     assert np.all(z == 0)
-
-
-def test_exact_div():
-    arr = scalar_array([4, 3, Fr(1, 2), 0])
-    out = exact_div(arr, 2)
-    assert list(out) == [2, Fr(3, 2), Fr(1, 4), 0]
-    assert type(out[0]) is int
 
 
 # --- Tensor basics ------------------------------------------------------
