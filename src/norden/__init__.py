@@ -73,7 +73,6 @@ from .report import (
 )
 from .structures import AcnModel, associated_metric, validate_structure
 from .tensors import (
-    Scalar,
     Tensor,
     as_scalar,
     contract,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import exact_einsum
+from .tensors import exact_sum
 
 
 @dataclass(frozen=True)
@@ -43,15 +43,12 @@ class IdentityVerdict:
         return (not self.applicable) or bool(self.passed)
 
 
-def _first_mismatch(a: np.ndarray, b: np.ndarray) -> tuple | None:
-    bad = np.flatnonzero(a != b)
-    if bad.size == 0:
-        return None
-    return tuple(int(i) for i in np.unravel_index(bad[0], a.shape))
-
-
-def _verdict(name: str, lhs: np.ndarray, rhs: np.ndarray, detail: str = "") -> IdentityVerdict:
-    witness = _first_mismatch(lhs, rhs)
+def _verdict(name: str, terms: list, detail: str = "") -> IdentityVerdict:
+    """The verdict on ``sum(terms) = 0``, for :func:`exact_sum` terms that
+    move one side of an identity over to the other; the witness is the
+    first index where the sides differ."""
+    bad = np.argwhere(exact_sum(terms).num)
+    witness = tuple(bad[0].tolist()) if len(bad) else None
     return IdentityVerdict(
         name=name, applicable=True, passed=witness is None, witness=witness,
         detail=detail,
@@ -78,26 +75,21 @@ def check_identities(geo) -> dict[str, IdentityVerdict]:
         verdicts[v.name] = v
 
     model, curv = geo.model, geo.curv
-    phi = model.phi.components
-    eta = model.eta.components
+    phi, eta, r13 = model.phi, model.eta, curv.r13
 
     # --- Ricci identities: second-derivative antisymmetrization equals
     # the curvature action.  Holds for every metric connection, so it is
     # checked unconditionally, for both phi and eta.
-    nnphi = geo.nabla2_phi.components
-    asym_phi = nnphi - np.einsum("jiak->ijak", nnphi)
-    r13 = curv.r13.components
-    rhs_phi = exact_einsum("aijm,mk->ijak", r13, phi) - exact_einsum(
-        "mijk,am->ijak", r13, phi
-    )
-    put(_verdict("ricci_identity_phi", asym_phi, rhs_phi,
-                 detail="nabla^2 phi antisymmetrized = curvature acting on phi"))
+    nnphi = geo.nabla2_phi
+    put(_verdict("ricci_identity_phi", [
+        (1, "ijak->ijak", nnphi), (-1, "jiak->ijak", nnphi),
+        (-1, "aijm,mk->ijak", r13, phi), (1, "mijk,am->ijak", r13, phi),
+    ], detail="nabla^2 phi antisymmetrized = curvature acting on phi"))
 
-    nneta = geo.nabla2_eta.components
-    asym_eta = nneta - np.einsum("jik->ijk", nneta)
-    rhs_eta = -exact_einsum("mijk,m->ijk", r13, eta)
-    put(_verdict("ricci_identity_eta", asym_eta, rhs_eta,
-                 detail="nabla^2 eta antisymmetrized = -eta(R(.,.) .)"))
+    nneta = geo.nabla2_eta
+    put(_verdict("ricci_identity_eta", [
+        (1, "ijk->ijk", nneta), (-1, "jik->ijk", nneta), (1, "mijk,m->ijk", r13, eta),
+    ], detail="nabla^2 eta antisymmetrized = -eta(R(.,.) .)"))
 
     if not geo.f11:
         for name in (
@@ -128,34 +120,30 @@ def check_identities(geo) -> dict[str, IdentityVerdict]:
     ))
 
     # --- First-derivative identity for omega_star.
-    nomega = geo.nabla_omega.components
-    nostar = geo.nabla_omega_star.components
-    rhs = exact_einsum("im,mj->ij", nomega, phi) + np.multiply.outer(
-        eta, eta
-    ) * oo
-    put(_verdict("omega_star_derivative", nostar, rhs,
-                 detail="(nabla_x omega_star) y = (nabla_x omega) phi y "
+    nomega, nostar = geo.nabla_omega, geo.nabla_omega_star
+    put(_verdict("omega_star_derivative", [
+        (1, "ij->ij", nostar), (-1, "im,mj->ij", nomega, phi), (-oo, "i,j->ij", eta, eta),
+    ], detail="(nabla_x omega_star) y = (nabla_x omega) phi y "
                         "+ eta(x) eta(y) omega(Omega)"))
 
     # --- Curvature phi-twist: R(x, y, phi z, phi u) = -R(x, y, z, u)
     #     + psi4(S)(x, y, z, u).
-    R = curv.r04.components
-    p4 = geo.psi4_s.components
-    twisted = geo.twisted_r
-    put(_verdict("curvature_phi_twist", twisted, -R + p4,
-                 detail="R twisted by phi in the last two slots differs "
+    R, p4, twisted = curv.r04, geo.psi4_s, geo.twisted_r
+    put(_verdict("curvature_phi_twist", [
+        (1, "ijku->ijku", twisted), (1, "ijku->ijku", R), (-1, "ijku->ijku", p4),
+    ], detail="R twisted by phi in the last two slots differs "
                         "from -R by psi4(S)"))
 
     # --- When the twisted curvature vanishes identically the curvature
     # collapses onto psi4(S) and the Ricci tensor onto S; these hold
     # under that extra hypothesis, not on the whole pure class.
-    twist_vanishes = bool(np.all(twisted == 0))
-    if twist_vanishes:
-        put(_verdict("r_equals_psi4_s", R, p4, detail="R = psi4(S)"))
+    if twisted.is_zero():
+        put(_verdict("r_equals_psi4_s", [(1, "ijku->ijku", R), (-1, "ijku->ijku", p4)],
+                     detail="R = psi4(S)"))
         trs = geo.s_trace
-        rhs_ricci = np.multiply.outer(eta, eta) * trs + geo.s.components
-        put(_verdict("ricci_from_s", curv.ricci.components, rhs_ricci,
-                     detail="ricci = tr(S) eta (x) eta + S"))
+        put(_verdict("ricci_from_s", [
+            (1, "ij->ij", curv.ricci), (-trs, "i,j->ij", eta, eta), (-1, "ij->ij", geo.s),
+        ], detail="ricci = tr(S) eta (x) eta + S"))
         div_po = geo.div_phi_omega
         put(IdentityVerdict(
             name="s_trace_divergence", applicable=True, passed=trs == div_po,
@@ -182,9 +170,10 @@ def check_identities(geo) -> dict[str, IdentityVerdict]:
     # property holds iff (nabla_x omega_star) y
     # = eta(x) eta(y) omega(Omega) + omega_star(x) omega_star(y).
     lhs_flag = geo.curvature_phi_kahler
-    ostar = geo.omega_star.components
-    crit_rhs = np.multiply.outer(eta, eta) * oo + np.multiply.outer(ostar, ostar)
-    rhs_flag = bool(np.all(nostar == crit_rhs))
+    ostar = geo.omega_star
+    rhs_flag = exact_sum([
+        (1, "ij->ij", nostar), (-oo, "i,j->ij", eta, eta), (-1, "i,j->ij", ostar, ostar),
+    ]).is_zero()
     put(IdentityVerdict(
         name="phi_kahler_criterion", applicable=True, passed=lhs_flag == rhs_flag,
         witness=None if lhs_flag == rhs_flag else (lhs_flag, rhs_flag),
@@ -195,7 +184,8 @@ def check_identities(geo) -> dict[str, IdentityVerdict]:
     # --- Addendum: when the pure rank-one form of nabla omega_star
     # holds, omega_star must be closed.  Only applicable then.
     if rhs_flag:
-        put(_verdict("phi_kahler_criterion_closedness", nostar, nostar.T,
+        put(_verdict("phi_kahler_criterion_closedness",
+                     [(1, "ij->ij", nostar), (-1, "ji->ij", nostar)],
                      detail="the pure rank-one form forces d omega_star = 0"))
     else:
         put(_not_applicable(

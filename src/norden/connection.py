@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, VarianceMismatch
 from .structures import AcnModel
-from .tensors import DOWN, UP, Tensor, exact_einsum, zeros_array
+from .tensors import DOWN, UP, Tensor, exact_sum, zeros_array
 
 
 @dataclass(frozen=True)
@@ -47,30 +47,32 @@ class Connection:
 def covariant_derivative(conn: Connection, t: Tensor) -> Tensor:
     """``nabla t`` of a constant tensor: a new covariant direction slot
     is prepended, and each original slot receives its Gamma correction
-    (``+`` for contravariant slots, ``-`` for covariant ones)."""
+    (``+`` for contravariant slots, ``-`` for covariant ones), all summed
+    in one exact combination."""
     d = conn.dim
     if any(s != d for s in t.shape):
         raise DimensionMismatch(
             f"tensor slots {t.shape} do not match connection dimension {d}"
         )
-    gamma = conn.gamma.components
-    result = zeros_array((d,) + t.shape)
+    if t.rank == 0:
+        return Tensor(zeros_array((d,)), DOWN)
+    slots = "abcdefgh"[:t.rank]
+    terms = []
     for slot, var in enumerate(t.variance):
-        moved = np.moveaxis(t.components, slot, -1)
+        argument = slots[:slot] + "m" + slots[slot + 1:]
+        result = slots[:slot] + "k" + slots[slot + 1:]
         if var == UP:
-            term = exact_einsum("kim,...m->i...k", gamma, moved)
+            terms.append((1, f"kim,{argument}->i{result}", conn.gamma, t))
         else:
-            term = -exact_einsum("mik,...m->i...k", gamma, moved)
-        result = result + np.moveaxis(term, -1, slot + 1)
-    return Tensor(result, DOWN + t.variance)
+            terms.append((-1, f"mik,{argument}->i{result}", conn.gamma, t))
+    return exact_sum(terms)
 
 
 def is_torsion_free(conn: Connection, model: AcnModel) -> bool:
     """Exact check of ``nabla_x y - nabla_y x = [x, y]`` on basis pairs."""
-    gamma = conn.gamma.components
-    c = model.algebra.c.components
-    torsion = gamma - np.einsum("kij->kji", gamma) - c
-    return bool(np.all(torsion == 0))
+    gamma, c = conn.gamma, model.algebra.c
+    return exact_sum([(1, "kij->kij", gamma), (-1, "kji->kij", gamma),
+                      (-1, "kij->kij", c)]).is_zero()
 
 
 def is_metric_compatible(conn: Connection, model: AcnModel) -> bool:

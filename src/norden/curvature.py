@@ -16,14 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .errors import DegenerateSection, LinearlyDependent
 from .structures import AcnModel
 from .tensors import (
     Tensor,
     einsum_scalar,
     exact_einsum,
+    exact_sum,
     matrix_rank,
     vector_components,
 )
@@ -46,13 +45,14 @@ class CurvaturePack:
     tau_2star: Fraction
 
 
-def _pi1(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> Fraction:
-    """``pi1(x, y, y, x) = g(y, y) g(x, x) - g(x, y)^2``, the curvature
-    denominator of the plane spanned by x, y."""
-    gxx = einsum_scalar("i,ij,j->", x, g, x)
-    gyy = einsum_scalar("i,ij,j->", y, g, y)
-    gxy = einsum_scalar("i,ij,j->", x, g, y)
-    return gyy * gxx - gxy * gxy
+def _plane(model: AcnModel, x, y) -> tuple[Tensor, Tensor]:
+    """The vectors ``x``, ``y`` as tensors; raises
+    :class:`LinearlyDependent` unless they span a 2-plane."""
+    xv = Tensor(vector_components(x, model.dim, name="x"), "u")
+    yv = Tensor(vector_components(y, model.dim, name="y"), "u")
+    if matrix_rank([xv.components, yv.components]) != 2:
+        raise LinearlyDependent("section vectors do not span a 2-plane")
+    return xv, yv
 
 
 def sectional_curvature(model: AcnModel, pack: CurvaturePack, x, y) -> Fraction:
@@ -62,15 +62,13 @@ def sectional_curvature(model: AcnModel, pack: CurvaturePack, x, y) -> Fraction:
     :class:`DegenerateSection` when the restricted metric is degenerate
     (``pi1 = 0``), in which case no sectional curvature exists.
     """
-    d = model.dim
-    xv = vector_components(x, d, name="x")
-    yv = vector_components(y, d, name="y")
-    if matrix_rank([xv, yv]) != 2:
-        raise LinearlyDependent("section vectors do not span a 2-plane")
-    denom = _pi1(model.g.components, xv, yv)
+    xv, yv = _plane(model, x, y)
+    # pi1(x, y, y, x) = g(y, y) g(x, x) - g(x, y)^2
+    denom = exact_sum([(1, "ij,kl,i,j,k,l->", model.g, model.g, yv, yv, xv, xv),
+                       (-1, "ij,kl,i,j,k,l->", model.g, model.g, xv, yv, xv, yv)]).item()
     if denom == 0:
         raise DegenerateSection("restricted metric is degenerate on this plane")
-    num = einsum_scalar("ijku,i,j,k,u->", pack.r04.components, xv, yv, yv, xv)
+    num = einsum_scalar("ijku,i,j,k,u->", pack.r04, xv, yv, yv, xv)
     return num / denom
 
 
@@ -92,20 +90,16 @@ class SectionType:
 
 def classify_section(model: AcnModel, x, y) -> SectionType:
     """Classify the plane spanned by x, y with exact rank arithmetic."""
-    d = model.dim
-    xv = vector_components(x, d, name="x")
-    yv = vector_components(y, d, name="y")
-    if matrix_rank([xv, yv]) != 2:
-        raise LinearlyDependent("section vectors do not span a 2-plane")
-    phi = model.phi.components
-    g = model.g.components
-    xiv = model.xi.components
+    xv, yv = _plane(model, x, y)
+    phi, g = model.phi, model.g
     phix = exact_einsum("ij,j->i", phi, xv)
     phiy = exact_einsum("ij,j->i", phi, yv)
-    contains_xi = matrix_rank([xv, yv, xiv]) == 2
-    phi_invariant = (
-        matrix_rank([xv, yv, phix]) == 2 and matrix_rank([xv, yv, phiy]) == 2
-    )
+
+    def span(*vectors: Tensor) -> int:
+        return matrix_rank([v.components for v in vectors])
+
+    contains_xi = span(xv, yv, model.xi) == 2
+    phi_invariant = span(xv, yv, phix) == 2 and span(xv, yv, phiy) == 2
     totally_real = all(
         einsum_scalar("i,ij,j->", pu, g, v) == 0
         for pu in (phix, phiy)

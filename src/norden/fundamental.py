@@ -20,10 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-import numpy as np
-
 from .structures import AcnModel
-from .tensors import Tensor, exact_einsum
+from .tensors import Tensor, exact_einsum, exact_sum
 
 
 class SquareNorms(NamedTuple):
@@ -54,10 +52,7 @@ def nabla_eta_from_fundamental(model: AcnModel, f: Tensor) -> Tensor:
     """The same tensor through ``(nabla_x eta) y = F(x, phi y, xi)``:
     an independent route used to cross-check
     :attr:`norden.geometry.Geometry.nabla_eta`."""
-    comps = exact_einsum(
-        "imk,mj,k->ij", f.components, model.phi.components, model.xi.components
-    )
-    return Tensor(comps, "dd")
+    return exact_einsum("imk,mj,k->ij", f, model.phi, model.xi)
 
 
 def psi4(s: Tensor, eta: Tensor) -> Tensor:
@@ -69,25 +64,19 @@ def psi4(s: Tensor, eta: Tensor) -> Tensor:
     It has all the algebraic symmetries of a curvature tensor whenever
     ``S`` is symmetric.
     """
-    S = s.components
-    e = eta.components
-    comps = (
-        exact_einsum("y,z,xu->xyzu", e, e, S)
-        - exact_einsum("x,z,yu->xyzu", e, e, S)
-        + exact_einsum("x,u,yz->xyzu", e, e, S)
-        - exact_einsum("y,u,xz->xyzu", e, e, S)
-    )
-    return Tensor(comps, "dddd")
+    return exact_sum([
+        (1, "y,z,xu->xyzu", eta, eta, s),
+        (-1, "x,z,yu->xyzu", eta, eta, s),
+        (1, "x,u,yz->xyzu", eta, eta, s),
+        (-1, "y,u,xz->xyzu", eta, eta, s),
+    ])
 
 
 def matches_class_f11(model: AcnModel, f: Tensor) -> bool:
     """Whether ``F`` has the pure form
     ``F(x, y, z) = eta(x) (eta(y) omega(z) + eta(z) omega(y))``
     with ``omega(z) = F(xi, xi, z)``."""
-    F = f.components
-    eta = model.eta.components
-    xi = model.xi.components
-    omega = exact_einsum("a,b,abk->k", xi, xi, F)
-    expected = exact_einsum("i,j,k->ijk", eta, eta, omega)
-    expected = expected + exact_einsum("i,k,j->ijk", eta, eta, omega)
-    return bool(np.all(F == expected))
+    eta, xi = model.eta, model.xi
+    omega = exact_einsum("a,b,abk->k", xi, xi, f)
+    return exact_sum([(1, "ijk->ijk", f), (-1, "i,j,k->ijk", eta, eta, omega),
+                      (-1, "i,k,j->ijk", eta, eta, omega)]).is_zero()

@@ -18,8 +18,6 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-import numpy as np
-
 from .classify import IdentityVerdict, check_identities
 from .connection import Connection, covariant_derivative
 from .curvature import CurvaturePack
@@ -36,12 +34,10 @@ from .tensors import (
     Tensor,
     einsum_scalar,
     exact_einsum,
+    exact_sum,
     invert_symmetric,
     vector_components,
 )
-
-#: The 1/2 of the Koszul formula, a 0-d operand of the kernel.
-HALF = np.array(Fraction(1, 2), dtype=object)
 
 
 class Geometry:
@@ -71,23 +67,22 @@ class Geometry:
     # --- metric and connection ------------------------------------------
 
     @cached_property
-    def ginv(self) -> np.ndarray:
-        """Components of the inverse metric ``g^{ij}``; raises
+    def ginv(self) -> Tensor:
+        """The inverse metric ``g^{ij}``, variance ``"uu"``; raises
         :class:`SingularMetric` if the metric is degenerate."""
-        return invert_symmetric(self.model.g).components
+        return invert_symmetric(self.model.g)
 
     @cached_property
     def conn(self) -> Connection:
         """The Levi-Civita connection, from the bracket-only Koszul
         formula ``2 g(nabla_{x_i} x_j, x_k) = g([x_i, x_j], x_k)
         + g([x_k, x_i], x_j) + g([x_k, x_j], x_i)``."""
-        # b[i, j, k] = g([x_i, x_j], x_k)
-        b = exact_einsum("mij,mk->ijk", self.model.algebra.c.components,
-                         self.model.g.components)
-        two_k = b + np.einsum("kij->ijk", b) + np.einsum("kji->ijk", b)
+        c, g = self.model.algebra.c, self.model.g
+        # two_k[i, j, k] = 2 g(nabla_{x_i} x_j, x_k)
+        two_k = exact_sum([(1, "mij,mk->ijk", c, g), (1, "mki,mj->ijk", c, g),
+                           (1, "mkj,mi->ijk", c, g)])
         # gamma[m, i, j] = (1/2) * two_k[i, j, k] g^{k m}
-        gamma = exact_einsum("ijk,km,->mij", two_k, self.ginv, HALF)
-        return Connection(Tensor(gamma, "udd"))
+        return Connection(exact_sum([(Fraction(1, 2), "ijk,km->mij", two_k, self.ginv)]))
 
     # --- structure tensors ----------------------------------------------
 
@@ -100,8 +95,7 @@ class Geometry:
     def f(self) -> Tensor:
         """The fundamental tensor ``F[i, j, k] = g((nabla_{x_i} phi) x_j,
         x_k)``, variance ``"ddd"``."""
-        return Tensor(exact_einsum("iaj,ak->ijk", self.nabla_phi.components,
-                                   self.model.g.components), "ddd")
+        return exact_einsum("iaj,ak->ijk", self.nabla_phi, self.model.g)
 
     @cached_property
     def nabla_eta(self) -> Tensor:
@@ -120,30 +114,28 @@ class Geometry:
     @cached_property
     def theta(self) -> Tensor:
         """``theta(z) = g^{ij} F(x_i, x_j, z)``."""
-        return Tensor(exact_einsum("ij,ijk->k", self.ginv, self.f.components), "d")
+        return exact_einsum("ij,ijk->k", self.ginv, self.f)
 
     @cached_property
     def theta_star(self) -> Tensor:
         """``theta_star(z) = g^{ij} F(x_i, phi x_j, z)``."""
-        return Tensor(exact_einsum("ij,mj,imk->k", self.ginv, self.model.phi.components,
-                                   self.f.components), "d")
+        return exact_einsum("ij,mj,imk->k", self.ginv, self.model.phi, self.f)
 
     @cached_property
     def omega(self) -> Tensor:
         """``omega(z) = F(xi, xi, z)``."""
-        xi = self.model.xi.components
-        return Tensor(exact_einsum("a,b,abk->k", xi, xi, self.f.components), "d")
+        xi = self.model.xi
+        return exact_einsum("a,b,abk->k", xi, xi, self.f)
 
     @cached_property
     def omega_star(self) -> Tensor:
         """``omega_star = omega o phi``."""
-        return Tensor(exact_einsum("m,mk->k", self.omega.components,
-                                   self.model.phi.components), "d")
+        return exact_einsum("m,mk->k", self.omega, self.model.phi)
 
     @cached_property
     def omega_vec(self) -> Tensor:
         """``Omega``, the vector with ``g(x, Omega) = omega(x)``."""
-        return Tensor(exact_einsum("ij,j->i", self.ginv, self.omega.components), "u")
+        return exact_einsum("ij,j->i", self.ginv, self.omega)
 
     @cached_property
     def nabla_omega(self) -> Tensor:
@@ -153,38 +145,39 @@ class Geometry:
     def nabla_omega_star(self) -> Tensor:
         return covariant_derivative(self.conn, self.omega_star)
 
-    def _deta_xi(self) -> np.ndarray:
-        """``xi (x) (nabla eta)`` antisymmetrized, the term both Nijenhuis
+    def _deta_xi(self) -> list:
+        """``xi (x) (nabla eta)`` antisymmetrized, the terms both Nijenhuis
         routes share."""
-        neta = self.nabla_eta.components
-        return exact_einsum("a,ij->aij", self.model.xi.components, neta - neta.T)
+        xi, neta = self.model.xi, self.nabla_eta
+        return [(1, "a,ij->aij", xi, neta), (-1, "a,ji->aij", xi, neta)]
 
     @cached_property
     def n_from_brackets(self) -> Tensor:
         """``N`` from ``phi^2 [x,y] + [phi x, phi y] - phi[phi x, y]
         - phi[x, phi y]`` plus the ``(nabla eta)`` term; ``N[a, i, j]`` is
         the ``x_a`` component of ``N(x_i, x_j)``."""
-        c = self.model.algebra.c.components
-        phi = self.model.phi.components
-        phi2 = exact_einsum("am,ms->as", phi, phi)
-        t = exact_einsum("as,sij->aij", phi2, c)
-        t = t + exact_einsum("ams,mi,sj->aij", c, phi, phi)
-        t = t - exact_einsum("am,msj,si->aij", phi, c, phi)
-        t = t - exact_einsum("am,mis,sj->aij", phi, c, phi)
-        return Tensor(t + self._deta_xi(), "udd")
+        c, phi = self.model.algebra.c, self.model.phi
+        return exact_sum([
+            (1, "am,ms,sij->aij", phi, phi, c),
+            (1, "ams,mi,sj->aij", c, phi, phi),
+            (-1, "am,msj,si->aij", phi, c, phi),
+            (-1, "am,mis,sj->aij", phi, c, phi),
+            *self._deta_xi(),
+        ])
 
     @cached_property
     def n_from_derivatives(self) -> Tensor:
         """``N`` from ``(nabla_{phi x} phi) y - (nabla_{phi y} phi) x
         - phi (nabla_x phi) y + phi (nabla_y phi) x`` plus the same
         ``(nabla eta)`` term."""
-        phi = self.model.phi.components
-        nphi = self.nabla_phi.components
-        t = exact_einsum("mi,maj->aij", phi, nphi)
-        t = t - exact_einsum("mj,mai->aij", phi, nphi)
-        t = t - exact_einsum("am,imj->aij", phi, nphi)
-        t = t + exact_einsum("am,jmi->aij", phi, nphi)
-        return Tensor(t + self._deta_xi(), "udd")
+        phi, nphi = self.model.phi, self.nabla_phi
+        return exact_sum([
+            (1, "mi,maj->aij", phi, nphi),
+            (-1, "mj,mai->aij", phi, nphi),
+            (-1, "am,imj->aij", phi, nphi),
+            (1, "am,jmi->aij", phi, nphi),
+            *self._deta_xi(),
+        ])
 
     @cached_property
     def n(self) -> Tensor:
@@ -202,10 +195,9 @@ class Geometry:
     @cached_property
     def s(self) -> Tensor:
         """``S(x, y) = (nabla_x omega) phi y - omega(phi x) omega(phi y)``."""
-        ostar = self.omega_star.components
-        comps = exact_einsum("im,mj->ij", self.nabla_omega.components,
-                             self.model.phi.components)
-        return Tensor(comps - np.multiply.outer(ostar, ostar), "dd")
+        ostar = self.omega_star
+        return exact_sum([(1, "im,mj->ij", self.nabla_omega, self.model.phi),
+                          (-1, "i,j->ij", ostar, ostar)])
 
     @cached_property
     def pack(self) -> StructurePack:
@@ -234,19 +226,18 @@ class Geometry:
     def curv(self) -> CurvaturePack:
         """``R(x_i, x_j) x_k = nabla_i nabla_j x_k - nabla_j nabla_i x_k
         - nabla_{[x_i, x_j]} x_k``, lowered, with Ricci and the scalars."""
-        gamma = self.conn.gamma.components
-        c = self.model.algebra.c.components
-        ginv, phi = self.ginv, self.model.phi.components
-        r13 = (
-            exact_einsum("mjk,lim->lijk", gamma, gamma)
-            - exact_einsum("mik,ljm->lijk", gamma, gamma)
-            - exact_einsum("mij,lmk->lijk", c, gamma)
-        )
-        R = exact_einsum("lijk,lu->ijku", r13, self.model.g.components)
+        gamma, c = self.conn.gamma, self.model.algebra.c
+        ginv, phi = self.ginv, self.model.phi
+        r13 = exact_sum([
+            (1, "mjk,lim->lijk", gamma, gamma),
+            (-1, "mik,ljm->lijk", gamma, gamma),
+            (-1, "mij,lmk->lijk", c, gamma),
+        ])
+        R = exact_einsum("lijk,lu->ijku", r13, self.model.g)
         # ricci(y, z) = g^{is} R(x_i, y, z, x_s)
         ricci = exact_einsum("is,iyzs->yz", ginv, R)
         return CurvaturePack(
-            Tensor(r13, "uddd"), Tensor(R, "dddd"), Tensor(ricci, "dd"),
+            r13, R, ricci,
             einsum_scalar("jk,jk->", ginv, ricci),
             # tau_star: twist the third argument by phi before tracing.
             einsum_scalar("is,jk,mk,ijms->", ginv, ginv, phi, R),
@@ -259,15 +250,15 @@ class Geometry:
         return psi4(self.s, self.model.eta)
 
     @cached_property
-    def twisted_r(self) -> np.ndarray:
+    def twisted_r(self) -> Tensor:
         """``R(x, y, phi z, phi u)``."""
-        phi = self.model.phi.components
-        return exact_einsum("ijmn,mk,nu->ijku", self.curv.r04.components, phi, phi)
+        phi = self.model.phi
+        return exact_einsum("ijmn,mk,nu->ijku", self.curv.r04, phi, phi)
 
     @cached_property
     def curvature_phi_kahler(self) -> bool:
         """Whether ``R(x, y, phi z, phi u) = -R(x, y, z, u)``."""
-        return bool(np.all(self.twisted_r == -self.curv.r04.components))
+        return self.twisted_r == -self.curv.r04
 
     @cached_property
     def nabla2_phi(self) -> Tensor:
@@ -286,26 +277,23 @@ class Geometry:
         """The three square norms, with ``g^{-1}`` in every argument slot,
         e.g. ``||nabla phi||^2 = g^{ij} g^{ks} g((nabla_{x_i} phi) x_k,
         (nabla_{x_j} phi) x_s)``."""
-        g, ginv = self.model.g.components, self.ginv
+        g, ginv = self.model.g, self.ginv
         return SquareNorms(
             einsum_scalar("ij,ks,ab,iak,jbs->", ginv, ginv, g,
-                          self.nabla_phi.components, self.nabla_phi.components),
-            einsum_scalar("ij,ks,ik,js->", ginv, ginv,
-                          self.nabla_eta.components, self.nabla_eta.components),
-            einsum_scalar("ij,ks,ab,aik,bjs->", ginv, ginv, g,
-                          self.n.components, self.n.components),
+                          self.nabla_phi, self.nabla_phi),
+            einsum_scalar("ij,ks,ik,js->", ginv, ginv, self.nabla_eta, self.nabla_eta),
+            einsum_scalar("ij,ks,ab,aik,bjs->", ginv, ginv, g, self.n, self.n),
         )
 
     @cached_property
     def omega_norm(self) -> Fraction:
         """``omega(Omega)``."""
-        return einsum_scalar("k,k->", self.omega.components, self.omega_vec.components)
+        return einsum_scalar("k,k->", self.omega, self.omega_vec)
 
     @cached_property
-    def phi_omega(self) -> np.ndarray:
-        """Components of the vector ``phi Omega``."""
-        return exact_einsum("ij,j->i", self.model.phi.components,
-                            self.omega_vec.components)
+    def phi_omega(self) -> Tensor:
+        """The vector ``phi Omega``."""
+        return exact_einsum("ij,j->i", self.model.phi, self.omega_vec)
 
     @cached_property
     def div_phi_omega(self) -> Fraction:
@@ -314,20 +302,19 @@ class Geometry:
     @cached_property
     def s_trace(self) -> Fraction:
         """``tr S = g^{ij} S(x_i, x_j)``."""
-        return einsum_scalar("ij,ij->", self.ginv, self.s.components)
+        return einsum_scalar("ij,ij->", self.ginv, self.s)
 
     @cached_property
     def ricci_xi_xi(self) -> Fraction:
-        xi = self.model.xi.components
-        return einsum_scalar("ij,i,j->", self.curv.ricci.components, xi, xi)
+        xi = self.model.xi
+        return einsum_scalar("ij,i,j->", self.curv.ricci, xi, xi)
 
     @cached_property
     def forms_closed(self) -> tuple[bool, bool]:
         """Closedness of ``omega`` and ``omega_star``: for constant forms
         ``d omega(x, y) = (nabla_x omega) y - (nabla_y omega) x``."""
-        nomega = self.nabla_omega.components
-        nostar = self.nabla_omega_star.components
-        return bool(np.all(nomega == nomega.T)), bool(np.all(nostar == nostar.T))
+        return tuple(t == exact_einsum("ij->ji", t)
+                     for t in (self.nabla_omega, self.nabla_omega_star))
 
     @cached_property
     def isotropic_kahler(self) -> bool:
@@ -341,9 +328,11 @@ class Geometry:
 
     def divergence(self, x) -> Fraction:
         """``div X = g^{ij} g(nabla_{x_i} X, x_j)`` for a constant vector."""
-        xv = Tensor(vector_components(x, self.model.dim, name="x"), "u")
-        nx = covariant_derivative(self.conn, xv).components
-        return einsum_scalar("ij,ik,kj->", self.ginv, nx, self.model.g.components)
+        if not (isinstance(x, Tensor) and x.variance == "u"
+                and x.shape == (self.model.dim,)):
+            x = Tensor(vector_components(x, self.model.dim, name="x"), "u")
+        nx = covariant_derivative(self.conn, x)
+        return einsum_scalar("ij,ik,kj->", self.ginv, nx, self.model.g)
 
 
 def levi_civita(model: AcnModel) -> Connection:
@@ -364,12 +353,9 @@ def riemann(model: AcnModel, conn: Connection) -> CurvaturePack:
     return Geometry(model, conn=conn).curv
 
 
-def verify_identities(
-    model: AcnModel,
-    conn: Connection | None = None,
-    pack: StructurePack | None = None,
-    curv: CurvaturePack | None = None,
-) -> dict[str, IdentityVerdict]:
+def verify_identities(model: AcnModel, conn: Connection | None = None,
+                      pack: StructurePack | None = None,
+                      curv: CurvaturePack | None = None) -> dict[str, IdentityVerdict]:
     """Evaluate every supported exact identity on a model.
 
     Returns a dict keyed by identity name.  Identities restricted to

@@ -21,8 +21,8 @@ from .errors import (
 from .tensors import (
     Tensor,
     exact_einsum,
+    exact_sum,
     row_space_basis,
-    scalar_array,
     vector_components,
     zeros_array,
 )
@@ -78,8 +78,7 @@ def bracket(algebra: LieAlgebra, x, y) -> Tensor:
     """The product ``[x, y]`` of two coordinate vectors, as a vector."""
     xv = vector_components(x, algebra.dim, name="x")
     yv = vector_components(y, algebra.dim, name="y")
-    comps = exact_einsum("kij,i,j->k", algebra.c.components, xv, yv)
-    return Tensor(comps, "u")
+    return exact_einsum("kij,i,j->k", algebra.c, Tensor(xv, "u"), Tensor(yv, "u"))
 
 
 def validate(algebra: LieAlgebra) -> ValidationReport:
@@ -92,32 +91,28 @@ def validate(algebra: LieAlgebra) -> ValidationReport:
     exhaust all cases.)
     """
     report = ValidationReport(subject="lie algebra")
-    c = algebra.c.components
-    n = algebra.dim
-    for i in range(n):
-        for j in range(i, n):
-            bad = [k for k in range(n) if c[k, i, j] != -c[k, j, i]]
-            if bad:
-                report.add(
-                    "antisymmetry",
-                    where=(i, j),
-                    detail=f"[x{i},x{j}] != -[x{j},x{i}] in components {bad}",
-                )
-    jac = (
-        exact_einsum("mjk,lim->lijk", c, c)
-        + exact_einsum("mki,ljm->lijk", c, c)
-        + exact_einsum("mij,lkm->lijk", c, c)
-    )
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                bad = [l for l in range(n) if jac[l, i, j, k] != 0]
-                if bad:
-                    report.add(
-                        "jacobi",
-                        where=(i, j, k),
-                        detail=f"Jacobi defect nonzero in components {bad}",
-                    )
+    c = algebra.c
+    defect = exact_sum([(1, "kij->kij", c), (1, "kji->kij", c)]).num != 0
+    for i, j in np.argwhere(np.triu(defect.any(axis=0))).tolist():
+        bad = np.flatnonzero(defect[:, i, j]).tolist()
+        report.add(
+            "antisymmetry",
+            where=(i, j),
+            detail=f"[x{i},x{j}] != -[x{j},x{i}] in components {bad}",
+        )
+    defect = exact_sum([
+        (1, "mjk,lim->lijk", c, c),
+        (1, "mki,ljm->lijk", c, c),
+        (1, "mij,lkm->lijk", c, c),
+    ]).num != 0
+    for i, j, k in np.argwhere(defect.any(axis=0)).tolist():
+        if i < j < k:
+            report.add(
+                "jacobi",
+                where=(i, j, k),
+                detail=f"Jacobi defect nonzero in components "
+                       f"{np.flatnonzero(defect[:, i, j, k]).tolist()}",
+            )
     return report
 
 
@@ -132,16 +127,14 @@ def is_solvable(algebra: LieAlgebra) -> bool:
     report = validate(algebra)
     if not report.ok:
         raise InvalidAlgebra(str(report))
-    c = algebra.c.components
-    basis = [row for row in np.eye(algebra.dim, dtype=object)]
+    basis = [row for row in np.eye(algebra.dim, dtype=int)]
     while basis:
         products = []
         for a in range(len(basis)):
             for b in range(a + 1, len(basis)):
-                v = exact_einsum("kij,i,j->k", c, scalar_array(basis[a]),
-                                 scalar_array(basis[b]))
-                if any(val != 0 for val in v):
-                    products.append(list(v))
+                v = bracket(algebra, basis[a], basis[b])
+                if not v.is_zero():
+                    products.append(v.components)
         new_basis = row_space_basis(products)
         if not new_basis:
             return True

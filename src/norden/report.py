@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .classify import IdentityVerdict
 from .geometry import Geometry
 from .structures import AcnModel, associated_metric
@@ -103,23 +105,13 @@ def run_report(model: AcnModel) -> GeometryReport:
 def _witness_json(witness):
     if witness is None:
         return None
-    out = []
-    for item in witness:
-        if isinstance(item, (bool, int, str)):
-            out.append(item)
-        else:
-            out.append(format_scalar(item))
-    return out
-
-
-def _format_nested(value):
-    if isinstance(value, list):
-        return [_format_nested(v) for v in value]
-    return format_scalar(value)
+    return [item if isinstance(item, (bool, int, str)) else format_scalar(item)
+            for item in witness]
 
 
 def _tensor_json(t: Tensor):
-    return {"variance": t.variance, "components": _format_nested(t.components.tolist())}
+    strings = np.array(t.formatted(), dtype=object).reshape(t.shape)
+    return {"variance": t.variance, "components": strings.tolist()}
 
 
 def report_to_json_dict(report: GeometryReport) -> dict:
@@ -204,11 +196,10 @@ def report_to_text(report: GeometryReport) -> str:
     lines.append("")
     lines.append("tensors (nonzero components):")
     for key, t in report.tensors.items():
-        items = t.nonzero_items()
-        if not items:
+        nonzero = t.num != 0
+        if not nonzero.any():
             lines.append(f"  {key} = 0")
             continue
-        for idx, value in items:
-            pos = ",".join(str(i) for i in idx)
-            lines.append(f"  {key}[{pos}] = {format_scalar(value)}")
+        for idx, text in zip(np.argwhere(nonzero).tolist(), t.formatted(nonzero)):
+            lines.append(f"  {key}[{','.join(map(str, idx))}] = {text}")
     return "\n".join(lines) + "\n"

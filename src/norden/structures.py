@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ValidationReport, VarianceMismatch
 from .lie import LieAlgebra, validate as validate_algebra
-from .tensors import Tensor, exact_einsum, signature
+from .tensors import Tensor, einsum_scalar, exact_einsum, exact_sum, signature
 
 
 @dataclass(frozen=True)
@@ -78,71 +78,59 @@ def validate_structure(model: AcnModel) -> ValidationReport:
     report = ValidationReport(subject=model.name or "model")
     report.extend(validate_algebra(model.algebra))
 
-    d = model.dim
     n = model.n
-    phi = model.phi.components
-    xi = model.xi.components
-    eta = model.eta.components
-    g = model.g.components
+    phi, xi, eta, g = model.phi, model.xi, model.eta, model.g
+
+    def mismatches(lhs: Tensor, rhs: Tensor) -> list[list[int]]:
+        """The indices where two tensors of one shape differ, in C order."""
+        return np.argwhere((lhs - rhs).num).tolist()
 
     # phi^2 = -Id + eta (x) xi, column by column.
     phi2 = exact_einsum("ia,aj->ij", phi, phi)
-    for i in range(d):
-        for j in range(d):
-            expected = -(1 if i == j else 0) + xi[i] * eta[j]
-            if phi2[i, j] != expected:
-                report.add("phi_square", where=(i, j),
-                           detail=f"(phi^2)[{i},{j}] = {phi2[i, j]}, expected {expected}")
+    identity = Tensor(np.eye(model.dim, dtype=int), "ud")
+    expected = exact_sum([(1, "i,j->ij", xi, eta), (-1, "ij->ij", identity)])
+    for i, j in mismatches(phi2, expected):
+        report.add("phi_square", where=(i, j),
+                   detail=f"(phi^2)[{i},{j}] = {phi2[i, j]}, expected {expected[i, j]}")
 
-    eta_xi = exact_einsum("i,i->", eta, xi)
+    eta_xi = einsum_scalar("i,i->", eta, xi)
     if eta_xi != 1:
         report.add("eta_xi", detail=f"eta(xi) = {eta_xi}, expected 1")
 
     phixi = exact_einsum("ij,j->i", phi, xi)
-    for i in range(d):
-        if phixi[i] != 0:
-            report.add("phi_xi", where=(i,), detail=f"(phi xi)[{i}] = {phixi[i]}")
+    for (i,) in np.argwhere(phixi.num).tolist():
+        report.add("phi_xi", where=(i,), detail=f"(phi xi)[{i}] = {phixi[i]}")
 
     etaphi = exact_einsum("i,ij->j", eta, phi)
-    for j in range(d):
-        if etaphi[j] != 0:
-            report.add("eta_phi", where=(j,), detail=f"(eta o phi)[{j}] = {etaphi[j]}")
+    for (j,) in np.argwhere(etaphi.num).tolist():
+        report.add("eta_phi", where=(j,), detail=f"(eta o phi)[{j}] = {etaphi[j]}")
 
-    symmetric = True
-    for i in range(d):
-        for j in range(i, d):
-            if g[i, j] != g[j, i]:
-                symmetric = False
-                report.add("metric_symmetric", where=(i, j),
-                           detail=f"g[{i},{j}] != g[{j},{i}]")
+    asymmetric = np.argwhere(np.triu(g.num != g.num.T)).tolist()
+    for i, j in asymmetric:
+        report.add("metric_symmetric", where=(i, j), detail=f"g[{i},{j}] != g[{j},{i}]")
 
     # g(phi x, phi y) = -g(x, y) + eta(x) eta(y) on basis pairs.
     gphiphi = exact_einsum("ai,ab,bj->ij", phi, g, phi)
-    for i in range(d):
-        for j in range(d):
-            expected = -g[i, j] + eta[i] * eta[j]
-            if gphiphi[i, j] != expected:
-                report.add("norden_compatibility", where=(i, j),
-                           detail=f"g(phi x{i}, phi x{j}) = {gphiphi[i, j]}, "
-                                  f"expected {expected}")
+    expected = exact_sum([(-1, "ij->ij", g), (1, "i,j->ij", eta, eta)])
+    for i, j in mismatches(gphiphi, expected):
+        report.add("norden_compatibility", where=(i, j),
+                   detail=f"g(phi x{i}, phi x{j}) = {gphiphi[i, j]}, "
+                          f"expected {expected[i, j]}")
 
     # phi is g-symmetric: g(phi x, y) = g(x, phi y).
     gphi = exact_einsum("ai,aj->ij", phi, g)
-    for i in range(d):
-        for j in range(d):
-            if gphi[i, j] != gphi[j, i]:
-                report.add("phi_g_symmetric", where=(i, j),
-                           detail=f"g(phi x{i}, x{j}) != g(x{i}, phi x{j})")
+    for i, j in np.argwhere(gphi.num != gphi.num.T).tolist():
+        report.add("phi_g_symmetric", where=(i, j),
+                   detail=f"g(phi x{i}, x{j}) != g(x{i}, phi x{j})")
 
     # eta is the g-dual of xi.
     gxi = exact_einsum("ij,j->i", g, xi)
-    for i in range(d):
-        if gxi[i] != eta[i]:
-            report.add("eta_g_dual", where=(i,),
-                       detail=f"g(x{i}, xi) = {gxi[i]}, eta(x{i}) = {eta[i]}")
+    for (i,) in mismatches(gxi, eta):
+        report.add("eta_g_dual", where=(i,),
+                   detail=f"g(x{i}, xi) = {gxi[i]}, eta(x{i}) = {eta[i]}")
 
     # A signature is defined for symmetric forms only.
-    if not symmetric:
+    if asymmetric:
         return report
     plus, minus, null = signature(model.g)
     if null != 0:
@@ -158,8 +146,5 @@ def associated_metric(model: AcnModel) -> Tensor:
 
     On a valid model it is again symmetric of signature ``(n+1, n)``.
     """
-    g = model.g.components
-    phi = model.phi.components
-    eta = model.eta.components
-    comps = exact_einsum("ia,aj->ij", g, phi) + np.multiply.outer(eta, eta)
-    return Tensor(comps, "dd")
+    return exact_sum([(1, "ia,aj->ij", model.g, model.phi),
+                      (1, "i,j->ij", model.eta, model.eta)])

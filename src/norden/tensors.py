@@ -1,36 +1,40 @@
 """Exact rational scalars and dense tensors with variance-tagged slots.
 
-Every number in this package is an exact rational — a Python int or a
-:class:`fractions.Fraction` in lowest terms; floating point is rejected
-at the door, so equality of computed quantities is always literal
-equality of rationals.  Components live in numpy arrays of ``object``
-dtype whose entries are in canonical form: plain ints for integer
-values, Fractions otherwise.  Public scalar-valued functions always
-return Fractions.
+Every number is an exact rational; floats are rejected at the door, so
+equality of computed quantities is literal equality of rationals.
 
-Multilinear algebra goes through one contraction kernel,
-:func:`exact_einsum`.  It scales each operand to integer numerators over
-the lcm of its entries' denominators, so a contraction of rationals is
-a contraction of integers followed by one division by the product of
-those denominators.  Before contracting it bounds every result entry by
-the product of the operands' largest numerator magnitudes times the
-number of summed index combinations.  When that bound and the
-denominator product are both below ``2**62`` the integers are
-contracted as ``int64`` arrays (numpy's own einsum, exact because no
-entry can overflow); otherwise as object arrays of Python ints, whose
-precision is unbounded.  Floats are never involved, and the kernel keeps
-no state between calls.
+A :class:`Tensor` stores integer numerators ``num`` over one common
+denominator ``den > 0``, beside its ``variance``.  ``num`` is an int64
+ndarray when every magnitude is below ``2**62``, else an object ndarray
+of Python ints.  The form is canonical (``gcd(all num, den) = 1``, so
+zero has ``den = 1``; the dtype follows from the magnitudes), so two
+tensors are equal exactly when their ``(variance, shape, den, num)`` are.
 
-A tensor slot is either contravariant (``"u"``) or covariant (``"d"``);
-the ``variance`` string has one letter per axis.  Contractions are only
-allowed between one ``u`` slot and one ``d`` slot.
+Every computation is a linear combination of contractions,
+:func:`exact_sum` (:func:`exact_einsum` is its one-term case): each
+contraction runs on numerators over the product of its operands'
+denominators, the terms are added as integers over the lcm ``L`` of
+theirs, and the result is reduced once.  Two bounds keep int64 exact;
+zeros count as 1 in both.  A contraction runs in int64 when the product
+of its operands' largest numerator magnitudes times the number of summed
+index combinations, and the product of their denominators, are below
+``2**62``.  The terms are added in int64 when the sum of ``max|num| *
+|coefficient| * L / den`` over them, which bounds every partial sum, is
+below ``2**62``.  Otherwise Python ints are used.
+
+Fractions appear only at the edges: building a tensor from rationals,
+the read-only :attr:`Tensor.components` view (ints and Fractions in
+lowest terms, built on first read), scalar results such as
+:func:`einsum_scalar`, and rendering.  A slot is contravariant ``"u"``
+or covariant ``"d"``; a contraction gives each output slot the variance
+of the first operand slot that carries its index letter.
 """
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import re
+import string
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -38,14 +42,13 @@ import numpy as np
 
 from .errors import DimensionMismatch, SingularMetric, VarianceMismatch
 
-#: The scalar field of the whole library: arbitrary-precision rationals.
-Scalar = Fraction
-
 UP = "u"
 DOWN = "d"
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+#: Numerator magnitudes below this are stored and contracted as int64.
+INT64_SAFE = 1 << 62
+
+_LETTERS = string.ascii_letters
 
 #: Largest decimal exponent magnitude accepted in a string such as
 #: ``"1e300"``: Python's own limit on the digits of an int parsed from a
@@ -89,14 +92,9 @@ def as_scalar(value) -> Fraction:
 
 
 def as_entry(value):
-    """Coerce ``value`` to a canonical exact rational *component*.
-
-    Integer values become plain Python ints and everything else a
-    Fraction in lowest terms.  Keeping integers as ints makes the dense
-    object-array contractions much faster (no gcd normalization per
-    operation) while every result stays exact; arithmetic freely mixes
-    the two types.
-    """
+    """Coerce ``value`` to a canonical exact rational *component*:
+    integer values become plain Python ints and everything else a
+    Fraction in lowest terms."""
     if type(value) is int:
         return value
     if isinstance(value, Fraction):
@@ -135,49 +133,99 @@ def zeros_array(shape) -> np.ndarray:
     return np.full(shape, 0, dtype=object)
 
 
-class Tensor:
-    """A dense tensor of exact rationals.
+def _max_abs(num: np.ndarray) -> int:
+    if num.dtype == object:
+        return max(map(abs, num.flat), default=0)
+    return int(np.abs(num).max(initial=0))
 
-    ``components`` is a read-only numpy object array; ``variance`` is a
-    string of ``"u"``/``"d"`` letters, one per axis.  Instances are
-    immutable and compare by exact component equality.
+
+def _canonical(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """``num / den`` in the canonical form: lowest terms, int64 when every
+    magnitude is below ``INT64_SAFE``."""
+    if den != 1:
+        common = int(np.gcd.reduce(num, axis=None))
+        if not common:              # the zero tensor
+            den = 1
+        elif (g := math.gcd(common, den)) != 1:
+            num, den = np.asarray(num // g, dtype=num.dtype), den // g
+    if num.dtype == object and _max_abs(num) < INT64_SAFE:
+        num = num.astype(np.int64)
+    return num, den
+
+
+class Tensor:
+    """A dense tensor of exact rationals, stored as ``num / den``.
+
+    ``num`` (a read-only int64 or object ndarray of ints), ``den`` (an
+    int > 0) and ``variance`` (a string of ``"u"``/``"d"`` letters, one
+    per axis) are in the canonical form of the module docstring.
+    ``Tensor(components, variance)`` builds one from any array-like of
+    exact rationals.  Instances are immutable and compare by exact value.
     """
 
-    __slots__ = ("components", "variance")
+    __slots__ = ("num", "den", "variance", "_components")
 
     def __init__(self, components, variance: str):
-        arr = scalar_array(components)
+        entries = scalar_array(components)
+        flat = entries.ravel().tolist()
+        den = math.lcm(*{v.denominator for v in flat if type(v) is not int})
+        nums = [v * den if type(v) is int else v.numerator * (den // v.denominator)
+                for v in flat]
+        num, _ = _canonical(_object_array(nums, entries.shape), 1)
+        entries.setflags(write=False)
+        self._set(num, den, variance, entries)
+
+    @classmethod
+    def _of(cls, num: np.ndarray, den: int, variance: str) -> "Tensor":
+        """A tensor from storage that is already canonical."""
+        t = cls.__new__(cls)
+        t._set(num, den, variance, None)
+        return t
+
+    def _set(self, num, den, variance, components) -> None:
         variance = str(variance)
-        if len(variance) != arr.ndim:
-            raise VarianceMismatch(
-                f"variance {variance!r} has {len(variance)} letters for a "
-                f"rank-{arr.ndim} tensor"
-            )
-        if any(ch not in (UP, DOWN) for ch in variance):
-            raise VarianceMismatch(f"variance letters must be 'u' or 'd': {variance!r}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "components", arr)
-        object.__setattr__(self, "variance", variance)
+        if len(variance) != num.ndim or set(variance) - {UP, DOWN}:
+            raise VarianceMismatch(f"variance {variance!r} needs one 'u' or 'd' letter "
+                                   f"per axis of a rank-{num.ndim} tensor")
+        num.setflags(write=False)
+        for name, value in (("num", num), ("den", den), ("variance", variance),
+                            ("_components", components)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor instances are immutable")
+
+    @property
+    def components(self) -> np.ndarray:
+        """The entries as a read-only object array of ints and Fractions
+        in lowest terms, built on first read.  This is a view for output
+        and tests; no computation goes through it."""
+        if self._components is None:
+            d = self.den
+            flat = self.num.ravel().tolist()
+            if d != 1:
+                flat = [v // d if v % d == 0 else Fraction(v, d) for v in flat]
+            arr = _object_array(flat, self.num.shape)
+            arr.setflags(write=False)
+            object.__setattr__(self, "_components", arr)
+        return self._components
 
     # -- shape ---------------------------------------------------------
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.components.shape
+        return self.num.shape
 
     @property
     def rank(self) -> int:
-        return self.components.ndim
+        return self.num.ndim
 
     def __getitem__(self, idx):
         return self.components[idx]
 
     def item(self) -> Fraction:
         """The single entry of a rank-0 tensor, as a Fraction."""
-        return as_scalar(self.components.item())
+        return Fraction(self.num.item(), self.den)
 
     # -- comparison ----------------------------------------------------
 
@@ -187,21 +235,19 @@ class Tensor:
         return (
             self.variance == other.variance
             and self.shape == other.shape
-            and bool(np.all(self.components == other.components))
+            and self.den == other.den
+            and bool(np.array_equal(self.num, other.num))
         )
-
-    def __ne__(self, other) -> bool:
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     __hash__ = None
 
     def is_zero(self) -> bool:
-        return bool(np.all(self.components == ZERO))
+        return not np.any(self.num)
 
     # -- arithmetic (same variance only) -------------------------------
 
-    def _check_same(self, other: "Tensor", op: str) -> None:
+    def _check_same(self, other: "Tensor", op: str) -> str:
+        """Check ``other`` against ``self``; return identity subscripts."""
         if not isinstance(other, Tensor):
             raise TypeError(f"cannot {op} Tensor and {type(other).__name__}")
         if self.variance != other.variance:
@@ -212,37 +258,58 @@ class Tensor:
             raise DimensionMismatch(
                 f"cannot {op} shapes {self.shape} and {other.shape}"
             )
+        return _identity(self.rank)
 
     def __add__(self, other: "Tensor") -> "Tensor":
-        self._check_same(other, "add")
-        return Tensor(self.components + other.components, self.variance)
+        same = self._check_same(other, "add")
+        return exact_sum([(1, same, self), (1, same, other)])
 
     def __sub__(self, other: "Tensor") -> "Tensor":
-        self._check_same(other, "subtract")
-        return Tensor(self.components - other.components, self.variance)
+        same = self._check_same(other, "subtract")
+        return exact_sum([(1, same, self), (-1, same, other)])
 
     def __neg__(self) -> "Tensor":
-        return Tensor(-self.components, self.variance)
+        return Tensor._of(np.asarray(-self.num, dtype=self.num.dtype), self.den,
+                          self.variance)
 
     def __mul__(self, scalar) -> "Tensor":
-        s = as_scalar(scalar)
-        return Tensor(self.components * s, self.variance)
+        return exact_sum([(scalar, _identity(self.rank), self)])
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
         return f"Tensor(variance={self.variance!r}, shape={self.shape})"
 
+    def formatted(self, where: np.ndarray | None = None) -> list[str]:
+        """Every entry, or every entry where the boolean array ``where``
+        is set, rendered as by :func:`format_scalar`, in C order.  Reads
+        the numerators directly; builds no Fraction."""
+        d = self.den
+        flat = (self.num if where is None else self.num[where]).ravel().tolist()
+        if d == 1:
+            return [str(v) for v in flat]
+        out = []
+        for v in flat:
+            g = math.gcd(v, d)
+            out.append(str(v // g) if g == d else f"{v // g}/{d // g}")
+        return out
+
     def nonzero_items(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Sorted ``(index, value)`` pairs for all nonzero components."""
-        indices = itertools.product(*map(range, self.shape))
-        return [(idx, v) for idx, v in zip(indices, self.components.ravel().tolist())
-                if v != 0]
+        mask = self.num != 0
+        return list(zip(map(tuple, np.argwhere(mask).tolist()),
+                        self.components[mask].tolist()))
+
+
+def _identity(rank: int) -> str:
+    """Subscripts that leave a rank-``rank`` tensor as it is."""
+    return f"{_LETTERS[:rank]}->{_LETTERS[:rank]}"
 
 
 def tensor_product(a: Tensor, b: Tensor) -> Tensor:
     """Outer product; variances concatenate."""
-    return Tensor(np.multiply.outer(a.components, b.components), a.variance + b.variance)
+    left, right = _LETTERS[:a.rank], _LETTERS[a.rank:a.rank + b.rank]
+    return exact_einsum(f"{left},{right}->{left}{right}", a, b)
 
 
 def contract(t: Tensor, up_slot: int, down_slot: int) -> Tensor:
@@ -267,104 +334,91 @@ def contract(t: Tensor, up_slot: int, down_slot: int) -> Tensor:
         raise DimensionMismatch(
             f"slot lengths differ: {t.shape[up_slot]} vs {t.shape[down_slot]}"
         )
-    traced = np.trace(t.components, axis1=up_slot, axis2=down_slot)
-    keep = [i for i in range(r) if i not in (up_slot, down_slot)]
-    variance = "".join(t.variance[i] for i in keep)
-    return Tensor(np.asarray(traced, dtype=object), variance)
+    letters = list(_LETTERS[:r])
+    letters[down_slot] = letters[up_slot]
+    keep = "".join(ch for i, ch in enumerate(letters) if i not in (up_slot, down_slot))
+    return exact_einsum("".join(letters) + "->" + keep, t)
 
 
-def _symmetric_rows(t: Tensor, name: str) -> list[list[Fraction]]:
+def _symmetric_numerators(t: Tensor, name: str) -> list[list[int]]:
     if t.rank != 2 or t.shape[0] != t.shape[1]:
         raise DimensionMismatch(f"{name} needs a square rank-2 tensor, got {t.shape}")
-    n = t.shape[0]
-    rows = [[as_scalar(t.components[i, j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                raise ValueError(f"{name} needs a symmetric tensor; "
-                                 f"entry ({i},{j}) != ({j},{i})")
-    return rows
+    asymmetric = np.argwhere(np.triu(t.num != t.num.T))
+    if asymmetric.size:
+        i, j = asymmetric[0].tolist()
+        raise ValueError(f"{name} needs a symmetric tensor; "
+                         f"entry ({i},{j}) != ({j},{i})")
+    return t.num.tolist()
 
 
 def invert_symmetric(g: Tensor) -> Tensor:
     """Exact inverse of a symmetric covariant metric; raises
     :class:`SingularMetric` when the form is degenerate.
 
-    The inverse carries variance ``"uu"`` so that contracting it against
-    ``g`` yields the identity with one slot up and one down.
+    Fraction-free Gauss-Jordan elimination (Bareiss, *Math. Comp.* 22,
+    1968) on ``[N | I]``, with ``N`` the integer numerators of ``g``:
+    every division is exact, and at the end the left block is ``p I``
+    and the right block ``p N^-1``.  So ``g^-1 = den * right / p``
+    arrives in integer storage.  The inverse carries variance ``"uu"``
+    so that contracting it against ``g`` yields the identity with one
+    slot up and one down.
     """
-    rows = _symmetric_rows(g, "invert_symmetric")
+    rows = _symmetric_numerators(g, "invert_symmetric")
     n = len(rows)
-    a = [row[:] for row in rows]
-    inv = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+    m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k] != 0), None)
         if pivot is None:
             raise SingularMetric("symmetric form is degenerate (no pivot)")
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            inv[col], inv[pivot] = inv[pivot], inv[col]
-        d = a[col][col]
-        a[col] = [v / d for v in a[col]]
-        inv[col] = [v / d for v in inv[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * w for v, w in zip(a[r], a[col])]
-                inv[r] = [v - f * w for v, w in zip(inv[r], inv[col])]
-    return Tensor(inv, UP + UP)
+        m[k], m[pivot] = m[pivot], m[k]
+        p = m[k][k]
+        for i in range(n):
+            if i != k:
+                f = m[i][k]
+                m[i] = [(p * v - f * w) // prev for v, w in zip(m[i], m[k])]
+        prev = p
+    right = _object_array([v for row in m for v in row[n:]], (n, n))
+    sign = 1 if prev > 0 else -1
+    return Tensor._of(*_canonical(right * (sign * g.den), abs(prev)), UP + UP)
 
 
 def signature(g: Tensor) -> tuple[int, int, int]:
     """Sylvester signature ``(plus, minus, zero)`` of a symmetric form.
 
-    Computed by exact symmetric congruence elimination: at each step a
-    nonzero diagonal pivot is produced (using the basis change
-    ``e_i <- e_i + e_j`` when the remaining diagonal vanishes), its sign
-    recorded, and the Schur complement taken.  Congruence preserves the
-    signature, so the recorded signs are the answer.
+    Computed by exact symmetric congruence elimination on the integer
+    numerators (a positive multiple of the form): at each step a nonzero
+    diagonal pivot is produced (using the basis change ``e_i <- e_i +
+    e_j`` when the remaining diagonal vanishes), its sign recorded, and
+    the Schur complement taken.  Congruence preserves the signature, so
+    the recorded signs are the answer.
     """
-    rows = _symmetric_rows(g, "signature")
-    n = len(rows)
-    a = [row[:] for row in rows]
-    plus = minus = zero = 0
-    k = 0
-    while k < n:
-        pivot = next((i for i in range(k, n) if a[i][i] != 0), None)
+    a = [[Fraction(v) for v in row] for row in _symmetric_numerators(g, "signature")]
+    n = len(a)
+    plus = minus = 0
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][i]), None)
         if pivot is None:
-            pair = next(
-                ((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j] != 0),
-                None,
-            )
+            pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]),
+                        None)
             if pair is None:
-                zero += n - k
                 break
             i, j = pair
             # e_i <- e_i + e_j puts 2*a[i][j] on the diagonal, symmetrically.
             for c in range(k, n):
-                a[i][c] = a[i][c] + a[j][c]
+                a[i][c] += a[j][c]
             for r in range(k, n):
-                a[r][i] = a[r][i] + a[r][j]
+                a[r][i] += a[r][j]
             pivot = i
-        if pivot != k:
-            a[k], a[pivot] = a[pivot], a[k]
-            for r in range(n):
-                a[r][k], a[r][pivot] = a[r][pivot], a[r][k]
-        d = a[k][k]
-        if d > 0:
-            plus += 1
-        else:
-            minus += 1
+        a[k], a[pivot] = a[pivot], a[k]
+        for row in a:
+            row[k], row[pivot] = row[pivot], row[k]
+        plus, minus = (plus + 1, minus) if a[k][k] > 0 else (plus, minus + 1)
         for i in range(k + 1, n):
-            f = a[i][k] / d
+            f = a[i][k] / a[k][k]
             if f:
-                for j in range(k + 1, n):
-                    a[i][j] = a[i][j] - f * a[k][j]
-        for i in range(k + 1, n):
-            a[i][k] = ZERO
-            a[k][i] = ZERO
-        k += 1
-    return plus, minus, zero
+                a[i][k:] = [x - f * y for x, y in zip(a[i][k:], a[k][k:])]
+    return plus, minus, n - plus - minus
 
 
 def row_space_basis(rows: Iterable[Sequence]) -> list[list[Fraction]]:
@@ -397,39 +451,21 @@ def matrix_rank(rows: Iterable[Sequence]) -> int:
     return len(row_space_basis(rows))
 
 
-#: Entries of an int64 contraction are kept below this magnitude.
-INT64_SAFE = 1 << 62
-
-
-def _integer_form(arr) -> tuple[list[int], int]:
-    """The entries of ``arr`` as integer numerators over one common
-    denominator (the lcm of theirs): ``(numerators, denominator)``."""
-    flat = np.asarray(arr, dtype=object).ravel().tolist()
-    denominators = {v.denominator for v in flat if type(v) is not int}
-    if not denominators:
-        return flat, 1
-    den = math.lcm(*denominators)
-    return [v * den if type(v) is int else v.numerator * (den // v.denominator)
-            for v in flat], den
-
-
-def _summed_combinations(subscripts: str, shapes) -> int:
-    """How many index combinations each output entry of an explicit-mode
-    einsum sums over (an upper bound when an ellipsis is summed)."""
+def _subscripts(subscripts: str, operands) -> tuple[list[str], str]:
+    """Explicit-mode subscripts as one term per operand plus the output,
+    with any ellipsis spelled out in spare letters."""
     if "->" not in subscripts:
         raise ValueError(f"exact_einsum needs explicit subscripts with '->': {subscripts!r}")
     inputs, output = subscripts.replace(" ", "").split("->")
-    sizes: dict[str, int] = {}
-    ellipsis = 1
-    for term, shape in zip(inputs.split(","), shapes):
-        head, dots, tail = term.partition("...")
-        if dots:
-            ellipsis = max(ellipsis, math.prod(shape[len(head):len(shape) - len(tail)]))
-            shape = shape[:len(head)] + shape[len(shape) - len(tail):]
-        for ch, n in zip(head + tail, shape):
-            sizes[ch] = max(sizes.get(ch, 1), n)
-    total = math.prod(n for ch, n in sizes.items() if ch not in output)
-    return total if "..." in output else total * ellipsis
+    terms = inputs.split(",")
+    if "..." in subscripts:
+        spare = "".join(ch for ch in _LETTERS if ch not in subscripts)
+        width = [op.rank - len(t) + 3 if "..." in t else 0
+                 for t, op in zip(terms, operands)]
+        fill = spare[:max(width)]
+        terms = [t.replace("...", fill[len(fill) - w:]) for t, w in zip(terms, width)]
+        output = output.replace("...", fill)
+    return terms, output
 
 
 def _contract_python_ints(subscripts: str, operands: list[np.ndarray]):
@@ -437,9 +473,9 @@ def _contract_python_ints(subscripts: str, operands: list[np.ndarray]):
     path, one unoptimized einsum per pair.  (``einsum(optimize=True)``
     cannot be used here: when both sides of a pair reduce to scalars it
     multiplies them as int64 and wraps.)"""
-    if len(operands) <= 2 or "..." in subscripts:
+    if len(operands) <= 2:
         return np.einsum(subscripts, *operands)
-    inputs, output = subscripts.replace(" ", "").split("->")
+    inputs, output = subscripts.split("->")
     terms, ops = inputs.split(","), list(operands)
     for pair in np.einsum_path(subscripts, *ops, optimize="greedy")[0][1:]:
         picked = [(terms.pop(k), ops.pop(k)) for k in sorted(pair, reverse=True)]
@@ -452,43 +488,78 @@ def _contract_python_ints(subscripts: str, operands: list[np.ndarray]):
     return np.einsum(f"{terms[0]}->{output}", ops[0])
 
 
-def exact_einsum(subscripts: str, *operands):
-    """``np.einsum(subscripts, *operands)`` over exact rationals.
-
-    The operands are object arrays of ints and Fractions; the result is
-    one in canonical form (a bare entry for an empty output).  See the
-    module docstring for the integer contraction and its int64 bound.
-    """
-    shapes = [np.shape(op) for op in operands]
-    forms = [_integer_form(op) for op in operands]
-    bound = _summed_combinations(subscripts, shapes)
+def _contract(terms: list[str], output: str, operands) -> tuple[np.ndarray, int]:
+    """One contraction of the operands' numerators, unreduced: the
+    integer array and the product of the operands' denominators."""
+    sizes: dict[str, int] = {}
+    for term, op in zip(terms, operands):
+        for ch, n in zip(term, op.shape):
+            sizes[ch] = max(sizes.get(ch, 1), n)
+    bound = math.prod(n for ch, n in sizes.items() if ch not in output)
     den = 1
-    for nums, d in forms:
+    for op in operands:
         # A zero operand counts as 1, so the bound also covers every
         # operand's own entries and every intermediate of the contraction.
-        bound *= max(max(map(abs, nums), default=0), 1)
-        den *= d
-    fits = bound < INT64_SAFE and den < INT64_SAFE
-    ints = [np.array(nums, dtype=np.int64 if fits else object).reshape(shape)
-            for (nums, _), shape in zip(forms, shapes)]
-    if fits:
-        out = np.asarray(np.einsum(subscripts, *ints, optimize=True))
-    else:
-        out = np.asarray(_contract_python_ints(subscripts, ints))
-    flat = out.ravel().tolist()
-    if den != 1:
-        flat = [v // den if v % den == 0 else Fraction(v, den) for v in flat]
-    return flat[0] if out.ndim == 0 else _object_array(flat, out.shape)
+        bound *= max(_max_abs(op.num), 1)
+        den *= op.den
+    spec = ",".join(terms) + "->" + output
+    if bound < INT64_SAFE and den < INT64_SAFE:
+        # Every operand is then canonically int64.
+        return np.asarray(np.einsum(spec, *(op.num for op in operands), optimize=True)), den
+    ints = [op.num.astype(object) for op in operands]
+    return np.asarray(_contract_python_ints(spec, ints), dtype=object), den
 
 
-def einsum_scalar(subscripts: str, *arrays) -> Fraction:
+def exact_sum(terms) -> Tensor:
+    """``sum(coef * einsum(subscripts, *operands))`` over exact tensors.
+
+    Each term is a tuple ``(coef, subscripts, *operands)``: an exact
+    rational coefficient, explicit-mode einsum subscripts and
+    :class:`Tensor` operands.  Every term must give the same variance and
+    shape.  The terms are contracted on integers, added over one common
+    denominator and reduced once; see the module docstring for the two
+    int64 bounds.
+    """
+    parts = []
+    for coef, subscripts, *operands in terms:
+        letters, output = _subscripts(subscripts, operands)
+        slots: dict[str, str] = {}
+        for term, op in zip(letters, operands):
+            slots = dict(zip(term, op.variance)) | slots    # the first slot wins
+        num, den = _contract(letters, output, operands)
+        coef = as_scalar(coef)
+        parts.append(("".join(slots[ch] for ch in output), num,
+                      den * coef.denominator, coef.numerator))
+    variance, shape = parts[0][0], parts[0][1].shape
+    for var, num, _, _ in parts:
+        if var != variance:
+            raise VarianceMismatch(f"cannot add variances {variance!r} and {var!r}")
+        if num.shape != shape:
+            raise DimensionMismatch(f"cannot add shapes {shape} and {num.shape}")
+    den = math.lcm(*(d for _, _, d, _ in parts))
+    factors = [p * (den // d) for _, _, d, p in parts]
+    # Zeros count as 1, so every term's numerators fit the dtype too.
+    bound = sum(max(_max_abs(num), 1) * max(abs(f), 1)
+                for (_, num, _, _), f in zip(parts, factors))
+    dtype = np.int64 if bound < INT64_SAFE else object
+    total = sum(num.astype(dtype, copy=False) * f for (_, num, _, _), f in zip(parts, factors))
+    return Tensor._of(*_canonical(np.asarray(total, dtype=dtype), den), variance)
+
+
+def exact_einsum(subscripts: str, *operands: Tensor) -> Tensor:
+    """``np.einsum(subscripts, *operands)`` over exact tensors, as a
+    :class:`Tensor` in canonical form (rank 0 for an empty output)."""
+    return exact_sum([(1, subscripts, *operands)])
+
+
+def einsum_scalar(subscripts: str, *operands: Tensor) -> Fraction:
     """An exact contraction with empty output, as a Fraction."""
-    return as_scalar(exact_einsum(subscripts, *arrays))
+    return exact_einsum(subscripts, *operands).item()
 
 
 def vector_components(x, dim: int, name: str = "vector") -> np.ndarray:
     """Coerce a vector argument (Tensor or sequence) to an object array
-    of ``dim`` Fractions."""
+    of ``dim`` exact rationals."""
     if isinstance(x, Tensor):
         if x.rank != 1:
             raise DimensionMismatch(f"{name} must be rank 1, got rank {x.rank}")

@@ -229,9 +229,7 @@ def test_criterion_06_norm_chain(pool):
     every member, with Omega and omega(Omega) matching closed form."""
     for n, lam, geo in pool:
         assert geo.pack.omega_vec == Tensor(_expected_omega_vec(n, lam), "u")
-        oo = einsum_scalar(
-            "k,k->", geo.pack.omega.components, geo.pack.omega_vec.components
-        )
+        oo = einsum_scalar("k,k->", geo.pack.omega, geo.pack.omega_vec)
         assert oo == -_lambda_balance(n, lam)
         norms = square_norms(geo.model, geo.conn, pack=geo.pack)
         assert norms.nabla_phi == 2 * oo
@@ -281,7 +279,7 @@ ISOTROPY_POSITIVES = (
 
 def _isotropy_flags(model, conn, pack):
     norms = square_norms(model, conn, pack=pack)
-    oo = einsum_scalar("k,k->", pack.omega.components, pack.omega_vec.components)
+    oo = einsum_scalar("k,k->", pack.omega, pack.omega_vec)
     geo = Geometry(model, conn=conn, pack=pack)
     assert geo.norms == norms
     return (

@@ -2,10 +2,13 @@
 
 The reference is numpy's own ``einsum`` on object arrays of Fractions:
 slow, but every sum and product is exact Python arithmetic.  The kernel
-must agree with it entry for entry, return canonical entries (an int, or
-a Fraction whose denominator is not 1), choose int64 exactly when its
-bound allows and never hand numpy a float array.
+must agree with it entry for entry, return a :class:`Tensor` in the
+canonical storage (lowest terms, int64 exactly when every numerator is
+below ``2**62``) whose entries are canonical (an int, or a Fraction whose
+denominator is not 1), choose int64 exactly when its bounds allow and
+never hand numpy a float array.
 """
+import math
 from contextlib import contextmanager
 from fractions import Fraction as Fr
 from unittest import mock
@@ -15,22 +18,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from norden.tensors import INT64_SAFE, einsum_scalar, exact_einsum
+from norden import DimensionMismatch, VarianceMismatch
+from norden.tensors import INT64_SAFE, Tensor, einsum_scalar, exact_einsum, exact_sum
 
 LETTERS = "abcd"
 PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
-def _array(values, shape) -> np.ndarray:
+def _array(values, shape) -> Tensor:
+    """A tensor of the given entries; the kernel ignores variance, so
+    every slot is covariant."""
     arr = np.empty(len(values), dtype=object)
     arr[:] = values
-    return arr.reshape(shape)
+    return Tensor(arr.reshape(shape), "d" * len(shape))
+
+
+def _fractions(t: Tensor) -> np.ndarray:
+    arr = np.empty(t.num.size, dtype=object)
+    arr[:] = [Fr(v) for v in t.components.ravel().tolist()]
+    return arr.reshape(t.shape)
 
 
 def _reference(subscripts, *operands):
-    fracs = [_array([Fr(v) for v in np.asarray(op).ravel().tolist()], np.shape(op))
-             for op in operands]
-    return np.einsum(subscripts, *fracs)
+    return np.einsum(subscripts, *map(_fractions, operands))
 
 
 @contextmanager
@@ -47,11 +57,20 @@ def _contraction_dtypes():
         yield seen
 
 
+def _assert_canonical(t: Tensor):
+    """The storage is in lowest terms and int64 exactly when it fits."""
+    nums = t.num.ravel().tolist()
+    assert t.den > 0 and math.gcd(t.den, *nums) == 1
+    assert any(nums) or t.den == 1
+    fits = max(map(abs, nums), default=0) < INT64_SAFE
+    assert t.num.dtype == (np.int64 if fits else object)
+
+
 def _assert_same(result, expected):
-    result = np.asarray(result, dtype=object)
+    _assert_canonical(result)
     expected = np.asarray(expected, dtype=object)
     assert result.shape == expected.shape
-    for got, want in zip(result.ravel().tolist(), expected.ravel().tolist()):
+    for got, want in zip(result.components.ravel().tolist(), expected.ravel().tolist()):
         assert got == want
         assert type(got) is int or (type(got) is Fr and got.denominator != 1)
 
@@ -136,8 +155,9 @@ def test_bound_straddling_two_to_the_62(top, length, path):
     b = _array([1] * length, (length,))
     with _contraction_dtypes() as seen:
         result = exact_einsum("i,i->", a, b)
-    assert result == top * length and type(result) is int
+    assert result.item() == top * length and type(result.components.item()) is int
     assert seen == [{np.dtype(path)}]
+    _assert_canonical(result)
 
 
 @pytest.mark.parametrize("left, right, path", [
@@ -149,8 +169,9 @@ def test_denominator_product_straddling_two_to_the_62(left, right, path):
     b = _array([Fr(1, right)], (1,))
     with _contraction_dtypes() as seen:
         result = exact_einsum("i,i->", a, b)
-    assert result == Fr(1, left * right)
+    assert result.item() == Fr(1, left * right)
     assert seen == [{np.dtype(path)}]
+    _assert_canonical(result)
 
 
 @settings(max_examples=100, deadline=None)
@@ -158,13 +179,14 @@ def test_denominator_product_straddling_two_to_the_62(left, right, path):
 def test_bound_decides_the_path(bits, length, data):
     """Random integer vectors whose bound lands on either side of 2**62."""
     ints = st.integers(-(2**bits), 2**bits)
-    a = _array(data.draw(st.lists(ints, min_size=length, max_size=length)), (length,))
-    b = _array(data.draw(st.lists(ints, min_size=length, max_size=length)), (length,))
+    xs = data.draw(st.lists(ints, min_size=length, max_size=length))
+    ys = data.draw(st.lists(ints, min_size=length, max_size=length))
+    a, b = _array(xs, (length,)), _array(ys, (length,))
     # An all-zero operand counts as 1 in the kernel's bound.
-    bound = max(*map(abs, a.tolist()), 1) * max(*map(abs, b.tolist()), 1) * length
+    bound = max(*map(abs, xs), 1) * max(*map(abs, ys), 1) * length
     with _contraction_dtypes() as seen:
         result = exact_einsum("i,i->", a, b)
-    assert result == sum(x * y for x, y in zip(a.tolist(), b.tolist()))
+    assert result.item() == sum(x * y for x, y in zip(xs, ys))
     assert seen == [{np.dtype(np.int64 if bound < INT64_SAFE else object)}]
 
 
@@ -172,7 +194,10 @@ def test_zero_operand_gives_canonical_zeros():
     a = _array([10**30, -(10**30)], (2,))
     z = _array([0, 0], (2,))
     result = exact_einsum("i,j,j->i", a, a, z)
-    assert result.tolist() == [0, 0] and all(type(v) is int for v in result)
+    assert result.components.tolist() == [0, 0]
+    assert all(type(v) is int for v in result.components)
+    assert result.den == 1 and result.is_zero()
+    _assert_canonical(result)
 
 
 def test_ellipsis_and_scalar_outputs():
@@ -181,7 +206,7 @@ def test_ellipsis_and_scalar_outputs():
     _assert_same(exact_einsum("kim,...m->i...k", gamma, t),
                  _reference("kim,...m->i...k", gamma, t))
     v = _array([Fr(1, 2), 3, 0], (3,))
-    assert exact_einsum("i,i->", v, v) == Fr(37, 4)
+    assert exact_einsum("i,i->", v, v).item() == Fr(37, 4)
     assert einsum_scalar("i,i->", v, v) == Fr(37, 4)
     assert type(einsum_scalar("i,i->", _array([2], (1,)), _array([3], (1,)))) is Fr
 
@@ -190,3 +215,92 @@ def test_implicit_subscripts_are_rejected():
     v = _array([1, 2], (2,))
     with pytest.raises(ValueError):
         exact_einsum("i,i", v, v)
+
+
+# --- sums of contractions: exact_sum ---------------------------------------
+
+coefficients = st.one_of(
+    st.integers(-3, 3),
+    st.builds(lambda n, p: _canonical(Fr(n, p)),
+              st.integers(-10**25, 10**25), st.sampled_from(PRIMES)),
+)
+
+
+@st.composite
+def sums(draw, values):
+    """One to four terms of one random contraction, each with its own
+    operands and coefficient."""
+    subscripts, operands = draw(contractions(values))
+    terms = [(draw(coefficients), subscripts, *operands)]
+    for _ in range(draw(st.integers(0, 3))):
+        ops = [_array(draw(st.lists(values, min_size=op.num.size, max_size=op.num.size)),
+                      op.shape) for op in operands]
+        terms.append((draw(coefficients), subscripts, *ops))
+    return terms
+
+
+def _reference_sum(terms):
+    return sum(Fr(coef) * _reference(subscripts, *ops) for coef, subscripts, *ops in terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sums(st.one_of(small, huge)))
+def test_sum_matches_reference_with_huge_coefficients_and_denominators(terms):
+    _assert_same(exact_sum(terms), _reference_sum(terms))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(2**60, 2**61 - 1).filter(
+                              lambda n: math.gcd(n, math.prod(PRIMES)) == 1),
+                          st.sampled_from(PRIMES),
+                          st.sampled_from((1, -1))),
+                min_size=2, max_size=4, unique_by=lambda part: part[1]))
+def test_addition_alone_crosses_the_bound(parts):
+    """Each contraction is provably int64 (numerators below 2**61), but
+    over the common denominator of two or more distinct primes the terms
+    are not: the sum must be promoted to Python ints and stay exact."""
+    terms = [(sign, "i->i", _array([Fr(n, p)], (1,))) for n, p, sign in parts]
+    den = math.lcm(*(p for _, p, _ in parts))
+    assert sum(n * (den // p) for n, p, _ in parts) >= INT64_SAFE
+    with _contraction_dtypes() as seen:
+        result = exact_sum(terms)
+    assert all(s == {np.dtype(np.int64)} for s in seen) and len(seen) == len(parts)
+    _assert_same(result, _array([sum(sign * Fr(n, p) for n, p, sign in parts)], (1,))
+                 .components)
+
+
+def test_int64_wraparound_is_never_seen():
+    """Three terms of 2**62 - 1 sum to more than int64 holds."""
+    top = _array([INT64_SAFE - 1], (1,))
+    result = exact_sum([(1, "i->i", top)] * 3)
+    assert result.num.dtype == object and result.components.tolist() == [3 * (INT64_SAFE - 1)]
+    cancelled = exact_sum([(1, "i->i", top)] * 3 + [(-3, "i->i", top)])
+    assert cancelled.is_zero() and cancelled.num.dtype == np.int64 and cancelled.den == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.one_of(small, huge), min_size=1, max_size=6), st.data())
+def test_two_routes_to_the_same_rationals_are_equal(values, data):
+    """``values`` built directly, and as ``a + b`` and ``2 (values / 2)``,
+    give equal tensors whose denominator is the least possible one."""
+    direct = _array(values, (len(values),))
+    other = data.draw(st.lists(st.one_of(small, huge), min_size=len(values),
+                               max_size=len(values)))
+    a = _array([Fr(v) - Fr(w) for v, w in zip(values, other)], (len(values),))
+    b = _array(other, (len(values),))
+    by_sum = exact_sum([(1, "i->i", a), (1, "i->i", b)])
+    by_halves = exact_sum([(2, "i->i", exact_sum([(Fr(1, 2), "i->i", direct)]))])
+    for t in (direct, by_sum, by_halves, a + b):
+        assert t == direct
+        assert t.den == math.lcm(*(Fr(v).denominator for v in values))
+        _assert_canonical(t)
+
+
+def test_sum_variances_and_shapes_must_agree():
+    u = Tensor([1, 2], "u")
+    with pytest.raises(VarianceMismatch):
+        exact_sum([(1, "i->i", u), (1, "i->i", Tensor([1, 2], "d"))])
+    with pytest.raises(DimensionMismatch):
+        exact_sum([(1, "i->i", u), (1, "i->i", Tensor([1, 2, 3], "u"))])
+    # The output slot takes the variance of the first slot carrying its letter.
+    assert exact_einsum("ij,j->i", Tensor([[1, 0], [0, 1]], "ud"), u).variance == "u"

@@ -97,6 +97,41 @@ def test_broken_eta_g_dual(fam23):
     assert "eta_g_dual" in rules
 
 
+def _violations(model, rule):
+    return [v for v in validate_structure(model).violations if v.rule == rule]
+
+
+def _phi_with(model, i, j, value):
+    """``phi`` of ``model`` with the entry ``phi[i, j]`` replaced."""
+    phi = model.phi.components.copy()
+    phi[i, j] = value
+    return Tensor(phi, "ud")
+
+
+def test_broken_phi_xi(fam23):
+    # phi x_0 = x_1, so (phi xi)[1] = 1.
+    m = replace(fam23.model, phi=_phi_with(fam23.model, 1, 0, 1))
+    bad = _violations(m, "phi_xi")
+    assert [v.where for v in bad] == [(1,)]
+    assert bad[0].detail == "(phi xi)[1] = 1"
+
+
+def test_broken_eta_phi(fam23):
+    # phi x_1 = x_0 + x_2, so (eta o phi)[1] = 1.
+    m = replace(fam23.model, phi=_phi_with(fam23.model, 0, 1, 1))
+    bad = _violations(m, "eta_phi")
+    assert [v.where for v in bad] == [(1,)]
+    assert bad[0].detail == "(eta o phi)[1] = 1"
+
+
+def test_broken_phi_g_symmetric(fam23):
+    # phi x_1 = 2 x_2: g(phi x_1, x_2) = -2 but g(x_1, phi x_2) = -1.
+    m = replace(fam23.model, phi=_phi_with(fam23.model, 2, 1, 2))
+    bad = _violations(m, "phi_g_symmetric")
+    assert [v.where for v in bad] == [(1, 2), (2, 1)]
+    assert bad[0].detail == "g(phi x1, x2) != g(x1, phi x2)"
+
+
 def test_degenerate_metric_reported(fam23):
     g = Tensor([[0, 0, 0], [0, 1, 0], [0, 0, -1]], "dd")
     rules = validate_structure(replace(fam23.model, g=g)).rules()

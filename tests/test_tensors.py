@@ -8,6 +8,7 @@ from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -206,6 +207,32 @@ def test_invert_symmetric_rejects_degenerate_and_asymmetric():
         invert_symmetric(Tensor([1, 2], "d"))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(
+    st.one_of(st.integers(-3, 3), rationals), min_size=n * (n + 1) // 2,
+    max_size=n * (n + 1) // 2).map(lambda upper: (n, upper))))
+def test_invert_symmetric_against_sympy(case):
+    """Fraction-free elimination agrees with sympy's inverse, including on
+    forms with zero diagonal entries (row swaps) and singular ones."""
+    n, upper = case
+    rows = [[Fr(0)] * n for _ in range(n)]
+    entries = iter(upper)
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = Fr(next(entries))
+    m = sympy.Matrix([[sympy.Rational(v.numerator, v.denominator) for v in row]
+                      for row in rows])
+    if m.det() == 0:
+        with pytest.raises(SingularMetric):
+            invert_symmetric(Tensor(rows, "dd"))
+        return
+    inv = invert_symmetric(Tensor(rows, "dd"))
+    want = m.inv()
+    assert inv.components.tolist() == [
+        [Fr(int(want[i, j].p), int(want[i, j].q)) for j in range(n)] for i in range(n)
+    ]
+
+
 # --- signature ----------------------------------------------------------
 
 def test_signature_diagonal_and_degenerate():
@@ -271,7 +298,7 @@ def test_matrix_rank_matches_float_oracle(rows):
 # --- einsum helper and vectors ------------------------------------------
 
 def test_einsum_scalar_returns_fraction():
-    a = scalar_array([1, 2, 3])
+    a = Tensor(scalar_array([1, 2, 3]), "u")
     out = einsum_scalar("i,i->", a, a)
     assert isinstance(out, Fr) and out == 14
 
