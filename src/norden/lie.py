@@ -68,9 +68,8 @@ def algebra_from_brackets(
     c = zeros_array((dim,) * 3)
     for (i, j), coeffs in items:
         vec = vector_components(coeffs, dim, name=f"bracket ({i},{j})")
-        for k in range(dim):
-            c[k, i, j] = vec[k]
-            c[k, j, i] = -vec[k]
+        c[:, i, j] = vec
+        c[:, j, i] = -vec
     return LieAlgebra(dim, Tensor(c, "udd"))
 
 

@@ -103,12 +103,10 @@ class ModelFile:
             if (i, j) in seen:
                 raise ParseError(f"duplicate bracket entry ({i}, {j})")
             seen.add((i, j))
-            for k in range(d):
-                c[k, i, j] = coeffs[k]
+            c[:, i, j] = coeffs
         for i, j in list(seen):
             if (j, i) not in seen:
-                for k in range(d):
-                    c[k, j, i] = -c[k, i, j]
+                c[:, j, i] = -c[:, i, j]
         try:
             model = AcnModel(
                 algebra=LieAlgebra(d, Tensor(c, "udd")),

@@ -84,8 +84,9 @@ def as_scalar(value) -> Fraction:
             raise ValueError(
                 f"decimal exponent beyond +-{MAX_EXPONENT}: {value[:40]!r}"
             )
-        try:
-            return Fraction(value.strip())
+        text = value.strip()
+        try:     # an integer literal parses much faster through int()
+            return Fraction(int(text) if text.lstrip("+-").isdecimal() else text)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not an exact rational: {value!r}") from exc
     raise TypeError(f"exact rational required, got {type(value).__name__}: {value!r}")
@@ -166,30 +167,30 @@ class Tensor:
     __slots__ = ("num", "den", "variance", "_components")
 
     def __init__(self, components, variance: str):
-        entries = scalar_array(components)
-        flat = entries.ravel().tolist()
-        den = math.lcm(*{v.denominator for v in flat if type(v) is not int})
-        nums = [v * den if type(v) is int else v.numerator * (den // v.denominator)
-                for v in flat]
-        num, _ = _canonical(_object_array(nums, entries.shape), 1)
-        entries.setflags(write=False)
-        self._set(num, den, variance, entries)
+        arr = np.array(components, dtype=object)
+        flat = [v if type(v) is int or type(v) is Fraction else as_scalar(v)
+                for v in arr.ravel().tolist()]
+        dens = [v.denominator for v in flat]
+        den = math.lcm(*dens)
+        nums = [v.numerator * (den // d) for v, d in zip(flat, dens)]
+        dtype = np.int64 if max(map(abs, nums), default=0) < INT64_SAFE else object
+        self._set(np.array(nums, dtype=dtype).reshape(arr.shape), den, variance)
 
     @classmethod
     def _of(cls, num: np.ndarray, den: int, variance: str) -> "Tensor":
         """A tensor from storage that is already canonical."""
         t = cls.__new__(cls)
-        t._set(num, den, variance, None)
+        t._set(num, den, variance)
         return t
 
-    def _set(self, num, den, variance, components) -> None:
+    def _set(self, num, den, variance) -> None:
         variance = str(variance)
         if len(variance) != num.ndim or set(variance) - {UP, DOWN}:
             raise VarianceMismatch(f"variance {variance!r} needs one 'u' or 'd' letter "
                                    f"per axis of a rank-{num.ndim} tensor")
         num.setflags(write=False)
         for name, value in (("num", num), ("den", den), ("variance", variance),
-                            ("_components", components)):
+                            ("_components", None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
