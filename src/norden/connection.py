@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DimensionMismatch, VarianceMismatch
 from .structures import AcnModel
 from .tensors import DOWN, UP, Tensor, exact_sum, zeros_array

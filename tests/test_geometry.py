@@ -111,3 +111,27 @@ def test_public_functions_agree_with_layers(which, request):
     assert report.invariants["s_trace"] == geo.s_trace
     assert report.invariants["div_phi_omega_vec"] == geo.div_phi_omega
     assert report.is_f11 == geo.f11
+
+
+def test_layers_add_no_fractions(monkeypatch):
+    """Every tensor layer is summed on integer numerators.  Computing all
+    layers of the dense golden model adds or subtracts Fractions only in
+    the scalar chains of the identity battery (a handful of calls); a
+    layer summed through ``Tensor.components`` would make hundreds."""
+    from fractions import Fraction
+    from functools import cached_property
+
+    geo = Geometry(_dense_model())
+    calls = collections.Counter()
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__"):
+        original = getattr(Fraction, op)
+
+        def counted(*args, _op=op, _original=original):
+            calls[_op] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(Fraction, op, counted)
+    for name, attr in vars(Geometry).items():
+        if isinstance(attr, cached_property):
+            getattr(geo, name)
+    assert sum(calls.values()) <= 2, calls
