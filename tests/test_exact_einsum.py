@@ -26,8 +26,8 @@ PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 
 def _array(values, shape) -> Tensor:
-    """A tensor of the given entries; the kernel ignores variance, so
-    every slot is covariant."""
+    """A tensor of the given entries, every slot covariant: variance only
+    labels a contraction's result, it never changes its entries."""
     arr = np.empty(len(values), dtype=object)
     arr[:] = values
     return Tensor(arr.reshape(shape), "d" * len(shape))
