@@ -2,10 +2,13 @@
 models.  The report output is the behavioural contract of the library, so
 a change of arithmetic or rendering that alters a single byte fails here.
 
-The models are family members with n = 1..4 and one family member moved
+The models are family members with n = 1..5 and one family member moved
 to a dense basis by a rational, non-unimodular change of basis.  The
-hashes were recorded with the object-Fraction contractions that preceded
-the integer kernel.
+hashes of n = 1..4 and the dense model were recorded with the
+object-Fraction contractions that preceded the integer kernel.  The
+n = 5 member (dim 11) pins two-digit indices in both renderings; its
+hashes were recorded while the JSON report was still rendered by
+``json.dumps`` and the text report's indices by ``np.argwhere``.
 """
 import hashlib
 from fractions import Fraction
@@ -31,6 +34,7 @@ FAMILY_LAMBDAS = {
     2: (1, "-1/2", 3, 2),
     3: (1, 2, "-3/2", "1/3", 0, -1),
     4: (2, -1, "1/2", 3, "-2/3", 1, 4, "5/2"),
+    5: (1, -2, "1/2", 3, "-2/3", 1, 4, "5/2", -3, "7/4"),
 }
 
 
@@ -85,6 +89,8 @@ GOLDEN = {
         "02103aaf0a899107f5be0becf8cdc142e79e0383052abe136057619d76946d52"),
     4: ("25b56d4d8bb03647fea53cfca7be1abf65a315d6a332af00d3ce78cc655dde82",
         "6af454e136780dd562ab3f85155254aabe77c181178cc78998fa753ed0e34e67"),
+    5: ("083870b612e388dc7e16a653095568ab6071b088a350a57ff699314d738a8697",
+        "58f040e54beb2c3ab1cf13750468657e97cc147f1851f896d961ae44c86ac24e"),
     "dense": ("f0215c1695c2e0e48382be230a722cd4d9aa026901d748d0c47c73d7806d276d",
         "be8a3b79966c0859f71cd77a53240cb0752020c39629b9ff753598d340d34f31"),
 }
