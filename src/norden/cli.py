@@ -16,7 +16,6 @@ checks pass; 1 = validation or identity failure; 2 = input error
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 
@@ -39,7 +38,7 @@ from .report import (
     run_report,
 )
 from .structures import AcnModel, validate_structure
-from .tensors import as_scalar, format_scalar
+from .tensors import as_scalar, canonical_json, format_scalar
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -79,7 +78,7 @@ def _emit(args, text_output: str, json_obj) -> None:
     if args.quiet:
         return
     if getattr(args, "json", False):
-        print(json.dumps(json_obj, sort_keys=True, indent=1))
+        print(canonical_json(json_obj))
     else:
         print(text_output, end="" if text_output.endswith("\n") else "\n")
 
@@ -112,10 +111,8 @@ def _run_validated(args) -> AcnModel:
     except ValidationError as exc:
         if not args.quiet:
             if getattr(args, "json", False):
-                print(json.dumps(
-                    {"valid": False, "violations": _violations_json(exc.report)},
-                    sort_keys=True, indent=1,
-                ))
+                print(canonical_json(
+                    {"valid": False, "violations": _violations_json(exc.report)}))
             else:
                 print(str(exc.report), file=sys.stderr)
         raise _CliFailure(EXIT_FAIL, "")

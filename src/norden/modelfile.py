@@ -46,7 +46,7 @@ from fractions import Fraction
 from .errors import ParseError, ValidationError
 from .lie import LieAlgebra
 from .structures import AcnModel, validate_structure
-from .tensors import Tensor, as_scalar, format_scalar, zeros_array
+from .tensors import Tensor, as_scalar, canonical_json, format_scalar, zeros_array
 
 _SECTIONS = ("brackets", "phi", "xi", "eta", "metric")
 
@@ -281,10 +281,6 @@ def parse_model(text: str, require_valid: bool = True) -> AcnModel:
     return mf.to_model(require_valid=require_valid)
 
 
-def _json_default(value):
-    raise TypeError(f"not JSON-serializable: {value!r}")
-
-
 def serialize_model(model: AcnModel, fmt: str = "text") -> str:
     """Render a model canonically; ``parse_model`` inverts this exactly."""
     mf = ModelFile.from_model(model)
@@ -301,7 +297,7 @@ def serialize_model(model: AcnModel, fmt: str = "text") -> str:
             "eta": [format_scalar(v) for v in mf.eta],
             "metric": [[format_scalar(v) for v in row] for row in mf.metric],
         }
-        return json.dumps(obj, sort_keys=True, indent=1, default=_json_default)
+        return canonical_json(obj)
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}; use 'text' or 'json'")
     lines = []

@@ -7,6 +7,7 @@ to JSON or readable text.  Identical models produce identical output.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ import numpy as np
 from .classify import IdentityVerdict
 from .geometry import Geometry
 from .structures import AcnModel, associated_metric
-from .tensors import Tensor, format_scalar, signature
+from .tensors import Tensor, canonical_json, format_scalar, signature
 
 #: Class labels the classifier cannot decide; reported as "unknown".
 UNDECIDED_CLASSES = tuple(f"f{i}" for i in range(1, 11))
@@ -109,14 +110,9 @@ def _witness_json(witness):
             for item in witness]
 
 
-def _tensor_json(t: Tensor):
-    strings = np.array(t.formatted(), dtype=object).reshape(t.shape)
-    return {"variance": t.variance, "components": strings.tolist()}
-
-
-def report_to_json_dict(report: GeometryReport) -> dict:
-    """A plain-data rendering of the report; all rationals become
-    ``"p/q"`` strings."""
+def _report_object(report: GeometryReport) -> dict:
+    """The report as plain data with :class:`Tensor` leaves; all
+    rationals become ``"p/q"`` strings."""
     classes = {"f0": report.is_f0, "f11": report.is_f11}
     classes.update({label: "unknown" for label in UNDECIDED_CLASSES})
     return {
@@ -145,14 +141,19 @@ def report_to_json_dict(report: GeometryReport) -> dict:
             }
             for name, v in report.identities.items()
         },
-        "tensors": {k: _tensor_json(t) for k, t in report.tensors.items()},
+        "tensors": report.tensors,
     }
 
 
 def report_to_json(report: GeometryReport) -> str:
-    import json
+    """The report JSON: the bytes of ``json.dumps(sort_keys=True,
+    indent=1)``, rendered by :func:`canonical_json`."""
+    return canonical_json(_report_object(report))
 
-    return json.dumps(report_to_json_dict(report), sort_keys=True, indent=1)
+
+def report_to_json_dict(report: GeometryReport) -> dict:
+    """The parse of :func:`report_to_json`, so the two cannot disagree."""
+    return json.loads(report_to_json(report))
 
 
 def _yesno(flag: bool) -> str:
@@ -200,6 +201,8 @@ def report_to_text(report: GeometryReport) -> str:
         if not nonzero.any():
             lines.append(f"  {key} = 0")
             continue
-        for idx, text in zip(np.argwhere(nonzero).tolist(), t.formatted(nonzero)):
-            lines.append(f"  {key}[{','.join(map(str, idx))}] = {text}")
+        names = [str(i) for i in range(max(t.shape))]
+        columns = [map(names.__getitem__, axis.tolist()) for axis in np.nonzero(nonzero)]
+        lines += [f"  {key}[{idx}] = {text}" for idx, text in
+                  zip(map(",".join, zip(*columns)), t.formatted(nonzero))]
     return "\n".join(lines) + "\n"

@@ -1,0 +1,119 @@
+"""``canonical_json`` against the standard library: the bytes of
+``json.dumps(obj, sort_keys=True, indent=1)`` on plain data, and on
+:class:`Tensor` leaves the bytes of the same dict built from
+``Tensor.components``."""
+import json
+import math
+from fractions import Fraction as Fr
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from norden import Tensor, format_scalar
+from norden.tensors import canonical_json
+
+#: Quotes, backslashes, control characters and non-ASCII text (including
+#: characters outside the BMP, which JSON writes as surrogate pairs).
+texts = st.text(alphabet=st.one_of(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\r\u00e9\u03c6\u2028\U0001d4e9'),
+    st.characters(),
+))
+leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2 ** 200), max_value=2 ** 200),
+    texts,
+)
+values = st.recursive(
+    leaves,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(texts, inner, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+def _dumps(obj) -> str:
+    return json.dumps(obj, sort_keys=True, indent=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(values)
+def test_matches_json_dumps_on_plain_data(obj):
+    assert canonical_json(obj) == _dumps(obj)
+
+
+def test_matches_json_dumps_on_edge_values():
+    obj = {"": [], "a": {}, "b": (), "c": [[], {}, ()], "big": -(2 ** 64) - 1,
+           "t": True, "f": False, "n": None, "s": 'q"\\\x00é\U0001d4e9'}
+    assert canonical_json(obj) == _dumps(obj)
+    for leaf in (0, -1, 2 ** 70, "", "x", True, None, [], {}):
+        assert canonical_json(leaf) == _dumps(leaf)
+
+
+ENTRY_KINDS = {
+    "zero": st.just(0),
+    "int64": st.integers(min_value=-9, max_value=9),
+    "object": st.integers(min_value=2 ** 62, max_value=2 ** 90).flatmap(
+        lambda m: st.sampled_from([0, m, -m, 1])),
+    "rational": st.fractions(min_value=-5, max_value=5, max_denominator=7),
+}
+
+
+@st.composite
+def tensors(draw):
+    rank = draw(st.integers(min_value=0, max_value=4))
+    shape = tuple(draw(st.lists(st.integers(min_value=1, max_value=3),
+                                min_size=rank, max_size=rank)))
+    entries = draw(st.lists(draw(st.sampled_from(list(ENTRY_KINDS.values()))),
+                            min_size=math.prod(shape), max_size=math.prod(shape)))
+    variance = "".join(draw(st.lists(st.sampled_from("ud"),
+                                     min_size=rank, max_size=rank)))
+    components = np.empty(len(entries), dtype=object)
+    components[:] = entries
+    return Tensor(components.reshape(shape), variance)
+
+
+def _tensor_dict(t: Tensor) -> dict:
+    strings = np.empty(t.num.size, dtype=object)
+    strings[:] = [format_scalar(v) for v in t.components.ravel().tolist()]
+    return {"components": strings.reshape(t.shape).tolist(), "variance": t.variance}
+
+
+@settings(max_examples=300, deadline=None)
+@given(tensors(), st.integers(min_value=0, max_value=2))
+def test_tensor_leaf_matches_json_dumps_of_its_dict(t, depth):
+    obj, plain = t, _tensor_dict(t)
+    for _ in range(depth):         # nest the leaf so the indent grows
+        obj, plain = {"x": [1, obj]}, {"x": [1, plain]}
+    assert canonical_json(obj) == _dumps(plain)
+
+
+@pytest.mark.parametrize("components, variance", [
+    ([[0, 0], [0, 0]], "dd"),                              # all zero
+    ([[[Fr(1, 2)]], [[Fr(-3, 4)]]], "udd"),                # den > 1, size-1 axes
+    ([2 ** 70, -1, 0], "u"),                               # object numerators
+    (Fr(5, 3), ""),                                        # rank 0
+    (np.zeros((2, 0), dtype=object), "ud"),                # no entries
+])
+def test_tensor_leaf_cases(components, variance):
+    t = Tensor(components, variance)
+    assert canonical_json({"t": [t]}) == _dumps({"t": [_tensor_dict(t)]})
+
+
+def test_storage_kinds_are_both_reached():
+    assert Tensor([1, 2], "u").num.dtype == np.int64
+    assert Tensor([2 ** 70, 1], "u").num.dtype == object
+    assert Tensor([Fr(1, 2), 1], "u").den == 2
+
+
+@pytest.mark.parametrize("bad", [1.5, Fr(1, 2), np.int64(3), {1: "int key"},
+                                 [1, {"x": 0.0}], {"x": {2, 3}}])
+def test_everything_else_is_a_type_error(bad):
+    with pytest.raises(TypeError):
+        canonical_json(bad)

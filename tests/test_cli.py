@@ -205,6 +205,26 @@ def test_section_bad_vector_syntax(model_path):
                  "--quiet"]) == EXIT_INPUT
 
 
+@pytest.mark.parametrize("argv, code", [
+    (["validate", "{model}", "--json"], EXIT_OK),
+    (["validate", "{broken}", "--json"], EXIT_FAIL),
+    (["report", "{model}", "--json"], EXIT_OK),
+    (["identities", "{model}", "--json"], EXIT_OK),
+    (["section", "{model}", "--x", "1,0,0", "--y", "0,1,1", "--json"], EXIT_OK),
+    (["family", "--n", "2", "--lambda", "1/2,-3,0,7", "--json"], EXIT_OK),
+])
+def test_json_output_is_sorted_with_indent_one(argv, code, model_path, broken_path,
+                                               capsys):
+    """Every ``--json`` output is ``json.dumps(sort_keys=True, indent=1)`` of
+    its own parse; ``family`` writes a model file, which has no final
+    newline."""
+    argv = [a.format(model=model_path, broken=broken_path) for a in argv]
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    end = "" if argv[0] == "family" else "\n"
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=1) + end
+
+
 def test_module_entry_point_runs():
     proc = _run([sys.executable, "-m", "norden", "--help"])
     assert proc.returncode == 0
