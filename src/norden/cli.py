@@ -109,25 +109,18 @@ def _run_validated(args) -> AcnModel:
     try:
         return _load_model(args.model, require_valid=True)
     except ValidationError as exc:
-        if not args.quiet:
-            if getattr(args, "json", False):
-                print(canonical_json(
-                    {"valid": False, "violations": _violations_json(exc.report)}))
-            else:
-                print(str(exc.report), file=sys.stderr)
+        if getattr(args, "json", False):
+            _emit(args, "", {"valid": False, "violations": _violations_json(exc.report)})
+        elif not args.quiet:
+            print(str(exc.report), file=sys.stderr)
         raise _CliFailure(EXIT_FAIL, "")
 
 
 def _cmd_report(args) -> int:
     model = _run_validated(args)
     report = run_report(model)
-    # Render only the requested format; report_to_json is already the
-    # canonical encoding that _emit would produce.
-    if not args.quiet:
-        if args.json:
-            print(report_to_json(report))
-        else:
-            print(report_to_text(report), end="")
+    if not args.quiet:      # render only the requested format
+        print(report_to_json(report) + "\n" if args.json else report_to_text(report), end="")
     return EXIT_OK if all_identities_ok(report) else EXIT_FAIL
 
 

@@ -113,8 +113,6 @@ def _witness_json(witness):
 def _report_object(report: GeometryReport) -> dict:
     """The report as plain data with :class:`Tensor` leaves; all
     rationals become ``"p/q"`` strings."""
-    classes = {"f0": report.is_f0, "f11": report.is_f11}
-    classes.update({label: "unknown" for label in UNDECIDED_CLASSES})
     return {
         "name": report.name,
         "dim": report.dim,
@@ -123,7 +121,8 @@ def _report_object(report: GeometryReport) -> dict:
             "metric": list(report.metric_signature),
             "associated_metric": list(report.associated_signature),
         },
-        "classes": classes,
+        "classes": {"f0": report.is_f0, "f11": report.is_f11,
+                    **dict.fromkeys(UNDECIDED_CLASSES, "unknown")},
         "flags": {
             "normal": report.normal,
             "omega_closed": report.omega_closed,
@@ -202,7 +201,7 @@ def report_to_text(report: GeometryReport) -> str:
             lines.append(f"  {key} = 0")
             continue
         names = [str(i) for i in range(max(t.shape))]
-        columns = [map(names.__getitem__, axis.tolist()) for axis in np.nonzero(nonzero)]
+        columns = (map(names.__getitem__, axis.tolist()) for axis in np.nonzero(nonzero))
         lines += [f"  {key}[{idx}] = {text}" for idx, text in
                   zip(map(",".join, zip(*columns)), t.formatted(nonzero))]
     return "\n".join(lines) + "\n"

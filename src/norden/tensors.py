@@ -303,75 +303,53 @@ class Tensor:
                         self.components[mask].tolist()))
 
 
-_JSON_CONSTANTS = {None: "null", True: "true", False: "false"}
-
-
 def canonical_json(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=1)``, byte for byte, for
-    dicts with str keys, lists, tuples, str, int, bool and None.  A
-    :class:`Tensor` leaf is written as the dict ``{"components": <nested
-    lists of "p/q" strings>, "variance": ...}``.  Anything else, floats,
-    Fractions and numpy scalars included, raises ``TypeError``."""
-    out: list[str] = []
-    _encode(obj, 0, out)
-    return "".join(out)
+    dicts with str keys, lists, tuples, str, int, bool and None, and for
+    :class:`Tensor` leaves written as ``{"components": <nested lists of "p/q"
+    strings>, "variance": ...}``.  Anything else raises ``TypeError``."""
+    return _json(obj, "\n")
 
 
-def _encode(obj, level: int, out: list[str]) -> None:
-    """Append the JSON of ``obj``, nested ``level`` deep, to ``out``."""
+def _json(obj, newline: str) -> str:
+    """``obj`` as JSON; ``newline`` is a line break plus the indent of
+    the line ``obj`` starts on."""
     if isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif obj is None or obj is True or obj is False:
-        out.append(_JSON_CONSTANTS[obj])
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, (dict, list, tuple)) and not obj:
-        out.append("{}" if isinstance(obj, dict) else "[]")
-    elif isinstance(obj, (dict, list, tuple)):
-        pad = "\n" + " " * (level + 1)
-        sep, close = pad, "\n" + " " * level
-        if isinstance(obj, dict):
-            if not all(isinstance(key, str) for key in obj):
-                raise TypeError("JSON object keys must be str")
-            out.append("{")
-            for key in sorted(obj):
-                out += (sep, encode_basestring_ascii(key), ": ")
-                _encode(obj[key], level + 1, out)
-                sep = "," + pad
-            out.append(close + "}")
-        else:
-            out.append("[")
-            for item in obj:
-                out.append(sep)
-                _encode(item, level + 1, out)
-                sep = "," + pad
-            out.append(close + "]")
+        return encode_basestring_ascii(obj)
+    if obj is None or obj is True or obj is False:
+        return "null" if obj is None else "true" if obj else "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    inner = newline + " "
+    if isinstance(obj, (list, tuple)):
+        items, brackets = [_json(item, inner) for item in obj], "[]"
+    elif isinstance(obj, dict):     # a non-str key fails in the encoder
+        items, brackets = [f"{encode_basestring_ascii(key)}: {_json(obj[key], inner)}"
+                           for key in sorted(obj)], "{}"
     elif isinstance(obj, Tensor):
-        pad = "\n" + " " * (level + 1)
-        out += ("{", pad, '"components": ')
-        if obj.num.size:
-            out.append(_components_json(obj, level + 1))
-        else:
-            _encode(obj.num.tolist(), level + 1, out)
-        out += (",", pad, '"variance": ', encode_basestring_ascii(obj.variance),
-                "\n" + " " * level + "}")
+        items, brackets = [f'"components": {_components_json(obj, inner)}',
+                           f'"variance": {encode_basestring_ascii(obj.variance)}'], "{}"
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
-def _components_json(t: Tensor, level: int) -> str:
-    """The entries of a nonempty ``t`` as nested JSON lists of strings,
-    opened at nesting ``level``: every entry quoted in C order, then each
-    axis joined row by row, innermost first."""
+def _components_json(t: Tensor, newline: str) -> str:
+    """The entries of ``t`` as nested JSON lists of ``"p/q"`` strings:
+    every entry quoted in C order, then each axis joined row by row,
+    innermost first."""
+    if not t.num.size:
+        return _json(t.num.tolist(), newline)
     flat = ['"0"'] * t.num.size
     mask = t.num != 0
     for i, text in zip(np.flatnonzero(mask).tolist(), t.formatted(mask)):
         flat[i] = f'"{text}"'
     for axis in reversed(range(t.rank)):
-        n, pad = t.shape[axis], " " * (level + axis)
-        opening, sep, closing = f"[\n{pad} ", f",\n{pad} ", f"\n{pad}]"
-        flat = [opening + sep.join(flat[i:i + n]) + closing
-                for i in range(0, len(flat), n)]
+        n, pad = t.shape[axis], newline + " " * axis
+        opening, sep, closing = f"[{pad} ", f",{pad} ", f"{pad}]"
+        flat = [opening + sep.join(flat[i:i + n]) + closing for i in range(0, len(flat), n)]
     return flat[0]
 
 
