@@ -285,7 +285,7 @@ def serialize_model(model: AcnModel, fmt: str = "text") -> str:
     """Render a model canonically; ``parse_model`` inverts this exactly."""
     mf = ModelFile.from_model(model)
     if fmt == "json":
-        obj = {
+        return canonical_json({
             "name": mf.name,
             "dim": mf.dim,
             "brackets": [
@@ -296,8 +296,7 @@ def serialize_model(model: AcnModel, fmt: str = "text") -> str:
             "xi": [format_scalar(v) for v in mf.xi],
             "eta": [format_scalar(v) for v in mf.eta],
             "metric": [[format_scalar(v) for v in row] for row in mf.metric],
-        }
-        return canonical_json(obj)
+        })
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}; use 'text' or 'json'")
     lines = []

@@ -145,8 +145,7 @@ def _report_object(report: GeometryReport) -> dict:
 
 
 def report_to_json(report: GeometryReport) -> str:
-    """The report JSON: the bytes of ``json.dumps(sort_keys=True,
-    indent=1)``, rendered by :func:`canonical_json`."""
+    """The report as JSON, rendered by :func:`canonical_json`."""
     return canonical_json(_report_object(report))
 
 

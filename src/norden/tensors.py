@@ -308,40 +308,43 @@ def canonical_json(obj) -> str:
     dicts with str keys, lists, tuples, str, int, bool and None, and for
     :class:`Tensor` leaves written as ``{"components": <nested lists of "p/q"
     strings>, "variance": ...}``.  Anything else raises ``TypeError``."""
-    return _json(obj, "\n")
+    out: list[str] = []
+    _json(obj, "\n", out)
+    return "".join(out)
 
 
-def _json(obj, newline: str) -> str:
-    """``obj`` as JSON; ``newline`` is a line break plus the indent of
-    the line ``obj`` starts on."""
-    if isinstance(obj, str):
-        return encode_basestring_ascii(obj)
-    if obj is None or obj is True or obj is False:
-        return "null" if obj is None else "true" if obj else "false"
-    if isinstance(obj, int):
-        return int.__repr__(obj)
+def _json(obj, newline: str, out: list[str]) -> None:
+    """Append ``obj`` as JSON to ``out``; ``newline`` is a line break plus
+    the indent of the line ``obj`` starts on."""
     inner = newline + " "
-    if isinstance(obj, (list, tuple)):
-        items, brackets = [_json(item, inner) for item in obj], "[]"
-    elif isinstance(obj, dict):     # a non-str key fails in the encoder
-        items, brackets = [f"{encode_basestring_ascii(key)}: {_json(obj[key], inner)}"
-                           for key in sorted(obj)], "{}"
-    elif isinstance(obj, Tensor):
-        items, brackets = [f'"components": {_components_json(obj, inner)}',
-                           f'"variance": {encode_basestring_ascii(obj.variance)}'], "{}"
+    if isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    elif obj is None or obj is True or obj is False:
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, Tensor) and obj.num.size:
+        out += ("{", inner, '"components": ', _components_json(obj, inner), ",", inner,
+                '"variance": ', encode_basestring_ascii(obj.variance), newline + "}")
+    elif isinstance(obj, Tensor):   # no entries, so no axis to join
+        _json({"components": obj.num.tolist(), "variance": obj.variance}, newline, out)
+    elif isinstance(obj, (dict, list, tuple)):
+        brackets = "{}" if isinstance(obj, dict) else "[]"  # a non-str key fails below
+        items = ([(encode_basestring_ascii(key) + ": ", obj[key]) for key in sorted(obj)]
+                 if brackets == "{}" else [("", item) for item in obj])
+        sep = brackets[0] + inner
+        for prefix, value in items:
+            out += (sep, prefix)
+            _json(value, inner, out)
+            sep = "," + inner
+        out.append(newline + brackets[1] if items else brackets)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-    if not items:
-        return brackets
-    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
 
 
 def _components_json(t: Tensor, newline: str) -> str:
-    """The entries of ``t`` as nested JSON lists of ``"p/q"`` strings:
-    every entry quoted in C order, then each axis joined row by row,
-    innermost first."""
-    if not t.num.size:
-        return _json(t.num.tolist(), newline)
+    """The entries of a nonempty ``t`` as nested JSON lists: each entry
+    quoted in C order, then each axis joined row by row, innermost first."""
     flat = ['"0"'] * t.num.size
     mask = t.num != 0
     for i, text in zip(np.flatnonzero(mask).tolist(), t.formatted(mask)):
