@@ -9,6 +9,10 @@ object-Fraction contractions that preceded the integer kernel.  The
 n = 5 member (dim 11) pins two-digit indices in both renderings; its
 hashes were recorded while the JSON report was still rendered by
 ``json.dumps`` and the text report's indices by ``np.argwhere``.
+
+The same models also pin the bytes of ``serialize_model`` in both
+formats; the dense model is the one whose ``phi``, ``xi`` and ``g`` have
+entries with a denominator above 1.
 """
 import hashlib
 from fractions import Fraction
@@ -25,6 +29,7 @@ from norden import (
     report_to_json,
     report_to_text,
     run_report,
+    serialize_model,
     validate_structure,
 )
 from norden.tensors import scalar_array
@@ -106,3 +111,28 @@ def test_report_bytes_are_unchanged(key):
     json_hash, text_hash = GOLDEN[key]
     assert _sha256(report_to_json(report)) == json_hash
     assert _sha256(report_to_text(report)) == text_hash
+
+
+# (sha256 of serialize_model(model, "text"), of serialize_model(model, "json"))
+MODEL_FILE_GOLDEN = {
+    1: ("3ccf5ed1446932cb8b9e0e4e7ccfce09d7afba7c6f9551f69f944c0845c1b912",
+        "32109ef47937c95f81563c1ae700348a6db27c96601300d8286c897e5393454a"),
+    2: ("6a601068f854a05114d549c5c5e2061db86dc127e908cf7473388a60bce3fdd5",
+        "2df033e30f3d102f2af631278c8824aed6382540f36ece7495a33f707cc5cb13"),
+    3: ("b020390f09bd6d9087f38f60be12b8653ad339ab4fcf1abcf33e4686fc81982c",
+        "2dd16ffdbab043af0c7d08226f5e1622f47bf6a903d75a06332dadb06fa6fe74"),
+    4: ("0d69f9b3ab1393e72096517f06ce8f0a012a5f14898bb7339aa6682bdf81836f",
+        "7c19c0cf9f1407f0ec7d9a7d746db08e3c36d339155c33339a98bb3da88c2a51"),
+    5: ("eeec1963001246c74abf71e7e8a0db15ac1ec0d12dd486fc8e9a1957e3bfca41",
+        "1c68a170d41adbd57537903dec5fb027572802bf1b6c72c611f0247333d31dd8"),
+    "dense": ("08288fd21504f002b0a23244b6594a1f6da8d25d1893afdaed51df44cb37342c",
+        "0797ec42116db82e3ef4350fa87251e484d8364e54d4d13a47dadc259d845eb6"),
+}
+
+
+@pytest.mark.parametrize("key", list(MODEL_FILE_GOLDEN))
+def test_model_file_bytes_are_unchanged(key):
+    model = _model(key)
+    text_hash, json_hash = MODEL_FILE_GOLDEN[key]
+    assert _sha256(serialize_model(model, "text")) == text_hash
+    assert _sha256(serialize_model(model, "json")) == json_hash
