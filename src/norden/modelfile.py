@@ -296,7 +296,7 @@ def serialize_model(model: AcnModel, fmt: str = "text") -> str:
             "xi": [format_scalar(v) for v in mf.xi],
             "eta": [format_scalar(v) for v in mf.eta],
             "metric": [[format_scalar(v) for v in row] for row in mf.metric],
-        })
+        }) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}; use 'text' or 'json'")
     lines = []

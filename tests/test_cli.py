@@ -216,13 +216,11 @@ def test_section_bad_vector_syntax(model_path):
 def test_json_output_is_sorted_with_indent_one(argv, code, model_path, broken_path,
                                                capsys):
     """Every ``--json`` output is ``json.dumps(sort_keys=True, indent=1)`` of
-    its own parse; ``family`` writes a model file, which has no final
-    newline."""
+    its own parse, plus a final newline."""
     argv = [a.format(model=model_path, broken=broken_path) for a in argv]
     assert main(argv) == code
     out = capsys.readouterr().out
-    end = "" if argv[0] == "family" else "\n"
-    assert out == json.dumps(json.loads(out), sort_keys=True, indent=1) + end
+    assert out == json.dumps(json.loads(out), sort_keys=True, indent=1) + "\n"
 
 
 def test_module_entry_point_runs():

@@ -12,7 +12,8 @@ hashes were recorded while the JSON report was still rendered by
 
 The same models also pin the bytes of ``serialize_model`` in both
 formats; the dense model is the one whose ``phi``, ``xi`` and ``g`` have
-entries with a denominator above 1.
+entries with a denominator above 1.  The JSON model-file hashes were
+re-recorded once, when that format gained its final newline.
 """
 import hashlib
 from fractions import Fraction
@@ -116,17 +117,17 @@ def test_report_bytes_are_unchanged(key):
 # (sha256 of serialize_model(model, "text"), of serialize_model(model, "json"))
 MODEL_FILE_GOLDEN = {
     1: ("3ccf5ed1446932cb8b9e0e4e7ccfce09d7afba7c6f9551f69f944c0845c1b912",
-        "32109ef47937c95f81563c1ae700348a6db27c96601300d8286c897e5393454a"),
+        "1d4ab82ff1a92926a44604a491528f90a76dc447e2d4256b0472b5773d9b2a21"),
     2: ("6a601068f854a05114d549c5c5e2061db86dc127e908cf7473388a60bce3fdd5",
-        "2df033e30f3d102f2af631278c8824aed6382540f36ece7495a33f707cc5cb13"),
+        "25882825598b77c7b7f29801d9914339c886b2183d2a61fb31879512a780bfea"),
     3: ("b020390f09bd6d9087f38f60be12b8653ad339ab4fcf1abcf33e4686fc81982c",
-        "2dd16ffdbab043af0c7d08226f5e1622f47bf6a903d75a06332dadb06fa6fe74"),
+        "02aa630b479c45127b4c7fb82e207711576d30fe8321bfc23a462e2ded339d1f"),
     4: ("0d69f9b3ab1393e72096517f06ce8f0a012a5f14898bb7339aa6682bdf81836f",
-        "7c19c0cf9f1407f0ec7d9a7d746db08e3c36d339155c33339a98bb3da88c2a51"),
+        "d7ea1388fe92b135fa05a289b5408986841e61d176392da9590b3504fef3e0e0"),
     5: ("eeec1963001246c74abf71e7e8a0db15ac1ec0d12dd486fc8e9a1957e3bfca41",
-        "1c68a170d41adbd57537903dec5fb027572802bf1b6c72c611f0247333d31dd8"),
+        "d4c3e518140841c3d34d3245ce190a206d3e58b8503e82aab36c2cbd429add04"),
     "dense": ("08288fd21504f002b0a23244b6594a1f6da8d25d1893afdaed51df44cb37342c",
-        "0797ec42116db82e3ef4350fa87251e484d8364e54d4d13a47dadc259d845eb6"),
+        "6cb55c203cbbe28b127afe857fe13883f5d637addf6260f54db8da4a9b889e1a"),
 }
 
 
