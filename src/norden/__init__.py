@@ -62,7 +62,7 @@ from .lie import (
     is_solvable,
     validate,
 )
-from .modelfile import ModelFile, parse_model, serialize_model
+from .modelfile import parse_model, serialize_model
 from .report import (
     GeometryReport,
     all_identities_ok,

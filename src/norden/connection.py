@@ -15,9 +15,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DimensionMismatch, VarianceMismatch
 from .structures import AcnModel
-from .tensors import DOWN, UP, Tensor, exact_sum, zeros_array
+from .tensors import DOWN, UP, Tensor, exact_sum
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,7 @@ def covariant_derivative(conn: Connection, t: Tensor) -> Tensor:
             f"tensor slots {t.shape} do not match connection dimension {d}"
         )
     if t.rank == 0:
-        return Tensor(zeros_array((d,)), DOWN)
+        return Tensor(np.zeros(d, dtype=int), DOWN)
     slots = "abcdefgh"[:t.rank]
     terms = []
     for slot, var in enumerate(t.variance):

@@ -24,7 +24,7 @@ from .tensors import (
     exact_einsum,
     exact_sum,
     matrix_rank,
-    vector_components,
+    vector,
 )
 
 
@@ -48,8 +48,7 @@ class CurvaturePack:
 def _plane(model: AcnModel, x, y) -> tuple[Tensor, Tensor]:
     """The vectors ``x``, ``y`` as tensors; raises
     :class:`LinearlyDependent` unless they span a 2-plane."""
-    xv = Tensor(vector_components(x, model.dim, name="x"), "u")
-    yv = Tensor(vector_components(y, model.dim, name="y"), "u")
+    xv, yv = vector(x, model.dim, name="x"), vector(y, model.dim, name="y")
     if matrix_rank([xv.components, yv.components]) != 2:
         raise LinearlyDependent("section vectors do not span a 2-plane")
     return xv, yv

@@ -21,10 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import BadParams
 from .lie import algebra_from_brackets
 from .structures import AcnModel
-from .tensors import Tensor, as_scalar, format_scalar, zeros_array
+from .tensors import Tensor, as_scalar, format_scalar
 
 
 @dataclass(frozen=True)
@@ -53,25 +55,14 @@ class FamilyParams:
 def _structure_tensors(n: int):
     """The standard ``(phi, xi, eta, g)`` on dimension ``2n + 1``."""
     d = 2 * n + 1
-    phi = zeros_array((d, d))
-    for i in range(1, n + 1):
-        phi[i + n, i] = Fraction(1)    # phi x_i = x_{i+n}
-        phi[i, i + n] = Fraction(-1)   # phi x_{i+n} = -x_i
-    xi = zeros_array((d,))
-    xi[0] = Fraction(1)
-    eta = zeros_array((d,))
-    eta[0] = Fraction(1)
-    g = zeros_array((d, d))
-    g[0, 0] = Fraction(1)
-    for i in range(1, n + 1):
-        g[i, i] = Fraction(1)
-        g[i + n, i + n] = Fraction(-1)
-    return (
-        Tensor(phi, "ud"),
-        Tensor(xi, "u"),
-        Tensor(eta, "d"),
-        Tensor(g, "dd"),
-    )
+    i = np.arange(1, n + 1)
+    phi = np.zeros((d, d), dtype=int)
+    phi[i + n, i] = 1     # phi x_i = x_{i+n}
+    phi[i, i + n] = -1    # phi x_{i+n} = -x_i
+    x0 = np.zeros(d, dtype=int)
+    x0[0] = 1
+    g = np.diag([1] + [1] * n + [-1] * n)
+    return Tensor(phi, "ud"), Tensor(x0, "u"), Tensor(x0, "d"), Tensor(g, "dd")
 
 
 def generate_family(params: FamilyParams) -> AcnModel:

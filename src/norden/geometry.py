@@ -36,7 +36,7 @@ from .tensors import (
     exact_einsum,
     exact_sum,
     invert_symmetric,
-    vector_components,
+    vector,
 )
 
 
@@ -329,10 +329,7 @@ class Geometry:
 
     def divergence(self, x) -> Fraction:
         """``div X = g^{ij} g(nabla_{x_i} X, x_j)`` for a constant vector."""
-        if not (isinstance(x, Tensor) and x.variance == "u"
-                and x.shape == (self.model.dim,)):
-            x = Tensor(vector_components(x, self.model.dim, name="x"), "u")
-        nx = covariant_derivative(self.conn, x)
+        nx = covariant_derivative(self.conn, vector(x, self.model.dim, name="x"))
         return einsum_scalar("ij,ik,kj->", self.ginv, nx, self.model.g)
 
 

@@ -23,8 +23,7 @@ from .tensors import (
     exact_einsum,
     exact_sum,
     row_space_basis,
-    vector_components,
-    zeros_array,
+    vector,
 )
 
 
@@ -65,9 +64,9 @@ def algebra_from_brackets(
     items = brackets.items() if isinstance(brackets, Mapping) else (
         ((i, j), coeffs) for i, j, coeffs in brackets
     )
-    c = zeros_array((dim,) * 3)
+    c = np.zeros((dim,) * 3, dtype=object)
     for (i, j), coeffs in items:
-        vec = vector_components(coeffs, dim, name=f"bracket ({i},{j})")
+        vec = vector(coeffs, dim, name=f"bracket ({i},{j})").components
         c[:, i, j] = vec
         c[:, j, i] = -vec
     return LieAlgebra(dim, Tensor(c, "udd"))
@@ -75,9 +74,8 @@ def algebra_from_brackets(
 
 def bracket(algebra: LieAlgebra, x, y) -> Tensor:
     """The product ``[x, y]`` of two coordinate vectors, as a vector."""
-    xv = vector_components(x, algebra.dim, name="x")
-    yv = vector_components(y, algebra.dim, name="y")
-    return exact_einsum("kij,i,j->k", algebra.c, Tensor(xv, "u"), Tensor(yv, "u"))
+    return exact_einsum("kij,i,j->k", algebra.c, vector(x, algebra.dim, name="x"),
+                        vector(y, algebra.dim, name="y"))
 
 
 def validate(algebra: LieAlgebra) -> ValidationReport:

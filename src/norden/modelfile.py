@@ -40,89 +40,43 @@ Serialization always emits the canonical ``i < j`` half.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from .errors import ParseError, ValidationError
 from .lie import LieAlgebra
 from .structures import AcnModel, validate_structure
-from .tensors import Tensor, as_scalar, canonical_json, format_scalar, zeros_array
+from .tensors import Tensor, as_scalar, canonical_json, exact_einsum
 
 _SECTIONS = ("brackets", "phi", "xi", "eta", "metric")
 
 
-@dataclass(frozen=True)
-class ModelFile:
-    """The raw content of a model file, before any validation."""
-
-    name: str
-    dim: int
-    brackets: tuple[tuple[int, int, tuple[Fraction, ...]], ...]
-    phi: tuple[tuple[Fraction, ...], ...]
-    xi: tuple[Fraction, ...]
-    eta: tuple[Fraction, ...]
-    metric: tuple[tuple[Fraction, ...], ...]
-
-    @classmethod
-    def from_model(cls, model: AcnModel) -> "ModelFile":
-        d = model.dim
-        c = model.algebra.c.components
-        brackets = []
-        for i in range(d):
-            for j in range(i + 1, d):
-                coeffs = tuple(c[k, i, j] for k in range(d))
-                if any(v != 0 for v in coeffs):
-                    brackets.append((i, j, coeffs))
-        to_rows = lambda t: tuple(tuple(row) for row in t.components)
-        return cls(
-            name=model.name,
-            dim=d,
-            brackets=tuple(brackets),
-            phi=to_rows(model.phi),
-            xi=tuple(model.xi.components),
-            eta=tuple(model.eta.components),
-            metric=to_rows(model.g),
+def _assemble(name: str, dim: int, brackets, phi, xi, eta, metric) -> AcnModel:
+    """The model from parsed rows, completing unmirrored brackets."""
+    c = np.zeros((dim,) * 3, dtype=object)
+    seen = set()
+    for i, j, coeffs in brackets:
+        if not (0 <= i < dim and 0 <= j < dim):
+            raise ParseError(f"bracket indices ({i}, {j}) out of range for dim {dim}")
+        if (i, j) in seen:
+            raise ParseError(f"duplicate bracket entry ({i}, {j})")
+        seen.add((i, j))
+        c[:, i, j] = coeffs
+    for i, j in seen:
+        if (j, i) not in seen:
+            c[:, j, i] = -c[:, i, j]
+    try:
+        return AcnModel(
+            algebra=LieAlgebra(dim, Tensor(c, "udd")),
+            phi=Tensor(phi, "ud"),
+            xi=Tensor(xi, "u"),
+            eta=Tensor(eta, "d"),
+            g=Tensor(metric, "dd"),
+            name=name,
         )
-
-    def to_model(self, require_valid: bool = True) -> AcnModel:
-        """Assemble the model, completing unmirrored brackets.
-
-        With ``require_valid`` (the default) a failed validation raises
-        :class:`ValidationError` carrying the itemized report.
-        """
-        d = self.dim
-        c = zeros_array((d, d, d))
-        seen = set()
-        for i, j, coeffs in self.brackets:
-            if not (0 <= i < d and 0 <= j < d):
-                raise ParseError(f"bracket indices ({i}, {j}) out of range for dim {d}")
-            if len(coeffs) != d:
-                raise ParseError(
-                    f"bracket ({i}, {j}) has {len(coeffs)} coefficients, expected {d}"
-                )
-            if (i, j) in seen:
-                raise ParseError(f"duplicate bracket entry ({i}, {j})")
-            seen.add((i, j))
-            c[:, i, j] = coeffs
-        for i, j in list(seen):
-            if (j, i) not in seen:
-                c[:, j, i] = -c[:, i, j]
-        try:
-            model = AcnModel(
-                algebra=LieAlgebra(d, Tensor(c, "udd")),
-                phi=Tensor(self.phi, "ud"),
-                xi=Tensor(self.xi, "u"),
-                eta=Tensor(self.eta, "d"),
-                g=Tensor(self.metric, "dd"),
-                name=self.name,
-            )
-        except Exception as exc:
-            raise ParseError(f"model data malformed: {exc}") from exc
-        if require_valid:
-            report = validate_structure(model)
-            if not report.ok:
-                raise ValidationError(report)
-        return model
+    except Exception as exc:
+        raise ParseError(f"model data malformed: {exc}") from exc
 
 
 def _parse_rational(token: str, line: int | None = None) -> Fraction:
@@ -132,7 +86,7 @@ def _parse_rational(token: str, line: int | None = None) -> Fraction:
         raise ParseError(str(exc), line=line)
 
 
-def _parse_text(text: str) -> ModelFile:
+def _parse_text(text: str) -> AcnModel:
     name = ""
     dim: int | None = None
     section: str | None = None
@@ -202,18 +156,11 @@ def _parse_text(text: str) -> ModelFile:
             raise ParseError(
                 f"bracket ({i}, {j}) has {len(coeffs)} coefficients, expected {dim}"
             )
-    return ModelFile(
-        name=name,
-        dim=dim,
-        brackets=tuple(rows["brackets"]),
-        phi=tuple(rows["phi"]),
-        xi=rows["xi"][0],
-        eta=rows["eta"][0],
-        metric=tuple(rows["metric"]),
-    )
+    return _assemble(name, dim, rows["brackets"], rows["phi"], rows["xi"][0],
+                     rows["eta"][0], rows["metric"])
 
 
-def _parse_json(text: str) -> ModelFile:
+def _parse_json(text: str) -> AcnModel:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -227,16 +174,10 @@ def _parse_json(text: str) -> ModelFile:
         raise ParseError("'dim' must be an integer")
     dim = data["dim"]
 
-    def rat(v):
-        try:
-            return as_scalar(v)
-        except (ValueError, TypeError) as exc:
-            raise ParseError(str(exc))
-
     def vec(v, what):
         if not isinstance(v, list) or len(v) != dim:
             raise ParseError(f"{what} must be a list of {dim} entries")
-        return tuple(rat(x) for x in v)
+        return tuple(_parse_rational(x) for x in v)
 
     def mat(v, what):
         if not isinstance(v, list) or len(v) != dim:
@@ -254,15 +195,8 @@ def _parse_json(text: str) -> ModelFile:
     name = data.get("name", "")
     if not isinstance(name, str):
         raise ParseError("'name' must be a string")
-    return ModelFile(
-        name=name,
-        dim=dim,
-        brackets=tuple(brackets),
-        phi=mat(data["phi"], "phi"),
-        xi=vec(data["xi"], "xi"),
-        eta=vec(data["eta"], "eta"),
-        metric=mat(data["metric"], "metric"),
-    )
+    return _assemble(name, dim, brackets, mat(data["phi"], "phi"), vec(data["xi"], "xi"),
+                     vec(data["eta"], "eta"), mat(data["metric"], "metric"))
 
 
 def parse_model(text: str, require_valid: bool = True) -> AcnModel:
@@ -273,48 +207,45 @@ def parse_model(text: str, require_valid: bool = True) -> AcnModel:
     :class:`ValidationError` (with the itemized report attached) when
     ``require_valid`` and the model breaks a structure axiom.
     """
-    stripped = text.lstrip()
-    if stripped.startswith("{"):
-        mf = _parse_json(text)
-    else:
-        mf = _parse_text(text)
-    return mf.to_model(require_valid=require_valid)
+    parse = _parse_json if text.lstrip().startswith("{") else _parse_text
+    model = parse(text)
+    if require_valid:
+        report = validate_structure(model)
+        if not report.ok:
+            raise ValidationError(report)
+    return model
+
+
+def _rows(t: Tensor) -> list[list[str]]:
+    """The entries of ``t`` as strings, one list per row of its last axis."""
+    flat, n = t.formatted(), t.shape[-1]
+    return [flat[i:i + n] for i in range(0, len(flat), n)]
 
 
 def serialize_model(model: AcnModel, fmt: str = "text") -> str:
     """Render a model canonically; ``parse_model`` inverts this exactly."""
-    mf = ModelFile.from_model(model)
+    d = model.dim
+    c = exact_einsum("kij->ijk", model.algebra.c)
+    columns = _rows(c)    # row i * d + j holds [x_i, x_j]
+    brackets = [(i, j, columns[i * d + j])
+                for i, j in np.argwhere(np.triu(c.num.any(axis=2), 1)).tolist()]
+    phi, metric = _rows(model.phi), _rows(model.g)
+    xi, eta = model.xi.formatted(), model.eta.formatted()
     if fmt == "json":
         return canonical_json({
-            "name": mf.name,
-            "dim": mf.dim,
-            "brackets": [
-                [i, j, [format_scalar(v) for v in coeffs]]
-                for i, j, coeffs in mf.brackets
-            ],
-            "phi": [[format_scalar(v) for v in row] for row in mf.phi],
-            "xi": [format_scalar(v) for v in mf.xi],
-            "eta": [format_scalar(v) for v in mf.eta],
-            "metric": [[format_scalar(v) for v in row] for row in mf.metric],
+            "name": model.name,
+            "dim": d,
+            "brackets": brackets,
+            "phi": phi,
+            "xi": xi,
+            "eta": eta,
+            "metric": metric,
         }) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}; use 'text' or 'json'")
-    lines = []
-    if mf.name:
-        lines.append(f"name = {mf.name}")
-    lines.append(f"dim = {mf.dim}")
-    lines.append("")
-    lines.append("[brackets]")
-    for i, j, coeffs in sorted(mf.brackets, key=lambda e: (e[0], e[1])):
-        lines.append(f"{i} {j} : " + " ".join(format_scalar(v) for v in coeffs))
-    for section, rows in (
-        ("phi", mf.phi),
-        ("xi", (mf.xi,)),
-        ("eta", (mf.eta,)),
-        ("metric", mf.metric),
-    ):
-        lines.append("")
-        lines.append(f"[{section}]")
-        for row in rows:
-            lines.append(" ".join(format_scalar(v) for v in row))
+    lines = [f"name = {model.name}"] if model.name else []
+    lines += [f"dim = {d}", "", "[brackets]"]
+    lines += [f"{i} {j} : " + " ".join(coeffs) for i, j, coeffs in brackets]
+    for section, rows in (("phi", phi), ("xi", [xi]), ("eta", [eta]), ("metric", metric)):
+        lines += ["", f"[{section}]"] + [" ".join(row) for row in rows]
     return "\n".join(lines) + "\n"

@@ -93,18 +93,6 @@ def as_scalar(value) -> Fraction:
     raise TypeError(f"exact rational required, got {type(value).__name__}: {value!r}")
 
 
-def as_entry(value):
-    """Coerce ``value`` to a canonical exact rational *component*:
-    integer values become plain Python ints and everything else a
-    Fraction in lowest terms."""
-    if type(value) is int:
-        return value
-    if isinstance(value, Fraction):
-        return value.numerator if value.denominator == 1 else value
-    f = as_scalar(value)
-    return f.numerator if f.denominator == 1 else f
-
-
 def format_scalar(value) -> str:
     """Render a rational as ``"p"`` or ``"p/q"`` in lowest terms."""
     if type(value) is int:
@@ -115,24 +103,11 @@ def format_scalar(value) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def scalar_array(components) -> np.ndarray:
-    """Copy ``components`` into an object ndarray of exact rationals
-    (Python ints for integer values, Fractions otherwise)."""
-    arr = np.array(components, dtype=object)
-    return _object_array([v if type(v) is int else as_entry(v)
-                          for v in arr.ravel().tolist()], arr.shape)
-
-
 def _object_array(entries: list, shape) -> np.ndarray:
     """An object ndarray of ``shape`` holding ``entries`` in C order."""
     arr = np.empty(len(entries), dtype=object)
     arr[:] = entries
     return arr.reshape(shape)
-
-
-def zeros_array(shape) -> np.ndarray:
-    """An object ndarray of the given shape filled with exact zeros."""
-    return np.full(shape, 0, dtype=object)
 
 
 def _max_abs(num: np.ndarray) -> int:
@@ -506,21 +481,13 @@ def matrix_rank(rows: Iterable[Sequence]) -> int:
     return len(row_space_basis(rows))
 
 
-def _subscripts(subscripts: str, operands) -> tuple[list[str], str]:
-    """Explicit-mode subscripts as one term per operand plus the output,
-    with any ellipsis spelled out in spare letters."""
-    if "->" not in subscripts:
-        raise ValueError(f"exact_einsum needs explicit subscripts with '->': {subscripts!r}")
+def _subscripts(subscripts: str) -> tuple[list[str], str]:
+    """Explicit-mode subscripts as one term per operand plus the output."""
+    if "->" not in subscripts or "." in subscripts:
+        raise ValueError("exact_einsum needs explicit subscripts with '->' and no "
+                         f"ellipsis: {subscripts!r}")
     inputs, output = subscripts.replace(" ", "").split("->")
-    terms = inputs.split(",")
-    if "..." in subscripts:
-        spare = "".join(ch for ch in _LETTERS if ch not in subscripts)
-        width = [op.rank - len(t) + 3 if "..." in t else 0
-                 for t, op in zip(terms, operands)]
-        fill = spare[:max(width)]
-        terms = [t.replace("...", fill[len(fill) - w:]) for t, w in zip(terms, width)]
-        output = output.replace("...", fill)
-    return terms, output
+    return inputs.split(","), output
 
 
 def _contract_python_ints(subscripts: str, operands: list[np.ndarray]):
@@ -577,7 +544,7 @@ def exact_sum(terms) -> Tensor:
     """
     parts = []
     for coef, subscripts, *operands in terms:
-        letters, output = _subscripts(subscripts, operands)
+        letters, output = _subscripts(subscripts)
         slots: dict[str, str] = {}
         for term, op in zip(letters, operands):
             slots = dict(zip(term, op.variance)) | slots    # the first slot wins
@@ -612,17 +579,17 @@ def einsum_scalar(subscripts: str, *operands: Tensor) -> Fraction:
     return exact_einsum(subscripts, *operands).item()
 
 
-def vector_components(x, dim: int, name: str = "vector") -> np.ndarray:
-    """Coerce a vector argument (Tensor or sequence) to an object array
-    of ``dim`` exact rationals."""
+def vector(x, dim: int, name: str = "vector") -> Tensor:
+    """A vector argument (a rank-1 Tensor or a sequence of exact
+    rationals) as a contravariant Tensor of ``dim`` entries."""
     if isinstance(x, Tensor):
         if x.rank != 1:
             raise DimensionMismatch(f"{name} must be rank 1, got rank {x.rank}")
-        arr = x.components.copy()
     else:
-        arr = scalar_array(list(x))
+        arr = np.array(list(x), dtype=object)
         if arr.ndim != 1:
             raise DimensionMismatch(f"{name} must be one-dimensional")
-    if arr.shape[0] != dim:
-        raise DimensionMismatch(f"{name} has length {arr.shape[0]}, expected {dim}")
-    return arr
+        x = Tensor(arr, UP)
+    if x.shape[0] != dim:
+        raise DimensionMismatch(f"{name} has length {x.shape[0]}, expected {dim}")
+    return x if x.variance == UP else Tensor._of(x.num, x.den, UP)

@@ -36,7 +36,6 @@ from norden import (
     validate_structure,
     verify_identities,
 )
-from norden.tensors import zeros_array
 
 SEED = 20260819
 PER_N = 20
@@ -73,7 +72,7 @@ def _basis(dim: int, i: int) -> list:
 
 def _expected_gamma(n: int, lam: tuple) -> Tensor:
     dim = 2 * n + 1
-    comp = zeros_array((dim, dim, dim))
+    comp = np.zeros((dim, dim, dim), dtype=object)
     for i in range(1, dim):
         comp[0][0][i] = -lam[i - 1]
     for k in range(1, n + 1):
@@ -103,7 +102,7 @@ def _expected_omega_vec(n: int, lam: tuple) -> list:
 def _expected_f(n: int, lam: tuple) -> Tensor:
     dim = 2 * n + 1
     om = _expected_omega(n, lam)
-    comp = zeros_array((dim, dim, dim))
+    comp = np.zeros((dim, dim, dim), dtype=object)
     for j in range(1, dim):
         comp[0][0][j] = om[j]
         comp[0][j][0] = om[j]
@@ -112,7 +111,7 @@ def _expected_f(n: int, lam: tuple) -> Tensor:
 
 def _expected_r04(n: int, lam: tuple) -> Tensor:
     dim = 2 * n + 1
-    comp = zeros_array((dim, dim, dim, dim))
+    comp = np.zeros((dim, dim, dim, dim), dtype=object)
     for i in range(1, dim):
         for j in range(1, dim):
             v = -lam[i - 1] * lam[j - 1]
@@ -125,7 +124,7 @@ def _expected_r04(n: int, lam: tuple) -> Tensor:
 
 def _expected_ricci(n: int, lam: tuple) -> Tensor:
     dim = 2 * n + 1
-    comp = zeros_array((dim, dim))
+    comp = np.zeros((dim, dim), dtype=object)
     comp[0][0] = -_lambda_balance(n, lam)
     for i in range(1, dim):
         for j in range(1, dim):

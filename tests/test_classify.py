@@ -108,6 +108,16 @@ def test_identities_gated_off_outside_pure_class(heis):
         assert verdicts[name].passed
 
 
+def test_identity_names_agree_inside_and_outside_pure_class(fam23, heis, fam_zero):
+    """The names written for the not-applicable battery outside the pure
+    class (heis) are the names the battery computes inside it (fam23 and
+    the flat fam_zero), in the same order."""
+    names = [list(geo.identities) for geo in (fam23, heis, fam_zero)]
+    assert names[0] == names[1] == names[2]
+    assert len(set(names[0])) == len(names[0]) == 12
+    assert not heis.f11 and fam23.f11 and fam_zero.f11
+
+
 def test_ricci_identities_hold_everywhere(fam5, heis, fam_zero):
     for geo in (fam5, heis, fam_zero):
         verdicts = verify_identities(

@@ -33,7 +33,6 @@ from norden import (
     serialize_model,
     validate_structure,
 )
-from norden.tensors import scalar_array
 
 FAMILY_LAMBDAS = {
     1: (2, 3),
@@ -50,15 +49,15 @@ def _dense_model() -> AcnModel:
     triangular, so ``A^-1 = (I - U + U^2 - U^3 + U^4) D^-1`` exactly."""
     base = generate_family(FamilyParams(2, FAMILY_LAMBDAS[2]))
     d = base.dim
-    diag = scalar_array(["2", "1/3", -1, "3/2", "-5/4"])
-    upper = scalar_array([
+    diag = Tensor(["2", "1/3", -1, "3/2", "-5/4"], "d").components
+    upper = Tensor([
         [0, 1, "1/2", -1, 2],
         [0, 0, 1, "2/3", -1],
         [0, 0, 0, 1, "1/2"],
         [0, 0, 0, 0, -3],
         [0, 0, 0, 0, 0],
-    ])
-    eye = scalar_array(np.eye(d, dtype=int))
+    ], "dd").components
+    eye = Tensor(np.eye(d, dtype=int), "dd").components
     a = np.diag(diag) @ (eye + upper)
     inv_unipotent, power = eye.copy(), eye.copy()
     for _ in range(d - 1):

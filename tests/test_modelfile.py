@@ -19,7 +19,6 @@ from norden import (
     validate_structure,
 )
 from norden.lie import LieAlgebra
-from norden.modelfile import ModelFile
 
 VALID_TEXT = """\
 name = worked example
@@ -220,9 +219,10 @@ def test_xi_may_sit_anywhere_in_the_basis(fam23):
 
 
 def test_model_file_from_model_lists_canonical_half(heis):
-    mf = ModelFile.from_model(heis.model)
-    assert mf.brackets == ((1, 2, (1, 0, 0)),)
-    assert mf.dim == 3
+    text = serialize_model(heis.model)
+    assert "dim = 3\n\n[brackets]\n1 2 : 1 0 0\n\n[phi]" in text
+    obj = json.loads(serialize_model(heis.model, fmt="json"))
+    assert obj["brackets"] == [[1, 2, ["1", "0", "0"]]] and obj["dim"] == 3
 
 
 def test_bracket_indices_out_of_range():

@@ -27,7 +27,7 @@ from norden import (
     signature,
     tensor_product,
 )
-from norden.tensors import as_entry, scalar_array, vector_components, zeros_array
+from norden.tensors import vector
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
@@ -67,26 +67,10 @@ def test_as_scalar_caps_decimal_exponents():
             as_scalar(text)
 
 
-def test_as_entry_keeps_integers_plain():
-    assert as_entry(3) is not None and type(as_entry(3)) is int
-    assert type(as_entry(Fr(4, 2))) is int and as_entry(Fr(4, 2)) == 2
-    assert type(as_entry(Fr(1, 3))) is Fr
-    assert type(as_entry("6/3")) is int and as_entry("6/3") == 2
-
-
 def test_format_scalar():
     assert format_scalar(Fr(3)) == "3"
     assert format_scalar(Fr(-3, 4)) == "-3/4"
     assert format_scalar(2) == "2"
-
-
-def test_scalar_array_and_zeros():
-    arr = scalar_array([[1, "1/2"], [Fr(2, 1), -3]])
-    assert arr.dtype == object
-    assert arr[0, 1] == Fr(1, 2)
-    assert type(arr[1, 0]) is int
-    z = zeros_array((2, 2))
-    assert np.all(z == 0)
 
 
 # --- Tensor basics ------------------------------------------------------
@@ -298,18 +282,23 @@ def test_matrix_rank_matches_float_oracle(rows):
 # --- einsum helper and vectors ------------------------------------------
 
 def test_einsum_scalar_returns_fraction():
-    a = Tensor(scalar_array([1, 2, 3]), "u")
+    a = Tensor([1, 2, 3], "u")
     out = einsum_scalar("i,i->", a, a)
     assert isinstance(out, Fr) and out == 14
 
 
 def test_vector_components_checks():
-    assert list(vector_components([1, "1/2"], 2)) == [1, Fr(1, 2)]
-    assert list(vector_components(Tensor([1, 2], "u"), 2)) == [1, 2]
-    with pytest.raises(DimensionMismatch):
-        vector_components([1, 2, 3], 2)
-    with pytest.raises(DimensionMismatch):
-        vector_components(Tensor([[1, 0], [0, 1]], "ud"), 2)
+    assert list(vector([1, "1/2"], 2).components) == [1, Fr(1, 2)]
+    assert vector([1, "1/2"], 2) == Tensor([1, Fr(1, 2)], "u")
+    u = Tensor([1, 2], "u")
+    assert vector(u, 2) is u
+    assert vector(Tensor([1, 2], "d"), 2) == u
+    with pytest.raises(DimensionMismatch, match="x has length 3, expected 2"):
+        vector([1, 2, 3], 2, name="x")
+    with pytest.raises(DimensionMismatch, match="must be rank 1, got rank 2"):
+        vector(Tensor([[1, 0], [0, 1]], "ud"), 2)
+    with pytest.raises(DimensionMismatch, match="one-dimensional"):
+        vector([[1, 0], [0, 1]], 2)
 
 
 @settings(max_examples=15, deadline=None)
