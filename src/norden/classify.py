@@ -42,6 +42,11 @@ class IdentityVerdict:
         """True unless the identity applies and fails."""
         return (not self.applicable) or bool(self.passed)
 
+    @property
+    def status(self) -> str:
+        """The four-character label of the text outputs."""
+        return " n/a" if not self.applicable else "pass" if self.passed else "FAIL"
+
 
 def _verdict(name: str, terms: list, detail: str = "") -> IdentityVerdict:
     """The verdict on ``sum(terms) = 0``, for :func:`exact_sum` terms that

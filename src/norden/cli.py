@@ -129,23 +129,15 @@ def _cmd_identities(args) -> int:
     verdicts = Geometry(model).identities
     lines = []
     obj = {}
-    ok = True
     for name, v in verdicts.items():
-        if not v.applicable:
-            status = " n/a"
-        elif v.passed:
-            status = "pass"
-        else:
-            status = "FAIL"
-            ok = False
-        lines.append(f"[{status}] {name}")
+        lines.append(f"[{v.status}] {name}")
         obj[name] = {
             "applicable": v.applicable,
             "passed": v.passed,
             "detail": v.detail,
         }
     _emit(args, "\n".join(lines) + "\n", obj)
-    return EXIT_OK if ok else EXIT_FAIL
+    return EXIT_OK if all(v.ok for v in verdicts.values()) else EXIT_FAIL
 
 
 def _cmd_family(args) -> int:

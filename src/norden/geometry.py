@@ -251,10 +251,9 @@ class Geometry:
 
     @cached_property
     def twisted_r(self) -> Tensor:
-        """``R(x, y, phi z, phi u)``, twisting one slot at a time so that
-        each contraction stays within the int64 bound on dense models."""
-        half = exact_einsum("ijmn,mk->ijkn", self.curv.r04, self.model.phi)
-        return exact_einsum("ijkn,nu->ijku", half, self.model.phi)
+        """``R(x, y, phi z, phi u)``."""
+        phi = self.model.phi
+        return exact_einsum("ijmn,mk,nu->ijku", self.curv.r04, phi, phi)
 
     @cached_property
     def curvature_phi_kahler(self) -> bool:

@@ -182,16 +182,10 @@ def report_to_text(report: GeometryReport) -> str:
     lines.append("")
     lines.append("identities:")
     for name, v in report.identities.items():
-        if not v.applicable:
-            status = " n/a"
-        elif v.passed:
-            status = "pass"
-        else:
-            status = "FAIL"
         extra = ""
         if v.witness is not None and not v.passed:
             extra = f"  witness: {v.witness}"
-        lines.append(f"  [{status}] {name}{extra}")
+        lines.append(f"  [{v.status}] {name}{extra}")
     lines.append("")
     lines.append("tensors (nonzero components):")
     for key, t in report.tensors.items():

@@ -13,14 +13,15 @@ tensors are equal exactly when their ``(variance, shape, den, num)`` are.
 Every computation is a linear combination of contractions,
 :func:`exact_sum` (:func:`exact_einsum` is its one-term case): each
 contraction runs on numerators over the product of its operands'
-denominators, the terms are added as integers over the lcm ``L`` of
-theirs, and the result is reduced once.  Two bounds keep int64 exact;
-zeros count as 1 in both.  A contraction runs in int64 when the product
-of its operands' largest numerator magnitudes times the number of summed
-index combinations, and the product of their denominators, are below
-``2**62``.  The terms are added in int64 when the sum of ``max|num| *
-|coefficient| * L / den`` over them, which bounds every partial sum, is
-below ``2**62``.  Otherwise Python ints are used.
+denominators, pairwise along numpy's greedy path, the terms are added as
+integers over the lcm ``L`` of theirs, and the result is reduced once.
+Two bounds keep int64 exact; zeros count as 1 in both.  A pairwise step
+runs in int64 when the product of its two operands' largest numerator
+magnitudes (an intermediate's as computed) times the number of index
+combinations it sums, and the product of the contraction's denominators,
+are below ``2**62``.  The terms are added in int64 when the sum of
+``max|num| * |coefficient| * L / den`` over them, which bounds every
+partial sum, is below ``2**62``.  Otherwise Python ints are used.
 
 Fractions appear only at the edges: building a tensor from rationals,
 the read-only :attr:`Tensor.components` view (ints and Fractions in
@@ -262,14 +263,14 @@ class Tensor:
         is set, rendered as by :func:`format_scalar`, in C order.  Reads
         the numerators directly; builds no Fraction."""
         d = self.den
-        flat = (self.num if where is None else self.num[where]).ravel().tolist()
+        num = (self.num if where is None else self.num[where]).ravel()
         if d == 1:
-            return [str(v) for v in flat]
-        out = []
-        for v in flat:
-            g = math.gcd(v, d)
-            out.append(str(v // g) if g == d else f"{v // g}/{d // g}")
-        return out
+            return [str(v) for v in num.tolist()]
+        if d >= INT64_SAFE:     # such a d does not fit an int64 ufunc
+            num = num.astype(object)
+        g = np.gcd(num, d)
+        return [str(v) if q == 1 else f"{v}/{q}"
+                for v, q in zip((num // g).tolist(), (d // g).tolist())]
 
     def nonzero_items(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Sorted ``(index, value)`` pairs for all nonzero components."""
@@ -416,16 +417,20 @@ def invert_symmetric(g: Tensor) -> Tensor:
 def signature(g: Tensor) -> tuple[int, int, int]:
     """Sylvester signature ``(plus, minus, zero)`` of a symmetric form.
 
-    Computed by exact symmetric congruence elimination on the integer
-    numerators (a positive multiple of the form): at each step a nonzero
-    diagonal pivot is produced (using the basis change ``e_i <- e_i +
-    e_j`` when the remaining diagonal vanishes), its sign recorded, and
-    the Schur complement taken.  Congruence preserves the signature, so
-    the recorded signs are the answer.
+    Computed by symmetric congruence elimination on the integer
+    numerators (a positive multiple of the form), fraction-free as in
+    :func:`invert_symmetric`: at each step a nonzero diagonal pivot ``p``
+    is produced (using the basis change ``e_i <- e_i + e_j`` when the
+    remaining diagonal vanishes) and the rest updated by exact division
+    by the previous pivot, so ``p`` is a leading principal minor of a
+    congruent form.  The congruent diagonal entry is ``p`` over the
+    previous pivot, so its sign is the product of theirs; congruence
+    preserves the signature, so the recorded signs are the answer.
     """
-    a = [[Fraction(v) for v in row] for row in _symmetric_numerators(g, "signature")]
+    a = _symmetric_numerators(g, "signature")
     n = len(a)
     plus = minus = 0
+    prev = 1
     for k in range(n):
         pivot = next((i for i in range(k, n) if a[i][i]), None)
         if pivot is None:
@@ -443,11 +448,13 @@ def signature(g: Tensor) -> tuple[int, int, int]:
         a[k], a[pivot] = a[pivot], a[k]
         for row in a:
             row[k], row[pivot] = row[pivot], row[k]
-        plus, minus = (plus + 1, minus) if a[k][k] > 0 else (plus, minus + 1)
+        p = a[k][k]
+        plus, minus = (plus + 1, minus) if (p > 0) == (prev > 0) else (plus, minus + 1)
         for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            if f:
-                a[i][k:] = [x - f * y for x, y in zip(a[i][k:], a[k][k:])]
+            f = a[i][k]
+            a[i][k + 1:] = [(p * x - f * y) // prev
+                            for x, y in zip(a[i][k + 1:], a[k][k + 1:])]
+        prev = p
     return plus, minus, n - plus - minus
 
 
@@ -490,46 +497,36 @@ def _subscripts(subscripts: str) -> tuple[list[str], str]:
     return inputs.split(","), output
 
 
-def _contract_python_ints(subscripts: str, operands: list[np.ndarray]):
-    """Contract object arrays of Python ints pairwise along numpy's greedy
-    path, one unoptimized einsum per pair.  (``einsum(optimize=True)``
-    cannot be used here: when both sides of a pair reduce to scalars it
-    multiplies them as int64 and wraps.)"""
-    if len(operands) <= 2:
-        return np.einsum(subscripts, *operands)
-    inputs, output = subscripts.split("->")
-    terms, ops = inputs.split(","), list(operands)
-    for pair in np.einsum_path(subscripts, *ops, optimize="greedy")[0][1:]:
-        picked = [(terms.pop(k), ops.pop(k)) for k in sorted(pair, reverse=True)]
-        needed = set(output).union(*terms)
-        kept = "".join(dict.fromkeys(ch for t, _ in picked for ch in t if ch in needed))
-        step = np.einsum(",".join(t for t, _ in picked) + "->" + kept,
-                         *(op for _, op in picked))
-        ops.append(np.asarray(step, dtype=object))   # a bare int would become int64
-        terms.append(kept)
-    return np.einsum(f"{terms[0]}->{output}", ops[0])
-
-
 def _contract(terms: list[str], output: str, operands) -> tuple[np.ndarray, int]:
     """One contraction of the operands' numerators, unreduced: the
-    integer array and the product of the operands' denominators."""
+    integer array and the product of the operands' denominators.  Each
+    pairwise step picks int64 or Python ints by its own bound."""
     sizes: dict[str, int] = {}
     for term, op in zip(terms, operands):
         for ch, n in zip(term, op.shape):
             sizes[ch] = max(sizes.get(ch, 1), n)
-    bound = math.prod(n for ch, n in sizes.items() if ch not in output)
-    den = 1
-    for op in operands:
-        # A zero operand counts as 1, so the bound also covers every
-        # operand's own entries and every intermediate of the contraction.
-        bound *= max(_max_abs(op.num), 1)
-        den *= op.den
-    spec = ",".join(terms) + "->" + output
-    if bound < INT64_SAFE and den < INT64_SAFE:
-        # Every operand is then canonically int64.
-        return np.asarray(np.einsum(spec, *(op.num for op in operands), optimize=True)), den
-    ints = [op.num.astype(object) for op in operands]
-    return np.asarray(_contract_python_ints(spec, ints), dtype=object), den
+    den = math.prod(op.den for op in operands)
+    terms, ops = list(terms), [op.num for op in operands]
+    path = [tuple(range(len(ops)))]
+    if len(ops) > 2:
+        spec = ",".join(terms) + "->" + output
+        path = np.einsum_path(spec, *ops, optimize="greedy")[0][1:]
+    for pair in path:
+        picked = [(terms.pop(k), ops.pop(k)) for k in sorted(pair, reverse=True)]
+        letters = "".join(t for t, _ in picked)
+        needed = set(output).union(*terms)
+        kept = "".join(dict.fromkeys(ch for ch in letters if ch in needed)) if terms else output
+        # A zero operand counts as 1, so the bound also covers each
+        # operand's own entries and every partial sum of the step.
+        bound = math.prod(sizes[ch] for ch in set(letters) - set(kept))
+        for _, op in picked:
+            bound *= max(_max_abs(op), 1)
+        dtype = np.int64 if bound < INT64_SAFE and den < INT64_SAFE else object
+        step = np.einsum(",".join(t for t, _ in picked) + "->" + kept,
+                         *(op.astype(dtype, copy=False) for _, op in picked))
+        ops.append(np.asarray(step, dtype=dtype))   # a bare int would become int64
+        terms.append(kept)
+    return ops[0], den
 
 
 def exact_sum(terms) -> Tensor:
@@ -585,6 +582,9 @@ def vector(x, dim: int, name: str = "vector") -> Tensor:
     if isinstance(x, Tensor):
         if x.rank != 1:
             raise DimensionMismatch(f"{name} must be rank 1, got rank {x.rank}")
+        if x.variance != UP:
+            raise VarianceMismatch(f"{name} must be a vector (variance 'u'), "
+                                   f"got variance {x.variance!r}")
     else:
         arr = np.array(list(x), dtype=object)
         if arr.ndim != 1:
@@ -592,4 +592,4 @@ def vector(x, dim: int, name: str = "vector") -> Tensor:
         x = Tensor(arr, UP)
     if x.shape[0] != dim:
         raise DimensionMismatch(f"{name} has length {x.shape[0]}, expected {dim}")
-    return x if x.variance == UP else Tensor._of(x.num, x.den, UP)
+    return x

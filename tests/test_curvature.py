@@ -11,6 +11,8 @@ from norden import (
     DegenerateSection,
     FamilyParams,
     LinearlyDependent,
+    Tensor,
+    VarianceMismatch,
     classify_section,
     generate_family,
     levi_civita,
@@ -161,3 +163,10 @@ def test_classify_section_xi_plane_precedence(fam23):
 def test_classify_section_rejects_dependent_vectors(fam23):
     with pytest.raises(LinearlyDependent):
         classify_section(fam23.model, [1, 0, 0], [-1, 0, 0])
+
+
+def test_classify_section_rejects_a_covector(fam23):
+    """eta is a 1-form: passing it where a vector belongs is an error,
+    not a silent relabelling of its slot."""
+    with pytest.raises(VarianceMismatch, match="must be a vector"):
+        classify_section(fam23.model, fam23.model.eta, Tensor([0, 1, 0], "u"))

@@ -5,8 +5,8 @@ slow, but every sum and product is exact Python arithmetic.  The kernel
 must agree with it entry for entry, return a :class:`Tensor` in the
 canonical storage (lowest terms, int64 exactly when every numerator is
 below ``2**62``) whose entries are canonical (an int, or a Fraction whose
-denominator is not 1), choose int64 exactly when its bounds allow and
-never hand numpy a float array.
+denominator is not 1), choose int64 for each einsum call exactly when
+that call's own bound allows and never hand numpy a float array.
 """
 import math
 from contextlib import contextmanager
@@ -55,6 +55,36 @@ def _contraction_dtypes():
 
     with mock.patch.object(np, "einsum", spy):
         yield seen
+
+
+@contextmanager
+def _contraction_calls():
+    """Record, for each einsum call the kernel makes, the dtypes of the
+    arrays numpy receives and the call's own bound recomputed from them:
+    the product of their largest magnitudes (zeros count as 1) times the
+    number of index combinations the call sums."""
+    seen = []
+    real = np.einsum
+
+    def spy(subscripts, *operands, **kwargs):
+        inputs, output = subscripts.split("->")
+        sizes = {ch: n for term, op in zip(inputs.split(","), operands)
+                 for ch, n in zip(term, np.shape(op))}
+        bound = math.prod(n for ch, n in sizes.items() if ch not in output)
+        for op in operands:
+            bound *= max(*map(abs, np.asarray(op).ravel().tolist()), 1)
+        seen.append(({np.asarray(op).dtype for op in operands}, bound))
+        return real(subscripts, *operands, **kwargs)
+
+    with mock.patch.object(np, "einsum", spy):
+        yield seen
+
+
+def _assert_each_call_picks_by_its_bound(calls, operands):
+    den = math.prod(op.den for op in operands)
+    for dtypes, bound in calls:
+        fits = bound < INT64_SAFE and den < INT64_SAFE
+        assert dtypes == {np.dtype(np.int64 if fits else object)}
 
 
 def _assert_canonical(t: Tensor):
@@ -117,10 +147,11 @@ huge = st.one_of(
 def test_matches_reference_on_small_rationals(case):
     subscripts, operands = case
     expected = _reference(subscripts, *operands)
-    with _contraction_dtypes() as seen:
+    with _contraction_calls() as calls:
         result = exact_einsum(subscripts, *operands)
     _assert_same(result, expected)
-    assert seen == [{np.dtype(np.int64)}]
+    _assert_each_call_picks_by_its_bound(calls, operands)
+    assert calls and all(dtypes == {np.dtype(np.int64)} for dtypes, _ in calls)
 
 
 @settings(max_examples=100, deadline=None)
@@ -128,10 +159,26 @@ def test_matches_reference_on_small_rationals(case):
 def test_matches_reference_on_huge_numerators_and_coprime_denominators(case):
     subscripts, operands = case
     expected = _reference(subscripts, *operands)
-    with _contraction_dtypes() as seen:
+    with _contraction_calls() as calls:
         result = exact_einsum(subscripts, *operands)
     _assert_same(result, expected)
-    assert seen == [{np.dtype(np.int64)}] or all(s == {np.dtype(object)} for s in seen)
+    _assert_each_call_picks_by_its_bound(calls, operands)
+
+
+def test_a_chain_past_the_bound_as_a_whole_runs_every_step_in_int64():
+    """Four operands with entries near 2**20: the product of their largest
+    magnitudes times the summed combinations is past 2**62, but every
+    pairwise step multiplies a unimodular matrix by its adjugate (giving
+    -I), so each step fits int64 on its own."""
+    x = 2**20
+    a = _array([x + 1, x, x, x - 1], (2, 2))        # det -1
+    adj = _array([x - 1, -x, -x, x + 1], (2, 2))    # a @ adj = adj @ a = -I
+    operands = (a, adj, a, adj)
+    assert (x + 1)**4 * 2**3 >= INT64_SAFE
+    with _contraction_calls() as calls:
+        result = exact_einsum("ab,bc,cd,de->ae", *operands)
+    _assert_same(result, _reference("ab,bc,cd,de->ae", *operands))
+    assert len(calls) == 3 and all(dtypes == {np.dtype(np.int64)} for dtypes, _ in calls)
 
 
 def test_huge_numerators_take_the_python_int_path():

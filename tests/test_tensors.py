@@ -124,6 +124,17 @@ def test_tensor_item_and_nonzero_items():
     assert r0.rank == 0 and r0.item() == 2
 
 
+@pytest.mark.parametrize("values", [
+    [Fr(1, 2), Fr(1, 3), 0, 5],             # int64 numerators, den 6
+    [Fr(1, 2**70), Fr(-3, 2**69), 0],       # int64 numerators, den past int64
+    [Fr(10**25, 7), Fr(-1, 14), 2],         # Python-int numerators
+])
+def test_formatted_reduces_each_entry_like_format_scalar(values):
+    t = Tensor(values, "u")
+    assert t.formatted() == [format_scalar(v) for v in values]
+    assert t.formatted(t.num != 0) == [format_scalar(v) for v in values if v]
+
+
 # --- products and contractions ------------------------------------------
 
 def test_tensor_product_concatenates_variance():
@@ -252,6 +263,64 @@ def test_signature_invariant_under_congruence(diag, shear):
     assert signature(Tensor(m, "dd")) == expected
 
 
+def _fraction_signature(rows) -> tuple[int, int, int]:
+    """The reference: the same symmetric congruence elimination on
+    Fractions, taking each Schur complement by division by the pivot."""
+    a = [[Fr(v) for v in row] for row in rows]
+    n = len(a)
+    plus = minus = 0
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if a[i][i]), None)
+        if pivot is None:
+            pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n) if a[i][j]),
+                        None)
+            if pair is None:
+                break
+            i, j = pair
+            for c in range(k, n):
+                a[i][c] += a[j][c]
+            for r in range(k, n):
+                a[r][i] += a[r][j]
+            pivot = i
+        a[k], a[pivot] = a[pivot], a[k]
+        for row in a:
+            row[k], row[pivot] = row[pivot], row[k]
+        plus, minus = (plus + 1, minus) if a[k][k] > 0 else (plus, minus + 1)
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            if f:
+                a[i][k:] = [x - f * y for x, y in zip(a[i][k:], a[k][k:])]
+    return plus, minus, n - plus - minus
+
+
+@st.composite
+def symmetric_forms(draw):
+    """Symmetric integer forms up to 7x7: random entries, some with a zero
+    diagonal, or singular ones ``A D A^T`` with fewer columns in ``A``
+    than rows."""
+    n = draw(st.integers(1, 7))
+    if draw(st.booleans()):
+        r = draw(st.integers(0, n - 1))
+        a = draw(st.lists(st.lists(st.integers(-3, 3), min_size=r, max_size=r),
+                          min_size=n, max_size=n))
+        d = draw(st.lists(st.integers(-2, 2), min_size=r, max_size=r))
+        return [[sum(a[i][k] * d[k] * a[j][k] for k in range(r)) for j in range(n)]
+                for i in range(n)]
+    entries = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-10**6, 10**6))
+    zero_diagonal = draw(st.booleans())
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + zero_diagonal, n):
+            m[i][j] = m[j][i] = draw(entries)
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_forms())
+def test_signature_matches_the_fraction_elimination(m):
+    assert signature(Tensor(m, "dd")) == _fraction_signature(m)
+
+
 # --- row space / rank ---------------------------------------------------
 
 def test_row_space_basis_is_rref():
@@ -292,7 +361,8 @@ def test_vector_components_checks():
     assert vector([1, "1/2"], 2) == Tensor([1, Fr(1, 2)], "u")
     u = Tensor([1, 2], "u")
     assert vector(u, 2) is u
-    assert vector(Tensor([1, 2], "d"), 2) == u
+    with pytest.raises(VarianceMismatch, match="must be a vector"):
+        vector(Tensor([1, 2], "d"), 2)
     with pytest.raises(DimensionMismatch, match="x has length 3, expected 2"):
         vector([1, 2, 3], 2, name="x")
     with pytest.raises(DimensionMismatch, match="must be rank 1, got rank 2"):
