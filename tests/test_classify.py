@@ -1,5 +1,7 @@
 """Class membership, isotropic-Kahler decision, and the exact identity
 battery with its applicability gating."""
+import hashlib
+from dataclasses import replace
 from fractions import Fraction as Fr
 
 import pytest
@@ -12,6 +14,9 @@ from norden import (
     IdentityVerdict,
     generate_family,
     levi_civita,
+    report_to_json,
+    report_to_text,
+    run_report,
     square_norms,
     verify_identities,
 )
@@ -31,6 +36,10 @@ GATED = (
     "isotropy_equivalence",
 )
 UNCONDITIONAL = ("ricci_identity_phi", "ricci_identity_eta")
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_class_flags(fam23, heis, fam_zero):
@@ -180,3 +189,109 @@ def test_isotropy_criterion_matches_lambda_condition(lam):
     m = generate_family(FamilyParams(1, tuple(lam)))
     expected = (lam[0] ** 2 - lam[1] ** 2) == 0
     assert Geometry(m).isotropic_kahler == expected
+
+
+# --- failing verdicts and laziness, pinned -----------------------------------
+#
+# No valid model fails an identity, so these seed a Geometry with tampered
+# layers: a curvature pack with R doubled and tau shifted by 1/2 (index and
+# rational-string witnesses), a structure pack whose Omega is zero (a flag
+# witness from isotropy_equivalence), and a zero curvature (a flag witness
+# from phi_kahler_criterion).  Each pin is the verdict's (status, witness)
+# and the sha256 of the JSON and text renders of the family report carrying
+# the tampered verdicts.
+
+def _tampered(fam23, key):
+    model, conn, curv, pack = fam23.model, fam23.conn, fam23.curv, fam23.pack
+    if key == "curvature":
+        return Geometry(model, conn=conn, curv=replace(
+            curv, r13=2 * curv.r13, r04=2 * curv.r04, tau=curv.tau + Fr(1, 2)))
+    if key == "omega_vec":
+        return Geometry(model, conn=conn, pack=replace(pack, omega_vec=0 * pack.omega_vec))
+    return Geometry(model, conn=conn, curv=replace(curv, r04=0 * curv.r04))
+
+
+PASS, NA = ("pass", None), (" n/a", None)
+TAMPERED_VERDICTS = {
+    "curvature": {
+        "ricci_identity_phi": ("FAIL", (0, 1, 0, 1)),
+        "ricci_identity_eta": ("FAIL", (0, 1, 1)),
+        "norm_chain": PASS,
+        "omega_star_derivative": PASS,
+        "curvature_phi_twist": ("FAIL", (0, 1, 0, 1)),
+        "r_equals_psi4_s": ("FAIL", (0, 1, 0, 1)),
+        "ricci_from_s": PASS,
+        "s_trace_divergence": PASS,
+        "scalar_curvature_chain": ("FAIL", ("21/2", "10", "10")),
+        "phi_kahler_criterion": PASS,
+        "phi_kahler_criterion_closedness": NA,
+        "isotropy_equivalence": PASS,
+    },
+    "omega_vec": {
+        "ricci_identity_phi": PASS,
+        "ricci_identity_eta": PASS,
+        "norm_chain": ("FAIL", ("10", "10", "10", "0")),
+        "omega_star_derivative": ("FAIL", (0, 0)),
+        "curvature_phi_twist": PASS,
+        "r_equals_psi4_s": PASS,
+        "ricci_from_s": PASS,
+        "s_trace_divergence": ("FAIL", ("5", "0")),
+        "scalar_curvature_chain": ("FAIL", ("10", "0", "10")),
+        "phi_kahler_criterion": PASS,
+        "phi_kahler_criterion_closedness": NA,
+        "isotropy_equivalence": ("FAIL", (False, True, False)),
+    },
+    "flat_r04": {
+        "ricci_identity_phi": PASS,
+        "ricci_identity_eta": PASS,
+        "norm_chain": PASS,
+        "omega_star_derivative": PASS,
+        "curvature_phi_twist": ("FAIL", (0, 1, 0, 1)),
+        "r_equals_psi4_s": ("FAIL", (0, 1, 0, 1)),
+        "ricci_from_s": PASS,
+        "s_trace_divergence": PASS,
+        "scalar_curvature_chain": PASS,
+        "phi_kahler_criterion": ("FAIL", (True, False)),
+        "phi_kahler_criterion_closedness": NA,
+        "isotropy_equivalence": PASS,
+    },
+}
+# (sha256 of report_to_json, sha256 of report_to_text)
+TAMPERED_RENDERS = {
+    "curvature": ("804b0a89f7766c1a673290757470f17f9171c1d67f6b1006e6e98c61e6ab00a3",
+                  "2233884f79c27d501fdf36f9062ae37f1b42b505bfcdf9daf5810983b8f4afe0"),
+    "omega_vec": ("ca3890d570feb914777300032520ad7567ea50dbf92a846902c13efa7126537d",
+                  "894f4e7a25f8ae9c3b6775fb436c215231a8eed69695cc206a5727474b37c1ec"),
+    "flat_r04": ("c09b59af6eb34356d48a5567e9193f1846d763c074c81b8ebdca700df98e854d",
+                 "ff0f4dc1e429147150817a5ef718521957f0be66c74e76a23274a699b7da146e"),
+}
+
+
+@pytest.mark.parametrize("key", list(TAMPERED_VERDICTS))
+def test_failing_verdicts_and_their_renders_are_pinned(fam23, key):
+    tampered = _tampered(fam23, key).identities
+    assert {name: (v.status, v.witness) for name, v in tampered.items()} \
+        == TAMPERED_VERDICTS[key]
+    report = replace(run_report(fam23.model), identities=tampered)
+    assert (_sha256(report_to_json(report)), _sha256(report_to_text(report))) \
+        == TAMPERED_RENDERS[key]
+
+
+# sorted(vars(geo)) after reading .identities on a fresh Geometry
+LAYERS_READ = {
+    "heis": ["conn", "curv", "f", "f11", "ginv", "identities", "model",
+             "nabla2_eta", "nabla2_phi", "nabla_eta", "nabla_phi"],
+    "fam23": ["conn", "curv", "curvature_phi_kahler", "div_phi_omega", "f", "f11",
+              "ginv", "identities", "isotropic_kahler", "model", "n",
+              "n_from_brackets", "n_from_derivatives", "nabla2_eta", "nabla2_phi",
+              "nabla_eta", "nabla_omega", "nabla_omega_star", "nabla_phi", "norms",
+              "omega", "omega_norm", "omega_star", "omega_vec", "phi_omega", "psi4_s",
+              "ricci_xi_xi", "s", "s_trace", "twisted_r"],
+}
+
+
+@pytest.mark.parametrize("key", list(LAYERS_READ))
+def test_identities_read_only_the_layers_of_applicable_identities(fam23, heis, key):
+    geo = Geometry({"heis": heis, "fam23": fam23}[key].model)
+    geo.identities
+    assert sorted(vars(geo)) == LAYERS_READ[key]
