@@ -28,7 +28,9 @@ class IdentityVerdict:
 
     ``applicable`` is False when the identity's precondition (usually
     membership in the pure class) is unmet, in which case ``passed`` is
-    None.  ``witness`` carries the first failing index tuple, if any.
+    None.  The ``witness`` of a failed identity is the first index where
+    its two sides differ, or the values that should agree, with rationals
+    as ``"p/q"`` strings and flags as bools.
     """
 
     name: str
@@ -48,22 +50,31 @@ class IdentityVerdict:
         return " n/a" if not self.applicable else "pass" if self.passed else "FAIL"
 
 
-def _verdict(name: str, terms: list, detail: str = "") -> IdentityVerdict:
-    """The verdict on ``sum(terms) = 0``, for :func:`exact_sum` terms that
-    move one side of an identity over to the other; the witness is the
-    first index where the sides differ."""
-    bad = np.argwhere(exact_sum(terms).num)
+def _vanishes(name: str, detail: str, gate: str | None, terms) -> IdentityVerdict:
+    """The verdict on ``sum(terms()) = 0``, for :func:`exact_sum` terms
+    that move one side of an identity over to the other; the witness is
+    the first index where the sides differ.  ``gate`` is None or the
+    reason the identity does not apply, in which case ``terms`` is not
+    called."""
+    if gate is not None:
+        return IdentityVerdict(name, applicable=False, passed=None, detail=gate)
+    bad = np.argwhere(exact_sum(terms()).num)
     witness = tuple(bad[0].tolist()) if len(bad) else None
-    return IdentityVerdict(
-        name=name, applicable=True, passed=witness is None, witness=witness,
-        detail=detail,
-    )
+    return IdentityVerdict(name, applicable=True, passed=witness is None,
+                           witness=witness, detail=detail)
 
 
-def _not_applicable(name: str, detail: str) -> IdentityVerdict:
-    return IdentityVerdict(
-        name=name, applicable=False, passed=None, witness=None, detail=detail
-    )
+def _agree(name: str, detail: str, gate: str | None, values) -> IdentityVerdict:
+    """The verdict on ``values()``, rationals or flags, being all equal;
+    the witness is the values, rationals as ``"p/q"`` strings.  ``gate``
+    is as in :func:`_vanishes`."""
+    if gate is not None:
+        return IdentityVerdict(name, applicable=False, passed=None, detail=gate)
+    values = values()
+    passed = len(set(values)) == 1
+    witness = None if passed else tuple(v if type(v) is bool else str(v) for v in values)
+    return IdentityVerdict(name, applicable=True, passed=passed, witness=witness,
+                           detail=detail)
 
 
 def check_identities(geo) -> dict[str, IdentityVerdict]:
@@ -72,139 +83,96 @@ def check_identities(geo) -> dict[str, IdentityVerdict]:
 
     Returns a dict keyed by identity name.  Identities restricted to
     the pure eta-omega class are reported as inapplicable on models
-    outside it; everything else is checked unconditionally.
+    outside it; everything else is checked unconditionally.  A layer is
+    read only by an identity that applies.
     """
-    verdicts: dict[str, IdentityVerdict] = {}
-
-    def put(v: IdentityVerdict) -> None:
-        verdicts[v.name] = v
-
     model, curv = geo.model, geo.curv
     phi, eta, r13 = model.phi, model.eta, curv.r13
+    nnphi, nneta = geo.nabla2_phi, geo.nabla2_eta
 
-    # --- Ricci identities: second-derivative antisymmetrization equals
-    # the curvature action.  Holds for every metric connection, so it is
-    # checked unconditionally, for both phi and eta.
-    nnphi = geo.nabla2_phi
-    put(_verdict("ricci_identity_phi", [
-        (1, "ijak->ijak", nnphi), (-1, "jiak->ijak", nnphi),
-        (-1, "aijm,mk->ijak", r13, phi), (1, "mijk,am->ijak", r13, phi),
-    ], detail="nabla^2 phi antisymmetrized = curvature acting on phi"))
-
-    nneta = geo.nabla2_eta
-    put(_verdict("ricci_identity_eta", [
-        (1, "ijk->ijk", nneta), (-1, "jik->ijk", nneta), (1, "mijk,m->ijk", r13, eta),
-    ], detail="nabla^2 eta antisymmetrized = -eta(R(.,.) .)"))
-
-    if not geo.f11:
-        for name in (
-            "norm_chain",
-            "omega_star_derivative",
-            "curvature_phi_twist",
-            "r_equals_psi4_s",
-            "ricci_from_s",
-            "s_trace_divergence",
-            "scalar_curvature_chain",
-            "phi_kahler_criterion",
-            "phi_kahler_criterion_closedness",
-            "isotropy_equivalence",
-        ):
-            put(_not_applicable(name, "model is not in the pure eta-omega class"))
-        return verdicts
-
-    # --- Norm chain: ||nabla phi||^2 = -||N||^2 = -2 ||nabla eta||^2
-    #     = 2 omega(omega_vec).
-    norms = geo.norms
-    oo = geo.omega_norm
-    chain = [norms.nabla_phi, -norms.nijenhuis, -2 * norms.nabla_eta, 2 * oo]
-    passed = all(v == chain[0] for v in chain)
-    put(IdentityVerdict(
-        name="norm_chain", applicable=True, passed=passed,
-        witness=None if passed else tuple(str(v) for v in chain),
-        detail="||nabla phi||^2 = -||N||^2 = -2||nabla eta||^2 = 2 omega(Omega)",
-    ))
-
-    # --- First-derivative identity for omega_star.
-    nomega, nostar = geo.nabla_omega, geo.nabla_omega_star
-    put(_verdict("omega_star_derivative", [
-        (1, "ij->ij", nostar), (-1, "im,mj->ij", nomega, phi), (-oo, "i,j->ij", eta, eta),
-    ], detail="(nabla_x omega_star) y = (nabla_x omega) phi y "
-                        "+ eta(x) eta(y) omega(Omega)"))
-
-    # --- Curvature phi-twist: R(x, y, phi z, phi u) = -R(x, y, z, u)
-    #     + psi4(S)(x, y, z, u).
-    R, p4, twisted = curv.r04, geo.psi4_s, geo.twisted_r
-    put(_verdict("curvature_phi_twist", [
-        (1, "ijku->ijku", twisted), (1, "ijku->ijku", R), (-1, "ijku->ijku", p4),
-    ], detail="R twisted by phi in the last two slots differs "
-                        "from -R by psi4(S)"))
-
-    # --- When the twisted curvature vanishes identically the curvature
+    not_pure = None if geo.f11 else "model is not in the pure eta-omega class"
+    # When the twisted curvature vanishes identically the curvature
     # collapses onto psi4(S) and the Ricci tensor onto S; these hold
     # under that extra hypothesis, not on the whole pure class.
-    if twisted.is_zero():
-        put(_verdict("r_equals_psi4_s", [(1, "ijku->ijku", R), (-1, "ijku->ijku", p4)],
-                     detail="R = psi4(S)"))
-        trs = geo.s_trace
-        put(_verdict("ricci_from_s", [
-            (1, "ij->ij", curv.ricci), (-trs, "i,j->ij", eta, eta), (-1, "ij->ij", geo.s),
-        ], detail="ricci = tr(S) eta (x) eta + S"))
-        div_po = geo.div_phi_omega
-        put(IdentityVerdict(
-            name="s_trace_divergence", applicable=True, passed=trs == div_po,
-            witness=None if trs == div_po else (str(trs), str(div_po)),
-            detail="tr S = div(phi Omega)",
-        ))
-    else:
-        reason = "R(x, y, phi z, phi u) does not vanish identically"
-        put(_not_applicable("r_equals_psi4_s", reason))
-        put(_not_applicable("ricci_from_s", reason))
-        put(_not_applicable("s_trace_divergence", reason))
-
-    # --- Scalar curvature chain: tau + tau_2star = 2 div(phi Omega)
-    #     = 2 ricci(xi, xi).
-    chain = [curv.tau + curv.tau_2star, 2 * geo.div_phi_omega, 2 * geo.ricci_xi_xi]
-    passed = all(v == chain[0] for v in chain)
-    put(IdentityVerdict(
-        name="scalar_curvature_chain", applicable=True, passed=passed,
-        witness=None if passed else tuple(str(v) for v in chain),
-        detail="tau + tau_2star = 2 div(phi Omega) = 2 ricci(xi, xi)",
-    ))
-
-    # --- Kahler-type curvature criterion: the twisted curvature
-    # property holds iff (nabla_x omega_star) y
+    twisted = not_pure or (None if geo.twisted_r.is_zero()
+                           else "R(x, y, phi z, phi u) does not vanish identically")
+    # The pure rank-one form (nabla_x omega_star) y
     # = eta(x) eta(y) omega(Omega) + omega_star(x) omega_star(y).
-    lhs_flag = geo.curvature_phi_kahler
-    ostar = geo.omega_star
-    rhs_flag = exact_sum([
-        (1, "ij->ij", nostar), (-oo, "i,j->ij", eta, eta), (-1, "i,j->ij", ostar, ostar),
+    rank_one = not_pure is None and exact_sum([
+        (1, "ij->ij", geo.nabla_omega_star), (-geo.omega_norm, "i,j->ij", eta, eta),
+        (-1, "i,j->ij", geo.omega_star, geo.omega_star),
     ]).is_zero()
-    put(IdentityVerdict(
-        name="phi_kahler_criterion", applicable=True, passed=lhs_flag == rhs_flag,
-        witness=None if lhs_flag == rhs_flag else (lhs_flag, rhs_flag),
-        detail="curvature phi-twist property holds iff nabla omega_star "
-               "has the pure rank-one form",
-    ))
+    not_rank_one = not_pure or (
+        None if rank_one else "nabla omega_star does not have the pure rank-one form")
 
-    # --- Addendum: when the pure rank-one form of nabla omega_star
-    # holds, omega_star must be closed.  Only applicable then.
-    if rhs_flag:
-        put(_verdict("phi_kahler_criterion_closedness",
-                     [(1, "ij->ij", nostar), (-1, "ji->ij", nostar)],
-                     detail="the pure rank-one form forces d omega_star = 0"))
-    else:
-        put(_not_applicable(
+    verdicts = [
+        # Ricci identities: second-derivative antisymmetrization equals the
+        # curvature action.  They hold for every metric connection.
+        _vanishes(
+            "ricci_identity_phi", "nabla^2 phi antisymmetrized = curvature acting on phi",
+            None,
+            lambda: [(1, "ijak->ijak", nnphi), (-1, "jiak->ijak", nnphi),
+                     (-1, "aijm,mk->ijak", r13, phi), (1, "mijk,am->ijak", r13, phi)]),
+        _vanishes(
+            "ricci_identity_eta", "nabla^2 eta antisymmetrized = -eta(R(.,.) .)",
+            None,
+            lambda: [(1, "ijk->ijk", nneta), (-1, "jik->ijk", nneta),
+                     (1, "mijk,m->ijk", r13, eta)]),
+        _agree(
+            "norm_chain", "||nabla phi||^2 = -||N||^2 = -2||nabla eta||^2 = 2 omega(Omega)",
+            not_pure,
+            lambda: (geo.norms.nabla_phi, -geo.norms.nijenhuis, -2 * geo.norms.nabla_eta,
+                     2 * geo.omega_norm)),
+        _vanishes(
+            "omega_star_derivative",
+            "(nabla_x omega_star) y = (nabla_x omega) phi y + eta(x) eta(y) omega(Omega)",
+            not_pure,
+            lambda: [(1, "ij->ij", geo.nabla_omega_star),
+                     (-1, "im,mj->ij", geo.nabla_omega, phi),
+                     (-geo.omega_norm, "i,j->ij", eta, eta)]),
+        _vanishes(
+            "curvature_phi_twist",
+            "R twisted by phi in the last two slots differs from -R by psi4(S)",
+            not_pure,
+            lambda: [(1, "ijku->ijku", geo.twisted_r), (1, "ijku->ijku", curv.r04),
+                     (-1, "ijku->ijku", geo.psi4_s)]),
+        _vanishes(
+            "r_equals_psi4_s", "R = psi4(S)",
+            twisted,
+            lambda: [(1, "ijku->ijku", curv.r04), (-1, "ijku->ijku", geo.psi4_s)]),
+        _vanishes(
+            "ricci_from_s", "ricci = tr(S) eta (x) eta + S",
+            twisted,
+            lambda: [(1, "ij->ij", curv.ricci), (-geo.s_trace, "i,j->ij", eta, eta),
+                     (-1, "ij->ij", geo.s)]),
+        _agree(
+            "s_trace_divergence", "tr S = div(phi Omega)",
+            twisted,
+            lambda: (geo.s_trace, geo.div_phi_omega)),
+        _agree(
+            "scalar_curvature_chain",
+            "tau + tau_2star = 2 div(phi Omega) = 2 ricci(xi, xi)",
+            not_pure,
+            lambda: (curv.tau + curv.tau_2star, 2 * geo.div_phi_omega,
+                     2 * geo.ricci_xi_xi)),
+        # The Kahler-type curvature criterion: the twisted curvature
+        # property holds iff nabla omega_star has the pure rank-one form,
+        # and that form forces omega_star to be closed.
+        _agree(
+            "phi_kahler_criterion",
+            "curvature phi-twist property holds iff nabla omega_star "
+            "has the pure rank-one form",
+            not_pure,
+            lambda: (geo.curvature_phi_kahler, rank_one)),
+        _vanishes(
             "phi_kahler_criterion_closedness",
-            "nabla omega_star does not have the pure rank-one form",
-        ))
-
-    # --- Isotropy equivalence: isotropic Kahler <=> omega(Omega) = 0
-    #     <=> ||N||^2 = 0.
-    flags = (geo.isotropic_kahler, oo == 0, norms.nijenhuis == 0)
-    passed = len(set(flags)) == 1
-    put(IdentityVerdict(
-        name="isotropy_equivalence", applicable=True, passed=passed,
-        witness=None if passed else flags,
-        detail="isotropic Kahler <=> omega(Omega) = 0 <=> ||N||^2 = 0",
-    ))
-    return verdicts
+            "the pure rank-one form forces d omega_star = 0",
+            not_rank_one,
+            lambda: [(1, "ij->ij", geo.nabla_omega_star),
+                     (-1, "ji->ij", geo.nabla_omega_star)]),
+        _agree(
+            "isotropy_equivalence", "isotropic Kahler <=> omega(Omega) = 0 <=> ||N||^2 = 0",
+            not_pure,
+            lambda: (geo.isotropic_kahler, geo.omega_norm == 0, geo.norms.nijenhuis == 0)),
+    ]
+    return {v.name: v for v in verdicts}

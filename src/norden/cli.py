@@ -77,7 +77,7 @@ def _parse_vector(text: str, what: str) -> list[Fraction]:
 def _emit(args, text_output: str, json_obj) -> None:
     if args.quiet:
         return
-    if getattr(args, "json", False):
+    if args.json:
         print(canonical_json(json_obj))
     else:
         print(text_output, end="" if text_output.endswith("\n") else "\n")
@@ -109,7 +109,7 @@ def _run_validated(args) -> AcnModel:
     try:
         return _load_model(args.model, require_valid=True)
     except ValidationError as exc:
-        if getattr(args, "json", False):
+        if args.json:
             _emit(args, "", {"valid": False, "violations": _violations_json(exc.report)})
         elif not args.quiet:
             print(str(exc.report), file=sys.stderr)
@@ -205,10 +205,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_output_flags(p, with_json=True):
-        if with_json:
-            p.add_argument("--json", action="store_true",
-                           help="emit JSON instead of text")
+    def add_output_flags(p):
+        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
         p.add_argument("--quiet", action="store_true",
                        help="suppress output; use the exit code only")
 

@@ -49,7 +49,7 @@ def _plane(model: AcnModel, x, y) -> tuple[Tensor, Tensor]:
     """The vectors ``x``, ``y`` as tensors; raises
     :class:`LinearlyDependent` unless they span a 2-plane."""
     xv, yv = vector(x, model.dim, name="x"), vector(y, model.dim, name="y")
-    if matrix_rank([xv.components, yv.components]) != 2:
+    if matrix_rank([xv.num, yv.num]) != 2:
         raise LinearlyDependent("section vectors do not span a 2-plane")
     return xv, yv
 
@@ -95,7 +95,7 @@ def classify_section(model: AcnModel, x, y) -> SectionType:
     phiy = exact_einsum("ij,j->i", phi, yv)
 
     def span(*vectors: Tensor) -> int:
-        return matrix_rank([v.components for v in vectors])
+        return matrix_rank([v.num for v in vectors])
 
     contains_xi = span(xv, yv, model.xi) == 2
     phi_invariant = span(xv, yv, phix) == 2 and span(xv, yv, phiy) == 2

@@ -276,13 +276,14 @@ class Geometry:
     def norms(self) -> SquareNorms:
         """The three square norms, with ``g^{-1}`` in every argument slot,
         e.g. ``||nabla phi||^2 = g^{ij} g^{ks} g((nabla_{x_i} phi) x_k,
-        (nabla_{x_j} phi) x_s)``."""
-        g, ginv = self.model.g, self.ginv
+        (nabla_{x_j} phi) x_s)``.  The inner ``g`` is read from ``F``, which
+        is ``nabla phi`` lowered, and from ``N`` lowered once."""
+        ginv = self.ginv
+        n_lowered = exact_einsum("ab,aik->bik", self.model.g, self.n)
         return SquareNorms(
-            einsum_scalar("ij,ks,ab,iak,jbs->", ginv, ginv, g,
-                          self.nabla_phi, self.nabla_phi),
+            einsum_scalar("ij,ks,ikb,jbs->", ginv, ginv, self.f, self.nabla_phi),
             einsum_scalar("ij,ks,ik,js->", ginv, ginv, self.nabla_eta, self.nabla_eta),
-            einsum_scalar("ij,ks,ab,aik,bjs->", ginv, ginv, g, self.n, self.n),
+            einsum_scalar("ij,ks,bik,bjs->", ginv, ginv, n_lowered, self.n),
         )
 
     @cached_property

@@ -131,7 +131,7 @@ def is_solvable(algebra: LieAlgebra) -> bool:
             for b in range(a + 1, len(basis)):
                 v = bracket(algebra, basis[a], basis[b])
                 if not v.is_zero():
-                    products.append(v.components)
+                    products.append(v.num)
         new_basis = row_space_basis(products)
         if not new_basis:
             return True

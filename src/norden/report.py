@@ -103,13 +103,6 @@ def run_report(model: AcnModel) -> GeometryReport:
     )
 
 
-def _witness_json(witness):
-    if witness is None:
-        return None
-    return [item if isinstance(item, (bool, int, str)) else format_scalar(item)
-            for item in witness]
-
-
 def _report_object(report: GeometryReport) -> dict:
     """The report as plain data with :class:`Tensor` leaves; all
     rationals become ``"p/q"`` strings."""
@@ -135,7 +128,7 @@ def _report_object(report: GeometryReport) -> dict:
             name: {
                 "applicable": v.applicable,
                 "passed": v.passed,
-                "witness": _witness_json(v.witness),
+                "witness": v.witness,
                 "detail": v.detail,
             }
             for name, v in report.identities.items()

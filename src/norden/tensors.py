@@ -382,36 +382,50 @@ def _symmetric_numerators(t: Tensor, name: str) -> list[list[int]]:
     return t.num.tolist()
 
 
+def _gauss_jordan(m: list[list[int]]) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan elimination (Bareiss, *Math. Comp.* 22,
+    1968) of the integer matrix ``m``, in place: every division is exact.
+    Columns without a pivot are skipped.  Returns the pivot columns and
+    the last pivot ``p``; row ``k`` then has ``p`` in the ``k``-th pivot
+    column and zeros in the others, and the rows below the pivot rows
+    are zero."""
+    pivots: list[int] = []
+    prev = 1
+    for col in range(len(m[0]) if m else 0):
+        k = len(pivots)
+        pivot = next((r for r in range(k, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            continue
+        m[k], m[pivot] = m[pivot], m[k]
+        p = m[k][col]
+        for i in range(len(m)):
+            if i != k:
+                f = m[i][col]
+                m[i] = [(p * v - f * w) // prev for v, w in zip(m[i], m[k])]
+        prev = p
+        pivots.append(col)
+    return pivots, prev
+
+
 def invert_symmetric(g: Tensor) -> Tensor:
     """Exact inverse of a symmetric covariant metric; raises
     :class:`SingularMetric` when the form is degenerate.
 
-    Fraction-free Gauss-Jordan elimination (Bareiss, *Math. Comp.* 22,
-    1968) on ``[N | I]``, with ``N`` the integer numerators of ``g``:
-    every division is exact, and at the end the left block is ``p I``
-    and the right block ``p N^-1``.  So ``g^-1 = den * right / p``
-    arrives in integer storage.  The inverse carries variance ``"uu"``
-    so that contracting it against ``g`` yields the identity with one
-    slot up and one down.
+    :func:`_gauss_jordan` on ``[N | I]``, with ``N`` the integer
+    numerators of ``g``, leaves ``p I`` in the left block and ``p N^-1``
+    in the right one.  So ``g^-1 = den * right / p`` arrives in integer
+    storage.  The inverse carries variance ``"uu"`` so that contracting
+    it against ``g`` yields the identity with one slot up and one down.
     """
     rows = _symmetric_numerators(g, "invert_symmetric")
     n = len(rows)
     m = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    prev = 1
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if m[r][k] != 0), None)
-        if pivot is None:
-            raise SingularMetric("symmetric form is degenerate (no pivot)")
-        m[k], m[pivot] = m[pivot], m[k]
-        p = m[k][k]
-        for i in range(n):
-            if i != k:
-                f = m[i][k]
-                m[i] = [(p * v - f * w) // prev for v, w in zip(m[i], m[k])]
-        prev = p
+    pivots, p = _gauss_jordan(m)
+    if pivots != list(range(n)):
+        raise SingularMetric("symmetric form is degenerate (no pivot)")
     right = _object_array([v for row in m for v in row[n:]], (n, n))
-    sign = 1 if prev > 0 else -1
-    return Tensor._of(*_canonical(right * (sign * g.den), abs(prev)), UP + UP)
+    sign = 1 if p > 0 else -1
+    return Tensor._of(*_canonical(right * (sign * g.den), abs(p)), UP + UP)
 
 
 def signature(g: Tensor) -> tuple[int, int, int]:
@@ -459,28 +473,20 @@ def signature(g: Tensor) -> tuple[int, int, int]:
 
 
 def row_space_basis(rows: Iterable[Sequence]) -> list[list[Fraction]]:
-    """A reduced row-echelon basis of the span of ``rows``, exactly."""
-    basis: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for raw in rows:
-        row = [as_scalar(v) for v in raw]
-        for prow, pcol in zip(basis, pivots):
-            f = row[pcol]
-            if f != 0:
-                row = [a - f * b for a, b in zip(row, prow)]
-        pcol = next((i for i, v in enumerate(row) if v != 0), None)
-        if pcol is None:
-            continue
-        d = row[pcol]
-        row = [v / d for v in row]
-        for t in range(len(basis)):
-            f = basis[t][pcol]
-            if f != 0:
-                basis[t] = [a - f * b for a, b in zip(basis[t], row)]
-        basis.append(row)
-        pivots.append(pcol)
-    order = sorted(range(len(basis)), key=lambda i: pivots[i])
-    return [basis[i] for i in order]
+    """The reduced row-echelon basis of the span of ``rows``, exactly:
+    :func:`_gauss_jordan` on the rows' integer numerators, a common
+    multiple of the rows that spans the same space, then each pivot row
+    divided by its pivot.  Raises :class:`DimensionMismatch` unless the
+    rows have one length."""
+    rows = list(rows)
+    lengths = {len(row) for row in rows}
+    if len(lengths) > 1:
+        raise DimensionMismatch(f"rows of different lengths {sorted(lengths)}")
+    if not rows:
+        return []
+    m = Tensor(rows, UP + DOWN).num.tolist()
+    pivots, _ = _gauss_jordan(m)
+    return [[Fraction(v, row[col]) for v in row] for row, col in zip(m, pivots)]
 
 
 def matrix_rank(rows: Iterable[Sequence]) -> int:

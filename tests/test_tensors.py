@@ -348,6 +348,62 @@ def test_matrix_rank_matches_float_oracle(rows):
     assert exact == float_rank
 
 
+def _fraction_row_space_basis(rows) -> list[list[Fr]]:
+    """The reference: Gauss-Jordan on Fractions, one row at a time, each
+    new pivot row scaled to a leading 1 and cleared from the rows above."""
+    basis: list[list[Fr]] = []
+    pivots: list[int] = []
+    for raw in rows:
+        row = [Fr(v) for v in raw]
+        for prow, pcol in zip(basis, pivots):
+            f = row[pcol]
+            if f != 0:
+                row = [a - f * b for a, b in zip(row, prow)]
+        pcol = next((i for i, v in enumerate(row) if v != 0), None)
+        if pcol is None:
+            continue
+        d = row[pcol]
+        row = [v / d for v in row]
+        for t in range(len(basis)):
+            f = basis[t][pcol]
+            if f != 0:
+                basis[t] = [a - f * b for a, b in zip(basis[t], row)]
+        basis.append(row)
+        pivots.append(pcol)
+    order = sorted(range(len(basis)), key=lambda i: pivots[i])
+    return [basis[i] for i in order]
+
+
+@st.composite
+def rank_deficient_matrices(draw):
+    """Rational ``m x n`` matrices ``B C`` with ``B`` of ``r`` columns,
+    ``r`` up to ``min(m, n)``, so most are rank-deficient."""
+    m, n = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    r = draw(st.integers(0, min(m, n)))
+    small = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    b = draw(st.lists(st.lists(small, min_size=r, max_size=r), min_size=m, max_size=m))
+    c = draw(st.lists(st.lists(small, min_size=n, max_size=n), min_size=r, max_size=r))
+    return [[sum((b[i][k] * c[k][j] for k in range(r)), Fr(0)) for j in range(n)]
+            for i in range(m)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(rank_deficient_matrices())
+def test_row_space_basis_matches_the_fraction_elimination(rows):
+    basis = row_space_basis(rows)
+    assert basis == _fraction_row_space_basis(rows)
+    assert all(type(v) is Fr for row in basis for v in row)
+    assert matrix_rank(rows) == len(basis)
+
+
+def test_row_space_basis_checks_row_lengths():
+    assert row_space_basis([]) == []
+    with pytest.raises(DimensionMismatch):
+        matrix_rank([[1, 2], [3]])
+    with pytest.raises(DimensionMismatch):
+        row_space_basis([[1], [2, 3]])
+
+
 # --- einsum helper and vectors ------------------------------------------
 
 def test_einsum_scalar_returns_fraction():
