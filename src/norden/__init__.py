@@ -1,8 +1,11 @@
 """Exact rational tensor calculus for left-invariant almost contact
 structures with Norden metric on Lie groups.
 
-Everything is computed in :class:`fractions.Fraction` arithmetic: no
-floats, no tolerances.  The typical workflow::
+Every number is an exact rational: tensors hold integer numerators over
+one common denominator, contracted in int64 where a bound proves it exact
+and in Python ints otherwise; scalar results are ints and
+:class:`fractions.Fraction` values.  There are no floats and no
+tolerances.  The typical workflow::
 
     from norden import FamilyParams, Geometry, generate_family, run_report
 
@@ -87,4 +90,37 @@ from .tensors import (
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # classify
+    "IdentityVerdict",
+    # connection
+    "Connection", "covariant_derivative", "is_metric_compatible", "is_torsion_free",
+    # curvature
+    "CurvaturePack", "SectionType", "classify_section", "sectional_curvature",
+    # errors
+    "BadParams", "DegenerateSection", "DimensionMismatch", "InternalInconsistency",
+    "InvalidAlgebra", "LinearlyDependent", "NordenError", "ParseError",
+    "SingularMetric", "ValidationError", "ValidationReport", "VarianceMismatch",
+    "Violation",
+    # family
+    "FamilyParams", "generate_family", "heisenberg_model",
+    # fundamental
+    "SquareNorms", "StructurePack", "matches_class_f11", "nabla_eta_from_fundamental",
+    "psi4",
+    # geometry
+    "Geometry", "levi_civita", "riemann", "square_norms", "structure_pack",
+    "verify_identities",
+    # lie
+    "LieAlgebra", "algebra_from_brackets", "bracket", "is_solvable", "validate",
+    # modelfile
+    "parse_model", "serialize_model",
+    # report
+    "GeometryReport", "all_identities_ok", "report_to_json", "report_to_json_dict",
+    "report_to_text", "run_report",
+    # structures
+    "AcnModel", "associated_metric", "validate_structure",
+    # tensors
+    "Tensor", "as_scalar", "contract", "einsum_scalar", "format_scalar",
+    "invert_symmetric", "matrix_rank", "row_space_basis", "signature",
+    "tensor_product",
+]

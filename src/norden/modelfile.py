@@ -189,7 +189,7 @@ def _parse_json(text: str) -> AcnModel:
         if not (isinstance(entry, list) and len(entry) == 3):
             raise ParseError("each bracket entry must be [i, j, coefficients]")
         i, j, coeffs = entry
-        if not isinstance(i, int) or not isinstance(j, int):
+        if not all(isinstance(k, int) and not isinstance(k, bool) for k in (i, j)):
             raise ParseError("bracket indices must be integers")
         brackets.append((i, j, vec(coeffs, f"bracket ({i}, {j})")))
     name = data.get("name", "")

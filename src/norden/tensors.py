@@ -9,6 +9,9 @@ ndarray when every magnitude is below ``2**62``, else an object ndarray
 of Python ints.  The form is canonical (``gcd(all num, den) = 1``, so
 zero has ``den = 1``; the dtype follows from the magnitudes), so two
 tensors are equal exactly when their ``(variance, shape, den, num)`` are.
+Each tensor also stores ``magnitude``, its largest ``|num|`` entry, found
+where its storage is built, so a contraction reads its operands' bound
+terms without scanning them.
 
 Every computation is a linear combination of contractions,
 :func:`exact_sum` (:func:`exact_einsum` is its one-term case): each
@@ -23,6 +26,16 @@ are below ``2**62``.  The terms are added in int64 when the sum of
 ``max|num| * |coefficient| * L / den`` over them, which bounds every
 partial sum, is below ``2**62``.  Otherwise Python ints are used.
 
+Everything about a contraction that does not depend on values is
+compiled once into a plan and kept in a bounded cache.  Its key is the
+subscripts, the operands' variances and the operands' shapes.  It holds
+the parsed terms, the output and the output variance, numpy's greedy
+pairwise path (searched once per key on shape-only arrays) and, for each
+step, the pair it takes, its subscripts and the number of index
+combinations it sums.  A plan holds no value and no dtype: each call
+reads its operands' stored magnitudes, so each step still picks its
+arithmetic by the bound above.
+
 Fractions appear only at the edges: building a tensor from rationals,
 the read-only :attr:`Tensor.components` view (ints and Fractions in
 lowest terms, built on first read), scalar results such as
@@ -32,13 +45,14 @@ of the first operand slot that carries its index letter.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 import re
 import string
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -117,18 +131,19 @@ def _max_abs(num: np.ndarray) -> int:
     return int(np.abs(num).max(initial=0))
 
 
-def _canonical(num: np.ndarray, den: int) -> tuple[np.ndarray, int]:
-    """``num / den`` in the canonical form: lowest terms, int64 when every
-    magnitude is below ``INT64_SAFE``."""
+def _canonical(num: np.ndarray, den: int, top: int) -> tuple[np.ndarray, int, int]:
+    """``num / den``, whose largest magnitude is ``top``, in the canonical
+    form: lowest terms, int64 when every magnitude is below
+    ``INT64_SAFE``.  Returns the form's ``num``, ``den`` and ``top``."""
     if den != 1:
         common = int(np.gcd.reduce(num, axis=None))
         if not common:              # the zero tensor
             den = 1
         elif (g := math.gcd(common, den)) != 1:
-            num, den = np.asarray(num // g, dtype=num.dtype), den // g
-    if num.dtype == object and _max_abs(num) < INT64_SAFE:
+            num, den, top = np.asarray(num // g, dtype=num.dtype), den // g, top // g
+    if num.dtype == object and top < INT64_SAFE:
         num = num.astype(np.int64)
-    return num, den
+    return num, den, top
 
 
 class Tensor:
@@ -136,12 +151,13 @@ class Tensor:
 
     ``num`` (a read-only int64 or object ndarray of ints), ``den`` (an
     int > 0) and ``variance`` (a string of ``"u"``/``"d"`` letters, one
-    per axis) are in the canonical form of the module docstring.
+    per axis) are in the canonical form of the module docstring;
+    ``magnitude`` is the largest ``abs(num)`` entry (0 with no entries).
     ``Tensor(components, variance)`` builds one from any array-like of
     exact rationals.  Instances are immutable and compare by exact value.
     """
 
-    __slots__ = ("num", "den", "variance", "_components")
+    __slots__ = ("num", "den", "variance", "magnitude", "_components")
 
     def __init__(self, components, variance: str):
         arr = np.array(components, dtype=object)
@@ -150,24 +166,26 @@ class Tensor:
         dens = [v.denominator for v in flat]
         den = math.lcm(*dens)
         nums = [v.numerator * (den // d) for v, d in zip(flat, dens)]
-        dtype = np.int64 if max(map(abs, nums), default=0) < INT64_SAFE else object
-        self._set(np.array(nums, dtype=dtype).reshape(arr.shape), den, variance)
+        top = max(map(abs, nums), default=0)
+        dtype = np.int64 if top < INT64_SAFE else object
+        self._set(np.array(nums, dtype=dtype).reshape(arr.shape), den, top, variance)
 
     @classmethod
-    def _of(cls, num: np.ndarray, den: int, variance: str) -> "Tensor":
-        """A tensor from storage that is already canonical."""
+    def _of(cls, num: np.ndarray, den: int, top: int, variance: str) -> "Tensor":
+        """A tensor from storage that is already canonical, with its
+        largest magnitude ``top``."""
         t = cls.__new__(cls)
-        t._set(num, den, variance)
+        t._set(num, den, top, variance)
         return t
 
-    def _set(self, num, den, variance) -> None:
+    def _set(self, num, den, top, variance) -> None:
         variance = str(variance)
         if len(variance) != num.ndim or set(variance) - {UP, DOWN}:
             raise VarianceMismatch(f"variance {variance!r} needs one 'u' or 'd' letter "
                                    f"per axis of a rank-{num.ndim} tensor")
         num.setflags(write=False)
         for name, value in (("num", num), ("den", den), ("variance", variance),
-                            ("_components", None)):
+                            ("magnitude", top), ("_components", None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -248,7 +266,7 @@ class Tensor:
 
     def __neg__(self) -> "Tensor":
         return Tensor._of(np.asarray(-self.num, dtype=self.num.dtype), self.den,
-                          self.variance)
+                          self.magnitude, self.variance)
 
     def __mul__(self, scalar) -> "Tensor":
         return exact_sum([(scalar, _identity(self.rank), self)])
@@ -423,9 +441,9 @@ def invert_symmetric(g: Tensor) -> Tensor:
     pivots, p = _gauss_jordan(m)
     if pivots != list(range(n)):
         raise SingularMetric("symmetric form is degenerate (no pivot)")
-    right = _object_array([v for row in m for v in row[n:]], (n, n))
     sign = 1 if p > 0 else -1
-    return Tensor._of(*_canonical(right * (sign * g.den), abs(p)), UP + UP)
+    right = _object_array([v for row in m for v in row[n:]], (n, n)) * (sign * g.den)
+    return Tensor._of(*_canonical(right, abs(p), _max_abs(right)), UP + UP)
 
 
 def signature(g: Tensor) -> tuple[int, int, int]:
@@ -503,36 +521,72 @@ def _subscripts(subscripts: str) -> tuple[list[str], str]:
     return inputs.split(","), output
 
 
-def _contract(terms: list[str], output: str, operands) -> tuple[np.ndarray, int]:
-    """One contraction of the operands' numerators, unreduced: the
-    integer array and the product of the operands' denominators.  Each
-    pairwise step picks int64 or Python ints by its own bound."""
+class _Plan(NamedTuple):
+    """How one contraction runs, fixed by its key alone: see the module
+    docstring.  Each step is ``(pair, subscripts, summed)``: the positions
+    it takes off the operand list (the result goes on the end), its einsum
+    subscripts and the number of index combinations it sums."""
+    terms: tuple[str, ...]
+    output: str
+    variance: str
+    steps: tuple[tuple[tuple[int, ...], str, int], ...]
+
+
+@functools.lru_cache(maxsize=1024)
+def _plan(subscripts: str, variances: tuple[str, ...],
+          shapes: tuple[tuple[int, ...], ...]) -> _Plan:
+    """The plan of one key; the path is searched on shape-only arrays."""
+    terms, output = _subscripts(subscripts)
+    if len(terms) != len(shapes):
+        raise ValueError(f"{subscripts!r} has {len(terms)} terms for "
+                         f"{len(shapes)} operands")
+    path = [tuple(range(len(terms)))]
+    if len(terms) > 2:
+        shaped = (np.broadcast_to(np.int64(0), shape) for shape in shapes)
+        path = np.einsum_path(",".join(terms) + "->" + output, *shaped,
+                              optimize="greedy")[0][1:]
+    slots: dict[str, str] = {}
     sizes: dict[str, int] = {}
-    for term, op in zip(terms, operands):
-        for ch, n in zip(term, op.shape):
+    for term, variance, shape in zip(terms, variances, shapes):
+        slots = dict(zip(term, variance)) | slots       # the first slot wins
+        for ch, n in zip(term, shape):
             sizes[ch] = max(sizes.get(ch, 1), n)
-    den = math.prod(op.den for op in operands)
-    terms, ops = list(terms), [op.num for op in operands]
-    path = [tuple(range(len(ops)))]
-    if len(ops) > 2:
-        spec = ",".join(terms) + "->" + output
-        path = np.einsum_path(spec, *ops, optimize="greedy")[0][1:]
+    for ch in output:
+        if ch not in slots:
+            raise ValueError("einstein sum subscripts string included output "
+                             f"subscript {ch!r} which never appeared in an input")
+    left, steps = list(terms), []
     for pair in path:
-        picked = [(terms.pop(k), ops.pop(k)) for k in sorted(pair, reverse=True)]
-        letters = "".join(t for t, _ in picked)
-        needed = set(output).union(*terms)
-        kept = "".join(dict.fromkeys(ch for ch in letters if ch in needed)) if terms else output
+        pair = tuple(sorted(pair, reverse=True))
+        picked = [left.pop(k) for k in pair]
+        letters = "".join(picked)
+        needed = set(output).union(*left)
+        kept = "".join(dict.fromkeys(ch for ch in letters if ch in needed)) if left else output
+        summed = math.prod(sizes[ch] for ch in set(letters) - set(kept))
+        steps.append((pair, ",".join(picked) + "->" + kept, summed))
+        left.append(kept)
+    return _Plan(tuple(terms), output, "".join(slots[ch] for ch in output), tuple(steps))
+
+
+def _contract(plan: _Plan, operands) -> tuple[np.ndarray, int, int]:
+    """One contraction of the operands' numerators, unreduced: the
+    integer array, its largest magnitude and the product of the operands'
+    denominators.  Each pairwise step picks int64 or Python ints by its
+    own bound."""
+    den = math.prod(op.den for op in operands)
+    ops = [(op.num, op.magnitude) for op in operands]
+    for pair, subscripts, summed in plan.steps:
+        picked = [ops.pop(k) for k in pair]
         # A zero operand counts as 1, so the bound also covers each
         # operand's own entries and every partial sum of the step.
-        bound = math.prod(sizes[ch] for ch in set(letters) - set(kept))
-        for _, op in picked:
-            bound *= max(_max_abs(op), 1)
+        bound = summed
+        for _, top in picked:
+            bound *= top or 1
         dtype = np.int64 if bound < INT64_SAFE and den < INT64_SAFE else object
-        step = np.einsum(",".join(t for t, _ in picked) + "->" + kept,
-                         *(op.astype(dtype, copy=False) for _, op in picked))
-        ops.append(np.asarray(step, dtype=dtype))   # a bare int would become int64
-        terms.append(kept)
-    return ops[0], den
+        step = np.einsum(subscripts, *(num.astype(dtype, copy=False) for num, _ in picked))
+        step = np.asarray(step, dtype=dtype)    # a bare int would become int64
+        ops.append((step, _max_abs(step)))
+    return *ops[0], den
 
 
 def exact_sum(terms) -> Tensor:
@@ -547,28 +601,26 @@ def exact_sum(terms) -> Tensor:
     """
     parts = []
     for coef, subscripts, *operands in terms:
-        letters, output = _subscripts(subscripts)
-        slots: dict[str, str] = {}
-        for term, op in zip(letters, operands):
-            slots = dict(zip(term, op.variance)) | slots    # the first slot wins
-        num, den = _contract(letters, output, operands)
+        plan = _plan(subscripts, tuple([op.variance for op in operands]),
+                     tuple([op.shape for op in operands]))
+        num, top, den = _contract(plan, operands)
         coef = as_scalar(coef)
-        parts.append(("".join(slots[ch] for ch in output), num,
-                      den * coef.denominator, coef.numerator))
+        parts.append((plan.variance, num, top, den * coef.denominator, coef.numerator))
     variance, shape = parts[0][0], parts[0][1].shape
-    for var, num, _, _ in parts:
+    for var, num, *_ in parts:
         if var != variance:
             raise VarianceMismatch(f"cannot add variances {variance!r} and {var!r}")
         if num.shape != shape:
             raise DimensionMismatch(f"cannot add shapes {shape} and {num.shape}")
-    den = math.lcm(*(d for _, _, d, _ in parts))
-    factors = [p * (den // d) for _, _, d, p in parts]
+    den = math.lcm(*(d for *_, d, _ in parts))
+    factors = [p * (den // d) for *_, d, p in parts]
     # Zeros count as 1, so every term's numerators fit the dtype too.
-    bound = sum(max(_max_abs(num), 1) * max(abs(f), 1)
-                for (_, num, _, _), f in zip(parts, factors))
+    bound = sum((top or 1) * (abs(f) or 1) for (_, _, top, _, _), f in zip(parts, factors))
     dtype = np.int64 if bound < INT64_SAFE else object
-    total = sum(num.astype(dtype, copy=False) * f for (_, num, _, _), f in zip(parts, factors))
-    return Tensor._of(*_canonical(np.asarray(total, dtype=dtype), den), variance)
+    total = np.asarray(sum(num.astype(dtype, copy=False) * f
+                           for (_, num, _, _, _), f in zip(parts, factors)), dtype=dtype)
+    top = parts[0][2] * abs(factors[0]) if len(parts) == 1 else _max_abs(total)
+    return Tensor._of(*_canonical(total, den, top), variance)
 
 
 def exact_einsum(subscripts: str, *operands: Tensor) -> Tensor:

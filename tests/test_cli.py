@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 
 import norden
-from norden.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, main
+from norden import cli, serialize_model
+from norden.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, build_parser, main
+from test_golden import GOLDEN, _dense_model, _sha256
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -120,6 +122,22 @@ def test_huge_exponent_in_lambda_is_input_error(capsys):
     assert main(["family", "--n", "1", "--lambda", "1e3,-3/4", "--quiet"]) == EXIT_OK
 
 
+@pytest.mark.parametrize("slot", [0, 1])
+def test_bool_bracket_index_is_input_error(slot, tmp_path, capsys):
+    """JSON ``true`` is not the index 1: it would index the structure
+    constants as a boolean mask and surface as spurious violations."""
+    assert main(["family", "--n", "1", "--lambda", "2,3", "--json"]) == EXIT_OK
+    data = json.loads(capsys.readouterr().out)
+    data["brackets"][0][slot] = True
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(data))
+    for argv in (["validate", str(path), "--json"], ["report", str(path)]):
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "bracket indices must be integers" in captured.err
+
+
 def test_report_text_and_exit_code(model_path, capsys):
     assert main(["report", model_path]) == EXIT_OK
     out = capsys.readouterr().out
@@ -221,6 +239,42 @@ def test_json_output_is_sorted_with_indent_one(argv, code, model_path, broken_pa
     assert main(argv) == code
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(out), sort_keys=True, indent=1) + "\n"
+
+
+def test_a_cold_process_reports_the_bytes_of_a_warm_one(tmp_path, capsys):
+    """The golden dense report from a fresh process, whose contraction
+    plans are all compiled on the spot, equals an in-process report made
+    after other reports (one of the same dimension) filled the plans."""
+    path = tmp_path / "dense.txt"
+    path.write_text(serialize_model(_dense_model()))
+    cold = _run([sys.executable, "-m", "norden", "report", str(path), "--json"])
+    assert cold.returncode == EXIT_OK, cold.stderr
+    for n, lam in enumerate(("2,3", "1,-1/2,3,2", "1,2,-3/2,1/3,0,-1"), start=1):
+        other = tmp_path / f"family-{n}.txt"
+        assert main(["family", "--n", str(n), "--lambda", lam,
+                     "--emit-model", str(other), "--quiet"]) == EXIT_OK
+        assert main(["report", str(other), "--json", "--quiet"]) == EXIT_OK
+    assert main(["report", str(path), "--json"]) == EXIT_OK
+    warm = capsys.readouterr().out
+    assert warm == cold.stdout
+    assert _sha256(warm.removesuffix("\n")) == GOLDEN["dense"][0]
+
+
+def test_the_parser_is_built_once_and_behaves_as_a_fresh_one(monkeypatch, capsys):
+    builds = []
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build_parser())
+    cli._parser.cache_clear()
+    for argv, code in ((["--help"], EXIT_OK), (["report"], EXIT_INPUT),
+                       (["family", "--n", "x", "--lambda", "1,2"], EXIT_INPUT)):
+        with pytest.raises(SystemExit) as once:
+            main(argv)
+        got = capsys.readouterr()
+        with pytest.raises(SystemExit) as fresh:
+            build_parser().parse_args(argv)
+        assert once.value.code == fresh.value.code == code
+        assert got == capsys.readouterr()
+    assert main(["family", "--n", "1", "--lambda", "2,3", "--quiet"]) == EXIT_OK
+    assert builds == [1]
 
 
 def test_module_entry_point_runs():

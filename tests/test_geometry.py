@@ -84,6 +84,12 @@ def test_no_module_imports_inside_a_function():
                 assert not nested, (module.__name__, node.name)
 
 
+def test_every_public_name_resolves_and_none_is_a_module():
+    assert len(norden.__all__) == len(set(norden.__all__))
+    for name in norden.__all__:
+        assert not inspect.ismodule(getattr(norden, name)), name
+
+
 @pytest.mark.parametrize("which", ["fam23", "heis", "fam_zero"])
 def test_public_functions_agree_with_layers(which, request):
     model = request.getfixturevalue(which).model
