@@ -29,59 +29,76 @@ Text format (``#`` starts a comment anywhere)::
 JSON format: an object with keys ``dim``, ``phi``, ``xi``, ``eta``,
 ``metric``, optional ``name`` and ``brackets`` (a list of
 ``[i, j, coefficients]`` triples).  All numbers may be integers or
-exact rational strings like ``"-3/4"``; floats are rejected.
+exact rational strings like ``"-3/4"``; floats are rejected, and so are
+JSON ``true`` and ``false``, which are not the numbers 1 and 0.
+
+Tokens go straight into integer storage.  :func:`~norden.tensors.as_pair`
+reads each token as a pair ``(p, q)``: an integer or ``p/q`` token in
+plain digits through ``int()``, anything else (decimals, exponents,
+underscores) by ``Fraction``'s grammar under the exponent cap.  Each line
+or JSON list becomes one row of pairs, and :meth:`Tensor.of_pairs` puts
+each tensor's numerators over the lcm of its denominators and reduces
+them once, so no Fraction is built per token.
 
 A bracket entry declares ``[x_i, x_j]``; when its mirror ``(j, i)`` is
-absent it is completed antisymmetrically, but explicitly listed
-mirrors are taken verbatim so that contradictory files surface as
-antisymmetry violations instead of being silently repaired.
+absent it is completed antisymmetrically, by negating numerators, but
+explicitly listed mirrors are taken verbatim so that contradictory files
+surface as antisymmetry violations instead of being silently repaired.
 Serialization always emits the canonical ``i < j`` half.
 """
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import ParseError, ValidationError
 from .lie import LieAlgebra
 from .structures import AcnModel, validate_structure
-from .tensors import Tensor, as_scalar, canonical_json, exact_einsum
+from .tensors import Tensor, as_pair, canonical_json, exact_einsum
 
 _SECTIONS = ("brackets", "phi", "xi", "eta", "metric")
 
 
 def _assemble(name: str, dim: int, brackets, phi, xi, eta, metric) -> AcnModel:
-    """The model from parsed rows, completing unmirrored brackets."""
-    c = np.zeros((dim,) * 3, dtype=object)
-    seen = set()
+    """The model from rows of ``(p, q)`` pairs, completing unmirrored
+    brackets by negating their numerators."""
+    c = [(0, 1)] * dim ** 3         # C order: entry (k, i, j) at (k d + i) d + j
+    listed = {}
     for i, j, coeffs in brackets:
         if not (0 <= i < dim and 0 <= j < dim):
             raise ParseError(f"bracket indices ({i}, {j}) out of range for dim {dim}")
-        if (i, j) in seen:
+        if (i, j) in listed:
             raise ParseError(f"duplicate bracket entry ({i}, {j})")
-        seen.add((i, j))
-        c[:, i, j] = coeffs
-    for i, j in seen:
-        if (j, i) not in seen:
-            c[:, j, i] = -c[:, i, j]
+        listed[i, j] = coeffs
+    for (i, j), coeffs in listed.items():
+        c[i * dim + j::dim * dim] = coeffs
+        if (j, i) not in listed:
+            c[j * dim + i::dim * dim] = [(-p, q) for p, q in coeffs]
     try:
         return AcnModel(
-            algebra=LieAlgebra(dim, Tensor(c, "udd")),
-            phi=Tensor(phi, "ud"),
-            xi=Tensor(xi, "u"),
-            eta=Tensor(eta, "d"),
-            g=Tensor(metric, "dd"),
+            algebra=LieAlgebra(dim, Tensor.of_pairs(c, (dim,) * 3, "udd")),
+            phi=_matrix(phi, "ud"),
+            xi=Tensor.of_pairs(xi, (len(xi),), "u"),
+            eta=Tensor.of_pairs(eta, (len(eta),), "d"),
+            g=_matrix(metric, "dd"),
             name=name,
         )
     except Exception as exc:
         raise ParseError(f"model data malformed: {exc}") from exc
 
 
-def _parse_rational(token: str, line: int | None = None) -> Fraction:
+def _matrix(rows, variance: str) -> Tensor:
+    """The tensor of rows of pairs of one length, shaped as numpy shapes
+    nested lists (no rows give a single empty axis)."""
+    return Tensor.of_pairs([pair for row in rows for pair in row],
+                           (len(rows), *{len(row) for row in rows}), variance)
+
+
+def _pairs(tokens, line: int | None = None) -> list[tuple[int, int]]:
+    """The tokens of one row as ``(p, q)`` pairs."""
     try:
-        return as_scalar(token)
+        return [as_pair(t) for t in tokens]
     except (ValueError, TypeError) as exc:
         raise ParseError(str(exc), line=line)
 
@@ -130,12 +147,9 @@ def _parse_text(text: str) -> AcnModel:
                 i, j = int(parts[0]), int(parts[1])
             except ValueError:
                 raise ParseError(f"bad bracket indices {head.strip()!r}", line=lineno)
-            coeffs = tuple(_parse_rational(t, lineno) for t in tail.split())
-            rows["brackets"].append((i, j, coeffs))
+            rows["brackets"].append((i, j, _pairs(tail.split(), lineno)))
         else:
-            rows[section].append(
-                tuple(_parse_rational(t, lineno) for t in line.split())
-            )
+            rows[section].append(_pairs(line.split(), lineno))
     if dim is None:
         raise ParseError("missing 'dim = ...' declaration")
     for s in ("phi", "xi", "eta", "metric"):
@@ -177,12 +191,15 @@ def _parse_json(text: str) -> AcnModel:
     def vec(v, what):
         if not isinstance(v, list) or len(v) != dim:
             raise ParseError(f"{what} must be a list of {dim} entries")
-        return tuple(_parse_rational(x) for x in v)
+        if any(x is True or x is False for x in v):
+            raise ParseError(f"{what} entries must be integers or rational strings, "
+                             "not true or false")
+        return _pairs(v)
 
     def mat(v, what):
         if not isinstance(v, list) or len(v) != dim:
             raise ParseError(f"{what} must be a list of {dim} rows")
-        return tuple(vec(row, f"{what} row") for row in v)
+        return [vec(row, f"{what} row") for row in v]
 
     brackets = []
     for entry in data.get("brackets", []):

@@ -36,12 +36,17 @@ combinations it sums.  A plan holds no value and no dtype: each call
 reads its operands' stored magnitudes, so each step still picks its
 arithmetic by the bound above.
 
-Fractions appear only at the edges: building a tensor from rationals,
-the read-only :attr:`Tensor.components` view (ints and Fractions in
-lowest terms, built on first read), scalar results such as
-:func:`einsum_scalar`, and rendering.  A slot is contravariant ``"u"``
-or covariant ``"d"``; a contraction gives each output slot the variance
-of the first operand slot that carries its index letter.
+Every scalar comes in through :func:`as_pair`, which reads it as an
+integer pair ``(p, q)``; ``Tensor(...)`` and :meth:`Tensor.of_pairs`
+build storage from such pairs over the lcm of their ``q``.  So
+``Tensor(...)``, the model-file parsers and the coefficients of
+:func:`exact_sum` build no Fraction for an int or a plain ``p/q``
+string.  Fractions appear only at the output edges: the read-only
+:attr:`Tensor.components` view (ints and Fractions in lowest terms,
+built on first read), scalar results such as :func:`einsum_scalar` and
+:func:`as_scalar`, and rendering.  A slot is contravariant ``"u"`` or
+covariant ``"d"``; a contraction gives each output slot the variance of
+the first operand slot that carries its index letter.
 """
 from __future__ import annotations
 
@@ -83,6 +88,38 @@ def _exponent_too_large(text: str) -> bool:
     return int(digits[:5] or 0) > MAX_EXPONENT
 
 
+def as_pair(value) -> tuple[int, int]:
+    """``value`` as an integer pair ``(p, q)``, ``q > 0``, with ``p / q``
+    its exact rational value; it accepts and rejects what
+    :func:`as_scalar` does, with the same errors.
+
+    An int, or a string that is an integer or ``p/q`` in plain digits,
+    builds no Fraction, and such a string's pair need not be in lowest
+    terms.  Any other string is read by ``Fraction``'s grammar."""
+    if type(value) is int:
+        return value, 1
+    if isinstance(value, str):
+        if _exponent_too_large(value):
+            raise ValueError(
+                f"decimal exponent beyond +-{MAX_EXPONENT}: {value[:40]!r}"
+            )
+        text = value.strip()
+        p, slash, q = text.partition("/")
+        try:
+            if p.lstrip("+-").isdecimal() and (q.isdecimal() or not slash):
+                p, q = int(p), int(q or 1)
+                if not q:
+                    raise ZeroDivisionError(text)
+                return p, q
+            f = Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"not an exact rational: {value!r}") from exc
+        return f.numerator, f.denominator
+    if not isinstance(value, numbers.Rational):
+        raise TypeError(f"exact rational required, got {type(value).__name__}: {value!r}")
+    return int(value.numerator), int(value.denominator)
+
+
 def as_scalar(value) -> Fraction:
     """Coerce ``value`` to an exact rational.
 
@@ -93,19 +130,7 @@ def as_scalar(value) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, numbers.Rational):
-        return Fraction(value)
-    if isinstance(value, str):
-        if _exponent_too_large(value):
-            raise ValueError(
-                f"decimal exponent beyond +-{MAX_EXPONENT}: {value[:40]!r}"
-            )
-        text = value.strip()
-        try:     # an integer literal parses much faster through int()
-            return Fraction(int(text) if text.lstrip("+-").isdecimal() else text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ValueError(f"not an exact rational: {value!r}") from exc
-    raise TypeError(f"exact rational required, got {type(value).__name__}: {value!r}")
+    return Fraction(*as_pair(value))
 
 
 def format_scalar(value) -> str:
@@ -146,6 +171,17 @@ def _canonical(num: np.ndarray, den: int, top: int) -> tuple[np.ndarray, int, in
     return num, den, top
 
 
+def _pair_storage(pairs: list[tuple[int, int]], shape) -> tuple[np.ndarray, int, int]:
+    """The canonical ``num``, ``den`` and ``top`` of the entries ``p / q``,
+    given as pairs ``(p, q)`` with ``q > 0`` in C order: the numerators
+    over the lcm of the ``q``, then reduced by :func:`_canonical`."""
+    den = math.lcm(*[q for _, q in pairs])
+    nums = [p * (den // q) for p, q in pairs] if den != 1 else [p for p, _ in pairs]
+    top = max(max(nums, default=0), -min(nums, default=0))
+    num = np.array(nums, dtype=np.int64 if top < INT64_SAFE else object)
+    return _canonical(num.reshape(shape), den, top)
+
+
 class Tensor:
     """A dense tensor of exact rationals, stored as ``num / den``.
 
@@ -161,14 +197,14 @@ class Tensor:
 
     def __init__(self, components, variance: str):
         arr = np.array(components, dtype=object)
-        flat = [v if type(v) is int or type(v) is Fraction else as_scalar(v)
-                for v in arr.ravel().tolist()]
-        dens = [v.denominator for v in flat]
-        den = math.lcm(*dens)
-        nums = [v.numerator * (den // d) for v, d in zip(flat, dens)]
-        top = max(map(abs, nums), default=0)
-        dtype = np.int64 if top < INT64_SAFE else object
-        self._set(np.array(nums, dtype=dtype).reshape(arr.shape), den, top, variance)
+        self._set(*_pair_storage(list(map(as_pair, arr.ravel().tolist())), arr.shape),
+                  variance)
+
+    @classmethod
+    def of_pairs(cls, pairs: list[tuple[int, int]], shape, variance: str) -> "Tensor":
+        """The tensor of ``shape`` whose entries, in C order, are ``p / q``
+        for the pairs ``(p, q)`` of :func:`as_pair`."""
+        return cls._of(*_pair_storage(pairs, shape), variance)
 
     @classmethod
     def _of(cls, num: np.ndarray, den: int, top: int, variance: str) -> "Tensor":
@@ -329,7 +365,12 @@ def _json(obj, newline: str, out: list[str]) -> None:
         sep = brackets[0] + inner
         for prefix, value in items:
             out += (sep, prefix)
-            _json(value, inner, out)
+            if type(value) is str:      # the common leaves, written in place
+                out.append(encode_basestring_ascii(value))
+            elif type(value) is int:
+                out.append(int.__repr__(value))
+            else:
+                _json(value, inner, out)
             sep = "," + inner
         out.append(newline + brackets[1] if items else brackets)
     else:
@@ -604,8 +645,8 @@ def exact_sum(terms) -> Tensor:
         plan = _plan(subscripts, tuple([op.variance for op in operands]),
                      tuple([op.shape for op in operands]))
         num, top, den = _contract(plan, operands)
-        coef = as_scalar(coef)
-        parts.append((plan.variance, num, top, den * coef.denominator, coef.numerator))
+        p, q = as_pair(coef)
+        parts.append((plan.variance, num, top, den * q, p))
     variance, shape = parts[0][0], parts[0][1].shape
     for var, num, *_ in parts:
         if var != variance:

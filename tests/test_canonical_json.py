@@ -2,6 +2,7 @@
 ``json.dumps(obj, sort_keys=True, indent=1)`` on plain data, and on
 :class:`Tensor` leaves the bytes of the same dict built from
 ``Tensor.components``."""
+import dataclasses
 import json
 import math
 from fractions import Fraction as Fr
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from norden import Tensor, format_scalar
+from norden import Tensor, cli, format_scalar, validate_structure
 from norden.tensors import canonical_json
 
 #: Quotes, backslashes, control characters and non-ASCII text (including
@@ -104,6 +105,18 @@ def test_tensor_leaf_matches_json_dumps_of_its_dict(t, depth):
 def test_tensor_leaf_cases(components, variance):
     t = Tensor(components, variance)
     assert canonical_json({"t": [t]}) == _dumps({"t": [_tensor_dict(t)]})
+
+
+def test_matches_json_dumps_on_a_mutant_validation_object(fam23):
+    """The object ``validate --json`` writes for a model that breaks
+    axioms: str and int leaves inside lists and dicts, ``where`` lists and
+    ``None``, and a bool."""
+    mutant = dataclasses.replace(fam23.model, xi=Tensor([0, 1, 0], "u"))
+    report = validate_structure(mutant)
+    obj = {"valid": report.ok, "violations": cli._violations_json(report)}
+    wheres = [v["where"] for v in obj["violations"]]
+    assert obj["valid"] is False and None in wheres and [1] in wheres
+    assert canonical_json(obj) == _dumps(obj)
 
 
 def test_storage_kinds_are_both_reached():

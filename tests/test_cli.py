@@ -138,6 +138,23 @@ def test_bool_bracket_index_is_input_error(slot, tmp_path, capsys):
         assert "bracket indices must be integers" in captured.err
 
 
+def test_bool_entry_is_input_error(tmp_path, capsys):
+    """JSON ``true`` is not the number 1: a file giving it for every 1 of
+    the metric and of eta is refused, not read as the valid model."""
+    assert main(["family", "--n", "1", "--lambda", "1,2", "--json"]) == EXIT_OK
+    data = json.loads(capsys.readouterr().out)
+    for key in ("metric", "eta"):
+        data[key] = json.loads(json.dumps(data[key]).replace('"1"', "true"))
+    assert "true" in json.dumps(data["metric"]) and "true" in json.dumps(data["eta"])
+    path = tmp_path / "bool.json"
+    path.write_text(json.dumps(data))
+    for argv in (["validate", str(path), "--json"], ["report", str(path)]):
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "entries must be integers or rational strings, not true or false" in captured.err
+
+
 def test_report_text_and_exit_code(model_path, capsys):
     assert main(["report", model_path]) == EXIT_OK
     out = capsys.readouterr().out

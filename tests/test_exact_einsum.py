@@ -294,9 +294,20 @@ def test_sum_matches_reference_with_huge_coefficients_and_denominators(terms):
     _assert_same(exact_sum(terms), _reference_sum(terms))
 
 
+@st.composite
+def coprime_numerators(draw):
+    """An ``n`` with ``2**60 <= n < 2**61`` and ``gcd(n, prod(PRIMES)) == 1``,
+    built with no rejection: a nonzero residue modulo each prime, joined by
+    the Chinese remainder theorem into ``x`` modulo ``M = prod(PRIMES)``,
+    then one of the ``x + k M`` in the range (``M < 2**60``, so one or two)."""
+    m = math.prod(PRIMES)
+    x = sum(draw(st.integers(1, p - 1)) * (m // p) * pow(m // p, -1, p) for p in PRIMES) % m
+    k = draw(st.integers(-(-(2**60 - x) // m), (2**61 - 1 - x) // m))
+    return x + k * m
+
+
 @settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.integers(2**60, 2**61 - 1).filter(
-                              lambda n: math.gcd(n, math.prod(PRIMES)) == 1),
+@given(st.lists(st.tuples(coprime_numerators(),
                           st.sampled_from(PRIMES),
                           st.sampled_from((1, -1))),
                 min_size=2, max_size=4, unique_by=lambda part: part[1]))

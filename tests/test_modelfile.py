@@ -5,6 +5,8 @@ from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from norden import (
     AcnModel,
@@ -12,6 +14,7 @@ from norden import (
     ParseError,
     Tensor,
     ValidationError,
+    format_scalar,
     generate_family,
     heisenberg_model,
     parse_model,
@@ -229,3 +232,101 @@ def test_bracket_indices_out_of_range():
     text = VALID_TEXT.replace("1 0 : 2 0 0", "7 0 : 2 0 0")
     with pytest.raises(ParseError, match="out of range"):
         parse_model(text)
+
+
+@pytest.mark.parametrize("where", ["metric", "xi", "bracket"])
+def test_bool_entries_rejected_in_json(fam23, where):
+    """JSON ``true``/``false`` are not the numbers 1 and 0, even where
+    they would stand for the same values."""
+    obj = json.loads(serialize_model(fam23.model, fmt="json"))
+    row = {"metric": obj["metric"][0], "xi": obj["xi"], "bracket": obj["brackets"][0][2]}[where]
+    row[:] = [{"0": False, "1": True}.get(v, v) for v in row]
+    assert any(isinstance(v, bool) for v in row)
+    with pytest.raises(ParseError, match="must be integers or rational strings, not true or"):
+        parse_model(json.dumps(obj))
+
+
+_entries = st.one_of(st.integers(-5, 5), st.fractions(-9, 9, max_denominator=12),
+                     st.integers(-2**70, 2**70), st.fractions(max_denominator=2**70))
+
+
+@st.composite
+def rendered_models(draw):
+    """A random rational model (it need not be valid) as the tensors it
+    holds, its text rendering and its JSON rendering; tokens are in lowest
+    terms or scaled by a common factor, JSON integers sometimes bare."""
+    dim = draw(st.sampled_from([3, 5]))
+
+    def entries(*shape):
+        flat = [Fr(draw(_entries)) for _ in range(int(np.prod(shape)))]
+        arr = np.empty(len(flat), dtype=object)
+        arr[:] = flat
+        return arr.reshape(shape)
+
+    def token(v):
+        k = draw(st.integers(1, 4))
+        return draw(st.sampled_from([format_scalar(v), f"{v.numerator * k}/{v.denominator * k}"]))
+
+    def json_entry(v):
+        return v.numerator if v.denominator == 1 and draw(st.booleans()) else token(v)
+
+    listed = draw(st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)),
+                           unique=True, max_size=6))
+    coeffs = {pair: entries(dim) for pair in listed}
+    c = np.full((dim,) * 3, Fr(0), dtype=object)
+    for (i, j), row in coeffs.items():
+        c[:, i, j] = row
+        if (j, i) not in coeffs:
+            c[:, j, i] = -row
+    phi, xi, eta, metric = entries(dim, dim), entries(dim), entries(dim), entries(dim, dim)
+    expected = {"c": Tensor(c, "udd"), "phi": Tensor(phi, "ud"), "xi": Tensor(xi, "u"),
+                "eta": Tensor(eta, "d"), "g": Tensor(metric, "dd")}
+
+    lines = [f"dim = {dim}", "[brackets]"]
+    lines += [f"{i} {j} : " + " ".join(map(token, row)) for (i, j), row in coeffs.items()]
+    for section, rows in (("phi", phi), ("xi", [xi]), ("eta", [eta]), ("metric", metric)):
+        lines += [f"[{section}]"] + [" ".join(map(token, row)) for row in rows]
+    obj = {"dim": dim,
+           "brackets": [[i, j, list(map(json_entry, row))] for (i, j), row in coeffs.items()],
+           "phi": [list(map(json_entry, row)) for row in phi],
+           "xi": list(map(json_entry, xi)), "eta": list(map(json_entry, eta)),
+           "metric": [list(map(json_entry, row)) for row in metric]}
+    return expected, ["\n".join(lines), json.dumps(obj)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(rendered_models())
+def test_rendered_rational_models_parse_to_their_tensors(rendered):
+    expected, renderings = rendered
+    for text in renderings:
+        model = parse_model(text, require_valid=False)
+        got = {"c": model.algebra.c, "phi": model.phi, "xi": model.xi, "eta": model.eta,
+               "g": model.g}
+        for key, want in expected.items():
+            assert got[key] == want, key
+            assert got[key].num.dtype == want.num.dtype and got[key].magnitude == want.magnitude
+
+
+def test_parsing_builds_no_fraction(monkeypatch):
+    """Tokens go straight into integer storage: parsing the dense golden
+    model, as text and as JSON, constructs no Fraction at all."""
+    from test_golden import _dense_model
+
+    model = _dense_model()
+    texts = [serialize_model(model, fmt) for fmt in ("text", "json")]
+    built = []
+    new = Fr.__new__
+
+    def spy(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fr, "__new__", spy)
+    assert Fr(1, 2) and built == [(1, 2)]
+    built.clear()
+    parsed = [parse_model(text, require_valid=False) for text in texts]
+    assert built == []
+    monkeypatch.undo()
+    for m in parsed:
+        assert (m.algebra.c, m.phi, m.xi, m.eta, m.g) == (
+            model.algebra.c, model.phi, model.xi, model.eta, model.g)

@@ -4,6 +4,7 @@ The linear-algebra routines are checked against independent in-test
 oracles: adjugate/determinant inversion, eigenvalue signs for small
 signatures, and float-precision rank.
 """
+import numbers
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -27,7 +28,7 @@ from norden import (
     signature,
     tensor_product,
 )
-from norden.tensors import vector
+from norden.tensors import _exponent_too_large, as_pair, vector
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
@@ -65,6 +66,77 @@ def test_as_scalar_caps_decimal_exponents():
     for text in ("1e4301", "1e-4301", "1e1000000", "1E+1_000_000", "1e" + "9" * 10_000):
         with pytest.raises(ValueError, match="exponent"):
             as_scalar(text)
+
+
+def _reference_scalar(value) -> Fr:
+    """The reader as it stood before integer pairs: a Fraction for every
+    value, strings through ``Fraction``'s own grammar."""
+    if isinstance(value, Fr):
+        return value
+    if isinstance(value, numbers.Rational):
+        return Fr(value)
+    if isinstance(value, str):
+        if _exponent_too_large(value):
+            raise ValueError(f"decimal exponent beyond +-4300: {value[:40]!r}")
+        try:
+            return Fr(value.strip())
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"not an exact rational: {value!r}") from exc
+    raise TypeError(f"exact rational required, got {type(value).__name__}: {value!r}")
+
+
+def _outcome(read, value):
+    try:
+        return read(value)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+#: Decimal digits of other scripts: Arabic-Indic, Devanagari, fullwidth.
+_DIGIT_SCRIPTS = [str.maketrans("0123456789", "".join(chr(z + k) for k in range(10)))
+                  for z in (0x660, 0x966, 0xFF10)]
+
+_ints = st.one_of(st.integers(-10**6, 10**6), st.integers(-2**200, 2**200))
+_signed = st.sampled_from(["", "+", "-", "+-", "--"])
+_tokens = st.one_of(
+    _ints.map(str),
+    st.tuples(_signed, _ints, st.integers(0, 10**30)).map(
+        lambda t: f"{t[0]}{abs(t[1])}/{t[2]}"),
+    st.tuples(_ints, _ints).map(lambda t: f"{t[0]}/{t[1]}"),       # 3/-4 among them
+    st.tuples(_ints, st.sampled_from(_DIGIT_SCRIPTS)).map(lambda t: str(t[0]).translate(t[1])),
+    st.sampled_from(["1_000", "1__0", "_1", "1_", "1_0/2_5", "3/4_", " 3/4 ", "3 /4", "3/ 4",
+                     "\t5\n", "1.5", ".5", "5.", "-0.25e3", "2E-3", "1e4300", "1e4301",
+                     "1e-5000", "1/0", "-0/0", "0/5", "3/-4", "+3/+4", "", " ", "/", "1/2/3",
+                     "nan", "inf", "0x10", "1" * 4300, "1" * 4301, "1/" + "1" * 4301,
+                     "-" + "9" * 4301 + "/7", "\u0663/\u0664", "\uff11\uff10/\uff13"]),
+    st.text(alphabet="0123456789+-/._ eE\u0663", max_size=8),
+)
+_values = st.one_of(
+    _tokens,
+    _ints,
+    st.fractions(),
+    st.integers(-2**62, 2**62).map(np.int64),
+    st.floats(),
+    st.booleans(),
+    st.none(),
+    st.just([1]),
+)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_values)
+def test_pair_reader_agrees_with_the_fraction_reference(value):
+    """The pair reader and ``as_scalar`` on top of it give the reference's
+    value, or raise its exception type with its message."""
+    expected = _outcome(_reference_scalar, value)
+    pair = _outcome(as_pair, value)
+    if isinstance(expected, Fr):
+        p, q = pair
+        assert type(p) is int and type(q) is int and q > 0
+        assert Fr(p, q) == expected
+    else:
+        assert pair == expected
+    assert _outcome(as_scalar, value) == expected
 
 
 def test_format_scalar():
