@@ -37,6 +37,7 @@ from .report import (
     report_to_json,
     report_to_text,
     run_report,
+    verdict_line,
 )
 from .structures import AcnModel, validate_structure
 from .tensors import as_scalar, canonical_json, format_scalar
@@ -131,7 +132,7 @@ def _cmd_identities(args) -> int:
     lines = []
     obj = {}
     for name, v in verdicts.items():
-        lines.append(f"[{v.status}] {name}")
+        lines.append(verdict_line(name, v))
         obj[name] = {
             "applicable": v.applicable,
             "passed": v.passed,

@@ -62,13 +62,15 @@ def psi4(s: Tensor, eta: Tensor) -> Tensor:
     + eta(x)eta(u) S(y,z) - eta(y)eta(u) S(x,z)``.
 
     It has all the algebraic symmetries of a curvature tensor whenever
-    ``S`` is symmetric.
+    ``S`` is symmetric.  The first term ``A`` is built once; the other
+    three are index permutations of it.
     """
+    a = exact_einsum("y,z,xu->xyzu", eta, eta, s)
     return exact_sum([
-        (1, "y,z,xu->xyzu", eta, eta, s),
-        (-1, "x,z,yu->xyzu", eta, eta, s),
-        (1, "x,u,yz->xyzu", eta, eta, s),
-        (-1, "y,u,xz->xyzu", eta, eta, s),
+        (1, "xyzu->xyzu", a),
+        (-1, "yxzu->xyzu", a),
+        (1, "yxuz->xyzu", a),
+        (-1, "xyuz->xyzu", a),
     ])
 
 

@@ -95,6 +95,13 @@ def _matrix(rows, variance: str) -> Tensor:
                            (len(rows), *{len(row) for row in rows}), variance)
 
 
+def _check_dim(dim: int, line: int | None = None) -> int:
+    """``dim`` if it is a model dimension: odd and at least 3."""
+    if dim % 2 != 1 or dim < 3:
+        raise ParseError(f"dimension must be odd and >= 3, got {dim}", line=line)
+    return dim
+
+
 def _pairs(tokens, line: int | None = None) -> list[tuple[int, int]]:
     """The tokens of one row as ``(p, q)`` pairs."""
     try:
@@ -129,6 +136,7 @@ def _parse_text(text: str) -> AcnModel:
                 except ValueError:
                     raise ParseError(f"dim must be an integer, got {value!r}",
                                      line=lineno)
+                _check_dim(dim, lineno)
             else:
                 raise ParseError(f"unknown key {key!r}", line=lineno)
             continue
@@ -186,7 +194,7 @@ def _parse_json(text: str) -> AcnModel:
             raise ParseError(f"missing key {key!r}")
     if not isinstance(data["dim"], int) or isinstance(data["dim"], bool):
         raise ParseError("'dim' must be an integer")
-    dim = data["dim"]
+    dim = _check_dim(data["dim"])
 
     def vec(v, what):
         if not isinstance(v, list) or len(v) != dim:

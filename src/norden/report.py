@@ -151,6 +151,13 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def verdict_line(name: str, v: IdentityVerdict) -> str:
+    """``[status] name``, followed by ``  witness: ...`` for a failing
+    verdict that has a witness."""
+    extra = f"  witness: {v.witness}" if v.witness is not None and not v.passed else ""
+    return f"[{v.status}] {name}{extra}"
+
+
 def report_to_text(report: GeometryReport) -> str:
     """A human-readable rendering; tensors list nonzero components."""
     lines = [
@@ -174,11 +181,7 @@ def report_to_text(report: GeometryReport) -> str:
         lines.append(f"  {key} = {format_scalar(value)}")
     lines.append("")
     lines.append("identities:")
-    for name, v in report.identities.items():
-        extra = ""
-        if v.witness is not None and not v.passed:
-            extra = f"  witness: {v.witness}"
-        lines.append(f"  [{v.status}] {name}{extra}")
+    lines += [f"  {verdict_line(name, v)}" for name, v in report.identities.items()]
     lines.append("")
     lines.append("tensors (nonzero components):")
     for key, t in report.tensors.items():

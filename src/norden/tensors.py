@@ -31,10 +31,26 @@ compiled once into a plan and kept in a bounded cache.  Its key is the
 subscripts, the operands' variances and the operands' shapes.  It holds
 the parsed terms, the output and the output variance, numpy's greedy
 pairwise path (searched once per key on shape-only arrays) and, for each
-step, the pair it takes, its subscripts and the number of index
-combinations it sums.  A plan holds no value and no dtype: each call
-reads its operands' stored magnitudes, so each step still picks its
-arithmetic by the bound above.
+step, the pair it takes, its subscripts, the number of index
+combinations it sums, its dense cost (the product of its letter sizes)
+and, for a two-operand step, its sparse layout.  A plan holds no value
+and no dtype: each call reads its operands' stored magnitudes, so each
+step still picks its arithmetic by the bound above.
+
+Each step then picks its route.  A step is dense-only, and runs as
+``np.einsum`` without reading a value, when it has one operand, repeats a
+letter inside one term, or costs less than ``SPARSE_FLOOR``.  Any other
+step counts its operands' nonzeros and takes the sparse route when
+``SPARSE_FACTOR`` times the smaller of ``nnz(A) * kept(B)`` and
+``nnz(B) * kept(A)`` is below its dense cost, where ``kept(X)`` is the
+size of the letters only ``X`` keeps.  That route sums out the letters
+only one operand sums, takes the nonzeros of the cheaper side in
+``(batch, kept, summed)`` order, multiplies each by the matching row of
+the other operand, sums the products per output row with
+``np.add.reduceat`` into a zero result and transposes it to the step's
+letters.  It multiplies and adds the same integers as the dense einsum,
+fewer of them, so the step's bound covers every partial sum of either
+route, and both routes serve both dtypes.
 
 Every scalar comes in through :func:`as_pair`, which reads it as an
 integer pair ``(p, q)``; ``Tensor(...)`` and :meth:`Tensor.of_pairs`
@@ -68,6 +84,14 @@ DOWN = "d"
 
 #: Numerator magnitudes below this are stored and contracted as int64.
 INT64_SAFE = 1 << 62
+
+#: A pairwise step whose dense cost, the product of its letter sizes, is
+#: below this runs as a dense einsum without reading its operands.
+SPARSE_FLOOR = 1 << 15
+#: A step that may take the sparse route takes it when this times its
+#: sparse work (nonzeros of one operand times the other's kept size) is
+#: below its dense cost.
+SPARSE_FACTOR = 4
 
 _LETTERS = string.ascii_letters
 
@@ -378,17 +402,23 @@ def _json(obj, newline: str, out: list[str]) -> None:
 
 
 def _components_json(t: Tensor, newline: str) -> str:
-    """The entries of a nonempty ``t`` as nested JSON lists: each entry
-    quoted in C order, then each axis joined row by row, innermost first."""
-    flat = ['"0"'] * t.num.size
-    mask = t.num != 0
-    for i, text in zip(np.flatnonzero(mask).tolist(), t.formatted(mask)):
-        flat[i] = f'"{text}"'
+    """The entries of a nonempty ``t`` as nested JSON lists, each axis
+    joined row by row, innermost first.  At each level ``live`` marks the
+    blocks that hold a nonzero and ``texts`` holds their strings in C
+    order; every all-zero block of a level is the one string ``zero``,
+    built once."""
+    live = t.num != 0
+    texts, zero = [f'"{text}"' for text in t.formatted(live)], '"0"'
     for axis in reversed(range(t.rank)):
         n, pad = t.shape[axis], newline + " " * axis
         opening, sep, closing = f"[{pad} ", f",{pad} ", f"{pad}]"
-        flat = [opening + sep.join(flat[i:i + n]) + closing for i in range(0, len(flat), n)]
-    return flat[0]
+        rows = live.reshape(-1, n)
+        live = rows.any(axis=1)
+        items = iter(texts)
+        texts = [opening + sep.join([next(items) if nonzero else zero for nonzero in row])
+                 + closing for row in rows[live].tolist()]
+        zero = opening + sep.join([zero] * n) + closing
+    return texts[0] if texts else zero
 
 
 def _identity(rank: int) -> str:
@@ -562,15 +592,65 @@ def _subscripts(subscripts: str) -> tuple[list[str], str]:
     return inputs.split(","), output
 
 
+class _Side(NamedTuple):
+    """One operand of a two-operand step, laid out for the sparse route.
+    ``drop`` are the axes only this operand sums; they are summed out of
+    it first.  Its other axes are then read in ``(batch, kept, summed)``
+    order (``as_coo``) when its nonzeros are taken, or in ``(batch,
+    summed, kept)`` order (``as_rows``) when its rows are gathered, with
+    ``blocks`` the sizes of those three groups.  ``result`` is the step's
+    result shape in ``(batch, own kept, other's kept)`` order and the
+    transpose that puts it in the order of the step's letters, for when
+    this operand's nonzeros are taken."""
+    drop: tuple[int, ...]
+    as_coo: tuple[int, ...]
+    as_rows: tuple[int, ...]
+    blocks: tuple[int, int, int]
+    result: tuple[tuple[int, ...], tuple[int, ...]]
+
+
+class _Step(NamedTuple):
+    """One pairwise step: the positions it takes off the operand list (the
+    result goes on the end), its einsum subscripts, the number of index
+    combinations it sums, its dense cost (the product of its letter
+    sizes) and the sparse layout of its two operands, ``None`` when the
+    step is dense-only."""
+    pair: tuple[int, ...]
+    subscripts: str
+    summed: int
+    cost: int
+    sides: tuple[_Side, _Side] | None
+
+
 class _Plan(NamedTuple):
     """How one contraction runs, fixed by its key alone: see the module
-    docstring.  Each step is ``(pair, subscripts, summed)``: the positions
-    it takes off the operand list (the result goes on the end), its einsum
-    subscripts and the number of index combinations it sums."""
+    docstring."""
     terms: tuple[str, ...]
     output: str
     variance: str
-    steps: tuple[tuple[tuple[int, ...], str, int], ...]
+    steps: tuple[_Step, ...]
+
+
+def _sides(picked: list[str], kept: str, sizes: dict[str, int]) -> tuple[_Side, ...]:
+    """The sparse layout of the two terms of a step that keeps ``kept``."""
+    a, b = picked
+    batch = [ch for ch in a if ch in b and ch in kept]
+    summed = [ch for ch in a if ch in b and ch not in kept]
+    own = [[ch for ch in term if ch in kept and ch not in batch] for term in picked]
+    sides = []
+    for term, mine, theirs in ((a, *own), (b, *own[::-1])):
+        rest = [ch for ch in term if ch in kept or ch in summed]
+        letters = batch + mine + theirs
+        sides.append(_Side(
+            drop=tuple(k for k, ch in enumerate(term) if ch not in rest),
+            as_coo=tuple(rest.index(ch) for ch in batch + mine + summed),
+            as_rows=tuple(rest.index(ch) for ch in batch + summed + mine),
+            blocks=tuple(math.prod(sizes[ch] for ch in group)
+                         for group in (batch, mine, summed)),
+            result=(tuple(sizes[ch] for ch in letters),
+                    tuple(letters.index(ch) for ch in kept)),
+        ))
+    return tuple(sides)
 
 
 @functools.lru_cache(maxsize=1024)
@@ -604,29 +684,70 @@ def _plan(subscripts: str, variances: tuple[str, ...],
         needed = set(output).union(*left)
         kept = "".join(dict.fromkeys(ch for ch in letters if ch in needed)) if left else output
         summed = math.prod(sizes[ch] for ch in set(letters) - set(kept))
-        steps.append((pair, ",".join(picked) + "->" + kept, summed))
+        cost = math.prod(sizes[ch] for ch in set(letters))
+        dense_only = (len(picked) != 2 or cost < SPARSE_FLOOR
+                      or any(len(set(term)) != len(term) for term in picked))
+        steps.append(_Step(pair, ",".join(picked) + "->" + kept, summed, cost,
+                           None if dense_only else _sides(picked, kept, sizes)))
         left.append(kept)
     return _Plan(tuple(terms), output, "".join(slots[ch] for ch in output), tuple(steps))
+
+
+def _sparse_step(x: np.ndarray, y: np.ndarray, sx: _Side, sy: _Side) -> np.ndarray:
+    """A step on the nonzeros of ``x``: each nonzero ``x[b, i, s]`` times
+    the gathered row ``y[b, s, :]``, the products summed per output row
+    ``(b, i)`` and written into a zero result of ``x``'s dtype."""
+    nb, nx, ns = sx.blocks
+    if sx.drop:
+        x = np.asarray(x.sum(axis=sx.drop), dtype=x.dtype)
+    if sy.drop:
+        y = np.asarray(y.sum(axis=sy.drop), dtype=y.dtype)
+    x = np.atleast_1d(x.transpose(sx.as_coo))   # a view, not a copy
+    rows = y.transpose(sy.as_rows).reshape(nb * ns, sy.blocks[1])
+    flat = np.flatnonzero(x != 0)       # (b nx + i) ns + s, increasing
+    out = np.zeros((nb * nx, rows.shape[1]), dtype=x.dtype)
+    if flat.size:
+        row, s = np.divmod(flat, ns)
+        products = rows[row // nx * ns + s] * x[np.unravel_index(flat, x.shape)][:, None]
+        starts = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
+        out[row[starts]] = np.add.reduceat(products, starts, axis=0)
+    shape, perm = sx.result
+    return out.reshape(shape).transpose(perm)
+
+
+def _pairwise(step: _Step, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """A step with a sparse layout, on the route its operands' nonzeros
+    make cheaper: the sparse route on the operand whose nonzeros times
+    the other's kept size is smaller, when that work times
+    ``SPARSE_FACTOR`` is below the dense cost, else the dense einsum."""
+    sa, sb = step.sides
+    work_a = np.count_nonzero(a) * sb.blocks[1]
+    work_b = np.count_nonzero(b) * sa.blocks[1]
+    if SPARSE_FACTOR * min(work_a, work_b) >= step.cost:
+        return np.einsum(step.subscripts, a, b)
+    return _sparse_step(a, b, sa, sb) if work_a <= work_b else _sparse_step(b, a, sb, sa)
 
 
 def _contract(plan: _Plan, operands) -> tuple[np.ndarray, int, int]:
     """One contraction of the operands' numerators, unreduced: the
     integer array, its largest magnitude and the product of the operands'
     denominators.  Each pairwise step picks int64 or Python ints by its
-    own bound."""
+    own bound, then its route."""
     den = math.prod(op.den for op in operands)
     ops = [(op.num, op.magnitude) for op in operands]
-    for pair, subscripts, summed in plan.steps:
-        picked = [ops.pop(k) for k in pair]
+    for step in plan.steps:
+        picked = [ops.pop(k) for k in step.pair]
         # A zero operand counts as 1, so the bound also covers each
-        # operand's own entries and every partial sum of the step.
-        bound = summed
+        # operand's own entries and every partial sum of either route.
+        bound = step.summed
         for _, top in picked:
             bound *= top or 1
         dtype = np.int64 if bound < INT64_SAFE and den < INT64_SAFE else object
-        step = np.einsum(subscripts, *(num.astype(dtype, copy=False) for num, _ in picked))
-        step = np.asarray(step, dtype=dtype)    # a bare int would become int64
-        ops.append((step, _max_abs(step)))
+        nums = [num.astype(dtype, copy=False) for num, _ in picked]
+        out = (np.einsum(step.subscripts, *nums) if step.sides is None
+               else _pairwise(step, *nums))
+        out = np.asarray(out, dtype=dtype)      # a bare int would become int64
+        ops.append((out, _max_abs(out)))
     return *ops[0], den
 
 

@@ -95,12 +95,24 @@ def test_tensor_leaf_matches_json_dumps_of_its_dict(t, depth):
     assert canonical_json(obj) == _dumps(plain)
 
 
+def _with(entries: dict, shape) -> np.ndarray:
+    """Zeros of ``shape`` except the given ``{index: value}`` entries."""
+    arr = np.zeros(shape, dtype=object)
+    for index, value in entries.items():
+        arr[index] = value
+    return arr
+
+
 @pytest.mark.parametrize("components, variance", [
     ([[0, 0], [0, 0]], "dd"),                              # all zero
     ([[[Fr(1, 2)]], [[Fr(-3, 4)]]], "udd"),                # den > 1, size-1 axes
     ([2 ** 70, -1, 0], "u"),                               # object numerators
     (Fr(5, 3), ""),                                        # rank 0
     (np.zeros((2, 0), dtype=object), "ud"),                # no entries
+    (_with({(1, 0, 2, 1): Fr(-7, 2)}, (3, 2, 4, 3)), "uddd"),   # one nonzero
+    # A zero block at every level: [0], [1][1], [1][0][0], [1][0][1][0].
+    (_with({(1, 2, 1, 0): 5, (1, 0, 1, 2): -1}, (2, 3, 2, 3)), "dddd"),
+    (np.zeros((2, 3, 1, 2), dtype=object), "uudd"),        # all zero, rank 4
 ])
 def test_tensor_leaf_cases(components, variance):
     t = Tensor(components, variance)

@@ -17,9 +17,11 @@ from norden import (
     report_to_json,
     report_to_text,
     run_report,
+    serialize_model,
     square_norms,
     verify_identities,
 )
+from norden import cli
 
 lam_values = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -275,6 +277,25 @@ def test_failing_verdicts_and_their_renders_are_pinned(fam23, key):
     report = replace(run_report(fam23.model), identities=tampered)
     assert (_sha256(report_to_json(report)), _sha256(report_to_text(report))) \
         == TAMPERED_RENDERS[key]
+
+
+@pytest.mark.parametrize("key", list(TAMPERED_VERDICTS))
+def test_identities_command_prints_the_witness_of_each_failure(fam23, key, tmp_path,
+                                                               monkeypatch, capsys):
+    """``norden identities`` writes each verdict line as the report's text
+    render does, ``  witness: ...`` after every failing verdict included."""
+    path = tmp_path / "fam23.txt"
+    path.write_text(serialize_model(fam23.model))
+    tampered = _tampered(fam23, key)
+    monkeypatch.setattr(cli, "Geometry", lambda model: tampered)
+    assert cli.main(["identities", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    report = replace(run_report(fam23.model), identities=tampered.identities)
+    text = report_to_text(report).splitlines()
+    start = text.index("identities:") + 1
+    assert out == [line[2:] for line in text[start:start + len(out)]]
+    assert out == [f"[{status}] {name}" + (f"  witness: {witness}" if status == "FAIL" else "")
+                   for name, (status, witness) in TAMPERED_VERDICTS[key].items()]
 
 
 # sorted(vars(geo)) after reading .identities on a fresh Geometry

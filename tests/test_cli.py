@@ -155,6 +155,31 @@ def test_bool_entry_is_input_error(tmp_path, capsys):
         assert "entries must be integers or rational strings, not true or false" in captured.err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("dim", [0, 1, -1, 2])
+def test_a_bad_dim_is_named_when_it_is_read(fmt, dim, tmp_path, capsys):
+    """A file whose only fault is its ``dim`` fails on that ``dim``, not
+    on a section, list length or variance that the bad value leads to."""
+    flags = ["--json"] if fmt == "json" else []
+    assert main(["family", "--n", "1", "--lambda", "2,3"] + flags) == EXIT_OK
+    text = capsys.readouterr().out
+    if fmt == "json":
+        data = json.loads(text)
+        data["dim"] = dim
+        text = json.dumps(data)
+    else:
+        assert "\ndim = 3\n" in text
+        text = text.replace("\ndim = 3\n", f"\ndim = {dim}\n")
+    path = tmp_path / f"dim.{fmt}"
+    path.write_text(text)
+    prefix = "line 2: " if fmt == "text" else ""
+    for argv in (["validate", str(path), "--json"], ["report", str(path)]):
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}: {prefix}dimension must be odd and >= 3, got {dim}\n"
+
+
 def test_report_text_and_exit_code(model_path, capsys):
     assert main(["report", model_path]) == EXIT_OK
     out = capsys.readouterr().out

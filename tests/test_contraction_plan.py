@@ -1,14 +1,19 @@
 """Contraction plans: compiled once per key, never tied to a value.
 
 A plan fixes the parsed terms, the pairwise path and each step's
-subscripts and summed-combination count for one set of subscripts,
-operand variances and operand shapes.  The dtype of each step is not part
-of it: every call still reads its operands' magnitudes and picks int64 or
-Python ints by the step's own bound.  These tests run one key through
-values on both sides of that bound, check that a second report of the
-same dimension searches no path, and pin how many int64 and object steps
-one report runs on models of both workloads.
+subscripts, summed-combination count, dense cost and sparse layout for
+one set of subscripts, operand variances and operand shapes.  The dtype
+and the route of each step are not part of it: every call still reads
+its operands' magnitudes and picks int64 or Python ints by the step's own
+bound, then counts nonzeros to pick einsum or the sparse route.  These
+tests run one key through values on both sides of that bound, check that
+a second report of the same dimension searches no path, check the sparse
+route against the dense one and an exact reference, and pin how many
+steps of each route and dtype one report runs on models of both
+workloads.
 """
+import math
+import random
 from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction as Fr
@@ -21,10 +26,19 @@ from hypothesis import strategies as st
 
 from norden import AcnModel, FamilyParams, LieAlgebra, Tensor, generate_family, run_report
 from norden.structures import validate_structure
-from norden.tensors import _plan, exact_einsum, exact_sum, invert_symmetric
+from norden import tensors
+from norden.tensors import (
+    INT64_SAFE,
+    SPARSE_FLOOR,
+    _plan,
+    exact_einsum,
+    exact_sum,
+    invert_symmetric,
+)
 
 from test_exact_einsum import (
     _array,
+    _assert_canonical,
     _assert_each_call_picks_by_its_bound,
     _assert_same,
     _contraction_calls,
@@ -105,17 +119,24 @@ def _path_searches():
 
 
 @contextmanager
-def _step_dtypes():
-    """Count the pairwise steps handed to numpy's einsum by dtype."""
+def _step_routes():
+    """Count the pairwise steps by route and dtype: ``("einsum", dtype)``
+    for each step handed to numpy's einsum, ``("sparse", dtype)`` for
+    each step run on the nonzeros of one operand."""
     seen = Counter()
-    real = np.einsum
+    real_einsum, real_sparse = np.einsum, tensors._sparse_step
 
-    def spy(subscripts, *operands, **kwargs):
+    def einsum(subscripts, *operands, **kwargs):
         dtypes = {np.asarray(op).dtype for op in operands}
-        seen["object" if np.dtype(object) in dtypes else "int64"] += 1
-        return real(subscripts, *operands, **kwargs)
+        seen["einsum", "object" if np.dtype(object) in dtypes else "int64"] += 1
+        return real_einsum(subscripts, *operands, **kwargs)
 
-    with mock.patch.object(np, "einsum", spy):
+    def sparse(x, y, sx, sy):
+        seen["sparse", "object" if x.dtype == object else "int64"] += 1
+        return real_sparse(x, y, sx, sy)
+
+    with mock.patch.object(np, "einsum", einsum), \
+            mock.patch.object(tensors, "_sparse_step", sparse):
         yield seen
 
 
@@ -210,18 +231,117 @@ def test_each_key_searches_its_path_once():
     assert searches and len(searches) == len(set(searches))
 
 
-# Counted on the tree before plans: pairwise steps of one run_report.
+# Pairwise steps of one run_report by route and dtype, recorded on this
+# tree.  Against the int64/object counts first recorded before plans:
+# psi4 builds its first term once and permutes it, five steps where four
+# three-operand products were, so each report runs one step more; and the
+# sparse route takes the eleven d**5 steps of the sparse family member at
+# dim 13 and two int64 steps at dense dim 17 off einsum.
 STEP_COUNTS = {
-    ("dense", 3): {"int64": 109},
-    ("dense", 6): {"int64": 109},
-    ("dense", 8): {"int64": 73, "object": 36},
-    ("family", 6): {"int64": 109},
+    ("dense", 3): {("einsum", "int64"): 110},
+    ("dense", 6): {("einsum", "int64"): 110},
+    ("dense", 8): {("einsum", "int64"): 72, ("einsum", "object"): 36,
+                   ("sparse", "int64"): 2},
+    ("family", 6): {("einsum", "int64"): 99, ("sparse", "int64"): 11},
 }
+
+
+@pytest.mark.parametrize("subscripts, shapes, sparse", [
+    ("ij,jk->ik", ((200, 200), (200, 200)), True),
+    ("ij,jk->ik", ((30, 30), (30, 30)), False),         # below the floor
+    ("iij,jk->ik", ((40, 40, 40), (40, 40)), False),    # a letter repeated in a term
+    ("ijkl->lkji", ((20, 20, 20, 20),), False),         # one operand
+])
+def test_the_plan_marks_the_dense_only_steps(subscripts, shapes, sparse):
+    variances = tuple("d" * len(shape) for shape in shapes)
+    (step,) = _plan(subscripts, variances, shapes).steps
+    assert (step.sides is not None) == sparse
+
+
+def test_a_dense_dim_7_report_reads_no_value_to_pick_a_route():
+    """Every step of a dim-7 report is below the floor: no step counts
+    nonzeros, and all run as einsum."""
+    with mock.patch.object(tensors, "_pairwise", side_effect=AssertionError) as pairwise:
+        run_report(dense_member(3))
+    assert pairwise.call_count == 0
+
+
+def _fill(rng, shape, density: float, kind: str) -> Tensor:
+    """A tensor of ``shape`` whose entries are nonzero with probability
+    ``density``: small integers, small rationals, or integers past int64."""
+    draw = {
+        "int": lambda: rng.choice((-1, 1)) * rng.randint(1, 9),
+        "rational": lambda: Fr(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice(PRIMES)),
+        "huge": lambda: rng.choice((-1, 1)) * rng.randint(1, 2**70),
+    }[kind]
+    count = math.prod(shape)
+    return _array([draw() if rng.random() < density else 0 for _ in range(count)], shape)
+
+
+@st.composite
+def sparse_steps(draw):
+    """A two-operand contraction whose dense cost is at or above the floor
+    (and below twice it): letters shared and kept (batch), shared and
+    summed, kept from one operand, and summed in one operand only, in a
+    random order, with each operand's density and kind of entry drawn."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    roles = {role: draw(st.integers(0, top)) for role, top in (
+        ("batch", 1), ("summed", 2), ("left", 2), ("right", 2),
+        ("left_only_sum", 1), ("right_only_sum", 1))}
+    letters = iter("abcdefghijklmn")
+    groups = {role: [next(letters) for _ in range(k)] for role, k in roles.items()}
+    sizes = {ch: draw(st.integers(2, 4)) for group in groups.values() for ch in group}
+    pad = next(letters)
+    sizes[pad] = -(-SPARSE_FLOOR // math.prod(sizes.values()))
+    groups[draw(st.sampled_from(("left", "right")))].append(pad)
+    left = groups["batch"] + groups["summed"] + groups["left"] + groups["left_only_sum"]
+    right = groups["batch"] + groups["summed"] + groups["right"] + groups["right_only_sum"]
+    out = groups["batch"] + groups["left"] + groups["right"]
+    for term in (left, right, out):
+        rng.shuffle(term)
+    operands = [_fill(rng, tuple(sizes[ch] for ch in term),
+                      draw(st.sampled_from((0.0, 0.002, 0.02, 0.3, 1.0))),
+                      draw(st.sampled_from(("int", "rational", "huge"))))
+                for term in (left, right)]
+    return f"{''.join(left)},{''.join(right)}->{''.join(out)}", operands
+
+
+def _dense(step, a, b):
+    return np.einsum(step.subscripts, a, b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_steps())
+def test_the_sparse_route_matches_the_reference_and_the_dense_route(case):
+    """Each route, forced, gives the exact result of the natural run, and
+    that result's numerators times the operands' denominator product equal
+    numpy's einsum of the operands' numerators as Python ints: an exact
+    reference that uses neither route.  Both routes run in the dtype the
+    step's bound picks."""
+    subscripts, (a, b) = case
+    with _step_routes() as natural:
+        result = exact_einsum(subscripts, a, b)
+    with mock.patch.object(tensors, "SPARSE_FACTOR", 0), _step_routes() as sparse:
+        by_sparse = exact_einsum(subscripts, a, b)
+    with mock.patch.object(tensors, "_pairwise", _dense), _step_routes() as dense:
+        by_dense = exact_einsum(subscripts, a, b)
+    assert result == by_sparse == by_dense
+    _assert_canonical(result)
+    reference = np.einsum(subscripts, a.num.astype(object), b.num.astype(object))
+    assert np.array_equal(result.num.astype(object) * (a.den * b.den),
+                          np.asarray(reference, dtype=object) * result.den)
+    bound = (a.magnitude or 1) * (b.magnitude or 1) * _plan(
+        subscripts, ("d" * a.rank, "d" * b.rank), (a.shape, b.shape)).steps[0].summed
+    dtype = "int64" if bound < INT64_SAFE and a.den * b.den < INT64_SAFE else "object"
+    assert dict(sparse) == {("sparse", dtype): 1}
+    assert dict(dense) == {("einsum", dtype): 1}
+    assert sum(natural.values()) == 1 and natural.keys() <= {("sparse", dtype),
+                                                              ("einsum", dtype)}
 
 
 @pytest.mark.parametrize("kind, n", list(STEP_COUNTS))
 def test_a_report_runs_the_same_int64_and_object_steps(kind, n):
     model = (dense_member if kind == "dense" else family_member)(n)
-    with _step_dtypes() as steps:
+    with _step_routes() as steps:
         run_report(model)
     assert dict(steps) == STEP_COUNTS[kind, n]

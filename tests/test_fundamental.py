@@ -158,6 +158,26 @@ def test_psi4_has_curvature_symmetries():
     assert np.all(bianchi == 0)                         # first Bianchi
 
 
+rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=30)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda d: st.tuples(
+    st.lists(rationals, min_size=d * d, max_size=d * d),
+    st.lists(rationals, min_size=d, max_size=d))))
+def test_psi4_matches_its_four_term_formula(case):
+    """psi4 against its defining four terms, entry by entry over
+    Fractions; ``S`` need not be symmetric for the formula to hold."""
+    s_flat, eta_list = case
+    d = len(eta_list)
+    s = [s_flat[i * d:(i + 1) * d] for i in range(d)]
+    got = psi4(Tensor(s, "dd"), Tensor(eta_list, "d")).components
+    e = eta_list
+    for x, y, z, u in np.ndindex(d, d, d, d):
+        assert got[x, y, z, u] == (e[y] * e[z] * s[x][u] - e[x] * e[z] * s[y][u]
+                                   + e[x] * e[u] * s[y][z] - e[y] * e[u] * s[x][z])
+
+
 def test_divergence_of_phi_omega_vec(fam23):
     phi_omega = np.einsum(
         "ij,j->i", fam23.model.phi.components, fam23.pack.omega_vec.components
