@@ -70,7 +70,6 @@ from .report import (
     GeometryReport,
     all_identities_ok,
     report_to_json,
-    report_to_json_dict,
     report_to_text,
     run_report,
 )
@@ -115,8 +114,8 @@ __all__ = [
     # modelfile
     "parse_model", "serialize_model",
     # report
-    "GeometryReport", "all_identities_ok", "report_to_json", "report_to_json_dict",
-    "report_to_text", "run_report",
+    "GeometryReport", "all_identities_ok", "report_to_json", "report_to_text",
+    "run_report",
     # structures
     "AcnModel", "associated_metric", "validate_structure",
     # tensors

@@ -172,29 +172,14 @@ def _cmd_section(args) -> int:
         section = classify_section(model, x, y)
     except LinearlyDependent as exc:
         raise _CliFailure(EXIT_INPUT, str(exc))
-    note = ""
+    obj = {**vars(section), "sectional_curvature": None, "note": None}
     try:
         k = sectional_curvature(model, Geometry(model).curv, x, y)
+        obj["sectional_curvature"] = format_scalar(k)
     except DegenerateSection:
-        k = None
-        note = "restricted metric is degenerate; no sectional curvature"
-    lines = [
-        f"kind: {section.kind}",
-        f"contains_xi: {section.contains_xi}",
-        f"phi_invariant: {section.phi_invariant}",
-        f"totally_real: {section.totally_real}",
-        f"sectional_curvature: {format_scalar(k) if k is not None else 'undefined'}",
-    ]
-    if note:
-        lines.append(f"note: {note}")
-    obj = {
-        "kind": section.kind,
-        "contains_xi": section.contains_xi,
-        "phi_invariant": section.phi_invariant,
-        "totally_real": section.totally_real,
-        "sectional_curvature": format_scalar(k) if k is not None else None,
-        "note": note or None,
-    }
+        obj["note"] = "restricted metric is degenerate; no sectional curvature"
+    lines = [f"{key}: {'undefined' if value is None else value}"
+             for key, value in obj.items() if value is not None or key != "note"]
     _emit(args, "\n".join(lines) + "\n", obj)
     return EXIT_OK
 
@@ -212,20 +197,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--quiet", action="store_true",
                        help="suppress output; use the exit code only")
 
-    p = sub.add_parser("validate", help="validate a model file")
-    p.add_argument("model", help="path to a model file (text or JSON)")
-    add_output_flags(p)
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("report", help="full geometry report for a model file")
-    p.add_argument("model", help="path to a model file (text or JSON)")
-    add_output_flags(p)
-    p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser("identities", help="verify exact identities on a model")
-    p.add_argument("model", help="path to a model file (text or JSON)")
-    add_output_flags(p)
-    p.set_defaults(func=_cmd_identities)
+    for name, help_text, func in (
+            ("validate", "validate a model file", _cmd_validate),
+            ("report", "full geometry report for a model file", _cmd_report),
+            ("identities", "verify exact identities on a model", _cmd_identities)):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("model", help="path to a model file (text or JSON)")
+        add_output_flags(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("family", help="generate a member of the built-in family")
     p.add_argument("--n", type=int, required=True, help="half-dimension (dim = 2n+1)")

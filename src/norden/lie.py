@@ -51,24 +51,24 @@ class LieAlgebra:
             )
 
 
-def algebra_from_brackets(
-    dim: int,
-    brackets: Mapping[tuple[int, int], Sequence] | Sequence[tuple[int, int, Sequence]],
-) -> LieAlgebra:
+def algebra_from_brackets(dim: int, brackets: Mapping[tuple[int, int], Sequence]) -> LieAlgebra:
     """Build an algebra from a sparse table of basis brackets.
 
-    Each entry ``(i, j) -> coefficients`` declares ``[x_i, x_j]``; the
-    mirror bracket ``[x_j, x_i]`` is filled in antisymmetrically.
-    Unlisted pairs commute.
+    Each entry ``(i, j) -> coefficients`` declares ``[x_i, x_j]``.  An
+    unlisted mirror bracket ``[x_j, x_i]`` is filled in antisymmetrically;
+    a listed one is taken as it is, as the model-file reader takes it, so
+    :func:`validate` reports a contradictory pair.  Unlisted pairs commute.
+    An index outside ``0..dim-1`` raises :class:`DimensionMismatch`.
     """
-    items = brackets.items() if isinstance(brackets, Mapping) else (
-        ((i, j), coeffs) for i, j, coeffs in brackets
-    )
     c = np.zeros((dim,) * 3, dtype=object)
-    for (i, j), coeffs in items:
+    for (i, j), coeffs in brackets.items():
+        if not (0 <= i < dim and 0 <= j < dim):
+            raise DimensionMismatch(
+                f"bracket indices ({i}, {j}) out of range for dim {dim}")
         vec = vector(coeffs, dim, name=f"bracket ({i},{j})").components
         c[:, i, j] = vec
-        c[:, j, i] = -vec
+        if (j, i) not in brackets:
+            c[:, j, i] = -vec
     return LieAlgebra(dim, Tensor(c, "udd"))
 
 

@@ -7,7 +7,6 @@ to JSON or readable text.  Identical models produce identical output.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -24,22 +23,24 @@ UNDECIDED_CLASSES = tuple(f"f{i}" for i in range(1, 11))
 
 @dataclass(frozen=True)
 class GeometryReport:
-    """Everything the pipeline computes for one model."""
+    """Everything the pipeline computes for one model: one field per
+    top-level section of the report JSON, under the same name.
+
+    ``signature`` maps ``"metric"`` and ``"associated_metric"`` to their
+    ``(plus, minus, zero)`` counts; ``classes`` holds ``f0``, ``f11`` and
+    ``f1``..``f10`` as ``"unknown"``; ``flags`` holds ``normal``,
+    ``omega_closed``, ``omega_star_closed``, ``isotropic_kahler`` and
+    ``curvature_phi_kahler``.
+    """
 
     name: str
     dim: int
     n: int
-    metric_signature: tuple[int, int, int]
-    associated_signature: tuple[int, int, int]
-    is_f0: bool
-    is_f11: bool
-    normal: bool
-    omega_closed: bool
-    omega_star_closed: bool
-    isotropic_kahler: bool
-    curvature_phi_kahler: bool
-    identities: dict[str, IdentityVerdict]
+    signature: dict[str, tuple[int, int, int]]
+    classes: dict[str, bool | str]
+    flags: dict[str, bool]
     invariants: dict[str, Fraction]
+    identities: dict[str, IdentityVerdict]
     tensors: dict[str, Tensor]
 
 
@@ -53,76 +54,61 @@ def run_report(model: AcnModel) -> GeometryReport:
     already be valid (see :func:`norden.structures.validate_structure`);
     computations on an invalid model are not meaningful."""
     geo = Geometry(model)
-    conn, pack, curv, norms = geo.conn, geo.pack, geo.curv, geo.norms
+    curv, norms = geo.curv, geo.norms
     omega_closed, omega_star_closed = geo.forms_closed
     twin = associated_metric(model)
-    invariants: dict[str, Fraction] = {
-        "tau": curv.tau,
-        "tau_star": curv.tau_star,
-        "tau_double_star": curv.tau_2star,
-        "nabla_phi_square_norm": norms.nabla_phi,
-        "nabla_eta_square_norm": norms.nabla_eta,
-        "nijenhuis_square_norm": norms.nijenhuis,
-        "omega_square_norm": geo.omega_norm,
-        "div_phi_omega_vec": geo.div_phi_omega,
-        "ricci_xi_xi": geo.ricci_xi_xi,
-        "s_trace": geo.s_trace,
-    }
-    tensors: dict[str, Tensor] = {
-        "gamma": conn.gamma,
-        "fundamental": pack.f,
-        "theta": pack.theta,
-        "theta_star": pack.theta_star,
-        "omega": pack.omega,
-        "omega_star": pack.omega_star,
-        "omega_vec": pack.omega_vec,
-        "nabla_eta": pack.nabla_eta,
-        "nijenhuis": pack.n,
-        "s": pack.s,
-        "psi4_s": geo.psi4_s,
-        "riemann": curv.r04,
-        "ricci": curv.ricci,
-        "associated_metric": twin,
-    }
     return GeometryReport(
         name=model.name,
         dim=model.dim,
         n=model.n,
-        metric_signature=signature(model.g),
-        associated_signature=signature(twin),
-        is_f0=geo.f0,
-        is_f11=geo.f11,
-        normal=pack.n.is_zero(),
-        omega_closed=omega_closed,
-        omega_star_closed=omega_star_closed,
-        isotropic_kahler=geo.isotropic_kahler,
-        curvature_phi_kahler=geo.curvature_phi_kahler,
+        signature={"metric": signature(model.g), "associated_metric": signature(twin)},
+        classes={"f0": geo.f0, "f11": geo.f11,
+                 **dict.fromkeys(UNDECIDED_CLASSES, "unknown")},
+        flags={
+            "normal": geo.n.is_zero(),
+            "omega_closed": omega_closed,
+            "omega_star_closed": omega_star_closed,
+            "isotropic_kahler": geo.isotropic_kahler,
+            "curvature_phi_kahler": geo.curvature_phi_kahler,
+        },
+        invariants={
+            "tau": curv.tau,
+            "tau_star": curv.tau_star,
+            "tau_double_star": curv.tau_2star,
+            "nabla_phi_square_norm": norms.nabla_phi,
+            "nabla_eta_square_norm": norms.nabla_eta,
+            "nijenhuis_square_norm": norms.nijenhuis,
+            "omega_square_norm": geo.omega_norm,
+            "div_phi_omega_vec": geo.div_phi_omega,
+            "ricci_xi_xi": geo.ricci_xi_xi,
+            "s_trace": geo.s_trace,
+        },
         identities=geo.identities,
-        invariants=invariants,
-        tensors=tensors,
+        tensors={
+            "gamma": geo.conn.gamma,
+            "fundamental": geo.f,
+            "theta": geo.theta,
+            "theta_star": geo.theta_star,
+            "omega": geo.omega,
+            "omega_star": geo.omega_star,
+            "omega_vec": geo.omega_vec,
+            "nabla_eta": geo.nabla_eta,
+            "nijenhuis": geo.n,
+            "s": geo.s,
+            "psi4_s": geo.psi4_s,
+            "riemann": curv.r04,
+            "ricci": curv.ricci,
+            "associated_metric": twin,
+        },
     )
 
 
 def _report_object(report: GeometryReport) -> dict:
-    """The report as plain data with :class:`Tensor` leaves; all
-    rationals become ``"p/q"`` strings."""
+    """The report as plain data with :class:`Tensor` leaves: the sections
+    as they are, but the invariants as ``"p/q"`` strings and the verdicts
+    as dicts."""
     return {
-        "name": report.name,
-        "dim": report.dim,
-        "n": report.n,
-        "signature": {
-            "metric": list(report.metric_signature),
-            "associated_metric": list(report.associated_signature),
-        },
-        "classes": {"f0": report.is_f0, "f11": report.is_f11,
-                    **dict.fromkeys(UNDECIDED_CLASSES, "unknown")},
-        "flags": {
-            "normal": report.normal,
-            "omega_closed": report.omega_closed,
-            "omega_star_closed": report.omega_star_closed,
-            "isotropic_kahler": report.isotropic_kahler,
-            "curvature_phi_kahler": report.curvature_phi_kahler,
-        },
+        **vars(report),
         "invariants": {k: format_scalar(v) for k, v in report.invariants.items()},
         "identities": {
             name: {
@@ -133,18 +119,12 @@ def _report_object(report: GeometryReport) -> dict:
             }
             for name, v in report.identities.items()
         },
-        "tensors": report.tensors,
     }
 
 
 def report_to_json(report: GeometryReport) -> str:
     """The report as JSON, rendered by :func:`canonical_json`."""
     return canonical_json(_report_object(report))
-
-
-def report_to_json_dict(report: GeometryReport) -> dict:
-    """The parse of :func:`report_to_json`, so the two cannot disagree."""
-    return json.loads(report_to_json(report))
 
 
 def _yesno(flag: bool) -> str:
@@ -160,20 +140,22 @@ def verdict_line(name: str, v: IdentityVerdict) -> str:
 
 def report_to_text(report: GeometryReport) -> str:
     """A human-readable rendering; tensors list nonzero components."""
+    sig, classes, flags = report.signature, report.classes, report.flags
     lines = [
         f"model: {report.name or '(unnamed)'}",
         f"dim = {report.dim} (n = {report.n})",
-        f"signature: g = {report.metric_signature}, "
-        f"associated = {report.associated_signature}",
+        f"signature: g = {sig['metric']}, associated = {sig['associated_metric']}",
         "",
-        f"classes: F0 = {_yesno(report.is_f0)}, F11 = {_yesno(report.is_f11)} "
+        f"classes: F0 = {_yesno(classes['f0'])}, F11 = {_yesno(classes['f11'])} "
         "(F1..F10 undecided by this classifier)",
         "flags:",
-        f"  normal (N = 0):          {_yesno(report.normal)}",
-        f"  omega closed:            {_yesno(report.omega_closed)}",
-        f"  omega_star closed:       {_yesno(report.omega_star_closed)}",
-        f"  isotropic Kahler:        {_yesno(report.isotropic_kahler)}",
-        f"  curvature phi-Kahler:    {_yesno(report.curvature_phi_kahler)}",
+        *(f"  {label:25}{_yesno(flags[key])}" for key, label in (
+            ("normal", "normal (N = 0):"),
+            ("omega_closed", "omega closed:"),
+            ("omega_star_closed", "omega_star closed:"),
+            ("isotropic_kahler", "isotropic Kahler:"),
+            ("curvature_phi_kahler", "curvature phi-Kahler:"),
+        )),
         "",
         "invariants:",
     ]

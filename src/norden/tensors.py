@@ -39,12 +39,12 @@ step still picks its arithmetic by the bound above.
 
 Each step then picks its route.  A step is dense-only, and runs as
 ``np.einsum`` without reading a value, when it has one operand, repeats a
-letter inside one term, or costs less than ``SPARSE_FLOOR``.  Any other
-step counts its operands' nonzeros and takes the sparse route when
-``SPARSE_FACTOR`` times the smaller of ``nnz(A) * kept(B)`` and
-``nnz(B) * kept(A)`` is below its dense cost, where ``kept(X)`` is the
-size of the letters only ``X`` keeps.  That route sums out the letters
-only one operand sums, takes the nonzeros of the cheaper side in
+letter inside one term, sums a letter that only one operand carries, or
+costs less than ``SPARSE_FLOOR``.  Any other step counts its operands'
+nonzeros and takes the sparse route when ``SPARSE_FACTOR`` times the
+smaller of ``nnz(A) * kept(B)`` and ``nnz(B) * kept(A)`` is below its
+dense cost, where ``kept(X)`` is the size of the letters only ``X``
+keeps.  That route takes the nonzeros of the cheaper side in
 ``(batch, kept, summed)`` order, multiplies each by the matching row of
 the other operand, sums the products per output row with
 ``np.add.reduceat`` into a zero result and transposes it to the step's
@@ -177,7 +177,7 @@ def _object_array(entries: list, shape) -> np.ndarray:
 def _max_abs(num: np.ndarray) -> int:
     if num.dtype == object:
         return max(map(abs, num.flat), default=0)
-    return int(np.abs(num).max(initial=0))
+    return max(int(num.max(initial=0)), -int(num.min(initial=0)))
 
 
 def _canonical(num: np.ndarray, den: int, top: int) -> tuple[np.ndarray, int, int]:
@@ -594,15 +594,13 @@ def _subscripts(subscripts: str) -> tuple[list[str], str]:
 
 class _Side(NamedTuple):
     """One operand of a two-operand step, laid out for the sparse route.
-    ``drop`` are the axes only this operand sums; they are summed out of
-    it first.  Its other axes are then read in ``(batch, kept, summed)``
-    order (``as_coo``) when its nonzeros are taken, or in ``(batch,
-    summed, kept)`` order (``as_rows``) when its rows are gathered, with
-    ``blocks`` the sizes of those three groups.  ``result`` is the step's
-    result shape in ``(batch, own kept, other's kept)`` order and the
-    transpose that puts it in the order of the step's letters, for when
-    this operand's nonzeros are taken."""
-    drop: tuple[int, ...]
+    Its axes are read in ``(batch, kept, summed)`` order (``as_coo``)
+    when its nonzeros are taken, or in ``(batch, summed, kept)`` order
+    (``as_rows``) when its rows are gathered, with ``blocks`` the sizes
+    of those three groups.  ``result`` is the step's result shape in
+    ``(batch, own kept, other's kept)`` order and the transpose that puts
+    it in the order of the step's letters, for when this operand's
+    nonzeros are taken."""
     as_coo: tuple[int, ...]
     as_rows: tuple[int, ...]
     blocks: tuple[int, int, int]
@@ -639,12 +637,10 @@ def _sides(picked: list[str], kept: str, sizes: dict[str, int]) -> tuple[_Side, 
     own = [[ch for ch in term if ch in kept and ch not in batch] for term in picked]
     sides = []
     for term, mine, theirs in ((a, *own), (b, *own[::-1])):
-        rest = [ch for ch in term if ch in kept or ch in summed]
         letters = batch + mine + theirs
         sides.append(_Side(
-            drop=tuple(k for k, ch in enumerate(term) if ch not in rest),
-            as_coo=tuple(rest.index(ch) for ch in batch + mine + summed),
-            as_rows=tuple(rest.index(ch) for ch in batch + summed + mine),
+            as_coo=tuple(term.index(ch) for ch in batch + mine + summed),
+            as_rows=tuple(term.index(ch) for ch in batch + summed + mine),
             blocks=tuple(math.prod(sizes[ch] for ch in group)
                          for group in (batch, mine, summed)),
             result=(tuple(sizes[ch] for ch in letters),
@@ -686,7 +682,8 @@ def _plan(subscripts: str, variances: tuple[str, ...],
         summed = math.prod(sizes[ch] for ch in set(letters) - set(kept))
         cost = math.prod(sizes[ch] for ch in set(letters))
         dense_only = (len(picked) != 2 or cost < SPARSE_FLOOR
-                      or any(len(set(term)) != len(term) for term in picked))
+                      or any(len(set(term)) != len(term) for term in picked)
+                      or any(ch not in kept for ch in set(picked[0]) ^ set(picked[1])))
         steps.append(_Step(pair, ",".join(picked) + "->" + kept, summed, cost,
                            None if dense_only else _sides(picked, kept, sizes)))
         left.append(kept)
@@ -698,10 +695,6 @@ def _sparse_step(x: np.ndarray, y: np.ndarray, sx: _Side, sy: _Side) -> np.ndarr
     the gathered row ``y[b, s, :]``, the products summed per output row
     ``(b, i)`` and written into a zero result of ``x``'s dtype."""
     nb, nx, ns = sx.blocks
-    if sx.drop:
-        x = np.asarray(x.sum(axis=sx.drop), dtype=x.dtype)
-    if sy.drop:
-        y = np.asarray(y.sum(axis=sy.drop), dtype=y.dtype)
     x = np.atleast_1d(x.transpose(sx.as_coo))   # a view, not a copy
     rows = y.transpose(sy.as_rows).reshape(nb * ns, sy.blocks[1])
     flat = np.flatnonzero(x != 0)       # (b nx + i) ns + s, increasing
@@ -779,8 +772,11 @@ def exact_sum(terms) -> Tensor:
     # Zeros count as 1, so every term's numerators fit the dtype too.
     bound = sum((top or 1) * (abs(f) or 1) for (_, _, top, _, _), f in zip(parts, factors))
     dtype = np.int64 if bound < INT64_SAFE else object
-    total = np.asarray(sum(num.astype(dtype, copy=False) * f
-                           for (_, num, _, _, _), f in zip(parts, factors)), dtype=dtype)
+    # A factor of 1 multiplies nothing, and the sum starts from the first
+    # term, so a one-term sum keeps its contraction's array.
+    nums = [num.astype(dtype, copy=False) for _, num, *_ in parts]
+    nums = [num if f == 1 else num * f for num, f in zip(nums, factors)]
+    total = np.asarray(sum(nums[1:], nums[0]), dtype=dtype)
     top = parts[0][2] * abs(factors[0]) if len(parts) == 1 else _max_abs(total)
     return Tensor._of(*_canonical(total, den, top), variance)
 

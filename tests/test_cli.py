@@ -253,6 +253,30 @@ def test_section_degenerate_plane_is_not_an_error(model_path, capsys):
     assert "degenerate" in obj["note"]
 
 
+@pytest.mark.parametrize("x, y, flags, digest", [
+    ("1,0,0", "0,1,0", [],
+     "09df15a83b3a4fe5f6469fc88d1b411f643cb5fa810275d9f130a07f76ade400"),
+    ("1,0,0", "0,1,0", ["--json"],
+     "6b772eb0ffc1fd2113c66c1e7ac2f261e24292ebbc7b82a4e61d281fb4038b41"),
+    ("0,1,0", "0,0,1", [],
+     "dc7e0e6e46b3cca76b7f84829f8bc01386f9ddc88f22f0a6f9534f2ad90b93ef"),
+    ("0,1,0", "0,0,1", ["--json"],
+     "8cb1b87a9bf8ceac3e72ea370b8c570fbd29ed85f1c8686bed4a297c5044067e"),
+    ("1,0,0", "0,1,1", [],
+     "5988efbc2af882dbd3e991c71a8ac7736695ba1e243e84f3f1c3bc8c38668c8a"),
+    ("1,0,0", "0,1,1", ["--json"],
+     "51aa6c4619e90ffccd8ae9264906b1a54bc134182a124bdd5515e14421f6cb32"),
+], ids=["xi", "xi-json", "phi-holomorphic", "phi-holomorphic-json",
+        "degenerate", "degenerate-json"])
+def test_section_output_is_pinned(model_path, capsys, x, y, flags, digest):
+    """A xi plane, a phi-holomorphic plane and a degenerate plane of the
+    lambda = (2, 3) member print these exact bytes."""
+    assert main(["section", model_path, "--x", x, "--y", y, *flags]) == EXIT_OK
+    got = capsys.readouterr()
+    assert got.err == ""
+    assert _sha256(got.out) == digest
+
+
 def test_section_dependent_vectors_are_input_error(model_path, capsys):
     assert main(["section", model_path, "--x", "1,0,0", "--y", "2,0,0",
                  "--quiet"]) == EXIT_INPUT

@@ -251,6 +251,7 @@ STEP_COUNTS = {
     ("ij,jk->ik", ((30, 30), (30, 30)), False),         # below the floor
     ("iij,jk->ik", ((40, 40, 40), (40, 40)), False),    # a letter repeated in a term
     ("ijkl->lkji", ((20, 20, 20, 20),), False),         # one operand
+    ("ij,jk->k", ((200, 200), (200, 200)), False),      # a letter only one term sums
 ])
 def test_the_plan_marks_the_dense_only_steps(subscripts, shapes, sparse):
     variances = tuple("d" * len(shape) for shape in shapes)
@@ -317,7 +318,8 @@ def test_the_sparse_route_matches_the_reference_and_the_dense_route(case):
     that result's numerators times the operands' denominator product equal
     numpy's einsum of the operands' numerators as Python ints: an exact
     reference that uses neither route.  Both routes run in the dtype the
-    step's bound picks."""
+    step's bound picks.  A step with a letter that only one operand sums
+    is dense-only: it runs as einsum even when the sparse route is forced."""
     subscripts, (a, b) = case
     with _step_routes() as natural:
         result = exact_einsum(subscripts, a, b)
@@ -330,10 +332,16 @@ def test_the_sparse_route_matches_the_reference_and_the_dense_route(case):
     reference = np.einsum(subscripts, a.num.astype(object), b.num.astype(object))
     assert np.array_equal(result.num.astype(object) * (a.den * b.den),
                           np.asarray(reference, dtype=object) * result.den)
-    bound = (a.magnitude or 1) * (b.magnitude or 1) * _plan(
-        subscripts, ("d" * a.rank, "d" * b.rank), (a.shape, b.shape)).steps[0].summed
+    (step,) = _plan(subscripts, ("d" * a.rank, "d" * b.rank), (a.shape, b.shape)).steps
+    bound = (a.magnitude or 1) * (b.magnitude or 1) * step.summed
     dtype = "int64" if bound < INT64_SAFE and a.den * b.den < INT64_SAFE else "object"
-    assert dict(sparse) == {("sparse", dtype): 1}
+    terms, out = subscripts.split("->")
+    left, right = terms.split(",")
+    if (set(left) ^ set(right)) - set(out):     # a letter only one operand sums
+        assert step.sides is None
+        assert dict(sparse) == {("einsum", dtype): 1}
+    else:
+        assert dict(sparse) == {("sparse", dtype): 1}
     assert dict(dense) == {("einsum", dtype): 1}
     assert sum(natural.values()) == 1 and natural.keys() <= {("sparse", dtype),
                                                               ("einsum", dtype)}

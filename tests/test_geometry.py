@@ -116,7 +116,7 @@ def test_public_functions_agree_with_layers(which, request):
     assert report.tensors["psi4_s"] == geo.psi4_s
     assert report.invariants["s_trace"] == geo.s_trace
     assert report.invariants["div_phi_omega_vec"] == geo.div_phi_omega
-    assert report.is_f11 == geo.f11
+    assert report.classes["f11"] == geo.f11
 
 
 def test_layers_add_no_fractions(monkeypatch):

@@ -49,6 +49,26 @@ def test_algebra_from_brackets_completes_antisymmetrically():
     assert validate(alg).ok
 
 
+@pytest.mark.parametrize("pair", [(-1, 0), (3, 0), (0, 3)])
+def test_algebra_from_brackets_rejects_an_index_out_of_range(pair):
+    """A negative index does not wrap round, and a large one is named."""
+    with pytest.raises(DimensionMismatch, match="out of range"):
+        algebra_from_brackets(3, {pair: [1, 0, 0]})
+
+
+def test_algebra_from_brackets_takes_a_listed_mirror_as_it_is():
+    """Both entries of a contradictory pair are kept, in either order,
+    so validation names the pair instead of the last entry winning."""
+    v, w = [1, 0, 0], [0, 1, 0]
+    a = algebra_from_brackets(3, {(1, 2): v, (2, 1): w})
+    b = algebra_from_brackets(3, {(2, 1): w, (1, 2): v})
+    assert a.c == b.c
+    assert list(a.c.components[:, 1, 2]) == v and list(a.c.components[:, 2, 1]) == w
+    report = validate(a)
+    assert report.rules() == {"antisymmetry"}
+    assert [v.where for v in report.violations] == [(1, 2)]
+
+
 def test_bracket_evaluates_bilinearly():
     alg = algebra_from_brackets(3, {(1, 2): [1, 0, 0]})
     v = bracket(alg, [0, 2, 0], [0, 0, Fr(1, 2)])   # [2 x1, x2/2] = x0

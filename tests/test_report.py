@@ -1,14 +1,15 @@
 """The one-stop geometry report: frozen content, determinism, and both
 serialized forms."""
 import json
+from dataclasses import fields
 from fractions import Fraction as Fr
 
 import pytest
 
 from norden import (
+    GeometryReport,
     all_identities_ok,
     report_to_json,
-    report_to_json_dict,
     report_to_text,
     run_report,
 )
@@ -21,13 +22,20 @@ def rep23(fam23):
 
 def test_report_header_and_flags(rep23):
     assert rep23.dim == 3 and rep23.n == 1
-    assert rep23.metric_signature == (2, 1, 0)
-    assert rep23.associated_signature == (2, 1, 0)
-    assert rep23.is_f11 and not rep23.is_f0
-    assert not rep23.normal
-    assert rep23.omega_closed and rep23.omega_star_closed
-    assert not rep23.isotropic_kahler
-    assert not rep23.curvature_phi_kahler
+    assert rep23.signature == {"metric": (2, 1, 0), "associated_metric": (2, 1, 0)}
+    assert rep23.classes["f11"] and not rep23.classes["f0"]
+    assert not rep23.flags["normal"]
+    assert rep23.flags["omega_closed"] and rep23.flags["omega_star_closed"]
+    assert not rep23.flags["isotropic_kahler"]
+    assert not rep23.flags["curvature_phi_kahler"]
+
+
+def test_report_fields_are_the_json_sections(rep23):
+    """Each field of the report is one top-level section of its JSON,
+    under the same name."""
+    names = [f.name for f in fields(GeometryReport)]
+    assert len(names) == 9
+    assert set(names) == set(json.loads(report_to_json(rep23)))
 
 
 def test_report_frozen_invariants(rep23):
@@ -81,10 +89,6 @@ def test_json_rendering(rep23):
     assert obj["tensors"]["gamma"]["variance"] == "udd"
 
 
-def test_json_dict_matches_json_string(rep23):
-    assert json.loads(report_to_json(rep23)) == report_to_json_dict(rep23)
-
-
 def test_text_rendering(rep23):
     text = report_to_text(rep23)
     assert "dim = 3 (n = 1)" in text
@@ -97,10 +101,10 @@ def test_text_rendering(rep23):
 
 def test_flat_member_report(fam_zero):
     rep = run_report(fam_zero.model)
-    assert rep.is_f0 and rep.is_f11
-    assert rep.normal
-    assert rep.isotropic_kahler
-    assert rep.curvature_phi_kahler
+    assert rep.classes["f0"] and rep.classes["f11"]
+    assert rep.flags["normal"]
+    assert rep.flags["isotropic_kahler"]
+    assert rep.flags["curvature_phi_kahler"]
     assert rep.invariants["tau"] == 0
     assert rep.tensors["riemann"].is_zero()
     assert all_identities_ok(rep)
@@ -108,8 +112,8 @@ def test_flat_member_report(fam_zero):
 
 def test_heisenberg_report(heis):
     rep = run_report(heis.model)
-    assert not rep.is_f11
-    assert rep.normal
+    assert not rep.classes["f11"]
+    assert rep.flags["normal"]
     assert rep.invariants["tau"] == Fr(1, 2)
     assert rep.invariants["nijenhuis_square_norm"] == 0
     assert all_identities_ok(rep)  # gated identities are n/a, none fail
