@@ -9,13 +9,12 @@ as exact rationals.
 """
 from norden import (
     FamilyParams,
-    classify_section,
     generate_family,
     is_metric_compatible,
     is_torsion_free,
     levi_civita,
     riemann,
-    sectional_curvature,
+    section,
 )
 
 model = generate_family(FamilyParams(1, (2, 3)))
@@ -53,9 +52,8 @@ sections = {
 }
 print()
 for label, (x, y) in sections.items():
-    kind = classify_section(model, x, y).kind
-    k = sectional_curvature(model, curv, x, y)
-    print(f"{label}: kind = {kind:16s} k = {k}")
+    plane = section(model, conn, x, y)
+    print(f"{label}: kind = {plane.kind:16s} k = {plane.sectional_curvature}")
 
 # The xi-section curvatures are -lambda_i^2 / g(x_i, x_i); the
 # phi-invariant plane span(x1, x2) is flat for every parameter choice.

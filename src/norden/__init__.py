@@ -21,15 +21,9 @@ from .connection import (
     is_metric_compatible,
     is_torsion_free,
 )
-from .curvature import (
-    CurvaturePack,
-    SectionType,
-    classify_section,
-    sectional_curvature,
-)
+from .curvature import CurvaturePack, Section, section
 from .errors import (
     BadParams,
-    DegenerateSection,
     DimensionMismatch,
     InternalInconsistency,
     InvalidAlgebra,
@@ -95,12 +89,11 @@ __all__ = [
     # connection
     "Connection", "covariant_derivative", "is_metric_compatible", "is_torsion_free",
     # curvature
-    "CurvaturePack", "SectionType", "classify_section", "sectional_curvature",
+    "CurvaturePack", "Section", "section",
     # errors
-    "BadParams", "DegenerateSection", "DimensionMismatch", "InternalInconsistency",
-    "InvalidAlgebra", "LinearlyDependent", "NordenError", "ParseError",
-    "SingularMetric", "ValidationError", "ValidationReport", "VarianceMismatch",
-    "Violation",
+    "BadParams", "DimensionMismatch", "InternalInconsistency", "InvalidAlgebra",
+    "LinearlyDependent", "NordenError", "ParseError", "SingularMetric",
+    "ValidationError", "ValidationReport", "VarianceMismatch", "Violation",
     # family
     "FamilyParams", "generate_family", "heisenberg_model",
     # fundamental

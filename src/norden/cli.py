@@ -20,10 +20,9 @@ import functools
 import sys
 from fractions import Fraction
 
-from .curvature import classify_section, sectional_curvature
+from .curvature import section
 from .errors import (
     BadParams,
-    DegenerateSection,
     LinearlyDependent,
     NordenError,
     ParseError,
@@ -169,15 +168,14 @@ def _cmd_section(args) -> int:
     x = _parse_vector(args.x, "x")
     y = _parse_vector(args.y, "y")
     try:
-        section = classify_section(model, x, y)
+        plane = section(model, Geometry(model).conn, x, y)
     except LinearlyDependent as exc:
         raise _CliFailure(EXIT_INPUT, str(exc))
-    obj = {**vars(section), "sectional_curvature": None, "note": None}
-    try:
-        k = sectional_curvature(model, Geometry(model).curv, x, y)
-        obj["sectional_curvature"] = format_scalar(k)
-    except DegenerateSection:
+    obj = {**vars(plane), "note": None}
+    if plane.sectional_curvature is None:
         obj["note"] = "restricted metric is degenerate; no sectional curvature"
+    else:
+        obj["sectional_curvature"] = format_scalar(plane.sectional_curvature)
     lines = [f"{key}: {'undefined' if value is None else value}"
              for key, value in obj.items() if value is not None or key != "note"]
     _emit(args, "\n".join(lines) + "\n", obj)

@@ -37,11 +37,6 @@ class InternalInconsistency(NordenError):
     """
 
 
-class DegenerateSection(NordenError):
-    """The restricted metric on a 2-plane is degenerate, so no sectional
-    curvature is defined."""
-
-
 class LinearlyDependent(NordenError):
     """Vectors that must span a 2-plane are linearly dependent."""
 

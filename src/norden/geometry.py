@@ -20,7 +20,7 @@ from functools import cached_property
 
 from .classify import IdentityVerdict, check_identities
 from .connection import Connection, covariant_derivative
-from .curvature import CurvaturePack
+from .curvature import CurvaturePack, curvature_terms
 from .errors import InternalInconsistency
 from .fundamental import (
     SquareNorms,
@@ -226,13 +226,8 @@ class Geometry:
     def curv(self) -> CurvaturePack:
         """``R(x_i, x_j) x_k = nabla_i nabla_j x_k - nabla_j nabla_i x_k
         - nabla_{[x_i, x_j]} x_k``, lowered, with Ricci and the scalars."""
-        gamma, c = self.conn.gamma, self.model.algebra.c
         ginv, phi = self.ginv, self.model.phi
-        r13 = exact_sum([
-            (1, "mjk,lim->lijk", gamma, gamma),
-            (-1, "mik,ljm->lijk", gamma, gamma),
-            (-1, "mij,lmk->lijk", c, gamma),
-        ])
+        r13 = exact_sum(curvature_terms(self.conn, self.model))
         R = exact_einsum("lijk,lu->ijku", r13, self.model.g)
         # ricci(y, z) = g^{is} R(x_i, y, z, x_s)
         ricci = exact_einsum("is,iyzs->yz", ginv, R)

@@ -209,6 +209,8 @@ def _parse_json(text: str) -> AcnModel:
             raise ParseError(f"{what} must be a list of {dim} rows")
         return [vec(row, f"{what} row") for row in v]
 
+    if not isinstance(data.get("brackets", []), list):
+        raise ParseError("'brackets' must be a list")
     brackets = []
     for entry in data.get("brackets", []):
         if not (isinstance(entry, list) and len(entry) == 3):
@@ -248,7 +250,9 @@ def _rows(t: Tensor) -> list[list[str]]:
 
 
 def serialize_model(model: AcnModel, fmt: str = "text") -> str:
-    """Render a model canonically; ``parse_model`` inverts this exactly."""
+    """Render a model canonically; ``parse_model`` inverts this exactly.
+    A name with a ``#``, a line break or outer whitespace does not fit
+    the text format and raises ``ValueError``; use ``fmt="json"``."""
     d = model.dim
     c = exact_einsum("kij->ijk", model.algebra.c)
     columns = _rows(c)    # row i * d + j holds [x_i, x_j]
@@ -268,7 +272,10 @@ def serialize_model(model: AcnModel, fmt: str = "text") -> str:
         }) + "\n"
     if fmt != "text":
         raise ValueError(f"unknown format {fmt!r}; use 'text' or 'json'")
-    lines = [f"name = {model.name}"] if model.name else []
+    name = model.name
+    if "#" in name or name != name.strip() or len(name.splitlines()) > 1:
+        raise ValueError(f"the text format cannot hold the name {name!r}; use fmt='json'")
+    lines = [f"name = {name}"] if name else []
     lines += [f"dim = {d}", "", "[brackets]"]
     lines += [f"{i} {j} : " + " ".join(coeffs) for i, j, coeffs in brackets]
     for section, rows in (("phi", phi), ("xi", [xi]), ("eta", [eta]), ("metric", metric)):

@@ -19,7 +19,6 @@ from norden import (
     Tensor,
     ValidationError,
     associated_metric,
-    classify_section,
     einsum_scalar,
     generate_family,
     is_metric_compatible,
@@ -27,7 +26,7 @@ from norden import (
     is_torsion_free,
     levi_civita,
     parse_model,
-    sectional_curvature,
+    section,
     serialize_model,
     signature,
     square_norms,
@@ -208,17 +207,20 @@ def test_criterion_05_sectional_curvatures(pool, fam23):
         e0 = _basis(dim, 0)
         for i in range(1, dim):
             ei = _basis(dim, i)
-            assert classify_section(geo.model, e0, ei).kind == "xi"
-            k = sectional_curvature(geo.model, geo.curv, e0, ei)
+            plane = section(geo.model, geo.conn, e0, ei)
+            assert plane.kind == "xi"
+            k = plane.sectional_curvature
             gii = geo.model.g[i, i]
             assert k == -lam[i - 1] * lam[i - 1] / gii
             for j in range(i + 1, dim):
                 ej = _basis(dim, j)
                 expected = "phi_holomorphic" if j == i + n else "totally_real"
-                assert classify_section(geo.model, ei, ej).kind == expected
-                assert sectional_curvature(geo.model, geo.curv, ei, ej) == 0
-    assert sectional_curvature(fam23.model, fam23.curv, [1, 0, 0], [0, 1, 0]) == -4
-    assert sectional_curvature(fam23.model, fam23.curv, [1, 0, 0], [0, 0, 1]) == 9
+                plane = section(geo.model, geo.conn, ei, ej)
+                assert plane.kind == expected
+                assert plane.sectional_curvature == 0
+    m, conn = fam23.model, fam23.conn
+    assert section(m, conn, [1, 0, 0], [0, 1, 0]).sectional_curvature == -4
+    assert section(m, conn, [1, 0, 0], [0, 0, 1]).sectional_curvature == 9
 
 
 # --- criterion 6: norm chain ----------------------------------------------

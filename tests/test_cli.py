@@ -7,10 +7,11 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import norden
-from norden import cli, serialize_model
+from norden import cli, serialize_model, tensors
 from norden.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, build_parser, main
 from test_golden import GOLDEN, _dense_model, _sha256
 
@@ -155,6 +156,22 @@ def test_bool_entry_is_input_error(tmp_path, capsys):
         assert "entries must be integers or rational strings, not true or false" in captured.err
 
 
+@pytest.mark.parametrize("brackets", [5, 1.5, False, None, "", {}, "abc"])
+def test_non_list_brackets_are_input_error(brackets, tmp_path, capsys):
+    """A ``"brackets"`` value that is not a list is refused by name: no
+    traceback, and ``""`` or ``{}`` are not read as "no brackets"."""
+    assert main(["family", "--n", "1", "--lambda", "2,3", "--json"]) == EXIT_OK
+    data = json.loads(capsys.readouterr().out)
+    data["brackets"] = brackets
+    path = tmp_path / "brackets.json"
+    path.write_text(json.dumps(data))
+    for argv in (["validate", str(path), "--json"], ["report", str(path)]):
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}: 'brackets' must be a list\n"
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("dim", [0, 1, -1, 2])
 def test_a_bad_dim_is_named_when_it_is_read(fmt, dim, tmp_path, capsys):
@@ -275,6 +292,36 @@ def test_section_output_is_pinned(model_path, capsys, x, y, flags, digest):
     got = capsys.readouterr()
     assert got.err == ""
     assert _sha256(got.out) == digest
+
+
+def test_section_builds_no_curvature_tensor(tmp_path, monkeypatch, capsys):
+    """``norden section`` reads ``R(x, y, y, x)`` from the connection: once
+    the model is read and validated (the Jacobi check is a ``d**4``
+    tensor), no contraction step outputs more than ``d**3`` entries."""
+    from test_contraction_plan import dense_member
+
+    model = dense_member(3)
+    path = tmp_path / "dense7.txt"
+    path.write_text(serialize_model(model))
+    argv = ["section", str(path), "--x", "1,0,2,0,-1,0,1", "--y", "0,1,0,1/2,0,3,-1"]
+    assert main(argv + ["--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["sectional_curvature"] is not None
+    sizes, loaded = [], []
+
+    def spy(func):
+        def wrapper(*args, **kwargs):
+            out = func(*args, **kwargs)
+            if loaded:
+                sizes.append(np.size(out))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(np, "einsum", spy(np.einsum))
+    monkeypatch.setattr(tensors, "_sparse_step", spy(tensors._sparse_step))
+    load = cli._run_validated
+    monkeypatch.setattr(cli, "_run_validated", lambda args: (load(args), loaded.append(1))[0])
+    assert main(argv + ["--quiet"]) == EXIT_OK
+    assert loaded and sizes and max(sizes) <= model.dim ** 3
 
 
 def test_section_dependent_vectors_are_input_error(model_path, capsys):

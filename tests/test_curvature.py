@@ -6,18 +6,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from conftest import build_geometry
 
 from norden import (
-    DegenerateSection,
     FamilyParams,
     LinearlyDependent,
     Tensor,
     VarianceMismatch,
-    classify_section,
     generate_family,
     levi_civita,
+    matrix_rank,
     riemann,
-    sectional_curvature,
+    section,
 )
 
 lam_values = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -112,43 +112,42 @@ def test_family_curvature_phi_twist_vanishes(lam):
 
 
 def test_frozen_sectional_curvatures(fam23):
-    m, curv = fam23.model, fam23.curv
-    assert sectional_curvature(m, curv, [1, 0, 0], [0, 1, 0]) == -4
-    assert sectional_curvature(m, curv, [1, 0, 0], [0, 0, 1]) == 9
+    m, conn = fam23.model, fam23.conn
+    assert section(m, conn, [1, 0, 0], [0, 1, 0]).sectional_curvature == -4
+    assert section(m, conn, [1, 0, 0], [0, 0, 1]).sectional_curvature == 9
     # the phi-invariant plane (x1, x2) is flat
-    assert sectional_curvature(m, curv, [0, 1, 0], [0, 0, 1]) == 0
+    assert section(m, conn, [0, 1, 0], [0, 0, 1]).sectional_curvature == 0
 
 
 def test_sectional_curvature_is_basis_independent(fam23):
     """Replacing (x, y) by (x + y, 2y) leaves the plane, hence k, fixed."""
-    m, curv = fam23.model, fam23.curv
-    k1 = sectional_curvature(m, curv, [1, 0, 0], [0, 1, 0])
-    k2 = sectional_curvature(m, curv, [1, 1, 0], [0, 2, 0])
+    m, conn = fam23.model, fam23.conn
+    k1 = section(m, conn, [1, 0, 0], [0, 1, 0]).sectional_curvature
+    k2 = section(m, conn, [1, 1, 0], [0, 2, 0]).sectional_curvature
     assert k1 == k2
 
 
 def test_sectional_curvature_errors(fam23):
-    m, curv = fam23.model, fam23.curv
+    m, conn = fam23.model, fam23.conn
     with pytest.raises(LinearlyDependent):
-        sectional_curvature(m, curv, [1, 0, 0], [2, 0, 0])
+        section(m, conn, [1, 0, 0], [2, 0, 0])
     # x1 + x2 is a null direction orthogonal to xi: the plane it spans
     # with xi carries a degenerate restricted metric.
-    with pytest.raises(DegenerateSection):
-        sectional_curvature(m, curv, [1, 0, 0], [0, 1, 1])
+    assert section(m, conn, [1, 0, 0], [0, 1, 1]).sectional_curvature is None
 
 
 def test_classify_section_kinds(fam23, fam5):
     m3 = fam23.model
-    s = classify_section(m3, [1, 0, 0], [0, 1, 0])
+    s = section(m3, fam23.conn, [1, 0, 0], [0, 1, 0])
     assert s.kind == "xi" and s.contains_xi
-    s = classify_section(m3, [0, 1, 0], [0, 0, 1])
+    s = section(m3, fam23.conn, [0, 1, 0], [0, 0, 1])
     assert s.kind == "phi_holomorphic" and s.phi_invariant and not s.contains_xi
 
     m5 = fam5.model
     d = 5
-    s = classify_section(m5, basis_vec(d, 1), basis_vec(d, 2))
+    s = section(m5, fam5.conn, basis_vec(d, 1), basis_vec(d, 2))
     assert s.kind == "totally_real" and s.totally_real and not s.phi_invariant
-    s = classify_section(m5, basis_vec(d, 1), [0, 0, 1, 1, 0])
+    s = section(m5, fam5.conn, basis_vec(d, 1), [0, 0, 1, 1, 0])
     assert s.kind == "generic"
     assert not (s.contains_xi or s.phi_invariant or s.totally_real)
 
@@ -156,17 +155,65 @@ def test_classify_section_kinds(fam23, fam5):
 def test_classify_section_xi_plane_precedence(fam23):
     """A plane through xi is labeled 'xi' even though it is also
     totally real."""
-    s = classify_section(fam23.model, [1, 0, 0], [0, 1, 0])
+    s = section(fam23.model, fam23.conn, [1, 0, 0], [0, 1, 0])
     assert s.contains_xi and s.totally_real and s.kind == "xi"
 
 
 def test_classify_section_rejects_dependent_vectors(fam23):
     with pytest.raises(LinearlyDependent):
-        classify_section(fam23.model, [1, 0, 0], [-1, 0, 0])
+        section(fam23.model, fam23.conn, [1, 0, 0], [-1, 0, 0])
 
 
 def test_classify_section_rejects_a_covector(fam23):
     """eta is a 1-form: passing it where a vector belongs is an error,
     not a silent relabelling of its slot."""
     with pytest.raises(VarianceMismatch, match="must be a vector"):
-        classify_section(fam23.model, fam23.model.eta, Tensor([0, 1, 0], "u"))
+        section(fam23.model, fam23.conn, fam23.model.eta, Tensor([0, 1, 0], "u"))
+
+
+@pytest.fixture(scope="module")
+def dense():
+    from test_golden import _dense_model
+
+    return build_geometry(_dense_model())
+
+
+def _pi1(g, x, y) -> Fr:
+    """``g(x, x) g(y, y) - g(x, y)^2`` in explicit Fraction sums."""
+    def gg(u, v):
+        return sum(u[i] * g[i, j] * v[j] for i in range(len(u)) for j in range(len(v)))
+    return gg(x, x) * gg(y, y) - gg(x, y) ** 2
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_sectional_curvature_is_r04_on_the_plane(fam5, heis, dense, data):
+    """On random rational planes, the curvature read from the connection
+    is ``R(x, y, y, x) / pi1`` with ``R`` the tensor of ``Geometry.curv``,
+    contracted by numpy on Fractions; a plane of rank 1 is refused."""
+    geo = data.draw(st.sampled_from([fam5, heis, dense]))
+    entry = st.fractions(-3, 3, max_denominator=4)
+    x, y = (data.draw(st.lists(entry, min_size=geo.model.dim, max_size=geo.model.dim))
+            for _ in range(2))
+    if matrix_rank([x, y]) < 2:
+        with pytest.raises(LinearlyDependent):
+            section(geo.model, geo.conn, x, y)
+        return
+    k = section(geo.model, geo.conn, x, y).sectional_curvature
+    pi1 = _pi1(geo.model.g.components, x, y)
+    if pi1 == 0:
+        assert k is None
+    else:
+        r = np.einsum("ijku,i,j,k,u->", geo.curv.r04.components, *map(np.array, (x, y, y, x)))
+        assert k == r / pi1
+
+
+def test_a_degenerate_plane_has_no_sectional_curvature(fam5, heis, dense):
+    """Planes through a null vector g-orthogonal to the other spanning
+    vector; the dense one is xi and the image of ``x_1 + x_3`` of the
+    n = 2 member under the golden basis change, scaled by 9."""
+    for geo, x, y in ((fam5, [1, 0, 0, 0, 0], [0, 1, 0, 1, 0]),
+                      (heis, [1, 0, 0], [0, 1, 1]),
+                      (dense, [1, 0, 0, 0, 0], [-20, 29, -6, 6, 0])):
+        assert _pi1(geo.model.g.components, x, y) == 0
+        assert section(geo.model, geo.conn, x, y).sectional_curvature is None

@@ -1,9 +1,11 @@
 """The demos print fixed bytes: each runs in a subprocess against the
 checkout's ``src``, and its stdout must have the sha256 recorded when the
 demo last changed meaning.  A refactor that alters one printed character
-fails here."""
+fails here.  The README's Python blocks run too, so that an API rename
+cannot leave them stale."""
 import hashlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -37,3 +39,13 @@ def test_demo_output_is_unchanged(name):
                           capture_output=True, env=env)
     assert proc.returncode == 0, proc.stderr.decode()
     assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[name]
+
+
+def test_readme_python_blocks_run():
+    """Every Python block of the README runs, in order, in one namespace."""
+    text = (DEMOS.parent / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.S | re.M)
+    assert len(blocks) == 4
+    namespace = {}
+    for number, block in enumerate(blocks, start=1):
+        exec(compile(block, f"README.md python block {number}", "exec"), namespace)

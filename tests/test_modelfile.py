@@ -1,5 +1,6 @@
 """Model-file parsing, serialization, and exact round-tripping in both
 the text and JSON formats."""
+import dataclasses
 import json
 from fractions import Fraction as Fr
 
@@ -154,6 +155,31 @@ def test_json_structure_errors(fam23):
 
     with pytest.raises(ParseError, match="invalid JSON"):
         parse_model("{not json")
+
+
+@pytest.mark.parametrize("name", ["a # b", "#", " lead", "trail ", "\tboth\t",
+                                  "two\nlines", "cr\rlf", "sep\u2028line", "end\n"])
+def test_a_name_the_text_format_cannot_hold_raises(fam23, name):
+    """Such a name would come back changed from the text format, or make
+    a file that does not parse; it round-trips in JSON."""
+    model = dataclasses.replace(fam23.model, name=name)
+    with pytest.raises(ValueError, match="fmt='json'"):
+        serialize_model(model, fmt="text")
+    assert parse_model(serialize_model(model, fmt="json")).name == name
+
+
+def _fits_text(name: str) -> bool:
+    return "#" not in name and name == name.strip() and len(name.splitlines()) <= 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.text(max_size=20).filter(_fits_text))
+def test_text_names_round_trip(fam23, name):
+    model = dataclasses.replace(fam23.model, name=name)
+    text = serialize_model(model, fmt="text")
+    reparsed = parse_model(text)
+    assert reparsed.name == name
+    assert serialize_model(reparsed, fmt="text") == text
 
 
 def test_unlisted_mirror_is_completed():
