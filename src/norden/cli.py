@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from fractions import Fraction
 
@@ -44,6 +45,11 @@ from .tensors import as_scalar, canonical_json, format_scalar
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+
+#: Options whose value is a comma-separated list that may start with a
+#: minus sign, such as ``--x -1,0,0``.
+_LIST_OPTIONS = ("--x", "--y", "--lambda")
+_NEGATIVE = re.compile(r"-[\d./]")
 
 
 class _CliFailure(Exception):
@@ -75,12 +81,15 @@ def _parse_vector(text: str, what: str) -> list[Fraction]:
         raise _CliFailure(EXIT_INPUT, f"bad {what} vector {text!r}: {exc}")
 
 
-def _emit(args, text_output: str, json_obj) -> None:
+def _emit(args, text, json_obj) -> None:
+    """Print the requested format only: ``text()`` or ``json_obj()``
+    builds it, and neither is called under ``--quiet``."""
     if args.quiet:
         return
     if args.json:
-        print(canonical_json(json_obj))
+        print(canonical_json(json_obj()))
     else:
+        text_output = text()
         print(text_output, end="" if text_output.endswith("\n") else "\n")
 
 
@@ -98,11 +107,8 @@ def _violations_json(report) -> list[dict]:
 def _cmd_validate(args) -> int:
     model = _load_model(args.model, require_valid=False)
     report = validate_structure(model)
-    _emit(
-        args,
-        str(report),
-        {"valid": report.ok, "violations": _violations_json(report)},
-    )
+    _emit(args, lambda: str(report),
+          lambda: {"valid": report.ok, "violations": _violations_json(report)})
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
@@ -111,7 +117,8 @@ def _run_validated(args) -> AcnModel:
         return _load_model(args.model, require_valid=True)
     except ValidationError as exc:
         if args.json:
-            _emit(args, "", {"valid": False, "violations": _violations_json(exc.report)})
+            _emit(args, None,
+                  lambda: {"valid": False, "violations": _violations_json(exc.report)})
         elif not args.quiet:
             print(str(exc.report), file=sys.stderr)
         raise _CliFailure(EXIT_FAIL, "")
@@ -128,16 +135,10 @@ def _cmd_report(args) -> int:
 def _cmd_identities(args) -> int:
     model = _run_validated(args)
     verdicts = Geometry(model).identities
-    lines = []
-    obj = {}
-    for name, v in verdicts.items():
-        lines.append(verdict_line(name, v))
-        obj[name] = {
-            "applicable": v.applicable,
-            "passed": v.passed,
-            "detail": v.detail,
-        }
-    _emit(args, "\n".join(lines) + "\n", obj)
+    _emit(args,
+          lambda: "\n".join(verdict_line(name, v) for name, v in verdicts.items()) + "\n",
+          lambda: {name: {"applicable": v.applicable, "passed": v.passed, "detail": v.detail}
+                   for name, v in verdicts.items()})
     return EXIT_OK if all(v.ok for v in verdicts.values()) else EXIT_FAIL
 
 
@@ -176,9 +177,10 @@ def _cmd_section(args) -> int:
         obj["note"] = "restricted metric is degenerate; no sectional curvature"
     else:
         obj["sectional_curvature"] = format_scalar(plane.sectional_curvature)
-    lines = [f"{key}: {'undefined' if value is None else value}"
-             for key, value in obj.items() if value is not None or key != "note"]
-    _emit(args, "\n".join(lines) + "\n", obj)
+    _emit(args,
+          lambda: "".join(f"{key}: {'undefined' if value is None else value}\n"
+                          for key, value in obj.items() if value is not None or key != "note"),
+          lambda: obj)
     return EXIT_OK
 
 
@@ -228,8 +230,23 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _attach_list_values(argv: list[str]) -> list[str]:
+    """``argv`` with each list option (or an abbreviation of one) and a
+    value that starts with a minus sign joined into one ``--x=-1,0,0``
+    token: argparse takes a separate ``-1,0,0`` for an option."""
+    out: list[str] = []
+    for token in argv:
+        option = out[-1] if out else ""
+        if (len(option) > 2 and any(name.startswith(option) for name in _LIST_OPTIONS)
+                and _NEGATIVE.match(token)):
+            out[-1] = f"{option}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = _parser().parse_args(_attach_list_values(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except _CliFailure as exc:

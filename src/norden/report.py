@@ -7,6 +7,8 @@ to JSON or readable text.  Identical models produce identical output.
 """
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -138,6 +140,22 @@ def verdict_line(name: str, v: IdentityVerdict) -> str:
     return f"[{v.status}] {name}{extra}"
 
 
+@functools.lru_cache(maxsize=64)
+def _index_labels(shape: tuple[int, ...]) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The text labels of the indices of ``shape``, in two tables in C
+    order: ``head`` for the first ``rank // 2`` axes, each index followed
+    by a comma, and ``tail`` for the other axes, followed by ``"] = "``.
+    So the entry at flat index ``h * len(tail) + t`` is labelled
+    ``head[h] + tail[t]``, and up to rank 4 neither table holds more than
+    ``d**2`` strings."""
+    half = len(shape) // 2
+    head = tuple("".join(f"{i}," for i in index)
+                 for index in itertools.product(*map(range, shape[:half])))
+    tail = tuple(",".join(map(str, index)) + "] = "
+                 for index in itertools.product(*map(range, shape[half:])))
+    return head, tail
+
+
 def report_to_text(report: GeometryReport) -> str:
     """A human-readable rendering; tensors list nonzero components."""
     sig, classes, flags = report.signature, report.classes, report.flags
@@ -168,11 +186,13 @@ def report_to_text(report: GeometryReport) -> str:
     lines.append("tensors (nonzero components):")
     for key, t in report.tensors.items():
         nonzero = t.num != 0
-        if not nonzero.any():
+        flat = np.flatnonzero(nonzero)
+        if not flat.size:
             lines.append(f"  {key} = 0")
             continue
-        names = [str(i) for i in range(max(t.shape))]
-        columns = (map(names.__getitem__, axis.tolist()) for axis in np.nonzero(nonzero))
-        lines += [f"  {key}[{idx}] = {text}" for idx, text in
-                  zip(map(",".join, zip(*columns)), t.formatted(nonzero))]
+        head, tail = _index_labels(t.shape)
+        rows, cols = np.divmod(flat, len(tail))
+        starts = [f"  {key}[{label}" for label in head]
+        lines += [starts[h] + tail[c] + text for h, c, text in
+                  zip(rows.tolist(), cols.tolist(), t.formatted(nonzero))]
     return "\n".join(lines) + "\n"

@@ -87,7 +87,7 @@ def validate_structure(model: AcnModel) -> ValidationReport:
 
     # phi^2 = -Id + eta (x) xi, column by column.
     phi2 = exact_einsum("ia,aj->ij", phi, phi)
-    identity = Tensor(np.eye(model.dim, dtype=int), "ud")
+    identity = Tensor._of(np.eye(model.dim, dtype=np.int64), 1, 1, "ud")   # canonical
     expected = exact_sum([(1, "i,j->ij", xi, eta), (-1, "ij->ij", identity)])
     for i, j in mismatches(phi2, expected):
         report.add("phi_square", where=(i, j),

@@ -16,8 +16,14 @@ terms without scanning them.
 Every computation is a linear combination of contractions,
 :func:`exact_sum` (:func:`exact_einsum` is its one-term case): each
 contraction runs on numerators over the product of its operands'
-denominators, pairwise along numpy's greedy path, the terms are added as
-integers over the lcm ``L`` of theirs, and the result is reduced once.
+denominators, pairwise along numpy's greedy path, the terms are added in
+place as integers over the lcm ``L`` of theirs, and the result is reduced
+once: by the gcd of ``L`` and the nonzero numerators, which the first few
+entries often bring to 1.  A term that only permutes the letters of one
+operand (the identity included) does no arithmetic: it is a transposed,
+read-only view of that operand's numerators, with its denominator and
+largest magnitude, and it runs no einsum.  Such a term alone, with
+coefficient 1, is already canonical and is returned as it is.
 Two bounds keep int64 exact; zeros count as 1 in both.  A pairwise step
 runs in int64 when the product of its two operands' largest numerator
 magnitudes (an intermediate's as computed) times the number of index
@@ -29,13 +35,14 @@ partial sum, is below ``2**62``.  Otherwise Python ints are used.
 Everything about a contraction that does not depend on values is
 compiled once into a plan and kept in a bounded cache.  Its key is the
 subscripts, the operands' variances and the operands' shapes.  It holds
-the parsed terms, the output and the output variance, numpy's greedy
-pairwise path (searched once per key on shape-only arrays) and, for each
-step, the pair it takes, its subscripts, the number of index
-combinations it sums, its dense cost (the product of its letter sizes)
-and, for a two-operand step, its sparse layout.  A plan holds no value
-and no dtype: each call reads its operands' stored magnitudes, so each
-step still picks its arithmetic by the bound above.
+the parsed terms, the output and the output variance, the axis order of
+a permutation term, numpy's greedy pairwise path (searched once per key
+on shape-only arrays) and, for each step, the pair it takes, its
+subscripts, the number of index combinations it sums, its dense cost
+(the product of its letter sizes) and, for a two-operand step, its
+sparse layout.  A plan holds no value and no dtype: each call reads its
+operands' stored magnitudes, so each step still picks its arithmetic by
+the bound above.
 
 Each step then picks its route.  A step is dense-only, and runs as
 ``np.einsum`` without reading a value, when it has one operand, repeats a
@@ -60,7 +67,8 @@ build storage from such pairs over the lcm of their ``q``.  So
 string.  Fractions appear only at the output edges: the read-only
 :attr:`Tensor.components` view (ints and Fractions in lowest terms,
 built on first read), scalar results such as :func:`einsum_scalar` and
-:func:`as_scalar`, and rendering.  A slot is contravariant ``"u"`` or
+:func:`as_scalar`, and rendering, where :meth:`Tensor.formatted` formats
+each distinct numerator once.  A slot is contravariant ``"u"`` or
 covariant ``"d"``; a contraction gives each output slot the variance of
 the first operand slot that carries its index letter.
 """
@@ -183,12 +191,20 @@ def _max_abs(num: np.ndarray) -> int:
 def _canonical(num: np.ndarray, den: int, top: int) -> tuple[np.ndarray, int, int]:
     """``num / den``, whose largest magnitude is ``top``, in the canonical
     form: lowest terms, int64 when every magnitude is below
-    ``INT64_SAFE``.  Returns the form's ``num``, ``den`` and ``top``."""
-    if den != 1:
-        common = int(np.gcd.reduce(num, axis=None))
-        if not common:              # the zero tensor
-            den = 1
-        elif (g := math.gcd(common, den)) != 1:
+    ``INT64_SAFE``.  Returns the form's ``num``, ``den`` and ``top``.
+
+    The common factor is the gcd of ``den`` and the nonzero entries.  It
+    is taken over the first few entries, which often bring it to 1, and
+    only then over the nonzero entries of the rest."""
+    if not top:                     # the zero tensor
+        den = 1
+    elif den != 1:
+        flat = num.reshape(-1)
+        g = math.gcd(den, *flat[:8].tolist())
+        if g != 1 and flat.size > 8:
+            rest = flat[8:]
+            g = math.gcd(g, int(np.gcd.reduce(rest[rest != 0])))
+        if g != 1:
             num, den, top = np.asarray(num // g, dtype=num.dtype), den // g, top // g
     if num.dtype == object and top < INT64_SAFE:
         num = num.astype(np.int64)
@@ -240,13 +256,16 @@ class Tensor:
 
     def _set(self, num, den, top, variance) -> None:
         variance = str(variance)
-        if len(variance) != num.ndim or set(variance) - {UP, DOWN}:
+        if len(variance) != num.ndim or variance.strip(UP + DOWN):
             raise VarianceMismatch(f"variance {variance!r} needs one 'u' or 'd' letter "
                                    f"per axis of a rank-{num.ndim} tensor")
         num.setflags(write=False)
-        for name, value in (("num", num), ("den", den), ("variance", variance),
-                            ("magnitude", top), ("_components", None)):
-            object.__setattr__(self, name, value)
+        setattr = object.__setattr__
+        setattr(self, "num", num)
+        setattr(self, "den", den)
+        setattr(self, "variance", variance)
+        setattr(self, "magnitude", top)
+        setattr(self, "_components", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor instances are immutable")
@@ -339,16 +358,20 @@ class Tensor:
     def formatted(self, where: np.ndarray | None = None) -> list[str]:
         """Every entry, or every entry where the boolean array ``where``
         is set, rendered as by :func:`format_scalar`, in C order.  Reads
-        the numerators directly; builds no Fraction."""
+        the numerators directly, builds no Fraction and formats each
+        distinct numerator once."""
         d = self.den
         num = (self.num if where is None else self.num[where]).ravel()
+        values, inverse = np.unique(num, return_inverse=True)
         if d == 1:
-            return [str(v) for v in num.tolist()]
-        if d >= INT64_SAFE:     # such a d does not fit an int64 ufunc
-            num = num.astype(object)
-        g = np.gcd(num, d)
-        return [str(v) if q == 1 else f"{v}/{q}"
-                for v, q in zip((num // g).tolist(), (d // g).tolist())]
+            texts = [str(v) for v in values.tolist()]
+        else:
+            if d >= INT64_SAFE:     # such a d does not fit an int64 ufunc
+                values = values.astype(object)
+            g = np.gcd(values, d)
+            texts = [str(v) if q == 1 else f"{v}/{q}"
+                     for v, q in zip((values // g).tolist(), (d // g).tolist())]
+        return _object_array(texts, len(texts))[inverse].tolist()
 
     def nonzero_items(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Sorted ``(index, value)`` pairs for all nonzero components."""
@@ -406,7 +429,7 @@ def _components_json(t: Tensor, newline: str) -> str:
     joined row by row, innermost first.  At each level ``live`` marks the
     blocks that hold a nonzero and ``texts`` holds their strings in C
     order; every all-zero block of a level is the one string ``zero``,
-    built once."""
+    built once, and the outermost one only for a tensor of zeros."""
     live = t.num != 0
     texts, zero = [f'"{text}"' for text in t.formatted(live)], '"0"'
     for axis in reversed(range(t.rank)):
@@ -417,7 +440,8 @@ def _components_json(t: Tensor, newline: str) -> str:
         items = iter(texts)
         texts = [opening + sep.join([next(items) if nonzero else zero for nonzero in row])
                  + closing for row in rows[live].tolist()]
-        zero = opening + sep.join([zero] * n) + closing
+        if axis or not texts:
+            zero = opening + sep.join([zero] * n) + closing
     return texts[0] if texts else zero
 
 
@@ -622,11 +646,14 @@ class _Step(NamedTuple):
 
 class _Plan(NamedTuple):
     """How one contraction runs, fixed by its key alone: see the module
-    docstring."""
+    docstring.  ``perm`` is the axis order of the output, for one operand
+    whose output only permutes its letters (the identity included), and
+    ``None`` for any other contraction."""
     terms: tuple[str, ...]
     output: str
     variance: str
     steps: tuple[_Step, ...]
+    perm: tuple[int, ...] | None
 
 
 def _sides(picked: list[str], kept: str, sizes: dict[str, int]) -> tuple[_Side, ...]:
@@ -664,7 +691,10 @@ def _plan(subscripts: str, variances: tuple[str, ...],
                               optimize="greedy")[0][1:]
     slots: dict[str, str] = {}
     sizes: dict[str, int] = {}
-    for term, variance, shape in zip(terms, variances, shapes):
+    for k, (term, variance, shape) in enumerate(zip(terms, variances, shapes)):
+        if len(term) != len(shape):
+            raise ValueError(f"einstein sum subscripts {term!r} do not match "
+                             f"operand {k} of rank {len(shape)}")
         slots = dict(zip(term, variance)) | slots       # the first slot wins
         for ch, n in zip(term, shape):
             sizes[ch] = max(sizes.get(ch, 1), n)
@@ -687,7 +717,12 @@ def _plan(subscripts: str, variances: tuple[str, ...],
         steps.append(_Step(pair, ",".join(picked) + "->" + kept, summed, cost,
                            None if dense_only else _sides(picked, kept, sizes)))
         left.append(kept)
-    return _Plan(tuple(terms), output, "".join(slots[ch] for ch in output), tuple(steps))
+    (term, *rest) = terms
+    perm = (tuple(term.index(ch) for ch in output)
+            if not rest and len(set(term)) == len(term) and sorted(term) == sorted(output)
+            else None)
+    return _Plan(tuple(terms), output, "".join(slots[ch] for ch in output), tuple(steps),
+                 perm)
 
 
 def _sparse_step(x: np.ndarray, y: np.ndarray, sx: _Side, sy: _Side) -> np.ndarray:
@@ -724,8 +759,13 @@ def _pairwise(step: _Step, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _contract(plan: _Plan, operands) -> tuple[np.ndarray, int, int]:
     """One contraction of the operands' numerators, unreduced: the
     integer array, its largest magnitude and the product of the operands'
-    denominators.  Each pairwise step picks int64 or Python ints by its
-    own bound, then its route."""
+    denominators.  A permutation is a read-only view of its operand's
+    numerators, with the operand's own magnitude and denominator.  Each
+    pairwise step of any other contraction picks int64 or Python ints by
+    its own bound, then its route."""
+    if plan.perm is not None:
+        (op,) = operands
+        return op.num.transpose(plan.perm), op.magnitude, op.den
     den = math.prod(op.den for op in operands)
     ops = [(op.num, op.magnitude) for op in operands]
     for step in plan.steps:
@@ -759,8 +799,18 @@ def exact_sum(terms) -> Tensor:
         plan = _plan(subscripts, tuple([op.variance for op in operands]),
                      tuple([op.shape for op in operands]))
         num, top, den = _contract(plan, operands)
-        p, q = as_pair(coef)
+        p, q = (coef, 1) if type(coef) is int else as_pair(coef)
         parts.append((plan.variance, num, top, den * q, p))
+    if len(parts) == 1:     # the one term's plan, num, top, den, p and q
+        if plan.perm is not None and p == q == 1:
+            # A permutation of a canonical operand is canonical as it is.
+            return Tensor._of(num, den, top, plan.variance)
+        # A factor of 1 multiplies nothing: the contraction's array is kept.
+        dtype = np.int64 if (top or 1) * (abs(p) or 1) < INT64_SAFE else object
+        num = num.astype(dtype, copy=False)
+        if p != 1:
+            num = np.asarray(num * p, dtype=dtype)      # a 0-d product is a scalar
+        return Tensor._of(*_canonical(num, den * q, top * abs(p)), plan.variance)
     variance, shape = parts[0][0], parts[0][1].shape
     for var, num, *_ in parts:
         if var != variance:
@@ -772,13 +822,20 @@ def exact_sum(terms) -> Tensor:
     # Zeros count as 1, so every term's numerators fit the dtype too.
     bound = sum((top or 1) * (abs(f) or 1) for (_, _, top, _, _), f in zip(parts, factors))
     dtype = np.int64 if bound < INT64_SAFE else object
-    # A factor of 1 multiplies nothing, and the sum starts from the first
-    # term, so a one-term sum keeps its contraction's array.
-    nums = [num.astype(dtype, copy=False) for _, num, *_ in parts]
-    nums = [num if f == 1 else num * f for num, f in zip(nums, factors)]
-    total = np.asarray(sum(nums[1:], nums[0]), dtype=dtype)
-    top = parts[0][2] * abs(factors[0]) if len(parts) == 1 else _max_abs(total)
-    return Tensor._of(*_canonical(total, den, top), variance)
+    # The terms add in place into a copy of the first.
+    total = None
+    for (_, num, *_), f in zip(parts, factors):
+        num = num.astype(dtype, copy=False)
+        if total is None:
+            total = num * f if f != 1 else num.copy()
+        elif f == 1:
+            total += num
+        elif f == -1:
+            total -= num
+        else:
+            total += num * f
+    total = np.asarray(total, dtype=dtype)      # a 0-d result is a scalar
+    return Tensor._of(*_canonical(total, den, _max_abs(total)), variance)
 
 
 def exact_einsum(subscripts: str, *operands: Tensor) -> Tensor:

@@ -72,6 +72,17 @@ def test_family_stdout_and_json(capsys):
     assert obj["dim"] == 3
 
 
+def test_family_lambda_may_start_with_a_minus_sign(capsys):
+    """``--lambda -2,3`` as two tokens prints what ``--lambda=-2,3`` does,
+    and so does an abbreviation of the option."""
+    assert main(["family", "--n", "1", "--lambda=-2,3"]) == EXIT_OK
+    joined = capsys.readouterr()
+    for option in ("--lambda", "--lam"):
+        assert main(["family", "--n", "1", option, "-2,3"]) == EXIT_OK
+        assert capsys.readouterr() == joined
+    assert "lambda=-2,3" in joined.out
+
+
 def test_family_bad_params():
     assert main(["family", "--n", "1", "--lambda", "1,2,3", "--quiet"]) == EXIT_INPUT
     assert main(["family", "--n", "0", "--lambda", "1,2", "--quiet"]) == EXIT_INPUT
@@ -327,6 +338,44 @@ def test_section_builds_no_curvature_tensor(tmp_path, monkeypatch, capsys):
 def test_section_dependent_vectors_are_input_error(model_path, capsys):
     assert main(["section", model_path, "--x", "1,0,0", "--y", "2,0,0",
                  "--quiet"]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("option, vectors", [
+    ("--x", ("-1,0,0", "0,1,0")),
+    ("--y", ("0,1,0", "-1/2,0,1")),
+])
+def test_section_vector_may_start_with_a_minus_sign(model_path, capsys, option, vectors):
+    """A vector that starts with a minus sign after ``--x`` or ``--y`` as
+    its own token is read as the value, as in the ``--x=-1,0,0`` form."""
+    x, y = vectors
+    assert main(["section", model_path, f"--x={x}", f"--y={y}", "--json"]) == EXIT_OK
+    joined = capsys.readouterr()
+    spaced = {"--x": ["--x", x, f"--y={y}"], "--y": [f"--x={x}", "--y", y]}[option]
+    assert main(["section", model_path, *spaced, "--json"]) == EXIT_OK
+    assert capsys.readouterr() == joined
+    assert json.loads(joined.out)["kind"]
+
+
+def test_output_is_built_only_in_the_requested_format(model_path, broken_path,
+                                                      monkeypatch, capsys):
+    """Under ``--json`` or ``--quiet`` no text is rendered, and under text
+    or ``--quiet`` no JSON object is."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("rendered a format that is not printed")
+
+    monkeypatch.setattr(norden.errors.ValidationReport, "__str__", refuse)
+    monkeypatch.setattr(cli, "verdict_line", refuse)
+    for flags in (["--json"], ["--quiet"]):
+        assert main(["validate", broken_path, *flags]) == EXIT_FAIL
+        assert main(["identities", model_path, *flags]) == EXIT_OK
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "_violations_json", refuse)
+    monkeypatch.setattr(cli, "canonical_json", refuse)
+    for flags in ([], ["--quiet"]):
+        assert main(["validate", broken_path, *flags]) == EXIT_FAIL
+        assert main(["identities", model_path, *flags]) == EXIT_OK
+        assert main(["section", model_path, "--x", "1,0,0", "--y", "0,1,0", *flags]) == EXIT_OK
+    capsys.readouterr()
 
 
 def test_section_bad_vector_syntax(model_path):

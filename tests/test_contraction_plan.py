@@ -42,6 +42,7 @@ from test_exact_einsum import (
     _assert_each_call_picks_by_its_bound,
     _assert_same,
     _contraction_calls,
+    _only_permutes,
     _reference,
     huge,
     small,
@@ -188,6 +189,7 @@ def test_a_plan_fixes_no_value_of_a_sum():
     ("i,j->ij", 1, "2 terms for 1 operands"),
     ("i->j", 1, "output subscript 'j' which never appeared"),
     ("i,i,i->j", 3, "Output character j did not appear"),
+    ("ij->ji", 1, "do not match operand 0 of rank 1"),
 ])
 def test_a_bad_key_is_a_value_error_and_is_not_kept(subscripts, count, message):
     v = _array([1, 2], (2,))
@@ -236,13 +238,15 @@ def test_each_key_searches_its_path_once():
 # psi4 builds its first term once and permutes it, five steps where four
 # three-operand products were, so each report runs one step more; and the
 # sparse route takes the eleven d**5 steps of the sparse family member at
-# dim 13 and two int64 steps at dense dim 17 off einsum.
+# dim 13 and two int64 steps at dense dim 17 off einsum.  The twenty
+# terms of a report that only permute one operand's letters (all int64)
+# run no step at all: the kernel returns them as views.
 STEP_COUNTS = {
-    ("dense", 3): {("einsum", "int64"): 110},
-    ("dense", 6): {("einsum", "int64"): 110},
-    ("dense", 8): {("einsum", "int64"): 72, ("einsum", "object"): 36,
+    ("dense", 3): {("einsum", "int64"): 90},
+    ("dense", 6): {("einsum", "int64"): 90},
+    ("dense", 8): {("einsum", "int64"): 52, ("einsum", "object"): 36,
                    ("sparse", "int64"): 2},
-    ("family", 6): {("einsum", "int64"): 99, ("sparse", "int64"): 11},
+    ("family", 6): {("einsum", "int64"): 79, ("sparse", "int64"): 11},
 }
 
 
@@ -345,6 +349,25 @@ def test_the_sparse_route_matches_the_reference_and_the_dense_route(case):
     assert dict(dense) == {("einsum", dtype): 1}
     assert sum(natural.values()) == 1 and natural.keys() <= {("sparse", dtype),
                                                               ("einsum", dtype)}
+
+
+def test_no_einsum_call_of_a_report_only_permutes_one_operand():
+    """Over a whole report on the dense golden model, every term that
+    only permutes one operand's letters is returned as a view: numpy's
+    einsum never gets one."""
+    from test_golden import _dense_model
+
+    model = _dense_model()
+    calls = []
+    real = np.einsum
+
+    def spy(subscripts, *operands, **kwargs):
+        calls.append(subscripts)
+        return real(subscripts, *operands, **kwargs)
+
+    with mock.patch.object(np, "einsum", spy):
+        run_report(model)
+    assert calls and not any(map(_only_permutes, calls))
 
 
 @pytest.mark.parametrize("kind, n", list(STEP_COUNTS))

@@ -126,6 +126,14 @@ def contractions(draw, values):
     return subscripts, operands
 
 
+def _only_permutes(subscripts: str) -> bool:
+    """One operand whose output lists its letters once each, in any order:
+    the kernel returns such a term as a view and calls no einsum."""
+    inputs, output = subscripts.split("->")
+    return "," not in inputs and len(set(inputs)) == len(inputs) \
+        and sorted(inputs) == sorted(output)
+
+
 def _canonical(f: Fr):
     return f.numerator if f.denominator == 1 else f
 
@@ -151,7 +159,56 @@ def test_matches_reference_on_small_rationals(case):
         result = exact_einsum(subscripts, *operands)
     _assert_same(result, expected)
     _assert_each_call_picks_by_its_bound(calls, operands)
-    assert calls and all(dtypes == {np.dtype(np.int64)} for dtypes, _ in calls)
+    if _only_permutes(subscripts):
+        assert calls == []
+    else:
+        assert calls and all(dtypes == {np.dtype(np.int64)} for dtypes, _ in calls)
+
+
+#: A denominator past the int64 bound: numerators over it may still be
+#: int64, but no int64 ufunc may run on it.
+HUGE_DEN = 2**62 + 1
+
+
+@st.composite
+def permutations(draw):
+    """One operand of rank 0-4 and subscripts that only permute its
+    letters (the identity included), on one of three storages: int64
+    numerators over a small denominator, Python-int numerators, or int64
+    numerators over ``HUGE_DEN``."""
+    storage = draw(st.sampled_from(("int64", "object", "huge_den")))
+    letters = LETTERS[:draw(st.integers(0, 4))]
+    shape = tuple(draw(st.integers(1, 3)) for _ in letters)
+    values = {"int64": small, "object": huge,
+              "huge_den": st.integers(-9, 9).map(lambda k: Fr(k, HUGE_DEN))}[storage]
+    entries = draw(st.lists(values, min_size=math.prod(shape), max_size=math.prod(shape)))
+    entries[0] = {"int64": Fr(1, 2), "object": 2**62, "huge_den": Fr(1, HUGE_DEN)}[storage]
+    operand = _array(entries, shape)
+    assert (operand.num.dtype == object) == (storage == "object")
+    assert (operand.den >= INT64_SAFE) == (storage == "huge_den")
+    return f"{letters}->{''.join(draw(st.permutations(letters)))}", operand
+
+
+@settings(max_examples=150, deadline=None)
+@given(permutations(), st.sampled_from((1, -1, 3, Fr(-2, 3))))
+def test_a_permutation_is_exact_and_canonical_without_einsum(case, coef):
+    """A term that only permutes one operand's letters is a view of the
+    operand's storage: equal to the reference, canonical, with the largest
+    magnitude stored, on int64 storage, on Python ints and over a
+    denominator past int64, alone or scaled, and with no einsum call."""
+    subscripts, operand = case
+    assert _only_permutes(subscripts)
+    expected = _reference(subscripts, operand)
+    with _contraction_dtypes() as seen:
+        result = exact_einsum(subscripts, operand)
+        scaled = exact_sum([(coef, subscripts, operand)])
+    assert seen == []
+    _assert_same(result, expected)
+    _assert_same(scaled, Fr(coef) * np.asarray(expected, dtype=object))
+    for t in (result, scaled):
+        assert t.magnitude == max(map(abs, t.num.ravel().tolist()), default=0)
+    assert result.den == operand.den and result.magnitude == operand.magnitude
+    assert result.variance == operand.variance
 
 
 @settings(max_examples=100, deadline=None)
@@ -312,15 +369,16 @@ def coprime_numerators(draw):
                           st.sampled_from((1, -1))),
                 min_size=2, max_size=4, unique_by=lambda part: part[1]))
 def test_addition_alone_crosses_the_bound(parts):
-    """Each contraction is provably int64 (numerators below 2**61), but
-    over the common denominator of two or more distinct primes the terms
-    are not: the sum must be promoted to Python ints and stay exact."""
+    """Each term is provably int64 (numerators below 2**61), but over the
+    common denominator of two or more distinct primes the terms are not:
+    the sum must be promoted to Python ints and stay exact.  Each term
+    only permutes its operand, so no term calls einsum."""
     terms = [(sign, "i->i", _array([Fr(n, p)], (1,))) for n, p, sign in parts]
     den = math.lcm(*(p for _, p, _ in parts))
     assert sum(n * (den // p) for n, p, _ in parts) >= INT64_SAFE
     with _contraction_dtypes() as seen:
         result = exact_sum(terms)
-    assert all(s == {np.dtype(np.int64)} for s in seen) and len(seen) == len(parts)
+    assert seen == []
     _assert_same(result, _array([sum(sign * Fr(n, p) for n, p, sign in parts)], (1,))
                  .components)
 

@@ -1,14 +1,18 @@
 """The one-stop geometry report: frozen content, determinism, and both
 serialized forms."""
 import json
-from dataclasses import fields
+import random
+from dataclasses import fields, replace
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 
 from norden import (
     GeometryReport,
+    Tensor,
     all_identities_ok,
+    format_scalar,
     report_to_json,
     report_to_text,
     run_report,
@@ -97,6 +101,40 @@ def test_text_rendering(rep23):
     assert "[pass] norm_chain" in text
     assert "[ n/a] phi_kahler_criterion_closedness" in text
     assert "ricci[0,0] = 5" in text
+
+
+def _tensor_lines(key: str, t: Tensor) -> list[str]:
+    """The text lines of one tensor by their definition: one line per
+    nonzero entry in C order, its indices joined by commas."""
+    nonzero = t.num != 0
+    if not nonzero.any():
+        return [f"  {key} = 0"]
+    return [f"  {key}[{','.join(map(str, index))}] = {format_scalar(value)}"
+            for index, value in zip(np.argwhere(nonzero).tolist(),
+                                    t.components[nonzero].tolist())]
+
+
+def test_text_rendering_of_two_digit_indices(rep23):
+    """Tensors of rank 1 to 4 at dims 11 and 12, whose labels come from
+    the tables of index halves, render as the per-line definition: the
+    last entry, entries past index 9 on every axis, a zero tensor, and
+    repeated, negative, fractional and huge values."""
+    rng = random.Random(7)
+    pool = [1, -1, 3, Fr(-2, 3), Fr(5, 12), 10**30, -(10**30)]
+    tensors = {}
+    for dim in (11, 12):
+        for rank in range(1, 5):
+            size = dim ** rank
+            values = [rng.choice(pool) if rng.random() < 0.05 else 0 for _ in range(size)]
+            values[-1] = values[size // 2] = Fr(-7, 2)
+            tensors[f"t{rank}_{dim}"] = Tensor(np.array(values, dtype=object)
+                                               .reshape((dim,) * rank), "d" * rank)
+    tensors["zero"] = Tensor(np.zeros((11, 11), dtype=int), "dd")
+    text = report_to_text(replace(rep23, tensors=tensors))
+    _, tail = text.split("tensors (nonzero components):\n")
+    assert tail == "".join(line + "\n" for key, t in tensors.items()
+                           for line in _tensor_lines(key, t))
+    assert "  t4_12[11,11,11,11] = -7/2\n" in tail
 
 
 def test_flat_member_report(fam_zero):

@@ -207,6 +207,23 @@ def test_formatted_reduces_each_entry_like_format_scalar(values):
     assert t.formatted(t.num != 0) == [format_scalar(v) for v in values if v]
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([0, 1, -1, 7, -7, Fr(1, 2), Fr(-1, 2), Fr(-9, 4), 3 * 2**61,
+                                 -(2**64), Fr(5, 2**63), Fr(-5, 2**63)]),
+                min_size=1, max_size=24),
+       st.sampled_from([1, 2, 3, 2**63]))
+def test_formatted_formats_repeated_values_like_format_scalar(values, scale):
+    """Each distinct numerator is formatted once and copied to every entry
+    that holds it: the texts still match ``format_scalar`` entry by entry,
+    whatever the repeats, signs, denominator and storage."""
+    entries = [Fr(v) / scale for v in values]
+    t = Tensor(entries, "u")
+    assert t.formatted() == [format_scalar(v) for v in entries]
+    assert t.formatted(t.num < 0) == [format_scalar(v) for v in entries if v < 0]
+    assert t.formatted(t.num == t.num.flat[0]) == [format_scalar(entries[0])] * sum(
+        v == entries[0] for v in entries)
+
+
 # --- products and contractions ------------------------------------------
 
 def test_tensor_product_concatenates_variance():
