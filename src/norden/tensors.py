@@ -18,12 +18,12 @@ Every computation is a linear combination of contractions,
 contraction runs on numerators over the product of its operands'
 denominators, pairwise along numpy's greedy path, the terms are added in
 place as integers over the lcm ``L`` of theirs, and the result is reduced
-once: by the gcd of ``L`` and the nonzero numerators, which the first few
-entries often bring to 1.  A term that only permutes the letters of one
-operand (the identity included) does no arithmetic: it is a transposed,
-read-only view of that operand's numerators, with its denominator and
-largest magnitude, and it runs no einsum.  Such a term alone, with
-coefficient 1, is already canonical and is returned as it is.
+once, by the gcd of ``L`` and the nonzero numerators.  A term that only
+permutes the letters of one operand (the identity included) does no
+arithmetic: it is a transposed, read-only view of that operand's
+numerators, with its denominator and largest magnitude, and it runs no
+einsum.  Such a term alone, with coefficient 1, is already canonical and
+is returned as it is.
 Two bounds keep int64 exact; zeros count as 1 in both.  A pairwise step
 runs in int64 when the product of its two operands' largest numerator
 magnitudes (an intermediate's as computed) times the number of index
@@ -192,18 +192,12 @@ def _canonical(num: np.ndarray, den: int, top: int) -> tuple[np.ndarray, int, in
     """``num / den``, whose largest magnitude is ``top``, in the canonical
     form: lowest terms, int64 when every magnitude is below
     ``INT64_SAFE``.  Returns the form's ``num``, ``den`` and ``top``.
-
-    The common factor is the gcd of ``den`` and the nonzero entries.  It
-    is taken over the first few entries, which often bring it to 1, and
-    only then over the nonzero entries of the rest."""
+    The common factor is the gcd of ``den`` and the nonzero entries."""
     if not top:                     # the zero tensor
         den = 1
     elif den != 1:
         flat = num.reshape(-1)
-        g = math.gcd(den, *flat[:8].tolist())
-        if g != 1 and flat.size > 8:
-            rest = flat[8:]
-            g = math.gcd(g, int(np.gcd.reduce(rest[rest != 0])))
+        g = math.gcd(den, int(np.gcd.reduce(flat[flat != 0])))
         if g != 1:
             num, den, top = np.asarray(num // g, dtype=num.dtype), den // g, top // g
     if num.dtype == object and top < INT64_SAFE:
@@ -361,17 +355,12 @@ class Tensor:
         the numerators directly, builds no Fraction and formats each
         distinct numerator once."""
         d = self.den
-        num = (self.num if where is None else self.num[where]).ravel()
-        values, inverse = np.unique(num, return_inverse=True)
-        if d == 1:
-            texts = [str(v) for v in values.tolist()]
-        else:
-            if d >= INT64_SAFE:     # such a d does not fit an int64 ufunc
-                values = values.astype(object)
-            g = np.gcd(values, d)
-            texts = [str(v) if q == 1 else f"{v}/{q}"
-                     for v, q in zip((values // g).tolist(), (d // g).tolist())]
-        return _object_array(texts, len(texts))[inverse].tolist()
+        nums = (self.num if where is None else self.num[where]).ravel().tolist()
+        texts = {}
+        for v in set(nums):
+            g = math.gcd(v, d)
+            texts[v] = str(v // g) if g == d else f"{v // g}/{d // g}"
+        return list(map(texts.__getitem__, nums))
 
     def nonzero_items(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Sorted ``(index, value)`` pairs for all nonzero components."""
@@ -648,7 +637,7 @@ class _Plan(NamedTuple):
     """How one contraction runs, fixed by its key alone: see the module
     docstring.  ``perm`` is the axis order of the output, for one operand
     whose output only permutes its letters (the identity included), and
-    ``None`` for any other contraction."""
+    ``None`` for any other contraction; a permutation has no steps."""
     terms: tuple[str, ...]
     output: str
     variance: str
@@ -702,6 +691,11 @@ def _plan(subscripts: str, variances: tuple[str, ...],
         if ch not in slots:
             raise ValueError("einstein sum subscripts string included output "
                              f"subscript {ch!r} which never appeared in an input")
+    slotted = "".join(slots[ch] for ch in output)
+    (term, *rest) = terms
+    if not rest and len(set(term)) == len(term) and sorted(term) == sorted(output):
+        return _Plan(tuple(terms), output, slotted, (),
+                     tuple(term.index(ch) for ch in output))
     left, steps = list(terms), []
     for pair in path:
         pair = tuple(sorted(pair, reverse=True))
@@ -717,12 +711,7 @@ def _plan(subscripts: str, variances: tuple[str, ...],
         steps.append(_Step(pair, ",".join(picked) + "->" + kept, summed, cost,
                            None if dense_only else _sides(picked, kept, sizes)))
         left.append(kept)
-    (term, *rest) = terms
-    perm = (tuple(term.index(ch) for ch in output)
-            if not rest and len(set(term)) == len(term) and sorted(term) == sorted(output)
-            else None)
-    return _Plan(tuple(terms), output, "".join(slots[ch] for ch in output), tuple(steps),
-                 perm)
+    return _Plan(tuple(terms), output, slotted, tuple(steps), None)
 
 
 def _sparse_step(x: np.ndarray, y: np.ndarray, sx: _Side, sy: _Side) -> np.ndarray:
@@ -801,16 +790,9 @@ def exact_sum(terms) -> Tensor:
         num, top, den = _contract(plan, operands)
         p, q = (coef, 1) if type(coef) is int else as_pair(coef)
         parts.append((plan.variance, num, top, den * q, p))
-    if len(parts) == 1:     # the one term's plan, num, top, den, p and q
-        if plan.perm is not None and p == q == 1:
-            # A permutation of a canonical operand is canonical as it is.
-            return Tensor._of(num, den, top, plan.variance)
-        # A factor of 1 multiplies nothing: the contraction's array is kept.
-        dtype = np.int64 if (top or 1) * (abs(p) or 1) < INT64_SAFE else object
-        num = num.astype(dtype, copy=False)
-        if p != 1:
-            num = np.asarray(num * p, dtype=dtype)      # a 0-d product is a scalar
-        return Tensor._of(*_canonical(num, den * q, top * abs(p)), plan.variance)
+    if len(parts) == 1 and plan.perm is not None and p == q == 1:
+        # A permutation of a canonical operand is canonical as it is.
+        return Tensor._of(num, den, top, plan.variance)
     variance, shape = parts[0][0], parts[0][1].shape
     for var, num, *_ in parts:
         if var != variance:
@@ -822,12 +804,13 @@ def exact_sum(terms) -> Tensor:
     # Zeros count as 1, so every term's numerators fit the dtype too.
     bound = sum((top or 1) * (abs(f) or 1) for (_, _, top, _, _), f in zip(parts, factors))
     dtype = np.int64 if bound < INT64_SAFE else object
-    # The terms add in place into a copy of the first.
+    # The terms add in place into a copy of the first; a factor of 1
+    # multiplies nothing, so a one-term sum keeps its contraction's array.
     total = None
     for (_, num, *_), f in zip(parts, factors):
         num = num.astype(dtype, copy=False)
         if total is None:
-            total = num * f if f != 1 else num.copy()
+            total = num * f if f != 1 else (num if len(parts) == 1 else num.copy())
         elif f == 1:
             total += num
         elif f == -1:
@@ -835,7 +818,8 @@ def exact_sum(terms) -> Tensor:
         else:
             total += num * f
     total = np.asarray(total, dtype=dtype)      # a 0-d result is a scalar
-    return Tensor._of(*_canonical(total, den, _max_abs(total)), variance)
+    top = parts[0][2] * abs(factors[0]) if len(parts) == 1 else _max_abs(total)
+    return Tensor._of(*_canonical(total, den, top), variance)
 
 
 def exact_einsum(subscripts: str, *operands: Tensor) -> Tensor:

@@ -254,13 +254,15 @@ STEP_COUNTS = {
     ("ij,jk->ik", ((200, 200), (200, 200)), True),
     ("ij,jk->ik", ((30, 30), (30, 30)), False),         # below the floor
     ("iij,jk->ik", ((40, 40, 40), (40, 40)), False),    # a letter repeated in a term
-    ("ijkl->lkji", ((20, 20, 20, 20),), False),         # one operand
+    ("ijkl->lkji", ((20, 20, 20, 20),), False),         # a permutation: no step
     ("ij,jk->k", ((200, 200), (200, 200)), False),      # a letter only one term sums
+    ("ijkl->lk", ((20, 20, 20, 20),), False),           # one operand
 ])
 def test_the_plan_marks_the_dense_only_steps(subscripts, shapes, sparse):
     variances = tuple("d" * len(shape) for shape in shapes)
-    (step,) = _plan(subscripts, variances, shapes).steps
-    assert (step.sides is not None) == sparse
+    plan = _plan(subscripts, variances, shapes)
+    assert len(plan.steps) == (plan.perm is None)
+    assert all((step.sides is not None) == sparse for step in plan.steps)
 
 
 def test_a_dense_dim_7_report_reads_no_value_to_pick_a_route():
