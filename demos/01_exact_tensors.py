@@ -9,7 +9,7 @@ exact linear-algebra core that everything else is built on.
 """
 from fractions import Fraction
 
-from norden import Tensor, contract, invert_symmetric, signature, tensor_product
+from norden import Tensor, exact_einsum, invert_symmetric, signature
 
 # A tensor is an immutable array plus a variance string: one letter per
 # slot, "u" for a contravariant (upper) slot, "d" for a covariant
@@ -24,10 +24,9 @@ print("vector v:", v.components.tolist())
 w = Tensor(["1/2", "-2/3", 4], "u")
 print("string-built vector:", w.components.tolist())
 
-# tensor_product concatenates slots; contract pairs an upper slot with
-# a lower one and sums.  g(v, v) is two successive contractions.
-gv = contract(tensor_product(g, v), 2, 1)   # one slot of v into g
-gvv = contract(tensor_product(gv, v), 1, 0)  # and the remaining slot
+# exact_einsum contracts in numpy's einsum notation: each repeated
+# letter is summed.  g(v, v) sums both slots of g against v.
+gvv = exact_einsum("ij,i,j->", g, v, v)
 print("g(v, v) =", gvv.item())
 
 # The inverse metric is computed by exact Gauss-Jordan elimination and

@@ -71,14 +71,14 @@ from .structures import AcnModel, associated_metric, validate_structure
 from .tensors import (
     Tensor,
     as_scalar,
-    contract,
     einsum_scalar,
+    exact_einsum,
+    exact_sum,
     format_scalar,
     invert_symmetric,
     matrix_rank,
     row_space_basis,
     signature,
-    tensor_product,
 )
 
 __version__ = "0.1.0"
@@ -112,7 +112,7 @@ __all__ = [
     # structures
     "AcnModel", "associated_metric", "validate_structure",
     # tensors
-    "Tensor", "as_scalar", "contract", "einsum_scalar", "format_scalar",
-    "invert_symmetric", "matrix_rank", "row_space_basis", "signature",
-    "tensor_product",
+    "Tensor", "as_scalar", "einsum_scalar", "exact_einsum", "exact_sum",
+    "format_scalar", "invert_symmetric", "matrix_rank", "row_space_basis",
+    "signature",
 ]

@@ -62,7 +62,7 @@ def _read_file(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _CliFailure(EXIT_INPUT, f"cannot read {path}: {exc}")
 
 

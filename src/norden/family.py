@@ -38,7 +38,7 @@ class FamilyParams:
     lam: tuple[Fraction, ...]
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise BadParams(f"n must be a positive integer, got {self.n!r}")
         try:
             lam = tuple(as_scalar(v) for v in self.lam)

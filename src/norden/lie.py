@@ -8,7 +8,7 @@ in exact arithmetic and itemizes every violated instance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .errors import (
 )
 from .tensors import (
     Tensor,
+    as_pair,
     exact_einsum,
     exact_sum,
     row_space_basis,
@@ -51,25 +52,44 @@ class LieAlgebra:
             )
 
 
+def structure_constants(dim: int, table: Iterable[tuple[int, int, list]]) -> Tensor:
+    """The ``udd`` structure constants of a table of basis brackets.
+
+    Each entry ``(i, j, pairs)`` declares ``[x_i, x_j]`` by its ``dim``
+    coefficients as :func:`as_pair`'s ``(p, q)`` pairs.  An unlisted
+    mirror ``[x_j, x_i]`` is filled in by negating numerators; a listed
+    one is taken as it is, so :func:`validate` reports a contradictory
+    pair instead of it being repaired.  Unlisted pairs commute.  An index outside ``0..dim-1`` or
+    a wrong number of coefficients raises :class:`DimensionMismatch`,
+    and a pair listed twice ``ValueError``.
+    """
+    c = [(0, 1)] * dim ** 3         # C order: entry (k, i, j) at (k d + i) d + j
+    listed = {}
+    for i, j, pairs in table:
+        if not (0 <= i < dim and 0 <= j < dim):
+            raise DimensionMismatch(f"bracket indices ({i}, {j}) out of range for dim {dim}")
+        if (i, j) in listed:
+            raise ValueError(f"duplicate bracket entry ({i}, {j})")
+        if len(pairs) != dim:
+            raise DimensionMismatch(
+                f"bracket ({i},{j}) has length {len(pairs)}, expected {dim}")
+        listed[i, j] = pairs
+    for (i, j), pairs in listed.items():
+        c[i * dim + j::dim * dim] = pairs
+        if (j, i) not in listed:
+            c[j * dim + i::dim * dim] = [(-p, q) for p, q in pairs]
+    return Tensor.of_pairs(c, (dim,) * 3, "udd")
+
+
 def algebra_from_brackets(dim: int, brackets: Mapping[tuple[int, int], Sequence]) -> LieAlgebra:
     """Build an algebra from a sparse table of basis brackets.
 
-    Each entry ``(i, j) -> coefficients`` declares ``[x_i, x_j]``.  An
-    unlisted mirror bracket ``[x_j, x_i]`` is filled in antisymmetrically;
-    a listed one is taken as it is, as the model-file reader takes it, so
-    :func:`validate` reports a contradictory pair.  Unlisted pairs commute.
-    An index outside ``0..dim-1`` raises :class:`DimensionMismatch`.
+    Each entry ``(i, j) -> coefficients`` declares ``[x_i, x_j]`` by
+    ``dim`` exact rationals; :func:`structure_constants` completes the
+    table and names a bad index or a wrong number of coefficients.
     """
-    c = np.zeros((dim,) * 3, dtype=object)
-    for (i, j), coeffs in brackets.items():
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise DimensionMismatch(
-                f"bracket indices ({i}, {j}) out of range for dim {dim}")
-        vec = vector(coeffs, dim, name=f"bracket ({i},{j})").components
-        c[:, i, j] = vec
-        if (j, i) not in brackets:
-            c[:, j, i] = -vec
-    return LieAlgebra(dim, Tensor(c, "udd"))
+    table = ((i, j, [as_pair(v) for v in coeffs]) for (i, j), coeffs in brackets.items())
+    return LieAlgebra(dim, structure_constants(dim, table))
 
 
 def bracket(algebra: LieAlgebra, x, y) -> Tensor:

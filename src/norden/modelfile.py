@@ -40,11 +40,13 @@ or JSON list becomes one row of pairs, and :meth:`Tensor.of_pairs` puts
 each tensor's numerators over the lcm of its denominators and reduces
 them once, so no Fraction is built per token.
 
-A bracket entry declares ``[x_i, x_j]``; when its mirror ``(j, i)`` is
-absent it is completed antisymmetrically, by negating numerators, but
-explicitly listed mirrors are taken verbatim so that contradictory files
-surface as antisymmetry violations instead of being silently repaired.
-Serialization always emits the canonical ``i < j`` half.
+A bracket entry declares ``[x_i, x_j]``.  The table of entries becomes
+structure constants by :func:`~norden.lie.structure_constants`, which
+:func:`~norden.lie.algebra_from_brackets` uses too: an absent mirror
+``(j, i)`` is completed antisymmetrically, and a listed one is taken
+verbatim, so a contradictory file surfaces as an antisymmetry violation
+instead of being silently repaired.  Serialization always emits the
+canonical ``i < j`` half.
 """
 from __future__ import annotations
 
@@ -52,8 +54,8 @@ import json
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
-from .lie import LieAlgebra
+from .errors import DimensionMismatch, ParseError, ValidationError
+from .lie import LieAlgebra, structure_constants
 from .structures import AcnModel, validate_structure
 from .tensors import Tensor, as_pair, canonical_json, exact_einsum
 
@@ -61,23 +63,15 @@ _SECTIONS = ("brackets", "phi", "xi", "eta", "metric")
 
 
 def _assemble(name: str, dim: int, brackets, phi, xi, eta, metric) -> AcnModel:
-    """The model from rows of ``(p, q)`` pairs, completing unmirrored
-    brackets by negating their numerators."""
-    c = [(0, 1)] * dim ** 3         # C order: entry (k, i, j) at (k d + i) d + j
-    listed = {}
-    for i, j, coeffs in brackets:
-        if not (0 <= i < dim and 0 <= j < dim):
-            raise ParseError(f"bracket indices ({i}, {j}) out of range for dim {dim}")
-        if (i, j) in listed:
-            raise ParseError(f"duplicate bracket entry ({i}, {j})")
-        listed[i, j] = coeffs
-    for (i, j), coeffs in listed.items():
-        c[i * dim + j::dim * dim] = coeffs
-        if (j, i) not in listed:
-            c[j * dim + i::dim * dim] = [(-p, q) for p, q in coeffs]
+    """The model from rows of ``(p, q)`` pairs; the bracket table goes
+    through :func:`~norden.lie.structure_constants`."""
+    try:
+        c = structure_constants(dim, brackets)
+    except (DimensionMismatch, ValueError) as exc:
+        raise ParseError(str(exc)) from exc
     try:
         return AcnModel(
-            algebra=LieAlgebra(dim, Tensor.of_pairs(c, (dim,) * 3, "udd")),
+            algebra=LieAlgebra(dim, c),
             phi=_matrix(phi, "ud"),
             xi=Tensor.of_pairs(xi, (len(xi),), "u"),
             eta=Tensor.of_pairs(eta, (len(eta),), "d"),
@@ -185,7 +179,7 @@ def _parse_text(text: str) -> AcnModel:
 def _parse_json(text: str) -> AcnModel:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:   # too deeply nested
         raise ParseError(f"invalid JSON: {exc}")
     if not isinstance(data, dict):
         raise ParseError("JSON model must be an object")

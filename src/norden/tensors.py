@@ -439,40 +439,6 @@ def _identity(rank: int) -> str:
     return f"{_LETTERS[:rank]}->{_LETTERS[:rank]}"
 
 
-def tensor_product(a: Tensor, b: Tensor) -> Tensor:
-    """Outer product; variances concatenate."""
-    left, right = _LETTERS[:a.rank], _LETTERS[a.rank:a.rank + b.rank]
-    return exact_einsum(f"{left},{right}->{left}{right}", a, b)
-
-
-def contract(t: Tensor, up_slot: int, down_slot: int) -> Tensor:
-    """Trace one contravariant slot against one covariant slot.
-
-    ``up_slot`` must be tagged ``"u"`` and ``down_slot`` ``"d"``; both
-    axes must have equal length.  The result drops the two slots,
-    preserving the order of the rest.
-    """
-    r = t.rank
-    for slot in (up_slot, down_slot):
-        if not 0 <= slot < r:
-            raise VarianceMismatch(f"slot {slot} out of range for rank {r}")
-    if up_slot == down_slot:
-        raise VarianceMismatch("cannot contract a slot with itself")
-    if t.variance[up_slot] != UP or t.variance[down_slot] != DOWN:
-        raise VarianceMismatch(
-            f"contract needs ('u', 'd') slots, got "
-            f"({t.variance[up_slot]!r}, {t.variance[down_slot]!r})"
-        )
-    if t.shape[up_slot] != t.shape[down_slot]:
-        raise DimensionMismatch(
-            f"slot lengths differ: {t.shape[up_slot]} vs {t.shape[down_slot]}"
-        )
-    letters = list(_LETTERS[:r])
-    letters[down_slot] = letters[up_slot]
-    keep = "".join(ch for i, ch in enumerate(letters) if i not in (up_slot, down_slot))
-    return exact_einsum("".join(letters) + "->" + keep, t)
-
-
 def _symmetric_numerators(t: Tensor, name: str) -> list[list[int]]:
     if t.rank != 2 or t.shape[0] != t.shape[1]:
         raise DimensionMismatch(f"{name} needs a square rank-2 tensor, got {t.shape}")

@@ -108,6 +108,21 @@ def test_validate_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_a_file_that_is_not_utf8_is_input_error(tmp_path, capsys):
+    path = tmp_path / "binary.txt"
+    path.write_bytes(b"\xff\xfe")
+    assert main(["validate", str(path)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith(f"cannot read {path}: ") and "decode" in err
+
+
+def test_a_deeply_nested_json_model_is_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"dim": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    assert main(["validate", str(path)]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith(f"{path}: invalid JSON: ")
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_huge_exponent_in_model_file_is_input_error(fmt, tmp_path, capsys):
     """A few bytes of exponent must fail fast, not build a 3.3-Mbit integer."""

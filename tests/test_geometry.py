@@ -5,6 +5,7 @@ import collections
 import importlib
 import inspect
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +83,49 @@ def test_no_module_imports_inside_a_function():
                 nested = [n for n in ast.walk(node)
                           if isinstance(n, ast.ImportFrom) and n.level > 0]
                 assert not nested, (module.__name__, node.name)
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """A name imported by a module under ``src/norden`` is read somewhere
+    in it, or is listed in its ``__all__``, so a deletion leaves no dead
+    import behind."""
+    for path in sorted(Path(norden.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and "__all__" in [
+                    getattr(t, "id", None) for t in node.targets]:
+                used |= set(ast.literal_eval(node.value))
+        assert imported <= used, (path.name, sorted(imported - used))
+
+
+PUBLIC_NAMES = [
+    "AcnModel", "BadParams", "Connection", "CurvaturePack", "DimensionMismatch",
+    "FamilyParams", "Geometry", "GeometryReport", "IdentityVerdict",
+    "InternalInconsistency", "InvalidAlgebra", "LieAlgebra", "LinearlyDependent",
+    "NordenError", "ParseError", "Section", "SingularMetric", "SquareNorms",
+    "StructurePack", "Tensor", "ValidationError", "ValidationReport",
+    "VarianceMismatch", "Violation", "algebra_from_brackets", "all_identities_ok",
+    "as_scalar", "associated_metric", "bracket", "covariant_derivative",
+    "einsum_scalar", "exact_einsum", "exact_sum", "format_scalar", "generate_family",
+    "heisenberg_model", "invert_symmetric", "is_metric_compatible", "is_solvable",
+    "is_torsion_free", "levi_civita", "matches_class_f11", "matrix_rank",
+    "nabla_eta_from_fundamental", "parse_model", "psi4", "report_to_json",
+    "report_to_text", "riemann", "row_space_basis", "run_report", "section",
+    "serialize_model", "signature", "square_norms", "structure_pack", "validate",
+    "validate_structure", "verify_identities",
+]
+
+
+def test_the_public_names_are_pinned():
+    """Adding or removing a public name is a deliberate change of this list."""
+    assert sorted(norden.__all__) == PUBLIC_NAMES
 
 
 def test_every_public_name_resolves_and_none_is_a_module():

@@ -1,4 +1,5 @@
 """Lie algebra construction, validation, and solvability."""
+import json
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -7,16 +8,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from norden import (
+    BadParams,
     DimensionMismatch,
     FamilyParams,
     InvalidAlgebra,
     LieAlgebra,
+    ParseError,
     Tensor,
     VarianceMismatch,
     algebra_from_brackets,
     bracket,
     generate_family,
     is_solvable,
+    parse_model,
     validate,
 )
 
@@ -69,6 +73,68 @@ def test_algebra_from_brackets_takes_a_listed_mirror_as_it_is():
     assert [v.where for v in report.violations] == [(1, 2)]
 
 
+_STRUCTURE = {"phi": [[0, 0, 0], [0, 0, -1], [0, 1, 0]], "xi": [1, 0, 0],
+              "eta": [1, 0, 0], "metric": [[1, 0, 0], [0, 1, 0], [0, 0, -1]]}
+
+
+def _text_file(table: list) -> str:
+    lines = ["dim = 3", "[brackets]"]
+    lines += [f"{i} {j} : " + " ".join(map(str, coeffs)) for i, j, coeffs in table]
+    for section, rows in _STRUCTURE.items():
+        rows = rows if section in ("phi", "metric") else [rows]
+        lines += [f"[{section}]"] + [" ".join(map(str, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _json_file(table: list) -> str:
+    brackets = [[i, j, [v if isinstance(v, (int, str)) else str(v) for v in coeffs]]
+                for i, j, coeffs in table]
+    return json.dumps({"dim": 3, "brackets": brackets, **_STRUCTURE})
+
+
+def _parsed_constants(table: list, fmt: str) -> Tensor:
+    text = _text_file(table) if fmt == "text" else _json_file(table)
+    return parse_model(text, require_valid=False).algebra.c
+
+
+@pytest.mark.parametrize("table", [
+    [(1, 2, [1, 0, 0])],                                    # an unlisted mirror
+    [(1, 2, [1, 0, 0]), (2, 1, [0, 1, 0])],                 # a contradictory mirror
+    [(1, 0, [2, Fr(1, 2), "-3/4"]), (0, 2, ["6/4", 0, Fr(-5, 3)])],
+])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_bracket_table_gives_one_algebra_by_every_route(table, fmt):
+    """``algebra_from_brackets`` and both model-file parsers fill the same
+    structure constants from the same table."""
+    expected = algebra_from_brackets(3, {(i, j): coeffs for i, j, coeffs in table}).c
+    assert _parsed_constants(table, fmt) == expected
+
+
+@pytest.mark.parametrize("table, library, text, json_text", [
+    ([(3, 0, [1, 0, 0])],
+     "bracket indices (3, 0) out of range for dim 3",
+     "bracket indices (3, 0) out of range for dim 3",
+     "bracket indices (3, 0) out of range for dim 3"),
+    ([(1, -1, [1, 0, 0])],
+     "bracket indices (1, -1) out of range for dim 3",
+     "bracket indices (1, -1) out of range for dim 3",
+     "bracket indices (1, -1) out of range for dim 3"),
+    ([(1, 0, [1, 0])],
+     "bracket (1,0) has length 2, expected 3",
+     "bracket (1, 0) has 2 coefficients, expected 3",
+     "bracket (1, 0) must be a list of 3 entries"),
+])
+def test_each_route_names_a_bad_bracket(table, library, text, json_text):
+    """Each route keeps its own error type and message."""
+    with pytest.raises(DimensionMismatch) as exc:
+        algebra_from_brackets(3, {(i, j): coeffs for i, j, coeffs in table})
+    assert str(exc.value) == library
+    for fmt, message in (("text", text), ("json", json_text)):
+        with pytest.raises(ParseError) as exc:
+            _parsed_constants(table, fmt)
+        assert str(exc.value) == message
+
+
 def test_bracket_evaluates_bilinearly():
     alg = algebra_from_brackets(3, {(1, 2): [1, 0, 0]})
     v = bracket(alg, [0, 2, 0], [0, 0, Fr(1, 2)])   # [2 x1, x2/2] = x0
@@ -118,6 +184,12 @@ def test_family_algebras_are_valid_and_solvable(lam):
     alg = generate_family(FamilyParams(1, tuple(lam))).algebra
     assert validate(alg).ok
     assert is_solvable(alg)
+
+
+@pytest.mark.parametrize("n", [True, False, 1.0, "1", 0])
+def test_family_params_reject_an_n_that_is_not_a_positive_int(n):
+    with pytest.raises(BadParams, match="n must be a positive integer"):
+        FamilyParams(n=n, lam=(1, 2))
 
 
 def test_family_bracket_convention(fam23):

@@ -157,6 +157,14 @@ def test_json_structure_errors(fam23):
         parse_model("{not json")
 
 
+@pytest.mark.parametrize("value", ["[" * 100_000 + "]" * 100_000,
+                                   '{"a": ' * 100_000 + "0" + "}" * 100_000],
+                         ids=["arrays", "objects"])
+def test_json_nested_past_the_recursion_limit_is_a_parse_error(value):
+    with pytest.raises(ParseError, match="invalid JSON: maximum recursion depth"):
+        parse_model('{"dim": ' + value + "}")
+
+
 @pytest.mark.parametrize("name", ["a # b", "#", " lead", "trail ", "\tboth\t",
                                   "two\nlines", "cr\rlf", "sep\u2028line", "end\n"])
 def test_a_name_the_text_format_cannot_hold_raises(fam23, name):
@@ -197,10 +205,14 @@ def test_contradictory_mirror_surfaces_as_violation():
     assert "antisymmetry" in exc.value.report.rules()
 
 
-def test_duplicate_bracket_rejected():
+def test_duplicate_bracket_rejected(fam23):
     text = VALID_TEXT.replace("2 0 : 3 0 0", "2 0 : 3 0 0\n2 0 : 3 0 0")
-    with pytest.raises(ParseError, match="duplicate"):
-        parse_model(text)
+    obj = json.loads(serialize_model(fam23.model, fmt="json"))
+    obj["brackets"].append(obj["brackets"][0])
+    for model_file in (text, json.dumps(obj)):
+        with pytest.raises(ParseError) as exc:
+            parse_model(model_file)
+        assert str(exc.value).startswith("duplicate bracket entry (")
 
 
 def test_require_valid_false_returns_broken_model():

@@ -19,14 +19,13 @@ from norden import (
     Tensor,
     VarianceMismatch,
     as_scalar,
-    contract,
     einsum_scalar,
+    exact_einsum,
     format_scalar,
     invert_symmetric,
     matrix_rank,
     row_space_basis,
     signature,
-    tensor_product,
 )
 from norden.tensors import _exponent_too_large, as_pair, vector
 
@@ -192,7 +191,7 @@ def test_tensor_arithmetic():
 def test_tensor_item_and_nonzero_items():
     t = Tensor([[0, Fr(1, 2)], [0, 0]], "ud")
     assert t.nonzero_items() == [((0, 1), Fr(1, 2))]
-    r0 = contract(Tensor([[1, 0], [0, 1]], "ud"), 0, 1)
+    r0 = exact_einsum("ii->", Tensor([[1, 0], [0, 1]], "ud"))
     assert r0.rank == 0 and r0.item() == 2
 
 
@@ -229,22 +228,14 @@ def test_formatted_formats_repeated_values_like_format_scalar(values, scale):
 def test_tensor_product_concatenates_variance():
     a = Tensor([1, 2], "u")
     b = Tensor([3, 4], "d")
-    p = tensor_product(a, b)
+    p = exact_einsum("i,j->ij", a, b)
     assert p.variance == "ud"
     assert p[1, 0] == 6
 
 
-def test_contract_requires_up_down():
-    t = Tensor([[1, 2], [3, 4]], "uu")
-    with pytest.raises(VarianceMismatch):
-        contract(t, 0, 1)
-    with pytest.raises(VarianceMismatch):
-        contract(Tensor([[1, 2], [3, 4]], "ud"), 1, 1)
-
-
 def test_contract_trace():
     t = Tensor([[1, 2], [3, 4]], "ud")
-    assert contract(t, 0, 1).item() == 5
+    assert exact_einsum("ii->", t).item() == 5
 
 
 # --- inverse ------------------------------------------------------------
