@@ -7,6 +7,8 @@ with every entry an exact rational.  A report bundles the whole
 pipeline — validation, class flags, invariants, identity verdicts —
 into one deterministic document.
 """
+import json
+
 from norden import (
     FamilyParams,
     ValidationError,
@@ -43,13 +45,16 @@ report = run_report(model)
 print()
 print(report_to_text(report))
 
-# The JSON form carries every tensor and invariant as p/q strings with
-# sorted keys, so identical inputs produce byte-identical documents.
+# The JSON form (schema 2) has sorted keys, so identical inputs produce
+# byte-identical documents.  Invariants are p/q strings; each tensor is
+# its integer numerators over one denominator, listed by index when fewer
+# than half of its entries are nonzero and as a flat list otherwise.
 js = report_to_json(report)
-print("JSON document:", len(js), "bytes;")
-print("first lines:")
-for line in js.splitlines()[:6]:
-    print(" ", line)
+doc = json.loads(js)
+print("JSON document:", len(js), "bytes; schema", doc["schema"])
+print("tau:", doc["invariants"]["tau"])
+for name in ("gamma", "ricci"):
+    print(f"{name}:", json.dumps(doc["tensors"][name], sort_keys=True))
 
 # The same pipeline is scriptable from the shell:
 #

@@ -21,6 +21,7 @@ import re
 import sys
 from fractions import Fraction
 
+from .canonical import canonical_json
 from .curvature import section
 from .errors import (
     BadParams,
@@ -38,9 +39,10 @@ from .report import (
     report_to_text,
     run_report,
     verdict_line,
+    verdicts_json,
 )
 from .structures import AcnModel, validate_structure
-from .tensors import as_scalar, canonical_json, format_scalar
+from .tensors import as_scalar, format_scalar
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -137,8 +139,7 @@ def _cmd_identities(args) -> int:
     verdicts = Geometry(model).identities
     _emit(args,
           lambda: "\n".join(verdict_line(name, v) for name, v in verdicts.items()) + "\n",
-          lambda: {name: {"applicable": v.applicable, "passed": v.passed, "detail": v.detail}
-                   for name, v in verdicts.items()})
+          lambda: verdicts_json(verdicts))
     return EXIT_OK if all(v.ok for v in verdicts.values()) else EXIT_FAIL
 
 

@@ -54,10 +54,11 @@ import json
 
 import numpy as np
 
+from .canonical import canonical_json
 from .errors import DimensionMismatch, ParseError, ValidationError
 from .lie import LieAlgebra, structure_constants
 from .structures import AcnModel, validate_structure
-from .tensors import Tensor, as_pair, canonical_json, exact_einsum
+from .tensors import Tensor, as_pair, exact_einsum
 
 _SECTIONS = ("brackets", "phi", "xi", "eta", "metric")
 

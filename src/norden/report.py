@@ -7,17 +7,19 @@ to JSON or readable text.  Identical models produce identical output.
 """
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
+from .canonical import canonical_json, index_labels
 from .classify import IdentityVerdict
 from .geometry import Geometry
 from .structures import AcnModel, associated_metric
-from .tensors import Tensor, canonical_json, format_scalar, signature
+from .tensors import Tensor, format_scalar, signature
+
+#: The version of the report JSON, its top-level ``"schema"`` key.
+REPORT_SCHEMA = 2
 
 #: Class labels the classifier cannot decide; reported as "unknown".
 UNDECIDED_CLASSES = tuple(f"f{i}" for i in range(1, 11))
@@ -105,27 +107,32 @@ def run_report(model: AcnModel) -> GeometryReport:
     )
 
 
+def verdicts_json(verdicts: dict[str, IdentityVerdict]) -> dict[str, dict]:
+    """The verdicts as plain data: the report's ``identities`` section and
+    the output of ``norden identities --json``."""
+    return {
+        name: {"applicable": v.applicable, "passed": v.passed,
+               "witness": v.witness, "detail": v.detail}
+        for name, v in verdicts.items()
+    }
+
+
 def _report_object(report: GeometryReport) -> dict:
     """The report as plain data with :class:`Tensor` leaves: the sections
     as they are, but the invariants as ``"p/q"`` strings and the verdicts
-    as dicts."""
+    as dicts, plus the ``"schema"`` key."""
     return {
         **vars(report),
+        "schema": REPORT_SCHEMA,
         "invariants": {k: format_scalar(v) for k, v in report.invariants.items()},
-        "identities": {
-            name: {
-                "applicable": v.applicable,
-                "passed": v.passed,
-                "witness": v.witness,
-                "detail": v.detail,
-            }
-            for name, v in report.identities.items()
-        },
+        "identities": verdicts_json(report.identities),
     }
 
 
 def report_to_json(report: GeometryReport) -> str:
-    """The report as JSON, rendered by :func:`canonical_json`."""
+    """The report as JSON, rendered by :func:`canonical_json`: tensors as
+    integer numerators over one denominator, see
+    :mod:`norden.canonical`."""
     return canonical_json(_report_object(report))
 
 
@@ -138,22 +145,6 @@ def verdict_line(name: str, v: IdentityVerdict) -> str:
     verdict that has a witness."""
     extra = f"  witness: {v.witness}" if v.witness is not None and not v.passed else ""
     return f"[{v.status}] {name}{extra}"
-
-
-@functools.lru_cache(maxsize=64)
-def _index_labels(shape: tuple[int, ...]) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The text labels of the indices of ``shape``, in two tables in C
-    order: ``head`` for the first ``rank // 2`` axes, each index followed
-    by a comma, and ``tail`` for the other axes, followed by ``"] = "``.
-    So the entry at flat index ``h * len(tail) + t`` is labelled
-    ``head[h] + tail[t]``, and up to rank 4 neither table holds more than
-    ``d**2`` strings."""
-    half = len(shape) // 2
-    head = tuple("".join(f"{i}," for i in index)
-                 for index in itertools.product(*map(range, shape[:half])))
-    tail = tuple(",".join(map(str, index)) + "] = "
-                 for index in itertools.product(*map(range, shape[half:])))
-    return head, tail
 
 
 def report_to_text(report: GeometryReport) -> str:
@@ -190,7 +181,7 @@ def report_to_text(report: GeometryReport) -> str:
         if not flat.size:
             lines.append(f"  {key} = 0")
             continue
-        head, tail = _index_labels(t.shape)
+        head, tail = index_labels(t.shape, "] = ")
         rows, cols = np.divmod(flat, len(tail))
         starts = [f"  {key}[{label}" for label in head]
         lines += [starts[h] + tail[c] + text for h, c, text in

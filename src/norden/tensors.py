@@ -80,7 +80,6 @@ import numbers
 import re
 import string
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -367,71 +366,6 @@ class Tensor:
         mask = self.num != 0
         return list(zip(map(tuple, np.argwhere(mask).tolist()),
                         self.components[mask].tolist()))
-
-
-def canonical_json(obj) -> str:
-    """``json.dumps(obj, sort_keys=True, indent=1)``, byte for byte, for
-    dicts with str keys, lists, tuples, str, int, bool and None, and for
-    :class:`Tensor` leaves written as ``{"components": <nested lists of "p/q"
-    strings>, "variance": ...}``.  Anything else raises ``TypeError``."""
-    out: list[str] = []
-    _json(obj, "\n", out)
-    return "".join(out)
-
-
-def _json(obj, newline: str, out: list[str]) -> None:
-    """Append ``obj`` as JSON to ``out``; ``newline`` is a line break plus
-    the indent of the line ``obj`` starts on."""
-    inner = newline + " "
-    if isinstance(obj, str):
-        out.append(encode_basestring_ascii(obj))
-    elif obj is None or obj is True or obj is False:
-        out.append("null" if obj is None else "true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, Tensor) and obj.num.size:
-        out += ("{", inner, '"components": ', _components_json(obj, inner), ",", inner,
-                '"variance": ', encode_basestring_ascii(obj.variance), newline + "}")
-    elif isinstance(obj, Tensor):   # no entries, so no axis to join
-        _json({"components": obj.num.tolist(), "variance": obj.variance}, newline, out)
-    elif isinstance(obj, (dict, list, tuple)):
-        brackets = "{}" if isinstance(obj, dict) else "[]"  # a non-str key fails below
-        items = ([(encode_basestring_ascii(key) + ": ", obj[key]) for key in sorted(obj)]
-                 if brackets == "{}" else [("", item) for item in obj])
-        sep = brackets[0] + inner
-        for prefix, value in items:
-            out += (sep, prefix)
-            if type(value) is str:      # the common leaves, written in place
-                out.append(encode_basestring_ascii(value))
-            elif type(value) is int:
-                out.append(int.__repr__(value))
-            else:
-                _json(value, inner, out)
-            sep = "," + inner
-        out.append(newline + brackets[1] if items else brackets)
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
-
-def _components_json(t: Tensor, newline: str) -> str:
-    """The entries of a nonempty ``t`` as nested JSON lists, each axis
-    joined row by row, innermost first.  At each level ``live`` marks the
-    blocks that hold a nonzero and ``texts`` holds their strings in C
-    order; every all-zero block of a level is the one string ``zero``,
-    built once, and the outermost one only for a tensor of zeros."""
-    live = t.num != 0
-    texts, zero = [f'"{text}"' for text in t.formatted(live)], '"0"'
-    for axis in reversed(range(t.rank)):
-        n, pad = t.shape[axis], newline + " " * axis
-        opening, sep, closing = f"[{pad} ", f",{pad} ", f"{pad}]"
-        rows = live.reshape(-1, n)
-        live = rows.any(axis=1)
-        items = iter(texts)
-        texts = [opening + sep.join([next(items) if nonzero else zero for nonzero in row])
-                 + closing for row in rows[live].tolist()]
-        if axis or not texts:
-            zero = opening + sep.join([zero] * n) + closing
-    return texts[0] if texts else zero
 
 
 def _identity(rank: int) -> str:

@@ -1,6 +1,6 @@
 """``canonical_json`` against the standard library: the bytes of
 ``json.dumps(obj, sort_keys=True, indent=1)`` on plain data, and on
-:class:`Tensor` leaves the bytes of the same dict built from
+:class:`Tensor` leaves the bytes of their schema-2 dict, built here from
 ``Tensor.components``."""
 import dataclasses
 import json
@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from norden import Tensor, cli, format_scalar, validate_structure
-from norden.tensors import canonical_json
+from norden import Tensor, cli, validate_structure
+from norden.canonical import canonical_json
 
 #: Quotes, backslashes, control characters and non-ASCII text (including
 #: characters outside the BMP, which JSON writes as surrogate pairs).
@@ -63,14 +63,20 @@ ENTRY_KINDS = {
     "object": st.integers(min_value=2 ** 62, max_value=2 ** 90).flatmap(
         lambda m: st.sampled_from([0, m, -m, 1])),
     "rational": st.fractions(min_value=-5, max_value=5, max_denominator=7),
+    "mostly_zero": st.sampled_from([0, 0, 0, 3, Fr(-1, 2), 2 ** 70]),
 }
 
 
 @st.composite
 def tensors(draw):
+    """Ranks 0 to 4 with axes of 1 to 3 entries, one axis sometimes of 0
+    (no entries) or of 11 to 13 (two-digit indices)."""
     rank = draw(st.integers(min_value=0, max_value=4))
-    shape = tuple(draw(st.lists(st.integers(min_value=1, max_value=3),
-                                min_size=rank, max_size=rank)))
+    shape = draw(st.lists(st.integers(min_value=1, max_value=3),
+                          min_size=rank, max_size=rank))
+    if rank and draw(st.booleans()):
+        shape[draw(st.integers(min_value=0, max_value=rank - 1))] = \
+            draw(st.sampled_from([0, 11, 12, 13]))
     entries = draw(st.lists(draw(st.sampled_from(list(ENTRY_KINDS.values()))),
                             min_size=math.prod(shape), max_size=math.prod(shape)))
     variance = "".join(draw(st.lists(st.sampled_from("ud"),
@@ -81,9 +87,19 @@ def tensors(draw):
 
 
 def _tensor_dict(t: Tensor) -> dict:
-    strings = np.empty(t.num.size, dtype=object)
-    strings[:] = [format_scalar(v) for v in t.components.ravel().tolist()]
-    return {"components": strings.reshape(t.shape).tolist(), "variance": t.variance}
+    """The schema-2 leaf of ``t`` by its definition: the entries as
+    integers over the lcm of their denominators, keyed by index when fewer
+    than half of them are nonzero, else listed in C order."""
+    entries = t.components.ravel().tolist()
+    den = math.lcm(*(Fr(v).denominator for v in entries))
+    nums = [int(v * den) for v in entries]
+    leaf = {"den": den, "shape": list(t.shape), "variance": t.variance}
+    if 2 * sum(map(bool, nums)) < len(nums):
+        leaf["nonzero"] = {",".join(map(str, index)): num
+                           for index, num in zip(np.ndindex(t.shape), nums) if num}
+    else:
+        leaf["num"] = nums
+    return leaf
 
 
 @settings(max_examples=300, deadline=None)
@@ -110,13 +126,32 @@ def _with(entries: dict, shape) -> np.ndarray:
     (Fr(5, 3), ""),                                        # rank 0
     (np.zeros((2, 0), dtype=object), "ud"),                # no entries
     (_with({(1, 0, 2, 1): Fr(-7, 2)}, (3, 2, 4, 3)), "uddd"),   # one nonzero
-    # A zero block at every level: [0], [1][1], [1][0][0], [1][0][1][0].
     (_with({(1, 2, 1, 0): 5, (1, 0, 1, 2): -1}, (2, 3, 2, 3)), "dddd"),
     (np.zeros((2, 3, 1, 2), dtype=object), "uudd"),        # all zero, rank 4
+    # "0,10" sorts before "0,2": the keys are not in C order.
+    (_with({(0, 2): 5, (0, 10): 1, (1, 11): Fr(-1, 3)}, (2, 12)), "ud"),
+    (list(range(-5, 7)), "d"),                             # one axis of 12
+    (_with({(1, 1, 0): 2 ** 62, (0, 0, 1): -(2 ** 62)}, (2, 2, 2)), "ddd"),
 ])
 def test_tensor_leaf_cases(components, variance):
     t = Tensor(components, variance)
     assert canonical_json({"t": [t]}) == _dumps({"t": [_tensor_dict(t)]})
+
+
+@pytest.mark.parametrize("components, kind", [
+    ([[1, 0], [0, 0]], "nonzero"),      # a quarter nonzero
+    ([[1, 0], [0, 2]], "num"),          # half nonzero
+    ([[0, 0], [0, 0]], "nonzero"),
+    (7, "num"),                         # rank 0
+    (0, "nonzero"),
+    (np.zeros((3, 0), dtype=object), "num"),
+    (_with({(0, 10): 2 ** 62}, (1, 12)), "nonzero"),
+])
+def test_leaf_kind_follows_the_nonzero_count(components, kind):
+    """Fewer than half of the entries nonzero: ``"nonzero"``; else ``"num"``."""
+    t = Tensor(components, "d" * np.ndim(components))
+    leaf = json.loads(canonical_json(t))
+    assert set(leaf) == {"den", "shape", "variance", kind}
 
 
 def test_matches_json_dumps_on_a_mutant_validation_object(fam23):

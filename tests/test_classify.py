@@ -1,6 +1,7 @@
 """Class membership, isotropic-Kahler decision, and the exact identity
 battery with its applicability gating."""
 import hashlib
+import json
 from dataclasses import replace
 from fractions import Fraction as Fr
 
@@ -201,7 +202,8 @@ def test_isotropy_criterion_matches_lambda_condition(lam):
 # witness from isotropy_equivalence), and a zero curvature (a flag witness
 # from phi_kahler_criterion).  Each pin is the verdict's (status, witness)
 # and the sha256 of the JSON and text renders of the family report carrying
-# the tampered verdicts.
+# the tampered verdicts.  The JSON hashes were re-recorded once, for report
+# schema 2; the text hashes have not changed.
 
 def _tampered(fam23, key):
     model, conn, curv, pack = fam23.model, fam23.conn, fam23.curv, fam23.pack
@@ -260,11 +262,11 @@ TAMPERED_VERDICTS = {
 }
 # (sha256 of report_to_json, sha256 of report_to_text)
 TAMPERED_RENDERS = {
-    "curvature": ("804b0a89f7766c1a673290757470f17f9171c1d67f6b1006e6e98c61e6ab00a3",
+    "curvature": ("5b6c009b713434350329503d70a8db4e47e8b8d5882758eadfead3f7c872d060",
                   "2233884f79c27d501fdf36f9062ae37f1b42b505bfcdf9daf5810983b8f4afe0"),
-    "omega_vec": ("ca3890d570feb914777300032520ad7567ea50dbf92a846902c13efa7126537d",
+    "omega_vec": ("96d18b06bb5b418de7d13e47da1501e9bc9157faf1204442a973093cfe4ad729",
                   "894f4e7a25f8ae9c3b6775fb436c215231a8eed69695cc206a5727474b37c1ec"),
-    "flat_r04": ("c09b59af6eb34356d48a5567e9193f1846d763c074c81b8ebdca700df98e854d",
+    "flat_r04": ("cb70bb7573727effbef03157f5dc7faf4c3c1ed43892f2a87385e7befb21b83b",
                  "ff0f4dc1e429147150817a5ef718521957f0be66c74e76a23274a699b7da146e"),
 }
 
@@ -296,6 +298,24 @@ def test_identities_command_prints_the_witness_of_each_failure(fam23, key, tmp_p
     assert out == [line[2:] for line in text[start:start + len(out)]]
     assert out == [f"[{status}] {name}" + (f"  witness: {witness}" if status == "FAIL" else "")
                    for name, (status, witness) in TAMPERED_VERDICTS[key].items()]
+
+
+@pytest.mark.parametrize("key", list(TAMPERED_VERDICTS))
+def test_identities_json_is_the_identities_section_of_the_report(fam23, key, tmp_path,
+                                                                 monkeypatch, capsys):
+    """``norden identities --json`` writes the verdicts, witnesses included,
+    as the report's ``identities`` section does."""
+    path = tmp_path / "fam23.txt"
+    path.write_text(serialize_model(fam23.model))
+    tampered = _tampered(fam23, key)
+    monkeypatch.setattr(cli, "Geometry", lambda model: tampered)
+    assert cli.main(["identities", str(path), "--json"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    report = replace(run_report(fam23.model), identities=tampered.identities)
+    assert out == json.loads(report_to_json(report))["identities"]
+    assert {name: v["witness"] for name, v in out.items() if v["passed"] is False} == {
+        name: list(witness) for name, (status, witness) in TAMPERED_VERDICTS[key].items()
+        if status == "FAIL"}
 
 
 # sorted(vars(geo)) after reading .identities on a fresh Geometry

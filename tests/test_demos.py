@@ -22,7 +22,7 @@ STDOUT_SHA256 = {
     "03_connection_curvature.py": "75236da3a16c8aecde1abb32898b31deab15ce01271b956cc8e13d10809083a9",
     "04_structure_tensors.py": "b2aabdf760a92c354514cfe872a52cd81afceb5858da7f0e27554295840dd170",
     "05_classification.py": "2c0e4f3d29b9c3ec11f7cdd1f8edda705057fb40c464ded80f6810c4df8b07e1",
-    "06_model_files.py": "ba2c76eaa8c9553c6b5f049f8c92302cace1de9f5cf5e81b2821343b1972c4e0",
+    "06_model_files.py": "4324781cc71699e9f39e1fd428fc05a21754c8e0b27958f507d8711d42c6f070",
 }
 
 
@@ -45,7 +45,7 @@ def test_readme_python_blocks_run():
     """Every Python block of the README runs, in order, in one namespace."""
     text = (DEMOS.parent / "README.md").read_text(encoding="utf-8")
     blocks = re.findall(r"^```python\n(.*?)^```", text, flags=re.S | re.M)
-    assert len(blocks) == 4
+    assert len(blocks) == 5
     namespace = {}
     for number, block in enumerate(blocks, start=1):
         exec(compile(block, f"README.md python block {number}", "exec"), namespace)

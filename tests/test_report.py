@@ -9,14 +9,17 @@ import numpy as np
 import pytest
 
 from norden import (
+    FamilyParams,
     GeometryReport,
     Tensor,
     all_identities_ok,
     format_scalar,
+    generate_family,
     report_to_json,
     report_to_text,
     run_report,
 )
+from test_golden import FAMILY_LAMBDAS, _dense_model
 
 
 @pytest.fixture(scope="module")
@@ -36,10 +39,12 @@ def test_report_header_and_flags(rep23):
 
 def test_report_fields_are_the_json_sections(rep23):
     """Each field of the report is one top-level section of its JSON,
-    under the same name."""
+    under the same name; the only other key is ``"schema"``."""
     names = [f.name for f in fields(GeometryReport)]
     assert len(names) == 9
-    assert set(names) == set(json.loads(report_to_json(rep23)))
+    obj = json.loads(report_to_json(rep23))
+    assert set(names) | {"schema"} == set(obj)
+    assert obj["schema"] == 2
 
 
 def test_report_frozen_invariants(rep23):
@@ -88,9 +93,67 @@ def test_json_rendering(rep23):
     assert obj["flags"]["isotropic_kahler"] is False
     assert obj["identities"]["norm_chain"]["passed"] is True
     assert obj["identities"]["phi_kahler_criterion_closedness"]["applicable"] is False
-    # tensors serialize as nested arrays of "p/q" strings
-    assert obj["tensors"]["ricci"]["components"][0][0] == "5"
-    assert obj["tensors"]["gamma"]["variance"] == "udd"
+    # tensors serialize as integer numerators over one denominator: by
+    # index when fewer than half of the entries are nonzero, else in C order
+    assert obj["tensors"]["ricci"] == {"den": 1, "num": [5, 0, 0, 0, -4, -6, 0, -6, -9],
+                                       "shape": [3, 3], "variance": "dd"}
+    assert obj["tensors"]["gamma"] == {
+        "den": 1, "nonzero": {"0,0,1": -2, "0,0,2": -3, "1,0,0": 2, "2,0,0": -3},
+        "shape": [3, 3, 3], "variance": "udd"}
+    assert obj["tensors"]["theta_star"] == {"den": 1, "nonzero": {}, "shape": [3],
+                                            "variance": "d"}
+
+
+def _decode(leaf: dict) -> np.ndarray:
+    """A schema-2 tensor leaf as an object array of its exact entries."""
+    shape, den = tuple(leaf["shape"]), leaf["den"]
+    if "nonzero" in leaf:
+        entries = np.zeros(shape, dtype=object)
+        for key, num in leaf["nonzero"].items():
+            entries[tuple(map(int, key.split(","))) if key else ()] = Fr(num, den)
+        return entries
+    entries = np.empty(len(leaf["num"]), dtype=object)
+    entries[:] = [Fr(num, den) for num in leaf["num"]]
+    return entries.reshape(shape)
+
+
+def _huge_tensors() -> dict[str, Tensor]:
+    """Numerators of at least ``2**62`` in both leaf kinds, over ``den > 1``."""
+    big = 2 ** 62
+    sparse = np.zeros((3, 12), dtype=object)
+    sparse[2, 11], sparse[0, 10] = Fr(big + 1, 3), -(2 ** 90)
+    return {"dense": Tensor([[Fr(big, 7), -1], [0, 2 ** 100 + 3]], "ud"),
+            "sparse": Tensor(sparse, "dd"),
+            "scalar": Tensor(Fr(-(2 ** 70), 9), "")}
+
+
+@pytest.mark.parametrize("which", ["n1", "n2", "n3", "heis", "dense", "huge"])
+def test_every_json_leaf_decodes_to_exactly_its_components(which, heis):
+    """Each tensor leaf of ``report_to_json``, sparse or dense, holds the
+    canonical denominator and decodes to exactly ``Tensor.components``."""
+    if which == "heis":
+        report = run_report(heis.model)
+    elif which == "dense":
+        report = run_report(_dense_model())
+    elif which == "huge":
+        report = replace(run_report(generate_family(FamilyParams(1, (2, 3)))),
+                         tensors=_huge_tensors())
+    else:
+        report = run_report(generate_family(FamilyParams(int(which[1]),
+                                                         FAMILY_LAMBDAS[int(which[1])])))
+    leaves = json.loads(report_to_json(report))["tensors"]
+    assert list(leaves) == sorted(report.tensors)
+    for key, t in report.tensors.items():
+        leaf = leaves[key]
+        sparse = 2 * np.count_nonzero(t.num) < t.num.size
+        assert set(leaf) == {"den", "shape", "variance", "nonzero" if sparse else "num"}
+        assert (leaf["den"], tuple(leaf["shape"]), leaf["variance"]) \
+            == (t.den, t.shape, t.variance)
+        decoded = _decode(leaf)
+        assert decoded.shape == t.shape and np.array_equal(decoded, t.components), key
+    if which == "huge":
+        assert leaves["sparse"]["nonzero"] == {"0,10": -3 * 2 ** 90, "2,11": 2 ** 62 + 1}
+        assert leaves["dense"]["num"] == [2 ** 62, -7, 0, 7 * (2 ** 100 + 3)]
 
 
 def test_text_rendering(rep23):
