@@ -12,6 +12,14 @@ nonzero count.  Numerators and ``den`` are JSON integers of any size.
 
 :func:`index_labels` is the one table of index labels: the JSON keys of
 sparse leaves and the lines of the text report read it.
+
+The writer dispatches on the exact type of a value first: a ``dict``, a
+``list`` or ``tuple`` and a ``Tensor`` leaf are each one identity test
+away, and inside a container its ``str`` and ``int`` items are written in
+place without a call.  A list or tuple of ints only (no bool) is written
+with one join.  Subclasses of these types, bools and None are tested for
+last, and a subclass is written as its base type, as ``json.dumps`` writes
+it.
 """
 from __future__ import annotations
 
@@ -37,8 +45,46 @@ def canonical_json(obj) -> str:
 def _json(obj, newline: str, out: list[str]) -> None:
     """Append ``obj`` as JSON to ``out``; ``newline`` is a line break plus
     the indent of the line ``obj`` starts on."""
-    inner = newline + " "
-    if isinstance(obj, str):
+    kind = type(obj)
+    if kind is dict:
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + " "
+        sep = "{" + inner
+        for key in sorted(obj):         # a non-str key fails in the encoder
+            value = obj[key]
+            out += (sep, encode_basestring_ascii(key), ": ")
+            if type(value) is str:      # the common leaves, written in place
+                out.append(encode_basestring_ascii(value))
+            elif type(value) is int:
+                out.append(int.__repr__(value))
+            else:
+                _json(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "}")
+    elif kind is list or kind is tuple:
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + " "
+        if all(type(item) is int for item in obj):
+            out += ("[", inner, ("," + inner).join(map(int.__repr__, obj)), newline, "]")
+            return
+        sep = "[" + inner
+        for value in obj:
+            out.append(sep)
+            if type(value) is str:      # the common leaves, written in place
+                out.append(encode_basestring_ascii(value))
+            elif type(value) is int:
+                out.append(int.__repr__(value))
+            else:
+                _json(value, inner, out)
+            sep = "," + inner
+        out.append(newline + "]")
+    elif kind is Tensor:
+        _tensor_json(obj, newline, out)
+    elif isinstance(obj, str):          # below, a subclass is written as its base
         out.append(encode_basestring_ascii(obj))
     elif obj is None or obj is True or obj is False:
         out.append("null" if obj is None else "true" if obj else "false")
@@ -47,20 +93,7 @@ def _json(obj, newline: str, out: list[str]) -> None:
     elif isinstance(obj, Tensor):
         _tensor_json(obj, newline, out)
     elif isinstance(obj, (dict, list, tuple)):
-        brackets = "{}" if isinstance(obj, dict) else "[]"  # a non-str key fails below
-        items = ([(encode_basestring_ascii(key) + ": ", obj[key]) for key in sorted(obj)]
-                 if brackets == "{}" else [("", item) for item in obj])
-        sep = brackets[0] + inner
-        for prefix, value in items:
-            out += (sep, prefix)
-            if type(value) is str:      # the common leaves, written in place
-                out.append(encode_basestring_ascii(value))
-            elif type(value) is int:
-                out.append(int.__repr__(value))
-            else:
-                _json(value, inner, out)
-            sep = "," + inner
-        out.append(newline + brackets[1] if items else brackets)
+        _json(dict(obj) if isinstance(obj, dict) else list(obj), newline, out)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 

@@ -59,11 +59,12 @@ def structure_constants(dim: int, table: Iterable[tuple[int, int, list]]) -> Ten
     coefficients as :func:`as_pair`'s ``(p, q)`` pairs.  An unlisted
     mirror ``[x_j, x_i]`` is filled in by negating numerators; a listed
     one is taken as it is, so :func:`validate` reports a contradictory
-    pair instead of it being repaired.  Unlisted pairs commute.  An index outside ``0..dim-1`` or
-    a wrong number of coefficients raises :class:`DimensionMismatch`,
-    and a pair listed twice ``ValueError``.
+    pair instead of it being repaired.  Unlisted pairs commute.  An
+    index outside ``0..dim-1`` or a wrong number of coefficients raises
+    :class:`DimensionMismatch`, and a pair listed twice ``ValueError``.
+    The listed columns are put in canonical storage once and written,
+    with the negated unlisted mirrors, into one array.
     """
-    c = [(0, 1)] * dim ** 3         # C order: entry (k, i, j) at (k d + i) d + j
     listed = {}
     for i, j, pairs in table:
         if not (0 <= i < dim and 0 <= j < dim):
@@ -74,11 +75,17 @@ def structure_constants(dim: int, table: Iterable[tuple[int, int, list]]) -> Ten
             raise DimensionMismatch(
                 f"bracket ({i},{j}) has length {len(pairs)}, expected {dim}")
         listed[i, j] = pairs
-    for (i, j), pairs in listed.items():
-        c[i * dim + j::dim * dim] = pairs
-        if (j, i) not in listed:
-            c[j * dim + i::dim * dim] = [(-p, q) for p, q in pairs]
-    return Tensor.of_pairs(c, (dim,) * 3, "udd")
+    # The listed columns in canonical storage; c holds the same nonzero
+    # numerators (and their negatives), so it shares their den and bound.
+    cols = Tensor.of_pairs([pair for pairs in listed.values() for pair in pairs],
+                           (len(listed), dim), "ud")
+    num = np.zeros((dim,) * 3, dtype=cols.num.dtype)
+    if listed:
+        i, j = np.array(list(listed)).T
+        num[:, i, j] = cols.num.T
+        unlisted = np.array([(b, a) not in listed for a, b in listed])
+        num[:, j[unlisted], i[unlisted]] = -cols.num[unlisted].T
+    return Tensor._of(num, cols.den, cols.magnitude, "udd")
 
 
 def algebra_from_brackets(dim: int, brackets: Mapping[tuple[int, int], Sequence]) -> LieAlgebra:
@@ -109,9 +116,9 @@ def validate(algebra: LieAlgebra) -> ValidationReport:
     """
     report = ValidationReport(subject="lie algebra")
     c = algebra.c
+    idx = np.arange(algebra.dim)
     defect = exact_sum([(1, "kij->kij", c), (1, "kji->kij", c)]).num != 0
-    for i, j in np.argwhere(np.triu(defect.any(axis=0))).tolist():
-        bad = np.flatnonzero(defect[:, i, j]).tolist()
+    for (i, j), bad in _components_by_index(defect, idx[:, None] <= idx):
         report.add(
             "antisymmetry",
             where=(i, j),
@@ -122,15 +129,28 @@ def validate(algebra: LieAlgebra) -> ValidationReport:
         (1, "mki,ljm->lijk", c, c),
         (1, "mij,lkm->lijk", c, c),
     ]).num != 0
-    for i, j, k in np.argwhere(defect.any(axis=0)).tolist():
-        if i < j < k:
-            report.add(
-                "jacobi",
-                where=(i, j, k),
-                detail=f"Jacobi defect nonzero in components "
-                       f"{np.flatnonzero(defect[:, i, j, k]).tolist()}",
-            )
+    increasing = (idx[:, None, None] < idx[:, None]) & (idx[:, None] < idx)
+    for where, bad in _components_by_index(defect, increasing):
+        report.add(
+            "jacobi",
+            where=where,
+            detail=f"Jacobi defect nonzero in components {bad}",
+        )
     return report
+
+
+def _components_by_index(defect: np.ndarray, keep: np.ndarray) -> list:
+    """``(index, components)`` for each index of ``defect[0]`` where
+    ``keep`` is set and some component is, in C order; ``components``
+    lists the first indices of ``defect`` set there, in increasing order.
+    One ``argwhere`` finds them all."""
+    hits = np.argwhere(np.moveaxis(defect & keep, 0, -1))
+    if not hits.size:
+        return []
+    where, components = hits[:, :-1], hits[:, -1].tolist()
+    starts = np.flatnonzero(np.r_[True, (where[1:] != where[:-1]).any(axis=1)]).tolist()
+    return [(tuple(index), components[a:b]) for index, a, b in
+            zip(where[starts].tolist(), starts, starts[1:] + [len(components)])]
 
 
 def is_solvable(algebra: LieAlgebra) -> bool:

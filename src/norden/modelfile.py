@@ -32,13 +32,25 @@ JSON format: an object with keys ``dim``, ``phi``, ``xi``, ``eta``,
 exact rational strings like ``"-3/4"``; floats are rejected, and so are
 JSON ``true`` and ``false``, which are not the numbers 1 and 0.
 
-Tokens go straight into integer storage.  :func:`~norden.tensors.as_pair`
-reads each token as a pair ``(p, q)``: an integer or ``p/q`` token in
-plain digits through ``int()``, anything else (decimals, exponents,
-underscores) by ``Fraction``'s grammar under the exponent cap.  Each line
-or JSON list becomes one row of pairs, and :meth:`Tensor.of_pairs` puts
-each tensor's numerators over the lcm of its denominators and reduces
-them once, so no Fraction is built per token.
+Each key (``name`` and ``dim``, and every key of the JSON model object) may be
+given once; a repeated key is a ``ParseError`` that names it.
+
+Tokens go straight into integer storage, one row (a line or a JSON list)
+at a time.  A row of plain tokens is read in one comprehension: every
+token is a string of the ASCII digits, ``+``, ``-`` and ``/`` only, and no
+``/`` is followed by a sign or a ``0``, so no denominator is signed or
+zero.  Each token is split at its first ``/`` and both parts go through
+``int()``.  Every other row is read token by token by
+:func:`~norden.tensors.as_pair`: a row with a JSON number, a decimal, an
+exponent, an underscore, a non-ASCII digit or a denominator such as
+``04``, and a plain row where ``int()`` fails (``5-``, ``+-5``, ``3/``,
+more digits than Python reads).  ``as_pair`` reads plain digits through
+``int()`` and anything else by ``Fraction``'s grammar under the exponent
+cap, and its error is the row's ``ParseError``.  So both paths give the
+same pairs ``(p, q)`` for the same tokens and the same message for the
+same bad row.  :meth:`Tensor.of_pairs` puts each tensor's numerators over
+the lcm of its denominators and reduces them once, so no Fraction is
+built per token.
 
 A bracket entry declares ``[x_i, x_j]``.  The table of entries becomes
 structure constants by :func:`~norden.lie.structure_constants`, which
@@ -51,6 +63,8 @@ canonical ``i < j`` half.
 from __future__ import annotations
 
 import json
+import re
+from itertools import repeat
 
 import numpy as np
 
@@ -61,6 +75,8 @@ from .structures import AcnModel, validate_structure
 from .tensors import Tensor, as_pair, exact_einsum
 
 _SECTIONS = ("brackets", "phi", "xi", "eta", "metric")
+#: The characters of a row of plain tokens, joined without a separator.
+_PLAIN_ROW = re.compile(r"[0-9+/-]*")
 
 
 def _assemble(name: str, dim: int, brackets, phi, xi, eta, metric) -> AcnModel:
@@ -70,17 +86,15 @@ def _assemble(name: str, dim: int, brackets, phi, xi, eta, metric) -> AcnModel:
         c = structure_constants(dim, brackets)
     except (DimensionMismatch, ValueError) as exc:
         raise ParseError(str(exc)) from exc
-    try:
-        return AcnModel(
-            algebra=LieAlgebra(dim, c),
-            phi=_matrix(phi, "ud"),
-            xi=Tensor.of_pairs(xi, (len(xi),), "u"),
-            eta=Tensor.of_pairs(eta, (len(eta),), "d"),
-            g=_matrix(metric, "dd"),
-            name=name,
-        )
-    except Exception as exc:
-        raise ParseError(f"model data malformed: {exc}") from exc
+    # Each parser has checked every length against dim, so this cannot fail.
+    return AcnModel(
+        algebra=LieAlgebra(dim, c),
+        phi=_matrix(phi, "ud"),
+        xi=Tensor.of_pairs(xi, (len(xi),), "u"),
+        eta=Tensor.of_pairs(eta, (len(eta),), "d"),
+        g=_matrix(metric, "dd"),
+        name=name,
+    )
 
 
 def _matrix(rows, variance: str) -> Tensor:
@@ -98,7 +112,19 @@ def _check_dim(dim: int, line: int | None = None) -> int:
 
 
 def _pairs(tokens, line: int | None = None) -> list[tuple[int, int]]:
-    """The tokens of one row as ``(p, q)`` pairs."""
+    """The tokens of one row as ``(p, q)`` pairs: a row of plain tokens
+    in one comprehension, any other row through :func:`as_pair` (see the
+    module docstring)."""
+    try:
+        # A token that is not a str fails the join; "/0" is stricter than
+        # a zero denominator, and a row it stops only takes the slow path.
+        joined = "".join(tokens)
+        if (_PLAIN_ROW.fullmatch(joined) and "/-" not in joined and "/+" not in joined
+                and "/0" not in joined):
+            return [(int(p), int(q) if slash else 1)
+                    for p, slash, q in map(str.partition, tokens, repeat("/"))]
+    except (ValueError, TypeError):
+        pass
     try:
         return [as_pair(t) for t in tokens]
     except (ValueError, TypeError) as exc:
@@ -110,6 +136,7 @@ def _parse_text(text: str) -> AcnModel:
     dim: int | None = None
     section: str | None = None
     rows: dict[str, list] = {s: [] for s in _SECTIONS}
+    declared = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -123,6 +150,9 @@ def _parse_text(text: str) -> AcnModel:
             key, _, value = line.partition("=")
             key = key.strip().lower()
             value = value.strip()
+            if key in declared:
+                raise ParseError(f"repeated key {key!r}", line=lineno)
+            declared.add(key)
             if key == "name":
                 name = value
             elif key == "dim":
@@ -178,12 +208,21 @@ def _parse_text(text: str) -> AcnModel:
 
 
 def _parse_json(text: str) -> AcnModel:
+    repeated = []       # each object's first repeated key or None, as they close
+
+    def pairs_hook(pairs):
+        seen = set()
+        repeated.append(next((k for k, _ in pairs if k in seen or seen.add(k)), None))
+        return dict(pairs)
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=pairs_hook)
     except (json.JSONDecodeError, RecursionError) as exc:   # too deeply nested
         raise ParseError(f"invalid JSON: {exc}")
     if not isinstance(data, dict):
         raise ParseError("JSON model must be an object")
+    if repeated[-1] is not None:        # the model object closes last
+        raise ParseError(f"repeated key {repeated[-1]!r}")
     for key in ("dim", "phi", "xi", "eta", "metric"):
         if key not in data:
             raise ParseError(f"missing key {key!r}")

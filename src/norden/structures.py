@@ -81,29 +81,34 @@ def validate_structure(model: AcnModel) -> ValidationReport:
     n = model.n
     phi, xi, eta, g = model.phi, model.xi, model.eta, model.g
 
-    def mismatches(lhs: Tensor, rhs: Tensor) -> list[list[int]]:
-        """The indices where two tensors of one shape differ, in C order."""
-        return np.argwhere((lhs - rhs).num).tolist()
+    def mismatches(lhs: Tensor, rhs: Tensor):
+        """The indices where two tensors of one shape differ, in C order,
+        with the entries of each there, formatted."""
+        where = (lhs - rhs).num != 0
+        return zip(np.argwhere(where).tolist(), lhs.formatted(where), rhs.formatted(where))
+
+    def nonzeros(t: Tensor):
+        """The indices of the nonzero entries of ``t``, with the entries."""
+        where = t.num != 0
+        return zip(np.argwhere(where).tolist(), t.formatted(where))
 
     # phi^2 = -Id + eta (x) xi, column by column.
     phi2 = exact_einsum("ia,aj->ij", phi, phi)
     identity = Tensor._of(np.eye(model.dim, dtype=np.int64), 1, 1, "ud")   # canonical
     expected = exact_sum([(1, "i,j->ij", xi, eta), (-1, "ij->ij", identity)])
-    for i, j in mismatches(phi2, expected):
+    for (i, j), got, want in mismatches(phi2, expected):
         report.add("phi_square", where=(i, j),
-                   detail=f"(phi^2)[{i},{j}] = {phi2[i, j]}, expected {expected[i, j]}")
+                   detail=f"(phi^2)[{i},{j}] = {got}, expected {want}")
 
     eta_xi = einsum_scalar("i,i->", eta, xi)
     if eta_xi != 1:
         report.add("eta_xi", detail=f"eta(xi) = {eta_xi}, expected 1")
 
-    phixi = exact_einsum("ij,j->i", phi, xi)
-    for (i,) in np.argwhere(phixi.num).tolist():
-        report.add("phi_xi", where=(i,), detail=f"(phi xi)[{i}] = {phixi[i]}")
+    for (i,), value in nonzeros(exact_einsum("ij,j->i", phi, xi)):
+        report.add("phi_xi", where=(i,), detail=f"(phi xi)[{i}] = {value}")
 
-    etaphi = exact_einsum("i,ij->j", eta, phi)
-    for (j,) in np.argwhere(etaphi.num).tolist():
-        report.add("eta_phi", where=(j,), detail=f"(eta o phi)[{j}] = {etaphi[j]}")
+    for (j,), value in nonzeros(exact_einsum("i,ij->j", eta, phi)):
+        report.add("eta_phi", where=(j,), detail=f"(eta o phi)[{j}] = {value}")
 
     asymmetric = np.argwhere(np.triu(g.num != g.num.T)).tolist()
     for i, j in asymmetric:
@@ -112,10 +117,9 @@ def validate_structure(model: AcnModel) -> ValidationReport:
     # g(phi x, phi y) = -g(x, y) + eta(x) eta(y) on basis pairs.
     gphiphi = exact_einsum("ai,ab,bj->ij", phi, g, phi)
     expected = exact_sum([(-1, "ij->ij", g), (1, "i,j->ij", eta, eta)])
-    for i, j in mismatches(gphiphi, expected):
+    for (i, j), got, want in mismatches(gphiphi, expected):
         report.add("norden_compatibility", where=(i, j),
-                   detail=f"g(phi x{i}, phi x{j}) = {gphiphi[i, j]}, "
-                          f"expected {expected[i, j]}")
+                   detail=f"g(phi x{i}, phi x{j}) = {got}, expected {want}")
 
     # phi is g-symmetric: g(phi x, y) = g(x, phi y).
     gphi = exact_einsum("ai,aj->ij", phi, g)
@@ -125,9 +129,9 @@ def validate_structure(model: AcnModel) -> ValidationReport:
 
     # eta is the g-dual of xi.
     gxi = exact_einsum("ij,j->i", g, xi)
-    for (i,) in mismatches(gxi, eta):
+    for (i,), got, want in mismatches(gxi, eta):
         report.add("eta_g_dual", where=(i,),
-                   detail=f"g(x{i}, xi) = {gxi[i]}, eta(x{i}) = {eta[i]}")
+                   detail=f"g(x{i}, xi) = {got}, eta(x{i}) = {want}")
 
     # A signature is defined for symmetric forms only.
     if asymmetric:

@@ -208,7 +208,7 @@ def _pair_storage(pairs: list[tuple[int, int]], shape) -> tuple[np.ndarray, int,
     """The canonical ``num``, ``den`` and ``top`` of the entries ``p / q``,
     given as pairs ``(p, q)`` with ``q > 0`` in C order: the numerators
     over the lcm of the ``q``, then reduced by :func:`_canonical`."""
-    den = math.lcm(*[q for _, q in pairs])
+    den = math.lcm(*{q for _, q in pairs})
     nums = [p * (den // q) for p, q in pairs] if den != 1 else [p for p, _ in pairs]
     top = max(max(nums, default=0), -min(nums, default=0))
     num = np.array(nums, dtype=np.int64 if top < INT64_SAFE else object)

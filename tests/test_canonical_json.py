@@ -2,7 +2,9 @@
 ``json.dumps(obj, sort_keys=True, indent=1)`` on plain data, and on
 :class:`Tensor` leaves the bytes of their schema-2 dict, built here from
 ``Tensor.components``."""
+import collections
 import dataclasses
+import enum
 import json
 import math
 from fractions import Fraction as Fr
@@ -39,6 +41,10 @@ values = st.recursive(
 )
 
 
+class _Text(str):
+    pass
+
+
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=1)
 
@@ -55,6 +61,11 @@ def test_matches_json_dumps_on_edge_values():
     assert canonical_json(obj) == _dumps(obj)
     for leaf in (0, -1, 2 ** 70, "", "x", True, None, [], {}):
         assert canonical_json(leaf) == _dumps(leaf)
+    # Subclasses are written as their base types.
+    Pair = collections.namedtuple("Pair", "a b")
+    subclassed = collections.OrderedDict(b=Pair(enum.IntEnum("E", "X Y").Y, "t"), a=_Text("v"))
+    for value in (subclassed, [Pair(1, 2), Pair("x", [])], _Text("w"), enum.IntEnum("F", "A").A):
+        assert canonical_json(value) == _dumps(value)
 
 
 ENTRY_KINDS = {

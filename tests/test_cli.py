@@ -223,6 +223,28 @@ def test_a_bad_dim_is_named_when_it_is_read(fmt, dim, tmp_path, capsys):
         assert captured.err == f"{path}: {prefix}dimension must be odd and >= 3, got {dim}\n"
 
 
+@pytest.mark.parametrize("fmt, old, new, message", [
+    ("text", "\ndim = 3\n", "\ndim = 3\ndim = 5\n", "line 3: repeated key 'dim'"),
+    ("text", "\ndim = 3\n", "\ndim = 3\nName = other\n", "line 3: repeated key 'name'"),
+    ("json", '\n "dim": 3,', '\n "dim": 3,\n "dim": 5,', "repeated key 'dim'"),
+    ("json", '\n "eta": [', '\n "phi": [],\n "eta": [', "repeated key 'phi'"),
+], ids=["text-dim", "text-name", "json-dim", "json-phi"])
+def test_a_repeated_key_is_named(fmt, old, new, message, tmp_path, capsys):
+    """A key given twice is an input error that names it, whichever of
+    the two values the rest of the file would agree with."""
+    flags = ["--json"] if fmt == "json" else []
+    assert main(["family", "--n", "1", "--lambda", "2,3"] + flags) == EXIT_OK
+    text = capsys.readouterr().out
+    assert old in text
+    path = tmp_path / f"repeated.{fmt}"
+    path.write_text(text.replace(old, new, 1))
+    for argv in (["validate", str(path), "--json"], ["report", str(path)]):
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"{path}: {message}\n"
+
+
 def test_report_text_and_exit_code(model_path, capsys):
     assert main(["report", model_path]) == EXIT_OK
     out = capsys.readouterr().out

@@ -23,6 +23,7 @@ from norden import (
     parse_model,
     validate,
 )
+from norden.lie import structure_constants
 
 lam_values = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -198,3 +199,77 @@ def test_family_bracket_convention(fam23):
     assert c[0, 1, 0] == 2 and c[0, 2, 0] == 3
     assert c[0, 0, 1] == -2 and c[0, 0, 2] == -3
     assert bracket(fam23.model.algebra, [0, 1, 0], [1, 0, 0]) == Tensor([2, 0, 0], "u")
+
+
+def _constants_from_a_list(dim: int, table: list) -> Tensor:
+    """The construction ``structure_constants`` replaced: every entry as a
+    pair in one list of ``dim**3``, through ``Tensor.of_pairs``."""
+    c = [(0, 1)] * dim ** 3
+    listed = {(i, j): pairs for i, j, pairs in table}
+    for (i, j), pairs in listed.items():
+        c[i * dim + j::dim * dim] = pairs
+        if (j, i) not in listed:
+            c[j * dim + i::dim * dim] = [(-p, q) for p, q in pairs]
+    return Tensor.of_pairs(c, (dim,) * 3, "udd")
+
+
+_numerators = st.one_of(st.integers(-9, 9), st.just(0),
+                        st.integers(2 ** 62, 2 ** 80).map(lambda m: m * (-1) ** (m % 2)))
+
+
+@st.composite
+def bracket_tables(draw):
+    """Tables with listed and unlisted mirrors, contradictory mirrors and
+    diagonal entries, and numerators of 2**62 and more."""
+    dim = draw(st.integers(1, 5))
+    keys = draw(st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)),
+                         unique=True, max_size=dim * dim))
+    pair = st.tuples(_numerators, st.integers(1, 12))
+    return dim, [(i, j, draw(st.lists(pair, min_size=dim, max_size=dim))) for i, j in keys]
+
+
+@settings(max_examples=300, deadline=None)
+@given(bracket_tables())
+def test_structure_constants_match_the_list_construction(table):
+    dim, entries = table
+    got, want = structure_constants(dim, entries), _constants_from_a_list(dim, entries)
+    assert (got.den, got.magnitude, got.num.dtype) == (want.den, want.magnitude, want.num.dtype)
+    assert got.num.tolist() == want.num.tolist()
+    assert all(type(v) is int for v in got.num.ravel().tolist())
+    assert got.variance == "udd" and not got.num.flags.writeable
+
+
+def _violations_index_by_index(c: Tensor) -> list[tuple]:
+    """The violations ``validate`` lists, found one index at a time from
+    the Fraction components: antisymmetry per pair ``i <= j``, Jacobi per
+    triple ``i < j < k``, each with the components that fail."""
+    a = c.components
+    d = a.shape[0]
+    out = []
+    for i in range(d):
+        for j in range(i, d):
+            bad = [k for k in range(d) if a[k, i, j] + a[k, j, i] != 0]
+            if bad:
+                out.append(("antisymmetry", (i, j),
+                            f"[x{i},x{j}] != -[x{j},x{i}] in components {bad}"))
+    jac = (np.einsum("mjk,lim->lijk", a, a) + np.einsum("mki,ljm->lijk", a, a)
+           + np.einsum("mij,lkm->lijk", a, a))
+    for i in range(d):
+        for j in range(i + 1, d):
+            for k in range(j + 1, d):
+                bad = [m for m in range(d) if jac[m, i, j, k] != 0]
+                if bad:
+                    out.append(("jacobi", (i, j, k),
+                                f"Jacobi defect nonzero in components {bad}"))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(bracket_tables())
+def test_validate_lists_each_violation_with_its_components(table):
+    dim, entries = table
+    small = [(i, j, [(p % 7 - 3, q) for p, q in pairs]) for i, j, pairs in entries]
+    for algebra_table in (entries, small):
+        c = structure_constants(dim, algebra_table)
+        got = [(v.rule, v.where, v.detail) for v in validate(LieAlgebra(dim, c)).violations]
+        assert got == _violations_index_by_index(c)

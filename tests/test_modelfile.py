@@ -1,8 +1,11 @@
 """Model-file parsing, serialization, and exact round-tripping in both
 the text and JSON formats."""
 import dataclasses
+import importlib.util
 import json
 from fractions import Fraction as Fr
+from pathlib import Path
+from random import Random
 
 import numpy as np
 import pytest
@@ -22,7 +25,10 @@ from norden import (
     serialize_model,
     validate_structure,
 )
+from norden import lie, modelfile, tensors
 from norden.lie import LieAlgebra
+from norden.modelfile import _pairs
+from norden.tensors import as_pair
 
 VALID_TEXT = """\
 name = worked example
@@ -368,3 +374,134 @@ def test_parsing_builds_no_fraction(monkeypatch):
     for m in parsed:
         assert (m.algebra.c, m.phi, m.xi, m.eta, m.g) == (
             model.algebra.c, model.phi, model.xi, model.eta, model.g)
+
+
+# --- the plain-row reader -------------------------------------------------
+
+_SIGNS = st.sampled_from(["", "", "+", "-", "+-", "--"])
+_DIGITS = st.one_of(st.text("0123456789", min_size=1, max_size=5),
+                    st.sampled_from(["0", "00", "٣", "３", "1_0", "", "9" * 4301]))
+_NUMBERS = st.one_of(_DIGITS, st.sampled_from(["0.5", ".5", "5.", "1e3", "1E-3", "2e+4",
+                                               "1e5000", "1__0", "x"]))
+
+
+@st.composite
+def _tokens(draw):
+    """Tokens that reach every branch of ``as_pair``: ints, other
+    rationals and non-rationals, and strings of signs, digits (ASCII,
+    non-ASCII, with underscores, past the digit limit), decimals and
+    exponents, with zero, one or two slashes and signed, zero and empty
+    denominators, sometimes padded with blanks."""
+    kind = draw(st.sampled_from(["str"] * 6 + ["int", "other"]))
+    if kind == "int":
+        return draw(st.integers(-(2 ** 70), 2 ** 70))
+    if kind == "other":
+        return draw(st.sampled_from([True, False, None, 1.5, Fr(-3, 4), np.int64(5), []]))
+    token = draw(_SIGNS) + draw(_NUMBERS)
+    for _ in range(draw(st.sampled_from([0, 1, 1, 1, 2]))):
+        token += "/" + draw(_SIGNS) + draw(_NUMBERS)
+    pad = draw(st.sampled_from(["", "", " ", "\t"]))
+    return pad + token + pad
+
+
+def _read_one_by_one(row, line):
+    """What ``modelfile._pairs`` gives: ``as_pair`` of each token, or the
+    ``ParseError`` text of the first token it rejects."""
+    try:
+        return [as_pair(t) for t in row]
+    except (ValueError, TypeError) as exc:
+        return str(ParseError(str(exc), line=line))
+
+
+def _read_row(row, line):
+    try:
+        return _pairs(row, line)
+    except ParseError as exc:
+        return str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(_tokens(), max_size=6))
+def test_a_row_reads_as_its_tokens_read_one_by_one(row):
+    got = _read_row(row, 7)
+    assert got == _read_one_by_one(row, 7)
+    if isinstance(got, list):
+        assert all(type(p) is int and type(q) is int for p, q in got)
+
+
+#: The tokens the plain-row reader must leave to ``as_pair``, or take.
+EDGE_TOKENS = ["1_0", "1e3", "0.5", "٣", "3/-4", "3/+4", "+-5", "1/0", "/3", "3/",
+               "9" * 4301, "9" * 4300, "3/04", "1/00", "-0", "+5", "00/07", "1/2/3", "5-",
+               "0/5", "-12/8", "", "/", "+", "2/-0"]
+
+
+@pytest.mark.parametrize("token", EDGE_TOKENS, ids=[t[:8] for t in EDGE_TOKENS])
+@pytest.mark.parametrize("at", [0, 1, 2])
+def test_an_edge_token_reads_as_as_pair_reads_it(token, at):
+    row = ["-7/2", "12", "0"]
+    row[at] = token
+    assert _read_row(row, 3) == _read_one_by_one(row, 3)
+    assert _read_row([token], None) == _read_one_by_one([token], None)
+
+
+def _bench_models():
+    """``benchmarks/models.py``, which builds model files without the library."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "models.py"
+    spec = importlib.util.spec_from_file_location("bench_models", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def dense_files():
+    """A dense dim-7 benchmark model and one of its mutants, text and JSON."""
+    models = _bench_models()
+    rng = Random(7)
+    lam = models.random_lambda(rng, 3)
+    basis = models.random_basis_change(rng, 7)
+    files = []
+    for mutation in (None, "jacobi_bracket"):
+        s = models.change_basis(models.family_structure(lam, mutation), *basis)
+        files += [models.to_text(s, "dense"), models.to_json(s, "dense")]
+    return files
+
+
+@pytest.fixture
+def as_pair_calls(monkeypatch):
+    """Every token ``as_pair`` reads, seen wherever it is called from."""
+    calls = []
+
+    def spy(value):
+        calls.append(value)
+        return as_pair(value)
+
+    for module in (tensors, modelfile, lie):
+        monkeypatch.setattr(module, "as_pair", spy)
+    return calls
+
+
+def test_plain_dense_files_are_read_without_as_pair(dense_files, as_pair_calls):
+    for text in dense_files:
+        model = parse_model(text, require_valid=False)
+        assert model.g.den > 1 or model.phi.den > 1 or model.algebra.c.den > 1
+    assert as_pair_calls == []
+
+
+@pytest.mark.parametrize("fmt", [0, 1])
+def test_a_decimal_token_sends_only_its_row_to_as_pair(dense_files, as_pair_calls, fmt):
+    text = dense_files[fmt]
+    plain = parse_model(text, require_valid=False)
+    eta = [format_scalar(v) for v in plain.eta.components]
+    if fmt == 0:
+        head, _, tail = text.partition("[eta]\n")
+        line, _, rest = tail.partition("\n")
+        text = f"{head}[eta]\n0.5 {line.split(' ', 1)[1]}\n{rest}"
+    else:
+        obj = json.loads(text)
+        obj["eta"][0] = "0.5"
+        text = json.dumps(obj)
+    model = parse_model(text, require_valid=False)
+    assert as_pair_calls == ["0.5"] + eta[1:]
+    assert model.eta[0] == Fr(1, 2) and list(model.eta.components[1:]) == \
+        list(plain.eta.components[1:])
