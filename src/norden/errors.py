@@ -8,6 +8,7 @@ callers that need an exception wrap the report in ``ValidationError``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class NordenError(Exception):
@@ -55,13 +56,13 @@ class ParseError(NordenError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     """One broken validation rule.
 
     ``rule`` is a stable identifier (e.g. ``"antisymmetry"``,
     ``"metric_signature"``), ``where`` the offending index tuple when one
-    exists, and ``detail`` a human-readable explanation.
+    exists, and ``detail`` a human-readable explanation.  A named tuple,
+    because a mutant model builds hundreds of them.
     """
 
     rule: str

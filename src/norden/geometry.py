@@ -253,7 +253,8 @@ class Geometry:
     @cached_property
     def curvature_phi_kahler(self) -> bool:
         """Whether ``R(x, y, phi z, phi u) = -R(x, y, z, u)``."""
-        return self.twisted_r == -self.curv.r04
+        return exact_sum([(1, "ijku->ijku", self.twisted_r),
+                          (1, "ijku->ijku", self.curv.r04)]).is_zero()
 
     @cached_property
     def nabla2_phi(self) -> Tensor:

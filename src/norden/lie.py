@@ -157,24 +157,20 @@ def is_solvable(algebra: LieAlgebra) -> bool:
     """Whether the derived series reaches zero.
 
     Computes ``span([V, V])`` for successively smaller exact row-space
-    bases ``V``; the series either strictly shrinks to nothing
-    (solvable) or stabilizes at a nonzero perfect subalgebra (not).
-    Raises :class:`InvalidAlgebra` when validation fails.
+    bases ``V``, every bracket of one step in one contraction; the series
+    either strictly shrinks to nothing (solvable) or stabilizes at a
+    nonzero perfect subalgebra (not).  Raises :class:`InvalidAlgebra`
+    when validation fails.
     """
     report = validate(algebra)
     if not report.ok:
         raise InvalidAlgebra(str(report))
-    basis = [row for row in np.eye(algebra.dim, dtype=int)]
+    basis = np.eye(algebra.dim, dtype=int).tolist()
     while basis:
-        products = []
-        for a in range(len(basis)):
-            for b in range(a + 1, len(basis)):
-                v = bracket(algebra, basis[a], basis[b])
-                if not v.is_zero():
-                    products.append(v.num)
-        new_basis = row_space_basis(products)
-        if not new_basis:
-            return True
+        v = Tensor(basis, "du")
+        products = exact_einsum("kij,ai,bj->abk", algebra.c, v, v)
+        # The numerators span what the brackets span.
+        new_basis = row_space_basis(products.num.reshape(-1, algebra.dim).tolist())
         if len(new_basis) >= len(basis):
             return False
         basis = new_basis

@@ -57,8 +57,10 @@ structure constants by :func:`~norden.lie.structure_constants`, which
 :func:`~norden.lie.algebra_from_brackets` uses too: an absent mirror
 ``(j, i)`` is completed antisymmetrically, and a listed one is taken
 verbatim, so a contradictory file surfaces as an antisymmetry violation
-instead of being silently repaired.  Serialization always emits the
-canonical ``i < j`` half.
+instead of being silently repaired.  It names a bad index, an entry listed
+twice and, in a text file, a row of the wrong length; the JSON reader
+checks a row's length with its other lists.
+Serialization always emits the canonical ``i < j`` half.
 """
 from __future__ import annotations
 
@@ -86,7 +88,7 @@ def _assemble(name: str, dim: int, brackets, phi, xi, eta, metric) -> AcnModel:
         c = structure_constants(dim, brackets)
     except (DimensionMismatch, ValueError) as exc:
         raise ParseError(str(exc)) from exc
-    # Each parser has checked every length against dim, so this cannot fail.
+    # Each parser has checked every other length against dim, so this cannot fail.
     return AcnModel(
         algebra=LieAlgebra(dim, c),
         phi=_matrix(phi, "ud"),
@@ -198,11 +200,6 @@ def _parse_text(text: str) -> AcnModel:
     for s in ("xi", "eta"):
         if len(rows[s][0]) != dim:
             raise ParseError(f"[{s}] needs {dim} entries, got {len(rows[s][0])}")
-    for i, j, coeffs in rows["brackets"]:
-        if len(coeffs) != dim:
-            raise ParseError(
-                f"bracket ({i}, {j}) has {len(coeffs)} coefficients, expected {dim}"
-            )
     return _assemble(name, dim, rows["brackets"], rows["phi"], rows["xi"][0],
                      rows["eta"][0], rows["metric"])
 

@@ -84,7 +84,8 @@ def validate_structure(model: AcnModel) -> ValidationReport:
     def mismatches(lhs: Tensor, rhs: Tensor):
         """The indices where two tensors of one shape differ, in C order,
         with the entries of each there, formatted."""
-        where = (lhs - rhs).num != 0
+        same = "ij"[:lhs.rank] + "->" + "ij"[:lhs.rank]
+        where = exact_sum([(1, same, lhs), (-1, same, rhs)]).num != 0
         return zip(np.argwhere(where).tolist(), lhs.formatted(where), rhs.formatted(where))
 
     def nonzeros(t: Tensor):

@@ -78,7 +78,6 @@ import functools
 import math
 import numbers
 import re
-import string
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -99,8 +98,6 @@ SPARSE_FLOOR = 1 << 15
 #: sparse work (nonzeros of one operand times the other's kept size) is
 #: below its dense cost.
 SPARSE_FACTOR = 4
-
-_LETTERS = string.ascii_letters
 
 #: Largest decimal exponent magnitude accepted in a string such as
 #: ``"1e300"``: Python's own limit on the digits of an int parsed from a
@@ -223,7 +220,8 @@ class Tensor:
     per axis) are in the canonical form of the module docstring;
     ``magnitude`` is the largest ``abs(num)`` entry (0 with no entries).
     ``Tensor(components, variance)`` builds one from any array-like of
-    exact rationals.  Instances are immutable and compare by exact value.
+    exact rationals.  Instances are immutable and compare by exact value;
+    they have no arithmetic operators, :func:`exact_sum` is the one route.
     """
 
     __slots__ = ("num", "den", "variance", "magnitude", "_components")
@@ -312,39 +310,6 @@ class Tensor:
     def is_zero(self) -> bool:
         return not np.any(self.num)
 
-    # -- arithmetic (same variance only) -------------------------------
-
-    def _check_same(self, other: "Tensor", op: str) -> str:
-        """Check ``other`` against ``self``; return identity subscripts."""
-        if not isinstance(other, Tensor):
-            raise TypeError(f"cannot {op} Tensor and {type(other).__name__}")
-        if self.variance != other.variance:
-            raise VarianceMismatch(
-                f"cannot {op} variances {self.variance!r} and {other.variance!r}"
-            )
-        if self.shape != other.shape:
-            raise DimensionMismatch(
-                f"cannot {op} shapes {self.shape} and {other.shape}"
-            )
-        return _identity(self.rank)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        same = self._check_same(other, "add")
-        return exact_sum([(1, same, self), (1, same, other)])
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        same = self._check_same(other, "subtract")
-        return exact_sum([(1, same, self), (-1, same, other)])
-
-    def __neg__(self) -> "Tensor":
-        return Tensor._of(np.asarray(-self.num, dtype=self.num.dtype), self.den,
-                          self.magnitude, self.variance)
-
-    def __mul__(self, scalar) -> "Tensor":
-        return exact_sum([(scalar, _identity(self.rank), self)])
-
-    __rmul__ = __mul__
-
     def __repr__(self) -> str:
         return f"Tensor(variance={self.variance!r}, shape={self.shape})"
 
@@ -366,11 +331,6 @@ class Tensor:
         mask = self.num != 0
         return list(zip(map(tuple, np.argwhere(mask).tolist()),
                         self.components[mask].tolist()))
-
-
-def _identity(rank: int) -> str:
-    """Subscripts that leave a rank-``rank`` tensor as it is."""
-    return f"{_LETTERS[:rank]}->{_LETTERS[:rank]}"
 
 
 def _symmetric_numerators(t: Tensor, name: str) -> list[list[int]]:

@@ -13,6 +13,7 @@ from norden import (
     FamilyParams,
     Geometry,
     IdentityVerdict,
+    exact_sum,
     generate_family,
     levi_civita,
     report_to_json,
@@ -205,14 +206,21 @@ def test_isotropy_criterion_matches_lambda_condition(lam):
 # the tampered verdicts.  The JSON hashes were re-recorded once, for report
 # schema 2; the text hashes have not changed.
 
+def _scaled(coef, t):
+    """``coef * t``, as one permutation term of the kernel."""
+    same = "ijkl"[:t.rank] + "->" + "ijkl"[:t.rank]
+    return exact_sum([(coef, same, t)])
+
+
 def _tampered(fam23, key):
     model, conn, curv, pack = fam23.model, fam23.conn, fam23.curv, fam23.pack
     if key == "curvature":
         return Geometry(model, conn=conn, curv=replace(
-            curv, r13=2 * curv.r13, r04=2 * curv.r04, tau=curv.tau + Fr(1, 2)))
+            curv, r13=_scaled(2, curv.r13), r04=_scaled(2, curv.r04),
+            tau=curv.tau + Fr(1, 2)))
     if key == "omega_vec":
-        return Geometry(model, conn=conn, pack=replace(pack, omega_vec=0 * pack.omega_vec))
-    return Geometry(model, conn=conn, curv=replace(curv, r04=0 * curv.r04))
+        return Geometry(model, conn=conn, pack=replace(pack, omega_vec=_scaled(0, pack.omega_vec)))
+    return Geometry(model, conn=conn, curv=replace(curv, r04=_scaled(0, curv.r04)))
 
 
 PASS, NA = ("pass", None), (" n/a", None)

@@ -208,7 +208,9 @@ def test_every_result_stores_its_largest_magnitude(terms):
     """The stored magnitude that the next contraction's bound reads is
     the largest numerator of the canonical storage, on every route in."""
     result = exact_sum(terms)
-    for t in (result, -result, *terms[0][2:]):
+    out = terms[0][1].split("->")[1]
+    negated = exact_sum([(-1, f"{out}->{out}", result)])
+    for t in (result, negated, *terms[0][2:]):
         _assert_magnitude(t)
 
 

@@ -395,8 +395,9 @@ def test_int64_wraparound_is_never_seen():
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.one_of(small, huge), min_size=1, max_size=6), st.data())
 def test_two_routes_to_the_same_rationals_are_equal(values, data):
-    """``values`` built directly, and as ``a + b`` and ``2 (values / 2)``,
-    give equal tensors whose denominator is the least possible one."""
+    """``values`` built directly, and as ``a + b``, ``b + a`` and
+    ``2 (values / 2)``, give equal tensors whose denominator is the least
+    possible one."""
     direct = _array(values, (len(values),))
     other = data.draw(st.lists(st.one_of(small, huge), min_size=len(values),
                                max_size=len(values)))
@@ -404,7 +405,8 @@ def test_two_routes_to_the_same_rationals_are_equal(values, data):
     b = _array(other, (len(values),))
     by_sum = exact_sum([(1, "i->i", a), (1, "i->i", b)])
     by_halves = exact_sum([(2, "i->i", exact_sum([(Fr(1, 2), "i->i", direct)]))])
-    for t in (direct, by_sum, by_halves, a + b):
+    by_swapped_sum = exact_sum([(1, "i->i", b), (1, "i->i", a)])
+    for t in (direct, by_sum, by_halves, by_swapped_sum):
         assert t == direct
         assert t.den == math.lcm(*(Fr(v).denominator for v in values))
         _assert_canonical(t)

@@ -105,6 +105,46 @@ def test_no_module_imports_a_name_it_never_uses():
         assert imported <= used, (path.name, sorted(imported - used))
 
 
+def _unread_private_names(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """``(file, name)`` for each module-level ``_name`` that one of the
+    ``sources`` (file name to text) defines and none of them reads, as a
+    name or as an attribute."""
+    defined, read = [], set()
+    for file, text in sorted(sources.items()):
+        tree = ast.parse(text)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            defined += [(file, name) for name in names
+                        if name.startswith("_") and not name.startswith("__")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return [(file, name) for file, name in defined if name not in read]
+
+
+def test_no_module_defines_a_private_name_nothing_reads():
+    """A module-level ``_name`` under ``src/norden`` is read somewhere in
+    the package, so a deletion leaves no dead helper behind; a planted
+    helper and a leftover constant are found."""
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in Path(norden.__file__).parent.glob("*.py")}
+    assert _unread_private_names(sources) == []
+    planted = dict(sources, **{
+        "lie.py": sources["lie.py"] + "\n\ndef _helper():\n    return 1\n",
+        "tensors.py": sources["tensors.py"] + "\n_SPARE_LETTERS = 'abc'\n",
+    })
+    assert _unread_private_names(planted) == [("lie.py", "_helper"),
+                                              ("tensors.py", "_SPARE_LETTERS")]
+
+
 PUBLIC_NAMES = [
     "AcnModel", "BadParams", "Connection", "CurvaturePack", "DimensionMismatch",
     "FamilyParams", "Geometry", "GeometryReport", "IdentityVerdict",

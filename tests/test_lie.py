@@ -21,6 +21,7 @@ from norden import (
     generate_family,
     is_solvable,
     parse_model,
+    row_space_basis,
     validate,
 )
 from norden.lie import structure_constants
@@ -122,7 +123,7 @@ def test_a_bracket_table_gives_one_algebra_by_every_route(table, fmt):
      "bracket indices (1, -1) out of range for dim 3"),
     ([(1, 0, [1, 0])],
      "bracket (1,0) has length 2, expected 3",
-     "bracket (1, 0) has 2 coefficients, expected 3",
+     "bracket (1,0) has length 2, expected 3",
      "bracket (1, 0) must be a list of 3 entries"),
 ])
 def test_each_route_names_a_bad_bracket(table, library, text, json_text):
@@ -171,6 +172,50 @@ def test_is_solvable_on_classics():
     assert is_solvable(algebra_from_brackets(3, {}))                 # abelian
     assert is_solvable(algebra_from_brackets(3, {(1, 2): [1, 0, 0]}))  # nilpotent
     assert not is_solvable(sl2())                                    # simple
+
+
+def _matrix_algebra(n, units):
+    """The span of the elementary ``n x n`` matrices ``E_ab`` for the pairs
+    ``units`` (closed under the commutator), on that basis:
+    ``[E_ab, E_cd] = [b == c] E_ad - [d == a] E_cb``."""
+    index = {unit: k for k, unit in enumerate(units)}
+    brackets = {}
+    for i, (a, b) in enumerate(units):
+        for j, (c, d) in enumerate(units[i + 1:], start=i + 1):
+            coeffs = [0] * len(units)
+            if b == c:
+                coeffs[index[a, d]] += 1
+            if d == a:
+                coeffs[index[c, b]] -= 1
+            brackets[i, j] = coeffs
+    return algebra_from_brackets(len(units), brackets)
+
+
+def _solvable_by_pairs(algebra):
+    """The derived series, one ``bracket`` per basis pair."""
+    basis = [[int(i == j) for j in range(algebra.dim)] for i in range(algebra.dim)]
+    while basis:
+        products = [bracket(algebra, basis[a], basis[b]).components.tolist()
+                    for a in range(len(basis)) for b in range(a + 1, len(basis))]
+        new_basis = row_space_basis(products)
+        if len(new_basis) >= len(basis):
+            return False
+        basis = new_basis
+    return True
+
+
+@pytest.mark.parametrize("n, units, solvable", [
+    (3, [(a, b) for a in range(3) for b in range(3) if a <= b], True),     # b(3)
+    (4, [(a, b) for a in range(4) for b in range(4) if a <= b], True),     # b(4)
+    (4, [(a, b) for a in range(4) for b in range(4) if a < b], True),      # n(4)
+    (2, [(a, b) for a in range(2) for b in range(2)], False),              # gl(2)
+    (3, [(a, b) for a in range(3) for b in range(3)], False),              # gl(3)
+])
+def test_is_solvable_follows_the_derived_series(n, units, solvable):
+    """Series of several steps, and ones that stop at a perfect nonzero
+    subalgebra, agree with one ``bracket`` per basis pair."""
+    algebra = _matrix_algebra(n, units)
+    assert is_solvable(algebra) == _solvable_by_pairs(algebra) == solvable
 
 
 def test_is_solvable_rejects_invalid_input():

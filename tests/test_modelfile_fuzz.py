@@ -129,7 +129,7 @@ PARSE_ERRORS = [
     ("text", TEXT[:-len("0 0 -1\n")], "[metric] needs 3 row(s), got 2"),
     ("text", _replace(TEXT, "[phi]\n0 0 0", "[phi]\n0 0"), "[phi] rows need 3 entries"),
     ("text", _replace(TEXT, "[xi]\n1 0 0", "[xi]\n1 0"), "[xi] needs 3 entries, got 2"),
-    ("text", _replace(TEXT, "0 1 : -2 0 0", "0 1 : -2 0"), "bracket (0, 1) has 2 coeff"),
+    ("text", _replace(TEXT, "0 1 : -2 0 0", "0 1 : -2 0"), "bracket (0,1) has length 2, expected 3"),
     # JSON
     ("json", "{not json", "invalid JSON"),
     ("json", "[1, 2]", "JSON model must be an object"),

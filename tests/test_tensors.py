@@ -21,6 +21,7 @@ from norden import (
     as_scalar,
     einsum_scalar,
     exact_einsum,
+    exact_sum,
     format_scalar,
     invert_symmetric,
     matrix_rank,
@@ -175,17 +176,35 @@ def test_tensor_equality_and_zero():
 def test_tensor_arithmetic():
     a = Tensor([1, 2], "u")
     b = Tensor([3, -1], "u")
-    assert (a + b) == Tensor([4, 1], "u")
-    assert (a - b) == Tensor([-2, 3], "u")
-    assert (-a) == Tensor([-1, -2], "u")
-    assert (a * Fr(1, 2)) == Tensor([Fr(1, 2), 1], "u")
-    assert (2 * a) == Tensor([2, 4], "u")
+    assert exact_sum([(1, "i->i", a), (1, "i->i", b)]) == Tensor([4, 1], "u")
+    assert exact_sum([(1, "i->i", a), (-1, "i->i", b)]) == Tensor([-2, 3], "u")
+    assert exact_sum([(-1, "i->i", a)]) == Tensor([-1, -2], "u")
+    assert exact_sum([(Fr(1, 2), "i->i", a)]) == Tensor([Fr(1, 2), 1], "u")
+    assert exact_sum([(2, "i->i", a)]) == Tensor([2, 4], "u")
     with pytest.raises(VarianceMismatch):
-        a + Tensor([1, 2], "d")
+        exact_sum([(1, "i->i", a), (1, "i->i", Tensor([1, 2], "d"))])
     with pytest.raises(DimensionMismatch):
-        a + Tensor([1, 2, 3], "u")
+        exact_sum([(1, "i->i", a), (1, "i->i", Tensor([1, 2, 3], "u"))])
     with pytest.raises(TypeError):
         a + 1
+
+
+def test_tensor_has_no_arithmetic():
+    """Every operator is a ``TypeError``; the matching ``exact_sum`` gives
+    what the operator gave."""
+    a = Tensor([1, Fr(2, 3)], "u")
+    b = Tensor([Fr(-1, 3), 5], "u")
+    for op in (lambda: a + b, lambda: a - b, lambda: 2 * a, lambda: a * 2, lambda: -a):
+        with pytest.raises(TypeError):
+            op()
+    assert exact_sum([(1, "i->i", a), (1, "i->i", b)]) == Tensor([Fr(2, 3), Fr(17, 3)], "u")
+    assert exact_sum([(1, "i->i", a), (-1, "i->i", b)]) == Tensor([Fr(4, 3), Fr(-13, 3)], "u")
+    assert exact_sum([(2, "i->i", a)]) == Tensor([2, Fr(4, 3)], "u")
+    assert exact_sum([(-1, "i->i", a)]) == Tensor([-1, Fr(-2, 3)], "u")
+    minus_a = exact_sum([(-1, "i->i", a)])      # a == -minus_a, as one sum
+    assert exact_sum([(1, "i->i", a), (1, "i->i", minus_a)]).is_zero()
+    with pytest.raises(AttributeError):
+        exact_sum([(1, "i->i", a), (1, "i->i", 1)])
 
 
 def test_tensor_item_and_nonzero_items():
@@ -510,5 +529,5 @@ def test_vector_components_checks():
 @settings(max_examples=15, deadline=None)
 @given(st.lists(rationals, min_size=2, max_size=2), st.lists(rationals, min_size=2, max_size=2))
 def test_tensor_addition_is_componentwise(xs, ys):
-    s = Tensor(xs, "u") + Tensor(ys, "u")
+    s = exact_sum([(1, "i->i", Tensor(xs, "u")), (1, "i->i", Tensor(ys, "u"))])
     assert list(s.components) == [x + y for x, y in zip(xs, ys)]
