@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import exact_sum
+from .tensors import nonzero_where
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,8 @@ def _vanishes(name: str, detail: str, gate: str | None, terms) -> IdentityVerdic
     called."""
     if gate is not None:
         return IdentityVerdict(name, applicable=False, passed=None, detail=gate)
-    bad = np.argwhere(exact_sum(terms()).num)
-    witness = tuple(bad[0].tolist()) if len(bad) else None
+    where = nonzero_where(terms())
+    witness = tuple(np.argwhere(where)[0].tolist()) if where.any() else None
     return IdentityVerdict(name, applicable=True, passed=witness is None,
                            witness=witness, detail=detail)
 
@@ -98,10 +98,10 @@ def check_identities(geo) -> dict[str, IdentityVerdict]:
                            else "R(x, y, phi z, phi u) does not vanish identically")
     # The pure rank-one form (nabla_x omega_star) y
     # = eta(x) eta(y) omega(Omega) + omega_star(x) omega_star(y).
-    rank_one = not_pure is None and exact_sum([
+    rank_one = not_pure is None and not nonzero_where([
         (1, "ij->ij", geo.nabla_omega_star), (-geo.omega_norm, "i,j->ij", eta, eta),
         (-1, "i,j->ij", geo.omega_star, geo.omega_star),
-    ]).is_zero()
+    ]).any()
     not_rank_one = not_pure or (
         None if rank_one else "nabla omega_star does not have the pure rank-one form")
 

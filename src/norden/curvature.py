@@ -34,6 +34,9 @@ from .tensors import (
 )
 
 
+_SWAP_IJ = str.maketrans("ij", "ji")
+
+
 @dataclass(frozen=True)
 class CurvaturePack:
     """Curvature tensors and scalar curvatures of a model.
@@ -53,15 +56,25 @@ class CurvaturePack:
 
 def curvature_terms(conn: Connection, model: AcnModel, tail: str = "->lijk",
                     *operands: Tensor) -> list:
-    """The three terms of ``r13[l, i, j, k]`` as :func:`exact_sum` terms.
+    """The three terms of ``r13[l, i, j, k]`` as :func:`exact_sum` terms:
+    ``P[l, i, j, k] - P[l, j, i, k] - c^m_ij Gamma^l_mk``, with the
+    ``Gamma . Gamma`` product ``P[l, i, j, k] = Gamma^m_jk Gamma^l_im``.
 
     Each term's subscripts end in ``tail``, which may contract the free
     letters ``l, i, j, k`` with further ``operands``; the default keeps
-    them, giving ``r13`` itself.
+    them, giving ``r13`` itself.  The second term is the first with ``i``
+    and ``j`` swapped in ``tail``.  Without operands ``P`` is computed
+    once, one ``d**5`` contraction, and both terms are views of it; with
+    operands each term contracts ``Gamma``, ``Gamma`` and the operands
+    together, so a contracted tail builds no ``d**4`` tensor.
     """
     gamma, c = conn.gamma, model.algebra.c
-    return [(1, "mjk,lim" + tail, gamma, gamma, *operands),
-            (-1, "mik,ljm" + tail, gamma, gamma, *operands),
+    if operands:
+        letters, *factors = "mjk,lim", gamma, gamma
+    else:
+        letters, *factors = "lijk", exact_einsum("mjk,lim->lijk", gamma, gamma)
+    return [(1, letters + tail, *factors, *operands),
+            (-1, letters + tail.translate(_SWAP_IJ), *factors, *operands),
             (-1, "mij,lmk" + tail, c, gamma, *operands)]
 
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .structures import AcnModel
-from .tensors import Tensor, exact_einsum, exact_sum
+from .tensors import Tensor, exact_einsum, exact_sum, nonzero_where
 
 
 class SquareNorms(NamedTuple):
@@ -80,5 +80,5 @@ def matches_class_f11(model: AcnModel, f: Tensor) -> bool:
     with ``omega(z) = F(xi, xi, z)``."""
     eta, xi = model.eta, model.xi
     omega = exact_einsum("a,b,abk->k", xi, xi, f)
-    return exact_sum([(1, "ijk->ijk", f), (-1, "i,j,k->ijk", eta, eta, omega),
-                      (-1, "i,k,j->ijk", eta, eta, omega)]).is_zero()
+    return not nonzero_where([(1, "ijk->ijk", f), (-1, "i,j,k->ijk", eta, eta, omega),
+                              (-1, "i,k,j->ijk", eta, eta, omega)]).any()

@@ -36,6 +36,7 @@ from .tensors import (
     exact_einsum,
     exact_sum,
     invert_symmetric,
+    nonzero_where,
     vector,
 )
 
@@ -253,8 +254,8 @@ class Geometry:
     @cached_property
     def curvature_phi_kahler(self) -> bool:
         """Whether ``R(x, y, phi z, phi u) = -R(x, y, z, u)``."""
-        return exact_sum([(1, "ijku->ijku", self.twisted_r),
-                          (1, "ijku->ijku", self.curv.r04)]).is_zero()
+        return not nonzero_where([(1, "ijku->ijku", self.twisted_r),
+                                  (1, "ijku->ijku", self.curv.r04)]).any()
 
     @cached_property
     def nabla2_phi(self) -> Tensor:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DimensionMismatch, ValidationReport, VarianceMismatch
 from .lie import LieAlgebra, validate as validate_algebra
-from .tensors import Tensor, einsum_scalar, exact_einsum, exact_sum, signature
+from .tensors import Tensor, einsum_scalar, exact_einsum, exact_sum, nonzero_where, signature
 
 
 @dataclass(frozen=True)
@@ -85,7 +85,7 @@ def validate_structure(model: AcnModel) -> ValidationReport:
         """The indices where two tensors of one shape differ, in C order,
         with the entries of each there, formatted."""
         same = "ij"[:lhs.rank] + "->" + "ij"[:lhs.rank]
-        where = exact_sum([(1, same, lhs), (-1, same, rhs)]).num != 0
+        where = nonzero_where([(1, same, lhs), (-1, same, rhs)])
         return zip(np.argwhere(where).tolist(), lhs.formatted(where), rhs.formatted(where))
 
     def nonzeros(t: Tensor):

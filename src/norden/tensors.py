@@ -23,7 +23,10 @@ permutes the letters of one operand (the identity included) does no
 arithmetic: it is a transposed, read-only view of that operand's
 numerators, with its denominator and largest magnitude, and it runs no
 einsum.  Such a term alone, with coefficient 1, is already canonical and
-is returned as it is.
+is returned as it is.  A check that only asks where a sum is nonzero
+calls :func:`nonzero_where`, which runs the same body up to the
+reduction and compares the unreduced numerators with zero: no scan for
+the largest magnitude, no gcd and no division.
 Two bounds keep int64 exact; zeros count as 1 in both.  A pairwise step
 runs in int64 when the product of its two operands' largest numerator
 magnitudes (an intermediate's as computed) times the number of index
@@ -55,9 +58,10 @@ keeps.  That route takes the nonzeros of the cheaper side in
 ``(batch, kept, summed)`` order, multiplies each by the matching row of
 the other operand, sums the products per output row with
 ``np.add.reduceat`` into a zero result and transposes it to the step's
-letters.  It multiplies and adds the same integers as the dense einsum,
-fewer of them, so the step's bound covers every partial sum of either
-route, and both routes serve both dtypes.
+letters, reading the result's largest magnitude from those row sums.
+It multiplies and adds the same integers as the dense einsum, fewer of
+them, so the step's bound covers every partial sum of either route, and
+both routes serve both dtypes.
 
 Every scalar comes in through :func:`as_pair`, which reads it as an
 integer pair ``(p, q)``; ``Tensor(...)`` and :meth:`Tensor.of_pairs`
@@ -192,8 +196,7 @@ def _canonical(num: np.ndarray, den: int, top: int) -> tuple[np.ndarray, int, in
     if not top:                     # the zero tensor
         den = 1
     elif den != 1:
-        flat = num.reshape(-1)
-        g = math.gcd(den, int(np.gcd.reduce(flat[flat != 0])))
+        g = math.gcd(den, int(np.gcd.reduce(num[num != 0])))
         if g != 1:
             num, den, top = np.asarray(num // g, dtype=num.dtype), den // g, top // g
     if num.dtype == object and top < INT64_SAFE:
@@ -574,34 +577,41 @@ def _plan(subscripts: str, variances: tuple[str, ...],
     return _Plan(tuple(terms), output, slotted, tuple(steps), None)
 
 
-def _sparse_step(x: np.ndarray, y: np.ndarray, sx: _Side, sy: _Side) -> np.ndarray:
+def _sparse_step(x: np.ndarray, y: np.ndarray, sx: _Side,
+                 sy: _Side) -> tuple[np.ndarray, int]:
     """A step on the nonzeros of ``x``: each nonzero ``x[b, i, s]`` times
     the gathered row ``y[b, s, :]``, the products summed per output row
-    ``(b, i)`` and written into a zero result of ``x``'s dtype."""
+    ``(b, i)`` and written into a zero result of ``x``'s dtype.  Returns
+    the result and its largest magnitude, read from the row sums alone,
+    since every other entry is zero."""
     nb, nx, ns = sx.blocks
     x = np.atleast_1d(x.transpose(sx.as_coo))   # a view, not a copy
     rows = y.transpose(sy.as_rows).reshape(nb * ns, sy.blocks[1])
     flat = np.flatnonzero(x != 0)       # (b nx + i) ns + s, increasing
     out = np.zeros((nb * nx, rows.shape[1]), dtype=x.dtype)
+    top = 0
     if flat.size:
         row, s = np.divmod(flat, ns)
         products = rows[row // nx * ns + s] * x[np.unravel_index(flat, x.shape)][:, None]
         starts = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
-        out[row[starts]] = np.add.reduceat(products, starts, axis=0)
+        sums = np.add.reduceat(products, starts, axis=0)
+        out[row[starts]] = sums
+        top = _max_abs(sums)
     shape, perm = sx.result
-    return out.reshape(shape).transpose(perm)
+    return out.reshape(shape).transpose(perm), top
 
 
-def _pairwise(step: _Step, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _pairwise(step: _Step, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int | None]:
     """A step with a sparse layout, on the route its operands' nonzeros
     make cheaper: the sparse route on the operand whose nonzeros times
     the other's kept size is smaller, when that work times
-    ``SPARSE_FACTOR`` is below the dense cost, else the dense einsum."""
+    ``SPARSE_FACTOR`` is below the dense cost, else the dense einsum.
+    Returns the result and its largest magnitude, ``None`` from einsum."""
     sa, sb = step.sides
     work_a = np.count_nonzero(a) * sb.blocks[1]
     work_b = np.count_nonzero(b) * sa.blocks[1]
     if SPARSE_FACTOR * min(work_a, work_b) >= step.cost:
-        return np.einsum(step.subscripts, a, b)
+        return np.einsum(step.subscripts, a, b), None
     return _sparse_step(a, b, sa, sb) if work_a <= work_b else _sparse_step(b, a, sb, sa)
 
 
@@ -626,23 +636,20 @@ def _contract(plan: _Plan, operands) -> tuple[np.ndarray, int, int]:
             bound *= top or 1
         dtype = np.int64 if bound < INT64_SAFE and den < INT64_SAFE else object
         nums = [num.astype(dtype, copy=False) for num, _ in picked]
-        out = (np.einsum(step.subscripts, *nums) if step.sides is None
-               else _pairwise(step, *nums))
+        out, top = ((np.einsum(step.subscripts, *nums), None) if step.sides is None
+                    else _pairwise(step, *nums))
         out = np.asarray(out, dtype=dtype)      # a bare int would become int64
-        ops.append((out, _max_abs(out)))
+        ops.append((out, _max_abs(out) if top is None else top))
     return *ops[0], den
 
 
-def exact_sum(terms) -> Tensor:
-    """``sum(coef * einsum(subscripts, *operands))`` over exact tensors.
-
-    Each term is a tuple ``(coef, subscripts, *operands)``: an exact
-    rational coefficient, explicit-mode einsum subscripts and
-    :class:`Tensor` operands.  Every term must give the same variance and
-    shape.  The terms are contracted on integers, added over one common
-    denominator and reduced once; see the module docstring for the two
-    int64 bounds.
-    """
+def _numerator_sum(terms) -> tuple[np.ndarray, int, int | None, str, bool]:
+    """The body of :func:`exact_sum` up to the reduction: the terms
+    contracted and added as integers over the lcm of their denominators.
+    Returns the numerators, that denominator, their largest magnitude
+    when it is known without a scan (one term) and ``None`` otherwise,
+    the variance, and whether the numerators are already canonical (one
+    permutation with coefficient 1)."""
     parts = []
     for coef, subscripts, *operands in terms:
         plan = _plan(subscripts, tuple([op.variance for op in operands]),
@@ -652,7 +659,7 @@ def exact_sum(terms) -> Tensor:
         parts.append((plan.variance, num, top, den * q, p))
     if len(parts) == 1 and plan.perm is not None and p == q == 1:
         # A permutation of a canonical operand is canonical as it is.
-        return Tensor._of(num, den, top, plan.variance)
+        return num, den, top, plan.variance, True
     variance, shape = parts[0][0], parts[0][1].shape
     for var, num, *_ in parts:
         if var != variance:
@@ -678,8 +685,32 @@ def exact_sum(terms) -> Tensor:
         else:
             total += num * f
     total = np.asarray(total, dtype=dtype)      # a 0-d result is a scalar
-    top = parts[0][2] * abs(factors[0]) if len(parts) == 1 else _max_abs(total)
-    return Tensor._of(*_canonical(total, den, top), variance)
+    top = parts[0][2] * abs(factors[0]) if len(parts) == 1 else None
+    return total, den, top, variance, False
+
+
+def exact_sum(terms) -> Tensor:
+    """``sum(coef * einsum(subscripts, *operands))`` over exact tensors.
+
+    Each term is a tuple ``(coef, subscripts, *operands)``: an exact
+    rational coefficient, explicit-mode einsum subscripts and
+    :class:`Tensor` operands.  Every term must give the same variance and
+    shape.  The terms are contracted on integers, added over one common
+    denominator and reduced once; see the module docstring for the two
+    int64 bounds.
+    """
+    num, den, top, variance, canonical = _numerator_sum(terms)
+    if not canonical:
+        num, den, top = _canonical(num, den, _max_abs(num) if top is None else top)
+    return Tensor._of(num, den, top, variance)
+
+
+def nonzero_where(terms) -> np.ndarray:
+    """Where ``exact_sum(terms)`` is nonzero, as a boolean array of its
+    shape: the numerators of the unreduced sum compared with zero, with
+    no scan for the largest magnitude and no gcd.  This is how a check
+    decides that a sum vanishes, and where it does not."""
+    return np.asarray(_numerator_sum(terms)[0] != 0)
 
 
 def exact_einsum(subscripts: str, *operands: Tensor) -> Tensor:

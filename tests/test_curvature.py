@@ -1,6 +1,8 @@
 """Curvature tensors, scalar curvatures, sectional curvature, and the
 classification of 2-plane sections."""
 from fractions import Fraction as Fr
+from random import Random
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,16 +11,25 @@ from hypothesis import strategies as st
 from conftest import build_geometry
 
 from norden import (
+    Connection,
     FamilyParams,
+    LieAlgebra,
     LinearlyDependent,
     Tensor,
     VarianceMismatch,
+    exact_sum,
     generate_family,
     levi_civita,
     matrix_rank,
+    parse_model,
     riemann,
     section,
 )
+from norden.curvature import curvature_terms
+from norden.lie import _jacobi_terms
+from test_exact_einsum import huge, small
+from test_lie import near_bound, three_product_jacobi
+from test_modelfile import _bench_models
 
 lam_values = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -217,3 +228,61 @@ def test_a_degenerate_plane_has_no_sectional_curvature(fam5, heis, dense):
                       (dense, [1, 0, 0, 0, 0], [-20, 29, -6, 6, 0])):
         assert _pi1(geo.model.g.components, x, y) == 0
         assert section(geo.model, geo.conn, x, y).sectional_curvature is None
+
+
+# --- one Gamma . Gamma product against the three-product form ---------------
+
+def three_product_r13(gamma: Tensor, c: Tensor, tail: str = "->lijk", *operands):
+    """``r13`` with its own product per term, the form before the product
+    was shared: the reference for :func:`curvature_terms`."""
+    return exact_sum([(1, "mjk,lim" + tail, gamma, gamma, *operands),
+                      (-1, "mik,ljm" + tail, gamma, gamma, *operands),
+                      (-1, "mij,lmk" + tail, c, gamma, *operands)])
+
+
+@st.composite
+def connection_data(draw):
+    """Random ``Gamma`` and ``c`` of one dimension, with neither a
+    Lie algebra nor a metric behind them: small rationals, numerators
+    whose products straddle the int64 bound, and Python-int numerators
+    over prime denominators; plus four random vectors."""
+    dim = draw(st.integers(1, 4))
+    entries = st.one_of(small, near_bound, huge)
+    gamma, c = (Tensor(np.array(draw(st.lists(entries, min_size=dim ** 3,
+                                              max_size=dim ** 3)),
+                                dtype=object).reshape((dim,) * 3), "udd")
+                for _ in range(2))
+    vectors = [Tensor(draw(st.lists(small, min_size=dim, max_size=dim)), variance)
+               for variance in "duuu"]
+    return Connection(gamma), LieAlgebra(dim, c), vectors
+
+
+@settings(max_examples=100, deadline=None)
+@given(connection_data())
+def test_r13_from_one_product_equals_the_three_product_form(case):
+    """``curvature_terms`` shares one ``Gamma . Gamma`` product between two
+    terms: exactly the three-product tensor, and, with a contracted tail
+    such as :func:`section`'s, exactly the three-product scalar."""
+    conn, algebra, vectors = case
+    model = SimpleNamespace(algebra=algebra)    # the one field curvature_terms reads
+    assert exact_sum(curvature_terms(conn, model)) == three_product_r13(conn.gamma, algebra.c)
+    tail = ",l,i,j,k->"
+    assert (exact_sum(curvature_terms(conn, model, tail, *vectors))
+            == three_product_r13(conn.gamma, algebra.c, tail, *vectors))
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32))
+def test_on_dense_models_the_shared_products_equal_the_three_product_forms(n, seed):
+    """Family members moved by seeded rational basis changes, built
+    without the library: ``Geometry.curv.r13`` and the Jacobi defect
+    (zero here) equal their three-product forms."""
+    models = _bench_models()
+    rng = Random(seed)
+    lam = models.random_lambda(rng, n)
+    structure = models.change_basis(models.family_structure(lam),
+                                    *models.random_basis_change(rng, 2 * n + 1))
+    geo = build_geometry(parse_model(models.to_text(structure, "dense")))
+    c = geo.model.algebra.c
+    assert geo.curv.r13 == three_product_r13(geo.conn.gamma, c)
+    assert exact_sum(_jacobi_terms(c)) == three_product_jacobi(c)

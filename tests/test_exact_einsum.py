@@ -19,7 +19,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from norden import DimensionMismatch, VarianceMismatch
-from norden.tensors import INT64_SAFE, Tensor, einsum_scalar, exact_einsum, exact_sum
+from norden.classify import _vanishes
+from norden.tensors import (
+    INT64_SAFE,
+    Tensor,
+    einsum_scalar,
+    exact_einsum,
+    exact_sum,
+    nonzero_where,
+)
 
 LETTERS = "abcd"
 PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -349,6 +357,31 @@ def _reference_sum(terms):
 @given(sums(st.one_of(small, huge)))
 def test_sum_matches_reference_with_huge_coefficients_and_denominators(terms):
     _assert_same(exact_sum(terms), _reference_sum(terms))
+
+
+@st.composite
+def cancelling_sums(draw):
+    """A sum of :func:`sums`, and half the time the negated first term
+    as well, so that entries cancel to zero over mixed denominators."""
+    terms = draw(sums(st.one_of(small, huge)))
+    if draw(st.booleans()):
+        coef, subscripts, *ops = terms[0]
+        terms.append((-coef, subscripts, *ops))
+    return terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(cancelling_sums())
+def test_nonzero_where_is_where_the_reduced_sum_is_nonzero(terms):
+    """On int64 and Python-int numerators and on 0-d results, the mask
+    equals the reduced sum's nonzero numerators, and the witness of
+    ``_vanishes``, which reads the mask, is its first index."""
+    want = exact_sum(terms).num != 0
+    mask = nonzero_where(terms)
+    assert mask.dtype == bool and mask.shape == want.shape
+    assert np.array_equal(mask, want)
+    verdict = _vanishes("sum", "", None, lambda: terms)
+    assert verdict.witness == (tuple(np.argwhere(want)[0].tolist()) if want.any() else None)
 
 
 @st.composite

@@ -24,7 +24,8 @@ from norden import (
     row_space_basis,
     validate,
 )
-from norden.lie import structure_constants
+from norden.lie import _jacobi_terms, structure_constants
+from norden.tensors import exact_sum
 
 lam_values = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -263,13 +264,13 @@ _numerators = st.one_of(st.integers(-9, 9), st.just(0),
 
 
 @st.composite
-def bracket_tables(draw):
+def bracket_tables(draw, numerators=_numerators):
     """Tables with listed and unlisted mirrors, contradictory mirrors and
     diagonal entries, and numerators of 2**62 and more."""
     dim = draw(st.integers(1, 5))
     keys = draw(st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)),
                          unique=True, max_size=dim * dim))
-    pair = st.tuples(_numerators, st.integers(1, 12))
+    pair = st.tuples(numerators, st.integers(1, 12))
     return dim, [(i, j, draw(st.lists(pair, min_size=dim, max_size=dim))) for i, j in keys]
 
 
@@ -318,3 +319,25 @@ def test_validate_lists_each_violation_with_its_components(table):
         c = structure_constants(dim, algebra_table)
         got = [(v.rule, v.where, v.detail) for v in validate(LieAlgebra(dim, c)).violations]
         assert got == _violations_index_by_index(c)
+
+
+def three_product_jacobi(c: Tensor) -> Tensor:
+    """The Jacobi defect as three products, one per cyclic term: the
+    reference for the one product and two relabelings ``validate`` uses."""
+    return exact_sum([(1, "mjk,lim->lijk", c, c), (1, "mki,ljm->lijk", c, c),
+                      (1, "mij,lkm->lijk", c, c)])
+
+
+#: Numerators whose products with each other straddle the int64 bound.
+near_bound = st.integers(2 ** 30, 2 ** 31 + 2 ** 20).map(lambda m: m * (-1) ** (m % 2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bracket_tables(st.one_of(_numerators, near_bound)))
+def test_the_jacobi_defect_equals_the_three_product_form(table):
+    """Exactly equal as tensors, on constants with contradictory mirrors
+    (so not antisymmetric), rational entries, numerators near the int64
+    bound and Python-int numerators."""
+    dim, entries = table
+    c = structure_constants(dim, entries)
+    assert exact_sum(_jacobi_terms(c)) == three_product_jacobi(c)
