@@ -13,13 +13,11 @@ nonzero count.  Numerators and ``den`` are JSON integers of any size.
 :func:`index_labels` is the one table of index labels: the JSON keys of
 sparse leaves and the lines of the text report read it.
 
-The writer dispatches on the exact type of a value first: a ``dict``, a
-``list`` or ``tuple`` and a ``Tensor`` leaf are each one identity test
-away, and inside a container its ``str`` and ``int`` items are written in
-place without a call.  A list or tuple of ints only (no bool) is written
-with one join.  Subclasses of these types, bools and None are tested for
-last, and a subclass is written as its base type, as ``json.dumps`` writes
-it.
+The writer dispatches on the exact type of a value: a ``dict``, a
+``list`` or ``tuple``, a ``Tensor`` leaf, a ``str`` and an ``int`` are
+each one identity test away, and inside a container its ``str`` and
+``int`` items are written in place without a call.  A list or tuple of
+ints only (no bool) is written with one join.
 """
 from __future__ import annotations
 
@@ -36,7 +34,8 @@ def canonical_json(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=1)``, byte for byte, for
     dicts with str keys, lists, tuples, str, int, bool and None, and for
     :class:`Tensor` leaves written as their schema-2 dict (see the module
-    docstring).  Anything else raises ``TypeError``."""
+    docstring).  Any other value, a subclass of these types included,
+    raises ``TypeError``."""
     out: list[str] = []
     _json(obj, "\n", out)
     return "".join(out)
@@ -84,16 +83,12 @@ def _json(obj, newline: str, out: list[str]) -> None:
         out.append(newline + "]")
     elif kind is Tensor:
         _tensor_json(obj, newline, out)
-    elif isinstance(obj, str):          # below, a subclass is written as its base
+    elif kind is str:
         out.append(encode_basestring_ascii(obj))
+    elif kind is int:
+        out.append(int.__repr__(obj))
     elif obj is None or obj is True or obj is False:
         out.append("null" if obj is None else "true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
-    elif isinstance(obj, Tensor):
-        _tensor_json(obj, newline, out)
-    elif isinstance(obj, (dict, list, tuple)):
-        _json(dict(obj) if isinstance(obj, dict) else list(obj), newline, out)
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 

@@ -95,22 +95,12 @@ def _emit(args, text, json_obj) -> None:
         print(text_output, end="" if text_output.endswith("\n") else "\n")
 
 
-def _violations_json(report) -> list[dict]:
-    return [
-        {
-            "rule": v.rule,
-            "where": list(v.where) if v.where is not None else None,
-            "detail": v.detail,
-        }
-        for v in report.violations
-    ]
-
-
 def _cmd_validate(args) -> int:
     model = _load_model(args.model, require_valid=False)
     report = validate_structure(model)
     _emit(args, lambda: str(report),
-          lambda: {"valid": report.ok, "violations": _violations_json(report)})
+          lambda: {"valid": report.ok,
+                   "violations": [v._asdict() for v in report.violations]})
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
@@ -120,7 +110,8 @@ def _run_validated(args) -> AcnModel:
     except ValidationError as exc:
         if args.json:
             _emit(args, None,
-                  lambda: {"valid": False, "violations": _violations_json(exc.report)})
+                  lambda: {"valid": False,
+                           "violations": [v._asdict() for v in exc.report.violations]})
         elif not args.quiet:
             print(str(exc.report), file=sys.stderr)
         raise _CliFailure(EXIT_FAIL, "")

@@ -6,7 +6,9 @@ curvature, the square norms, the scalars of the report and the identity
 verdicts -- are lazily cached properties: a layer is computed the first
 time it is read, from the layers below it, and every later read returns
 the same object.  The cache lives in the ``Geometry`` object and dies with
-it; nothing is memoized between objects.
+it, except for the inverse metric: the model keeps that one
+(:attr:`~norden.structures.AcnModel.ginv`), so every ``Geometry`` of one
+model inverts ``g`` at most once between them.
 
 Every quantity is read from its layer.  The five entry points below
 the class (:func:`levi_civita`, :func:`structure_pack`, :func:`riemann`,
@@ -35,7 +37,6 @@ from .tensors import (
     einsum_scalar,
     exact_einsum,
     exact_sum,
-    invert_symmetric,
     nonzero_where,
     vector,
 )
@@ -69,9 +70,8 @@ class Geometry:
 
     @cached_property
     def ginv(self) -> Tensor:
-        """The inverse metric ``g^{ij}``, variance ``"uu"``; raises
-        :class:`SingularMetric` if the metric is degenerate."""
-        return invert_symmetric(self.model.g)
+        """The model's inverse metric, :attr:`AcnModel.ginv`."""
+        return self.model.ginv
 
     @cached_property
     def conn(self) -> Connection:

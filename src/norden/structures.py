@@ -13,12 +13,21 @@ i.e. constant on the chosen basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DimensionMismatch, ValidationReport, VarianceMismatch
 from .lie import LieAlgebra, validate as validate_algebra
-from .tensors import Tensor, einsum_scalar, exact_einsum, exact_sum, nonzero_where, signature
+from .tensors import (
+    Tensor,
+    einsum_scalar,
+    exact_einsum,
+    exact_sum,
+    invert_symmetric,
+    nonzero_where,
+    signature,
+)
 
 
 @dataclass(frozen=True)
@@ -65,6 +74,13 @@ class AcnModel:
     def n(self) -> int:
         """The half-dimension ``n`` with ``dim = 2n + 1``."""
         return self.algebra.dim // 2
+
+    @cached_property
+    def ginv(self) -> Tensor:
+        """The inverse metric ``g^{ij}``, variance ``"uu"``, computed on
+        first read and kept with the model; raises
+        :class:`SingularMetric` if the metric is degenerate."""
+        return invert_symmetric(self.g)
 
 
 def validate_structure(model: AcnModel) -> ValidationReport:

@@ -28,38 +28,39 @@ calls :func:`nonzero_where`, which runs the same body up to the
 reduction and compares the unreduced numerators with zero: no scan for
 the largest magnitude, no gcd and no division.
 Two bounds keep int64 exact; zeros count as 1 in both.  A pairwise step
-runs in int64 when the product of its two operands' largest numerator
+runs in int64 when the product of its operands' largest numerator
 magnitudes (an intermediate's as computed) times the number of index
-combinations it sums, and the product of the contraction's denominators,
-are below ``2**62``.  The terms are added in int64 when the sum of
-``max|num| * |coefficient| * L / den`` over them, which bounds every
-partial sum, is below ``2**62``.  Otherwise Python ints are used.
+combinations it sums is below ``2**62``; denominators enter no integer
+of a step, so they pick nothing.  The terms are added in int64 when the
+sum of ``max|num| * |coefficient| * L / den`` over them, which bounds
+every partial sum, is below ``2**62``.  Otherwise Python ints are used.
 
 Everything about a contraction that does not depend on values is
 compiled once into a plan and kept in a bounded cache.  Its key is the
 subscripts, the operands' variances and the operands' shapes.  It holds
-the parsed terms, the output and the output variance, the axis order of
-a permutation term, numpy's greedy pairwise path (searched once per key
-on shape-only arrays) and, for each step, the pair it takes, its
-subscripts, the number of index combinations it sums, its dense cost
-(the product of its letter sizes) and, for a two-operand step, its
-sparse layout.  A plan holds no value and no dtype: each call reads its
-operands' stored magnitudes, so each step still picks its arithmetic by
-the bound above.
+the output variance, the axis order of a permutation term and, from
+numpy's greedy pairwise path (searched once per key on shape-only
+arrays), each step: the pair it takes, its subscripts, the number of
+index combinations it sums, its dense cost (the product of its letter
+sizes) and the sparse layout of a step that may take the sparse route.
+A plan holds no value and no dtype: each call reads its operands' stored
+magnitudes, so each step still picks its arithmetic by the bound above.
 
-Each step then picks its route.  A step is dense-only, and runs as
-``np.einsum`` without reading a value, when it has one operand, repeats a
-letter inside one term, sums a letter that only one operand carries, or
-costs less than ``SPARSE_FLOOR``.  Any other step counts its operands'
-nonzeros and takes the sparse route when ``SPARSE_FACTOR`` times the
-smaller of ``nnz(A) * kept(B)`` and ``nnz(B) * kept(A)`` is below its
-dense cost, where ``kept(X)`` is the size of the letters only ``X``
-keeps.  That route takes the nonzeros of the cheaper side in
-``(batch, kept, summed)`` order, multiplies each by the matching row of
-the other operand, sums the products per output row with
-``np.add.reduceat`` into a zero result and transposes it to the step's
-letters, reading the result's largest magnitude from those row sums.
-It multiplies and adds the same integers as the dense einsum, fewer of
+Each step then picks its route, in one call that returns the result and
+its largest magnitude.  A step is dense-only, and runs as one
+``np.einsum`` whose result is scanned, when it has one operand, repeats a
+letter inside one term, costs less than ``SPARSE_FLOOR``, or does not
+keep exactly the letters that one operand alone carries: a letter that
+only one operand sums, or that both keep, makes it dense-only.  Any
+other step counts its operands' nonzeros and takes the sparse route when
+``SPARSE_FACTOR`` times the smaller of ``nnz(A) * kept(B)`` and
+``nnz(B) * kept(A)`` is below its dense cost, where ``kept(X)`` is the
+size of the letters ``X`` keeps.  That route takes the nonzeros of the
+cheaper side in ``(kept, summed)`` order, multiplies each by the
+matching row of the other operand, sums the products per output row
+with ``np.add.reduceat`` into a zero result and transposes it to the
+step's letters, reading the largest magnitude from those row sums.  It
+multiplies and adds the same integers as the dense einsum, fewer of
 them, so the step's bound covers every partial sum of either route, and
 both routes serve both dtypes.
 
@@ -470,16 +471,15 @@ def _subscripts(subscripts: str) -> tuple[list[str], str]:
 
 class _Side(NamedTuple):
     """One operand of a two-operand step, laid out for the sparse route.
-    Its axes are read in ``(batch, kept, summed)`` order (``as_coo``)
-    when its nonzeros are taken, or in ``(batch, summed, kept)`` order
-    (``as_rows``) when its rows are gathered, with ``blocks`` the sizes
-    of those three groups.  ``result`` is the step's result shape in
-    ``(batch, own kept, other's kept)`` order and the transpose that puts
-    it in the order of the step's letters, for when this operand's
-    nonzeros are taken."""
+    Its axes are read in ``(kept, summed)`` order (``as_coo``) when its
+    nonzeros are taken, or in ``(summed, kept)`` order (``as_rows``) when
+    its rows are gathered, with ``blocks`` the sizes of those two groups.
+    ``result`` is the step's result shape in ``(own kept, other's kept)``
+    order and the transpose that puts it in the order of the step's
+    letters, for when this operand's nonzeros are taken."""
     as_coo: tuple[int, ...]
     as_rows: tuple[int, ...]
-    blocks: tuple[int, int, int]
+    blocks: tuple[int, int]
     result: tuple[tuple[int, ...], tuple[int, ...]]
 
 
@@ -501,27 +501,24 @@ class _Plan(NamedTuple):
     docstring.  ``perm`` is the axis order of the output, for one operand
     whose output only permutes its letters (the identity included), and
     ``None`` for any other contraction; a permutation has no steps."""
-    terms: tuple[str, ...]
-    output: str
     variance: str
     steps: tuple[_Step, ...]
     perm: tuple[int, ...] | None
 
 
 def _sides(picked: list[str], kept: str, sizes: dict[str, int]) -> tuple[_Side, ...]:
-    """The sparse layout of the two terms of a step that keeps ``kept``."""
+    """The sparse layout of the two terms of a step that keeps ``kept``,
+    the letters that only one of them carries, and sums the rest."""
     a, b = picked
-    batch = [ch for ch in a if ch in b and ch in kept]
-    summed = [ch for ch in a if ch in b and ch not in kept]
-    own = [[ch for ch in term if ch in kept and ch not in batch] for term in picked]
+    summed = [ch for ch in a if ch in b]
+    own = [[ch for ch in a if ch not in b], [ch for ch in b if ch not in a]]
     sides = []
     for term, mine, theirs in ((a, *own), (b, *own[::-1])):
-        letters = batch + mine + theirs
+        letters = mine + theirs
         sides.append(_Side(
-            as_coo=tuple(term.index(ch) for ch in batch + mine + summed),
-            as_rows=tuple(term.index(ch) for ch in batch + summed + mine),
-            blocks=tuple(math.prod(sizes[ch] for ch in group)
-                         for group in (batch, mine, summed)),
+            as_coo=tuple(term.index(ch) for ch in mine + summed),
+            as_rows=tuple(term.index(ch) for ch in summed + mine),
+            blocks=tuple(math.prod(sizes[ch] for ch in group) for group in (mine, summed)),
             result=(tuple(sizes[ch] for ch in letters),
                     tuple(letters.index(ch) for ch in kept)),
         ))
@@ -557,8 +554,7 @@ def _plan(subscripts: str, variances: tuple[str, ...],
     slotted = "".join(slots[ch] for ch in output)
     (term, *rest) = terms
     if not rest and len(set(term)) == len(term) and sorted(term) == sorted(output):
-        return _Plan(tuple(terms), output, slotted, (),
-                     tuple(term.index(ch) for ch in output))
+        return _Plan(slotted, (), tuple(term.index(ch) for ch in output))
     left, steps = list(terms), []
     for pair in path:
         pair = tuple(sorted(pair, reverse=True))
@@ -570,29 +566,29 @@ def _plan(subscripts: str, variances: tuple[str, ...],
         cost = math.prod(sizes[ch] for ch in set(letters))
         dense_only = (len(picked) != 2 or cost < SPARSE_FLOOR
                       or any(len(set(term)) != len(term) for term in picked)
-                      or any(ch not in kept for ch in set(picked[0]) ^ set(picked[1])))
+                      or set(kept) != set(picked[0]) ^ set(picked[1]))
         steps.append(_Step(pair, ",".join(picked) + "->" + kept, summed, cost,
                            None if dense_only else _sides(picked, kept, sizes)))
         left.append(kept)
-    return _Plan(tuple(terms), output, slotted, tuple(steps), None)
+    return _Plan(slotted, tuple(steps), None)
 
 
 def _sparse_step(x: np.ndarray, y: np.ndarray, sx: _Side,
                  sy: _Side) -> tuple[np.ndarray, int]:
-    """A step on the nonzeros of ``x``: each nonzero ``x[b, i, s]`` times
-    the gathered row ``y[b, s, :]``, the products summed per output row
-    ``(b, i)`` and written into a zero result of ``x``'s dtype.  Returns
-    the result and its largest magnitude, read from the row sums alone,
-    since every other entry is zero."""
-    nb, nx, ns = sx.blocks
+    """A step on the nonzeros of ``x``: each nonzero ``x[i, s]`` times the
+    gathered row ``y[s, :]``, the products summed per output row ``i``
+    and written into a zero result of ``x``'s dtype.  Returns the result
+    and its largest magnitude, read from the row sums alone, since every
+    other entry is zero."""
+    nx, ns = sx.blocks
     x = np.atleast_1d(x.transpose(sx.as_coo))   # a view, not a copy
-    rows = y.transpose(sy.as_rows).reshape(nb * ns, sy.blocks[1])
-    flat = np.flatnonzero(x != 0)       # (b nx + i) ns + s, increasing
-    out = np.zeros((nb * nx, rows.shape[1]), dtype=x.dtype)
+    rows = y.transpose(sy.as_rows).reshape(ns, sy.blocks[0])
+    flat = np.flatnonzero(x != 0)       # i ns + s, increasing
+    out = np.zeros((nx, rows.shape[1]), dtype=x.dtype)
     top = 0
     if flat.size:
         row, s = np.divmod(flat, ns)
-        products = rows[row // nx * ns + s] * x[np.unravel_index(flat, x.shape)][:, None]
+        products = rows[s] * x[np.unravel_index(flat, x.shape)][:, None]
         starts = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
         sums = np.add.reduceat(products, starts, axis=0)
         out[row[starts]] = sums
@@ -601,18 +597,21 @@ def _sparse_step(x: np.ndarray, y: np.ndarray, sx: _Side,
     return out.reshape(shape).transpose(perm), top
 
 
-def _pairwise(step: _Step, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int | None]:
-    """A step with a sparse layout, on the route its operands' nonzeros
-    make cheaper: the sparse route on the operand whose nonzeros times
-    the other's kept size is smaller, when that work times
-    ``SPARSE_FACTOR`` is below the dense cost, else the dense einsum.
-    Returns the result and its largest magnitude, ``None`` from einsum."""
-    sa, sb = step.sides
-    work_a = np.count_nonzero(a) * sb.blocks[1]
-    work_b = np.count_nonzero(b) * sa.blocks[1]
-    if SPARSE_FACTOR * min(work_a, work_b) >= step.cost:
-        return np.einsum(step.subscripts, a, b), None
-    return _sparse_step(a, b, sa, sb) if work_a <= work_b else _sparse_step(b, a, sb, sa)
+def _pairwise(step: _Step, nums: list[np.ndarray]) -> tuple[np.ndarray, int]:
+    """One step on ``nums``, cast to its dtype: the result and its largest
+    magnitude.  A step with a sparse layout runs on the nonzeros of the
+    operand whose nonzeros times the other's kept size is smaller, when
+    that work times ``SPARSE_FACTOR`` is below its dense cost; any other
+    step is one einsum, whose result is scanned."""
+    if step.sides is not None:
+        (a, b), (sa, sb) = nums, step.sides
+        work_a = np.count_nonzero(a) * sb.blocks[0]
+        work_b = np.count_nonzero(b) * sa.blocks[0]
+        if SPARSE_FACTOR * min(work_a, work_b) < step.cost:
+            return _sparse_step(a, b, sa, sb) if work_a <= work_b else _sparse_step(b, a, sb, sa)
+    # A 0-d result comes back as a bare scalar; an int would become int64.
+    out = np.asarray(np.einsum(step.subscripts, *nums), dtype=nums[0].dtype)
+    return out, _max_abs(out)
 
 
 def _contract(plan: _Plan, operands) -> tuple[np.ndarray, int, int]:
@@ -621,11 +620,10 @@ def _contract(plan: _Plan, operands) -> tuple[np.ndarray, int, int]:
     denominators.  A permutation is a read-only view of its operand's
     numerators, with the operand's own magnitude and denominator.  Each
     pairwise step of any other contraction picks int64 or Python ints by
-    its own bound, then its route."""
+    its numerator bound alone, then runs through :func:`_pairwise`."""
     if plan.perm is not None:
         (op,) = operands
         return op.num.transpose(plan.perm), op.magnitude, op.den
-    den = math.prod(op.den for op in operands)
     ops = [(op.num, op.magnitude) for op in operands]
     for step in plan.steps:
         picked = [ops.pop(k) for k in step.pair]
@@ -634,13 +632,9 @@ def _contract(plan: _Plan, operands) -> tuple[np.ndarray, int, int]:
         bound = step.summed
         for _, top in picked:
             bound *= top or 1
-        dtype = np.int64 if bound < INT64_SAFE and den < INT64_SAFE else object
-        nums = [num.astype(dtype, copy=False) for num, _ in picked]
-        out, top = ((np.einsum(step.subscripts, *nums), None) if step.sides is None
-                    else _pairwise(step, *nums))
-        out = np.asarray(out, dtype=dtype)      # a bare int would become int64
-        ops.append((out, _max_abs(out) if top is None else top))
-    return *ops[0], den
+        dtype = np.int64 if bound < INT64_SAFE else object
+        ops.append(_pairwise(step, [num.astype(dtype, copy=False) for num, _ in picked]))
+    return *ops[0], math.prod(op.den for op in operands)
 
 
 def _numerator_sum(terms) -> tuple[np.ndarray, int, int | None, str, bool]:
@@ -657,6 +651,8 @@ def _numerator_sum(terms) -> tuple[np.ndarray, int, int | None, str, bool]:
         num, top, den = _contract(plan, operands)
         p, q = (coef, 1) if type(coef) is int else as_pair(coef)
         parts.append((plan.variance, num, top, den * q, p))
+    if not parts:
+        raise ValueError("exact_sum needs at least one term")
     if len(parts) == 1 and plan.perm is not None and p == q == 1:
         # A permutation of a canonical operand is canonical as it is.
         return num, den, top, plan.variance, True

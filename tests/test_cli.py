@@ -406,7 +406,7 @@ def test_output_is_built_only_in_the_requested_format(model_path, broken_path,
         assert main(["validate", broken_path, *flags]) == EXIT_FAIL
         assert main(["identities", model_path, *flags]) == EXIT_OK
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "_violations_json", refuse)
+    monkeypatch.setattr(norden.errors.Violation, "_asdict", refuse)
     monkeypatch.setattr(cli, "canonical_json", refuse)
     for flags in ([], ["--quiet"]):
         assert main(["validate", broken_path, *flags]) == EXIT_FAIL

@@ -169,7 +169,7 @@ def test_one_plan_serves_values_on_both_sides_of_the_bound():
                 result = exact_einsum(CHAIN, *operands)
             _assert_same(result, _reference(CHAIN, *operands))
             assert len(calls) == 2
-            _assert_each_call_picks_by_its_bound(calls, operands)
+            _assert_each_call_picks_by_its_bound(calls)
             assert {"object" if np.dtype(object) in dtypes else "int64"
                     for dtypes, _ in calls} == paths
     assert len(searches) <= 1
@@ -263,6 +263,7 @@ STEP_COUNTS = {
     ("ijkl->lkji", ((20, 20, 20, 20),), False),         # a permutation: no step
     ("ij,jk->k", ((200, 200), (200, 200)), False),      # a letter only one term sums
     ("ijkl->lk", ((20, 20, 20, 20),), False),           # one operand
+    ("bij,bjk->bik", ((8, 64, 64), (8, 64, 64)), False),    # a letter both terms keep
 ])
 def test_the_plan_marks_the_dense_only_steps(subscripts, shapes, sparse):
     variances = tuple("d" * len(shape) for shape in shapes)
@@ -272,11 +273,21 @@ def test_the_plan_marks_the_dense_only_steps(subscripts, shapes, sparse):
 
 
 def test_a_dense_dim_7_report_reads_no_value_to_pick_a_route():
-    """Every step of a dim-7 report is below the floor: no step counts
-    nonzeros, and all run as einsum."""
-    with mock.patch.object(tensors, "_pairwise", side_effect=AssertionError) as pairwise:
-        run_report(dense_member(3))
-    assert pairwise.call_count == 0
+    """Every step of a dim-7 report is below the floor: each is
+    dense-only in its plan, no step counts nonzeros, and all run as
+    einsum."""
+    model, sides, real = dense_member(3), [], tensors._pairwise
+
+    def pairwise(step, nums):
+        sides.append(step.sides)
+        return real(step, nums)
+
+    with mock.patch.object(tensors, "_pairwise", pairwise), \
+            mock.patch.object(np, "count_nonzero", side_effect=AssertionError), \
+            _step_routes() as routes:
+        run_report(model)
+    assert sides and set(sides) == {None}
+    assert set(routes) == {("einsum", "int64")}
 
 
 def _fill(rng, shape, density: float, kind: str) -> Tensor:
@@ -319,8 +330,17 @@ def sparse_steps(draw):
     return f"{''.join(left)},{''.join(right)}->{''.join(out)}", operands
 
 
-def _dense(step, a, b):
-    return np.einsum(step.subscripts, a, b), None
+@contextmanager
+def _dense_plans():
+    """Plans compiled with every step dense-only: a floor no step reaches.
+    The plan cache is emptied on the way in and out, so no dense-only plan
+    outlives the block."""
+    _plan.cache_clear()
+    try:
+        with mock.patch.object(tensors, "SPARSE_FLOOR", math.inf):
+            yield
+    finally:
+        _plan.cache_clear()
 
 
 @settings(max_examples=40, deadline=None)
@@ -330,14 +350,15 @@ def test_the_sparse_route_matches_the_reference_and_the_dense_route(case):
     that result's numerators times the operands' denominator product equal
     numpy's einsum of the operands' numerators as Python ints: an exact
     reference that uses neither route.  Both routes run in the dtype the
-    step's bound picks.  A step with a letter that only one operand sums
-    is dense-only: it runs as einsum even when the sparse route is forced."""
+    step's numerator bound picks.  A step with a letter that only one
+    operand sums, or a letter both operands keep (a batch letter), is
+    dense-only: it runs as one einsum even when the sparse route is forced."""
     subscripts, (a, b) = case
     with _step_routes() as natural:
         result = exact_einsum(subscripts, a, b)
     with mock.patch.object(tensors, "SPARSE_FACTOR", 0), _step_routes() as sparse:
         by_sparse = exact_einsum(subscripts, a, b)
-    with mock.patch.object(tensors, "_pairwise", _dense), _step_routes() as dense:
+    with _dense_plans(), _step_routes() as dense:
         by_dense = exact_einsum(subscripts, a, b)
     assert result == by_sparse == by_dense
     _assert_canonical(result)
@@ -346,10 +367,10 @@ def test_the_sparse_route_matches_the_reference_and_the_dense_route(case):
                           np.asarray(reference, dtype=object) * result.den)
     (step,) = _plan(subscripts, ("d" * a.rank, "d" * b.rank), (a.shape, b.shape)).steps
     bound = (a.magnitude or 1) * (b.magnitude or 1) * step.summed
-    dtype = "int64" if bound < INT64_SAFE and a.den * b.den < INT64_SAFE else "object"
+    dtype = "int64" if bound < INT64_SAFE else "object"
     terms, out = subscripts.split("->")
     left, right = terms.split(",")
-    if (set(left) ^ set(right)) - set(out):     # a letter only one operand sums
+    if (set(left) ^ set(right)) - set(out) or set(left) & set(right) & set(out):
         assert step.sides is None
         assert dict(sparse) == {("einsum", dtype): 1}
     else:

@@ -2,6 +2,7 @@
 returned as given, and the five entry points agree with its layers."""
 import ast
 import collections
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -50,6 +51,25 @@ def test_run_report_computes_each_layer_once(monkeypatch):
     # phi, eta, omega, omega_star, nabla phi, nabla eta and phi Omega
     assert counts["covariant_derivative"] <= 7
     assert counts["psi4"] == 1
+
+
+def test_one_model_inverts_its_metric_once(monkeypatch):
+    """The model keeps its inverse metric: the five entry points, each
+    with its own ``Geometry``, and a report on the same model invert
+    ``g`` once between them.  A replaced model starts without it."""
+    model = _dense_model()
+    counts = collections.Counter()
+    _spy(monkeypatch, "invert_symmetric", counts)
+    conn = levi_civita(model)
+    pack = structure_pack(model, conn)
+    riemann(model, conn)
+    verify_identities(model)
+    square_norms(model, conn)
+    run_report(model)
+    assert counts["invert_symmetric"] == 1
+    replaced = dataclasses.replace(model, name="renamed")
+    assert replaced.ginv == model.ginv and replaced.ginv is not model.ginv
+    assert counts["invert_symmetric"] == 2 and pack == Geometry(replaced).pack
 
 
 def test_layers_are_cached(fam23):
@@ -108,8 +128,10 @@ def test_no_module_imports_a_name_it_never_uses():
 def _unread_private_names(sources: dict[str, str]) -> list[tuple[str, str]]:
     """``(file, name)`` for each module-level ``_name`` that one of the
     ``sources`` (file name to text) defines and none of them reads, as a
-    name or as an attribute."""
-    defined, read = [], set()
+    name or as an attribute, and ``(file, "_Class.field")`` for each field
+    of a module-level private ``NamedTuple`` that none of them reads as an
+    attribute."""
+    defined, fields, read, attributes = [], [], set(), set()
     for file, text in sorted(sources.items()):
         tree = ast.parse(text)
         for node in tree.body:
@@ -120,29 +142,42 @@ def _unread_private_names(sources: dict[str, str]) -> list[tuple[str, str]]:
                 names = [t.id for t in targets if isinstance(t, ast.Name)]
             else:
                 continue
-            defined += [(file, name) for name in names
-                        if name.startswith("_") and not name.startswith("__")]
+            private = [name for name in names
+                       if name.startswith("_") and not name.startswith("__")]
+            defined += [(file, name) for name in private]
+            if private and isinstance(node, ast.ClassDef) and any(
+                    getattr(base, "id", None) == "NamedTuple" for base in node.bases):
+                fields += [(file, node.name, item.target.id) for item in node.body
+                           if isinstance(item, ast.AnnAssign)]
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 read.add(node.id)
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
-    return [(file, name) for file, name in defined if name not in read]
+                attributes.add(node.attr)
+    return ([(file, name) for file, name in defined if name not in read]
+            + [(file, f"{cls}.{field}") for file, cls, field in fields
+               if field not in attributes])
 
 
 def test_no_module_defines_a_private_name_nothing_reads():
     """A module-level ``_name`` under ``src/norden`` is read somewhere in
-    the package, so a deletion leaves no dead helper behind; a planted
-    helper and a leftover constant are found."""
+    the package, and so is every field of a private ``NamedTuple``, so a
+    deletion leaves no dead helper or field behind; a planted helper, a
+    leftover constant and a field nothing reads are found."""
     sources = {path.name: path.read_text(encoding="utf-8")
                for path in Path(norden.__file__).parent.glob("*.py")}
     assert _unread_private_names(sources) == []
     planted = dict(sources, **{
         "lie.py": sources["lie.py"] + "\n\ndef _helper():\n    return 1\n",
         "tensors.py": sources["tensors.py"] + "\n_SPARE_LETTERS = 'abc'\n",
+        "family.py": sources["family.py"] + (
+            "\n\nclass _Spare(NamedTuple):\n    first_read: int\n    never_read: int\n"
+            "\n\nSPARE = _Spare(1, 2).first_read\n"),
     })
     assert _unread_private_names(planted) == [("lie.py", "_helper"),
-                                              ("tensors.py", "_SPARE_LETTERS")]
+                                              ("tensors.py", "_SPARE_LETTERS"),
+                                              ("family.py", "_Spare.never_read")]
 
 
 PUBLIC_NAMES = [
