@@ -8,7 +8,9 @@ time it is read, from the layers below it, and every later read returns
 the same object.  The cache lives in the ``Geometry`` object and dies with
 it, except for the inverse metric: the model keeps that one
 (:attr:`~norden.structures.AcnModel.ginv`), so every ``Geometry`` of one
-model inverts ``g`` at most once between them.
+model inverts ``g`` at most once between them.  The model keeps the
+signature of ``g`` the same way (:attr:`~norden.structures.AcnModel.signature`),
+which validation and the report both read.
 
 Every quantity is read from its layer.  The five entry points below
 the class (:func:`levi_civita`, :func:`structure_pack`, :func:`riemann`,

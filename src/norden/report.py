@@ -65,7 +65,7 @@ def run_report(model: AcnModel) -> GeometryReport:
         name=model.name,
         dim=model.dim,
         n=model.n,
-        signature={"metric": signature(model.g), "associated_metric": signature(twin)},
+        signature={"metric": model.signature, "associated_metric": signature(twin)},
         classes={"f0": geo.f0, "f11": geo.f11,
                  **dict.fromkeys(UNDECIDED_CLASSES, "unknown")},
         flags={

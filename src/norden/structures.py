@@ -82,6 +82,13 @@ class AcnModel:
         :class:`SingularMetric` if the metric is degenerate."""
         return invert_symmetric(self.g)
 
+    @cached_property
+    def signature(self) -> tuple[int, int, int]:
+        """The Sylvester signature ``(plus, minus, zero)`` of ``g``,
+        computed on first read and kept with the model; raises
+        ``ValueError`` if ``g`` is not symmetric."""
+        return signature(self.g)
+
 
 def validate_structure(model: AcnModel) -> ValidationReport:
     """Check every structure axiom, itemizing violations with indices.
@@ -153,7 +160,7 @@ def validate_structure(model: AcnModel) -> ValidationReport:
     # A signature is defined for symmetric forms only.
     if asymmetric:
         return report
-    plus, minus, null = signature(model.g)
+    plus, minus, null = model.signature
     if null != 0:
         report.add("metric_nondegenerate", detail=f"{null} null direction(s)")
     if (plus, minus) != (n + 1, n):

@@ -11,7 +11,11 @@ zero has ``den = 1``; the dtype follows from the magnitudes), so two
 tensors are equal exactly when their ``(variance, shape, den, num)`` are.
 Each tensor also stores ``magnitude``, its largest ``|num|`` entry, found
 where its storage is built, so a contraction reads its operands' bound
-terms without scanning them.
+terms without scanning them.  An intermediate (a pairwise step's result,
+a term of a sum) carries a bound instead, and is scanned only when a
+bound reaches ``2**62`` (see below); :func:`exact_sum` scans each result
+once, unless its one term carries its exact magnitude, so ``magnitude``
+stays exact.
 
 Every computation is a linear combination of contractions,
 :func:`exact_sum` (:func:`exact_einsum` is its one-term case): each
@@ -29,11 +33,18 @@ reduction and compares the unreduced numerators with zero: no scan for
 the largest magnitude, no gcd and no division.
 Two bounds keep int64 exact; zeros count as 1 in both.  A pairwise step
 runs in int64 when the product of its operands' largest numerator
-magnitudes (an intermediate's as computed) times the number of index
-combinations it sums is below ``2**62``; denominators enter no integer
-of a step, so they pick nothing.  The terms are added in int64 when the
-sum of ``max|num| * |coefficient| * L / den`` over them, which bounds
-every partial sum, is below ``2**62``.  Otherwise Python ints are used.
+magnitudes times the number of index combinations it sums is below
+``2**62``; denominators enter no integer of a step, so they pick
+nothing.  The terms are added in int64 when the sum of ``max|num| *
+|coefficient| * L / den`` over them, which bounds every partial sum, is
+below ``2**62``.  Otherwise Python ints are used.  Each bound is first
+built from what the operands or terms carry: an einsum step's result
+carries that step's bound, ``summed * prod(max(top, 1))``, and the
+sparse route's its exact magnitude.  A carried bound is never below the
+magnitude, so one below ``2**62`` picks int64 as the magnitudes would;
+one that reaches it has its operands scanned and is built again from
+their magnitudes.  So every step and every sum picks what the exact
+magnitudes pick.
 
 Everything about a contraction that does not depend on values is
 compiled once into a plan and kept in a bounded cache.  Its key is the
@@ -47,8 +58,8 @@ A plan holds no value and no dtype: each call reads its operands' stored
 magnitudes, so each step still picks its arithmetic by the bound above.
 
 Each step then picks its route, in one call that returns the result and
-its largest magnitude.  A step is dense-only, and runs as one
-``np.einsum`` whose result is scanned, when it has one operand, repeats a
+what it carries.  A step is dense-only, and runs as one ``np.einsum``
+whose result carries the step's bound, when it has one operand, repeats a
 letter inside one term, costs less than ``SPARSE_FLOOR``, or does not
 keep exactly the letters that one operand alone carries: a letter that
 only one operand sums, or that both keep, makes it dense-only.  Any
@@ -193,11 +204,14 @@ def _canonical(num: np.ndarray, den: int, top: int) -> tuple[np.ndarray, int, in
     """``num / den``, whose largest magnitude is ``top``, in the canonical
     form: lowest terms, int64 when every magnitude is below
     ``INT64_SAFE``.  Returns the form's ``num``, ``den`` and ``top``.
-    The common factor is the gcd of ``den`` and the nonzero entries."""
+    The common factor is the gcd of ``den`` and the nonzero entries, read
+    in one reduction that starts from ``den % top``: ``top`` is one of
+    those entries, so that start shares every common divisor with ``den``
+    and fits the entries' dtype."""
     if not top:                     # the zero tensor
         den = 1
     elif den != 1:
-        g = math.gcd(den, int(np.gcd.reduce(num[num != 0])))
+        g = int(np.gcd.reduce(num[num != 0], initial=den % top))
         if g != 1:
             num, den, top = np.asarray(num // g, dtype=num.dtype), den // g, top // g
     if num.dtype == object and top < INT64_SAFE:
@@ -216,6 +230,14 @@ def _pair_storage(pairs: list[tuple[int, int]], shape) -> tuple[np.ndarray, int,
     return _canonical(num.reshape(shape), den, top)
 
 
+def _checked_variance(variance, rank: int) -> str:
+    variance = str(variance)
+    if len(variance) != rank or variance.strip(UP + DOWN):
+        raise VarianceMismatch(f"variance {variance!r} needs one 'u' or 'd' letter "
+                               f"per axis of a rank-{rank} tensor")
+    return variance
+
+
 class Tensor:
     """A dense tensor of exact rationals, stored as ``num / den``.
 
@@ -232,28 +254,25 @@ class Tensor:
 
     def __init__(self, components, variance: str):
         arr = np.array(components, dtype=object)
-        self._set(*_pair_storage(list(map(as_pair, arr.ravel().tolist())), arr.shape),
-                  variance)
+        num, den, top = _pair_storage(list(map(as_pair, arr.ravel().tolist())), arr.shape)
+        self._set(num, den, top, _checked_variance(variance, num.ndim))
 
     @classmethod
     def of_pairs(cls, pairs: list[tuple[int, int]], shape, variance: str) -> "Tensor":
         """The tensor of ``shape`` whose entries, in C order, are ``p / q``
         for the pairs ``(p, q)`` of :func:`as_pair`."""
-        return cls._of(*_pair_storage(pairs, shape), variance)
+        num, den, top = _pair_storage(pairs, shape)
+        return cls._of(num, den, top, _checked_variance(variance, num.ndim))
 
     @classmethod
     def _of(cls, num: np.ndarray, den: int, top: int, variance: str) -> "Tensor":
         """A tensor from storage that is already canonical, with its
-        largest magnitude ``top``."""
+        largest magnitude ``top`` and a variance that fits its rank."""
         t = cls.__new__(cls)
         t._set(num, den, top, variance)
         return t
 
     def _set(self, num, den, top, variance) -> None:
-        variance = str(variance)
-        if len(variance) != num.ndim or variance.strip(UP + DOWN):
-            raise VarianceMismatch(f"variance {variance!r} needs one 'u' or 'd' letter "
-                                   f"per axis of a rank-{num.ndim} tensor")
         num.setflags(write=False)
         setattr = object.__setattr__
         setattr(self, "num", num)
@@ -597,83 +616,126 @@ def _sparse_step(x: np.ndarray, y: np.ndarray, sx: _Side,
     return out.reshape(shape).transpose(perm), top
 
 
-def _pairwise(step: _Step, nums: list[np.ndarray]) -> tuple[np.ndarray, int]:
-    """One step on ``nums``, cast to its dtype: the result and its largest
-    magnitude.  A step with a sparse layout runs on the nonzeros of the
-    operand whose nonzeros times the other's kept size is smaller, when
-    that work times ``SPARSE_FACTOR`` is below its dense cost; any other
-    step is one einsum, whose result is scanned."""
+def _pairwise(step: _Step, nums: list[np.ndarray], bound: int) -> tuple[np.ndarray, int, bool]:
+    """One step on ``nums``, cast to the dtype that ``bound``, the step's
+    own bound, picked: the result, a bound on its largest magnitude and
+    whether that bound is the magnitude itself.  A step with a sparse
+    layout runs on the nonzeros of the operand whose nonzeros times the
+    other's kept size is smaller, when that work times ``SPARSE_FACTOR``
+    is below its dense cost, and reads the exact magnitude from its row
+    sums; any other step is one einsum, whose result carries ``bound``
+    unscanned."""
     if step.sides is not None:
         (a, b), (sa, sb) = nums, step.sides
         work_a = np.count_nonzero(a) * sb.blocks[0]
         work_b = np.count_nonzero(b) * sa.blocks[0]
         if SPARSE_FACTOR * min(work_a, work_b) < step.cost:
-            return _sparse_step(a, b, sa, sb) if work_a <= work_b else _sparse_step(b, a, sb, sa)
+            x, y, sx, sy = (a, b, sa, sb) if work_a <= work_b else (b, a, sb, sa)
+            return *_sparse_step(x, y, sx, sy), True
     # A 0-d result comes back as a bare scalar; an int would become int64.
-    out = np.asarray(np.einsum(step.subscripts, *nums), dtype=nums[0].dtype)
-    return out, _max_abs(out)
+    return np.asarray(np.einsum(step.subscripts, *nums), dtype=nums[0].dtype), bound, False
 
 
-def _contract(plan: _Plan, operands) -> tuple[np.ndarray, int, int]:
+def _scanned(carried):
+    """A carried ``(num, top, exact)`` whose ``top`` is its largest
+    magnitude: ``num`` is scanned unless ``top`` already is."""
+    num, top, exact = carried
+    return carried if exact else (num, _max_abs(num), True)
+
+
+def _step_bound(summed: int, picked) -> int:
+    # A zero operand counts as 1, so the bound also covers each operand's
+    # own entries and every partial sum of either route.
+    for _, top, _ in picked:
+        summed *= top or 1
+    return summed
+
+
+def _contract(plan: _Plan, operands) -> tuple[tuple[np.ndarray, int, bool], int]:
     """One contraction of the operands' numerators, unreduced: the
-    integer array, its largest magnitude and the product of the operands'
-    denominators.  A permutation is a read-only view of its operand's
-    numerators, with the operand's own magnitude and denominator.  Each
-    pairwise step of any other contraction picks int64 or Python ints by
-    its numerator bound alone, then runs through :func:`_pairwise`."""
+    integer array carried as ``(num, top, exact)``, with ``top`` a bound
+    on its largest magnitude and ``exact`` whether ``top`` is that
+    magnitude, and the product of the operands' denominators.  A
+    permutation is a read-only view of its operand's numerators, with the
+    operand's own magnitude and denominator.  Each pairwise step of any
+    other contraction picks int64 or Python ints by its numerator bound,
+    built from what its operands carry; only when that reaches
+    ``INT64_SAFE`` are they scanned and the bound built again from their
+    magnitudes, so the step picks what those alone pick.  It then runs
+    through :func:`_pairwise`."""
     if plan.perm is not None:
         (op,) = operands
-        return op.num.transpose(plan.perm), op.magnitude, op.den
-    ops = [(op.num, op.magnitude) for op in operands]
+        return (op.num.transpose(plan.perm), op.magnitude, True), op.den
+    ops = [(op.num, op.magnitude, True) for op in operands]
     for step in plan.steps:
         picked = [ops.pop(k) for k in step.pair]
-        # A zero operand counts as 1, so the bound also covers each
-        # operand's own entries and every partial sum of either route.
-        bound = step.summed
-        for _, top in picked:
-            bound *= top or 1
+        bound = _step_bound(step.summed, picked)
+        if bound >= INT64_SAFE:
+            picked = list(map(_scanned, picked))
+            bound = _step_bound(step.summed, picked)
         dtype = np.int64 if bound < INT64_SAFE else object
-        ops.append(_pairwise(step, [num.astype(dtype, copy=False) for num, _ in picked]))
-    return *ops[0], math.prod(op.den for op in operands)
+        ops.append(_pairwise(step, [num.astype(dtype, copy=False) for num, *_ in picked], bound))
+    return ops[0], math.prod(op.den for op in operands)
+
+
+def _sum_bound(carried, factors) -> int:
+    # Zeros count as 1, so every term's numerators fit the dtype too.
+    return sum((top or 1) * (abs(f) or 1) for (_, top, _), f in zip(carried, factors))
 
 
 def _numerator_sum(terms) -> tuple[np.ndarray, int, int | None, str, bool]:
     """The body of :func:`exact_sum` up to the reduction: the terms
     contracted and added as integers over the lcm of their denominators.
     Returns the numerators, that denominator, their largest magnitude
-    when it is known without a scan (one term) and ``None`` otherwise,
-    the variance, and whether the numerators are already canonical (one
-    permutation with coefficient 1)."""
-    parts = []
+    when it is known without a scan (one term whose contraction carries
+    it) and ``None`` otherwise, the variance, and whether the numerators
+    are already canonical (one permutation with coefficient 1).  The
+    terms add in int64 when the sum bound built from what they carry is
+    below ``INT64_SAFE``; only otherwise are they scanned and the bound
+    built again from their magnitudes."""
+    variances, carried, dens, coefs = [], [], [], []
     for coef, subscripts, *operands in terms:
         plan = _plan(subscripts, tuple([op.variance for op in operands]),
                      tuple([op.shape for op in operands]))
-        num, top, den = _contract(plan, operands)
+        term, den = _contract(plan, operands)
         p, q = (coef, 1) if type(coef) is int else as_pair(coef)
-        parts.append((plan.variance, num, top, den * q, p))
-    if not parts:
+        variances.append(plan.variance)
+        carried.append(term)
+        dens.append(den * q)
+        coefs.append(p)
+    if not carried:
         raise ValueError("exact_sum needs at least one term")
-    if len(parts) == 1 and plan.perm is not None and p == q == 1:
-        # A permutation of a canonical operand is canonical as it is.
-        return num, den, top, plan.variance, True
-    variance, shape = parts[0][0], parts[0][1].shape
-    for var, num, *_ in parts:
-        if var != variance:
-            raise VarianceMismatch(f"cannot add variances {variance!r} and {var!r}")
-        if num.shape != shape:
-            raise DimensionMismatch(f"cannot add shapes {shape} and {num.shape}")
-    den = math.lcm(*(d for *_, d, _ in parts))
-    factors = [p * (den // d) for *_, d, p in parts]
-    # Zeros count as 1, so every term's numerators fit the dtype too.
-    bound = sum((top or 1) * (abs(f) or 1) for (_, _, top, _, _), f in zip(parts, factors))
+    variance = variances[0]
+    if len(carried) == 1:
+        # One term needs no check, lcm or copy, and with coefficient 1 it
+        # adds nothing.  A permutation of a canonical operand over q = 1
+        # is canonical as it is.
+        if p == 1:
+            num, top, exact = term
+            return num, dens[0], top if exact else None, variance, \
+                plan.perm is not None and q == 1
+        den, factors = dens[0], coefs
+    else:
+        shape = carried[0][0].shape
+        for var, (num, *_) in zip(variances, carried):
+            if var != variance:
+                raise VarianceMismatch(f"cannot add variances {variance!r} and {var!r}")
+            if num.shape != shape:
+                raise DimensionMismatch(f"cannot add shapes {shape} and {num.shape}")
+        den = math.lcm(*dens)
+        factors = [p * (den // d) for p, d in zip(coefs, dens)]
+    bound = _sum_bound(carried, factors)
+    if bound >= INT64_SAFE:
+        carried = list(map(_scanned, carried))
+        bound = _sum_bound(carried, factors)
     dtype = np.int64 if bound < INT64_SAFE else object
     # The terms add in place into a copy of the first; a factor of 1
-    # multiplies nothing, so a one-term sum keeps its contraction's array.
+    # multiplies nothing, and one term is multiplied, never copied.
     total = None
-    for (_, num, *_), f in zip(parts, factors):
+    for (num, *_), f in zip(carried, factors):
         num = num.astype(dtype, copy=False)
         if total is None:
-            total = num * f if f != 1 else (num if len(parts) == 1 else num.copy())
+            total = num * f if f != 1 else num.copy()
         elif f == 1:
             total += num
         elif f == -1:
@@ -681,7 +743,8 @@ def _numerator_sum(terms) -> tuple[np.ndarray, int, int | None, str, bool]:
         else:
             total += num * f
     total = np.asarray(total, dtype=dtype)      # a 0-d result is a scalar
-    top = parts[0][2] * abs(factors[0]) if len(parts) == 1 else None
+    _, top, exact = carried[0]
+    top = top * abs(factors[0]) if len(carried) == 1 and exact else None
     return total, den, top, variance, False
 
 

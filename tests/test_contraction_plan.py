@@ -7,10 +7,11 @@ and the route of each step are not part of it: every call still reads
 its operands' magnitudes and picks int64 or Python ints by the step's own
 bound, then counts nonzeros to pick einsum or the sparse route.  These
 tests run one key through values on both sides of that bound, check that
-a second report of the same dimension searches no path, check the sparse
-route against the dense one and an exact reference, and pin how many
-steps of each route and dtype one report runs on models of both
-workloads.
+the bound an intermediate carries picks what its exact magnitude picks,
+check that a second report of the same dimension searches no path, check
+the sparse route against the dense one and an exact reference, and pin
+how many steps of each route and dtype, and how many magnitude scans,
+one report runs on models of both workloads.
 """
 import math
 import random
@@ -35,6 +36,7 @@ from norden.tensors import (
     exact_einsum,
     exact_sum,
     invert_symmetric,
+    nonzero_where,
 )
 
 from test_exact_einsum import (
@@ -221,6 +223,161 @@ def test_the_inverse_metric_stores_its_largest_magnitude():
     _assert_magnitude(Tensor(np.zeros((0, 3), dtype=int), "dd"))
 
 
+def _top(num) -> int:
+    return max(map(abs, np.asarray(num, dtype=object).ravel().tolist()), default=0)
+
+
+def _dtype(bound: int) -> np.dtype:
+    return np.dtype(np.int64 if bound < INT64_SAFE else object)
+
+
+def _exact_rule(terms):
+    """What the kernel must pick, found by scanning every intermediate:
+    the dtype of each pairwise step (the product of its operands' largest
+    magnitudes, zeros counting as 1, times the combinations it sums), the
+    dtype of the sum (``None`` for one term whose coefficient has
+    numerator 1, which adds nothing), and the exact sum as Python ints
+    over the lcm of the terms' denominators, with that lcm."""
+    steps, values, dens, coefs = [], [], [], []
+    for coef, subscripts, *operands in terms:
+        plan = _plan(subscripts, tuple(op.variance for op in operands),
+                     tuple(op.shape for op in operands))
+        nums = [op.num.astype(object) for op in operands]
+        for step in plan.steps:
+            picked = [nums.pop(k) for k in step.pair]
+            steps.append(_dtype(step.summed * math.prod(max(_top(x), 1) for x in picked)))
+            nums.append(np.asarray(np.einsum(step.subscripts, *picked), dtype=object))
+        (value,) = nums
+        values.append(value)
+        dens.append(math.prod(op.den for op in operands) * Fr(coef).denominator)
+        coefs.append(Fr(coef).numerator)
+    den = math.lcm(*dens)
+    factors = [p * (den // d) for p, d in zip(coefs, dens)]
+    adds = len(terms) > 1 or coefs[0] != 1
+    bound = sum(max(_top(v), 1) * max(abs(f), 1) for v, f in zip(values, factors))
+    total = sum(v * f for v, f in zip(values, factors))
+    return steps, _dtype(bound) if adds else None, np.asarray(total, dtype=object), den
+
+
+@contextmanager
+def _kernel_dtypes():
+    """Record the dtype each pairwise step of the kernel runs in, and the
+    dtype of each sum it hands to the reduction."""
+    steps, sums = [], []
+    real_pairwise, real_canonical = tensors._pairwise, tensors._canonical
+
+    def pairwise(step, nums, bound):
+        (dtype,) = {num.dtype for num in nums}
+        steps.append(dtype)
+        return real_pairwise(step, nums, bound)
+
+    def canonical(num, den, top):
+        sums.append(num.dtype)
+        return real_canonical(num, den, top)
+
+    with mock.patch.object(tensors, "_pairwise", pairwise), \
+            mock.patch.object(tensors, "_canonical", canonical):
+        yield steps, sums
+
+
+def _assert_the_exact_rule(terms):
+    """The kernel's steps and sum pick the dtypes of :func:`_exact_rule`,
+    and ``exact_sum`` and ``nonzero_where`` give its exact sum."""
+    steps, summed, total, den = _exact_rule(terms)
+    with _kernel_dtypes() as (kernel_steps, kernel_sums):
+        result = exact_sum(terms)
+    assert kernel_steps == steps
+    if summed is not None:
+        assert kernel_sums == [summed]
+    _assert_canonical(result)
+    _assert_magnitude(result)
+    assert np.array_equal(result.num.astype(object) * den, total * result.den)
+    with _kernel_dtypes() as (kernel_steps, kernel_sums):
+        where = nonzero_where(terms)
+    assert kernel_steps == steps and kernel_sums == []
+    assert np.array_equal(where, total != 0)
+
+
+def _entries(rng: random.Random, count: int, kind: str) -> list:
+    """``count`` entries of one kind: powers of two up to ``2**40``, most
+    of them zero ("sparse") or none ("dense"), so that a few multiplied
+    pass ``2**62`` and the zeros leave the exact magnitudes far below a
+    bound built from the largest ones; small rationals over primes; or
+    integers past int64, half of them zero."""
+    sign = lambda: rng.choice((-1, 1))
+    power = lambda: sign() * 2 ** rng.randrange(0, 41, 5)
+    draw = {
+        "sparse": lambda: power() if rng.random() < 0.3 else 0,
+        "dense": power,
+        "rational": lambda: Fr(rng.randint(-9, 9), rng.choice(PRIMES)),
+        "huge": lambda: sign() * rng.randint(2**62, 2**70) if rng.random() < 0.5 else 0,
+    }[kind]
+    return [draw() for _ in range(count)]
+
+
+@st.composite
+def carried_sums(draw):
+    """A sum of one to three terms with one output, each term a
+    contraction of three or four operands over the letters ``abcde``
+    (sizes 1-3), each operand of one kind of :func:`_entries`, with a
+    coefficient that may scale the term past the int64 sum bound."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    sizes = {ch: draw(st.integers(1, 3)) for ch in "abcde"}
+    output = draw(st.permutations("abcde"))[:draw(st.integers(0, 2))]
+    terms = []
+    for _ in range(draw(st.integers(1, 3))):
+        letters = [draw(st.lists(st.sampled_from("abcde"), min_size=1, max_size=3, unique=True))
+                   for _ in range(draw(st.integers(3, 4)))]
+        for ch in output:
+            if not any(ch in term for term in letters):
+                letters[draw(st.integers(0, len(letters) - 1))].append(ch)
+        operands = []
+        for term in letters:
+            shape = tuple(sizes[ch] for ch in term)
+            kind = draw(st.sampled_from(("sparse", "sparse", "dense", "rational", "huge")))
+            operands.append(_array(_entries(rng, math.prod(shape), kind), shape))
+        coef = draw(st.sampled_from((1, -1, 3, Fr(1, 3), Fr(-5, 7), 2**40)))
+        terms.append((coef, ",".join(map("".join, letters)) + "->" + "".join(output),
+                      *operands))
+    return terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(carried_sums())
+def test_the_carried_bound_picks_what_the_exact_magnitudes_pick(terms):
+    """An intermediate carries the bound it was computed under and is
+    scanned only when a bound built from what is carried reaches
+    ``2**62``.  Every step and every sum still picks the dtype that its
+    operands' exact magnitudes pick, and the result is exact."""
+    _assert_the_exact_rule(terms)
+
+
+V, W = _array([1, -1], (2,)), _array([1, 1], (2,))
+M = _array([2**60] * 4, (2, 2))
+
+
+@pytest.mark.parametrize("terms, steps, summed", [
+    # 2 * 2**40 * 2**30 puts the first step on Python ints, but its result
+    # is below 2**41: the second step's carried bound is 2**82 and its
+    # exact one 2**51, so it runs in int64.
+    ([(1, "ab,bc,cd->ad", _array([2**40, 0, 0, 1], (2, 2)),
+       _array([0, 1, 2**30, 0], (2, 2)), _array([2**10, 0, 0, 2**10], (2, 2)))],
+     [object, np.int64], None),
+    # The first step runs in int64 under 2 * 2**60 and cancels to zero:
+    # the second step's carried bound is 2**63 and its exact one 4.
+    ([(1, "a,ab,bc->c", V, M, _array([2] * 4, (2, 2)))], [np.int64, np.int64], None),
+    # Two terms that cancel to zero carry 2**61 each: the sum's carried
+    # bound reaches 2**62, its exact one is 2.
+    ([(1, "a,ab->b", V, M), (1, "a,ab->b", V, M)], [np.int64] * 2, np.int64),
+    # The same with entries 2**61: the exact bound reaches 2**62 too.
+    ([(1, "a,ab->b", W, M), (1, "a,ab->b", W, M)], [np.int64] * 2, object),
+], ids=["object-then-int64", "int64-chain", "sum-rescanned", "sum-past-int64"])
+def test_a_carried_bound_past_int64_is_checked_against_the_magnitudes(terms, steps, summed):
+    assert _exact_rule(terms)[:2] == ([np.dtype(t) for t in steps],
+                                      None if summed is None else np.dtype(summed))
+    _assert_the_exact_rule(terms)
+
+
 def test_a_second_report_of_the_same_dimension_searches_no_path():
     run_report(dense_member(3))
     with _path_searches() as searches:
@@ -255,6 +412,15 @@ STEP_COUNTS = {
     ("family", 6): {("einsum", "int64"): 79, ("sparse", "int64"): 10},
 }
 
+# Magnitude scans (calls of ``_max_abs``) of one run_report on the same
+# models, recorded on this tree.  An intermediate carries the bound it
+# was computed under and is scanned only when a bound built from what is
+# carried reaches 2**62; exact_sum scans each result once, unless its one
+# term carries its exact magnitude; the sparse route reads its magnitude
+# from its row sums (one scan of those each); the inverse metric is
+# scanned once.  Scanning every intermediate read 100, 100, 98 and 100.
+SCAN_COUNTS = {("dense", 3): 47, ("dense", 6): 59, ("dense", 8): 81, ("family", 6): 48}
+
 
 @pytest.mark.parametrize("subscripts, shapes, sparse", [
     ("ij,jk->ik", ((200, 200), (200, 200)), True),
@@ -278,9 +444,9 @@ def test_a_dense_dim_7_report_reads_no_value_to_pick_a_route():
     einsum."""
     model, sides, real = dense_member(3), [], tensors._pairwise
 
-    def pairwise(step, nums):
+    def pairwise(step, nums, bound):
         sides.append(step.sides)
-        return real(step, nums)
+        return real(step, nums, bound)
 
     with mock.patch.object(tensors, "_pairwise", pairwise), \
             mock.patch.object(np, "count_nonzero", side_effect=AssertionError), \
@@ -405,6 +571,14 @@ def test_a_report_runs_the_same_int64_and_object_steps(kind, n):
     with _step_routes() as steps:
         run_report(model)
     assert dict(steps) == STEP_COUNTS[kind, n]
+
+
+@pytest.mark.parametrize("kind, n", list(SCAN_COUNTS))
+def test_a_report_runs_the_same_magnitude_scans(kind, n):
+    model = (dense_member if kind == "dense" else family_member)(n)
+    with mock.patch.object(tensors, "_max_abs", wraps=tensors._max_abs) as scans:
+        run_report(model)
+    assert scans.call_count == SCAN_COUNTS[kind, n]
 
 
 @pytest.mark.parametrize("kind, n", [("dense", 3), ("family", 6)])

@@ -13,10 +13,13 @@ import pytest
 import norden
 from norden import (
     Geometry,
+    associated_metric,
     levi_civita,
+    parse_model,
     psi4,
     riemann,
     run_report,
+    serialize_model,
     square_norms,
     structure_pack,
     verify_identities,
@@ -70,6 +73,26 @@ def test_one_model_inverts_its_metric_once(monkeypatch):
     replaced = dataclasses.replace(model, name="renamed")
     assert replaced.ginv == model.ginv and replaced.ginv is not model.ginv
     assert counts["invert_symmetric"] == 2 and pack == Geometry(replaced).pack
+
+
+def test_one_model_reads_the_signature_of_its_metric_once(monkeypatch):
+    """The model keeps the signature of ``g``: parsing (which validates)
+    and a report on the parsed model compute it once between them, and
+    the report computes the twin metric's once."""
+    text = serialize_model(_dense_model())
+    forms, original = [], norden.signature
+
+    def recorded(form):
+        forms.append(form)
+        return original(form)
+
+    for module in MODULES:
+        if getattr(module, "signature", None) is original:
+            monkeypatch.setattr(module, "signature", recorded)
+    model = parse_model(text)
+    report = run_report(model)
+    assert forms == [model.g, associated_metric(model)]
+    assert report.signature["metric"] == model.signature == original(model.g)
 
 
 def test_layers_are_cached(fam23):
