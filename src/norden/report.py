@@ -16,7 +16,7 @@ from .canonical import canonical_json, index_labels
 from .classify import IdentityVerdict
 from .geometry import Geometry
 from .structures import AcnModel, associated_metric
-from .tensors import Tensor, format_scalar, signature
+from .tensors import Tensor, _numerator_texts, format_scalar, signature
 
 #: The version of the report JSON, its top-level ``"schema"`` key.
 REPORT_SCHEMA = 2
@@ -175,15 +175,24 @@ def report_to_text(report: GeometryReport) -> str:
     lines += [f"  {verdict_line(name, v)}" for name, v in report.identities.items()]
     lines.append("")
     lines.append("tensors (nonzero components):")
-    for key, t in report.tensors.items():
-        nonzero = t.num != 0
-        flat = np.flatnonzero(nonzero)
-        if not flat.size:
-            lines.append(f"  {key} = 0")
-            continue
-        head, tail = index_labels(t.shape, "] = ")
-        rows, cols = np.divmod(flat, len(tail))
-        starts = [f"  {key}[{label}" for label in head]
-        lines += [starts[h] + tail[c] + text for h, c, text in
-                  zip(rows.tolist(), cols.tolist(), t.formatted(nonzero))]
-    return "\n".join(lines) + "\n"
+    blocks = [_tensor_block(key, t) for key, t in report.tensors.items()]
+    return "\n".join(lines) + "".join(blocks) + "\n"
+
+
+def _tensor_block(key: str, t: Tensor) -> str:
+    """The lines of one tensor, each after a line break: its nonzero
+    entries in C order, or ``key = 0``.  Each line is three pieces, the
+    start up to the head label, the tail label and the value text,
+    gathered from their tables into one object array and joined once."""
+    nums = t.num.ravel()
+    flat = np.flatnonzero(nums)
+    if not flat.size:
+        return f"\n  {key} = 0"
+    head, tail = index_labels(t.shape, "] = ")
+    rows, cols = np.divmod(flat, len(tail))
+    texts, inverse = _numerator_texts(nums[flat], t.den)
+    pieces = np.empty((flat.size, 3), dtype=object)
+    pieces[:, 0] = np.array([f"\n  {key}[{label}" for label in head], dtype=object)[rows]
+    pieces[:, 1] = np.array(tail, dtype=object)[cols]
+    pieces[:, 2] = texts[inverse]
+    return "".join(pieces.ravel().tolist())

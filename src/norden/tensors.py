@@ -84,9 +84,12 @@ string.  Fractions appear only at the output edges: the read-only
 :attr:`Tensor.components` view (ints and Fractions in lowest terms,
 built on first read), scalar results such as :func:`einsum_scalar` and
 :func:`as_scalar`, and rendering, where :meth:`Tensor.formatted` formats
-each distinct numerator once.  A slot is contravariant ``"u"`` or
-covariant ``"d"``; a contraction gives each output slot the variance of
-the first operand slot that carries its index letter.
+each distinct numerator once.  It and the text report read the text of
+each distinct numerator, and which text each entry takes, from
+:func:`_numerator_texts`, the one place a numerator over ``den`` becomes
+text.  A slot is contravariant ``"u"`` or covariant ``"d"``; a
+contraction gives each output slot the variance of the first operand slot
+that carries its index letter.
 """
 from __future__ import annotations
 
@@ -230,6 +233,31 @@ def _pair_storage(pairs: list[tuple[int, int]], shape) -> tuple[np.ndarray, int,
     return _canonical(num.reshape(shape), den, top)
 
 
+def _numerator_texts(nums: np.ndarray, den: int) -> tuple[np.ndarray, np.ndarray]:
+    """The numerators ``nums``, a non-empty 1-d array, over ``den`` as the
+    texts of :func:`format_scalar`: an object array holding the text of
+    each distinct numerator, in increasing order, and the index of each
+    entry's text in it.  The distinct numerators come from one stable
+    argsort and a compare of neighbours, and each is reduced once: by one
+    ``np.gcd`` over all of them when they are int64 and ``den`` fits
+    int64, else by ``math.gcd``."""
+    order = nums.argsort(kind="stable")
+    ranked = nums[order]
+    first = np.empty(ranked.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    inverse = np.empty_like(order)
+    inverse[order] = first.cumsum() - 1
+    values = ranked[first]
+    if values.dtype != object and den < 1 << 63:
+        g = np.gcd(values, den)
+        pairs = zip((values // g).tolist(), (den // g).tolist())
+    else:
+        pairs = [(v // (g := math.gcd(v, den)), den // g) for v in values.tolist()]
+    texts = [str(p) if q == 1 else f"{p}/{q}" for p, q in pairs]
+    return np.array(texts, dtype=object), inverse
+
+
 def _checked_variance(variance, rank: int) -> str:
     variance = str(variance)
     if len(variance) != rank or variance.strip(UP + DOWN):
@@ -338,16 +366,14 @@ class Tensor:
 
     def formatted(self, where: np.ndarray | None = None) -> list[str]:
         """Every entry, or every entry where the boolean array ``where``
-        is set, rendered as by :func:`format_scalar`, in C order.  Reads
-        the numerators directly, builds no Fraction and formats each
-        distinct numerator once."""
-        d = self.den
-        nums = (self.num if where is None else self.num[where]).ravel().tolist()
-        texts = {}
-        for v in set(nums):
-            g = math.gcd(v, d)
-            texts[v] = str(v // g) if g == d else f"{v // g}/{d // g}"
-        return list(map(texts.__getitem__, nums))
+        is set, rendered as by :func:`format_scalar`, in C order: the
+        per-entry view of :func:`_numerator_texts`.  An empty selection
+        formats nothing."""
+        nums = (self.num if where is None else self.num[where]).ravel()
+        if not nums.size:
+            return []
+        texts, inverse = _numerator_texts(nums, self.den)
+        return texts[inverse].tolist()
 
     def nonzero_items(self) -> list[tuple[tuple[int, ...], Fraction]]:
         """Sorted ``(index, value)`` pairs for all nonzero components."""

@@ -200,6 +200,32 @@ def test_text_rendering_of_two_digit_indices(rep23):
     assert "  t4_12[11,11,11,11] = -7/2\n" in tail
 
 
+def test_text_rendering_of_int64_tensors(rep23):
+    """Tensors of rank 1 to 4 at dims 7, 11 and 12 whose numerators are
+    all int64 render as the per-line definition: over ``den = 1``, over
+    denominators that share a different factor with each entry, and over
+    denominators past int64, which ``np.gcd`` cannot take."""
+    rng = random.Random(11)
+    pool = [1, -1, 2, 3, -4, 6, 9, -12, 35, 2**40, -(2**61) + 1]
+    dens = [1, 12, 2**20 * 9, 2**63, 3 * 2**64 + 1]
+    tensors = {}
+    for dim in (7, 11, 12):
+        for rank in range(1, 5):
+            size = dim ** rank
+            for k, den in enumerate(dens):
+                values = [Fr(rng.choice(pool), den) if rng.random() < 0.05 else 0
+                          for _ in range(size)]
+                values[-1] = values[size // 2] = Fr(-7, den)
+                t = Tensor(np.array(values, dtype=object).reshape((dim,) * rank), "u" * rank)
+                assert t.num.dtype == np.int64
+                tensors[f"t{rank}_{dim}_{k}"] = t
+    assert {t.den for t in tensors.values()} >= {1, 2**63, 3 * 2**64 + 1}
+    text = report_to_text(replace(rep23, tensors=tensors))
+    _, tail = text.split("tensors (nonzero components):\n")
+    assert tail == "".join(line + "\n" for key, t in tensors.items()
+                           for line in _tensor_lines(key, t))
+
+
 def test_flat_member_report(fam_zero):
     rep = run_report(fam_zero.model)
     assert rep.classes["f0"] and rep.classes["f11"]

@@ -15,6 +15,7 @@ from norden import (
     signature,
     validate_structure,
 )
+from norden import tensors
 from norden.family import _structure_tensors
 from norden.lie import algebra_from_brackets
 
@@ -130,6 +131,33 @@ def test_broken_phi_g_symmetric(fam23):
     bad = _violations(m, "phi_g_symmetric")
     assert [v.where for v in bad] == [(1, 2), (2, 1)]
     assert bad[0].detail == "g(phi x1, x2) != g(x1, phi x2)"
+
+
+def test_a_valid_model_formats_no_detail(monkeypatch):
+    """Every check of ``validate_structure`` on a valid dense dim-11
+    model selects no entry, so no numerator is formatted; a model with a
+    broken ``phi`` formats the details of its violations."""
+    from test_contraction_plan import dense_member
+
+    model = dense_member(5)
+    calls = {"formatted": 0, "texts": 0}
+    real_formatted, real_texts = Tensor.formatted, tensors._numerator_texts
+
+    def formatted(self, where=None):
+        calls["formatted"] += 1
+        return real_formatted(self, where)
+
+    def texts(nums, den):
+        calls["texts"] += 1
+        return real_texts(nums, den)
+
+    monkeypatch.setattr(Tensor, "formatted", formatted)
+    monkeypatch.setattr(tensors, "_numerator_texts", texts)
+    assert model.dim == 11 and validate_structure(model).ok
+    assert calls == {"formatted": 8, "texts": 0}
+    broken = replace(model, phi=_phi_with(model, 0, 0, 5))
+    assert not validate_structure(broken).ok
+    assert calls["texts"] > 0
 
 
 def test_degenerate_metric_reported(fam23):

@@ -242,6 +242,33 @@ def test_formatted_formats_repeated_values_like_format_scalar(values, scale):
         v == entries[0] for v in entries)
 
 
+@st.composite
+def _masked_entries(draw):
+    """Entries ``p / den`` with their storage, int64 or object, and a mask
+    of the same length, which may be all false."""
+    huge = draw(st.booleans())
+    nums = st.integers(-12, 12) | st.sampled_from([2**40, -(2**61) + 1])
+    if huge:
+        nums = nums | st.sampled_from([2**62, -(10**30), 3 * 10**25])
+    values = draw(st.lists(nums, min_size=1, max_size=30))
+    den = draw(st.sampled_from([1, 2, 6, 36, 2**63, 3 * 2**64, 10**30]))
+    mask = draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
+    return [Fr(v, den) for v in values], np.array(mask, dtype=bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_masked_entries())
+def test_formatted_selection_matches_format_scalar(case):
+    """``formatted(where)`` is ``format_scalar`` of each selected entry, in
+    order, whether the numerators are int64 or Python ints, whether the
+    denominator fits int64 or not, and for an empty selection."""
+    entries, mask = case
+    t = Tensor(entries, "u")
+    assert t.formatted(mask) == [format_scalar(v) for v, m in zip(entries, mask) if m]
+    assert t.formatted(np.zeros_like(mask)) == []
+    assert t.formatted() == [format_scalar(v) for v in entries]
+
+
 # --- products and contractions ------------------------------------------
 
 def test_tensor_product_concatenates_variance():
