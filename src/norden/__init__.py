@@ -2,9 +2,9 @@
 structures with Norden metric on Lie groups.
 
 Every number is an exact rational: tensors hold integer numerators over
-one common denominator, contracted in int64 where a bound proves it exact
-and in Python ints otherwise; scalar results are ints and
-:class:`fractions.Fraction` values.  There are no floats and no
+one common denominator, stored and contracted in int32 or int64 where a
+bound proves it exact and in Python ints otherwise; scalar results are
+ints and :class:`fractions.Fraction` values.  There are no floats and no
 tolerances.  The typical workflow::
 
     from norden import FamilyParams, Geometry, generate_family, run_report

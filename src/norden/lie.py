@@ -156,10 +156,11 @@ def _components_by_index(defect: np.ndarray, keep: np.ndarray) -> list:
     """``(index, components)`` for each index of ``defect[0]`` where
     ``keep`` is set and some component is, in C order; ``components``
     lists the first indices of ``defect`` set there, in increasing order.
-    One ``argwhere`` finds them all."""
-    hits = np.argwhere(np.moveaxis(defect & keep, 0, -1))
-    if not hits.size:
+    One ``argwhere`` finds them all, and none runs when no index has one."""
+    found = defect & keep
+    if not found.any():
         return []
+    hits = np.argwhere(np.moveaxis(found, 0, -1))
     where, components = hits[:, :-1], hits[:, -1].tolist()
     starts = np.flatnonzero(np.r_[True, (where[1:] != where[:-1]).any(axis=1)]).tolist()
     return [(tuple(index), components[a:b]) for index, a, b in

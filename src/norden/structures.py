@@ -118,7 +118,7 @@ def validate_structure(model: AcnModel) -> ValidationReport:
 
     # phi^2 = -Id + eta (x) xi, column by column.
     phi2 = exact_einsum("ia,aj->ij", phi, phi)
-    identity = Tensor._of(np.eye(model.dim, dtype=np.int64), 1, 1, "ud")   # canonical
+    identity = Tensor._of(np.eye(model.dim, dtype=np.int32), 1, 1, "ud")   # canonical
     expected = exact_sum([(1, "i,j->ij", xi, eta), (-1, "ij->ij", identity)])
     for (i, j), got, want in mismatches(phi2, expected):
         report.add("phi_square", where=(i, j),

@@ -4,11 +4,13 @@ Every number is an exact rational; floats are rejected at the door, so
 equality of computed quantities is literal equality of rationals.
 
 A :class:`Tensor` stores integer numerators ``num`` over one common
-denominator ``den > 0``, beside its ``variance``.  ``num`` is an int64
-ndarray when every magnitude is below ``2**62``, else an object ndarray
-of Python ints.  The form is canonical (``gcd(all num, den) = 1``, so
-zero has ``den = 1``; the dtype follows from the magnitudes), so two
-tensors are equal exactly when their ``(variance, shape, den, num)`` are.
+denominator ``den > 0``, beside its ``variance``.  ``num`` is an int32
+ndarray when every magnitude is below ``2**31``, else an int64 ndarray
+when every magnitude is below ``2**62``, else an object ndarray of
+Python ints.  The form is canonical (``gcd(all num, den) = 1``, so zero
+has ``den = 1``; the dtype follows from the largest magnitude alone, so
+an int64 result that fits int32 is narrowed), so two tensors are equal
+exactly when their ``(variance, shape, den, num)`` are.
 Each tensor also stores ``magnitude``, its largest ``|num|`` entry, found
 where its storage is built, so a contraction reads its operands' bound
 terms without scanning them.  An intermediate (a pairwise step's result,
@@ -31,20 +33,25 @@ is returned as it is.  A check that only asks where a sum is nonzero
 calls :func:`nonzero_where`, which runs the same body up to the
 reduction and compares the unreduced numerators with zero: no scan for
 the largest magnitude, no gcd and no division.
-Two bounds keep int64 exact; zeros count as 1 in both.  A pairwise step
-runs in int64 when the product of its operands' largest numerator
-magnitudes times the number of index combinations it sums is below
-``2**62``; denominators enter no integer of a step, so they pick
-nothing.  The terms are added in int64 when the sum of ``max|num| *
-|coefficient| * L / den`` over them, which bounds every partial sum, is
-below ``2**62``.  Otherwise Python ints are used.  Each bound is first
-built from what the operands or terms carry: an einsum step's result
-carries that step's bound, ``summed * prod(max(top, 1))``, and the
-sparse route's its exact magnitude.  A carried bound is never below the
-magnitude, so one below ``2**62`` picks int64 as the magnitudes would;
-one that reaches it has its operands scanned and is built again from
-their magnitudes.  So every step and every sum picks what the exact
-magnitudes pick.
+Two bounds pick the arithmetic, through one rule, :func:`_dtype`: int32
+below ``2**31``, int64 below ``2**62``, else Python ints; zeros count as
+1 in both.  A pairwise step's bound is the product of its operands'
+largest numerator magnitudes times the number of index combinations it
+sums; denominators enter no integer of a step, so they pick nothing.
+The terms are added under the sum of ``max|num| * |coefficient| * L /
+den`` over them, which bounds every partial sum.  A bound covers every
+product, partial sum and factor of its step or sum, so no int32 or int64
+operation can wrap; each operand is cast to the picked dtype first, so
+no Python int meets a narrower array.  Each bound is first built from
+what the operands or terms carry: an einsum step's result carries that
+step's bound, ``summed * prod(max(top, 1))``, and the sparse route's its
+exact magnitude.  A carried bound is never below the magnitude, so one
+below ``2**31`` picks int32 and one below ``2**62`` picks int64 safely;
+one that reaches ``2**62`` has its operands scanned and is built again
+from their magnitudes.  So every step and every sum picks Python ints
+exactly where the exact magnitudes do, and int32 wherever the carried
+bound proves it: a scan costs a pass over the array, and it is paid only
+to keep a step off Python ints.
 
 Everything about a contraction that does not depend on values is
 compiled once into a plan and kept in a bounded cache.  Its key is the
@@ -55,7 +62,7 @@ arrays), each step: the pair it takes, its subscripts, the number of
 index combinations it sums, its dense cost (the product of its letter
 sizes) and the sparse layout of a step that may take the sparse route.
 A plan holds no value and no dtype: each call reads its operands' stored
-magnitudes, so each step still picks its arithmetic by the bound above.
+magnitudes, so each step still picks its arithmetic by the bounds above.
 
 Each step then picks its route, in one call that returns the result and
 what it carries.  A step is dense-only, and runs as one ``np.einsum``
@@ -73,7 +80,7 @@ with ``np.add.reduceat`` into a zero result and transposes it to the
 step's letters, reading the largest magnitude from those row sums.  It
 multiplies and adds the same integers as the dense einsum, fewer of
 them, so the step's bound covers every partial sum of either route, and
-both routes serve both dtypes.
+both routes serve every dtype.
 
 Every scalar comes in through :func:`as_pair`, which reads it as an
 integer pair ``(p, q)``; ``Tensor(...)`` and :meth:`Tensor.of_pairs`
@@ -107,6 +114,8 @@ from .errors import DimensionMismatch, SingularMetric, VarianceMismatch
 UP = "u"
 DOWN = "d"
 
+#: Numerator magnitudes below this are stored and contracted as int32.
+INT32_SAFE = 1 << 31
 #: Numerator magnitudes below this are stored and contracted as int64.
 INT64_SAFE = 1 << 62
 
@@ -203,22 +212,33 @@ def _max_abs(num: np.ndarray) -> int:
     return max(int(num.max(initial=0)), -int(num.min(initial=0)))
 
 
+_INT32, _INT64, _OBJECT = np.dtype(np.int32), np.dtype(np.int64), np.dtype(object)
+
+
+def _dtype(bound: int) -> np.dtype:
+    """The numerator dtype of integers whose magnitudes are at most
+    ``bound``: int32 when it is below ``INT32_SAFE``, int64 when it is
+    below ``INT64_SAFE``, else Python ints."""
+    return _INT32 if bound < INT32_SAFE else _INT64 if bound < INT64_SAFE else _OBJECT
+
+
 def _canonical(num: np.ndarray, den: int, top: int) -> tuple[np.ndarray, int, int]:
     """``num / den``, whose largest magnitude is ``top``, in the canonical
-    form: lowest terms, int64 when every magnitude is below
-    ``INT64_SAFE``.  Returns the form's ``num``, ``den`` and ``top``.
+    form: lowest terms, in the dtype :func:`_dtype` picks for ``top``.
+    Returns the form's ``num``, ``den`` and ``top``.
     The common factor is the gcd of ``den`` and the nonzero entries, read
     in one reduction that starts from ``den % top``: ``top`` is one of
     those entries, so that start shares every common divisor with ``den``
-    and fits the entries' dtype."""
+    and fits the entries' dtype, as does the factor, a divisor of ``top``."""
     if not top:                     # the zero tensor
         den = 1
     elif den != 1:
         g = int(np.gcd.reduce(num[num != 0], initial=den % top))
         if g != 1:
             num, den, top = np.asarray(num // g, dtype=num.dtype), den // g, top // g
-    if num.dtype == object and top < INT64_SAFE:
-        num = num.astype(np.int64)
+    dtype = _dtype(top)
+    if num.dtype != dtype:          # never wider: the dtype came from a bound
+        num = num.astype(dtype)
     return num, den, top
 
 
@@ -229,7 +249,7 @@ def _pair_storage(pairs: list[tuple[int, int]], shape) -> tuple[np.ndarray, int,
     den = math.lcm(*{q for _, q in pairs})
     nums = [p * (den // q) for p, q in pairs] if den != 1 else [p for p, _ in pairs]
     top = max(max(nums, default=0), -min(nums, default=0))
-    num = np.array(nums, dtype=np.int64 if top < INT64_SAFE else object)
+    num = np.array(nums, dtype=_dtype(top))
     return _canonical(num.reshape(shape), den, top)
 
 
@@ -237,11 +257,12 @@ def _numerator_texts(nums: np.ndarray, den: int) -> tuple[np.ndarray, np.ndarray
     """The numerators ``nums``, a non-empty 1-d array, over ``den`` as the
     texts of :func:`format_scalar`: an object array holding the text of
     each distinct numerator, in increasing order, and the index of each
-    entry's text in it.  The distinct numerators come from one stable
-    argsort and a compare of neighbours, and each is reduced once: by one
-    ``np.gcd`` over all of them when they are int64 and ``den`` fits
-    int64, else by ``math.gcd``."""
-    order = nums.argsort(kind="stable")
+    entry's text in it.  The distinct numerators come from one argsort
+    (equal numerators take one text, so its order among them is free) and
+    a compare of neighbours, and each is reduced once: by one ``np.gcd``
+    over all of them, widened to int64, when they are not Python ints and
+    ``den`` fits int64, else by ``math.gcd``."""
+    order = nums.argsort()
     ranked = nums[order]
     first = np.empty(ranked.size, dtype=bool)
     first[0] = True
@@ -250,6 +271,7 @@ def _numerator_texts(nums: np.ndarray, den: int) -> tuple[np.ndarray, np.ndarray
     inverse[order] = first.cumsum() - 1
     values = ranked[first]
     if values.dtype != object and den < 1 << 63:
+        values = values.astype(np.int64, copy=False)    # den may pass int32
         g = np.gcd(values, den)
         pairs = zip((values // g).tolist(), (den // g).tolist())
     else:
@@ -269,9 +291,10 @@ def _checked_variance(variance, rank: int) -> str:
 class Tensor:
     """A dense tensor of exact rationals, stored as ``num / den``.
 
-    ``num`` (a read-only int64 or object ndarray of ints), ``den`` (an
-    int > 0) and ``variance`` (a string of ``"u"``/``"d"`` letters, one
-    per axis) are in the canonical form of the module docstring;
+    ``num`` (a read-only int32, int64 or object ndarray of ints, the
+    narrowest that holds ``magnitude``), ``den`` (an int > 0) and
+    ``variance`` (a string of ``"u"``/``"d"`` letters, one per axis) are
+    in the canonical form of the module docstring;
     ``magnitude`` is the largest ``abs(num)`` entry (0 with no entries).
     ``Tensor(components, variance)`` builds one from any array-like of
     exact rationals.  Instances are immutable and compare by exact value;
@@ -684,11 +707,11 @@ def _contract(plan: _Plan, operands) -> tuple[tuple[np.ndarray, int, bool], int]
     magnitude, and the product of the operands' denominators.  A
     permutation is a read-only view of its operand's numerators, with the
     operand's own magnitude and denominator.  Each pairwise step of any
-    other contraction picks int64 or Python ints by its numerator bound,
-    built from what its operands carry; only when that reaches
+    other contraction picks int32, int64 or Python ints by its numerator
+    bound, built from what its operands carry; only when that reaches
     ``INT64_SAFE`` are they scanned and the bound built again from their
-    magnitudes, so the step picks what those alone pick.  It then runs
-    through :func:`_pairwise`."""
+    magnitudes, so the step runs on Python ints only where those alone
+    pick them.  It then runs through :func:`_pairwise`."""
     if plan.perm is not None:
         (op,) = operands
         return (op.num.transpose(plan.perm), op.magnitude, True), op.den
@@ -699,7 +722,7 @@ def _contract(plan: _Plan, operands) -> tuple[tuple[np.ndarray, int, bool], int]
         if bound >= INT64_SAFE:
             picked = list(map(_scanned, picked))
             bound = _step_bound(step.summed, picked)
-        dtype = np.int64 if bound < INT64_SAFE else object
+        dtype = _dtype(bound)
         ops.append(_pairwise(step, [num.astype(dtype, copy=False) for num, *_ in picked], bound))
     return ops[0], math.prod(op.den for op in operands)
 
@@ -716,9 +739,9 @@ def _numerator_sum(terms) -> tuple[np.ndarray, int, int | None, str, bool]:
     when it is known without a scan (one term whose contraction carries
     it) and ``None`` otherwise, the variance, and whether the numerators
     are already canonical (one permutation with coefficient 1).  The
-    terms add in int64 when the sum bound built from what they carry is
-    below ``INT64_SAFE``; only otherwise are they scanned and the bound
-    built again from their magnitudes."""
+    terms add in the dtype :func:`_dtype` picks for the sum bound built
+    from what they carry; only when that reaches ``INT64_SAFE`` are they
+    scanned and the bound built again from their magnitudes."""
     variances, carried, dens, coefs = [], [], [], []
     for coef, subscripts, *operands in terms:
         plan = _plan(subscripts, tuple([op.variance for op in operands]),
@@ -754,7 +777,7 @@ def _numerator_sum(terms) -> tuple[np.ndarray, int, int | None, str, bool]:
     if bound >= INT64_SAFE:
         carried = list(map(_scanned, carried))
         bound = _sum_bound(carried, factors)
-    dtype = np.int64 if bound < INT64_SAFE else object
+    dtype = _dtype(bound)
     # The terms add in place into a copy of the first; a factor of 1
     # multiplies nothing, and one term is multiplied, never copied.
     total = None
@@ -782,7 +805,7 @@ def exact_sum(terms) -> Tensor:
     :class:`Tensor` operands.  Every term must give the same variance and
     shape.  The terms are contracted on integers, added over one common
     denominator and reduced once; see the module docstring for the two
-    int64 bounds.
+    bounds that pick int32, int64 or Python ints.
     """
     num, den, top, variance, canonical = _numerator_sum(terms)
     if not canonical:

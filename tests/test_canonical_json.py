@@ -68,7 +68,9 @@ def test_matches_json_dumps_on_edge_values():
 
 ENTRY_KINDS = {
     "zero": st.just(0),
-    "int64": st.integers(min_value=-9, max_value=9),
+    "int32": st.integers(min_value=-9, max_value=9),
+    "int64": st.integers(min_value=2 ** 31, max_value=2 ** 61).flatmap(
+        lambda m: st.sampled_from([0, m, -m, 1])),
     "object": st.integers(min_value=2 ** 62, max_value=2 ** 90).flatmap(
         lambda m: st.sampled_from([0, m, -m, 1])),
     "rational": st.fractions(min_value=-5, max_value=5, max_denominator=7),
@@ -176,7 +178,8 @@ def test_matches_json_dumps_on_a_mutant_validation_object(fam23):
 
 
 def test_storage_kinds_are_both_reached():
-    assert Tensor([1, 2], "u").num.dtype == np.int64
+    assert Tensor([1, 2], "u").num.dtype == np.int32
+    assert Tensor([2 ** 40, 1], "u").num.dtype == np.int64
     assert Tensor([2 ** 70, 1], "u").num.dtype == object
     assert Tensor([Fr(1, 2), 1], "u").den == 2
 

@@ -4,14 +4,15 @@ A plan fixes the parsed terms, the pairwise path and each step's
 subscripts, summed-combination count, dense cost and sparse layout for
 one set of subscripts, operand variances and operand shapes.  The dtype
 and the route of each step are not part of it: every call still reads
-its operands' magnitudes and picks int64 or Python ints by the step's own
-bound, then counts nonzeros to pick einsum or the sparse route.  These
-tests run one key through values on both sides of that bound, check that
-the bound an intermediate carries picks what its exact magnitude picks,
-check that a second report of the same dimension searches no path, check
-the sparse route against the dense one and an exact reference, and pin
-how many steps of each route and dtype, and how many magnitude scans,
-one report runs on models of both workloads.
+its operands' magnitudes and picks int32, int64 or Python ints by the
+step's own bound, then counts nonzeros to pick einsum or the sparse
+route.  These tests run one key through values on both sides of those
+bounds, check that the bound an intermediate carries picks Python ints
+where its exact magnitude does, check that a second report of the same
+dimension searches no path, check the sparse route against the dense one
+and an exact reference on every tier, and pin how many steps of each
+route and dtype, and how many magnitude scans, one report runs on models
+of both workloads.
 """
 import math
 import random
@@ -30,6 +31,7 @@ from norden.lie import validate
 from norden.structures import validate_structure
 from norden import tensors
 from norden.tensors import (
+    INT32_SAFE,
     INT64_SAFE,
     SPARSE_FLOOR,
     _plan,
@@ -45,8 +47,10 @@ from test_exact_einsum import (
     _assert_each_call_picks_by_its_bound,
     _assert_same,
     _contraction_calls,
+    _dtype,
     _only_permutes,
     _reference,
+    _reference_sum,
     huge,
     small,
     sums,
@@ -132,11 +136,12 @@ def _step_routes():
 
     def einsum(subscripts, *operands, **kwargs):
         dtypes = {np.asarray(op).dtype for op in operands}
-        seen["einsum", "object" if np.dtype(object) in dtypes else "int64"] += 1
+        (dtype,) = dtypes
+        seen["einsum", dtype.name] += 1
         return real_einsum(subscripts, *operands, **kwargs)
 
     def sparse(x, y, sx, sy):
-        seen["sparse", "object" if x.dtype == object else "int64"] += 1
+        seen["sparse", x.dtype.name] += 1
         return real_sparse(x, y, sx, sy)
 
     with mock.patch.object(np, "einsum", einsum), \
@@ -155,14 +160,16 @@ def _chain_operands(values):
 
 
 def test_one_plan_serves_values_on_both_sides_of_the_bound():
-    """One key runs small values, then numerators near 2**62 and ~10**25
-    over primes, then small ones again.  Each step picks its dtype by its
-    own bound on every call, so the shared plan carries no dtype over."""
+    """One key runs small values, then numerators near 2**16, 2**62 and
+    ~10**25 over primes, then small ones again.  Each step picks its dtype
+    by its own bound on every call, so the shared plan carries no dtype
+    over."""
     stages = [
-        ([1, -2, Fr(3, 4), 0, 5], {"int64"}),
+        ([1, -2, Fr(3, 4), 0, 5], {"int32"}),
+        ([2**16 - 1, -(2**15), 3, 2**16], {"int64"}),
         ([2**61 - 1, -(2**60), 3, 2**61], {"object"}),
         ([Fr(10**25 + k, PRIMES[k % 5]) for k in range(7)], {"object"}),
-        ([Fr(-1, 2), 7, 0, Fr(2, 3)], {"int64"}),
+        ([Fr(-1, 2), 7, 0, Fr(2, 3)], {"int32"}),
     ]
     with _path_searches() as searches:
         for values, paths in stages:
@@ -172,15 +179,15 @@ def test_one_plan_serves_values_on_both_sides_of_the_bound():
             _assert_same(result, _reference(CHAIN, *operands))
             assert len(calls) == 2
             _assert_each_call_picks_by_its_bound(calls)
-            assert {"object" if np.dtype(object) in dtypes else "int64"
-                    for dtypes, _ in calls} == paths
+            assert {dtype.name for dtypes, _ in calls for dtype in dtypes} == paths
     assert len(searches) <= 1
 
 
 def test_a_plan_fixes_no_value_of_a_sum():
-    """Two sums of one key, one within the int64 sum bound and one past it."""
-    small, top = _array([3, -4], (2,)), _array([2**61, 1], (2,))
-    for a, want in ((small, np.int64), (top, object), (small, np.int64)):
+    """Sums of one key within the int32 sum bound, within the int64 one and
+    past it."""
+    small, mid, top = _array([3, -4], (2,)), _array([2**30, 1], (2,)), _array([2**61, 1], (2,))
+    for a, want in ((small, np.int32), (mid, np.int64), (top, object), (small, np.int32)):
         result = exact_sum([(1, "i->i", a), (3, "i->i", a)])
         assert result.num.dtype == want
         assert result.components.tolist() == [4 * v for v in a.components.tolist()]
@@ -227,36 +234,51 @@ def _top(num) -> int:
     return max(map(abs, np.asarray(num, dtype=object).ravel().tolist()), default=0)
 
 
-def _dtype(bound: int) -> np.dtype:
-    return np.dtype(np.int64 if bound < INT64_SAFE else object)
-
-
 def _exact_rule(terms):
-    """What the kernel must pick, found by scanning every intermediate:
-    the dtype of each pairwise step (the product of its operands' largest
-    magnitudes, zeros counting as 1, times the combinations it sums), the
+    """What the kernel must pick, found by following the bounds it carries
+    and scanning every intermediate: the dtype of each pairwise step, the
     dtype of the sum (``None`` for one term whose coefficient has
-    numerator 1, which adds nothing), and the exact sum as Python ints
-    over the lcm of the terms' denominators, with that lcm."""
-    steps, values, dens, coefs = [], [], [], []
+    numerator 1, which adds nothing), the exact sum as Python ints over
+    the lcm of the terms' denominators, with that lcm, and the dtypes that
+    the exact magnitudes alone pick for the steps and then the sum.
+
+    A step's bound is the product of the largest magnitudes its operands
+    carry, zeros counting as 1, times the combinations it sums: an operand
+    carries its stored magnitude, an intermediate the bound of the step
+    that made it (every step here is dense-only, so none carries its
+    exact magnitude).  A bound that reaches ``2**62`` is built again from
+    the exact magnitudes.  The sum's bound, ``max|num| * |factor|`` summed
+    over the terms, is built the same way."""
+    steps, exact, values, tops, dens, coefs = [], [], [], [], [], []
     for coef, subscripts, *operands in terms:
         plan = _plan(subscripts, tuple(op.variance for op in operands),
                      tuple(op.shape for op in operands))
-        nums = [op.num.astype(object) for op in operands]
+        nums = [(op.num.astype(object), op.magnitude) for op in operands]
         for step in plan.steps:
+            assert step.sides is None
             picked = [nums.pop(k) for k in step.pair]
-            steps.append(_dtype(step.summed * math.prod(max(_top(x), 1) for x in picked)))
-            nums.append(np.asarray(np.einsum(step.subscripts, *picked), dtype=object))
-        (value,) = nums
+            tight = step.summed * math.prod(max(_top(x), 1) for x, _ in picked)
+            bound = step.summed * math.prod(max(top, 1) for _, top in picked)
+            bound = tight if bound >= INT64_SAFE else bound
+            steps.append(_dtype(bound))
+            exact.append(_dtype(tight))
+            nums.append((np.asarray(np.einsum(step.subscripts, *(x for x, _ in picked)),
+                                    dtype=object), bound))
+        ((value, top),) = nums
         values.append(value)
+        tops.append(top)
         dens.append(math.prod(op.den for op in operands) * Fr(coef).denominator)
         coefs.append(Fr(coef).numerator)
     den = math.lcm(*dens)
     factors = [p * (den // d) for p, d in zip(coefs, dens)]
     adds = len(terms) > 1 or coefs[0] != 1
-    bound = sum(max(_top(v), 1) * max(abs(f), 1) for v, f in zip(values, factors))
+    tight = sum(max(_top(v), 1) * max(abs(f), 1) for v, f in zip(values, factors))
+    bound = sum(max(top, 1) * max(abs(f), 1) for top, f in zip(tops, factors))
+    bound = tight if bound >= INT64_SAFE else bound
     total = sum(v * f for v, f in zip(values, factors))
-    return steps, _dtype(bound) if adds else None, np.asarray(total, dtype=object), den
+    if adds:
+        exact.append(_dtype(tight))
+    return steps, _dtype(bound) if adds else None, np.asarray(total, dtype=object), den, exact
 
 
 @contextmanager
@@ -282,8 +304,13 @@ def _kernel_dtypes():
 
 def _assert_the_exact_rule(terms):
     """The kernel's steps and sum pick the dtypes of :func:`_exact_rule`,
-    and ``exact_sum`` and ``nonzero_where`` give its exact sum."""
-    steps, summed, total, den = _exact_rule(terms)
+    and ``exact_sum`` and ``nonzero_where`` give its exact sum.  Those
+    dtypes are Python ints exactly where the exact magnitudes pick them,
+    and int32 only where the exact magnitudes pick it."""
+    steps, summed, total, den, exact = _exact_rule(terms)
+    for rule, tight in zip(steps + [summed] * (summed is not None), exact, strict=True):
+        assert (rule == object) == (tight == object)
+        assert rule != np.int32 or tight == np.int32
     with _kernel_dtypes() as (kernel_steps, kernel_sums):
         result = exact_sum(terms)
     assert kernel_steps == steps
@@ -347,8 +374,9 @@ def carried_sums(draw):
 def test_the_carried_bound_picks_what_the_exact_magnitudes_pick(terms):
     """An intermediate carries the bound it was computed under and is
     scanned only when a bound built from what is carried reaches
-    ``2**62``.  Every step and every sum still picks the dtype that its
-    operands' exact magnitudes pick, and the result is exact."""
+    ``2**62``.  Every step and every sum still picks Python ints exactly
+    where its operands' exact magnitudes do, and int32 where the carried
+    bound proves it, and the result is exact."""
     _assert_the_exact_rule(terms)
 
 
@@ -364,11 +392,12 @@ M = _array([2**60] * 4, (2, 2))
        _array([0, 1, 2**30, 0], (2, 2)), _array([2**10, 0, 0, 2**10], (2, 2)))],
      [object, np.int64], None),
     # The first step runs in int64 under 2 * 2**60 and cancels to zero:
-    # the second step's carried bound is 2**63 and its exact one 4.
-    ([(1, "a,ab,bc->c", V, M, _array([2] * 4, (2, 2)))], [np.int64, np.int64], None),
+    # the second step's carried bound is 2**63 and its exact one 4, so it
+    # runs in int32.
+    ([(1, "a,ab,bc->c", V, M, _array([2] * 4, (2, 2)))], [np.int64, np.int32], None),
     # Two terms that cancel to zero carry 2**61 each: the sum's carried
     # bound reaches 2**62, its exact one is 2.
-    ([(1, "a,ab->b", V, M), (1, "a,ab->b", V, M)], [np.int64] * 2, np.int64),
+    ([(1, "a,ab->b", V, M), (1, "a,ab->b", V, M)], [np.int64] * 2, np.int32),
     # The same with entries 2**61: the exact bound reaches 2**62 too.
     ([(1, "a,ab->b", W, M), (1, "a,ab->b", W, M)], [np.int64] * 2, object),
 ], ids=["object-then-int64", "int64-chain", "sum-rescanned", "sum-past-int64"])
@@ -403,13 +432,16 @@ def test_each_key_searches_its_path_once():
 # at all: the kernel returns them as views.  The curvature computes its
 # Gamma . Gamma product once and reads the second term as a view of it,
 # so each report runs one step fewer than the three-product form did
-# (90, 36 object and 11 sparse steps).
+# (90, 36 object and 11 sparse steps).  Of the int64 steps recorded before
+# the int32 tier (89, 89, 52 and 2 sparse, 79 and 10 sparse), those whose
+# carried bound is below 2**31 now run in int32; the object steps and the
+# totals are unchanged.
 STEP_COUNTS = {
-    ("dense", 3): {("einsum", "int64"): 89},
-    ("dense", 6): {("einsum", "int64"): 89},
-    ("dense", 8): {("einsum", "int64"): 52, ("einsum", "object"): 35,
-                   ("sparse", "int64"): 2},
-    ("family", 6): {("einsum", "int64"): 79, ("sparse", "int64"): 10},
+    ("dense", 3): {("einsum", "int32"): 59, ("einsum", "int64"): 30},
+    ("dense", 6): {("einsum", "int32"): 20, ("einsum", "int64"): 69},
+    ("dense", 8): {("einsum", "int32"): 9, ("einsum", "int64"): 43, ("einsum", "object"): 35,
+                   ("sparse", "int32"): 2},
+    ("family", 6): {("einsum", "int32"): 78, ("einsum", "int64"): 1, ("sparse", "int32"): 10},
 }
 
 # Magnitude scans (calls of ``_max_abs``) of one run_report on the same
@@ -453,19 +485,31 @@ def test_a_dense_dim_7_report_reads_no_value_to_pick_a_route():
             _step_routes() as routes:
         run_report(model)
     assert sides and set(sides) == {None}
-    assert set(routes) == {("einsum", "int64")}
+    assert set(routes) == {("einsum", "int32"), ("einsum", "int64")}
 
 
-def _fill(rng, shape, density: float, kind: str) -> Tensor:
+#: Nonzero magnitudes of each storage tier, its edges included.
+TIERS = {
+    "int32": (1, 7, 2**15 + 3, 2**31 - 1),
+    "int64": (2**31, 2**31 + 1, 2**40 + 5, 2**62 - 1),
+    "object": (2**62, 2**62 + 1, 3 * 2**70),
+}
+
+
+def _fill(rng, shape, density: float, kind: str, den: int = 1) -> Tensor:
     """A tensor of ``shape`` whose entries are nonzero with probability
-    ``density``: small integers, small rationals, or integers past int64."""
+    ``density``: small integers, small rationals, integers past int64, or
+    magnitudes of one of :data:`TIERS`, all over ``den``."""
+    sign = lambda: rng.choice((-1, 1))
     draw = {
-        "int": lambda: rng.choice((-1, 1)) * rng.randint(1, 9),
-        "rational": lambda: Fr(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice(PRIMES)),
-        "huge": lambda: rng.choice((-1, 1)) * rng.randint(1, 2**70),
+        "int": lambda: sign() * rng.randint(1, 9),
+        "rational": lambda: Fr(sign() * rng.randint(1, 9), rng.choice(PRIMES)),
+        "huge": lambda: sign() * rng.randint(1, 2**70),
+        **{tier: lambda tops=tops: sign() * rng.choice(tops) for tier, tops in TIERS.items()},
     }[kind]
     count = math.prod(shape)
-    return _array([draw() if rng.random() < density else 0 for _ in range(count)], shape)
+    return _array([Fr(draw(), den) if rng.random() < density else 0 for _ in range(count)],
+                  shape)
 
 
 @st.composite
@@ -497,16 +541,20 @@ def sparse_steps(draw):
 
 
 @contextmanager
-def _dense_plans():
-    """Plans compiled with every step dense-only: a floor no step reaches.
-    The plan cache is emptied on the way in and out, so no dense-only plan
-    outlives the block."""
+def _plans_with_floor(floor):
+    """Plans compiled under another ``SPARSE_FLOOR``.  The plan cache is
+    emptied on the way in and out, so no such plan outlives the block."""
     _plan.cache_clear()
     try:
-        with mock.patch.object(tensors, "SPARSE_FLOOR", math.inf):
+        with mock.patch.object(tensors, "SPARSE_FLOOR", floor):
             yield
     finally:
         _plan.cache_clear()
+
+
+def _dense_plans():
+    """Plans compiled with every step dense-only: a floor no step reaches."""
+    return _plans_with_floor(math.inf)
 
 
 @settings(max_examples=40, deadline=None)
@@ -533,7 +581,7 @@ def test_the_sparse_route_matches_the_reference_and_the_dense_route(case):
                           np.asarray(reference, dtype=object) * result.den)
     (step,) = _plan(subscripts, ("d" * a.rank, "d" * b.rank), (a.shape, b.shape)).steps
     bound = (a.magnitude or 1) * (b.magnitude or 1) * step.summed
-    dtype = "int64" if bound < INT64_SAFE else "object"
+    dtype = _dtype(bound).name
     terms, out = subscripts.split("->")
     left, right = terms.split(",")
     if (set(left) ^ set(right)) - set(out) or set(left) & set(right) & set(out):
@@ -544,6 +592,82 @@ def test_the_sparse_route_matches_the_reference_and_the_dense_route(case):
     assert dict(dense) == {("einsum", dtype): 1}
     assert sum(natural.values()) == 1 and natural.keys() <= {("sparse", dtype),
                                                               ("einsum", dtype)}
+
+
+#: Two-operand steps whose letters keep what one operand alone carries,
+#: so they may take the sparse route, and two dense-only ones: a letter
+#: that only one operand sums, and a letter that both keep.
+TIER_SUBSCRIPTS = ("ab,bc->ac", "abc,cd->dba", "a,ab->b", "ab,cb->ca", "abc,bcd->da",
+                   "ab,bc->c", "ab,ab->a")
+
+
+@st.composite
+def tiered_sums(draw):
+    """Two terms of one step of :data:`TIER_SUBSCRIPTS` over letters of
+    size 1-3.  Each operand draws its own density (zero included), its own
+    tier of :data:`TIERS` or small rationals, and a denominator that may
+    pass ``2**31`` or ``2**63``; each term draws a coefficient that may
+    pass ``2**31`` in its numerator or its denominator."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    subscripts = draw(st.sampled_from(TIER_SUBSCRIPTS))
+    sizes = {ch: draw(st.integers(1, 3)) for ch in "abcd"}
+    terms = []
+    for _ in range(2):
+        operands = [_fill(rng, tuple(sizes[ch] for ch in term),
+                          draw(st.sampled_from((0.0, 0.3, 1.0))),
+                          draw(st.sampled_from((*TIERS, "rational"))),
+                          draw(st.sampled_from((1, 3, 2**31 + 11, 2**63 + 5))))
+                    for term in subscripts.split("->")[0].split(",")]
+        coef = draw(st.sampled_from((1, -1, 2**31 + 1, Fr(-3, 2**31 + 7), Fr(5, 7))))
+        terms.append((coef, subscripts, *operands))
+    return terms
+
+
+@settings(max_examples=100, deadline=None)
+@given(tiered_sums())
+def test_each_tier_matches_the_fraction_reference_on_both_routes(terms):
+    """Numerators on both sides of ``2**31`` and ``2**62``, operands of
+    different tiers in one step, zero operands, and denominators,
+    coefficients and lcms past ``2**31``: the natural run, the forced
+    sparse route and the dense route give the same tensor, equal to the
+    reference over Fractions, and every stored tensor, operand or result,
+    has the narrowest dtype for its magnitude.  Each step's operands are
+    stored, so it runs in the dtype its exact bound picks on every route;
+    the sum runs on Python ints exactly where its exact bound reaches
+    ``2**62``, and in int32 only where that bound is below ``2**31``."""
+    with _plans_with_floor(0):
+        with _kernel_dtypes() as (steps, sums), _step_routes() as natural:
+            result = exact_sum(terms)
+        with mock.patch.object(tensors, "SPARSE_FACTOR", 0), _step_routes() as sparse:
+            by_sparse = exact_sum(terms)
+        plans = [_plan(subscripts, (a.variance, b.variance), (a.shape, b.shape))
+                 for _, subscripts, a, b in terms]
+    with _dense_plans(), _step_routes() as dense:
+        by_dense = exact_sum(terms)
+    assert result == by_sparse == by_dense
+    _assert_same(result, _reference_sum(terms))
+    for _, _, *operands in terms:
+        for op in operands:
+            _assert_canonical(op)
+    picks = []
+    for (_, _, a, b), plan in zip(terms, plans):
+        (step,) = plan.steps
+        picks.append(_dtype(step.summed * (a.magnitude or 1) * (b.magnitude or 1)))
+    assert steps == picks and sum(natural.values()) == 2
+    assert Counter(("sparse" if plan.steps[0].sides else "einsum", pick.name)
+                   for plan, pick in zip(plans, picks)) == sparse
+    assert Counter(("einsum", pick.name) for pick in picks) == dense
+    values, dens, coefs = [], [], []
+    for coef, subscripts, a, b in terms:
+        values.append(np.einsum(subscripts, a.num.astype(object), b.num.astype(object)))
+        dens.append(a.den * b.den * Fr(coef).denominator)
+        coefs.append(Fr(coef).numerator)
+    den = math.lcm(*dens)
+    tight = sum(max(_top(v), 1) * max(abs(p * (den // d)), 1)
+                for v, p, d in zip(values, coefs, dens))
+    (summed,) = sums
+    assert (summed == object) == (tight >= INT64_SAFE)
+    assert summed != np.int32 or tight < INT32_SAFE
 
 
 def test_no_einsum_call_of_a_report_only_permutes_one_operand():

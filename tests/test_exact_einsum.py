@@ -3,10 +3,12 @@
 The reference is numpy's own ``einsum`` on object arrays of Fractions:
 slow, but every sum and product is exact Python arithmetic.  The kernel
 must agree with it entry for entry, return a :class:`Tensor` in the
-canonical storage (lowest terms, int64 exactly when every numerator is
-below ``2**62``) whose entries are canonical (an int, or a Fraction whose
-denominator is not 1), choose int64 for each einsum call exactly when
-that call's own bound allows and never hand numpy a float array.
+canonical storage (lowest terms, int32 exactly when every numerator is
+below ``2**31``, else int64 exactly when every numerator is below
+``2**62``) whose entries are canonical (an int, or a Fraction whose
+denominator is not 1), run each einsum call on Python ints exactly when
+that call's own bound reaches ``2**62`` and in int32 only when it is
+below ``2**31``, and never hand numpy a float array.
 """
 import math
 from contextlib import contextmanager
@@ -21,6 +23,7 @@ from hypothesis import strategies as st
 from norden import DimensionMismatch, VarianceMismatch
 from norden.classify import _vanishes
 from norden.tensors import (
+    INT32_SAFE,
     INT64_SAFE,
     Tensor,
     einsum_scalar,
@@ -39,6 +42,12 @@ def _array(values, shape) -> Tensor:
     arr = np.empty(len(values), dtype=object)
     arr[:] = values
     return Tensor(arr.reshape(shape), "d" * len(shape))
+
+
+def _dtype(bound: int) -> np.dtype:
+    """The dtype of numerators whose magnitudes are at most ``bound``."""
+    return np.dtype(np.int32 if bound < INT32_SAFE else np.int64 if bound < INT64_SAFE
+                    else object)
 
 
 def _fractions(t: Tensor) -> np.ndarray:
@@ -89,17 +98,24 @@ def _contraction_calls():
 
 
 def _assert_each_call_picks_by_its_bound(calls):
-    for dtypes, bound in calls:
-        assert dtypes == {np.dtype(np.int64 if bound < INT64_SAFE else object)}
+    """Each call runs on Python ints exactly when its own bound reaches
+    ``2**62``, and in int32 only when that bound is below ``2**31``.  The
+    first call, on stored operands, picks the dtype of its bound; a later
+    one picks by the bound an intermediate carries, so it may run in int64
+    below ``2**31``."""
+    for k, (dtypes, bound) in enumerate(calls):
+        want = _dtype(bound)
+        assert dtypes == {want} or (k and want == np.int32 and dtypes == {np.dtype(np.int64)})
 
 
 def _assert_canonical(t: Tensor):
-    """The storage is in lowest terms and int64 exactly when it fits."""
+    """The storage is in lowest terms, in the narrowest dtype that holds
+    its numerators, and stores its largest magnitude."""
     nums = t.num.ravel().tolist()
     assert t.den > 0 and math.gcd(t.den, *nums) == 1
     assert any(nums) or t.den == 1
-    fits = max(map(abs, nums), default=0) < INT64_SAFE
-    assert t.num.dtype == (np.int64 if fits else object)
+    top = max(map(abs, nums), default=0)
+    assert t.num.dtype == _dtype(top) and t.magnitude == top
 
 
 def _assert_same(result, expected):
@@ -168,7 +184,8 @@ def test_matches_reference_on_small_rationals(case):
     if _only_permutes(subscripts):
         assert calls == []
     else:
-        assert calls and all(dtypes == {np.dtype(np.int64)} for dtypes, _ in calls)
+        machine = {np.dtype(np.int32), np.dtype(np.int64)}
+        assert calls and all(dtypes <= machine for dtypes, _ in calls)
 
 
 #: A denominator past the int64 bound: numerators over it may still be
@@ -230,9 +247,11 @@ def test_matches_reference_on_huge_numerators_and_coprime_denominators(case):
 
 def test_a_chain_past_the_bound_as_a_whole_runs_every_step_in_int64():
     """Four operands with entries near 2**20: the product of their largest
-    magnitudes times the summed combinations is past 2**62, but every
-    pairwise step multiplies a unimodular matrix by its adjugate (giving
-    -I), so each step fits int64 on its own."""
+    magnitudes times the summed combinations is past 2**62, but the two
+    first pairwise steps multiply a unimodular matrix by its adjugate
+    (giving -I), so each fits int64 on its own.  The last multiplies -I by
+    -I: its carried bound passes ``2**62``, so its operands are scanned,
+    and their magnitudes prove that it fits int32."""
     x = 2**20
     a = _array([x + 1, x, x, x - 1], (2, 2))        # det -1
     adj = _array([x - 1, -x, -x, x + 1], (2, 2))    # a @ adj = adj @ a = -I
@@ -241,7 +260,8 @@ def test_a_chain_past_the_bound_as_a_whole_runs_every_step_in_int64():
     with _contraction_calls() as calls:
         result = exact_einsum("ab,bc,cd,de->ae", *operands)
     _assert_same(result, _reference("ab,bc,cd,de->ae", *operands))
-    assert len(calls) == 3 and all(dtypes == {np.dtype(np.int64)} for dtypes, _ in calls)
+    _assert_each_call_picks_by_its_bound(calls)
+    assert [dtypes for dtypes, _ in calls] == [{np.dtype(np.int64)}] * 2 + [{np.dtype(np.int32)}]
 
 
 def test_huge_numerators_take_the_python_int_path():
@@ -277,20 +297,21 @@ def test_bound_straddling_two_to_the_62(top, length, path):
 def test_the_denominators_do_not_pick_the_dtype(left, right):
     """A step multiplies and adds numerators only: its denominators
     enter no integer it computes, so a denominator product on either
-    side of ``2**62`` still runs one int64 step."""
+    side of ``2**62`` still runs one int32 step."""
     a = _array([Fr(1, left)], (1,))
     b = _array([Fr(1, right)], (1,))
     with _contraction_dtypes() as seen:
         result = exact_einsum("i,i->", a, b)
     assert result.item() == Fr(1, left * right)
-    assert seen == [{np.dtype(np.int64)}]
+    assert seen == [{np.dtype(np.int32)}]
     _assert_canonical(result)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(58, 66), st.integers(1, 4), st.data())
 def test_bound_decides_the_path(bits, length, data):
-    """Random integer vectors whose bound lands on either side of 2**62."""
+    """Random integer vectors whose bound lands on either side of 2**62
+    (or, with small entries drawn, below 2**31)."""
     ints = st.integers(-(2**bits), 2**bits)
     xs = data.draw(st.lists(ints, min_size=length, max_size=length))
     ys = data.draw(st.lists(ints, min_size=length, max_size=length))
@@ -300,7 +321,7 @@ def test_bound_decides_the_path(bits, length, data):
     with _contraction_dtypes() as seen:
         result = exact_einsum("i,i->", a, b)
     assert result.item() == sum(x * y for x, y in zip(xs, ys))
-    assert seen == [{np.dtype(np.int64 if bound < INT64_SAFE else object)}]
+    assert seen == [{_dtype(bound)}]
 
 
 def test_zero_operand_gives_canonical_zeros():
@@ -417,13 +438,36 @@ def test_addition_alone_crosses_the_bound(parts):
                  .components)
 
 
+@pytest.mark.parametrize("terms, want, dtype", [
+    # A coefficient past int32 on int32 numerators.
+    ([(2**31 + 1, "i->i", _array([1, -3], (2,)))], [2**31 + 1, -3 * (2**31 + 1)], np.int64),
+    # An lcm past int32: the factors 3 and 2**31 - 1 on int32 numerators.
+    ([(1, "i->i", _array([Fr(1, 2**31 - 1)], (1,))), (1, "i->i", _array([Fr(1, 3)], (1,)))],
+     [Fr(2**31 + 2, 3 * (2**31 - 1))], np.int64),
+    # int32 numerators over a denominator past int32, reduced by 2.
+    ([(1, "i->i", _array([Fr(1, 2**40), Fr(3, 2**40)], (2,)))] * 2,
+     [Fr(1, 2**39), Fr(3, 2**39)], np.int32),
+    # A coefficient whose denominator passes int32.
+    ([(Fr(2**31 + 2, 2**31 + 1), "i,i->i", _array([2**30, 1], (2,)), _array([1, 2], (2,)))],
+     [Fr(2**30 * (2**31 + 2), 2**31 + 1), Fr(2 * (2**31 + 2), 2**31 + 1)], np.int64),
+])
+def test_int32_numerators_sum_past_int32(terms, want, dtype):
+    """int32 numerators under a coefficient, an lcm or a denominator past
+    ``2**31`` are added in the dtype the sum's bound picks, never in the
+    operands' int32, and reduced exactly."""
+    assert all(op.num.dtype == np.int32 for _, _, *ops in terms for op in ops)
+    result = exact_sum(terms)
+    _assert_same(result, want)
+    assert result.num.dtype == dtype
+
+
 def test_int64_wraparound_is_never_seen():
     """Three terms of 2**62 - 1 sum to more than int64 holds."""
     top = _array([INT64_SAFE - 1], (1,))
     result = exact_sum([(1, "i->i", top)] * 3)
     assert result.num.dtype == object and result.components.tolist() == [3 * (INT64_SAFE - 1)]
     cancelled = exact_sum([(1, "i->i", top)] * 3 + [(-3, "i->i", top)])
-    assert cancelled.is_zero() and cancelled.num.dtype == np.int64 and cancelled.den == 1
+    assert cancelled.is_zero() and cancelled.num.dtype == np.int32 and cancelled.den == 1
 
 
 @settings(max_examples=100, deadline=None)

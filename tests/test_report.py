@@ -202,12 +202,13 @@ def test_text_rendering_of_two_digit_indices(rep23):
 
 def test_text_rendering_of_int64_tensors(rep23):
     """Tensors of rank 1 to 4 at dims 7, 11 and 12 whose numerators are
-    all int64 render as the per-line definition: over ``den = 1``, over
-    denominators that share a different factor with each entry, and over
-    denominators past int64, which ``np.gcd`` cannot take."""
+    all int32 or int64 render as the per-line definition: over ``den = 1``,
+    over denominators that share a different factor with each entry, over
+    denominators past int32, which an int32 ``np.gcd`` cannot take, and
+    over denominators past int64, which ``np.gcd`` cannot take at all."""
     rng = random.Random(11)
     pool = [1, -1, 2, 3, -4, 6, 9, -12, 35, 2**40, -(2**61) + 1]
-    dens = [1, 12, 2**20 * 9, 2**63, 3 * 2**64 + 1]
+    dens = [1, 12, 2**20 * 9, 5 * 2**33, 2**63, 3 * 2**64 + 1]
     tensors = {}
     for dim in (7, 11, 12):
         for rank in range(1, 5):
@@ -217,9 +218,12 @@ def test_text_rendering_of_int64_tensors(rep23):
                           for _ in range(size)]
                 values[-1] = values[size // 2] = Fr(-7, den)
                 t = Tensor(np.array(values, dtype=object).reshape((dim,) * rank), "u" * rank)
-                assert t.num.dtype == np.int64
+                assert t.num.dtype == (np.int32 if t.magnitude < 2**31 else np.int64)
                 tensors[f"t{rank}_{dim}_{k}"] = t
-    assert {t.den for t in tensors.values()} >= {1, 2**63, 3 * 2**64 + 1}
+    assert {t.den for t in tensors.values()} >= {1, 5 * 2**33, 2**63, 3 * 2**64 + 1}
+    assert {(t.num.dtype, t.den >= 2**31) for t in tensors.values()} == {
+        (np.dtype(np.int32), False), (np.dtype(np.int32), True),
+        (np.dtype(np.int64), False), (np.dtype(np.int64), True)}
     text = report_to_text(replace(rep23, tensors=tensors))
     _, tail = text.split("tensors (nonzero components):\n")
     assert tail == "".join(line + "\n" for key, t in tensors.items()

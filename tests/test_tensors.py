@@ -215,9 +215,11 @@ def test_tensor_item_and_nonzero_items():
 
 
 @pytest.mark.parametrize("values", [
-    [Fr(1, 2), Fr(1, 3), 0, 5],             # int64 numerators, den 6
-    [Fr(1, 2**70), Fr(-3, 2**69), 0],       # int64 numerators, den past int64
+    [Fr(1, 2), Fr(1, 3), 0, 5],             # int32 numerators, den 6
+    [Fr(1, 2**70), Fr(-3, 2**69), 0],       # int32 numerators, den past int64
     [Fr(10**25, 7), Fr(-1, 14), 2],         # Python-int numerators
+    [Fr(1, 3 * 2**31), Fr(-5, 2**33), 0],   # int32 numerators, den past int32
+    [Fr(2**40, 3), Fr(1, 2), 0],            # int64 numerators, den 6
 ])
 def test_formatted_reduces_each_entry_like_format_scalar(values):
     t = Tensor(values, "u")
@@ -229,7 +231,7 @@ def test_formatted_reduces_each_entry_like_format_scalar(values):
 @given(st.lists(st.sampled_from([0, 1, -1, 7, -7, Fr(1, 2), Fr(-1, 2), Fr(-9, 4), 3 * 2**61,
                                  -(2**64), Fr(5, 2**63), Fr(-5, 2**63)]),
                 min_size=1, max_size=24),
-       st.sampled_from([1, 2, 3, 2**63]))
+       st.sampled_from([1, 2, 3, 3 * 2**31, 2**63]))
 def test_formatted_formats_repeated_values_like_format_scalar(values, scale):
     """Each distinct numerator is formatted once and copied to every entry
     that holds it: the texts still match ``format_scalar`` entry by entry,
@@ -244,14 +246,14 @@ def test_formatted_formats_repeated_values_like_format_scalar(values, scale):
 
 @st.composite
 def _masked_entries(draw):
-    """Entries ``p / den`` with their storage, int64 or object, and a mask
-    of the same length, which may be all false."""
+    """Entries ``p / den`` with their storage, int32, int64 or object, and
+    a mask of the same length, which may be all false."""
     huge = draw(st.booleans())
     nums = st.integers(-12, 12) | st.sampled_from([2**40, -(2**61) + 1])
     if huge:
         nums = nums | st.sampled_from([2**62, -(10**30), 3 * 10**25])
     values = draw(st.lists(nums, min_size=1, max_size=30))
-    den = draw(st.sampled_from([1, 2, 6, 36, 2**63, 3 * 2**64, 10**30]))
+    den = draw(st.sampled_from([1, 2, 6, 36, 5 * 2**33, 2**63, 3 * 2**64, 10**30]))
     mask = draw(st.lists(st.booleans(), min_size=len(values), max_size=len(values)))
     return [Fr(v, den) for v in values], np.array(mask, dtype=bool)
 
@@ -260,8 +262,9 @@ def _masked_entries(draw):
 @given(_masked_entries())
 def test_formatted_selection_matches_format_scalar(case):
     """``formatted(where)`` is ``format_scalar`` of each selected entry, in
-    order, whether the numerators are int64 or Python ints, whether the
-    denominator fits int64 or not, and for an empty selection."""
+    order, whether the numerators are int32, int64 or Python ints, whether
+    the denominator fits int32, int64 or neither, and for an empty
+    selection."""
     entries, mask = case
     t = Tensor(entries, "u")
     assert t.formatted(mask) == [format_scalar(v) for v, m in zip(entries, mask) if m]
