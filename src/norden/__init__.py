@@ -40,7 +40,6 @@ from .family import FamilyParams, generate_family, heisenberg_model
 from .fundamental import (
     SquareNorms,
     StructurePack,
-    matches_class_f11,
     nabla_eta_from_fundamental,
     psi4,
 )
@@ -97,8 +96,7 @@ __all__ = [
     # family
     "FamilyParams", "generate_family", "heisenberg_model",
     # fundamental
-    "SquareNorms", "StructurePack", "matches_class_f11", "nabla_eta_from_fundamental",
-    "psi4",
+    "SquareNorms", "StructurePack", "nabla_eta_from_fundamental", "psi4",
     # geometry
     "Geometry", "levi_civita", "riemann", "square_norms", "structure_pack",
     "verify_identities",

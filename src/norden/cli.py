@@ -95,12 +95,17 @@ def _emit(args, text, json_obj) -> None:
         print(text_output, end="" if text_output.endswith("\n") else "\n")
 
 
+def _validity_json(report) -> dict:
+    """The ``--json`` object of a validation report, as ``validate``
+    prints it and ``report`` and ``identities`` print it for an invalid
+    model."""
+    return {"valid": report.ok, "violations": [v._asdict() for v in report.violations]}
+
+
 def _cmd_validate(args) -> int:
     model = _load_model(args.model, require_valid=False)
     report = validate_structure(model)
-    _emit(args, lambda: str(report),
-          lambda: {"valid": report.ok,
-                   "violations": [v._asdict() for v in report.violations]})
+    _emit(args, lambda: str(report), lambda: _validity_json(report))
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
@@ -109,9 +114,7 @@ def _run_validated(args) -> AcnModel:
         return _load_model(args.model, require_valid=True)
     except ValidationError as exc:
         if args.json:
-            _emit(args, None,
-                  lambda: {"valid": False,
-                           "violations": [v._asdict() for v in exc.report.violations]})
+            _emit(args, None, lambda: _validity_json(exc.report))
         elif not args.quiet:
             print(str(exc.report), file=sys.stderr)
         raise _CliFailure(EXIT_FAIL, "")

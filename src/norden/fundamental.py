@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .structures import AcnModel
-from .tensors import Tensor, exact_einsum, exact_sum, nonzero_where
+from .tensors import Tensor, exact_einsum, exact_sum
 
 
 class SquareNorms(NamedTuple):
@@ -73,12 +73,3 @@ def psi4(s: Tensor, eta: Tensor) -> Tensor:
         (-1, "xyuz->xyzu", a),
     ])
 
-
-def matches_class_f11(model: AcnModel, f: Tensor) -> bool:
-    """Whether ``F`` has the pure form
-    ``F(x, y, z) = eta(x) (eta(y) omega(z) + eta(z) omega(y))``
-    with ``omega(z) = F(xi, xi, z)``."""
-    eta, xi = model.eta, model.xi
-    omega = exact_einsum("a,b,abk->k", xi, xi, f)
-    return not nonzero_where([(1, "ijk->ijk", f), (-1, "i,j,k->ijk", eta, eta, omega),
-                              (-1, "i,k,j->ijk", eta, eta, omega)]).any()

@@ -29,7 +29,6 @@ from .errors import InternalInconsistency
 from .fundamental import (
     SquareNorms,
     StructurePack,
-    matches_class_f11,
     nabla_eta_from_fundamental,
     psi4,
 )
@@ -218,10 +217,13 @@ class Geometry:
 
     @cached_property
     def f11(self) -> bool:
-        """Whether ``F`` has the pure eta-omega form.  The zero tensor
-        qualifies: the Kahler-type class lies in the closure of every
-        pure class."""
-        return matches_class_f11(self.model, self.f)
+        """Whether ``F`` has the pure eta-omega form
+        ``F(x, y, z) = eta(x) (eta(y) omega(z) + eta(z) omega(y))``.  The
+        zero tensor qualifies: the Kahler-type class lies in the closure
+        of every pure class."""
+        eta, omega = self.model.eta, self.omega
+        return not nonzero_where([(1, "ijk->ijk", self.f), (-1, "i,j,k->ijk", eta, eta, omega),
+                                  (-1, "i,k,j->ijk", eta, eta, omega)]).any()
 
     # --- curvature ------------------------------------------------------
 

@@ -220,6 +220,9 @@ def _parse_json(text: str) -> AcnModel:
         raise ParseError("JSON model must be an object")
     if repeated[-1] is not None:        # the model object closes last
         raise ParseError(f"repeated key {repeated[-1]!r}")
+    for key in data:
+        if key not in ("name", "dim", *_SECTIONS):
+            raise ParseError(f"unknown key {key!r}")
     for key in ("dim", "phi", "xi", "eta", "metric"):
         if key not in data:
             raise ParseError(f"missing key {key!r}")

@@ -28,30 +28,34 @@ once, by the gcd of ``L`` and the nonzero numerators.  A term that only
 permutes the letters of one operand (the identity included) does no
 arithmetic: it is a transposed, read-only view of that operand's
 numerators, with its denominator and largest magnitude, and it runs no
-einsum.  Such a term alone, with coefficient 1, is already canonical and
-is returned as it is.  A check that only asks where a sum is nonzero
-calls :func:`nonzero_where`, which runs the same body up to the
-reduction and compares the unreduced numerators with zero: no scan for
-the largest magnitude, no gcd and no division.
-Two bounds pick the arithmetic, through one rule, :func:`_dtype`: int32
-below ``2**31``, int64 below ``2**62``, else Python ints; zeros count as
-1 in both.  A pairwise step's bound is the product of its operands'
-largest numerator magnitudes times the number of index combinations it
-sums; denominators enter no integer of a step, so they pick nothing.
-The terms are added under the sum of ``max|num| * |coefficient| * L /
-den`` over them, which bounds every partial sum.  A bound covers every
-product, partial sum and factor of its step or sum, so no int32 or int64
-operation can wrap; each operand is cast to the picked dtype first, so
-no Python int meets a narrower array.  Each bound is first built from
-what the operands or terms carry: an einsum step's result carries that
-step's bound, ``summed * prod(max(top, 1))``, and the sparse route's its
-exact magnitude.  A carried bound is never below the magnitude, so one
-below ``2**31`` picks int32 and one below ``2**62`` picks int64 safely;
-one that reaches ``2**62`` has its operands scanned and is built again
-from their magnitudes.  So every step and every sum picks Python ints
-exactly where the exact magnitudes do, and int32 wherever the carried
-bound proves it: a scan costs a pass over the array, and it is paid only
-to keep a step off Python ints.
+einsum.  Such a term alone, with coefficient 1, is reduced like any sum:
+the operand is canonical, so :func:`_canonical` finds no common factor
+and no narrower dtype and returns the view as it is.  A check that
+only asks where a sum is nonzero calls :func:`nonzero_where`, which runs
+the same body up to the reduction and compares the unreduced numerators
+with zero: no scan for the largest magnitude, no gcd and no division.
+One function, :func:`_fit`, picks the arithmetic of every pairwise step
+and every sum: it builds the bound, rescans it if need be, and casts the
+operands or terms to the dtype of one rule, :func:`_dtype`: int32 below
+``2**31``, int64 below ``2**62``, else Python ints.  A pairwise step's
+bound is the product of its operands' largest numerator magnitudes
+times the number of index combinations it sums; denominators enter no
+integer of a step, so they pick nothing.  The terms of a sum are added
+under the sum of ``max|num| * |coefficient| * L / den`` over them,
+which bounds every partial sum.  Zeros count as 1 in both.  A bound
+covers every product, partial sum and factor of its step or sum, so no
+int32 or int64 operation can wrap; each operand is cast to the picked
+dtype first, so no Python int meets a narrower array.  Each bound is
+first built from what the operands or terms carry: an einsum step's
+result carries that step's bound, ``summed * prod(max(top, 1))``, the
+sparse route's its exact magnitude, and a sum its bound.  A carried bound is never
+below the magnitude, so one below ``2**31`` picks int32 and one below
+``2**62`` picks int64 safely; one that reaches ``2**62`` has its
+inexact operands or terms scanned and is built again from their
+magnitudes.  So every step and every sum picks Python ints exactly where
+the exact magnitudes do, and int32 wherever the carried bound proves it:
+a scan costs a pass over the array, and it is paid only to keep a step
+off Python ints.
 
 Everything about a contraction that does not depend on values is
 compiled once into a plan and kept in a bounded cache.  Its key is the
@@ -685,19 +689,34 @@ def _pairwise(step: _Step, nums: list[np.ndarray], bound: int) -> tuple[np.ndarr
     return np.asarray(np.einsum(step.subscripts, *nums), dtype=nums[0].dtype), bound, False
 
 
-def _scanned(carried):
-    """A carried ``(num, top, exact)`` whose ``top`` is its largest
-    magnitude: ``num`` is scanned unless ``top`` already is."""
-    num, top, exact = carried
-    return carried if exact else (num, _max_abs(num), True)
+def _fit(carried, summed: int = 1,
+         factors=None) -> tuple[Iterable[np.ndarray], int, list]:
+    """The arithmetic of one pairwise step (``factors`` is ``None``) or
+    one sum, whose operands or terms are ``carried`` as ``(num, top,
+    exact)``: ``top`` bounds the largest magnitude of ``num`` and
+    ``exact`` says it is that magnitude.  A step's bound is ``summed``
+    times the product of the tops; a sum's is the sum of each top times
+    its factor's magnitude.  Zeros count as 1, so the bound also covers
+    each operand's or term's own entries and every partial sum.  A bound
+    that reaches ``INT64_SAFE`` has the inexact tops scanned and is built
+    again from the magnitudes.  Returns the numerators, each cast when it
+    is read (so a sum holds one widened term at a time) to the dtype
+    :func:`_dtype` picks for the bound, the bound, and ``carried`` as
+    scanned."""
+    def built() -> int:
+        if factors is not None:
+            return sum((top or 1) * (abs(f) or 1) for (_, top, _), f in zip(carried, factors))
+        bound = summed
+        for _, top, _ in carried:
+            bound *= top or 1
+        return bound
 
-
-def _step_bound(summed: int, picked) -> int:
-    # A zero operand counts as 1, so the bound also covers each operand's
-    # own entries and every partial sum of either route.
-    for _, top, _ in picked:
-        summed *= top or 1
-    return summed
+    bound = built()
+    if bound >= INT64_SAFE:
+        carried = [(num, top if exact else _max_abs(num), True) for num, top, exact in carried]
+        bound = built()
+    dtype = _dtype(bound)
+    return (num.astype(dtype, copy=False) for num, _, _ in carried), bound, carried
 
 
 def _contract(plan: _Plan, operands) -> tuple[tuple[np.ndarray, int, bool], int]:
@@ -707,41 +726,25 @@ def _contract(plan: _Plan, operands) -> tuple[tuple[np.ndarray, int, bool], int]
     magnitude, and the product of the operands' denominators.  A
     permutation is a read-only view of its operand's numerators, with the
     operand's own magnitude and denominator.  Each pairwise step of any
-    other contraction picks int32, int64 or Python ints by its numerator
-    bound, built from what its operands carry; only when that reaches
-    ``INT64_SAFE`` are they scanned and the bound built again from their
-    magnitudes, so the step runs on Python ints only where those alone
-    pick them.  It then runs through :func:`_pairwise`."""
+    other contraction runs through :func:`_pairwise` in the arithmetic
+    :func:`_fit` picks from what its operands carry."""
     if plan.perm is not None:
         (op,) = operands
         return (op.num.transpose(plan.perm), op.magnitude, True), op.den
     ops = [(op.num, op.magnitude, True) for op in operands]
     for step in plan.steps:
-        picked = [ops.pop(k) for k in step.pair]
-        bound = _step_bound(step.summed, picked)
-        if bound >= INT64_SAFE:
-            picked = list(map(_scanned, picked))
-            bound = _step_bound(step.summed, picked)
-        dtype = _dtype(bound)
-        ops.append(_pairwise(step, [num.astype(dtype, copy=False) for num, *_ in picked], bound))
+        nums, bound, _ = _fit([ops.pop(k) for k in step.pair], step.summed)
+        ops.append(_pairwise(step, list(nums), bound))
     return ops[0], math.prod(op.den for op in operands)
 
 
-def _sum_bound(carried, factors) -> int:
-    # Zeros count as 1, so every term's numerators fit the dtype too.
-    return sum((top or 1) * (abs(f) or 1) for (_, top, _), f in zip(carried, factors))
-
-
-def _numerator_sum(terms) -> tuple[np.ndarray, int, int | None, str, bool]:
+def _numerator_sum(terms) -> tuple[tuple[np.ndarray, int, bool], int, str]:
     """The body of :func:`exact_sum` up to the reduction: the terms
     contracted and added as integers over the lcm of their denominators.
-    Returns the numerators, that denominator, their largest magnitude
-    when it is known without a scan (one term whose contraction carries
-    it) and ``None`` otherwise, the variance, and whether the numerators
-    are already canonical (one permutation with coefficient 1).  The
-    terms add in the dtype :func:`_dtype` picks for the sum bound built
-    from what they carry; only when that reaches ``INT64_SAFE`` are they
-    scanned and the bound built again from their magnitudes."""
+    Returns the sum carried as :func:`_contract` carries a contraction,
+    that denominator and the variance.  The terms add in the arithmetic
+    :func:`_fit` picks from what they carry; the sum carries that bound,
+    or its exact magnitude when it has one term that carries its own."""
     variances, carried, dens, coefs = [], [], [], []
     for coef, subscripts, *operands in terms:
         plan = _plan(subscripts, tuple([op.variance for op in operands]),
@@ -755,34 +758,21 @@ def _numerator_sum(terms) -> tuple[np.ndarray, int, int | None, str, bool]:
     if not carried:
         raise ValueError("exact_sum needs at least one term")
     variance = variances[0]
-    if len(carried) == 1:
-        # One term needs no check, lcm or copy, and with coefficient 1 it
-        # adds nothing.  A permutation of a canonical operand over q = 1
-        # is canonical as it is.
-        if p == 1:
-            num, top, exact = term
-            return num, dens[0], top if exact else None, variance, \
-                plan.perm is not None and q == 1
-        den, factors = dens[0], coefs
-    else:
-        shape = carried[0][0].shape
-        for var, (num, *_) in zip(variances, carried):
-            if var != variance:
-                raise VarianceMismatch(f"cannot add variances {variance!r} and {var!r}")
-            if num.shape != shape:
-                raise DimensionMismatch(f"cannot add shapes {shape} and {num.shape}")
-        den = math.lcm(*dens)
-        factors = [p * (den // d) for p, d in zip(coefs, dens)]
-    bound = _sum_bound(carried, factors)
-    if bound >= INT64_SAFE:
-        carried = list(map(_scanned, carried))
-        bound = _sum_bound(carried, factors)
-    dtype = _dtype(bound)
+    if len(carried) == 1 and p == 1:    # one term with coefficient 1 adds nothing
+        return term, dens[0], variance
+    shape = carried[0][0].shape
+    for var, (num, *_) in zip(variances, carried):
+        if var != variance:
+            raise VarianceMismatch(f"cannot add variances {variance!r} and {var!r}")
+        if num.shape != shape:
+            raise DimensionMismatch(f"cannot add shapes {shape} and {num.shape}")
+    den = math.lcm(*dens)
+    factors = [p * (den // d) for p, d in zip(coefs, dens)]
+    nums, bound, carried = _fit(carried, factors=factors)
     # The terms add in place into a copy of the first; a factor of 1
     # multiplies nothing, and one term is multiplied, never copied.
     total = None
-    for (num, *_), f in zip(carried, factors):
-        num = num.astype(dtype, copy=False)
+    for num, f in zip(nums, factors):
         if total is None:
             total = num * f if f != 1 else num.copy()
         elif f == 1:
@@ -791,10 +781,10 @@ def _numerator_sum(terms) -> tuple[np.ndarray, int, int | None, str, bool]:
             total -= num
         else:
             total += num * f
-    total = np.asarray(total, dtype=dtype)      # a 0-d result is a scalar
-    _, top, exact = carried[0]
-    top = top * abs(factors[0]) if len(carried) == 1 and exact else None
-    return total, den, top, variance, False
+    total = np.asarray(total, dtype=num.dtype)      # a 0-d result is a scalar
+    exact = len(carried) == 1 and carried[0][2]
+    top = carried[0][1] * abs(factors[0]) if exact else bound
+    return (total, top, exact), den, variance
 
 
 def exact_sum(terms) -> Tensor:
@@ -804,13 +794,13 @@ def exact_sum(terms) -> Tensor:
     rational coefficient, explicit-mode einsum subscripts and
     :class:`Tensor` operands.  Every term must give the same variance and
     shape.  The terms are contracted on integers, added over one common
-    denominator and reduced once; see the module docstring for the two
-    bounds that pick int32, int64 or Python ints.
+    denominator and reduced once by :func:`_canonical`; the sum is
+    scanned for its largest magnitude first unless it carries that
+    exactly.  See the module docstring for how :func:`_fit` picks int32,
+    int64 or Python ints.
     """
-    num, den, top, variance, canonical = _numerator_sum(terms)
-    if not canonical:
-        num, den, top = _canonical(num, den, _max_abs(num) if top is None else top)
-    return Tensor._of(num, den, top, variance)
+    (num, top, exact), den, variance = _numerator_sum(terms)
+    return Tensor._of(*_canonical(num, den, top if exact else _max_abs(num)), variance)
 
 
 def nonzero_where(terms) -> np.ndarray:
@@ -818,7 +808,8 @@ def nonzero_where(terms) -> np.ndarray:
     shape: the numerators of the unreduced sum compared with zero, with
     no scan for the largest magnitude and no gcd.  This is how a check
     decides that a sum vanishes, and where it does not."""
-    return np.asarray(_numerator_sum(terms)[0] != 0)
+    (num, _, _), _, _ = _numerator_sum(terms)
+    return np.asarray(num != 0)
 
 
 def exact_einsum(subscripts: str, *operands: Tensor) -> Tensor:

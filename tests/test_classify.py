@@ -329,7 +329,7 @@ def test_identities_json_is_the_identities_section_of_the_report(fam23, key, tmp
 # sorted(vars(geo)) after reading .identities on a fresh Geometry
 LAYERS_READ = {
     "heis": ["conn", "curv", "f", "f11", "ginv", "identities", "model",
-             "nabla2_eta", "nabla2_phi", "nabla_eta", "nabla_phi"],
+             "nabla2_eta", "nabla2_phi", "nabla_eta", "nabla_phi", "omega"],
     "fam23": ["conn", "curv", "curvature_phi_kahler", "div_phi_omega", "f", "f11",
               "ginv", "identities", "isotropic_kahler", "model", "n",
               "n_from_brackets", "n_from_derivatives", "nabla2_eta", "nabla2_phi",

@@ -20,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from norden import DimensionMismatch, VarianceMismatch
+from norden import DimensionMismatch, VarianceMismatch, tensors
 from norden.classify import _vanishes
 from norden.tensors import (
     INT32_SAFE,
@@ -232,6 +232,24 @@ def test_a_permutation_is_exact_and_canonical_without_einsum(case, coef):
         assert t.magnitude == max(map(abs, t.num.ravel().tolist()), default=0)
     assert result.den == operand.den and result.magnitude == operand.magnitude
     assert result.variance == operand.variance
+
+
+@pytest.mark.parametrize("den", [1, 3])
+@pytest.mark.parametrize("top", [7, 2**40, 2**70])
+def test_a_lone_permutation_is_reduced_to_its_own_view(top, den):
+    """``exact_einsum`` of a lone permutation goes through ``_canonical``
+    like any sum, and a canonical operand leaves it nothing to do: the
+    result stores the operand's numerators transposed, as a view, with the
+    operand's denominator, dtype and magnitude, on int32, int64 and Python
+    ints, over 1 and over 3."""
+    operand = _array([Fr(top, den), Fr(-1, den), 0, Fr(2, den), Fr(5, den), 0], (2, 3))
+    with mock.patch.object(tensors, "_canonical", wraps=tensors._canonical) as canonical:
+        result = exact_einsum("ab->ba", operand)
+    assert canonical.call_count == 1
+    assert np.array_equal(result.num, operand.num.T)
+    assert np.shares_memory(result.num, operand.num)
+    assert result.num.dtype == operand.num.dtype == _dtype(top)
+    assert (result.den, result.magnitude) == (operand.den, operand.magnitude) == (den, top)
 
 
 @settings(max_examples=100, deadline=None)

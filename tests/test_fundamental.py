@@ -13,7 +13,6 @@ from norden import (
     Tensor,
     covariant_derivative,
     generate_family,
-    matches_class_f11,
     nabla_eta_from_fundamental,
     psi4,
     square_norms,
@@ -190,10 +189,10 @@ def test_divergence_of_zero_vector(fam23):
 
 
 def test_matches_class_f11(fam23, heis, fam_zero):
-    assert matches_class_f11(fam23.model, fam23.pack.f)
-    assert not matches_class_f11(heis.model, heis.pack.f)
+    assert Geometry(fam23.model).f11
+    assert not Geometry(heis.model).f11
     # the zero tensor satisfies the pure-class equation
-    assert matches_class_f11(fam_zero.model, fam_zero.pack.f)
+    assert Geometry(fam_zero.model).f11
 
 
 def test_nabla_omega_star_check(fam23, heis):

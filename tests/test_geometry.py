@@ -148,6 +148,31 @@ def test_no_module_imports_a_name_it_never_uses():
         assert imported <= used, (path.name, sorted(imported - used))
 
 
+def test_one_function_picks_the_arithmetic_of_every_step_and_sum():
+    """In ``tensors.py`` only ``_fit`` builds the bound of a pairwise step
+    or a sum, rescans past ``INT64_SAFE`` and casts to the dtype that
+    ``_dtype`` picks for it; ``_pair_storage`` and ``_canonical`` pick only
+    a stored tensor's dtype, from its exact magnitude, ``_canonical`` also
+    narrows a reduced sum and ``_numerator_texts`` widens for the render's
+    gcd.  ``np.einsum`` is called only in ``_pairwise``.  So one place
+    decides the arithmetic of every step and every sum."""
+    sites = collections.defaultdict(set)
+    for top in ast.parse(inspect.getsource(norden.tensors)).body:
+        if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and node.id in ("_dtype", "INT64_SAFE"):
+                sites[node.id].add(top.name)
+            elif isinstance(node, ast.Attribute) and node.attr in ("astype", "einsum"):
+                sites[node.attr].add(top.name)
+    assert sites == {
+        "_dtype": {"_pair_storage", "_canonical", "_fit"},
+        "INT64_SAFE": {"_dtype", "_fit"},
+        "astype": {"_canonical", "_numerator_texts", "_fit"},
+        "einsum": {"_pairwise"},
+    }
+
+
 def _unread_private_names(sources: dict[str, str]) -> list[tuple[str, str]]:
     """``(file, name)`` for each module-level ``_name`` that one of the
     ``sources`` (file name to text) defines and none of them reads, as a
@@ -213,7 +238,7 @@ PUBLIC_NAMES = [
     "as_scalar", "associated_metric", "bracket", "covariant_derivative",
     "einsum_scalar", "exact_einsum", "exact_sum", "format_scalar", "generate_family",
     "heisenberg_model", "invert_symmetric", "is_metric_compatible", "is_solvable",
-    "is_torsion_free", "levi_civita", "matches_class_f11", "matrix_rank",
+    "is_torsion_free", "levi_civita", "matrix_rank",
     "nabla_eta_from_fundamental", "parse_model", "psi4", "report_to_json",
     "report_to_text", "riemann", "row_space_basis", "run_report", "section",
     "serialize_model", "signature", "square_norms", "structure_pack", "validate",

@@ -154,6 +154,11 @@ def test_json_structure_errors(fam23):
     with pytest.raises(ParseError, match="bracket entry"):
         parse_model(json.dumps(bad_bracket))
 
+    # A misspelt key is an error, not a model whose brackets all vanish.
+    misspelt = {("brakets" if k == "brackets" else k): v for k, v in good.items()}
+    with pytest.raises(ParseError, match="unknown key 'brakets'"):
+        parse_model(json.dumps(misspelt))
+
     from norden.modelfile import _parse_json
 
     with pytest.raises(ParseError, match="object"):

@@ -146,6 +146,7 @@ PARSE_ERRORS = [
     ("json", _json_with(brackets=[[0, "1", [0, 0, 0]]]), "bracket indices must be integers"),
     ("json", _json_with(brackets=[[0, 5, [0, 0, 0]]]), "bracket indices (0, 5) out of range"),
     ("json", _json_with(name=7), "'name' must be a string"),
+    ("json", _json_with(brackets=_DROP, brakets=[]), "unknown key 'brakets'"),
 ]
 
 
