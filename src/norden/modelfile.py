@@ -1,8 +1,15 @@
 """Reading and writing model files.
 
-Two interchangeable formats describe a model:
+A model file holds one *model object*: ``dim``, ``phi``, ``xi``, ``eta``,
+``metric``, an optional ``name`` and optional ``brackets`` (a list of
+``[i, j, coefficients]`` triples).  Two interchangeable formats spell it.
 
-Text format (``#`` starts a comment anywhere)::
+JSON format: the object itself.  All numbers may be integers or exact
+rational strings like ``"-3/4"``; floats are rejected, and so are JSON
+``true`` and ``false``, which are not the numbers 1 and 0.
+
+Text format: a line syntax for the same object (``#`` starts a comment
+anywhere)::
 
     name = my model
     dim = 3
@@ -26,14 +33,28 @@ Text format (``#`` starts a comment anywhere)::
     0 1 0
     0 0 -1
 
-JSON format: an object with keys ``dim``, ``phi``, ``xi``, ``eta``,
-``metric``, optional ``name`` and ``brackets`` (a list of
-``[i, j, coefficients]`` triples).  All numbers may be integers or
-exact rational strings like ``"-3/4"``; floats are rejected, and so are
-JSON ``true`` and ``false``, which are not the numbers 1 and 0.
+A ``key = value`` line before the first section gives a string (``dim``'s
+is read by ``int()``).  A ``[key]`` header gives a list, one row per line
+of whitespace-separated tokens; the section of a vector (``xi``, ``eta``)
+holds its one row, and a bracket row is ``i j : coefficients``, its
+indices read by ``int()``.  Keys are not case-sensitive.
 
-Each key (``name`` and ``dim``, and every key of the JSON model object) may be
-given once; a repeated key is a ``ParseError`` that names it.
+Each key may be given once in either format; a repeated key is a
+``ParseError`` that names it.  Every other rule belongs to the object and
+is checked once, for both formats, by :func:`_model`:
+
+- no unknown key, and no missing key but ``name`` and ``brackets``;
+- ``dim`` an integer, odd and at least 3;
+- ``name`` a string that UTF-8 can encode (a JSON string may hold a lone
+  surrogate);
+- ``phi`` and ``metric`` lists of ``dim`` rows, each row, ``xi`` and
+  ``eta`` a list of ``dim`` entries;
+- ``brackets`` a list of ``[i, j, coefficients]`` entries with integer
+  indices and a list of coefficients;
+- no entry ``true`` or ``false``, and every entry an exact rational.
+
+Each rule has one message in both formats, and in a text file it starts
+with ``line N:`` where the key or row has a line.
 
 Tokens go straight into integer storage, one row (a line or a JSON list)
 at a time.  A row of plain tokens is read in one comprehension: every
@@ -57,10 +78,10 @@ structure constants by :func:`~norden.lie.structure_constants`, which
 :func:`~norden.lie.algebra_from_brackets` uses too: an absent mirror
 ``(j, i)`` is completed antisymmetrically, and a listed one is taken
 verbatim, so a contradictory file surfaces as an antisymmetry violation
-instead of being silently repaired.  It names a bad index, an entry listed
-twice and, in a text file, a row of the wrong length; the JSON reader
-checks a row's length with its other lists.
-Serialization always emits the canonical ``i < j`` half.
+instead of being silently repaired.  It names a bad index, an entry
+listed twice and a wrong number of coefficients, in both formats with its
+own message and no line.  Serialization always emits the canonical
+``i < j`` half.
 """
 from __future__ import annotations
 
@@ -76,41 +97,11 @@ from .lie import LieAlgebra, structure_constants
 from .structures import AcnModel, validate_structure
 from .tensors import Tensor, as_pair, exact_einsum
 
-_SECTIONS = ("brackets", "phi", "xi", "eta", "metric")
+_KEYS = ("name", "dim", "brackets", "phi", "xi", "eta", "metric")
 #: The characters of a row of plain tokens, joined without a separator.
 _PLAIN_ROW = re.compile(r"[0-9+/-]*")
-
-
-def _assemble(name: str, dim: int, brackets, phi, xi, eta, metric) -> AcnModel:
-    """The model from rows of ``(p, q)`` pairs; the bracket table goes
-    through :func:`~norden.lie.structure_constants`."""
-    try:
-        c = structure_constants(dim, brackets)
-    except (DimensionMismatch, ValueError) as exc:
-        raise ParseError(str(exc)) from exc
-    # Each parser has checked every other length against dim, so this cannot fail.
-    return AcnModel(
-        algebra=LieAlgebra(dim, c),
-        phi=_matrix(phi, "ud"),
-        xi=Tensor.of_pairs(xi, (len(xi),), "u"),
-        eta=Tensor.of_pairs(eta, (len(eta),), "d"),
-        g=_matrix(metric, "dd"),
-        name=name,
-    )
-
-
-def _matrix(rows, variance: str) -> Tensor:
-    """The tensor of rows of pairs of one length, shaped as numpy shapes
-    nested lists (no rows give a single empty axis)."""
-    return Tensor.of_pairs([pair for row in rows for pair in row],
-                           (len(rows), *{len(row) for row in rows}), variance)
-
-
-def _check_dim(dim: int, line: int | None = None) -> int:
-    """``dim`` if it is a model dimension: odd and at least 3."""
-    if dim % 2 != 1 or dim < 3:
-        raise ParseError(f"dimension must be odd and >= 3, got {dim}", line=line)
-    return dim
+#: A lone surrogate: a JSON string can hold one, and no UTF-8 text can.
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def _pairs(tokens, line: int | None = None) -> list[tuple[int, int]]:
@@ -133,78 +124,135 @@ def _pairs(tokens, line: int | None = None) -> list[tuple[int, int]]:
         raise ParseError(str(exc), line=line)
 
 
+def _model(data: dict, lines: dict | None = None) -> AcnModel:
+    """The model that a model object describes, checked against every
+    rule of the module docstring.
+
+    ``data`` is the object as ``json.loads`` gives it.  For a text file,
+    ``lines`` maps each key, and ``(key, i)`` for its row ``i``, to the
+    line that gives it, and an error there names that line.
+    """
+    at = (lines or {}).get
+    for key in data:
+        if key not in _KEYS:
+            raise ParseError(f"unknown key {key!r}", line=at(key))
+    for key in ("dim", "phi", "xi", "eta", "metric"):
+        if key not in data:
+            raise ParseError(f"missing {key!r} key")
+    dim = data["dim"]
+    if type(dim) is not int:            # a bool is not a dimension
+        raise ParseError("dim must be an integer", line=at("dim"))
+    if dim % 2 != 1 or dim < 3:
+        raise ParseError(f"dimension must be odd and >= 3, got {dim}", line=at("dim"))
+    name = data.get("name", "")
+    if not isinstance(name, str) or _SURROGATE.search(name):
+        raise ParseError("'name' must be a string that UTF-8 can encode", line=at("name"))
+
+    def listed(v, what: str, items: str, line: int | None) -> list:
+        """``v``, which must be a list of ``dim`` items."""
+        if not isinstance(v, list) or len(v) != dim:
+            got = len(v) if isinstance(v, list) else type(v).__name__
+            raise ParseError(f"{what} must be a list of {dim} {items}, got {got}", line=line)
+        return v
+
+    def entries(v: list, what: str, line: int | None) -> list[tuple[int, int]]:
+        """The pairs of the entries of the list ``v``."""
+        if bool in map(type, v):
+            raise ParseError(f"{what} entries must be integers or rational strings, "
+                             "not true or false", line=line)
+        return _pairs(v, line)
+
+    def row(v, what: str, line: int | None) -> list[tuple[int, int]]:
+        """The pairs of ``v``, a list of ``dim`` entries."""
+        return entries(listed(v, what, "entries", line), what, line)
+
+    def tensor(key: str, variance: str) -> Tensor:
+        if len(variance) == 1:
+            pairs = row(data[key], key, at(key))
+        else:
+            what, rows = f"{key} row", listed(data[key], key, "rows", at(key))
+            pairs = [pair for i, r in enumerate(rows) for pair in row(r, what, at((key, i)))]
+        return Tensor.of_pairs(pairs, (dim,) * len(variance), variance)
+
+    phi, xi, eta, g = (tensor(key, variance) for key, variance in
+                       (("phi", "ud"), ("xi", "u"), ("eta", "d"), ("metric", "dd")))
+    brackets = data.get("brackets", [])
+    if not isinstance(brackets, list):
+        raise ParseError("'brackets' must be a list", line=at("brackets"))
+    table = []
+    for k, entry in enumerate(brackets):
+        line = at(("brackets", k))
+        if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[2], list)):
+            raise ParseError("each bracket entry must be [i, j, coefficients]", line=line)
+        i, j, coeffs = entry
+        if type(i) is not int or type(j) is not int:
+            raise ParseError("bad bracket indices: they must be integers", line=line)
+        table.append((i, j, entries(coeffs, f"bracket ({i}, {j})", line)))
+    try:
+        c = structure_constants(dim, table)
+    except (DimensionMismatch, ValueError) as exc:
+        raise ParseError(str(exc)) from exc
+    return AcnModel(algebra=LieAlgebra(dim, c), phi=phi, xi=xi, eta=eta, g=g, name=name)
+
+
+def _int(token):
+    """The int that a text token spells, or the token, which :func:`_model`
+    then rejects."""
+    try:
+        return int(token)
+    except ValueError:
+        return token
+
+
+def _bracket(line: str, lineno: int) -> list:
+    """The ``[i, j, coefficients]`` entry of a bracket line."""
+    head, colon, tail = line.partition(":")
+    if not colon:
+        raise ParseError("bracket line needs the form 'i j : coefficients'", line=lineno)
+    indices = head.split()
+    if len(indices) != 2:
+        raise ParseError("bracket line needs exactly two indices", line=lineno)
+    return [*map(_int, indices), tail.split()]
+
+
 def _parse_text(text: str) -> AcnModel:
-    name = ""
-    dim: int | None = None
-    section: str | None = None
-    rows: dict[str, list] = {s: [] for s in _SECTIONS}
-    declared = set()
+    """The model of a text file: the model object that its lines spell
+    (see the module docstring), through :func:`_model`."""
+    data, lines = {}, {}
+    rows = None                         # the list of the current section
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip().lower()
-            if section not in _SECTIONS:
-                raise ParseError(f"unknown section [{section}]", line=lineno)
+            key = line[1:-1]
+            value = rows = []
+        elif rows is not None:
+            lines[key, len(rows)] = lineno
+            rows.append(_bracket(line, lineno) if key == "brackets" else line.split())
             continue
-        if "=" in line and section is None:
+        elif "=" in line:
             key, _, value = line.partition("=")
-            key = key.strip().lower()
             value = value.strip()
-            if key in declared:
-                raise ParseError(f"repeated key {key!r}", line=lineno)
-            declared.add(key)
-            if key == "name":
-                name = value
-            elif key == "dim":
-                try:
-                    dim = int(value)
-                except ValueError:
-                    raise ParseError(f"dim must be an integer, got {value!r}",
-                                     line=lineno)
-                _check_dim(dim, lineno)
-            else:
-                raise ParseError(f"unknown key {key!r}", line=lineno)
-            continue
-        if section is None:
-            raise ParseError(f"data outside any section: {line!r}", line=lineno)
-        if section == "brackets":
-            head, colon, tail = line.partition(":")
-            if not colon:
-                raise ParseError("bracket line needs the form 'i j : coefficients'",
-                                 line=lineno)
-            parts = head.split()
-            if len(parts) != 2:
-                raise ParseError("bracket line needs exactly two indices",
-                                 line=lineno)
-            try:
-                i, j = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad bracket indices {head.strip()!r}", line=lineno)
-            rows["brackets"].append((i, j, _pairs(tail.split(), lineno)))
         else:
-            rows[section].append(_pairs(line.split(), lineno))
-    if dim is None:
-        raise ParseError("missing 'dim = ...' declaration")
-    for s in ("phi", "xi", "eta", "metric"):
-        if not rows[s]:
-            raise ParseError(f"missing [{s}] section")
-    for s, expected in (("phi", dim), ("metric", dim), ("xi", 1), ("eta", 1)):
-        if len(rows[s]) != expected:
-            raise ParseError(f"[{s}] needs {expected} row(s), got {len(rows[s])}")
-    for s in ("phi", "metric"):
-        for row in rows[s]:
-            if len(row) != dim:
-                raise ParseError(f"[{s}] rows need {dim} entries, got {len(row)}")
-    for s in ("xi", "eta"):
-        if len(rows[s][0]) != dim:
-            raise ParseError(f"[{s}] needs {dim} entries, got {len(rows[s][0])}")
-    return _assemble(name, dim, rows["brackets"], rows["phi"], rows["xi"][0],
-                     rows["eta"][0], rows["metric"])
+            raise ParseError(f"data outside any section: {line!r}", line=lineno)
+        key = key.strip().lower()
+        if key in data:
+            raise ParseError(f"repeated key {key!r}", line=lineno)
+        data[key], lines[key] = value, lineno
+    # A text value is a string, but dim is an int, and a vector's section
+    # holds the vector as its one row.
+    if isinstance(data.get("dim"), str):
+        data["dim"] = _int(data["dim"])
+    for key in ("xi", "eta"):
+        if isinstance(data.get(key), list) and len(data[key]) == 1:
+            data[key], lines[key] = data[key][0], lines[key, 0]
+    return _model(data, lines)
 
 
 def _parse_json(text: str) -> AcnModel:
+    """The model of a JSON file, the model object itself, through
+    :func:`_model`."""
     repeated = []       # each object's first repeated key or None, as they close
 
     def pairs_hook(pairs):
@@ -212,52 +260,17 @@ def _parse_json(text: str) -> AcnModel:
         repeated.append(next((k for k, _ in pairs if k in seen or seen.add(k)), None))
         return dict(pairs)
 
+    # A ValueError is bad JSON or an integer past Python's digit limit, and
+    # a RecursionError nesting too deep.
     try:
         data = json.loads(text, object_pairs_hook=pairs_hook)
-    except (json.JSONDecodeError, RecursionError) as exc:   # too deeply nested
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}")
     if not isinstance(data, dict):
         raise ParseError("JSON model must be an object")
     if repeated[-1] is not None:        # the model object closes last
         raise ParseError(f"repeated key {repeated[-1]!r}")
-    for key in data:
-        if key not in ("name", "dim", *_SECTIONS):
-            raise ParseError(f"unknown key {key!r}")
-    for key in ("dim", "phi", "xi", "eta", "metric"):
-        if key not in data:
-            raise ParseError(f"missing key {key!r}")
-    if not isinstance(data["dim"], int) or isinstance(data["dim"], bool):
-        raise ParseError("'dim' must be an integer")
-    dim = _check_dim(data["dim"])
-
-    def vec(v, what):
-        if not isinstance(v, list) or len(v) != dim:
-            raise ParseError(f"{what} must be a list of {dim} entries")
-        if any(x is True or x is False for x in v):
-            raise ParseError(f"{what} entries must be integers or rational strings, "
-                             "not true or false")
-        return _pairs(v)
-
-    def mat(v, what):
-        if not isinstance(v, list) or len(v) != dim:
-            raise ParseError(f"{what} must be a list of {dim} rows")
-        return [vec(row, f"{what} row") for row in v]
-
-    if not isinstance(data.get("brackets", []), list):
-        raise ParseError("'brackets' must be a list")
-    brackets = []
-    for entry in data.get("brackets", []):
-        if not (isinstance(entry, list) and len(entry) == 3):
-            raise ParseError("each bracket entry must be [i, j, coefficients]")
-        i, j, coeffs = entry
-        if not all(isinstance(k, int) and not isinstance(k, bool) for k in (i, j)):
-            raise ParseError("bracket indices must be integers")
-        brackets.append((i, j, vec(coeffs, f"bracket ({i}, {j})")))
-    name = data.get("name", "")
-    if not isinstance(name, str):
-        raise ParseError("'name' must be a string")
-    return _assemble(name, dim, brackets, mat(data["phi"], "phi"), vec(data["xi"], "xi"),
-                     vec(data["eta"], "eta"), mat(data["metric"], "metric"))
+    return _model(data)
 
 
 def parse_model(text: str, require_valid: bool = True) -> AcnModel:

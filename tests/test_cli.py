@@ -162,7 +162,7 @@ def test_bool_bracket_index_is_input_error(slot, tmp_path, capsys):
         assert main(argv) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "bracket indices must be integers" in captured.err
+        assert "bad bracket indices: they must be integers" in captured.err
 
 
 def test_bool_entry_is_input_error(tmp_path, capsys):

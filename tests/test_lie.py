@@ -125,10 +125,11 @@ def test_a_bracket_table_gives_one_algebra_by_every_route(table, fmt):
     ([(1, 0, [1, 0])],
      "bracket (1,0) has length 2, expected 3",
      "bracket (1,0) has length 2, expected 3",
-     "bracket (1, 0) must be a list of 3 entries"),
+     "bracket (1,0) has length 2, expected 3"),
 ])
 def test_each_route_names_a_bad_bracket(table, library, text, json_text):
-    """Each route keeps its own error type and message."""
+    """The library raises ``DimensionMismatch`` and both file formats a
+    ``ParseError``, each with the message of ``structure_constants``."""
     with pytest.raises(DimensionMismatch) as exc:
         algebra_from_brackets(3, {(i, j): coeffs for i, j, coeffs in table})
     assert str(exc.value) == library

@@ -3,6 +3,7 @@ the text and JSON formats."""
 import dataclasses
 import importlib.util
 import json
+import re
 from fractions import Fraction as Fr
 from pathlib import Path
 from random import Random
@@ -109,15 +110,15 @@ def test_text_parse_errors_carry_line_numbers():
     "mutation, message",
     [
         (lambda t: t.replace("dim = 3\n", ""), "missing 'dim"),
-        (lambda t: t.replace("[metric]", "[weird]"), "unknown section"),
+        (lambda t: t.replace("[metric]", "[weird]"), "line 19: unknown key 'weird'"),
         (lambda t: t.replace("name = worked example", "colour = blue"),
          "unknown key"),
         (lambda t: t.replace("dim = 3", "dim = three"), "dim must be an integer"),
         (lambda t: "0 1 0\n" + t, "outside any section"),
         (lambda t: t.replace("1 0 : 2 0 0", "1 : 2 0 0"), "two indices"),
         (lambda t: t.replace("1 0 : 2 0 0", "a b : 2 0 0"), "bad bracket indices"),
-        (lambda t: t.replace("[xi]\n1 0 0", "[xi]\n1 0"), r"\[xi\] needs 3"),
-        (lambda t: t.replace("0 1 0\n0 0 -1\n", "0 1 0\n"), r"\[metric\] needs 3"),
+        (lambda t: t.replace("[xi]\n1 0 0", "[xi]\n1 0"), "xi must be a list of 3 entries"),
+        (lambda t: t.replace("0 1 0\n0 0 -1\n", "0 1 0\n"), "metric must be a list of 3 rows"),
         (lambda t: t.replace("2 0 : 3 0 0", "2 0 : 3 0"), "expected 3"),
         (lambda t: t.replace("1 0 : 2 0 0", "1 0 : 2q 0 0"), "rational"),
     ],
@@ -139,7 +140,7 @@ def test_json_structure_errors(fam23):
 
     missing = dict(good)
     del missing["phi"]
-    with pytest.raises(ParseError, match="missing key"):
+    with pytest.raises(ParseError, match="missing 'phi' key"):
         parse_model(json.dumps(missing))
 
     bad_dim = dict(good, dim=True)
@@ -174,6 +175,66 @@ def test_json_structure_errors(fam23):
 def test_json_nested_past_the_recursion_limit_is_a_parse_error(value):
     with pytest.raises(ParseError, match="invalid JSON: maximum recursion depth"):
         parse_model('{"dim": ' + value + "}")
+
+
+@pytest.mark.parametrize("where", ["dim", "phi"])
+def test_a_json_integer_past_the_digit_limit_is_a_parse_error(fam23, where):
+    """``json.loads`` cannot convert it to an int, and says so."""
+    obj = json.loads(serialize_model(fam23.model, fmt="json"))
+    obj[where] = "HUGE" if where == "dim" else [["HUGE", "0", "0"]] + obj["phi"][1:]
+    text = json.dumps(obj).replace('"HUGE"', "1" + "0" * 4300)
+    with pytest.raises(ParseError, match=r"invalid JSON: Exceeds the limit \(4300 digits\)"):
+        parse_model(text)
+
+
+def test_a_name_with_a_lone_surrogate_is_a_parse_error(fam23):
+    """A JSON string can hold a lone surrogate; the name could then not be
+    printed as UTF-8."""
+    text = serialize_model(fam23.model, fmt="json").replace('"name": "', '"name": "\\ud800', 1)
+    with pytest.raises(ParseError, match="'name' must be a string that UTF-8 can encode"):
+        parse_model(text)
+
+
+def _text_of(obj: dict) -> str:
+    """A model object in the text format: a ``key = value`` line for each
+    value that is not a list, then a section for each list."""
+    lines = [f"{key} = {value}" for key, value in obj.items() if not isinstance(value, list)]
+    for key, value in obj.items():
+        if isinstance(value, list):
+            rows = [value] if key in ("xi", "eta") else value
+            lines += [f"[{key}]"] + [f"{r[0]} {r[1]} : " + " ".join(r[2]) if key == "brackets"
+                                     else " ".join(r) for r in rows]
+    return "\n".join(lines) + "\n"
+
+
+#: One broken model object per rule, as a change to a valid dim-3 object.
+BROKEN_OBJECTS = {
+    "missing key": lambda obj: obj.pop("eta"),
+    "short row": lambda obj: obj["phi"][1].pop(),
+    "extra row": lambda obj: obj["metric"].append(["0", "0", "0"]),
+    "short xi": lambda obj: obj["xi"].pop(),
+    "even dim": lambda obj: obj.update(dim=4),
+    "bad token": lambda obj: obj["eta"].__setitem__(1, "x"),
+    "short bracket row": lambda obj: obj["brackets"][0][2].pop(),
+    "bracket index out of range": lambda obj: obj["brackets"][0].__setitem__(0, 7),
+    "duplicate bracket": lambda obj: obj["brackets"].append(obj["brackets"][0]),
+    "unknown key": lambda obj: obj.update(colour="blue"),
+}
+
+
+@pytest.mark.parametrize("change", BROKEN_OBJECTS.values(), ids=BROKEN_OBJECTS)
+def test_both_formats_break_one_rule_with_one_message(fam23, change):
+    """Each broken object, written as text and as JSON, is rejected with
+    the same message; a text file's message may start with its line."""
+    obj = json.loads(serialize_model(fam23.model, fmt="json"))
+    change(obj)
+    messages = []
+    for text in (_text_of(obj), json.dumps(obj)):
+        with pytest.raises(ParseError) as exc:
+            parse_model(text)
+        messages.append(str(exc.value))
+    text_message, json_message = messages
+    assert re.sub(r"^line \d+: ", "", text_message) == json_message
 
 
 @pytest.mark.parametrize("name", ["a # b", "#", " lead", "trail ", "\tboth\t",

@@ -31,13 +31,22 @@ FILES = [serialize_model(m, fmt) for m in MODELS.values() for fmt in ("text", "j
 #: by ``as_pair`` or rejected, never misread by the fast path.
 EDGE_TOKENS = ["1_0", "1e3", "0.5", "٣", "3/-4", "3/+4", "+-5", "1/0", "/3", "3/",
                "9" * 4301]
+
+
+class _Raw(str):
+    """JSON written into a file as it is, for values that Python does not
+    build: an integer past its digit limit, a string with a lone surrogate."""
+
+
+HUGE = _Raw("9" * 4301)
 VALUES = EDGE_TOKENS + [2 ** 70, -(2 ** 70), "-" + "7" * 40 + "/3", -3, 0, True, False,
-                        None, 1.5, -0.0, "x", "", "1 2", [], {}]
-DIMS = [-1, 0, 1, 2, 3, 4, 5, 7, 9, 11, 10 ** 30 + 1, "x", "5.0", True, None]
+                        None, 1.5, -0.0, "x", "", "1 2", [], {}, HUGE,
+                        _Raw('"bad \\ud800 name"')]
+DIMS = [-1, 0, 1, 2, 3, 4, 5, 7, 9, 11, 10 ** 30 + 1, "x", "5.0", True, None, HUGE]
 
 
 def _render(value, as_json: bool) -> str:
-    if as_json:
+    if as_json and not isinstance(value, _Raw):
         return json.dumps(value, ensure_ascii=False)
     return value if isinstance(value, str) else str(value)
 
@@ -116,26 +125,28 @@ PARSE_ERRORS = [
     ("text", _replace(TEXT, "0 2 :", "0 1 :"), "duplicate bracket entry (0, 1)"),
     ("text", _replace(TEXT, "dim = 3", "dim = 4"), "line 2: dimension must be odd and >= 3"),
     ("text", _replace(TEXT, "[xi]\n1 0 0", "[xi]\n1 x 0"), "line 14: not an exact rational: 'x'"),
-    ("text", _replace(TEXT, "[xi]", "[chi]"), "line 13: unknown section [chi]"),
+    ("text", _replace(TEXT, "[xi]", "[chi]"), "line 13: unknown key 'chi'"),
     ("text", _replace(TEXT, "dim = 3", "dim = 3\ndim = 3"), "line 3: repeated key 'dim'"),
     ("text", _replace(TEXT, "dim = 3", "dim = three"), "line 2: dim must be an integer"),
     ("text", _replace(TEXT, "dim = 3", "colour = blue"), "line 2: unknown key 'colour'"),
     ("text", "1 0 0\n" + TEXT, "line 1: data outside any section"),
     ("text", _replace(TEXT, "0 1 :", "0 1"), "line 5: bracket line needs the form"),
     ("text", _replace(TEXT, "0 1 :", "0 :"), "line 5: bracket line needs exactly two"),
-    ("text", _replace(TEXT, "0 1 :", "a b :"), "line 5: bad bracket indices 'a b'"),
-    ("text", _replace(TEXT, "dim = 3\n", ""), "missing 'dim = ...' declaration"),
-    ("text", TEXT[:TEXT.index("[metric]")], "missing [metric] section"),
-    ("text", TEXT[:-len("0 0 -1\n")], "[metric] needs 3 row(s), got 2"),
-    ("text", _replace(TEXT, "[phi]\n0 0 0", "[phi]\n0 0"), "[phi] rows need 3 entries"),
-    ("text", _replace(TEXT, "[xi]\n1 0 0", "[xi]\n1 0"), "[xi] needs 3 entries, got 2"),
+    ("text", _replace(TEXT, "0 1 :", "a b :"), "line 5: bad bracket indices: they must be"),
+    ("text", _replace(TEXT, "dim = 3\n", ""), "missing 'dim' key"),
+    ("text", TEXT[:TEXT.index("[metric]")], "missing 'metric' key"),
+    ("text", TEXT[:-len("0 0 -1\n")], "line 19: metric must be a list of 3 rows, got 2"),
+    ("text", _replace(TEXT, "[phi]\n0 0 0", "[phi]\n0 0"),
+     "line 9: phi row must be a list of 3 entries, got 2"),
+    ("text", _replace(TEXT, "[xi]\n1 0 0", "[xi]\n1 0"),
+     "line 14: xi must be a list of 3 entries, got 2"),
     ("text", _replace(TEXT, "0 1 : -2 0 0", "0 1 : -2 0"), "bracket (0,1) has length 2, expected 3"),
     # JSON
     ("json", "{not json", "invalid JSON"),
     ("json", "[1, 2]", "JSON model must be an object"),
     ("json", _replace(JSON, '"dim": 3,', '"dim": 3,\n "dim": 3,'), "repeated key 'dim'"),
-    ("json", _json_with(phi=_DROP), "missing key 'phi'"),
-    ("json", _json_with(dim="3"), "'dim' must be an integer"),
+    ("json", _json_with(phi=_DROP), "missing 'phi' key"),
+    ("json", _json_with(dim="3"), "dim must be an integer"),
     ("json", _json_with(dim=1), "dimension must be odd and >= 3, got 1"),
     ("json", _json_with(xi=[1, 0]), "xi must be a list of 3 entries"),
     ("json", _json_with(xi=[True, 0, 0]), "xi entries must be integers or rational strings"),
@@ -143,10 +154,17 @@ PARSE_ERRORS = [
     ("json", _json_with(phi=[[0, 0, 0]]), "phi must be a list of 3 rows"),
     ("json", _json_with(brackets={}), "'brackets' must be a list"),
     ("json", _json_with(brackets=[[0, 1]]), "each bracket entry must be [i, j, coefficients]"),
-    ("json", _json_with(brackets=[[0, "1", [0, 0, 0]]]), "bracket indices must be integers"),
+    ("json", _json_with(brackets=[[0, "1", [0, 0, 0]]]),
+     "bad bracket indices: they must be integers"),
     ("json", _json_with(brackets=[[0, 5, [0, 0, 0]]]), "bracket indices (0, 5) out of range"),
     ("json", _json_with(name=7), "'name' must be a string"),
     ("json", _json_with(brackets=_DROP, brakets=[]), "unknown key 'brakets'"),
+    ("json", _replace(JSON, '"dim": 3', f'"dim": {HUGE}'),
+     "invalid JSON: Exceeds the limit (4300 digits)"),
+    ("json", _json_with(phi=[["HUGE", 0, 0], [0, 0, -1], [0, 1, 0]]).replace('"HUGE"', HUGE),
+     "invalid JSON: Exceeds the limit (4300 digits)"),
+    ("json", _replace(JSON, '"name": "', '"name": "\\ud800'),
+     "'name' must be a string that UTF-8 can encode"),
 ]
 
 
