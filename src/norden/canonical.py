@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from .tensors import Tensor
+from .tensors import Tensor, _check_digits
 
 
 def canonical_json(obj) -> str:
@@ -97,7 +97,9 @@ def _tensor_json(t: Tensor, newline: str, out: list[str]) -> None:
     """Append the schema-2 leaf of ``t``.  A sparse leaf's lines are
     sorted as whole strings: they share their start, and after a key
     comes ``"``, below ``,`` and every digit, so they sort as
-    ``sort_keys`` sorts their keys."""
+    ``sort_keys`` sorts their keys.  A numerator or ``den`` past Python's
+    digit limit raises :class:`~norden.errors.DigitLimit`."""
+    _check_digits(t.magnitude, t.den)
     inner = newline + " "
     entry = inner + " "
     nums = t.num.ravel()

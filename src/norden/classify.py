@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensors import nonzero_where
+from .tensors import format_scalar, nonzero_where
 
 
 @dataclass(frozen=True)
@@ -72,7 +72,8 @@ def _agree(name: str, detail: str, gate: str | None, values) -> IdentityVerdict:
         return IdentityVerdict(name, applicable=False, passed=None, detail=gate)
     values = values()
     passed = len(set(values)) == 1
-    witness = None if passed else tuple(v if type(v) is bool else str(v) for v in values)
+    witness = None if passed else tuple(v if type(v) is bool else format_scalar(v)
+                                        for v in values)
     return IdentityVerdict(name, applicable=True, passed=passed, witness=witness,
                            detail=detail)
 

@@ -46,6 +46,11 @@ class BadParams(NordenError):
     """Family parameters are malformed (wrong length, non-rational, ...)."""
 
 
+class DigitLimit(NordenError, ValueError):
+    """A number to be written as text has more decimal digits than
+    Python converts (``sys.get_int_max_str_digits()``)."""
+
+
 class ParseError(NordenError):
     """A model file could not be parsed."""
 

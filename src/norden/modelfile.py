@@ -36,8 +36,9 @@ anywhere)::
 A ``key = value`` line before the first section gives a string (``dim``'s
 is read by ``int()``).  A ``[key]`` header gives a list, one row per line
 of whitespace-separated tokens; the section of a vector (``xi``, ``eta``)
-holds its one row, and a bracket row is ``i j : coefficients``, its
-indices read by ``int()``.  Keys are not case-sensitive.
+holds its one row (a second row is a ``ParseError`` at its line), and a
+bracket row is ``i j : coefficients``, its indices read by ``int()``.  Keys
+are not case-sensitive.
 
 Each key may be given once in either format; a repeated key is a
 ``ParseError`` that names it.  Every other rule belongs to the object and
@@ -156,8 +157,9 @@ def _model(data: dict, lines: dict | None = None) -> AcnModel:
         return v
 
     def entries(v: list, what: str, line: int | None) -> list[tuple[int, int]]:
-        """The pairs of the entries of the list ``v``."""
-        if bool in map(type, v):
+        """The pairs of the entries of the list ``v``; a text row holds
+        strings only, so only a JSON row is scanned for bools."""
+        if lines is None and bool in map(type, v):
             raise ParseError(f"{what} entries must be integers or rational strings, "
                              "not true or false", line=line)
         return _pairs(v, line)
@@ -245,8 +247,12 @@ def _parse_text(text: str) -> AcnModel:
     if isinstance(data.get("dim"), str):
         data["dim"] = _int(data["dim"])
     for key in ("xi", "eta"):
-        if isinstance(data.get(key), list) and len(data[key]) == 1:
-            data[key], lines[key] = data[key][0], lines[key, 0]
+        rows = data.get(key)
+        if isinstance(rows, list) and rows:
+            if len(rows) > 1:
+                raise ParseError(f"[{key}] must hold one row, got {len(rows)}",
+                                 line=lines[key, 1])
+            data[key], lines[key] = rows[0], lines[key, 0]
     return _model(data, lines)
 
 

@@ -24,6 +24,7 @@ from .tensors import (
     einsum_scalar,
     exact_einsum,
     exact_sum,
+    format_scalar,
     invert_symmetric,
     nonzero_where,
     signature,
@@ -126,7 +127,7 @@ def validate_structure(model: AcnModel) -> ValidationReport:
 
     eta_xi = einsum_scalar("i,i->", eta, xi)
     if eta_xi != 1:
-        report.add("eta_xi", detail=f"eta(xi) = {eta_xi}, expected 1")
+        report.add("eta_xi", detail=f"eta(xi) = {format_scalar(eta_xi)}, expected 1")
 
     for (i,), value in nonzeros(exact_einsum("ij,j->i", phi, xi)):
         report.add("phi_xi", where=(i,), detail=f"(phi xi)[{i}] = {value}")

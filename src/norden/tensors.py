@@ -80,11 +80,11 @@ other step counts its operands' nonzeros and takes the sparse route when
 size of the letters ``X`` keeps.  That route takes the nonzeros of the
 cheaper side in ``(kept, summed)`` order, multiplies each by the
 matching row of the other operand, sums the products per output row
-with ``np.add.reduceat`` into a zero result and transposes it to the
-step's letters, reading the largest magnitude from those row sums.  It
-multiplies and adds the same integers as the dense einsum, fewer of
-them, so the step's bound covers every partial sum of either route, and
-both routes serve every dtype.
+with ``np.add.reduceat`` and scatters them into a zero result, reading
+the largest magnitude from those row sums.  It multiplies and adds the
+same integers as the dense einsum, fewer of them, so the step's bound
+covers every partial sum of either route, and both routes serve every
+dtype.  Both return a C-contiguous result in the step's letter order.
 
 Every scalar comes in through :func:`as_pair`, which reads it as an
 integer pair ``(p, q)``; ``Tensor(...)`` and :meth:`Tensor.of_pairs`
@@ -108,12 +108,13 @@ import functools
 import math
 import numbers
 import re
+import sys
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, SingularMetric, VarianceMismatch
+from .errors import DigitLimit, DimensionMismatch, SingularMetric, VarianceMismatch
 
 UP = "u"
 DOWN = "d"
@@ -193,11 +194,27 @@ def as_scalar(value) -> Fraction:
     return Fraction(*as_pair(value))
 
 
+@functools.lru_cache(maxsize=4)
+def _power_of_ten(digits: int) -> int:
+    return 10 ** digits
+
+
+def _check_digits(*values: int) -> None:
+    """Raise :class:`DigitLimit` if an int of ``values`` has more digits
+    than ``sys.get_int_max_str_digits()`` lets Python write."""
+    limit = sys.get_int_max_str_digits()
+    if limit and max(map(abs, values)) >= _power_of_ten(limit):
+        raise DigitLimit(f"a number has more than {limit} digits, Python's limit for "
+                         "writing an integer as text (sys.set_int_max_str_digits)")
+
+
 def format_scalar(value) -> str:
     """Render a rational as ``"p"`` or ``"p/q"`` in lowest terms."""
     if type(value) is int:
+        _check_digits(value)
         return str(value)
     f = as_scalar(value)
+    _check_digits(f.numerator, f.denominator)
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
@@ -265,7 +282,8 @@ def _numerator_texts(nums: np.ndarray, den: int) -> tuple[np.ndarray, np.ndarray
     (equal numerators take one text, so its order among them is free) and
     a compare of neighbours, and each is reduced once: by one ``np.gcd``
     over all of them, widened to int64, when they are not Python ints and
-    ``den`` fits int64, else by ``math.gcd``."""
+    ``den`` fits int64, else by ``math.gcd`` (and checked by
+    :func:`_check_digits`)."""
     order = nums.argsort()
     ranked = nums[order]
     first = np.empty(ranked.size, dtype=bool)
@@ -280,6 +298,7 @@ def _numerator_texts(nums: np.ndarray, den: int) -> tuple[np.ndarray, np.ndarray
         pairs = zip((values // g).tolist(), (den // g).tolist())
     else:
         pairs = [(v // (g := math.gcd(v, den)), den // g) for v in values.tolist()]
+        _check_digits(*(part for pair in pairs for part in pair))
     texts = [str(p) if q == 1 else f"{p}/{q}" for p, q in pairs]
     return np.array(texts, dtype=object), inverse
 
@@ -426,22 +445,50 @@ def _gauss_jordan(m: list[list[int]]) -> tuple[list[int], int]:
     Columns without a pivot are skipped.  Returns the pivot columns and
     the last pivot ``p``; row ``k`` then has ``p`` in the ``k``-th pivot
     column and zeros in the others, and the rows below the pivot rows
-    are zero."""
+    are zero.
+
+    A row whose multiplier is zero would only be scaled by ``p / prev``,
+    and such scales telescope, so it is left stale: ``since[i]`` is 0 for
+    a row up to date under ``prev``, else the pivot it is up to date
+    under, and the row is rescaled by ``v * prev // since[i]`` (exact:
+    the entries are minors) when it is next read, as the pivot row, with
+    a nonzero multiplier or at the end.  Zero tests read stale rows as
+    they are, and a row that is never stale costs one read per step."""
     pivots: list[int] = []
     prev = 1
+    since = [0] * len(m)
     for col in range(len(m[0]) if m else 0):
         k = len(pivots)
         pivot = next((r for r in range(k, len(m)) if m[r][col] != 0), None)
         if pivot is None:
             continue
-        m[k], m[pivot] = m[pivot], m[k]
-        p = m[k][col]
-        for i in range(len(m)):
-            if i != k:
-                f = m[i][col]
-                m[i] = [(p * v - f * w) // prev for v, w in zip(m[i], m[k])]
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            since[k], since[pivot] = since[pivot], since[k]
+        row, s = m[k], since[k]
+        if s:
+            since[k] = 0
+            if s != prev:
+                row = m[k] = [v * prev // s for v in row]
+        p = row[col]
+        for i, r in enumerate(m):
+            f = r[col]
+            if not f:
+                if not since[i] and p != prev:
+                    since[i] = prev
+            elif i != k:
+                s = since[i]
+                if s:
+                    since[i] = 0
+                    if s != prev:
+                        r = [v * prev // s for v in r]
+                        f = r[col]
+                m[i] = [(p * v - f * w) // prev for v, w in zip(r, row)]
         prev = p
         pivots.append(col)
+    for i, s in enumerate(since):
+        if s and s != prev:
+            m[i] = [v * prev // s for v in m[i]]
     return pivots, prev
 
 
@@ -478,11 +525,18 @@ def signature(g: Tensor) -> tuple[int, int, int]:
     congruent form.  The congruent diagonal entry is ``p`` over the
     previous pivot, so its sign is the product of theirs; congruence
     preserves the signature, so the recorded signs are the answer.
+
+    A row whose multiplier is zero is left stale as in
+    :func:`_gauss_jordan`, with ``since`` as there, and rescaled when read:
+    as the pivot row, with a nonzero multiplier or in the
+    ``e_i <- e_i + e_j`` step.  Column operations act within each row,
+    so they commute with its scale.
     """
     a = _symmetric_numerators(g, "signature")
     n = len(a)
     plus = minus = 0
     prev = 1
+    since = [0] * n
     for k in range(n):
         pivot = next((i for i in range(k, n) if a[i][i]), None)
         if pivot is None:
@@ -491,21 +545,39 @@ def signature(g: Tensor) -> tuple[int, int, int]:
             if pair is None:
                 break
             i, j = pair
+            for r in pair:
+                s, since[r] = since[r], 0
+                if s and s != prev:
+                    a[r][k:] = [v * prev // s for v in a[r][k:]]
             # e_i <- e_i + e_j puts 2*a[i][j] on the diagonal, symmetrically.
-            for c in range(k, n):
-                a[i][c] += a[j][c]
+            a[i][k:] = [x + y for x, y in zip(a[i][k:], a[j][k:])]
             for r in range(k, n):
                 a[r][i] += a[r][j]
             pivot = i
-        a[k], a[pivot] = a[pivot], a[k]
-        for row in a:
-            row[k], row[pivot] = row[pivot], row[k]
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            since[k], since[pivot] = since[pivot], since[k]
+            for row in a:
+                row[k], row[pivot] = row[pivot], row[k]
+        s = since[k]
+        if s and s != prev:
+            a[k][k:] = [v * prev // s for v in a[k][k:]]
         p = a[k][k]
         plus, minus = (plus + 1, minus) if (p > 0) == (prev > 0) else (plus, minus + 1)
+        top = a[k][k + 1:]
         for i in range(k + 1, n):
             f = a[i][k]
-            a[i][k + 1:] = [(p * x - f * y) // prev
-                            for x, y in zip(a[i][k + 1:], a[k][k + 1:])]
+            if not f:
+                if not since[i] and p != prev:
+                    since[i] = prev
+                continue
+            s = since[i]
+            if s:
+                since[i] = 0
+                if s != prev:
+                    a[i][k:] = [v * prev // s for v in a[i][k:]]
+                    f = a[i][k]
+            a[i][k + 1:] = [(p * x - f * y) // prev for x, y in zip(a[i][k + 1:], top)]
         prev = p
     return plus, minus, n - plus - minus
 
@@ -546,13 +618,15 @@ class _Side(NamedTuple):
     Its axes are read in ``(kept, summed)`` order (``as_coo``) when its
     nonzeros are taken, or in ``(summed, kept)`` order (``as_rows``) when
     its rows are gathered, with ``blocks`` the sizes of those two groups.
-    ``result`` is the step's result shape in ``(own kept, other's kept)``
-    order and the transpose that puts it in the order of the step's
-    letters, for when this operand's nonzeros are taken."""
+    When its nonzeros are taken, ``result`` is the step's result shape,
+    ``axes`` its transpose to ``(own kept, other's kept)`` order and
+    ``own`` the shape of its own kept letters."""
     as_coo: tuple[int, ...]
     as_rows: tuple[int, ...]
     blocks: tuple[int, int]
-    result: tuple[tuple[int, ...], tuple[int, ...]]
+    result: tuple[int, ...]
+    axes: tuple[int, ...]
+    own: tuple[int, ...]
 
 
 class _Step(NamedTuple):
@@ -591,8 +665,9 @@ def _sides(picked: list[str], kept: str, sizes: dict[str, int]) -> tuple[_Side, 
             as_coo=tuple(term.index(ch) for ch in mine + summed),
             as_rows=tuple(term.index(ch) for ch in summed + mine),
             blocks=tuple(math.prod(sizes[ch] for ch in group) for group in (mine, summed)),
-            result=(tuple(sizes[ch] for ch in letters),
-                    tuple(letters.index(ch) for ch in kept)),
+            result=tuple(sizes[ch] for ch in kept),
+            axes=tuple(kept.index(ch) for ch in letters),
+            own=tuple(sizes[ch] for ch in mine),
         ))
     return tuple(sides)
 
@@ -649,24 +724,27 @@ def _sparse_step(x: np.ndarray, y: np.ndarray, sx: _Side,
                  sy: _Side) -> tuple[np.ndarray, int]:
     """A step on the nonzeros of ``x``: each nonzero ``x[i, s]`` times the
     gathered row ``y[s, :]``, the products summed per output row ``i``
-    and written into a zero result of ``x``'s dtype.  Returns the result
-    and its largest magnitude, read from the row sums alone, since every
-    other entry is zero."""
-    nx, ns = sx.blocks
+    and scattered, through a transposed view, into a C-contiguous zero
+    result of ``x``'s dtype.  Returns the result and its largest
+    magnitude, read from the row sums alone, since every other entry is
+    zero."""
+    ns = sx.blocks[1]
     x = np.atleast_1d(x.transpose(sx.as_coo))   # a view, not a copy
     rows = y.transpose(sy.as_rows).reshape(ns, sy.blocks[0])
     flat = np.flatnonzero(x != 0)       # i ns + s, increasing
-    out = np.zeros((nx, rows.shape[1]), dtype=x.dtype)
+    out = np.zeros(sx.result, dtype=x.dtype)
     top = 0
     if flat.size:
         row, s = np.divmod(flat, ns)
         products = rows[s] * x[np.unravel_index(flat, x.shape)][:, None]
         starts = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
         sums = np.add.reduceat(products, starts, axis=0)
-        out[row[starts]] = sums
+        view = out.transpose(sx.axes)
+        # A step that keeps no letter of x has one output row: ().
+        at = np.unravel_index(row[starts], sx.own) if sx.own else ()
+        view[at] = sums.reshape(-1, *view.shape[len(sx.own):])
         top = _max_abs(sums)
-    shape, perm = sx.result
-    return out.reshape(shape).transpose(perm), top
+    return out, top
 
 
 def _pairwise(step: _Step, nums: list[np.ndarray], bound: int) -> tuple[np.ndarray, int, bool]:
@@ -677,7 +755,7 @@ def _pairwise(step: _Step, nums: list[np.ndarray], bound: int) -> tuple[np.ndarr
     other's kept size is smaller, when that work times ``SPARSE_FACTOR``
     is below its dense cost, and reads the exact magnitude from its row
     sums; any other step is one einsum, whose result carries ``bound``
-    unscanned."""
+    unscanned.  Either result is C-contiguous."""
     if step.sides is not None:
         (a, b), (sa, sb) = nums, step.sides
         work_a = np.count_nonzero(a) * sb.blocks[0]
@@ -686,7 +764,8 @@ def _pairwise(step: _Step, nums: list[np.ndarray], bound: int) -> tuple[np.ndarr
             x, y, sx, sy = (a, b, sa, sb) if work_a <= work_b else (b, a, sb, sa)
             return *_sparse_step(x, y, sx, sy), True
     # A 0-d result comes back as a bare scalar; an int would become int64.
-    return np.asarray(np.einsum(step.subscripts, *nums), dtype=nums[0].dtype), bound, False
+    out = np.asarray(np.einsum(step.subscripts, *nums), dtype=nums[0].dtype, order="C")
+    return out, bound, False
 
 
 def _fit(carried, summed: int = 1,

@@ -326,6 +326,23 @@ def test_identities_json_is_the_identities_section_of_the_report(fam23, key, tmp
         if status == "FAIL"}
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_a_witness_past_the_digit_limit_is_input_error(fam23, flags, tmp_path, monkeypatch,
+                                                       capsys):
+    """A failing verdict whose values Python will not write as text (tau
+    shifted by 10**4300) is refused when its witness is built, before any
+    output: exit 2 and one line on stderr."""
+    path = tmp_path / "fam23.txt"
+    path.write_text(serialize_model(fam23.model))
+    curv = replace(fam23.curv, tau=fam23.curv.tau + 10 ** 4300)
+    tampered = Geometry(fam23.model, conn=fam23.conn, curv=curv)
+    monkeypatch.setattr(cli, "Geometry", lambda model: tampered)
+    assert cli.main(["identities", str(path)] + flags) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: a number has more than 4300 digits")
+    assert err.count("\n") == 1
+
+
 # sorted(vars(geo)) after reading .identities on a fresh Geometry
 LAYERS_READ = {
     "heis": ["conn", "curv", "f", "f11", "ginv", "identities", "model",

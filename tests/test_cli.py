@@ -149,6 +149,56 @@ def test_huge_exponent_in_lambda_is_input_error(capsys):
     assert main(["family", "--n", "1", "--lambda", "1e3,-3/4", "--quiet"]) == EXIT_OK
 
 
+@pytest.fixture(scope="module")
+def past_digit_limit(tmp_path_factory, model_path):
+    """Two models whose outputs hold numbers past Python's 4300-digit
+    limit: the valid member with lambda = (10**3000, 1), whose report
+    holds 6001-digit numbers, and the lambda = (2, 3) member with a
+    3000-digit phi entry, whose violation details hold them."""
+    folder = tmp_path_factory.mktemp("digits")
+    big_lambda = folder / "big_lambda.txt"
+    assert main(["family", "--n", "1", "--lambda", "1e3000,1",
+                 "--emit-model", str(big_lambda), "--quiet"]) == EXIT_OK
+    big_phi = folder / "big_phi.txt"
+    text = Path(model_path).read_text()
+    assert "[phi]\n0 0 0\n0 0 -1\n" in text
+    big_phi.write_text(text.replace("[phi]\n0 0 0\n0 0 -1\n",
+                                    "[phi]\n0 0 0\n0 0 -1" + "0" * 2999 + "\n"))
+    return {"lambda": str(big_lambda), "phi": str(big_phi)}
+
+
+@pytest.mark.parametrize("command, model", [
+    (["report"], "lambda"), (["report", "--json"], "lambda"),
+    (["validate"], "phi"), (["validate", "--json"], "phi"), (["report"], "phi"),
+])
+def test_a_result_past_the_digit_limit_is_input_error(past_digit_limit, command, model,
+                                                      capsys):
+    """A number that Python will not write as text is refused before any
+    output: exit 2 and one line on stderr, not a traceback."""
+    assert main(command + [past_digit_limit[model]]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: a number has more than 4300 digits, Python's limit for "
+                   "writing an integer as text (sys.set_int_max_str_digits)\n")
+
+
+def test_the_digit_limit_is_python_s_own(past_digit_limit, capsys):
+    """The refusal reads the limit of the process: raised, the same files
+    report and validate as usual, and the identities never needed it."""
+    for argv in (["identities", past_digit_limit["lambda"]],
+                 ["identities", "--json", past_digit_limit["lambda"]]):
+        assert main(argv) == EXIT_OK
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        assert main(["report", "--json", past_digit_limit["lambda"]]) == EXIT_OK
+        assert main(["validate", past_digit_limit["phi"]]) == EXIT_FAIL
+    finally:
+        sys.set_int_max_str_digits(limit)
+    out = capsys.readouterr().out
+    assert "1" + "0" * 6000 in out and "phi_square" in out
+
+
 @pytest.mark.parametrize("slot", [0, 1])
 def test_bool_bracket_index_is_input_error(slot, tmp_path, capsys):
     """JSON ``true`` is not the index 1: it would index the structure

@@ -29,6 +29,7 @@ from hypothesis import strategies as st
 from norden import AcnModel, FamilyParams, LieAlgebra, Tensor, generate_family, run_report
 from norden.lie import validate
 from norden.structures import validate_structure
+from norden import report as report_module
 from norden import tensors
 from norden.tensors import (
     INT32_SAFE,
@@ -580,6 +581,7 @@ def test_the_sparse_route_matches_the_reference_and_the_dense_route(case):
     with _dense_plans(), _step_routes() as dense:
         by_dense = exact_einsum(subscripts, a, b)
     assert result == by_sparse == by_dense
+    assert all(t.num.flags.c_contiguous for t in (result, by_sparse, by_dense))
     _assert_canonical(result)
     reference = np.einsum(subscripts, a.num.astype(object), b.num.astype(object))
     assert np.array_equal(result.num.astype(object) * (a.den * b.den),
@@ -719,3 +721,37 @@ def test_the_algebra_check_runs_one_d5_step(kind, n):
     with _step_routes() as steps:
         assert validate(algebra).ok
     assert sum(steps.values()) == 1
+
+
+def _stored_tensors(name: str, value):
+    """The tensors that ``value`` holds, named by their path: through
+    dicts, lists, tuples, named tuples and dataclasses."""
+    if isinstance(value, Tensor):
+        yield name, value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield from _stored_tensors(f"{name}[{key}]", item)
+    elif hasattr(value, "__dataclass_fields__") or hasattr(value, "_fields"):
+        for key in getattr(value, "_fields", None) or value.__dataclass_fields__:
+            yield from _stored_tensors(f"{name}.{key}", getattr(value, key))
+    elif isinstance(value, (list, tuple)):
+        for k, item in enumerate(value):
+            yield from _stored_tensors(f"{name}[{k}]", item)
+
+
+@pytest.mark.parametrize("kind, n", [("family", 6), ("dense", 3)])
+def test_every_tensor_a_report_stores_is_c_contiguous(kind, n):
+    """Each layer of the report's Geometry and each tensor of the report
+    is stored C-contiguous, so no later pass over it reads strided memory:
+    an einsum step's result is laid out in C order and a sparse step
+    scatters its rows into a C-contiguous result.  The family report kept
+    Gamma, nabla2_phi and twisted_r as transposed views."""
+    model, geometries = (dense_member if kind == "dense" else family_member)(n), []
+    real = report_module.Geometry
+    with mock.patch.object(report_module, "Geometry",
+                           lambda m: geometries.append(real(m)) or geometries[-1]):
+        report = run_report(model)
+    (geo,) = geometries
+    stored = [*_stored_tensors("geo", vars(geo)), *_stored_tensors("report", report.tensors)]
+    assert len(stored) > 40
+    assert [name for name, t in stored if not t.num.flags.c_contiguous] == []

@@ -121,6 +121,10 @@ def test_text_parse_errors_carry_line_numbers():
         (lambda t: t.replace("0 1 0\n0 0 -1\n", "0 1 0\n"), "metric must be a list of 3 rows"),
         (lambda t: t.replace("2 0 : 3 0 0", "2 0 : 3 0"), "expected 3"),
         (lambda t: t.replace("1 0 : 2 0 0", "1 0 : 2q 0 0"), "rational"),
+        (lambda t: t.replace("[xi]\n1 0 0", "[xi]\n1 0 0\n0 1 0"),
+         r"line 15: \[xi\] must hold one row, got 2"),
+        (lambda t: t.replace("[eta]\n1 0 0", "[eta]\n1 0 0\n1 0 0\n1 0 0"),
+         r"line 18: \[eta\] must hold one row, got 3"),
     ],
 )
 def test_text_parse_error_cases(mutation, message):

@@ -165,6 +165,9 @@ PARSE_ERRORS = [
      "invalid JSON: Exceeds the limit (4300 digits)"),
     ("json", _replace(JSON, '"name": "', '"name": "\\ud800'),
      "'name' must be a string that UTF-8 can encode"),
+    # text, after the JSON files so that each file keeps its id
+    ("text", _replace(TEXT, "[xi]\n1 0 0", "[xi]\n1 0 0\n0 1 0"),
+     "line 15: [xi] must hold one row, got 2"),
 ]
 
 

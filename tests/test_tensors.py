@@ -5,6 +5,7 @@ oracles: adjugate/determinant inversion, eigenvalue signs for small
 signatures, and float-precision rank.
 """
 import numbers
+from collections import Counter
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -19,6 +20,7 @@ from norden import (
     Tensor,
     VarianceMismatch,
     as_scalar,
+    associated_metric,
     einsum_scalar,
     exact_einsum,
     exact_sum,
@@ -28,7 +30,11 @@ from norden import (
     row_space_basis,
     signature,
 )
+from norden import tensors
+from norden.canonical import canonical_json
+from norden.errors import DigitLimit
 from norden.tensors import _exponent_too_large, as_pair, vector
+from test_contraction_plan import dense_member, family_member
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
@@ -143,6 +149,29 @@ def test_format_scalar():
     assert format_scalar(Fr(3)) == "3"
     assert format_scalar(Fr(-3, 4)) == "-3/4"
     assert format_scalar(2) == "2"
+
+
+def test_text_past_the_digit_limit_is_refused_by_size():
+    """Each part of a scalar, each reduced entry of a tensor and a JSON
+    leaf's numerators and ``den`` are checked against Python's limit by
+    size, before any text is built.  Entries over a ``den`` past the limit
+    format when each reduces below it; the JSON leaf, which writes ``den``
+    itself, does not.  The error is also a ``ValueError``, as Python's."""
+    top = 10 ** 4300
+    assert len(format_scalar(Fr(-(top - 1), top - 2))) == 8602
+    for value in (top, -top, Fr(1, top), Fr(top, 3)):
+        with pytest.raises(DigitLimit, match="more than 4300 digits"):
+            format_scalar(value)
+    with pytest.raises(ValueError):
+        format_scalar(top)
+    with pytest.raises(DigitLimit):
+        Tensor([top, 1], "u").formatted()
+    a, b = 10 ** 2200 + 1, 10 ** 2200 + 3       # odd and 2 apart: coprime
+    split = Tensor([Fr(1, a), Fr(1, b)], "u")
+    assert split.den == a * b >= top
+    assert split.formatted() == [f"1/{a}", f"1/{b}"]
+    with pytest.raises(DigitLimit):
+        canonical_json(split)
 
 
 # --- Tensor basics ------------------------------------------------------
@@ -531,6 +560,176 @@ def test_row_space_basis_checks_row_lengths():
         matrix_rank([[1, 2], [3]])
     with pytest.raises(DimensionMismatch):
         row_space_basis([[1], [2, 3]])
+
+
+# --- the fraction-free eliminations against Fraction references ----------
+
+def _fraction_inverse(rows) -> list[list[Fr]] | None:
+    """The reference inverse: Gauss-Jordan on Fractions, each pivot row
+    scaled to a leading 1; None when a column has no pivot."""
+    n = len(rows)
+    m = [[Fr(v) for v in row] + [Fr(int(i == j)) for j in range(n)]
+         for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if m[r][col]), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        m[col] = [v / m[col][col] for v in m[col]]
+        for r in range(n):
+            f = m[r][col]
+            if r != col and f:
+                m[r] = [a - f * b for a, b in zip(m[r], m[col])]
+    return [row[n:] for row in m]
+
+
+_small = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=5))
+_past_int64 = st.builds(lambda v, sign, den: Fr(sign * v, den), st.integers(2**62, 2**80),
+                        st.sampled_from([1, -1]), st.sampled_from([1, 3]))
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric rational matrices up to 7x7 of five kinds: dense; sparse,
+    mostly zero off the diagonal like a metric in its own basis; with a
+    zero diagonal, so that the signature needs ``e_i <- e_i + e_j``; a
+    scaled, signed involution like the twin metric of the family; and
+    singular ``A D A^T`` with fewer columns in ``A`` than rows.  Half of
+    them draw entries past ``2**62`` too."""
+    n = draw(st.integers(1, 7))
+    entry = st.one_of(_small, _past_int64) if draw(st.booleans()) else _small
+    nonzero = entry.filter(bool)
+    kind = draw(st.sampled_from(["dense", "sparse", "zero_diagonal", "involution",
+                                 "singular"]))
+    m = [[Fr(0)] * n for _ in range(n)]
+    if kind == "involution":
+        order = draw(st.permutations(range(n)))
+        pairs = draw(st.integers(0, n // 2))
+        for k in range(pairs):
+            i, j = order[2 * k], order[2 * k + 1]
+            m[i][j] = m[j][i] = draw(nonzero)
+        for i in order[2 * pairs:]:
+            m[i][i] = draw(nonzero)
+    elif kind == "singular":
+        r = draw(st.integers(0, n - 1))
+        a = draw(st.lists(st.lists(st.integers(-2, 2), min_size=r, max_size=r),
+                          min_size=n, max_size=n))
+        d = draw(st.lists(nonzero, min_size=r, max_size=r))
+        m = [[sum((a[i][k] * d[k] * a[j][k] for k in range(r)), Fr(0)) for j in range(n)]
+             for i in range(n)]
+    else:
+        for i in range(n):
+            for j in range(i + (kind == "zero_diagonal"), n):
+                if i == j or kind != "sparse" or draw(st.integers(0, 3)) == 0:
+                    m[i][j] = m[j][i] = draw(entry)
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices())
+def test_invert_symmetric_matches_the_fraction_inverse(rows):
+    want = _fraction_inverse(rows)
+    if want is None:
+        with pytest.raises(SingularMetric):
+            invert_symmetric(Tensor(rows, "dd"))
+    else:
+        assert invert_symmetric(Tensor(rows, "dd")).components.tolist() == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_matrices())
+def test_signature_and_row_space_match_the_fraction_references(rows):
+    basis = _fraction_row_space_basis(rows)
+    plus, minus, null = signature(Tensor(rows, "dd"))
+    assert (plus, minus, null) == _fraction_signature(rows)
+    assert null == len(rows) - len(basis)
+    assert row_space_basis(rows) == basis
+
+
+@pytest.mark.parametrize("rows", [
+    [[2, 3, -1], [3, 3, -1], [-1, -1, 0]],
+    [[-2, -2, -1, 0, 0], [-2, 1, -1, -1, -2], [-1, -1, 0, -1, 0], [0, -1, -1, 2, 0],
+     [0, -2, 0, 0, -1]],
+])
+def test_a_stale_row_is_rescaled_by_a_ratio_that_need_not_be_an_integer(rows):
+    """In each matrix a row goes stale under one pivot and is read under
+    another that is not a multiple of it: rescaling by ``prev // since``
+    instead of ``v * prev // since`` gives a wrong inverse for the first
+    and a wrong signature, ``(2, 2, 1)``, for the second."""
+    want = _fraction_inverse(rows)
+    assert invert_symmetric(Tensor(rows, "dd")).components.tolist() == want
+    assert signature(Tensor(rows, "dd")) == _fraction_signature(rows)
+
+
+@pytest.fixture
+def row_rewrites(monkeypatch) -> Counter:
+    """Count the rows that the eliminations write anew: a store into the
+    matrix of a list it has not held (a swap stores rows it holds), or a
+    slice store into one of its rows (an entry store is a column step)."""
+    seen = Counter()
+
+    class Row(list):
+        def __setitem__(self, key, value):
+            seen["rows"] += isinstance(key, slice)
+            super().__setitem__(key, value)
+
+    class Matrix(list):
+        def __init__(self, rows):
+            super().__init__(map(Row, rows))
+            self.held = list(self)      # keeps each id unique
+
+        def __setitem__(self, i, row):
+            if not any(row is held for held in self.held):
+                seen["rows"] += 1
+                row = Row(row)
+                self.held.append(row)
+            super().__setitem__(i, row)
+
+    gauss_jordan, numerators = tensors._gauss_jordan, tensors._symmetric_numerators
+
+    def counted_gauss_jordan(m):
+        spy = Matrix(m)
+        out = gauss_jordan(spy)
+        m[:] = spy
+        return out
+
+    monkeypatch.setattr(tensors, "_gauss_jordan", counted_gauss_jordan)
+    monkeypatch.setattr(tensors, "_symmetric_numerators",
+                        lambda t, name: Matrix(numerators(t, name)))
+    return seen
+
+
+def test_the_family_metric_and_its_twin_rewrite_at_most_two_rows_per_index(row_rewrites):
+    """A row whose multiplier is zero is rescaled when it is next read, so
+    the diagonal metric of the family at dim 13 and its twin, a signed
+    involution, rewrite at most ``2 * 13`` rows in each elimination.
+    Rewriting every other row at every pivot took 156 for the inverse and
+    78 for each signature."""
+    model = family_member(6)
+    d = model.dim
+    counts = []
+    for run in (lambda: invert_symmetric(model.g), lambda: signature(model.g),
+                lambda: signature(associated_metric(model))):
+        row_rewrites.clear()
+        run()
+        counts.append(row_rewrites["rows"])
+    assert max(counts) <= 2 * d, counts
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_a_dense_metric_rewrites_the_rows_of_the_textbook_elimination(row_rewrites, n):
+    """When no multiplier is zero, no row goes stale, so the eliminations
+    rewrite exactly the rows that the textbook forms do: every other row
+    at each pivot of Gauss-Jordan, each row below the pivot in the
+    signature, and nothing more."""
+    g = dense_member(n).g
+    d = g.shape[0]
+    row_rewrites.clear()                # building the model validates it
+    invert_symmetric(g)
+    assert row_rewrites["rows"] == d * (d - 1)
+    row_rewrites.clear()
+    signature(g)
+    assert row_rewrites["rows"] == d * (d - 1) // 2
 
 
 # --- einsum helper and vectors ------------------------------------------
