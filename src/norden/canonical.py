@@ -9,6 +9,11 @@ half of its entries nonzero holds ``"nonzero": {"i,j,...": num}``, keyed
 by its indices joined with commas (``""`` at rank 0); any other leaf holds
 ``"num": [...]``, every numerator in C order.  The choice reads only the
 nonzero count.  Numerators and ``den`` are JSON integers of any size.
+A :class:`~norden.errors.Violation` is written as its ``_asdict()`` dict,
+``{"detail": ..., "rule": ..., "where": ...}``; a list of violations whose
+``rule`` and ``detail`` are strs and whose ``where`` is None or a tuple of
+ints is written one ``format`` per violation, and any other through the
+dict.
 
 :func:`index_labels` is the one table of index labels: the JSON keys of
 sparse leaves and the lines of the text report read it.
@@ -27,15 +32,17 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
+from .errors import Violation
 from .tensors import Tensor, _check_digits
 
 
 def canonical_json(obj) -> str:
     """``json.dumps(obj, sort_keys=True, indent=1)``, byte for byte, for
-    dicts with str keys, lists, tuples, str, int, bool and None, and for
-    :class:`Tensor` leaves written as their schema-2 dict (see the module
-    docstring).  Any other value, a subclass of these types included,
-    raises ``TypeError``."""
+    dicts with str keys, lists, tuples, str, int, bool and None, for
+    :class:`Tensor` leaves written as their schema-2 dict and for
+    :class:`Violation` leaves written as their ``_asdict()`` dict (see the
+    module docstring).  Any other value, a subclass of these types
+    included, raises ``TypeError``."""
     out: list[str] = []
     _json(obj, "\n", out)
     return "".join(out)
@@ -70,6 +77,11 @@ def _json(obj, newline: str, out: list[str]) -> None:
         if all(type(item) is int for item in obj):
             out += ("[", inner, ("," + inner).join(map(int.__repr__, obj)), newline, "]")
             return
+        if type(obj[0]) is Violation:
+            items = _violations_json(obj, inner)
+            if items is not None:
+                out += ("[", inner, items, newline, "]")
+                return
         sep = "[" + inner
         for value in obj:
             out.append(sep)
@@ -83,6 +95,12 @@ def _json(obj, newline: str, out: list[str]) -> None:
         out.append(newline + "]")
     elif kind is Tensor:
         _tensor_json(obj, newline, out)
+    elif kind is Violation:
+        item = _violations_json((obj,), newline)
+        if item is None:
+            _json(obj._asdict(), newline, out)
+        else:
+            out.append(item)
     elif kind is str:
         out.append(encode_basestring_ascii(obj))
     elif kind is int:
@@ -91,6 +109,29 @@ def _json(obj, newline: str, out: list[str]) -> None:
         out.append("null" if obj is None else "true" if obj else "false")
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _violations_json(vs, newline: str) -> str | None:
+    """The violations ``vs``, each written as its ``_asdict()`` dict and
+    joined by ``,`` and ``newline``, or None unless every item is a
+    :class:`Violation` whose ``rule`` and ``detail`` are strs and whose
+    ``where`` is None or a tuple of ints.  The fields are type-checked
+    once for the whole list, and each violation is one ``format``."""
+    if {*map(type, vs)} != {Violation}:
+        return None
+    rules, wheres, details = zip(*vs)
+    if not ({*map(type, rules), *map(type, details)} == {str}
+            and {*map(type, wheres)} <= {tuple, type(None)}
+            and {*map(type, itertools.chain.from_iterable(filter(None, wheres)))} <= {int}):
+        return None
+    inner = newline + " "
+    sep = "," + inner + " "
+    at = ["null" if w is None else "[" + inner + " " + sep.join(map(int.__repr__, w)) + inner + "]"
+          if w else "[]" for w in wheres]
+    item = ("{{" + inner + '"detail": {},' + inner + '"rule": {},' + inner + '"where": {}'
+            + newline + "}}").format
+    return ("," + newline).join(map(item, map(encode_basestring_ascii, details),
+                                    map(encode_basestring_ascii, rules), at))
 
 
 def _tensor_json(t: Tensor, newline: str, out: list[str]) -> None:
@@ -103,7 +144,7 @@ def _tensor_json(t: Tensor, newline: str, out: list[str]) -> None:
     inner = newline + " "
     entry = inner + " "
     nums = t.num.ravel()
-    flat = np.flatnonzero(nums)
+    flat = np.flatnonzero(nums != 0)
     if 2 * flat.size < nums.size:
         head, tail = index_labels(t.shape, '": ')
         rows, cols = np.divmod(flat, len(tail))

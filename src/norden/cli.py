@@ -99,7 +99,7 @@ def _validity_json(report) -> dict:
     """The ``--json`` object of a validation report, as ``validate``
     prints it and ``report`` and ``identities`` print it for an invalid
     model."""
-    return {"valid": report.ok, "violations": [v._asdict() for v in report.violations]}
+    return {"valid": report.ok, "violations": report.violations}
 
 
 def _cmd_validate(args) -> int:

@@ -17,6 +17,7 @@ from .errors import (
     InvalidAlgebra,
     ValidationReport,
     VarianceMismatch,
+    Violation,
 )
 from .tensors import (
     Tensor,
@@ -122,20 +123,14 @@ def validate(algebra: LieAlgebra) -> ValidationReport:
     c = algebra.c
     idx = np.arange(algebra.dim)
     defect = nonzero_where([(1, "kij->kij", c), (1, "kji->kij", c)])
-    for (i, j), bad in _components_by_index(defect, idx[:, None] <= idx):
-        report.add(
-            "antisymmetry",
-            where=(i, j),
-            detail=f"[x{i},x{j}] != -[x{j},x{i}] in components {bad}",
-        )
+    report.violations += [
+        Violation("antisymmetry", (i, j), f"[x{i},x{j}] != -[x{j},x{i}] in components {bad}")
+        for (i, j), bad in _components_by_index(defect, idx[:, None] <= idx)]
     defect = nonzero_where(_jacobi_terms(c))
     increasing = (idx[:, None, None] < idx[:, None]) & (idx[:, None] < idx)
-    for where, bad in _components_by_index(defect, increasing):
-        report.add(
-            "jacobi",
-            where=where,
-            detail=f"Jacobi defect nonzero in components {bad}",
-        )
+    report.violations += [
+        Violation("jacobi", where, f"Jacobi defect nonzero in components {bad}")
+        for where, bad in _components_by_index(defect, increasing)]
     return report
 
 

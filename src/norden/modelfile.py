@@ -57,18 +57,22 @@ is checked once, for both formats, by :func:`_model`:
 Each rule has one message in both formats, and in a text file it starts
 with ``line N:`` where the key or row has a line.
 
-Tokens go straight into integer storage, one row (a line or a JSON list)
-at a time.  A row of plain tokens is read in one comprehension: every
-token is a string of the ASCII digits, ``+``, ``-`` and ``/`` only, and no
-``/`` is followed by a sign or a ``0``, so no denominator is signed or
-zero.  Each token is split at its first ``/`` and both parts go through
-``int()``.  Every other row is read token by token by
+Tokens go straight into integer storage, one pass per tensor: the
+tokens of all rows of ``phi`` or ``metric``, or of all bracket entries,
+are read in one comprehension when every row is a list of ``dim`` tokens,
+every bracket entry is ``[int, int, list]`` and every token is plain: a
+string of the ASCII digits, ``+``, ``-`` and ``/`` only, with no ``/``
+followed by a sign or a ``0``, so no denominator is signed or zero.  Each
+token is split at its first ``/`` and both parts go through ``int()``.
+When that pass meets anything else, the tensor is read one row (a line or
+a JSON list) at a time by the checks above, which name the first fault.
+A row that is not plain is read token by token by
 :func:`~norden.tensors.as_pair`: a row with a JSON number, a decimal, an
 exponent, an underscore, a non-ASCII digit or a denominator such as
 ``04``, and a plain row where ``int()`` fails (``5-``, ``+-5``, ``3/``,
 more digits than Python reads).  ``as_pair`` reads plain digits through
 ``int()`` and anything else by ``Fraction``'s grammar under the exponent
-cap, and its error is the row's ``ParseError``.  So both paths give the
+cap, and its error is the row's ``ParseError``.  So every path gives the
 same pairs ``(p, q)`` for the same tokens and the same message for the
 same bad row.  :meth:`Tensor.of_pairs` puts each tensor's numerators over
 the lcm of its denominators and reduces them once, so no Fraction is
@@ -88,7 +92,7 @@ from __future__ import annotations
 
 import json
 import re
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -105,13 +109,12 @@ _PLAIN_ROW = re.compile(r"[0-9+/-]*")
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-def _pairs(tokens, line: int | None = None) -> list[tuple[int, int]]:
-    """The tokens of one row as ``(p, q)`` pairs: a row of plain tokens
-    in one comprehension, any other row through :func:`as_pair` (see the
-    module docstring)."""
+def _plain_pairs(tokens: list) -> list[tuple[int, int]] | None:
+    """The tokens as ``(p, q)`` pairs in one comprehension when every
+    token is plain (see the module docstring), else None."""
     try:
         # A token that is not a str fails the join; "/0" is stricter than
-        # a zero denominator, and a row it stops only takes the slow path.
+        # a zero denominator, and tokens it stops only take the slow path.
         joined = "".join(tokens)
         if (_PLAIN_ROW.fullmatch(joined) and "/-" not in joined and "/+" not in joined
                 and "/0" not in joined):
@@ -119,6 +122,26 @@ def _pairs(tokens, line: int | None = None) -> list[tuple[int, int]]:
                     for p, slash, q in map(str.partition, tokens, repeat("/"))]
     except (ValueError, TypeError):
         pass
+    return None
+
+
+def _joined_pairs(rows: list, n: int) -> list[tuple[int, int]] | None:
+    """The pairs of the tokens of all ``rows``, read in one pass by
+    :func:`_plain_pairs` when every row is a list of ``n`` plain tokens,
+    else None: then the rows are read one at a time, which names the
+    fault of the first bad row."""
+    if all(type(r) is list and len(r) == n for r in rows):
+        return _plain_pairs(list(chain.from_iterable(rows)))
+    return None
+
+
+def _pairs(tokens, line: int | None = None) -> list[tuple[int, int]]:
+    """The tokens of one row as ``(p, q)`` pairs: a row of plain tokens
+    in one comprehension, any other row through :func:`as_pair` (see the
+    module docstring)."""
+    pairs = _plain_pairs(tokens)
+    if pairs is not None:
+        return pairs
     try:
         return [as_pair(t) for t in tokens]
     except (ValueError, TypeError) as exc:
@@ -172,8 +195,11 @@ def _model(data: dict, lines: dict | None = None) -> AcnModel:
         if len(variance) == 1:
             pairs = row(data[key], key, at(key))
         else:
-            what, rows = f"{key} row", listed(data[key], key, "rows", at(key))
-            pairs = [pair for i, r in enumerate(rows) for pair in row(r, what, at((key, i)))]
+            rows = listed(data[key], key, "rows", at(key))
+            pairs = _joined_pairs(rows, dim)
+            if pairs is None:
+                what = f"{key} row"
+                pairs = [pair for i, r in enumerate(rows) for pair in row(r, what, at((key, i)))]
         return Tensor.of_pairs(pairs, (dim,) * len(variance), variance)
 
     phi, xi, eta, g = (tensor(key, variance) for key, variance in
@@ -181,15 +207,23 @@ def _model(data: dict, lines: dict | None = None) -> AcnModel:
     brackets = data.get("brackets", [])
     if not isinstance(brackets, list):
         raise ParseError("'brackets' must be a list", line=at("brackets"))
-    table = []
-    for k, entry in enumerate(brackets):
-        line = at(("brackets", k))
-        if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[2], list)):
-            raise ParseError("each bracket entry must be [i, j, coefficients]", line=line)
-        i, j, coeffs = entry
-        if type(i) is not int or type(j) is not int:
-            raise ParseError("bad bracket indices: they must be integers", line=line)
-        table.append((i, j, entries(coeffs, f"bracket ({i}, {j})", line)))
+    pairs = None
+    if all(type(e) is list and len(e) == 3 and type(e[0]) is type(e[1]) is int
+           for e in brackets):
+        pairs = _joined_pairs([e[2] for e in brackets], dim)
+    if pairs is not None:
+        table = [(i, j, pairs[k:k + dim])
+                 for (i, j, _), k in zip(brackets, range(0, len(pairs), dim))]
+    else:
+        table = []
+        for k, entry in enumerate(brackets):
+            line = at(("brackets", k))
+            if not (isinstance(entry, list) and len(entry) == 3 and isinstance(entry[2], list)):
+                raise ParseError("each bracket entry must be [i, j, coefficients]", line=line)
+            i, j, coeffs = entry
+            if type(i) is not int or type(j) is not int:
+                raise ParseError("bad bracket indices: they must be integers", line=line)
+            table.append((i, j, entries(coeffs, f"bracket ({i}, {j})", line)))
     try:
         c = structure_constants(dim, table)
     except (DimensionMismatch, ValueError) as exc:

@@ -185,7 +185,7 @@ def _tensor_block(key: str, t: Tensor) -> str:
     start up to the head label, the tail label and the value text,
     gathered from their tables into one object array and joined once."""
     nums = t.num.ravel()
-    flat = np.flatnonzero(nums)
+    flat = np.flatnonzero(nums != 0)
     if not flat.size:
         return f"\n  {key} = 0"
     head, tail = index_labels(t.shape, "] = ")

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationReport, VarianceMismatch
+from .errors import DimensionMismatch, ValidationReport, VarianceMismatch, Violation
 from .lie import LieAlgebra, validate as validate_algebra
 from .tensors import (
     Tensor,
@@ -121,42 +121,43 @@ def validate_structure(model: AcnModel) -> ValidationReport:
     phi2 = exact_einsum("ia,aj->ij", phi, phi)
     identity = Tensor._of(np.eye(model.dim, dtype=np.int32), 1, 1, "ud")   # canonical
     expected = exact_sum([(1, "i,j->ij", xi, eta), (-1, "ij->ij", identity)])
-    for (i, j), got, want in mismatches(phi2, expected):
-        report.add("phi_square", where=(i, j),
-                   detail=f"(phi^2)[{i},{j}] = {got}, expected {want}")
+    report.violations += [
+        Violation("phi_square", (i, j), f"(phi^2)[{i},{j}] = {got}, expected {want}")
+        for (i, j), got, want in mismatches(phi2, expected)]
 
     eta_xi = einsum_scalar("i,i->", eta, xi)
     if eta_xi != 1:
         report.add("eta_xi", detail=f"eta(xi) = {format_scalar(eta_xi)}, expected 1")
 
-    for (i,), value in nonzeros(exact_einsum("ij,j->i", phi, xi)):
-        report.add("phi_xi", where=(i,), detail=f"(phi xi)[{i}] = {value}")
+    report.violations += [Violation("phi_xi", (i,), f"(phi xi)[{i}] = {value}")
+                          for (i,), value in nonzeros(exact_einsum("ij,j->i", phi, xi))]
 
-    for (j,), value in nonzeros(exact_einsum("i,ij->j", eta, phi)):
-        report.add("eta_phi", where=(j,), detail=f"(eta o phi)[{j}] = {value}")
+    report.violations += [Violation("eta_phi", (j,), f"(eta o phi)[{j}] = {value}")
+                          for (j,), value in nonzeros(exact_einsum("i,ij->j", eta, phi))]
 
     asymmetric = np.argwhere(np.triu(g.num != g.num.T)).tolist()
-    for i, j in asymmetric:
-        report.add("metric_symmetric", where=(i, j), detail=f"g[{i},{j}] != g[{j},{i}]")
+    report.violations += [Violation("metric_symmetric", (i, j), f"g[{i},{j}] != g[{j},{i}]")
+                          for i, j in asymmetric]
 
     # g(phi x, phi y) = -g(x, y) + eta(x) eta(y) on basis pairs.
     gphiphi = exact_einsum("ai,ab,bj->ij", phi, g, phi)
     expected = exact_sum([(-1, "ij->ij", g), (1, "i,j->ij", eta, eta)])
-    for (i, j), got, want in mismatches(gphiphi, expected):
-        report.add("norden_compatibility", where=(i, j),
-                   detail=f"g(phi x{i}, phi x{j}) = {got}, expected {want}")
+    report.violations += [
+        Violation("norden_compatibility", (i, j),
+                  f"g(phi x{i}, phi x{j}) = {got}, expected {want}")
+        for (i, j), got, want in mismatches(gphiphi, expected)]
 
     # phi is g-symmetric: g(phi x, y) = g(x, phi y).
     gphi = exact_einsum("ai,aj->ij", phi, g)
-    for i, j in np.argwhere(gphi.num != gphi.num.T).tolist():
-        report.add("phi_g_symmetric", where=(i, j),
-                   detail=f"g(phi x{i}, x{j}) != g(x{i}, phi x{j})")
+    report.violations += [
+        Violation("phi_g_symmetric", (i, j), f"g(phi x{i}, x{j}) != g(x{i}, phi x{j})")
+        for i, j in np.argwhere(gphi.num != gphi.num.T).tolist()]
 
     # eta is the g-dual of xi.
     gxi = exact_einsum("ij,j->i", g, xi)
-    for (i,), got, want in mismatches(gxi, eta):
-        report.add("eta_g_dual", where=(i,),
-                   detail=f"g(x{i}, xi) = {got}, eta(x{i}) = {want}")
+    report.violations += [
+        Violation("eta_g_dual", (i,), f"g(x{i}, xi) = {got}, eta(x{i}) = {want}")
+        for (i,), got, want in mismatches(gxi, eta)]
 
     # A signature is defined for symmetric forms only.
     if asymmetric:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from norden import Tensor, validate_structure
+from norden import Tensor, Violation, validate_structure
 from norden.canonical import canonical_json
 
 #: Quotes, backslashes, control characters and non-ASCII text (including
@@ -175,6 +175,41 @@ def test_matches_json_dumps_on_a_mutant_validation_object(fam23):
     wheres = [v["where"] for v in obj["violations"]]
     assert obj["valid"] is False and None in wheres and (1,) in wheres
     assert canonical_json(obj) == _dumps(obj)
+
+
+wheres = st.one_of(st.none(), st.just(()),
+                   st.lists(st.integers(-(2 ** 200), 2 ** 200), min_size=1, max_size=4).map(tuple))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.builds(Violation, texts, wheres, texts), max_size=6))
+def test_violations_match_json_dumps_of_their_dicts(violations):
+    """A :class:`Violation` is written as its ``_asdict()`` dict."""
+    obj = {"valid": False, "violations": violations}
+    want = _dumps({"valid": False, "violations": [v._asdict() for v in violations]})
+    assert canonical_json(obj) == want
+    for v in violations:
+        assert canonical_json(v) == _dumps(v._asdict())
+
+
+@pytest.mark.parametrize("violations", [
+    [Violation("r", (1, True), "d")],                       # a bool is true, not 1
+    [Violation("r", (0, 1), "d"), Violation(None, [2, -3], 5)],
+    [Violation("r", None, "d"), {"rule": "r"}, "x", 7],      # other items in the list
+], ids=["bool where", "other field types", "mixed list"])
+def test_a_violation_with_other_fields_is_written_as_its_dict(violations):
+    plain = [v._asdict() if type(v) is Violation else v for v in violations]
+    assert canonical_json({"v": violations}) == _dumps({"v": plain})
+    assert canonical_json(violations[0]) == _dumps(plain[0])
+
+
+@pytest.mark.parametrize("bad", [Violation("r", (np.int64(1),), "d"),
+                                 [Violation("r", (1,), "d"), Violation("r", (np.int64(1),), "d")],
+                                 [Violation("r", (1,), "d"), Pair(1, 2)],
+                                 Violation("r", (_Text("w"),), "d")])
+def test_a_violation_the_dict_route_cannot_write_is_a_type_error(bad):
+    with pytest.raises(TypeError):
+        canonical_json(bad)
 
 
 def test_storage_kinds_are_both_reached():

@@ -465,6 +465,21 @@ def test_output_is_built_only_in_the_requested_format(model_path, broken_path,
     capsys.readouterr()
 
 
+def test_violations_are_written_without_their_dicts(broken_path, monkeypatch, capsys):
+    """``--json`` of an invalid model prints the same bytes when
+    ``Violation._asdict`` refuses: the writer reads the fields in place."""
+    runs = [["validate", broken_path, "--json"], ["report", broken_path, "--json"]]
+    printed = [(main(argv), capsys.readouterr()) for argv in runs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built the dict of a violation")
+
+    monkeypatch.setattr(norden.errors.Violation, "_asdict", refuse)
+    assert [(main(argv), capsys.readouterr()) for argv in runs] == printed
+    assert [code for code, _ in printed] == [EXIT_FAIL, EXIT_FAIL]
+    assert json.loads(printed[0][1].out)["violations"]
+
+
 def test_section_bad_vector_syntax(model_path):
     assert main(["section", model_path, "--x", "1,0", "--y", "0,1,0",
                  "--quiet"]) == EXIT_INPUT

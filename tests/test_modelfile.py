@@ -28,7 +28,7 @@ from norden import (
 )
 from norden import lie, modelfile, tensors
 from norden.lie import LieAlgebra
-from norden.modelfile import _pairs
+from norden.modelfile import _joined_pairs, _pairs
 from norden.tensors import as_pair
 
 VALID_TEXT = """\
@@ -239,6 +239,57 @@ def test_both_formats_break_one_rule_with_one_message(fam23, change):
         messages.append(str(exc.value))
     text_message, json_message = messages
     assert re.sub(r"^line \d+: ", "", text_message) == json_message
+
+
+def _set(*path):
+    """A change that sets the item at ``path[:-1]`` of a model object to
+    ``path[-1]``."""
+    *keys, last, value = path
+
+    def change(obj):
+        for key in keys:
+            obj = obj[key]
+        obj[last] = value
+    return change
+
+
+#: Files with two faults, and the first message of each, as text and as
+#: JSON: a tensor read in one pass reports the fault its rows name first.
+TWO_FAULTS = {
+    "bad metric token, then a short row": (
+        [_set("metric", 1, 0, "x"), lambda obj: obj["metric"][2].pop()],
+        "line 10: not an exact rational: 'x'", "not an exact rational: 'x'"),
+    "short metric row, then a bad token": (
+        [lambda obj: obj["metric"][0].pop(), _set("metric", 2, 0, "x")],
+        "line 9: metric row must be a list of 3 entries, got 2",
+        "metric row must be a list of 3 entries, got 2"),
+    "bad bracket token, then a bad index": (
+        [_set("brackets", 0, 2, 0, "1/0"), _set("brackets", 1, 1, "a")],
+        "line 4: not an exact rational: '1/0'", "not an exact rational: '1/0'"),
+    "bad bracket token, then an index out of range": (
+        [_set("brackets", 0, 2, 1, "2q"), _set("brackets", 1, 0, 9)],
+        "line 4: not an exact rational: '2q'", "not an exact rational: '2q'"),
+    "bracket with dim + 1 coefficients": (
+        [lambda obj: obj["brackets"][0][2].append("0")],
+        "bracket (0,1) has length 4, expected 3", "bracket (0,1) has length 4, expected 3"),
+    "true in the last phi row": (
+        [_set("phi", 2, 2, True)],
+        "line 15: not an exact rational: 'true'",
+        "phi row entries must be integers or rational strings, not true or false"),
+}
+
+
+@pytest.mark.parametrize("changes, text_message, json_message", TWO_FAULTS.values(),
+                         ids=TWO_FAULTS)
+def test_the_first_fault_of_a_file_is_named(fam23, changes, text_message, json_message):
+    obj = json.loads(serialize_model(fam23.model, fmt="json"))
+    for change in changes:
+        change(obj)
+    text = _text_of(json.loads(json.dumps(obj).replace("true", '"true"')))
+    for model, message in ((text, text_message), (json.dumps(obj), json_message)):
+        with pytest.raises(ParseError) as exc:
+            parse_model(model, require_valid=False)
+        assert str(exc.value) == message
 
 
 @pytest.mark.parametrize("name", ["a # b", "#", " lead", "trail ", "\tboth\t",
@@ -496,6 +547,32 @@ def test_a_row_reads_as_its_tokens_read_one_by_one(row):
     got = _read_row(row, 7)
     assert got == _read_one_by_one(row, 7)
     if isinstance(got, list):
+        assert all(type(p) is int and type(q) is int for p, q in got)
+
+
+_PLAIN_TOKENS = st.builds("".join, st.tuples(
+    st.sampled_from(["", "-", "+"]), st.text("0123456789", min_size=1, max_size=4),
+    st.sampled_from(["", "/1", "/7", "/12", "/300"])))
+#: A token that the one-pass reader must read: short, signed at most once,
+#: no zero or signed denominator.
+_PLAIN_TOKEN = re.compile(r"[+-]?[0-9]{1,20}(/[1-9][0-9]{0,20})?")
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.lists(st.one_of(st.lists(st.one_of(_PLAIN_TOKENS, _PLAIN_TOKENS, _tokens()),
+                                   min_size=3, max_size=3),
+                          st.lists(_PLAIN_TOKENS, max_size=4)), max_size=4))
+def test_a_tensor_read_in_one_pass_reads_as_its_rows_read_one_by_one(rows):
+    """Where the one-pass read of a tensor's rows gives pairs, they are the
+    pairs of its rows read one at a time; it gives pairs whenever every
+    row holds three plain tokens."""
+    got = _joined_pairs(rows, 3)
+    plain = all(len(r) == 3 and all(isinstance(t, str) and _PLAIN_TOKEN.fullmatch(t)
+                                    for t in r) for r in rows)
+    assert (got is not None) >= plain
+    if got is not None:
+        assert all(len(r) == 3 for r in rows)
+        assert got == [pair for r in rows for pair in _pairs(r)]
         assert all(type(p) is int and type(q) is int for p, q in got)
 
 
