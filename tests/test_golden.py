@@ -2,24 +2,37 @@
 models.  The report output is the behavioural contract of the library, so
 a change of arithmetic or rendering that alters a single byte fails here.
 
-The models are family members with n = 1..5 and one family member moved
-to a dense basis by a rational, non-unimodular change of basis.  The
-hashes of n = 1..4 and the dense model were recorded with the
-object-Fraction contractions that preceded the integer kernel.  The
-n = 5 member (dim 11) pins two-digit indices in both renderings; its
+There are eight models, of dims 3 to 19: family members with n = 1..5,
+the n = 2 member moved to a dense basis by a rational, non-unimodular
+change of basis, and two over-bound dense models.  The hashes of
+n = 1..4 and the dense model were recorded with the object-Fraction
+contractions that preceded the integer kernel.  The n = 5 member (dim 11) pins two-digit indices in both renderings; its
 hashes were recorded while the JSON report was still rendered by
 ``json.dumps`` and the text report's indices by ``np.argwhere``.  The
 JSON hashes were re-recorded once, for report schema 2 (tensors as
 integer numerators over one denominator, sparse ones by their nonzero
 entries); no text hash changed then.
 
+The two over-bound models are ``dense_member(8)`` of
+``test_contraction_plan`` (dim 17) and a seeded dim-19 dense model of
+``benchmarks/models.py``.  Each of their reports runs at least one
+contraction step whose bound reaches ``INT64_SAFE``, so the step runs on
+Python ints; the test checks that, so the pins keep covering that route
+when it changes.  Their hashes were recorded before the JSON writer took
+one join per homogeneous list.
+
 The same models also pin the bytes of ``serialize_model`` in both
-formats; the dense model is the one whose ``phi``, ``xi`` and ``g`` have
-entries with a denominator above 1.  The JSON model-file hashes were
+formats; the dense models are the ones whose ``phi``, ``xi`` and ``g``
+have entries with a denominator above 1.  The JSON model-file hashes were
 re-recorded once, when that format gained its final newline.
 """
+import functools
 import hashlib
+import importlib.util
 from fractions import Fraction
+from pathlib import Path
+from random import Random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,12 +43,17 @@ from norden import (
     LieAlgebra,
     Tensor,
     generate_family,
+    parse_model,
     report_to_json,
     report_to_text,
     run_report,
     serialize_model,
     validate_structure,
 )
+from norden import tensors
+from norden.tensors import INT64_SAFE
+
+from test_contraction_plan import dense_member
 
 FAMILY_LAMBDAS = {
     1: (2, 3),
@@ -81,9 +99,34 @@ def _dense_model() -> AcnModel:
     return model
 
 
+def _bench_dense_model(n: int, seed: int) -> AcnModel:
+    """A seeded dense model of dimension ``2n + 1`` from
+    ``benchmarks/models.py``, loaded by path: a random family member moved
+    by a random rational basis change, read back from its text file."""
+    path = Path(__file__).resolve().parents[1] / "benchmarks" / "models.py"
+    spec = importlib.util.spec_from_file_location("bench_models", path)
+    models = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(models)
+    rng = Random(seed)
+    lam = models.random_lambda(rng, n)
+    s = models.change_basis(models.family_structure(lam),
+                            *models.random_basis_change(rng, 2 * n + 1))
+    return parse_model(models.to_text(s, f"benchmark dense n={n} seed={seed}"))
+
+
+#: Models with a contraction step whose bound reaches ``INT64_SAFE``, so
+#: that step runs on Python ints.
+OVER_BOUND = {"dense8", "dense19"}
+
+
+@functools.cache
 def _model(key):
     if key == "dense":
         return _dense_model()
+    if key == "dense8":
+        return dense_member(8)
+    if key == "dense19":
+        return _bench_dense_model(9, 31)
     return generate_family(FamilyParams(key, FAMILY_LAMBDAS[key]))
 
 
@@ -101,6 +144,10 @@ GOLDEN = {
         "58f040e54beb2c3ab1cf13750468657e97cc147f1851f896d961ae44c86ac24e"),
     "dense": ("75e420f7da93433aede3409e3700612b04d27d62363015cf6959048cd335b2a8",
         "be8a3b79966c0859f71cd77a53240cb0752020c39629b9ff753598d340d34f31"),
+    "dense8": ("949bfe9d4ce340920e4fde596e3e211f22d9dfc60bc95cbfaded7c61fd474524",
+        "8e50f6e77210311465ad23d46ff48d1365e5d58ce836dca8f5e32abf367fc807"),
+    "dense19": ("5941099fe490bb701e6eb91203387ed862952ed5bdbc5053677dcfeb5069bdc9",
+        "e9e45c968ecec04fe28f08a0e2d5b45e337befbcfbb3b28cd2e15a4f78965562"),
 }
 
 
@@ -110,7 +157,16 @@ def _sha256(text: str) -> str:
 
 @pytest.mark.parametrize("key", list(GOLDEN))
 def test_report_bytes_are_unchanged(key):
-    report = run_report(_model(key))
+    bounds, real = [], tensors._pairwise
+
+    def pairwise(step, nums, bound):
+        bounds.append(bound)
+        return real(step, nums, bound)
+
+    with mock.patch.object(tensors, "_pairwise", pairwise):
+        report = run_report(_model(key))
+    if key in OVER_BOUND:
+        assert max(bounds) >= INT64_SAFE
     json_hash, text_hash = GOLDEN[key]
     assert _sha256(report_to_json(report)) == json_hash
     assert _sha256(report_to_text(report)) == text_hash
@@ -130,6 +186,10 @@ MODEL_FILE_GOLDEN = {
         "d4c3e518140841c3d34d3245ce190a206d3e58b8503e82aab36c2cbd429add04"),
     "dense": ("08288fd21504f002b0a23244b6594a1f6da8d25d1893afdaed51df44cb37342c",
         "6cb55c203cbbe28b127afe857fe13883f5d637addf6260f54db8da4a9b889e1a"),
+    "dense8": ("017a6bbfaf74f933779f7b0bca01e229689e3ec9525f4075a6eda1f01db45f80",
+        "beb5d044983c09f2ec4a008092378cca7540c08e73906b783a6a6cd5735d7468"),
+    "dense19": ("5e58e0f718a21b1cb175697256303bb1ad7aab7a027688b9bed174f08ecada1a",
+        "10a72ad1916a0e28f770ed1a4cf51741cf78056336cc9401fe738f8f82789c9d"),
 }
 
 
