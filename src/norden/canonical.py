@@ -19,10 +19,11 @@ dict.
 sparse leaves and the lines of the text report read it.
 
 The writer dispatches on the exact type of a value: a ``dict``, a
-``list`` or ``tuple``, a ``Tensor`` leaf, a ``str`` and an ``int`` are
-each one identity test away, and inside a container its ``str`` and
-``int`` items are written in place without a call.  A list or tuple of
-ints only (no bool) is written with one join.
+``list`` or ``tuple``, a ``Tensor`` leaf, a ``Violation``, a ``str`` and
+an ``int`` are each one identity test away.  A list or tuple whose items
+are all ints (no bool), all strs or all violations is written in one
+join, the violations as above; every dict value and every item of any
+other list goes through the dispatch.
 """
 from __future__ import annotations
 
@@ -59,14 +60,8 @@ def _json(obj, newline: str, out: list[str]) -> None:
         inner = newline + " "
         sep = "{" + inner
         for key in sorted(obj):         # a non-str key fails in the encoder
-            value = obj[key]
             out += (sep, encode_basestring_ascii(key), ": ")
-            if type(value) is str:      # the common leaves, written in place
-                out.append(encode_basestring_ascii(value))
-            elif type(value) is int:
-                out.append(int.__repr__(value))
-            else:
-                _json(value, inner, out)
+            _json(obj[key], inner, out)
             sep = "," + inner
         out.append(newline + "}")
     elif kind is list or kind is tuple:
@@ -74,33 +69,28 @@ def _json(obj, newline: str, out: list[str]) -> None:
             out.append("[]")
             return
         inner = newline + " "
-        if all(type(item) is int for item in obj):
-            out += ("[", inner, ("," + inner).join(map(int.__repr__, obj)), newline, "]")
-            return
-        if type(obj[0]) is Violation:
+        kinds = {*map(type, obj)}
+        if kinds == {int}:
+            items = ("," + inner).join(map(int.__repr__, obj))
+        elif kinds == {str}:
+            items = ("," + inner).join(map(encode_basestring_ascii, obj))
+        elif kinds == {Violation}:
             items = _violations_json(obj, inner)
-            if items is not None:
-                out += ("[", inner, items, newline, "]")
-                return
+        else:
+            items = None
+        if items is not None:
+            out += ("[", inner, items, newline, "]")
+            return
         sep = "[" + inner
         for value in obj:
             out.append(sep)
-            if type(value) is str:      # the common leaves, written in place
-                out.append(encode_basestring_ascii(value))
-            elif type(value) is int:
-                out.append(int.__repr__(value))
-            else:
-                _json(value, inner, out)
+            _json(value, inner, out)
             sep = "," + inner
         out.append(newline + "]")
     elif kind is Tensor:
         _tensor_json(obj, newline, out)
     elif kind is Violation:
-        item = _violations_json((obj,), newline)
-        if item is None:
-            _json(obj._asdict(), newline, out)
-        else:
-            out.append(item)
+        _json(obj._asdict(), newline, out)
     elif kind is str:
         out.append(encode_basestring_ascii(obj))
     elif kind is int:
@@ -113,12 +103,11 @@ def _json(obj, newline: str, out: list[str]) -> None:
 
 def _violations_json(vs, newline: str) -> str | None:
     """The violations ``vs``, each written as its ``_asdict()`` dict and
-    joined by ``,`` and ``newline``, or None unless every item is a
-    :class:`Violation` whose ``rule`` and ``detail`` are strs and whose
-    ``where`` is None or a tuple of ints.  The fields are type-checked
-    once for the whole list, and each violation is one ``format``."""
-    if {*map(type, vs)} != {Violation}:
-        return None
+    joined by ``,`` and ``newline``, or None unless every ``rule`` and
+    ``detail`` is a str and every ``where`` is None or a tuple of ints.
+    The caller has checked that every item is a :class:`Violation`; the
+    fields are type-checked once for the whole list, and each violation
+    is one ``format``."""
     rules, wheres, details = zip(*vs)
     if not ({*map(type, rules), *map(type, details)} == {str}
             and {*map(type, wheres)} <= {tuple, type(None)}

@@ -34,8 +34,8 @@ from .family import FamilyParams, generate_family
 from .geometry import Geometry
 from .modelfile import parse_model, serialize_model
 from .report import (
+    _report_object,
     all_identities_ok,
-    report_to_json,
     report_to_text,
     run_report,
     verdict_line,
@@ -84,8 +84,8 @@ def _parse_vector(text: str, what: str) -> list[Fraction]:
 
 
 def _emit(args, text, json_obj) -> None:
-    """Print the requested format only: ``text()`` or ``json_obj()``
-    builds it, and neither is called under ``--quiet``."""
+    """Print the requested format, as every command does: ``text()`` or
+    ``json_obj()`` as canonical JSON; neither is built under ``--quiet``."""
     if args.quiet:
         return
     if args.json:
@@ -123,8 +123,7 @@ def _run_validated(args) -> AcnModel:
 def _cmd_report(args) -> int:
     model = _run_validated(args)
     report = run_report(model)
-    if not args.quiet:      # render only the requested format
-        print(report_to_json(report) + "\n" if args.json else report_to_text(report), end="")
+    _emit(args, lambda: report_to_text(report), lambda: _report_object(report))
     return EXIT_OK if all_identities_ok(report) else EXIT_FAIL
 
 

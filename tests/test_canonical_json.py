@@ -62,7 +62,11 @@ def test_matches_json_dumps_on_edge_values():
     obj = {"": [], "a": {}, "b": (), "c": [[], {}, ()], "big": -(2 ** 64) - 1,
            "t": True, "f": False, "n": None, "s": 'q"\\\x00é\U0001d4e9'}
     assert canonical_json(obj) == _dumps(obj)
-    for leaf in (0, -1, 2 ** 70, "", "x", True, None, [], {}):
+    row = ["0", "-1", "1/2", "-7/3", "12", 'q"\\', "é", "2"]
+    model_file = {"name": "m", "dim": 8, "brackets": [[0, 1, row], [3, 7, row[::-1]]],
+                  "phi": [row] * 8, "xi": row, "eta": row[1:], "metric": [row] * 8}
+    for leaf in (0, -1, 2 ** 70, "", "x", True, None, [], {}, model_file,
+                 ["a", 1, "b", -2], [1, 2, True, 3], ("a", "b", "c")):
         assert canonical_json(leaf) == _dumps(leaf)
 
 
