@@ -65,9 +65,9 @@ def test_matches_json_dumps_on_edge_values():
     row = ["0", "-1", "1/2", "-7/3", "12", 'q"\\', "é", "2"]
     model_file = {"name": "m", "dim": 8, "brackets": [[0, 1, row], [3, 7, row[::-1]]],
                   "phi": [row] * 8, "xi": row, "eta": row[1:], "metric": [row] * 8}
-    for leaf in (0, -1, 2 ** 70, "", "x", True, None, [], {}, model_file,
-                 ["a", 1, "b", -2], [1, 2, True, 3], ("a", "b", "c")):
-        assert canonical_json(leaf) == _dumps(leaf)
+    for value in (0, -1, 2 ** 70, "", "x", True, None, [], {}, model_file,
+                  ["a", 1, "b", -2], [1, 2, True, 3], ("a", "b", "c")):
+        assert canonical_json(value) == _dumps(value)
 
 
 ENTRY_KINDS = {

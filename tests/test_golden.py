@@ -28,9 +28,7 @@ re-recorded once, when that format gained its final newline.
 """
 import functools
 import hashlib
-import importlib.util
 from fractions import Fraction
-from pathlib import Path
 from random import Random
 from unittest import mock
 
@@ -54,6 +52,7 @@ from norden import tensors
 from norden.tensors import INT64_SAFE
 
 from test_contraction_plan import dense_member
+from test_modelfile import _bench_models
 
 FAMILY_LAMBDAS = {
     1: (2, 3),
@@ -103,10 +102,7 @@ def _bench_dense_model(n: int, seed: int) -> AcnModel:
     """A seeded dense model of dimension ``2n + 1`` from
     ``benchmarks/models.py``, loaded by path: a random family member moved
     by a random rational basis change, read back from its text file."""
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "models.py"
-    spec = importlib.util.spec_from_file_location("bench_models", path)
-    models = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(models)
+    models = _bench_models()
     rng = Random(seed)
     lam = models.random_lambda(rng, n)
     s = models.change_basis(models.family_structure(lam),
