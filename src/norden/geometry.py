@@ -22,6 +22,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
+import numpy as np
+
 from .classify import IdentityVerdict, check_identities
 from .connection import Connection, covariant_derivative
 from .curvature import CurvaturePack, curvature_terms
@@ -315,7 +317,7 @@ class Geometry:
     def forms_closed(self) -> tuple[bool, bool]:
         """Closedness of ``omega`` and ``omega_star``: for constant forms
         ``d omega(x, y) = (nabla_x omega) y - (nabla_y omega) x``."""
-        return tuple(t == exact_einsum("ij->ji", t)
+        return tuple(np.array_equal(t.num, t.num.T)
                      for t in (self.nabla_omega, self.nabla_omega_star))
 
     @cached_property

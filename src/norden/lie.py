@@ -63,29 +63,29 @@ def structure_constants(dim: int, table: Iterable[tuple[int, int, list]]) -> Ten
     pair instead of it being repaired.  Unlisted pairs commute.  An
     index outside ``0..dim-1`` or a wrong number of coefficients raises
     :class:`DimensionMismatch`, and a pair listed twice ``ValueError``.
-    The listed columns are put in canonical storage once and written,
-    with the negated unlisted mirrors, into one array.
+    The listed columns are put in canonical storage once and scattered
+    into one array twice, negated into every mirror and then as they
+    are, so a listed mirror or a diagonal entry keeps its own value.
     """
-    listed = {}
-    for i, j, pairs in table:
+    listed, pairs = {}, []      # listed: the (i, j) read so far, in order
+    for i, j, entry in table:
         if not (0 <= i < dim and 0 <= j < dim):
             raise DimensionMismatch(f"bracket indices ({i}, {j}) out of range for dim {dim}")
         if (i, j) in listed:
             raise ValueError(f"duplicate bracket entry ({i}, {j})")
-        if len(pairs) != dim:
+        if len(entry) != dim:
             raise DimensionMismatch(
-                f"bracket ({i},{j}) has length {len(pairs)}, expected {dim}")
-        listed[i, j] = pairs
+                f"bracket ({i},{j}) has length {len(entry)}, expected {dim}")
+        listed[i, j] = None
+        pairs += entry
     # The listed columns in canonical storage; c holds the same nonzero
     # numerators (and their negatives), so it shares their den and bound.
-    cols = Tensor.of_pairs([pair for pairs in listed.values() for pair in pairs],
-                           (len(listed), dim), "ud")
+    cols = Tensor.of_pairs(pairs, (len(listed), dim), "ud")
     num = np.zeros((dim,) * 3, dtype=cols.num.dtype)
     if listed:
         i, j = np.array(list(listed)).T
+        num[:, j, i] = -cols.num.T
         num[:, i, j] = cols.num.T
-        unlisted = np.array([(b, a) not in listed for a, b in listed])
-        num[:, j[unlisted], i[unlisted]] = -cols.num[unlisted].T
     return Tensor._of(num, cols.den, cols.magnitude, "udd")
 
 

@@ -330,21 +330,23 @@ def parse_model(text: str, require_valid: bool = True) -> AcnModel:
     return model
 
 
-def _rows(t: Tensor) -> list[list[str]]:
-    """The entries of ``t`` as strings, one list per row of its last axis."""
-    flat, n = t.formatted(), t.shape[-1]
+def _rows(t: Tensor, where: np.ndarray | None = None) -> list[list[str]]:
+    """The entries of ``t``, or of the rows that the boolean array ``where``
+    selects, as strings, one list per row of its last axis."""
+    flat, n = t.formatted(where), t.shape[-1]
     return [flat[i:i + n] for i in range(0, len(flat), n)]
 
 
 def serialize_model(model: AcnModel, fmt: str = "text") -> str:
     """Render a model canonically; ``parse_model`` inverts this exactly.
+    Only the nonzero brackets ``[x_i, x_j]`` with ``i < j`` are formatted.
     A name with a ``#``, a line break or outer whitespace does not fit
     the text format and raises ``ValueError``; use ``fmt="json"``."""
     d = model.dim
     c = exact_einsum("kij->ijk", model.algebra.c)
-    columns = _rows(c)    # row i * d + j holds [x_i, x_j]
-    brackets = [(i, j, columns[i * d + j])
-                for i, j in np.argwhere(np.triu(c.num.any(axis=2), 1)).tolist()]
+    listed = np.triu(c.num.any(axis=2), 1)      # the nonzero [x_i, x_j], i < j
+    brackets = [(i, j, column) for (i, j), column
+                in zip(np.argwhere(listed).tolist(), _rows(c, listed))]
     phi, metric = _rows(model.phi), _rows(model.g)
     xi, eta = model.xi.formatted(), model.eta.formatted()
     if fmt == "json":

@@ -220,13 +220,6 @@ def format_scalar(value) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def _object_array(entries: list, shape) -> np.ndarray:
-    """An object ndarray of ``shape`` holding ``entries`` in C order."""
-    arr = np.empty(len(entries), dtype=object)
-    arr[:] = entries
-    return arr.reshape(shape)
-
-
 def _max_abs(num: np.ndarray) -> int:
     if num.dtype == object:
         return max(map(abs, num.flat), default=0)
@@ -368,7 +361,7 @@ class Tensor:
             flat = self.num.ravel().tolist()
             if d != 1:
                 flat = [v // d if v % d == 0 else Fraction(v, d) for v in flat]
-            arr = _object_array(flat, self.num.shape)
+            arr = np.array(flat, dtype=object).reshape(self.num.shape)
             arr.setflags(write=False)
             object.__setattr__(self, "_components", arr)
         return self._components
@@ -411,8 +404,9 @@ class Tensor:
         return f"Tensor(variance={self.variance!r}, shape={self.shape})"
 
     def formatted(self, where: np.ndarray | None = None) -> list[str]:
-        """Every entry, or every entry where the boolean array ``where``
-        is set, rendered as by :func:`format_scalar`, in C order: the
+        """Every entry, or every entry that the boolean array ``where``
+        selects as an index (a mask of the leading axes selects whole
+        rows), rendered as by :func:`format_scalar`, in C order: the
         per-entry view of :func:`_numerator_texts`.  An empty selection
         formats nothing."""
         nums = (self.num if where is None else self.num[where]).ravel()
@@ -439,6 +433,15 @@ def _symmetric_numerators(t: Tensor, name: str) -> list[list[int]]:
     return t.num.tolist()
 
 
+def _rescaled(row: list[int], since: int, prev: int) -> list[int]:
+    """``row``, up to date under the pivot ``since``, brought up to date
+    under ``prev`` (exact: the entries are minors); ``row`` itself when
+    ``since`` is 0 or ``prev``, so a row that needs no rescale is kept."""
+    if not since or since == prev:
+        return row
+    return [v * prev // since for v in row]
+
+
 def _gauss_jordan(m: list[list[int]]) -> tuple[list[int], int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss, *Math. Comp.* 22,
     1968) of the integer matrix ``m``, in place: every division is exact.
@@ -450,10 +453,10 @@ def _gauss_jordan(m: list[list[int]]) -> tuple[list[int], int]:
     A row whose multiplier is zero would only be scaled by ``p / prev``,
     and such scales telescope, so it is left stale: ``since[i]`` is 0 for
     a row up to date under ``prev``, else the pivot it is up to date
-    under, and the row is rescaled by ``v * prev // since[i]`` (exact:
-    the entries are minors) when it is next read, as the pivot row, with
-    a nonzero multiplier or at the end.  Zero tests read stale rows as
-    they are, and a row that is never stale costs one read per step."""
+    under, and :func:`_rescaled` brings the row up to date when it is next
+    read, as the pivot row, with a nonzero multiplier or at the end.  Zero
+    tests read stale rows as they are, and a row that is never stale costs
+    one read per step and no call."""
     pivots: list[int] = []
     prev = 1
     since = [0] * len(m)
@@ -465,11 +468,9 @@ def _gauss_jordan(m: list[list[int]]) -> tuple[list[int], int]:
         if pivot != k:
             m[k], m[pivot] = m[pivot], m[k]
             since[k], since[pivot] = since[pivot], since[k]
-        row, s = m[k], since[k]
-        if s:
-            since[k] = 0
-            if s != prev:
-                row = m[k] = [v * prev // s for v in row]
+        if since[k]:
+            m[k], since[k] = _rescaled(m[k], since[k], prev), 0
+        row = m[k]
         p = row[col]
         for i, r in enumerate(m):
             f = r[col]
@@ -477,18 +478,15 @@ def _gauss_jordan(m: list[list[int]]) -> tuple[list[int], int]:
                 if not since[i] and p != prev:
                     since[i] = prev
             elif i != k:
-                s = since[i]
-                if s:
-                    since[i] = 0
-                    if s != prev:
-                        r = [v * prev // s for v in r]
-                        f = r[col]
+                if since[i]:
+                    r = _rescaled(r, since[i], prev)
+                    f, since[i] = r[col], 0
                 m[i] = [(p * v - f * w) // prev for v, w in zip(r, row)]
         prev = p
         pivots.append(col)
     for i, s in enumerate(since):
-        if s and s != prev:
-            m[i] = [v * prev // s for v in m[i]]
+        if s:
+            m[i] = _rescaled(m[i], s, prev)
     return pivots, prev
 
 
@@ -509,7 +507,7 @@ def invert_symmetric(g: Tensor) -> Tensor:
     if pivots != list(range(n)):
         raise SingularMetric("symmetric form is degenerate (no pivot)")
     sign = 1 if p > 0 else -1
-    right = _object_array([v for row in m for v in row[n:]], (n, n)) * (sign * g.den)
+    right = np.array([row[n:] for row in m], dtype=object).reshape(n, n) * (sign * g.den)
     return Tensor._of(*_canonical(right, abs(p), _max_abs(right)), UP + UP)
 
 
@@ -527,10 +525,11 @@ def signature(g: Tensor) -> tuple[int, int, int]:
     preserves the signature, so the recorded signs are the answer.
 
     A row whose multiplier is zero is left stale as in
-    :func:`_gauss_jordan`, with ``since`` as there, and rescaled when read:
-    as the pivot row, with a nonzero multiplier or in the
-    ``e_i <- e_i + e_j`` step.  Column operations act within each row,
-    so they commute with its scale.
+    :func:`_gauss_jordan`, with ``since`` as there, and brought up to date
+    by :func:`_rescaled`, whole (its entries left of column ``k`` are
+    never read again), when read: as the pivot row, with a nonzero
+    multiplier or in the ``e_i <- e_i + e_j`` step.  Column operations act
+    within each row, so they commute with its scale.
     """
     a = _symmetric_numerators(g, "signature")
     n = len(a)
@@ -546,9 +545,8 @@ def signature(g: Tensor) -> tuple[int, int, int]:
                 break
             i, j = pair
             for r in pair:
-                s, since[r] = since[r], 0
-                if s and s != prev:
-                    a[r][k:] = [v * prev // s for v in a[r][k:]]
+                if since[r]:
+                    a[r], since[r] = _rescaled(a[r], since[r], prev), 0
             # e_i <- e_i + e_j puts 2*a[i][j] on the diagonal, symmetrically.
             a[i][k:] = [x + y for x, y in zip(a[i][k:], a[j][k:])]
             for r in range(k, n):
@@ -559,9 +557,8 @@ def signature(g: Tensor) -> tuple[int, int, int]:
             since[k], since[pivot] = since[pivot], since[k]
             for row in a:
                 row[k], row[pivot] = row[pivot], row[k]
-        s = since[k]
-        if s and s != prev:
-            a[k][k:] = [v * prev // s for v in a[k][k:]]
+        if since[k]:
+            a[k] = _rescaled(a[k], since[k], prev)
         p = a[k][k]
         plus, minus = (plus + 1, minus) if (p > 0) == (prev > 0) else (plus, minus + 1)
         top = a[k][k + 1:]
@@ -571,12 +568,9 @@ def signature(g: Tensor) -> tuple[int, int, int]:
                 if not since[i] and p != prev:
                     since[i] = prev
                 continue
-            s = since[i]
-            if s:
-                since[i] = 0
-                if s != prev:
-                    a[i][k:] = [v * prev // s for v in a[i][k:]]
-                    f = a[i][k]
+            if since[i]:
+                a[i], since[i] = _rescaled(a[i], since[i], prev), 0
+                f = a[i][k]
             a[i][k + 1:] = [(p * x - f * y) // prev for x, y in zip(a[i][k + 1:], top)]
         prev = p
     return plus, minus, n - plus - minus

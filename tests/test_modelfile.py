@@ -393,6 +393,26 @@ def test_model_file_from_model_lists_canonical_half(heis):
     assert obj["brackets"] == [[1, 2, ["1", "0", "0"]]] and obj["dim"] == 3
 
 
+def test_serialization_formats_only_the_listed_brackets(monkeypatch):
+    """The family member with n = 16 (d = 33) lists the 32 brackets
+    ``[x_i, x_0]``: serializing it formats phi and the metric (d**2 each),
+    xi and eta (d each) and the d coefficients of each listed bracket,
+    not all d**3 entries of the structure constants."""
+    from test_contraction_plan import family_member
+    model = family_member(16)
+    d = model.dim
+    numerator_texts, sizes = tensors._numerator_texts, []
+
+    def spy(nums, den):
+        sizes.append(nums.size)
+        return numerator_texts(nums, den)
+
+    monkeypatch.setattr(tensors, "_numerator_texts", spy)
+    obj = json.loads(serialize_model(model, fmt="json"))
+    assert d == 33 and len(obj["brackets"]) == 32
+    assert sum(sizes) == 2 * d * d + 2 * d + 32 * d
+
+
 def test_bracket_indices_out_of_range():
     text = VALID_TEXT.replace("1 0 : 2 0 0", "7 0 : 2 0 0")
     with pytest.raises(ParseError, match="out of range"):
