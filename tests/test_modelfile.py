@@ -395,7 +395,7 @@ def test_model_file_from_model_lists_canonical_half(heis):
 
 def test_serialization_formats_only_the_listed_brackets(monkeypatch):
     """The family member with n = 16 (d = 33) lists the 32 brackets
-    ``[x_i, x_0]``: serializing it formats phi and the metric (d**2 each),
+    ``[x_0, x_i]``: serializing it formats phi and the metric (d**2 each),
     xi and eta (d each) and the d coefficients of each listed bracket,
     not all d**3 entries of the structure constants."""
     from test_contraction_plan import family_member
