@@ -15,13 +15,6 @@ tolerances.  The typical workflow::
     print(Geometry(model).curv.tau)        # the same layer, read directly
 """
 from .classify import IdentityVerdict
-from .connection import (
-    Connection,
-    covariant_derivative,
-    is_metric_compatible,
-    is_torsion_free,
-)
-from .curvature import CurvaturePack, Section, section
 from .errors import (
     BadParams,
     DimensionMismatch,
@@ -37,16 +30,21 @@ from .errors import (
     Violation,
 )
 from .family import FamilyParams, generate_family, heisenberg_model
-from .fundamental import (
+from .geometry import (
+    Connection,
+    CurvaturePack,
+    Geometry,
+    Section,
     SquareNorms,
     StructurePack,
+    covariant_derivative,
+    is_metric_compatible,
+    is_torsion_free,
+    levi_civita,
     nabla_eta_from_fundamental,
     psi4,
-)
-from .geometry import (
-    Geometry,
-    levi_civita,
     riemann,
+    section,
     square_norms,
     structure_pack,
     verify_identities,
@@ -85,19 +83,16 @@ __version__ = "0.1.0"
 __all__ = [
     # classify
     "IdentityVerdict",
-    # connection
-    "Connection", "covariant_derivative", "is_metric_compatible", "is_torsion_free",
-    # curvature
-    "CurvaturePack", "Section", "section",
     # errors
     "BadParams", "DimensionMismatch", "InternalInconsistency", "InvalidAlgebra",
     "LinearlyDependent", "NordenError", "ParseError", "SingularMetric",
     "ValidationError", "ValidationReport", "VarianceMismatch", "Violation",
     # family
     "FamilyParams", "generate_family", "heisenberg_model",
-    # fundamental
-    "SquareNorms", "StructurePack", "nabla_eta_from_fundamental", "psi4",
     # geometry
+    "Connection", "covariant_derivative", "is_metric_compatible", "is_torsion_free",
+    "SquareNorms", "StructurePack", "nabla_eta_from_fundamental", "psi4",
+    "CurvaturePack", "Section", "section",
     "Geometry", "levi_civita", "riemann", "square_norms", "structure_pack",
     "verify_identities",
     # lie

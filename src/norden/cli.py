@@ -22,7 +22,6 @@ import sys
 from fractions import Fraction
 
 from .canonical import canonical_json
-from .curvature import section
 from .errors import (
     BadParams,
     LinearlyDependent,
@@ -31,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .family import FamilyParams, generate_family
-from .geometry import Geometry
+from .geometry import Geometry, section
 from .modelfile import parse_model, serialize_model
 from .report import (
     _report_object,

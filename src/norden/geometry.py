@@ -12,37 +12,260 @@ model inverts ``g`` at most once between them.  The model keeps the
 signature of ``g`` the same way (:attr:`~norden.structures.AcnModel.signature`),
 which validation and the report both read.
 
-Every quantity is read from its layer.  The five entry points below
-the class (:func:`levi_civita`, :func:`structure_pack`, :func:`riemann`,
+For left-invariant data every directional derivative of a component
+vanishes, so the Koszul formula reduces to bracket terms,
+``2 g(nabla_{x_i} x_j, x_k) = g([x_i, x_j], x_k) + g([x_k, x_i], x_j)
++ g([x_k, x_j], x_i)``, and the covariant derivative of a constant tensor
+is its Gamma correction terms alone.  The connection is stored as
+``gamma[k, i, j]``, the ``x_k`` coefficient of ``nabla_{x_i} x_j``, and
+the curvature as ``r13[l, i, j, k]``, the ``x_l`` component of
+``R(x_i, x_j) x_k``.  Every subscript that indexes them is written in
+this module.
+
+Every quantity is read from its layer.  Above the class are the layers'
+containers and the pure functions of given tensors that the layers, the
+command line and the tests share.  The five entry points below the class
+(:func:`levi_civita`, :func:`structure_pack`, :func:`riemann`,
 :func:`verify_identities` and :func:`square_norms`) build a
 ``Geometry`` seeded with their arguments and read one layer.
 """
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from .classify import IdentityVerdict, check_identities
-from .connection import Connection, covariant_derivative
-from .curvature import CurvaturePack, curvature_terms
-from .errors import InternalInconsistency
-from .fundamental import (
-    SquareNorms,
-    StructurePack,
-    nabla_eta_from_fundamental,
-    psi4,
+from .errors import (
+    DimensionMismatch,
+    InternalInconsistency,
+    LinearlyDependent,
+    VarianceMismatch,
 )
 from .structures import AcnModel
 from .tensors import (
+    DOWN,
+    UP,
     Tensor,
     einsum_scalar,
     exact_einsum,
     exact_sum,
+    matrix_rank,
     nonzero_where,
     vector,
 )
+
+
+# --- connection -------------------------------------------------------------
+
+@dataclass(frozen=True)
+class Connection:
+    """Connection coefficients ``gamma[k, i, j]`` on a fixed basis
+    (derivative direction ``i``, argument ``j``, output component ``k``)."""
+
+    gamma: Tensor
+
+    def __post_init__(self):
+        if self.gamma.variance != "udd":
+            raise VarianceMismatch(
+                f"connection coefficients need variance 'udd', got "
+                f"{self.gamma.variance!r}"
+            )
+        s = self.gamma.shape
+        if len(s) != 3 or len(set(s)) != 1:
+            raise DimensionMismatch(f"connection coefficients must be cubic, got {s}")
+
+    @property
+    def dim(self) -> int:
+        return self.gamma.shape[0]
+
+
+def covariant_derivative(conn: Connection, t: Tensor) -> Tensor:
+    """``nabla t`` of a constant tensor: a new covariant direction slot
+    is prepended, and each original slot receives its Gamma correction
+    (``+`` for contravariant slots, ``-`` for covariant ones), all summed
+    in one exact combination."""
+    d = conn.dim
+    if any(s != d for s in t.shape):
+        raise DimensionMismatch(
+            f"tensor slots {t.shape} do not match connection dimension {d}"
+        )
+    if t.rank == 0:
+        return Tensor(np.zeros(d, dtype=int), DOWN)
+    slots = "abcdefgh"[:t.rank]
+    terms = []
+    for slot, var in enumerate(t.variance):
+        argument = slots[:slot] + "m" + slots[slot + 1:]
+        result = slots[:slot] + "k" + slots[slot + 1:]
+        if var == UP:
+            terms.append((1, f"kim,{argument}->i{result}", conn.gamma, t))
+        else:
+            terms.append((-1, f"mik,{argument}->i{result}", conn.gamma, t))
+    return exact_sum(terms)
+
+
+def is_torsion_free(conn: Connection, model: AcnModel) -> bool:
+    """Exact check of ``nabla_x y - nabla_y x = [x, y]`` on basis pairs."""
+    gamma, c = conn.gamma, model.algebra.c
+    return exact_sum([(1, "kij->kij", gamma), (-1, "kji->kij", gamma),
+                      (-1, "kij->kij", c)]).is_zero()
+
+
+def is_metric_compatible(conn: Connection, model: AcnModel) -> bool:
+    """Exact check of ``nabla g = 0``."""
+    return covariant_derivative(conn, model.g).is_zero()
+
+
+# --- structure tensors ------------------------------------------------------
+
+class SquareNorms(NamedTuple):
+    """Full-basis g-contractions; indefinite metrics make these signed."""
+
+    nabla_phi: Fraction
+    nabla_eta: Fraction
+    nijenhuis: Fraction
+
+
+@dataclass(frozen=True)
+class StructurePack:
+    """Every structure-level tensor of a model, computed once."""
+
+    f: Tensor            # fundamental 3-tensor, "ddd"
+    theta: Tensor
+    theta_star: Tensor
+    omega: Tensor
+    omega_star: Tensor
+    omega_vec: Tensor
+    nabla_phi: Tensor    # "dud"
+    nabla_eta: Tensor    # "dd"
+    n: Tensor            # Nijenhuis, "udd"
+    s: Tensor            # auxiliary symmetric tensor, "dd"
+
+
+def nabla_eta_from_fundamental(model: AcnModel, f: Tensor) -> Tensor:
+    """The same tensor through ``(nabla_x eta) y = F(x, phi y, xi)``:
+    an independent route used to cross-check :attr:`Geometry.nabla_eta`."""
+    return exact_einsum("imk,mj,k->ij", f, model.phi, model.xi)
+
+
+def psi4(s: Tensor, eta: Tensor) -> Tensor:
+    """The quadruple extension of a symmetric 2-tensor:
+
+    ``psi4(S)(x,y,z,u) = eta(y)eta(z) S(x,u) - eta(x)eta(z) S(y,u)
+    + eta(x)eta(u) S(y,z) - eta(y)eta(u) S(x,z)``.
+
+    It has all the algebraic symmetries of a curvature tensor whenever
+    ``S`` is symmetric.  The first term ``A`` is built once; the other
+    three are index permutations of it.
+    """
+    a = exact_einsum("y,z,xu->xyzu", eta, eta, s)
+    return exact_sum([
+        (1, "xyzu->xyzu", a),
+        (-1, "yxzu->xyzu", a),
+        (1, "yxuz->xyzu", a),
+        (-1, "xyuz->xyzu", a),
+    ])
+
+
+# --- curvature --------------------------------------------------------------
+
+_SWAP_IJ = str.maketrans("ij", "ji")
+
+
+@dataclass(frozen=True)
+class CurvaturePack:
+    """Curvature tensors and scalar curvatures of a model.
+
+    ``r13[l, i, j, k]`` is the ``x_l`` component of ``R(x_i, x_j) x_k``;
+    ``r04`` is the fully covariant tensor with slot order
+    ``(x, y, z, u)``.
+    """
+
+    r13: Tensor
+    r04: Tensor
+    ricci: Tensor
+    tau: Fraction
+    tau_star: Fraction
+    tau_2star: Fraction
+
+
+def curvature_terms(conn: Connection, model: AcnModel, tail: str = "->lijk",
+                    *operands: Tensor) -> list:
+    """The three terms of ``r13[l, i, j, k]`` as :func:`exact_sum` terms:
+    ``P[l, i, j, k] - P[l, j, i, k] - c^m_ij Gamma^l_mk``, with the
+    ``Gamma . Gamma`` product ``P[l, i, j, k] = Gamma^m_jk Gamma^l_im``.
+
+    Each term's subscripts end in ``tail``, which may contract the free
+    letters ``l, i, j, k`` with further ``operands``; the default keeps
+    them, giving ``r13`` itself.  The second term is the first with ``i``
+    and ``j`` swapped in ``tail``.  Without operands ``P`` is computed
+    once, one ``d**5`` contraction, and both terms are views of it; with
+    operands each term contracts ``Gamma``, ``Gamma`` and the operands
+    together, so a contracted tail builds no ``d**4`` tensor.
+    """
+    gamma, c = conn.gamma, model.algebra.c
+    if operands:
+        letters, *factors = "mjk,lim", gamma, gamma
+    else:
+        letters, *factors = "lijk", exact_einsum("mjk,lim->lijk", gamma, gamma)
+    return [(1, letters + tail, *factors, *operands),
+            (-1, letters + tail.translate(_SWAP_IJ), *factors, *operands),
+            (-1, "mij,lmk" + tail, c, gamma, *operands)]
+
+
+@dataclass(frozen=True)
+class Section:
+    """A 2-plane: how it meets the structure, and its curvature.
+
+    ``kind`` is ``"xi"`` when the plane contains the structure vector,
+    else ``"phi_holomorphic"`` when it is phi-invariant, else
+    ``"totally_real"`` when it is g-orthogonal to its phi-image, else
+    ``"generic"``.  ``sectional_curvature`` is
+    ``k(x, y) = R(x, y, y, x) / pi1(x, y, y, x)``, or ``None`` when the
+    restricted metric is degenerate (``pi1 = 0``) and no sectional
+    curvature exists.
+    """
+
+    kind: str
+    contains_xi: bool
+    phi_invariant: bool
+    totally_real: bool
+    sectional_curvature: Fraction | None
+
+
+def section(model: AcnModel, conn: Connection, x, y) -> Section:
+    """The plane spanned by x, y, classified with exact rank arithmetic,
+    with ``R(x, y, y, x)`` read from the connection ``conn`` of ``model``
+    through :func:`curvature_terms`, so it costs ``d**2``-sized steps and
+    no curvature tensor.
+
+    Raises :class:`LinearlyDependent` unless x, y span a 2-plane.
+    """
+    xv, yv = vector(x, model.dim, name="x"), vector(y, model.dim, name="y")
+    if matrix_rank([xv.num, yv.num]) != 2:
+        raise LinearlyDependent("section vectors do not span a 2-plane")
+    phix, phiy = (exact_einsum("ij,j->i", model.phi, v) for v in (xv, yv))
+    gx, gy = (exact_einsum("ij,j->i", model.g, v) for v in (xv, yv))
+
+    def in_plane(v: Tensor) -> bool:
+        return matrix_rank([xv.num, yv.num, v.num]) == 2
+
+    contains_xi = in_plane(model.xi)
+    phi_invariant = in_plane(phix) and in_plane(phiy)
+    totally_real = all(einsum_scalar("i,i->", gu, pv) == 0
+                       for gu in (gx, gy) for pv in (phix, phiy))
+    kind = ("xi" if contains_xi else "phi_holomorphic" if phi_invariant
+            else "totally_real" if totally_real else "generic")
+    # pi1(x, y, y, x) = g(x, x) g(y, y) - g(x, y)^2
+    gxx, gxy, gyy = (einsum_scalar("i,i->", *pair) for pair in ((gx, xv), (gx, yv), (gy, yv)))
+    pi1 = gxx * gyy - gxy ** 2
+    # R(x, y, y, x) = r13[l, i, j, k] g(x_l, x) x^i y^j y^k
+    terms = curvature_terms(conn, model, ",l,i,j,k->", gx, xv, yv, yv)
+    k = exact_sum(terms).item() / pi1 if pi1 else None
+    return Section(kind, contains_xi, phi_invariant, totally_real, k)
 
 
 class Geometry:
@@ -236,13 +459,13 @@ class Geometry:
         ginv, phi = self.ginv, self.model.phi
         r13 = exact_sum(curvature_terms(self.conn, self.model))
         R = exact_einsum("lijk,lu->ijku", r13, self.model.g)
-        # ricci(y, z) = g^{is} R(x_i, y, z, x_s)
-        ricci = exact_einsum("is,iyzs->yz", ginv, R)
+        # Ric(y, z) = tr(x -> R(x, y) z)
+        ricci = exact_einsum("iiyz->yz", r13)
         return CurvaturePack(
             r13, R, ricci,
             einsum_scalar("jk,jk->", ginv, ricci),
-            # tau_star: twist the third argument by phi before tracing.
-            einsum_scalar("is,jk,mk,ijms->", ginv, ginv, phi, R),
+            # tau_star = g^{jk} Ric(x_j, phi x_k)
+            einsum_scalar("jk,mk,jm->", ginv, phi, ricci),
             # tau_2star: twist the third and fourth arguments by phi.
             einsum_scalar("is,jk,mk,ns,ijmn->", ginv, ginv, phi, phi, R),
         )
@@ -331,9 +554,9 @@ class Geometry:
         return check_identities(self)
 
     def divergence(self, x) -> Fraction:
-        """``div X = g^{ij} g(nabla_{x_i} X, x_j)`` for a constant vector."""
-        nx = covariant_derivative(self.conn, vector(x, self.model.dim, name="x"))
-        return einsum_scalar("ij,ik,kj->", self.ginv, nx, self.model.g)
+        """``div X = tr(nabla X) = Gamma^i_im X^m`` for a constant vector."""
+        return einsum_scalar("iim,m->", self.conn.gamma,
+                             vector(x, self.model.dim, name="x"))
 
 
 def levi_civita(model: AcnModel) -> Connection:

@@ -339,12 +339,15 @@ def _rows(t: Tensor, where: np.ndarray | None = None) -> list[list[str]]:
 
 def serialize_model(model: AcnModel, fmt: str = "text") -> str:
     """Render a model canonically; ``parse_model`` inverts this exactly.
-    Only the nonzero brackets ``[x_i, x_j]`` with ``i < j`` are formatted.
+    Only the nonzero brackets ``[x_i, x_j]`` with ``i < j`` are formatted,
+    and every column that is not the negation of its mirror, so that
+    structure constants that are not antisymmetric are kept as they are.
     A name with a ``#``, a line break or outer whitespace does not fit
     the text format and raises ``ValueError``; use ``fmt="json"``."""
     d = model.dim
     c = exact_einsum("kij->ijk", model.algebra.c)
     listed = np.triu(c.num.any(axis=2), 1)      # the nonzero [x_i, x_j], i < j
+    listed |= (c.num != -c.num.transpose(1, 0, 2)).any(axis=2)
     brackets = [(i, j, column) for (i, j), column
                 in zip(np.argwhere(listed).tolist(), _rows(c, listed))]
     phi, metric = _rows(model.phi), _rows(model.g)

@@ -25,7 +25,7 @@ from norden import (
     riemann,
     section,
 )
-from norden.curvature import curvature_terms
+from norden.geometry import curvature_terms
 from norden.lie import _jacobi_terms
 from test_exact_einsum import huge, small
 from test_lie import near_bound, three_product_jacobi

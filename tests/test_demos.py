@@ -2,7 +2,7 @@
 checkout's ``src``, and its stdout must have the sha256 recorded when the
 demo last changed meaning.  A refactor that alters one printed character
 fails here.  The README's Python blocks run too, so that an API rename
-cannot leave them stale."""
+cannot leave them stale, and the README's layout names every module."""
 import hashlib
 import os
 import re
@@ -49,3 +49,15 @@ def test_readme_python_blocks_run():
     namespace = {}
     for number, block in enumerate(blocks, start=1):
         exec(compile(block, f"README.md python block {number}", "exec"), namespace)
+
+
+def test_readme_layout_names_every_module():
+    """The "Repository layout" block lists exactly the modules of the
+    package, leaving out the dunder files."""
+    text = (DEMOS.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"^## Repository layout\n\n```\n(.*?)^```", text,
+                      flags=re.S | re.M).group(1)
+    listed = re.findall(r"^  (\w+\.py) ", block, flags=re.M)
+    package = Path(norden.__file__).parent
+    modules = [p.name for p in package.glob("*.py") if not p.name.startswith("__")]
+    assert sorted(listed) == sorted(modules)

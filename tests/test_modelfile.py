@@ -413,6 +413,31 @@ def test_serialization_formats_only_the_listed_brackets(monkeypatch):
     assert sum(sizes) == 2 * d * d + 2 * d + 32 * d
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("edit", ["listed mirror", "diagonal", "sym_bracket", "lone column"])
+def test_structure_constants_that_are_not_antisymmetric_round_trip(edit, fmt):
+    """A listed mirror that contradicts its twin, a diagonal entry, the
+    ``sym_bracket`` mutant and a ``[x_j, x_i]`` column whose ``i < j``
+    mirror is zero keep their structure constants through the writer and
+    the reader, so the reread model is rejected as well."""
+    if edit == "sym_bracket":
+        models = _bench_models()
+        s = models.family_structure(models.random_lambda(Random(5), 2), edit)
+        model = parse_model(models.to_text(s, edit), require_valid=False)
+    elif edit == "lone column":
+        c = parse_model(VALID_TEXT).algebra.c.components.copy()
+        c[:, 0, 1] = 0
+        model = dataclasses.replace(parse_model(VALID_TEXT),
+                                    algebra=LieAlgebra(3, Tensor(c, "udd")))
+    else:
+        entry = "0 1 : 5 0 0" if edit == "listed mirror" else "1 1 : 0 0 1"
+        text = VALID_TEXT.replace("2 0 : 3 0 0\n", f"2 0 : 3 0 0\n{entry}\n")
+        model = parse_model(text, require_valid=False)
+    back = parse_model(serialize_model(model, fmt), require_valid=False)
+    assert back.algebra.c == model.algebra.c
+    assert not validate_structure(model).ok and not validate_structure(back).ok
+
+
 def test_bracket_indices_out_of_range():
     text = VALID_TEXT.replace("1 0 : 2 0 0", "7 0 : 2 0 0")
     with pytest.raises(ParseError, match="out of range"):

@@ -2,8 +2,9 @@
 
 The oracle shares no code with the library's contraction kernel or with
 numpy: it inverts the metric with ``sympy.Matrix``, solves the Koszul
-formula index by index, and builds R, Ricci, tau, tau_star and tau_2star
-from explicit loops over ``sympy.Rational`` entries.  It is compared with
+formula index by index, and builds R, Ricci, tau, tau_star, tau_2star
+and the divergence of ``phi Omega`` from explicit loops over
+``sympy.Rational`` entries.  It is compared with
 :class:`norden.Geometry` entry for entry on family members, the
 Heisenberg control, the golden dense model and two family members moved
 to a dense basis by rational, non-unimodular changes of basis built here
@@ -112,6 +113,20 @@ def oracle(model: AcnModel) -> dict:
                     for i in rng for j in rng for k in rng for s in rng),
                    sympy.Integer(0))
 
+    # div X = g^{ij} g(nabla_{x_i} X, x_j) for X = phi Omega, where Omega is
+    # g-dual to omega(z) = F(xi, xi, z) and F(x, y, z) = g((nabla_x phi) y, z)
+    xi = _nested(model.xi)
+    zero = sympy.Integer(0)
+    nabla_phi = [[[sum((gamma[p][a][m] * phi[m][j] - phi[p][m] * gamma[m][a][j]
+                        for m in rng), zero) for j in rng] for p in rng] for a in rng]
+    omega = [sum((xi[a] * xi[b] * nabla_phi[a][p][b] * g[p, k]
+                  for a in rng for b in rng for p in rng), zero) for k in rng]
+    omega_vec = [sum((ginv[i, k] * omega[k] for k in rng), zero) for i in rng]
+    x = [sum((phi[p][i] * omega_vec[i] for i in rng), zero) for p in rng]
+    nabla_x = [[sum((gamma[k][i][m] * x[m] for m in rng), zero) for k in rng] for i in rng]
+    div = sum((ginv[i, j] * nabla_x[i][k] * g[k, j]
+               for i in rng for j in rng for k in rng), zero)
+
     twisted = twist_third(R)
     return {
         "gamma": gamma,
@@ -120,6 +135,7 @@ def oracle(model: AcnModel) -> dict:
         "tau": tau,
         "tau_star": trace(twisted),
         "tau_2star": trace(twist_fourth(twisted)),
+        "div_phi_omega": div,
     }
 
 
@@ -199,8 +215,9 @@ def test_geometry_matches_the_sympy_oracle(key):
     }
     for name, value in got.items():
         assert value == _as_fractions(want[name]), name
-    for name in ("tau", "tau_star", "tau_2star"):
-        value = getattr(curv, name)
+    scalars = {name: getattr(curv, name) for name in ("tau", "tau_star", "tau_2star")}
+    scalars["div_phi_omega"] = geo.div_phi_omega
+    for name, value in scalars.items():
         assert type(value) is Fraction and value == _frac(want[name]), name
 
 
