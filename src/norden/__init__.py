@@ -14,7 +14,6 @@ tolerances.  The typical workflow::
     print(report.invariants["tau"])        # Fraction(10, 1)
     print(Geometry(model).curv.tau)        # the same layer, read directly
 """
-from .classify import IdentityVerdict
 from .errors import (
     BadParams,
     DimensionMismatch,
@@ -34,6 +33,7 @@ from .geometry import (
     Connection,
     CurvaturePack,
     Geometry,
+    IdentityVerdict,
     Section,
     SquareNorms,
     StructurePack,
@@ -81,8 +81,6 @@ from .tensors import (
 __version__ = "0.1.0"
 
 __all__ = [
-    # classify
-    "IdentityVerdict",
     # errors
     "BadParams", "DimensionMismatch", "InternalInconsistency", "InvalidAlgebra",
     "LinearlyDependent", "NordenError", "ParseError", "SingularMetric",
@@ -94,7 +92,7 @@ __all__ = [
     "SquareNorms", "StructurePack", "nabla_eta_from_fundamental", "psi4",
     "CurvaturePack", "Section", "section",
     "Geometry", "levi_civita", "riemann", "square_norms", "structure_pack",
-    "verify_identities",
+    "IdentityVerdict", "verify_identities",
     # lie
     "LieAlgebra", "algebra_from_brackets", "bracket", "is_solvable", "validate",
     # modelfile

@@ -22,12 +22,22 @@ the curvature as ``r13[l, i, j, k]``, the ``x_l`` component of
 ``R(x_i, x_j) x_k``.  Every subscript that indexes them is written in
 this module.
 
+The two decidable classes are the Kahler-type class ``F = 0``
+(:attr:`Geometry.f0`) and the pure class in which ``F`` is carried
+entirely by ``eta`` and ``omega`` (:attr:`Geometry.f11`),
+
+    F(x, y, z) = eta(x) (eta(y) omega(z) + eta(z) omega(y)).
+
+On the pure class a family of exact identities ties the structure
+tensors to the curvature; :attr:`Geometry.identities` decides each of
+them with literal rational equality.
+
 Every quantity is read from its layer.  Above the class are the layers'
-containers and the pure functions of given tensors that the layers, the
-command line and the tests share.  The five entry points below the class
-(:func:`levi_civita`, :func:`structure_pack`, :func:`riemann`,
-:func:`verify_identities` and :func:`square_norms`) build a
-``Geometry`` seeded with their arguments and read one layer.
+containers, the verdict constructors and the pure functions of given
+tensors that the layers, the command line and the tests share.  The five
+entry points below the class (:func:`levi_civita`, :func:`structure_pack`,
+:func:`riemann`, :func:`verify_identities` and :func:`square_norms`)
+build a ``Geometry`` seeded with their arguments and read one layer.
 """
 from __future__ import annotations
 
@@ -38,7 +48,6 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .classify import IdentityVerdict, check_identities
 from .errors import (
     DimensionMismatch,
     InternalInconsistency,
@@ -53,6 +62,7 @@ from .tensors import (
     einsum_scalar,
     exact_einsum,
     exact_sum,
+    format_scalar,
     matrix_rank,
     nonzero_where,
     vector,
@@ -266,6 +276,72 @@ def section(model: AcnModel, conn: Connection, x, y) -> Section:
     terms = curvature_terms(conn, model, ",l,i,j,k->", gx, xv, yv, yv)
     k = exact_sum(terms).item() / pi1 if pi1 else None
     return Section(kind, contains_xi, phi_invariant, totally_real, k)
+
+
+# --- identity verdicts -------------------------------------------------------
+
+@dataclass(frozen=True)
+class IdentityVerdict:
+    """Outcome of one exact identity check.
+
+    ``applicable`` is False when the identity's precondition (usually
+    membership in the pure class) is unmet, in which case ``passed`` is
+    None.  The ``witness`` of a failed identity is the first index where
+    its two sides differ, or the values that should agree, with rationals
+    as ``"p/q"`` strings and flags as bools.
+    """
+
+    name: str
+    applicable: bool
+    passed: bool | None
+    witness: tuple | None = None
+    detail: str = ""
+
+    @property
+    def ok(self) -> bool:
+        """True unless the identity applies and fails."""
+        return (not self.applicable) or bool(self.passed)
+
+    @property
+    def status(self) -> str:
+        """The four-character label of the text outputs."""
+        return " n/a" if not self.applicable else "pass" if self.passed else "FAIL"
+
+
+def _verdict(name: str, detail: str, gate: str | None, decide) -> IdentityVerdict:
+    """The verdict ``name``.  ``gate`` is None or the reason the identity
+    does not apply, which becomes the detail of a verdict that is not
+    applicable; only an identity that applies calls ``decide()`` for its
+    ``(passed, witness)``."""
+    if gate is not None:
+        return IdentityVerdict(name, applicable=False, passed=None, detail=gate)
+    passed, witness = decide()
+    return IdentityVerdict(name, applicable=True, passed=passed, witness=witness,
+                           detail=detail)
+
+
+def _vanishes(name: str, detail: str, gate: str | None, terms) -> IdentityVerdict:
+    """The verdict on ``sum(terms()) = 0``, for :func:`exact_sum` terms
+    that move one side of an identity over to the other; the witness is
+    the first index where the sides differ.  ``gate`` is as in
+    :func:`_verdict`."""
+    def decide():
+        where = nonzero_where(terms())
+        witness = tuple(np.argwhere(where)[0].tolist()) if where.any() else None
+        return witness is None, witness
+    return _verdict(name, detail, gate, decide)
+
+
+def _agree(name: str, detail: str, gate: str | None, values) -> IdentityVerdict:
+    """The verdict on ``values()``, rationals or flags, being all equal;
+    the witness is the values, rationals as ``"p/q"`` strings.  ``gate``
+    is as in :func:`_verdict`."""
+    def decide():
+        got = values()
+        if len(set(got)) == 1:
+            return True, None
+        return False, tuple(v if type(v) is bool else format_scalar(v) for v in got)
+    return _verdict(name, detail, gate, decide)
 
 
 class Geometry:
@@ -550,8 +626,107 @@ class Geometry:
 
     @cached_property
     def identities(self) -> dict[str, IdentityVerdict]:
-        """The identity verdicts, see :func:`norden.classify.check_identities`."""
-        return check_identities(self)
+        """Every supported exact identity, as a dict of verdicts keyed by
+        identity name.
+
+        The two Ricci identities hold for every metric connection and are
+        checked unconditionally.  The others hold on the pure eta-omega
+        class, some only where also ``R(x, y, phi z, phi u) = 0`` or
+        ``nabla omega_star`` has the pure rank-one form.  An identity whose
+        hypothesis fails is reported as not applicable rather than passed,
+        and a layer is read only by an identity that applies.
+        """
+        model, curv = self.model, self.curv
+        phi, eta, r13 = model.phi, model.eta, curv.r13
+        nnphi, nneta = self.nabla2_phi, self.nabla2_eta
+
+        not_pure = None if self.f11 else "model is not in the pure eta-omega class"
+        # When the twisted curvature vanishes identically the curvature
+        # collapses onto psi4(S) and the Ricci tensor onto S; these hold
+        # under that extra hypothesis, not on the whole pure class.
+        twisted = not_pure or (None if self.twisted_r.is_zero()
+                               else "R(x, y, phi z, phi u) does not vanish identically")
+        # The pure rank-one form (nabla_x omega_star) y
+        # = eta(x) eta(y) omega(Omega) + omega_star(x) omega_star(y).
+        rank_one = not_pure is None and not nonzero_where([
+            (1, "ij->ij", self.nabla_omega_star), (-self.omega_norm, "i,j->ij", eta, eta),
+            (-1, "i,j->ij", self.omega_star, self.omega_star),
+        ]).any()
+        not_rank_one = not_pure or (
+            None if rank_one else "nabla omega_star does not have the pure rank-one form")
+
+        verdicts = [
+            # Ricci identities: second-derivative antisymmetrization equals the
+            # curvature action.  They hold for every metric connection.
+            _vanishes(
+                "ricci_identity_phi", "nabla^2 phi antisymmetrized = curvature acting on phi",
+                None,
+                lambda: [(1, "ijak->ijak", nnphi), (-1, "jiak->ijak", nnphi),
+                         (-1, "aijm,mk->ijak", r13, phi), (1, "mijk,am->ijak", r13, phi)]),
+            _vanishes(
+                "ricci_identity_eta", "nabla^2 eta antisymmetrized = -eta(R(.,.) .)",
+                None,
+                lambda: [(1, "ijk->ijk", nneta), (-1, "jik->ijk", nneta),
+                         (1, "mijk,m->ijk", r13, eta)]),
+            _agree(
+                "norm_chain", "||nabla phi||^2 = -||N||^2 = -2||nabla eta||^2 = 2 omega(Omega)",
+                not_pure,
+                lambda: (self.norms.nabla_phi, -self.norms.nijenhuis,
+                         -2 * self.norms.nabla_eta, 2 * self.omega_norm)),
+            _vanishes(
+                "omega_star_derivative",
+                "(nabla_x omega_star) y = (nabla_x omega) phi y + eta(x) eta(y) omega(Omega)",
+                not_pure,
+                lambda: [(1, "ij->ij", self.nabla_omega_star),
+                         (-1, "im,mj->ij", self.nabla_omega, phi),
+                         (-self.omega_norm, "i,j->ij", eta, eta)]),
+            _vanishes(
+                "curvature_phi_twist",
+                "R twisted by phi in the last two slots differs from -R by psi4(S)",
+                not_pure,
+                lambda: [(1, "ijku->ijku", self.twisted_r), (1, "ijku->ijku", curv.r04),
+                         (-1, "ijku->ijku", self.psi4_s)]),
+            _vanishes(
+                "r_equals_psi4_s", "R = psi4(S)",
+                twisted,
+                lambda: [(1, "ijku->ijku", curv.r04), (-1, "ijku->ijku", self.psi4_s)]),
+            _vanishes(
+                "ricci_from_s", "ricci = tr(S) eta (x) eta + S",
+                twisted,
+                lambda: [(1, "ij->ij", curv.ricci), (-self.s_trace, "i,j->ij", eta, eta),
+                         (-1, "ij->ij", self.s)]),
+            _agree(
+                "s_trace_divergence", "tr S = div(phi Omega)",
+                twisted,
+                lambda: (self.s_trace, self.div_phi_omega)),
+            _agree(
+                "scalar_curvature_chain",
+                "tau + tau_2star = 2 div(phi Omega) = 2 ricci(xi, xi)",
+                not_pure,
+                lambda: (curv.tau + curv.tau_2star, 2 * self.div_phi_omega,
+                         2 * self.ricci_xi_xi)),
+            # The Kahler-type curvature criterion: the twisted curvature
+            # property holds iff nabla omega_star has the pure rank-one form,
+            # and that form forces omega_star to be closed.
+            _agree(
+                "phi_kahler_criterion",
+                "curvature phi-twist property holds iff nabla omega_star "
+                "has the pure rank-one form",
+                not_pure,
+                lambda: (self.curvature_phi_kahler, rank_one)),
+            _vanishes(
+                "phi_kahler_criterion_closedness",
+                "the pure rank-one form forces d omega_star = 0",
+                not_rank_one,
+                lambda: [(1, "ij->ij", self.nabla_omega_star),
+                         (-1, "ji->ij", self.nabla_omega_star)]),
+            _agree(
+                "isotropy_equivalence", "isotropic Kahler <=> omega(Omega) = 0 <=> ||N||^2 = 0",
+                not_pure,
+                lambda: (self.isotropic_kahler, self.omega_norm == 0,
+                         self.norms.nijenhuis == 0)),
+        ]
+        return {v.name: v for v in verdicts}
 
     def divergence(self, x) -> Fraction:
         """``div X = tr(nabla X) = Gamma^i_im X^m`` for a constant vector."""
@@ -580,13 +755,8 @@ def riemann(model: AcnModel, conn: Connection) -> CurvaturePack:
 def verify_identities(model: AcnModel, conn: Connection | None = None,
                       pack: StructurePack | None = None,
                       curv: CurvaturePack | None = None) -> dict[str, IdentityVerdict]:
-    """Evaluate every supported exact identity on a model.
-
-    Returns a dict keyed by identity name.  Identities restricted to
-    the pure eta-omega class are reported as inapplicable on models
-    outside it; everything else is checked unconditionally.  The
-    optional arguments allow reuse of already-computed packages.
-    """
+    """The identity verdicts of a model, :attr:`Geometry.identities`.
+    The optional arguments allow reuse of already-computed packages."""
     return Geometry(model, conn, pack, curv).identities
 
 

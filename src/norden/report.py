@@ -13,8 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from .canonical import canonical_json, index_labels
-from .classify import IdentityVerdict
-from .geometry import Geometry
+from .geometry import Geometry, IdentityVerdict
 from .structures import AcnModel, associated_metric
 from .tensors import Tensor, _numerator_texts, format_scalar, signature
 

@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from norden import DimensionMismatch, VarianceMismatch, tensors
-from norden.classify import _vanishes
+from norden.geometry import _vanishes
 from norden.tensors import (
     INT32_SAFE,
     INT64_SAFE,

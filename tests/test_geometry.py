@@ -173,6 +173,22 @@ def test_one_function_picks_the_arithmetic_of_every_step_and_sum():
     }
 
 
+def test_one_module_indexes_the_connection_and_the_curvature():
+    """Outside ``geometry.py`` no module names ``r13``, and ``gamma`` is
+    read only as ``geo.conn.gamma`` in ``report.py``'s tensor table, which
+    hands it on unindexed.  So every subscript of ``gamma[k, i, j]`` and
+    ``r13[l, i, j, k]`` is written in one module."""
+    sites = collections.defaultdict(list)
+    for path in sorted(Path(norden.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = (getattr(node, "id", None) or getattr(node, "attr", None)
+                    or getattr(node, "arg", None))
+            if name in ("r13", "gamma"):
+                sites[path.name].append(ast.unparse(node))
+    assert "r13" in sites.pop("geometry.py")
+    assert sites == {"report.py": ["geo.conn.gamma"]}
+
+
 def _unread_private_names(sources: dict[str, str]) -> list[tuple[str, str]]:
     """``(file, name)`` for each module-level ``_name`` that one of the
     ``sources`` (file name to text) defines and none of them reads, as a
