@@ -30,8 +30,9 @@ for (k, i, j), value in conn.gamma.nonzero_items():
 print("torsion-free      :", is_torsion_free(conn, model))
 print("metric compatible :", is_metric_compatible(conn, model))
 
-# The curvature package carries R with three slots up and with all
-# slots lowered, the Ricci tensor, and three scalar curvatures.
+# riemann returns the model's Geometry with its curvature layers
+# computed: R with three slots up and with all slots lowered, the Ricci
+# tensor, and three scalar curvatures.
 curv = riemann(model, conn)
 print()
 print("nonzero R(.,.,.,.) components:")

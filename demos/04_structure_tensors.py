@@ -12,21 +12,19 @@ from norden import FamilyParams, Geometry, generate_family
 # A Geometry holds one model and computes each layer once, on first read.
 geo = Geometry(generate_family(FamilyParams(1, (2, 3))))
 
-# The structure pack gathers F, the 1-forms, nabla eta, the Nijenhuis
-# tensor, and the auxiliary symmetric tensor S.
-pack = geo.pack
-
+# Each structure tensor is a layer of its own: F, the 1-forms, nabla eta,
+# the Nijenhuis tensor, and the auxiliary symmetric tensor S.
 print("nonzero F components:")
-for idx, value in pack.f.nonzero_items():
+for idx, value in geo.f.nonzero_items():
     print(f"  F{idx} = {value}")
 
 # The 1-forms: theta and theta* are metric traces of F; omega is the
 # xi-row, omega* = omega o phi; Omega is the g-dual vector of omega.
-print("theta :", pack.theta.components.tolist())
-print("theta*:", pack.theta_star.components.tolist())
-print("omega :", pack.omega.components.tolist())
-print("omega*:", pack.omega_star.components.tolist())
-print("Omega :", pack.omega_vec.components.tolist())
+print("theta :", geo.theta.components.tolist())
+print("theta*:", geo.theta_star.components.tolist())
+print("omega :", geo.omega.components.tolist())
+print("omega*:", geo.omega_star.components.tolist())
+print("Omega :", geo.omega_vec.components.tolist())
 
 # For this family theta = omega and theta* = 0 — the whole of F is
 # carried by eta and omega, which is exactly the pure-class condition.
@@ -44,11 +42,10 @@ for idx, value in nb.nonzero_items():
 
 # Square norms are full-basis contractions against g; with an
 # indefinite metric they can be negative or vanish on nonzero tensors.
-norms = geo.norms
 print()
-print("||nabla phi||^2 =", norms.nabla_phi)
-print("||nabla eta||^2 =", norms.nabla_eta)
-print("||N||^2         =", norms.nijenhuis)
+print("||nabla phi||^2 =", geo.nabla_phi_square_norm)
+print("||nabla eta||^2 =", geo.nabla_eta_square_norm)
+print("||N||^2         =", geo.nijenhuis_square_norm)
 
 # The chain ||nabla phi||^2 = -||N||^2 = -2 ||nabla eta||^2 holds on
 # the whole pure class; here all equal 10, -(-10), -2(-5).

@@ -12,7 +12,7 @@ tolerances.  The typical workflow::
     model = generate_family(FamilyParams(n=1, lam=(2, 3)))
     report = run_report(model)
     print(report.invariants["tau"])        # Fraction(10, 1)
-    print(Geometry(model).curv.tau)        # the same layer, read directly
+    print(Geometry(model).tau)             # the same layer, read directly
 """
 from .errors import (
     BadParams,
@@ -31,12 +31,9 @@ from .errors import (
 from .family import FamilyParams, generate_family, heisenberg_model
 from .geometry import (
     Connection,
-    CurvaturePack,
     Geometry,
     IdentityVerdict,
     Section,
-    SquareNorms,
-    StructurePack,
     covariant_derivative,
     is_metric_compatible,
     is_torsion_free,
@@ -89,8 +86,7 @@ __all__ = [
     "FamilyParams", "generate_family", "heisenberg_model",
     # geometry
     "Connection", "covariant_derivative", "is_metric_compatible", "is_torsion_free",
-    "SquareNorms", "StructurePack", "nabla_eta_from_fundamental", "psi4",
-    "CurvaturePack", "Section", "section",
+    "nabla_eta_from_fundamental", "psi4", "Section", "section",
     "Geometry", "levi_civita", "riemann", "square_norms", "structure_pack",
     "IdentityVerdict", "verify_identities",
     # lie

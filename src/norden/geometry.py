@@ -32,19 +32,21 @@ On the pure class a family of exact identities ties the structure
 tensors to the curvature; :attr:`Geometry.identities` decides each of
 them with literal rational equality.
 
-Every quantity is read from its layer.  Above the class are the layers'
-containers, the verdict constructors and the pure functions of given
-tensors that the layers, the command line and the tests share.  The five
-entry points below the class (:func:`levi_civita`, :func:`structure_pack`,
-:func:`riemann`, :func:`verify_identities` and :func:`square_norms`)
-build a ``Geometry`` seeded with their arguments and read one layer.
+Every quantity is a layer of its own, read by its name: a structure
+tensor, a curvature tensor, a scalar curvature and a square norm alike.
+Above the class are the connection, plane and verdict types, the verdict
+constructors and the pure functions of given tensors that the layers, the
+command line and the tests share.  The five entry points below the class
+build a ``Geometry`` seeded with their arguments: :func:`levi_civita` and
+:func:`verify_identities` return its connection and its verdicts, and
+:func:`structure_pack`, :func:`riemann` and :func:`square_norms` return
+the ``Geometry`` itself once they have computed their layers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -131,30 +133,6 @@ def is_metric_compatible(conn: Connection, model: AcnModel) -> bool:
 
 # --- structure tensors ------------------------------------------------------
 
-class SquareNorms(NamedTuple):
-    """Full-basis g-contractions; indefinite metrics make these signed."""
-
-    nabla_phi: Fraction
-    nabla_eta: Fraction
-    nijenhuis: Fraction
-
-
-@dataclass(frozen=True)
-class StructurePack:
-    """Every structure-level tensor of a model, computed once."""
-
-    f: Tensor            # fundamental 3-tensor, "ddd"
-    theta: Tensor
-    theta_star: Tensor
-    omega: Tensor
-    omega_star: Tensor
-    omega_vec: Tensor
-    nabla_phi: Tensor    # "dud"
-    nabla_eta: Tensor    # "dd"
-    n: Tensor            # Nijenhuis, "udd"
-    s: Tensor            # auxiliary symmetric tensor, "dd"
-
-
 def nabla_eta_from_fundamental(model: AcnModel, f: Tensor) -> Tensor:
     """The same tensor through ``(nabla_x eta) y = F(x, phi y, xi)``:
     an independent route used to cross-check :attr:`Geometry.nabla_eta`."""
@@ -183,23 +161,6 @@ def psi4(s: Tensor, eta: Tensor) -> Tensor:
 # --- curvature --------------------------------------------------------------
 
 _SWAP_IJ = str.maketrans("ij", "ji")
-
-
-@dataclass(frozen=True)
-class CurvaturePack:
-    """Curvature tensors and scalar curvatures of a model.
-
-    ``r13[l, i, j, k]`` is the ``x_l`` component of ``R(x_i, x_j) x_k``;
-    ``r04`` is the fully covariant tensor with slot order
-    ``(x, y, z, u)``.
-    """
-
-    r13: Tensor
-    r04: Tensor
-    ricci: Tensor
-    tau: Fraction
-    tau_star: Fraction
-    tau_2star: Fraction
 
 
 def curvature_terms(conn: Connection, model: AcnModel, tail: str = "->lijk",
@@ -347,26 +308,23 @@ def _agree(name: str, detail: str, gate: str | None, values) -> IdentityVerdict:
 class Geometry:
     """One model and every layer computed from it.
 
-    ``Geometry(model)`` computes nothing up front.  The connection, the
-    structure pack and the curvature may be seeded with objects computed
-    elsewhere, e.g. ``Geometry(model, conn=conn, pack=pack)``; a seeded
-    :class:`StructurePack` also seeds each of its fields, which are
-    layers of the same names.  Seeds set to ``None`` are ignored, so
-    optional arguments can be passed straight through.  The model must
-    be valid (see :func:`norden.structures.validate_structure`); on an
-    invalid model the layers are not meaningful.
+    ``Geometry(model)`` computes nothing up front.  It may be seeded with
+    a connection computed elsewhere and with other geometries of the same
+    model, whose computed layers it takes, e.g. ``Geometry(model, conn,
+    other)``.  Seeds set to ``None`` are ignored, so optional arguments
+    can be passed straight through.  The model must be valid (see
+    :func:`norden.structures.validate_structure`); on an invalid model
+    the layers are not meaningful.
     """
 
     def __init__(self, model: AcnModel, conn: Connection | None = None,
-                 pack: StructurePack | None = None,
-                 curv: CurvaturePack | None = None):
+                 *seeds: Geometry | None):
+        for seed in seeds:
+            if seed is not None:
+                self.__dict__.update(vars(seed))
         self.model = model
-        seeds = {"conn": conn, "curv": curv}
-        if pack is not None:
-            seeds.update(vars(pack), pack=pack)
-        for name, value in seeds.items():
-            if value is not None:
-                self.__dict__[name] = value
+        if conn is not None:
+            self.conn = conn
 
     # --- metric and connection ------------------------------------------
 
@@ -503,14 +461,6 @@ class Geometry:
                           (-1, "i,j->ij", ostar, ostar)])
 
     @cached_property
-    def pack(self) -> StructurePack:
-        return StructurePack(
-            f=self.f, theta=self.theta, theta_star=self.theta_star,
-            omega=self.omega, omega_star=self.omega_star, omega_vec=self.omega_vec,
-            nabla_phi=self.nabla_phi, nabla_eta=self.nabla_eta, n=self.n, s=self.s,
-        )
-
-    @cached_property
     def f0(self) -> bool:
         """Whether the structure is of Kahler type: ``F`` vanishes
         identically (equivalently ``nabla phi = 0``)."""
@@ -529,22 +479,36 @@ class Geometry:
     # --- curvature ------------------------------------------------------
 
     @cached_property
-    def curv(self) -> CurvaturePack:
+    def r13(self) -> Tensor:
         """``R(x_i, x_j) x_k = nabla_i nabla_j x_k - nabla_j nabla_i x_k
-        - nabla_{[x_i, x_j]} x_k``, lowered, with Ricci and the scalars."""
+        - nabla_{[x_i, x_j]} x_k``, variance ``"uddd"``."""
+        return exact_sum(curvature_terms(self.conn, self.model))
+
+    @cached_property
+    def r04(self) -> Tensor:
+        """``R(x, y, z, u) = g(R(x, y) z, u)``, slot order ``(x, y, z, u)``."""
+        return exact_einsum("lijk,lu->ijku", self.r13, self.model.g)
+
+    @cached_property
+    def ricci(self) -> Tensor:
+        """``Ric(y, z) = tr(x -> R(x, y) z)``."""
+        return exact_einsum("iiyz->yz", self.r13)
+
+    @cached_property
+    def tau(self) -> Fraction:
+        """The scalar curvature ``g^{jk} Ric(x_j, x_k)``."""
+        return einsum_scalar("jk,jk->", self.ginv, self.ricci)
+
+    @cached_property
+    def tau_star(self) -> Fraction:
+        """``g^{jk} Ric(x_j, phi x_k)``."""
+        return einsum_scalar("jk,mk,jm->", self.ginv, self.model.phi, self.ricci)
+
+    @cached_property
+    def tau_2star(self) -> Fraction:
+        """``R`` traced with its third and fourth arguments twisted by phi."""
         ginv, phi = self.ginv, self.model.phi
-        r13 = exact_sum(curvature_terms(self.conn, self.model))
-        R = exact_einsum("lijk,lu->ijku", r13, self.model.g)
-        # Ric(y, z) = tr(x -> R(x, y) z)
-        ricci = exact_einsum("iiyz->yz", r13)
-        return CurvaturePack(
-            r13, R, ricci,
-            einsum_scalar("jk,jk->", ginv, ricci),
-            # tau_star = g^{jk} Ric(x_j, phi x_k)
-            einsum_scalar("jk,mk,jm->", ginv, phi, ricci),
-            # tau_2star: twist the third and fourth arguments by phi.
-            einsum_scalar("is,jk,mk,ns,ijmn->", ginv, ginv, phi, phi, R),
-        )
+        return einsum_scalar("is,jk,mk,ns,ijmn->", ginv, ginv, phi, phi, self.r04)
 
     @cached_property
     def psi4_s(self) -> Tensor:
@@ -554,13 +518,13 @@ class Geometry:
     def twisted_r(self) -> Tensor:
         """``R(x, y, phi z, phi u)``."""
         phi = self.model.phi
-        return exact_einsum("ijmn,mk,nu->ijku", self.curv.r04, phi, phi)
+        return exact_einsum("ijmn,mk,nu->ijku", self.r04, phi, phi)
 
     @cached_property
     def curvature_phi_kahler(self) -> bool:
         """Whether ``R(x, y, phi z, phi u) = -R(x, y, z, u)``."""
         return not nonzero_where([(1, "ijku->ijku", self.twisted_r),
-                                  (1, "ijku->ijku", self.curv.r04)]).any()
+                                  (1, "ijku->ijku", self.r04)]).any()
 
     @cached_property
     def nabla2_phi(self) -> Tensor:
@@ -574,19 +538,31 @@ class Geometry:
 
     # --- scalars and flags ----------------------------------------------
 
+    # The square norms take ``g^{-1}`` in every argument slot; indefinite
+    # metrics make them signed.
+
     @cached_property
-    def norms(self) -> SquareNorms:
-        """The three square norms, with ``g^{-1}`` in every argument slot,
-        e.g. ``||nabla phi||^2 = g^{ij} g^{ks} g((nabla_{x_i} phi) x_k,
-        (nabla_{x_j} phi) x_s)``.  The inner ``g`` is read from ``F``, which
-        is ``nabla phi`` lowered, and from ``N`` lowered once."""
+    def nabla_phi_square_norm(self) -> Fraction:
+        """``||nabla phi||^2 = g^{ij} g^{ks} g((nabla_{x_i} phi) x_k,
+        (nabla_{x_j} phi) x_s)``, the inner ``g`` read from ``F``, which is
+        ``nabla phi`` lowered."""
+        ginv = self.ginv
+        return einsum_scalar("ij,ks,ikb,jbs->", ginv, ginv, self.f, self.nabla_phi)
+
+    @cached_property
+    def nabla_eta_square_norm(self) -> Fraction:
+        """``||nabla eta||^2 = g^{ij} g^{ks} (nabla_{x_i} eta) x_k
+        (nabla_{x_j} eta) x_s``."""
+        ginv = self.ginv
+        return einsum_scalar("ij,ks,ik,js->", ginv, ginv, self.nabla_eta, self.nabla_eta)
+
+    @cached_property
+    def nijenhuis_square_norm(self) -> Fraction:
+        """``||N||^2 = g^{ij} g^{ks} g(N(x_i, x_k), N(x_j, x_s))``, the inner
+        ``g`` read from ``N`` lowered once."""
         ginv = self.ginv
         n_lowered = exact_einsum("ab,aik->bik", self.model.g, self.n)
-        return SquareNorms(
-            einsum_scalar("ij,ks,ikb,jbs->", ginv, ginv, self.f, self.nabla_phi),
-            einsum_scalar("ij,ks,ik,js->", ginv, ginv, self.nabla_eta, self.nabla_eta),
-            einsum_scalar("ij,ks,bik,bjs->", ginv, ginv, n_lowered, self.n),
-        )
+        return einsum_scalar("ij,ks,bik,bjs->", ginv, ginv, n_lowered, self.n)
 
     @cached_property
     def omega_norm(self) -> Fraction:
@@ -610,7 +586,7 @@ class Geometry:
     @cached_property
     def ricci_xi_xi(self) -> Fraction:
         xi = self.model.xi
-        return einsum_scalar("ij,i,j->", self.curv.ricci, xi, xi)
+        return einsum_scalar("ij,i,j->", self.ricci, xi, xi)
 
     @cached_property
     def forms_closed(self) -> tuple[bool, bool]:
@@ -622,7 +598,7 @@ class Geometry:
     @cached_property
     def isotropic_kahler(self) -> bool:
         """Whether ``||nabla phi||^2`` and ``||nabla eta||^2`` both vanish."""
-        return self.norms.nabla_phi == 0 and self.norms.nabla_eta == 0
+        return self.nabla_phi_square_norm == 0 and self.nabla_eta_square_norm == 0
 
     @cached_property
     def identities(self) -> dict[str, IdentityVerdict]:
@@ -636,8 +612,7 @@ class Geometry:
         hypothesis fails is reported as not applicable rather than passed,
         and a layer is read only by an identity that applies.
         """
-        model, curv = self.model, self.curv
-        phi, eta, r13 = model.phi, model.eta, curv.r13
+        phi, eta, r13 = self.model.phi, self.model.eta, self.r13
         nnphi, nneta = self.nabla2_phi, self.nabla2_eta
 
         not_pure = None if self.f11 else "model is not in the pure eta-omega class"
@@ -671,8 +646,8 @@ class Geometry:
             _agree(
                 "norm_chain", "||nabla phi||^2 = -||N||^2 = -2||nabla eta||^2 = 2 omega(Omega)",
                 not_pure,
-                lambda: (self.norms.nabla_phi, -self.norms.nijenhuis,
-                         -2 * self.norms.nabla_eta, 2 * self.omega_norm)),
+                lambda: (self.nabla_phi_square_norm, -self.nijenhuis_square_norm,
+                         -2 * self.nabla_eta_square_norm, 2 * self.omega_norm)),
             _vanishes(
                 "omega_star_derivative",
                 "(nabla_x omega_star) y = (nabla_x omega) phi y + eta(x) eta(y) omega(Omega)",
@@ -684,16 +659,16 @@ class Geometry:
                 "curvature_phi_twist",
                 "R twisted by phi in the last two slots differs from -R by psi4(S)",
                 not_pure,
-                lambda: [(1, "ijku->ijku", self.twisted_r), (1, "ijku->ijku", curv.r04),
+                lambda: [(1, "ijku->ijku", self.twisted_r), (1, "ijku->ijku", self.r04),
                          (-1, "ijku->ijku", self.psi4_s)]),
             _vanishes(
                 "r_equals_psi4_s", "R = psi4(S)",
                 twisted,
-                lambda: [(1, "ijku->ijku", curv.r04), (-1, "ijku->ijku", self.psi4_s)]),
+                lambda: [(1, "ijku->ijku", self.r04), (-1, "ijku->ijku", self.psi4_s)]),
             _vanishes(
                 "ricci_from_s", "ricci = tr(S) eta (x) eta + S",
                 twisted,
-                lambda: [(1, "ij->ij", curv.ricci), (-self.s_trace, "i,j->ij", eta, eta),
+                lambda: [(1, "ij->ij", self.ricci), (-self.s_trace, "i,j->ij", eta, eta),
                          (-1, "ij->ij", self.s)]),
             _agree(
                 "s_trace_divergence", "tr S = div(phi Omega)",
@@ -703,7 +678,7 @@ class Geometry:
                 "scalar_curvature_chain",
                 "tau + tau_2star = 2 div(phi Omega) = 2 ricci(xi, xi)",
                 not_pure,
-                lambda: (curv.tau + curv.tau_2star, 2 * self.div_phi_omega,
+                lambda: (self.tau + self.tau_2star, 2 * self.div_phi_omega,
                          2 * self.ricci_xi_xi)),
             # The Kahler-type curvature criterion: the twisted curvature
             # property holds iff nabla omega_star has the pure rank-one form,
@@ -724,7 +699,7 @@ class Geometry:
                 "isotropy_equivalence", "isotropic Kahler <=> omega(Omega) = 0 <=> ||N||^2 = 0",
                 not_pure,
                 lambda: (self.isotropic_kahler, self.omega_norm == 0,
-                         self.norms.nijenhuis == 0)),
+                         self.nijenhuis_square_norm == 0)),
         ]
         return {v.name: v for v in verdicts}
 
@@ -732,6 +707,13 @@ class Geometry:
         """``div X = tr(nabla X) = Gamma^i_im X^m`` for a constant vector."""
         return einsum_scalar("iim,m->", self.conn.gamma,
                              vector(x, self.model.dim, name="x"))
+
+
+def _computed(geo: Geometry, *layers: str) -> Geometry:
+    """``geo`` after reading each of ``layers``."""
+    for name in layers:
+        getattr(geo, name)
+    return geo
 
 
 def levi_civita(model: AcnModel) -> Connection:
@@ -742,29 +724,30 @@ def levi_civita(model: AcnModel) -> Connection:
     return Geometry(model).conn
 
 
-def structure_pack(model: AcnModel, conn: Connection) -> StructurePack:
-    """Compute the full structure-level package for a model."""
-    return Geometry(model, conn=conn).pack
+def structure_pack(model: AcnModel, conn: Connection) -> Geometry:
+    """A ``Geometry`` with the structure tensors computed: ``F``, the four
+    1-forms, ``Omega``, ``nabla phi``, ``nabla eta``, ``N`` and ``S``."""
+    return _computed(Geometry(model, conn), "f", "theta", "theta_star", "omega",
+                     "omega_star", "omega_vec", "nabla_phi", "nabla_eta", "n", "s")
 
 
-def riemann(model: AcnModel, conn: Connection) -> CurvaturePack:
-    """Compute the full curvature package of a model."""
-    return Geometry(model, conn=conn).curv
+def riemann(model: AcnModel, conn: Connection) -> Geometry:
+    """A ``Geometry`` with the curvature computed: ``r13``, ``r04``, Ricci
+    and the three scalar curvatures."""
+    return _computed(Geometry(model, conn), "r13", "r04", "ricci", "tau", "tau_star",
+                     "tau_2star")
 
 
 def verify_identities(model: AcnModel, conn: Connection | None = None,
-                      pack: StructurePack | None = None,
-                      curv: CurvaturePack | None = None) -> dict[str, IdentityVerdict]:
-    """The identity verdicts of a model, :attr:`Geometry.identities`.
-    The optional arguments allow reuse of already-computed packages."""
+                      pack: Geometry | None = None,
+                      curv: Geometry | None = None) -> dict[str, IdentityVerdict]:
+    """The identity verdicts of a model, :attr:`Geometry.identities`,
+    reusing the layers already computed in ``pack`` and ``curv``."""
     return Geometry(model, conn, pack, curv).identities
 
 
-def square_norms(
-    model: AcnModel, conn: Connection, pack: StructurePack | None = None
-) -> SquareNorms:
-    """The three square norms, each a full-basis contraction with the
-    inverse metric in every argument slot.  Passing an already-computed
-    :class:`StructurePack` avoids recomputing the Nijenhuis tensor and
-    the derivatives."""
-    return Geometry(model, conn=conn, pack=pack).norms
+def square_norms(model: AcnModel, conn: Connection, pack: Geometry | None = None) -> Geometry:
+    """A ``Geometry`` with the three square norms computed, reusing the
+    layers already computed in ``pack``."""
+    return _computed(Geometry(model, conn, pack), "nabla_phi_square_norm",
+                     "nabla_eta_square_norm", "nijenhuis_square_norm")

@@ -57,7 +57,6 @@ def run_report(model: AcnModel) -> GeometryReport:
     already be valid (see :func:`norden.structures.validate_structure`);
     computations on an invalid model are not meaningful."""
     geo = Geometry(model)
-    curv, norms = geo.curv, geo.norms
     omega_closed, omega_star_closed = geo.forms_closed
     twin = associated_metric(model)
     return GeometryReport(
@@ -75,12 +74,12 @@ def run_report(model: AcnModel) -> GeometryReport:
             "curvature_phi_kahler": geo.curvature_phi_kahler,
         },
         invariants={
-            "tau": curv.tau,
-            "tau_star": curv.tau_star,
-            "tau_double_star": curv.tau_2star,
-            "nabla_phi_square_norm": norms.nabla_phi,
-            "nabla_eta_square_norm": norms.nabla_eta,
-            "nijenhuis_square_norm": norms.nijenhuis,
+            "tau": geo.tau,
+            "tau_star": geo.tau_star,
+            "tau_double_star": geo.tau_2star,
+            "nabla_phi_square_norm": geo.nabla_phi_square_norm,
+            "nabla_eta_square_norm": geo.nabla_eta_square_norm,
+            "nijenhuis_square_norm": geo.nijenhuis_square_norm,
             "omega_square_norm": geo.omega_norm,
             "div_phi_omega_vec": geo.div_phi_omega,
             "ricci_xi_xi": geo.ricci_xi_xi,
@@ -99,8 +98,8 @@ def run_report(model: AcnModel) -> GeometryReport:
             "nijenhuis": geo.n,
             "s": geo.s,
             "psi4_s": geo.psi4_s,
-            "riemann": curv.r04,
-            "ricci": curv.ricci,
+            "riemann": geo.r04,
+            "ricci": geo.ricci,
             "associated_metric": twin,
         },
     )

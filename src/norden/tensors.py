@@ -442,6 +442,30 @@ def _rescaled(row: list[int], since: int, prev: int) -> list[int]:
     return [v * prev // since for v in row]
 
 
+def _eliminate(m: list[list[int]], since: list[int], i: int, col: int, top: list[int],
+               p: int, prev: int, start: int = 0) -> None:
+    """One fraction-free step on row ``i`` of ``m``: under the pivot ``p``
+    in column ``col``, whose row from column ``start`` on is ``top``, the
+    entries from ``start`` on become ``(p * v - f * w) // prev``, with
+    ``f`` the row's multiplier.  A row whose multiplier is zero would only
+    be scaled by ``p / prev``, and such scales telescope, so it is left
+    stale: ``since[i]`` is 0 for a row up to date under ``prev``, else the
+    pivot it is up to date under, and :func:`_rescaled` brings it up to
+    date when it is next read with a nonzero multiplier.  Zero tests read
+    stale rows as they are, and a row that is never stale is never
+    rescaled."""
+    r = m[i]
+    f = r[col]
+    if not f:
+        if not since[i] and p != prev:
+            since[i] = prev
+        return
+    if since[i]:
+        r = _rescaled(r, since[i], prev)
+        f, since[i] = r[col], 0
+    m[i] = r[:start] + [(p * v - f * w) // prev for v, w in zip(r[start:], top)]
+
+
 def _gauss_jordan(m: list[list[int]]) -> tuple[list[int], int]:
     """Fraction-free Gauss-Jordan elimination (Bareiss, *Math. Comp.* 22,
     1968) of the integer matrix ``m``, in place: every division is exact.
@@ -450,13 +474,9 @@ def _gauss_jordan(m: list[list[int]]) -> tuple[list[int], int]:
     column and zeros in the others, and the rows below the pivot rows
     are zero.
 
-    A row whose multiplier is zero would only be scaled by ``p / prev``,
-    and such scales telescope, so it is left stale: ``since[i]`` is 0 for
-    a row up to date under ``prev``, else the pivot it is up to date
-    under, and :func:`_rescaled` brings the row up to date when it is next
-    read, as the pivot row, with a nonzero multiplier or at the end.  Zero
-    tests read stale rows as they are, and a row that is never stale costs
-    one read per step and no call."""
+    Each row takes its steps through :func:`_eliminate`; a stale row is
+    also brought up to date when it becomes the pivot row, and at the
+    end."""
     pivots: list[int] = []
     prev = 1
     since = [0] * len(m)
@@ -472,16 +492,9 @@ def _gauss_jordan(m: list[list[int]]) -> tuple[list[int], int]:
             m[k], since[k] = _rescaled(m[k], since[k], prev), 0
         row = m[k]
         p = row[col]
-        for i, r in enumerate(m):
-            f = r[col]
-            if not f:
-                if not since[i] and p != prev:
-                    since[i] = prev
-            elif i != k:
-                if since[i]:
-                    r = _rescaled(r, since[i], prev)
-                    f, since[i] = r[col], 0
-                m[i] = [(p * v - f * w) // prev for v, w in zip(r, row)]
+        for i in range(len(m)):
+            if i != k:
+                _eliminate(m, since, i, col, row, p, prev)
         prev = p
         pivots.append(col)
     for i, s in enumerate(since):
@@ -524,12 +537,11 @@ def signature(g: Tensor) -> tuple[int, int, int]:
     previous pivot, so its sign is the product of theirs; congruence
     preserves the signature, so the recorded signs are the answer.
 
-    A row whose multiplier is zero is left stale as in
-    :func:`_gauss_jordan`, with ``since`` as there, and brought up to date
-    by :func:`_rescaled`, whole (its entries left of column ``k`` are
-    never read again), when read: as the pivot row, with a nonzero
-    multiplier or in the ``e_i <- e_i + e_j`` step.  Column operations act
-    within each row, so they commute with its scale.
+    Each row below the pivot takes its step through :func:`_eliminate`,
+    on the columns right of the pivot only (the others are never read
+    again).  A stale row is brought up to date whole when it becomes the
+    pivot row or enters the ``e_i <- e_i + e_j`` step.  Column operations
+    act within each row, so they commute with its scale.
     """
     a = _symmetric_numerators(g, "signature")
     n = len(a)
@@ -563,15 +575,7 @@ def signature(g: Tensor) -> tuple[int, int, int]:
         plus, minus = (plus + 1, minus) if (p > 0) == (prev > 0) else (plus, minus + 1)
         top = a[k][k + 1:]
         for i in range(k + 1, n):
-            f = a[i][k]
-            if not f:
-                if not since[i] and p != prev:
-                    since[i] = prev
-                continue
-            if since[i]:
-                a[i], since[i] = _rescaled(a[i], since[i], prev), 0
-                f = a[i][k]
-            a[i][k + 1:] = [(p * x - f * y) // prev for x, y in zip(a[i][k + 1:], top)]
+            _eliminate(a, since, i, k, top, p, prev, k + 1)
         prev = p
     return plus, minus, n - plus - minus
 

@@ -7,8 +7,20 @@ import pytest
 
 from norden import FamilyParams, Geometry, generate_family, heisenberg_model
 
-#: ``Geometry(model)`` computes ``.conn``, ``.pack`` and ``.curv`` on first use.
+#: ``Geometry(model)`` computes each layer on first use.
 build_geometry = Geometry
+
+#: The layers that ``structure_pack``, ``riemann`` and ``square_norms``
+#: compute, in the order they compute them.
+STRUCTURE_LAYERS = ("f", "theta", "theta_star", "omega", "omega_star", "omega_vec",
+                    "nabla_phi", "nabla_eta", "n", "s")
+CURVATURE_LAYERS = ("r13", "r04", "ricci", "tau", "tau_star", "tau_2star")
+NORM_LAYERS = ("nabla_phi_square_norm", "nabla_eta_square_norm", "nijenhuis_square_norm")
+
+
+def layers(geo: Geometry, names) -> tuple:
+    """The values of the layers ``names`` of ``geo``."""
+    return tuple(getattr(geo, name) for name in names)
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,7 @@ from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
-from conftest import Geometry, build_geometry
+from conftest import NORM_LAYERS, Geometry, build_geometry, layers
 
 from norden import (
     FamilyParams,
@@ -167,11 +167,11 @@ def test_criterion_03_fundamental_tensor_and_class(pool):
     the pure eta-omega class, theta = omega, theta* = 0, and both
     1-forms are closed."""
     for n, lam, geo in pool:
-        assert geo.pack.f == _expected_f(n, lam)
+        assert geo.f == _expected_f(n, lam)
         assert geo.f11
-        assert geo.pack.omega == Tensor(_expected_omega(n, lam), "d")
-        assert geo.pack.theta == geo.pack.omega
-        assert geo.pack.theta_star.is_zero()
+        assert geo.omega == Tensor(_expected_omega(n, lam), "d")
+        assert geo.theta == geo.omega
+        assert geo.theta_star.is_zero()
         assert geo.forms_closed == (True, True)
 
 
@@ -181,19 +181,19 @@ def test_criterion_04_curvature(pool, fam23):
     """R, rho, tau, tau* all match their closed forms; the curvature
     vanishes when the last two slots are phi-twisted."""
     for n, lam, geo in pool:
-        assert geo.curv.r04 == _expected_r04(n, lam)
-        R = geo.curv.r04.components
+        assert geo.r04 == _expected_r04(n, lam)
+        R = geo.r04.components
         phi = geo.model.phi.components
         twisted = np.einsum("ijmn,mk,nu->ijku", R, phi, phi, optimize=True)
         assert not twisted.any()
-        assert geo.curv.ricci == _expected_ricci(n, lam)
-        assert geo.curv.tau == -2 * _lambda_balance(n, lam)
-        assert geo.curv.tau_star == -2 * sum(
+        assert geo.ricci == _expected_ricci(n, lam)
+        assert geo.tau == -2 * _lambda_balance(n, lam)
+        assert geo.tau_star == -2 * sum(
             lam[k] * lam[k + n] for k in range(n)
         )
-    assert fam23.curv.tau == 10
-    assert fam23.curv.tau_star == -12
-    assert fam23.curv.ricci[0, 0] == 5
+    assert fam23.tau == 10
+    assert fam23.tau_star == -12
+    assert fam23.ricci[0, 0] == 5
 
 
 # --- criterion 5: sectional curvatures ------------------------------------
@@ -229,13 +229,13 @@ def test_criterion_06_norm_chain(pool):
     """||nabla phi||^2 = -||N||^2 = -2||nabla eta||^2 = 2 omega(Omega) on
     every member, with Omega and omega(Omega) matching closed form."""
     for n, lam, geo in pool:
-        assert geo.pack.omega_vec == Tensor(_expected_omega_vec(n, lam), "u")
-        oo = einsum_scalar("k,k->", geo.pack.omega, geo.pack.omega_vec)
+        assert geo.omega_vec == Tensor(_expected_omega_vec(n, lam), "u")
+        oo = einsum_scalar("k,k->", geo.omega, geo.omega_vec)
         assert oo == -_lambda_balance(n, lam)
-        norms = square_norms(geo.model, geo.conn, pack=geo.pack)
-        assert norms.nabla_phi == 2 * oo
-        assert norms.nijenhuis == -2 * oo
-        assert norms.nabla_eta == -oo
+        norms = square_norms(geo.model, geo.conn, pack=geo)
+        assert norms.nabla_phi_square_norm == 2 * oo
+        assert norms.nijenhuis_square_norm == -2 * oo
+        assert norms.nabla_eta_square_norm == -oo
 
 
 # --- criterion 7: curvature identities ------------------------------------
@@ -257,9 +257,7 @@ def test_criterion_07_curvature_identities(pool):
         "ricci_identity_eta",
     )
     for n, lam, geo in nine:
-        verdicts = verify_identities(
-            geo.model, conn=geo.conn, pack=geo.pack, curv=geo.curv
-        )
+        verdicts = verify_identities(geo.model, conn=geo.conn, pack=geo, curv=geo)
         for name in required:
             v = verdicts[name]
             assert v.applicable, (name, v.detail)
@@ -281,12 +279,12 @@ ISOTROPY_POSITIVES = (
 def _isotropy_flags(model, conn, pack):
     norms = square_norms(model, conn, pack=pack)
     oo = einsum_scalar("k,k->", pack.omega, pack.omega_vec)
-    geo = Geometry(model, conn=conn, pack=pack)
-    assert geo.norms == norms
+    geo = Geometry(model, conn, pack)
+    assert layers(geo, NORM_LAYERS) == layers(norms, NORM_LAYERS)
     return (
         geo.isotropic_kahler,
         oo == 0,
-        norms.nijenhuis == 0,
+        norms.nijenhuis_square_norm == 0,
     )
 
 
@@ -316,7 +314,7 @@ def test_criterion_08_isotropic_kahler_decision(pool):
         assert flags == (False, False, False)
 
     for n, lam, geo in pool:
-        flags = _isotropy_flags(geo.model, geo.conn, geo.pack)
+        flags = _isotropy_flags(geo.model, geo.conn, geo)
         assert len(set(flags)) == 1
         assert flags[0] == (_lambda_balance(n, lam) == 0)
 
@@ -354,10 +352,10 @@ def test_criterion_09_degenerate_controls(fam_zero):
     """lambda = 0 is the flat Kahler-type member; hand-broken model
     files are each rejected with the specific itemized violation."""
     assert fam_zero.f0
-    assert fam_zero.curv.r04.is_zero()
-    assert fam_zero.curv.r13.is_zero()
-    norms = square_norms(fam_zero.model, fam_zero.conn, pack=fam_zero.pack)
-    assert norms == (0, 0, 0)
+    assert fam_zero.r04.is_zero()
+    assert fam_zero.r13.is_zero()
+    norms = square_norms(fam_zero.model, fam_zero.conn, pack=fam_zero)
+    assert layers(norms, NORM_LAYERS) == (0, 0, 0)
 
     for rule, text in BROKEN_FILES:
         assert text != BASE_TEXT  # the surgery must have hit its target

@@ -18,9 +18,11 @@ from norden import (
     levi_civita,
     report_to_json,
     report_to_text,
+    riemann,
     run_report,
     serialize_model,
     square_norms,
+    structure_pack,
     verify_identities,
 )
 from norden import cli
@@ -59,7 +61,7 @@ def test_forms_closed(fam23, heis):
     assert Geometry(fam23.model, conn=fam23.conn).forms_closed == (True, True)
     assert Geometry(heis.model, conn=heis.conn).forms_closed == (True, True)
     # the precomputed-pack path agrees
-    seeded = Geometry(fam23.model, conn=fam23.conn, pack=fam23.pack)
+    seeded = Geometry(fam23.model, fam23.conn, structure_pack(fam23.model, fam23.conn))
     assert seeded.forms_closed == (True, True)
 
 
@@ -71,18 +73,20 @@ def test_is_isotropic_kahler(fam23, fam_zero):
     assert Geometry(m, conn=conn).isotropic_kahler
     # with norms != 0 despite nabla phi != 0 being possible, the check
     # reads the same norms as square_norms on a precomputed pack
-    norms = square_norms(fam23.model, fam23.conn, pack=fam23.pack)
-    geo = Geometry(fam23.model, conn=fam23.conn, pack=fam23.pack)
-    assert geo.norms == norms
+    pack = structure_pack(fam23.model, fam23.conn)
+    norms = square_norms(fam23.model, fam23.conn, pack=pack)
+    geo = Geometry(fam23.model, fam23.conn, pack)
+    for name in ("nabla_phi_square_norm", "nabla_eta_square_norm", "nijenhuis_square_norm"):
+        assert getattr(geo, name) == getattr(norms, name), name
     assert geo.isotropic_kahler is False
 
 
 def test_curvature_phi_kahler_flag(fam23, fam_zero, heis):
     # family curvature satisfies R(.,.,phi.,phi.) = 0, which equals -R
     # only when R = 0
-    assert not Geometry(fam23.model, curv=fam23.curv).curvature_phi_kahler
-    assert Geometry(fam_zero.model, curv=fam_zero.curv).curvature_phi_kahler
-    assert not Geometry(heis.model, curv=heis.curv).curvature_phi_kahler
+    for geo, flag in ((fam23, False), (fam_zero, True), (heis, False)):
+        curv = riemann(geo.model, geo.conn)
+        assert Geometry(geo.model, None, curv).curvature_phi_kahler is flag
 
 
 def test_identity_verdict_ok_semantics():
@@ -92,9 +96,7 @@ def test_identity_verdict_ok_semantics():
 
 
 def test_identities_all_pass_on_worked_example(fam23):
-    verdicts = verify_identities(
-        fam23.model, conn=fam23.conn, pack=fam23.pack, curv=fam23.curv
-    )
+    verdicts = verify_identities(fam23.model, conn=fam23.conn, pack=fam23, curv=fam23)
     assert set(verdicts) == set(GATED) | set(UNCONDITIONAL)
     failing = [n for n, v in verdicts.items() if not v.ok]
     assert failing == []
@@ -108,9 +110,7 @@ def test_identities_all_pass_on_worked_example(fam23):
 
 
 def test_identities_gated_off_outside_pure_class(heis):
-    verdicts = verify_identities(
-        heis.model, conn=heis.conn, pack=heis.pack, curv=heis.curv
-    )
+    verdicts = verify_identities(heis.model, conn=heis.conn, pack=heis, curv=heis)
     for name in GATED:
         v = verdicts[name]
         assert not v.applicable
@@ -133,9 +133,7 @@ def test_identity_names_agree_inside_and_outside_pure_class(fam23, heis, fam_zer
 
 def test_ricci_identities_hold_everywhere(fam5, heis, fam_zero):
     for geo in (fam5, heis, fam_zero):
-        verdicts = verify_identities(
-            geo.model, conn=geo.conn, pack=geo.pack, curv=geo.curv
-        )
+        verdicts = verify_identities(geo.model, conn=geo.conn, pack=geo, curv=geo)
         assert verdicts["ricci_identity_phi"].passed
         assert verdicts["ricci_identity_eta"].passed
 
@@ -143,23 +141,20 @@ def test_ricci_identities_hold_everywhere(fam5, heis, fam_zero):
 def test_phi_kahler_criterion_biconditional_both_ways(fam23, fam_zero):
     """The criterion compares two flags; the family realizes both
     (False, False) and (True, True)."""
-    v23 = verify_identities(
-        fam23.model, conn=fam23.conn, pack=fam23.pack, curv=fam23.curv
-    )["phi_kahler_criterion"]
+    v23 = verify_identities(fam23.model, conn=fam23.conn, pack=fam23,
+                            curv=fam23)["phi_kahler_criterion"]
     assert v23.passed
     assert not fam23.curvature_phi_kahler
 
-    v0 = verify_identities(
-        fam_zero.model, conn=fam_zero.conn, pack=fam_zero.pack, curv=fam_zero.curv
-    )["phi_kahler_criterion"]
+    v0 = verify_identities(fam_zero.model, conn=fam_zero.conn, pack=fam_zero,
+                           curv=fam_zero)["phi_kahler_criterion"]
     assert v0.passed
     assert fam_zero.curvature_phi_kahler
 
 
 def test_closedness_addendum_applicable_on_flat_member(fam_zero):
-    verdicts = verify_identities(
-        fam_zero.model, conn=fam_zero.conn, pack=fam_zero.pack, curv=fam_zero.curv
-    )
+    verdicts = verify_identities(fam_zero.model, conn=fam_zero.conn, pack=fam_zero,
+                                 curv=fam_zero)
     v = verdicts["phi_kahler_criterion_closedness"]
     assert v.applicable and v.passed
 
@@ -168,9 +163,7 @@ def test_verify_identities_computes_own_packages(fam23):
     """Optional arguments default to fresh computations with the same
     verdicts."""
     lazy = verify_identities(fam23.model)
-    eager = verify_identities(
-        fam23.model, conn=fam23.conn, pack=fam23.pack, curv=fam23.curv
-    )
+    eager = verify_identities(fam23.model, conn=fam23.conn, pack=fam23, curv=fam23)
     assert {n: (v.applicable, v.passed) for n, v in lazy.items()} == {
         n: (v.applicable, v.passed) for n, v in eager.items()
     }
@@ -197,10 +190,10 @@ def test_isotropy_criterion_matches_lambda_condition(lam):
 
 # --- failing verdicts and laziness, pinned -----------------------------------
 #
-# No valid model fails an identity, so these seed a Geometry with tampered
-# layers: a curvature pack with R doubled and tau shifted by 1/2 (index and
-# rational-string witnesses), a structure pack whose Omega is zero (a flag
-# witness from isotropy_equivalence), and a zero curvature (a flag witness
+# No valid model fails an identity, so these replace layers of a Geometry:
+# the curvature with R doubled and tau shifted by 1/2 (index and
+# rational-string witnesses), the structure tensors with Omega zero (a flag
+# witness from isotropy_equivalence), and R alone zero (a flag witness
 # from phi_kahler_criterion).  Each pin is the verdict's (status, witness)
 # and the sha256 of the JSON and text renders of the family report carrying
 # the tampered verdicts.  The JSON hashes were re-recorded once, for report
@@ -213,14 +206,16 @@ def _scaled(coef, t):
 
 
 def _tampered(fam23, key):
-    model, conn, curv, pack = fam23.model, fam23.conn, fam23.curv, fam23.pack
+    """A fresh ``Geometry`` of the worked example whose structure or
+    curvature layers are computed and then some of them replaced."""
+    geo = (structure_pack if key == "omega_vec" else riemann)(fam23.model, fam23.conn)
     if key == "curvature":
-        return Geometry(model, conn=conn, curv=replace(
-            curv, r13=_scaled(2, curv.r13), r04=_scaled(2, curv.r04),
-            tau=curv.tau + Fr(1, 2)))
-    if key == "omega_vec":
-        return Geometry(model, conn=conn, pack=replace(pack, omega_vec=_scaled(0, pack.omega_vec)))
-    return Geometry(model, conn=conn, curv=replace(curv, r04=_scaled(0, curv.r04)))
+        geo.r13, geo.r04, geo.tau = _scaled(2, geo.r13), _scaled(2, geo.r04), geo.tau + Fr(1, 2)
+    elif key == "omega_vec":
+        geo.omega_vec = _scaled(0, geo.omega_vec)
+    else:
+        geo.r04 = _scaled(0, geo.r04)
+    return geo
 
 
 PASS, NA = ("pass", None), (" n/a", None)
@@ -334,8 +329,8 @@ def test_a_witness_past_the_digit_limit_is_input_error(fam23, flags, tmp_path, m
     output: exit 2 and one line on stderr."""
     path = tmp_path / "fam23.txt"
     path.write_text(serialize_model(fam23.model))
-    curv = replace(fam23.curv, tau=fam23.curv.tau + 10 ** 4300)
-    tampered = Geometry(fam23.model, conn=fam23.conn, curv=curv)
+    tampered = riemann(fam23.model, fam23.conn)
+    tampered.tau += 10 ** 4300
     monkeypatch.setattr(cli, "Geometry", lambda model: tampered)
     assert cli.main(["identities", str(path)] + flags) == 2
     out, err = capsys.readouterr()
@@ -343,16 +338,20 @@ def test_a_witness_past_the_digit_limit_is_input_error(fam23, flags, tmp_path, m
     assert err.count("\n") == 1
 
 
-# sorted(vars(geo)) after reading .identities on a fresh Geometry
+# sorted(vars(geo)) after reading .identities on a fresh Geometry.  Outside
+# the pure class (heis) only the Ricci identities apply, so r13 is the one
+# curvature layer built; the family reads every curvature layer but tau_star.
 LAYERS_READ = {
-    "heis": ["conn", "curv", "f", "f11", "ginv", "identities", "model",
-             "nabla2_eta", "nabla2_phi", "nabla_eta", "nabla_phi", "omega"],
-    "fam23": ["conn", "curv", "curvature_phi_kahler", "div_phi_omega", "f", "f11",
+    "heis": ["conn", "f", "f11", "ginv", "identities", "model",
+             "nabla2_eta", "nabla2_phi", "nabla_eta", "nabla_phi", "omega", "r13"],
+    "fam23": ["conn", "curvature_phi_kahler", "div_phi_omega", "f", "f11",
               "ginv", "identities", "isotropic_kahler", "model", "n",
               "n_from_brackets", "n_from_derivatives", "nabla2_eta", "nabla2_phi",
-              "nabla_eta", "nabla_omega", "nabla_omega_star", "nabla_phi", "norms",
+              "nabla_eta", "nabla_eta_square_norm", "nabla_omega", "nabla_omega_star",
+              "nabla_phi", "nabla_phi_square_norm", "nijenhuis_square_norm",
               "omega", "omega_norm", "omega_star", "omega_vec", "phi_omega", "psi4_s",
-              "ricci_xi_xi", "s", "s_trace", "twisted_r"],
+              "r04", "r13", "ricci", "ricci_xi_xi", "s", "s_trace", "tau", "tau_2star",
+              "twisted_r"],
 }
 
 

@@ -683,6 +683,103 @@ def test_each_tier_matches_the_fraction_reference_on_both_routes(terms):
     assert summed != np.int32 or tight < INT32_SAFE
 
 
+#: A step whose first operand keeps no letter: it sums all of them.  When
+#: the sparse route takes that operand's nonzeros, every product lands in
+#: the one output row (``at = ()`` in ``_sparse_step``); when it takes the
+#: other operand's, it gathers rows of one column from the first.
+KEEPS_NONE = "abcd,abcde->e"
+
+
+@contextmanager
+def _sparse_sides():
+    """Record, for each sparse step, the number of letters the operand
+    whose nonzeros are taken keeps, and the kept size of the other."""
+    seen = []
+    real = tensors._sparse_step
+
+    def spy(x, y, sx, sy):
+        seen.append((len(sx.own), sy.blocks[0]))
+        return real(x, y, sx, sy)
+
+    with mock.patch.object(tensors, "_sparse_step", spy):
+        yield seen
+
+
+def _support(rng, shape, count: int) -> list[tuple[int, ...]]:
+    """``count`` distinct random indices of an array of ``shape``."""
+    return [np.unravel_index(k, shape) for k in rng.sample(range(math.prod(shape)), count)]
+
+
+@pytest.mark.parametrize("taken, sides", [("keeps_none", (0, 13)),
+                                          ("other_keeps_none", (1, 1))])
+def test_a_dim_13_step_whose_operand_keeps_no_letter_takes_the_sparse_route(taken, sides):
+    """At ``d = 13`` the natural run of :data:`KEEPS_NONE` takes the
+    sparse route on whichever operand has fewer nonzeros per kept entry
+    of the other: the summed-only ``x`` when it is the sparse one, else
+    ``y``, which then gathers one column of ``x``.  Both agree with the
+    dense route and with a sum over ``x``'s nonzeros in Python ints."""
+    d, rng = 13, random.Random(taken)
+    x, y = np.zeros((d,) * 4, dtype=np.int64), np.zeros((d,) * 5, dtype=np.int64)
+    rows = _support(rng, x.shape, 200)
+    if taken == "keeps_none":
+        for k, at in enumerate(rows):       # y fills 200 rows; x keeps 5 of them
+            y[at] = [rng.randint(-9, 9) for _ in range(d)]
+            if k < 5:
+                x[at] = rng.choice((-3, -1, 2, 5))
+    else:
+        for k, at in enumerate(rows):       # x has 200 nonzeros; y 5 under them
+            x[at] = rng.choice((-3, -1, 2, 5))
+            if k < 5:
+                y[at + (rng.randrange(d),)] = rng.randint(1, 9)
+    a, b = Tensor(x, "dddd"), Tensor(y, "ddddd")
+    with _sparse_sides() as seen:
+        result = exact_einsum(KEEPS_NONE, a, b)
+    assert seen == [sides]
+    with _dense_plans(), _sparse_sides() as dense:
+        assert exact_einsum(KEEPS_NONE, a, b) == result
+    assert dense == []
+    want = [sum(int(x[at]) * int(y[at + (e,)]) for at in zip(*np.nonzero(x)))
+            for e in range(d)]
+    assert result.components.tolist() == want and any(want)
+
+
+#: Nonzero numerators of each step tier for :data:`KEEPS_NONE`'s sparse
+#: operand, over a denominator of 3, against small integers.
+KEEPS_NONE_TIERS = {"int32": (1, 4, 9), "int64": (2**33 + 1, 2**40 + 5),
+                    "object": (2**62 + 3, 3 * 2**70)}
+
+
+@pytest.mark.parametrize("tier", list(KEEPS_NONE_TIERS))
+@pytest.mark.parametrize("taken, sides", [("keeps_none", (0, 3)),
+                                          ("other_keeps_none", (1, 1))])
+def test_a_step_whose_operand_keeps_no_letter_matches_the_references(taken, sides, tier):
+    """:data:`KEEPS_NONE` on letters of size 2 and 3, its sparse route
+    forced onto either operand: in int32, int64 and Python ints it gives
+    the dense route's tensor and the reference over Fractions."""
+    rng = random.Random(f"{taken} {tier}")
+    sx, sy = (2, 3, 2, 1), (2, 3, 2, 1, 3)
+
+    def sparse(shape, count: int) -> Tensor:
+        cells = [0] * math.prod(shape)
+        for k in rng.sample(range(len(cells)), count):
+            cells[k] = Fr(rng.choice((-1, 1)) * rng.choice(KEEPS_NONE_TIERS[tier]), 3)
+        return _array(cells, shape)
+
+    def dense(shape) -> Tensor:
+        return _array([rng.choice((-2, -1, 1, 3)) for _ in range(math.prod(shape))], shape)
+
+    a, b = (sparse(sx, 2), dense(sy)) if taken == "keeps_none" else (dense(sx), sparse(sy, 4))
+    with _plans_with_floor(0):
+        with mock.patch.object(tensors, "SPARSE_FACTOR", 0), _sparse_sides() as seen, \
+                _kernel_dtypes() as (steps, _):
+            by_sparse = exact_einsum(KEEPS_NONE, a, b)
+    assert seen == [sides] and steps == [np.dtype(tier)]
+    with _dense_plans(), _sparse_sides() as seen:
+        assert exact_einsum(KEEPS_NONE, a, b) == by_sparse
+    assert seen == []
+    _assert_same(by_sparse, _reference(KEEPS_NONE, a, b))
+
+
 def test_no_einsum_call_of_a_report_only_permutes_one_operand():
     """Over a whole report on the dense golden model, every term that
     only permutes one operand's letters is returned as a view: numpy's

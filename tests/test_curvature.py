@@ -42,7 +42,7 @@ def test_frozen_riemann_components(fam23):
     """All nonzero components of R come from R(x_i, xi, xi, x_j)
     = -lambda_i lambda_j through the curvature symmetries."""
     lam = {1: Fr(2), 2: Fr(3)}
-    R = fam23.curv.r04.components
+    R = fam23.r04.components
     expected = np.zeros((3, 3, 3, 3), dtype=object)
     for i in (1, 2):
         for j in (1, 2):
@@ -56,7 +56,7 @@ def test_frozen_riemann_components(fam23):
 
 def test_curvature_algebraic_symmetries(fam5, heis):
     for geo in (fam5, heis):
-        R = geo.curv.r04.components
+        R = geo.r04.components
         assert np.all(R == -np.einsum("jikl->ijkl", R))
         assert np.all(R == -np.einsum("ijlk->ijkl", R))
         assert np.all(R == np.einsum("klij->ijkl", R))
@@ -67,34 +67,34 @@ def test_curvature_algebraic_symmetries(fam5, heis):
 
 
 def test_r13_lowering_consistency(fam23):
-    r13 = fam23.curv.r13.components
+    r13 = fam23.r13.components
     lowered = np.einsum(
         "lijk,lu->ijku", r13, fam23.model.g.components, optimize=True
     )
-    assert np.all(lowered == fam23.curv.r04.components)
+    assert np.all(lowered == fam23.r04.components)
 
 
 def test_frozen_ricci_and_scalars(fam23):
-    ricci = fam23.curv.ricci.components
+    ricci = fam23.ricci.components
     expected = np.array(
         [[5, 0, 0], [0, -4, -6], [0, -6, -9]], dtype=object
     )
     assert np.all(ricci == expected)
-    assert fam23.curv.tau == 10
-    assert fam23.curv.tau_star == -12
-    assert fam23.curv.tau_2star == 0
+    assert fam23.tau == 10
+    assert fam23.tau_star == -12
+    assert fam23.tau_2star == 0
 
 
 def test_heisenberg_scalars(heis):
-    assert (heis.curv.tau, heis.curv.tau_star, heis.curv.tau_2star) == (
+    assert (heis.tau, heis.tau_star, heis.tau_2star) == (
         Fr(1, 2), 0, Fr(3, 2)
     )
 
 
 def test_flat_member_curvature_vanishes(fam_zero):
-    assert fam_zero.curv.r04.is_zero()
-    assert fam_zero.curv.ricci.is_zero()
-    assert fam_zero.curv.tau == 0
+    assert fam_zero.r04.is_zero()
+    assert fam_zero.ricci.is_zero()
+    assert fam_zero.tau == 0
 
 
 @settings(max_examples=8, deadline=None)
@@ -200,7 +200,7 @@ def _pi1(g, x, y) -> Fr:
 @given(st.data())
 def test_sectional_curvature_is_r04_on_the_plane(fam5, heis, dense, data):
     """On random rational planes, the curvature read from the connection
-    is ``R(x, y, y, x) / pi1`` with ``R`` the tensor of ``Geometry.curv``,
+    is ``R(x, y, y, x) / pi1`` with ``R`` the tensor of ``Geometry.r04``,
     contracted by numpy on Fractions; a plane of rank 1 is refused."""
     geo = data.draw(st.sampled_from([fam5, heis, dense]))
     entry = st.fractions(-3, 3, max_denominator=4)
@@ -215,7 +215,7 @@ def test_sectional_curvature_is_r04_on_the_plane(fam5, heis, dense, data):
     if pi1 == 0:
         assert k is None
     else:
-        r = np.einsum("ijku,i,j,k,u->", geo.curv.r04.components, *map(np.array, (x, y, y, x)))
+        r = np.einsum("ijku,i,j,k,u->", geo.r04.components, *map(np.array, (x, y, y, x)))
         assert k == r / pi1
 
 
@@ -275,7 +275,7 @@ def test_r13_from_one_product_equals_the_three_product_form(case):
 @given(st.integers(1, 3), st.integers(0, 2**32))
 def test_on_dense_models_the_shared_products_equal_the_three_product_forms(n, seed):
     """Family members moved by seeded rational basis changes, built
-    without the library: ``Geometry.curv.r13`` and the Jacobi defect
+    without the library: ``Geometry.r13`` and the Jacobi defect
     (zero here) equal their three-product forms."""
     models = _bench_models()
     rng = Random(seed)
@@ -284,5 +284,5 @@ def test_on_dense_models_the_shared_products_equal_the_three_product_forms(n, se
                                     *models.random_basis_change(rng, 2 * n + 1))
     geo = build_geometry(parse_model(models.to_text(structure, "dense")))
     c = geo.model.algebra.c
-    assert geo.curv.r13 == three_product_r13(geo.conn.gamma, c)
+    assert geo.r13 == three_product_r13(geo.conn.gamma, c)
     assert exact_sum(_jacobi_terms(c)) == three_product_jacobi(c)

@@ -69,7 +69,7 @@ PINNED = {
 def test_three_models_beyond_the_family_are_pinned(params):
     geo = Geometry(f11_dim5(*params))
     tau, f0, applicable = PINNED[params]
-    assert (geo.curv.tau, geo.f0) == (tau, f0)
+    assert (geo.tau, geo.f0) == (tau, f0)
     verdicts = geo.identities
     assert sum(v.applicable for v in verdicts.values()) == applicable
     assert all(v.ok for v in verdicts.values())

@@ -4,6 +4,7 @@ cross-route comparisons."""
 from fractions import Fraction as Fr
 
 import numpy as np
+from conftest import NORM_LAYERS, STRUCTURE_LAYERS, layers
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,13 +17,14 @@ from norden import (
     nabla_eta_from_fundamental,
     psi4,
     square_norms,
+    structure_pack,
 )
 
 lam_values = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
 
 def test_frozen_fundamental_tensor(fam23):
-    got = {idx: v for idx, v in np.ndenumerate(fam23.pack.f.components) if v != 0}
+    got = {idx: v for idx, v in np.ndenumerate(fam23.f.components) if v != 0}
     assert got == {
         (0, 0, 1): -3, (0, 0, 2): 2,   # F(xi, xi, x_i) = omega(x_i)
         (0, 1, 0): -3, (0, 2, 0): 2,   # symmetric in the last two slots
@@ -31,7 +33,7 @@ def test_frozen_fundamental_tensor(fam23):
 
 def test_fundamental_symmetry_last_two_slots(fam5, heis):
     for geo in (fam5, heis):
-        F = geo.pack.f.components
+        F = geo.f.components
         assert np.all(F == np.einsum("ijk->ikj", F))
 
 
@@ -40,7 +42,7 @@ def test_fundamental_phi_twist_symmetry(fam23, fam5, heis):
     - eta(z) F(x, y, xi) on every model, pure class or not."""
     for geo in (fam23, fam5, heis):
         m = geo.model
-        F = geo.pack.f.components
+        F = geo.f.components
         phi, eta, xi = m.phi.components, m.eta.components, m.xi.components
         lhs = np.einsum("imn,mj,nk->ijk", F, phi, phi, optimize=True)
         f_xi_z = np.einsum("imk,m->ik", F, xi)
@@ -55,7 +57,7 @@ def test_fundamental_phi_twist_symmetry(fam23, fam5, heis):
 
 def test_fundamental_vanishes_on_double_xi(fam23, heis):
     for geo in (fam23, heis):
-        F = geo.pack.f.components
+        F = geo.f.components
         xi = geo.model.xi.components
         assert np.all(np.einsum("imn,m,n->i", F, xi, xi) == 0)
 
@@ -70,7 +72,7 @@ def test_frozen_one_forms(fam23):
 
 
 def test_heisenberg_one_forms_vanish(heis):
-    for form in (heis.pack.theta, heis.pack.theta_star, heis.pack.omega):
+    for form in (heis.theta, heis.theta_star, heis.omega):
         assert form.is_zero()
 
 
@@ -87,7 +89,7 @@ def test_family_theta_equals_omega_and_theta_star_zero(lam):
 def test_nabla_eta_two_routes(fam23, fam5, heis):
     for geo in (fam23, fam5, heis):
         direct = Geometry(geo.model, conn=geo.conn).nabla_eta
-        via_f = nabla_eta_from_fundamental(geo.model, geo.pack.f)
+        via_f = nabla_eta_from_fundamental(geo.model, geo.f)
         assert direct == via_f
 
 
@@ -102,28 +104,28 @@ def test_nijenhuis_routes_agree(fam23, fam5, heis, fam_zero):
 
 def test_nijenhuis_antisymmetry(fam23, heis):
     for geo in (fam23, heis):
-        N = geo.pack.n.components
+        N = geo.n.components
         assert np.all(N == -np.einsum("aij->aji", N))
 
 
 def test_heisenberg_is_normal(heis):
-    assert heis.pack.n.is_zero()
+    assert heis.n.is_zero()
 
 
 def test_family_not_normal(fam23):
-    assert not fam23.pack.n.is_zero()
+    assert not fam23.n.is_zero()
 
 
 def test_frozen_square_norms(fam23):
-    norms = square_norms(fam23.model, fam23.conn)
+    norms = layers(square_norms(fam23.model, fam23.conn), NORM_LAYERS)
     assert norms == (Fr(10), Fr(-5), Fr(-10))
     # precomputed-pack path returns the identical values
-    assert square_norms(fam23.model, fam23.conn, pack=fam23.pack) == norms
+    assert layers(square_norms(fam23.model, fam23.conn, pack=fam23), NORM_LAYERS) == norms
 
 
 def test_heisenberg_square_norms(heis):
-    norms = square_norms(heis.model, heis.conn, pack=heis.pack)
-    assert norms == (Fr(3), Fr(-1, 2), Fr(0))
+    norms = square_norms(heis.model, heis.conn, pack=heis)
+    assert layers(norms, NORM_LAYERS) == (Fr(3), Fr(-1, 2), Fr(0))
 
 
 def test_frozen_tensor_s(fam23):
@@ -131,7 +133,7 @@ def test_frozen_tensor_s(fam23):
     s = fresh.s
     got = {idx: v for idx, v in np.ndenumerate(s.components) if v != 0}
     assert got == {(1, 1): -4, (1, 2): -6, (2, 1): -6, (2, 2): -9}
-    assert s == fam23.pack.s
+    assert s == fam23.s
     assert fresh.s_trace == 5
 
 
@@ -179,7 +181,7 @@ def test_psi4_matches_its_four_term_formula(case):
 
 def test_divergence_of_phi_omega_vec(fam23):
     phi_omega = np.einsum(
-        "ij,j->i", fam23.model.phi.components, fam23.pack.omega_vec.components
+        "ij,j->i", fam23.model.phi.components, fam23.omega_vec.components
     )
     assert fam23.divergence(phi_omega) == 5
 
@@ -203,13 +205,7 @@ def test_nabla_omega_star_check(fam23, heis):
 
 def test_structure_pack_is_consistent(fam5):
     geo = fam5
+    pack = structure_pack(geo.model, geo.conn)
     fresh = Geometry(geo.model, conn=geo.conn)
-    assert geo.pack.f == fresh.f
-    assert geo.pack.s == fresh.s
-    assert geo.pack.nabla_phi == covariant_derivative(geo.conn, geo.model.phi)
-    assert geo.pack.nabla_eta == fresh.nabla_eta
-    assert geo.pack.n == fresh.n
-    assert geo.pack.theta == fresh.theta
-    assert geo.pack.omega == fresh.omega
-    assert geo.pack.omega_star == fresh.omega_star
-    assert geo.pack.omega_vec == fresh.omega_vec
+    assert layers(pack, STRUCTURE_LAYERS) == layers(fresh, STRUCTURE_LAYERS)
+    assert pack.nabla_phi == covariant_derivative(geo.conn, geo.model.phi)

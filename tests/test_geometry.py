@@ -9,6 +9,7 @@ import pkgutil
 from pathlib import Path
 
 import pytest
+from conftest import CURVATURE_LAYERS, NORM_LAYERS, STRUCTURE_LAYERS, layers
 
 import norden
 from norden import (
@@ -72,7 +73,8 @@ def test_one_model_inverts_its_metric_once(monkeypatch):
     assert counts["invert_symmetric"] == 1
     replaced = dataclasses.replace(model, name="renamed")
     assert replaced.ginv == model.ginv and replaced.ginv is not model.ginv
-    assert counts["invert_symmetric"] == 2 and pack == Geometry(replaced).pack
+    assert counts["invert_symmetric"] == 2
+    assert layers(pack, STRUCTURE_LAYERS) == layers(Geometry(replaced), STRUCTURE_LAYERS)
 
 
 def test_one_model_reads_the_signature_of_its_metric_once(monkeypatch):
@@ -98,19 +100,21 @@ def test_one_model_reads_the_signature_of_its_metric_once(monkeypatch):
 def test_layers_are_cached(fam23):
     geo = Geometry(fam23.model)
     assert geo.ginv is geo.ginv
-    assert geo.pack is geo.pack
+    assert geo.r13 is geo.r13 and geo.tau is geo.tau
     assert geo.identities is geo.identities
-    assert geo.pack.f is geo.f and geo.pack.n is geo.n
+    assert geo.f is geo.f and geo.n is geo.n
 
 
 def test_seeds_are_returned_as_given(fam23):
-    conn, pack, curv = fam23.conn, fam23.pack, fam23.curv
-    geo = Geometry(fam23.model, conn=conn, pack=pack, curv=curv)
+    conn = fam23.conn
+    pack, curv = structure_pack(fam23.model, conn), riemann(fam23.model, conn)
+    geo = Geometry(fam23.model, conn, pack, None, curv)
     assert geo.conn is conn
-    assert geo.pack is pack
-    assert geo.curv is curv
-    assert geo.f is pack.f and geo.n is pack.n and geo.s is pack.s
-    assert geo.omega_vec is pack.omega_vec
+    # Every layer a seed computed is taken as it is.
+    for seed in (pack, curv):
+        for name in vars(seed):
+            assert getattr(geo, name) is getattr(seed, name), name
+    assert geo.f is pack.f and geo.n is pack.n and geo.r13 is curv.r13
     # None seeds are ignored; unknown names are refused.
     assert Geometry(fam23.model, conn=None).conn == conn
     with pytest.raises(TypeError):
@@ -245,11 +249,11 @@ def test_no_module_defines_a_private_name_nothing_reads():
 
 
 PUBLIC_NAMES = [
-    "AcnModel", "BadParams", "Connection", "CurvaturePack", "DimensionMismatch",
+    "AcnModel", "BadParams", "Connection", "DimensionMismatch",
     "FamilyParams", "Geometry", "GeometryReport", "IdentityVerdict",
     "InternalInconsistency", "InvalidAlgebra", "LieAlgebra", "LinearlyDependent",
-    "NordenError", "ParseError", "Section", "SingularMetric", "SquareNorms",
-    "StructurePack", "Tensor", "ValidationError", "ValidationReport",
+    "NordenError", "ParseError", "Section", "SingularMetric",
+    "Tensor", "ValidationError", "ValidationReport",
     "VarianceMismatch", "Violation", "algebra_from_brackets", "all_identities_ok",
     "as_scalar", "associated_metric", "bracket", "covariant_derivative",
     "einsum_scalar", "exact_einsum", "exact_sum", "format_scalar", "generate_family",
@@ -280,16 +284,17 @@ def test_public_functions_agree_with_layers(which, request):
     conn = levi_civita(model)
     assert conn == geo.conn
     pack = structure_pack(model, conn)
-    assert pack == geo.pack
+    assert layers(pack, STRUCTURE_LAYERS) == layers(geo, STRUCTURE_LAYERS)
     curv = riemann(model, conn)
-    assert curv == geo.curv
+    assert layers(curv, CURVATURE_LAYERS) == layers(geo, CURVATURE_LAYERS)
     assert verify_identities(model, conn=conn, pack=pack, curv=curv) == geo.identities
     assert verify_identities(model) == geo.identities
-    assert square_norms(model, conn, pack=pack) == geo.norms
-    assert square_norms(model, conn) == geo.norms
+    norms = layers(geo, NORM_LAYERS)
+    assert layers(square_norms(model, conn, pack=pack), NORM_LAYERS) == norms
+    assert layers(square_norms(model, conn), NORM_LAYERS) == norms
     assert psi4(geo.s, model.eta) == geo.psi4_s
     # A Geometry seeded with the entry points' results reads the same layers.
-    seeded = Geometry(model, conn=conn, pack=pack, curv=curv)
+    seeded = Geometry(model, conn, pack, curv)
     for name in ("f0", "f11", "forms_closed", "isotropic_kahler",
                  "curvature_phi_kahler", "s_trace", "div_phi_omega"):
         assert getattr(seeded, name) == getattr(geo, name), name
@@ -300,6 +305,56 @@ def test_public_functions_agree_with_layers(which, request):
     assert report.invariants["s_trace"] == geo.s_trace
     assert report.invariants["div_phi_omega_vec"] == geo.div_phi_omega
     assert report.classes["f11"] == geo.f11
+
+
+_BUILT = {"model", "conn", "ginv"}
+#: The layers each entry point computes, called in the order of
+#: ``benchmarks/run.py --trace 1`` so that its spans time this work: all
+#: of its ``Geometry``'s layers, or for the two seeded with the results
+#: of ``structure_pack`` and ``riemann``, those beyond the seeds' layers.
+ENTRY_POINT_LAYERS = {
+    "levi_civita": _BUILT,
+    "structure_pack": _BUILT | set(STRUCTURE_LAYERS) | {
+        "n_from_brackets", "n_from_derivatives", "nabla_omega"},
+    "riemann": _BUILT | set(CURVATURE_LAYERS),
+    "square_norms": set(NORM_LAYERS),
+}
+VERIFY_IDENTITIES_LAYERS = {
+    "fam23": {"curvature_phi_kahler", "div_phi_omega", "f11", "identities",
+              "isotropic_kahler", "nabla2_eta", "nabla2_phi", "nabla_omega_star",
+              "omega_norm", "phi_omega", "psi4_s", "ricci_xi_xi", "s_trace", "twisted_r",
+              *NORM_LAYERS},
+    "heis": {"f11", "identities", "nabla2_eta", "nabla2_phi"},
+}
+
+
+@pytest.mark.parametrize("which", ["fam23", "heis"])
+def test_each_entry_point_computes_exactly_its_layers(which, request, monkeypatch):
+    model = request.getfixturevalue(which).model
+    built = []
+
+    class Recorded(Geometry):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    def computed(*seeds) -> set:
+        (geo,) = built
+        built.clear()
+        return set(vars(geo)).difference(*map(vars, seeds))
+
+    monkeypatch.setattr(norden.geometry, "Geometry", Recorded)
+    conn = levi_civita(model)
+    got = {"levi_civita": computed()}
+    pack = structure_pack(model, conn)
+    got["structure_pack"] = computed()
+    curv = riemann(model, conn)
+    got["riemann"] = computed()
+    verify_identities(model, conn=conn, pack=pack, curv=curv)
+    got["verify_identities"] = computed(pack, curv)
+    square_norms(model, conn, pack=pack)
+    got["square_norms"] = computed(pack)
+    assert got == {**ENTRY_POINT_LAYERS, "verify_identities": VERIFY_IDENTITIES_LAYERS[which]}
 
 
 def test_layers_add_no_fractions(monkeypatch):

@@ -207,15 +207,14 @@ def test_geometry_matches_the_sympy_oracle(key):
     model = MODELS[key]()
     want = oracle(model)
     geo = Geometry(model)
-    curv = geo.curv
     got = {
         "gamma": geo.conn.gamma.components.tolist(),
-        "r04": curv.r04.components.tolist(),
-        "ricci": curv.ricci.components.tolist(),
+        "r04": geo.r04.components.tolist(),
+        "ricci": geo.ricci.components.tolist(),
     }
     for name, value in got.items():
         assert value == _as_fractions(want[name]), name
-    scalars = {name: getattr(curv, name) for name in ("tau", "tau_star", "tau_2star")}
+    scalars = {name: getattr(geo, name) for name in ("tau", "tau_star", "tau_2star")}
     scalars["div_phi_omega"] = geo.div_phi_omega
     for name, value in scalars.items():
         assert type(value) is Fraction and value == _frac(want[name]), name
