@@ -442,28 +442,35 @@ def _rescaled(row: list[int], since: int, prev: int) -> list[int]:
     return [v * prev // since for v in row]
 
 
-def _eliminate(m: list[list[int]], since: list[int], i: int, col: int, top: list[int],
-               p: int, prev: int, start: int = 0) -> None:
-    """One fraction-free step on row ``i`` of ``m``: under the pivot ``p``
-    in column ``col``, whose row from column ``start`` on is ``top``, the
-    entries from ``start`` on become ``(p * v - f * w) // prev``, with
-    ``f`` the row's multiplier.  A row whose multiplier is zero would only
-    be scaled by ``p / prev``, and such scales telescope, so it is left
-    stale: ``since[i]`` is 0 for a row up to date under ``prev``, else the
-    pivot it is up to date under, and :func:`_rescaled` brings it up to
-    date when it is next read with a nonzero multiplier.  Zero tests read
-    stale rows as they are, and a row that is never stale is never
-    rescaled."""
-    r = m[i]
-    f = r[col]
-    if not f:
-        if not since[i] and p != prev:
-            since[i] = prev
-        return
-    if since[i]:
-        r = _rescaled(r, since[i], prev)
-        f, since[i] = r[col], 0
-    m[i] = r[:start] + [(p * v - f * w) // prev for v, w in zip(r[start:], top)]
+def _eliminate(m: list[list[int]], since: list[int], rows: Iterable[int], col: int,
+               top: list[int], p: int, prev: int, start: int = 0) -> None:
+    """One fraction-free step on each of ``rows`` of ``m``, under the pivot
+    ``p`` in column ``col`` whose row from column ``start`` on is ``top``:
+    a row's entries from ``start`` on become ``(p * v - f * w) // prev``,
+    with ``f`` its multiplier.  With ``start`` 0 the row is built anew,
+    else its tail is written in place.
+
+    A row whose multiplier is zero would only be scaled by ``p / prev``,
+    and such scales telescope, so it is left stale: ``since[i]`` is 0 for
+    a row up to date under ``prev``, else the pivot it is up to date
+    under, and :func:`_rescaled` brings it up to date when it is next read
+    with a nonzero multiplier.  Zero tests read stale rows as they are,
+    and a row that is never stale is never rescaled."""
+    for i in rows:
+        r = m[i]
+        f = r[col]
+        if not f:
+            if not since[i] and p != prev:
+                since[i] = prev
+            continue
+        if since[i]:
+            r = _rescaled(r, since[i], prev)
+            f, since[i] = r[col], 0
+        if start:
+            r[start:] = [(p * v - f * w) // prev for v, w in zip(r[start:], top)]
+            m[i] = r
+        else:
+            m[i] = [(p * v - f * w) // prev for v, w in zip(r, top)]
 
 
 def _gauss_jordan(m: list[list[int]]) -> tuple[list[int], int]:
@@ -474,9 +481,9 @@ def _gauss_jordan(m: list[list[int]]) -> tuple[list[int], int]:
     column and zeros in the others, and the rows below the pivot rows
     are zero.
 
-    Each row takes its steps through :func:`_eliminate`; a stale row is
-    also brought up to date when it becomes the pivot row, and at the
-    end."""
+    Every other row takes each step through :func:`_eliminate`; a stale
+    row is also brought up to date when it becomes the pivot row, and at
+    the end."""
     pivots: list[int] = []
     prev = 1
     since = [0] * len(m)
@@ -492,9 +499,7 @@ def _gauss_jordan(m: list[list[int]]) -> tuple[list[int], int]:
             m[k], since[k] = _rescaled(m[k], since[k], prev), 0
         row = m[k]
         p = row[col]
-        for i in range(len(m)):
-            if i != k:
-                _eliminate(m, since, i, col, row, p, prev)
+        _eliminate(m, since, (i for i in range(len(m)) if i != k), col, row, p, prev)
         prev = p
         pivots.append(col)
     for i, s in enumerate(since):
@@ -537,7 +542,7 @@ def signature(g: Tensor) -> tuple[int, int, int]:
     previous pivot, so its sign is the product of theirs; congruence
     preserves the signature, so the recorded signs are the answer.
 
-    Each row below the pivot takes its step through :func:`_eliminate`,
+    The rows below the pivot take each step through :func:`_eliminate`,
     on the columns right of the pivot only (the others are never read
     again).  A stale row is brought up to date whole when it becomes the
     pivot row or enters the ``e_i <- e_i + e_j`` step.  Column operations
@@ -574,8 +579,7 @@ def signature(g: Tensor) -> tuple[int, int, int]:
         p = a[k][k]
         plus, minus = (plus + 1, minus) if (p > 0) == (prev > 0) else (plus, minus + 1)
         top = a[k][k + 1:]
-        for i in range(k + 1, n):
-            _eliminate(a, since, i, k, top, p, prev, k + 1)
+        _eliminate(a, since, range(k + 1, n), k, top, p, prev, k + 1)
         prev = p
     return plus, minus, n - plus - minus
 
