@@ -1,11 +1,20 @@
-"""Shared fixtures: a small zoo of models, each with its :class:`Geometry`.
+"""Shared fixtures: four models of ``zoo.py``, each with its :class:`Geometry`.
 
-Also hosts the terminal-summary hook that prints one PASS/FAIL line per
-acceptance criterion after any run that included them.
+Also loads the hypothesis profile of the suite and hosts the
+terminal-summary hook that prints one PASS/FAIL line per acceptance
+criterion after any run that included them.
 """
 import pytest
+from hypothesis import settings
 
-from norden import FamilyParams, Geometry, generate_family, heisenberg_model
+import zoo
+from norden import Geometry
+
+#: Every run draws the same examples (and keeps no example database);
+#: ``--hypothesis-profile=explore`` draws new ones on each run.
+settings.register_profile("derandomized", derandomize=True)
+settings.register_profile("explore", derandomize=False)
+settings.load_profile("derandomized")
 
 #: ``Geometry(model)`` computes each layer on first use.
 build_geometry = Geometry
@@ -26,25 +35,25 @@ def layers(geo: Geometry, names) -> tuple:
 @pytest.fixture(scope="session")
 def fam23() -> Geometry:
     """The worked n=1 example with lambda = (2, 3)."""
-    return build_geometry(generate_family(FamilyParams(1, (2, 3))))
+    return build_geometry(zoo.family(zoo.FIXTURE_LAMBDAS["fam23"]))
 
 
 @pytest.fixture(scope="session")
 def fam5() -> Geometry:
     """A 5-dimensional member, lambda = (1, 0, 0, 2)."""
-    return build_geometry(generate_family(FamilyParams(2, (1, 0, 0, 2))))
+    return build_geometry(zoo.family(zoo.FIXTURE_LAMBDAS["fam5"]))
 
 
 @pytest.fixture(scope="session")
 def heis() -> Geometry:
     """The Heisenberg-type control model (valid, outside the pure class)."""
-    return build_geometry(heisenberg_model())
+    return build_geometry(zoo.heis())
 
 
 @pytest.fixture(scope="session")
 def fam_zero() -> Geometry:
     """The flat lambda = 0 member."""
-    return build_geometry(generate_family(FamilyParams(1, (0, 0))))
+    return build_geometry(zoo.family(zoo.FIXTURE_LAMBDAS["fam_zero"]))
 
 
 # --- acceptance summary ----------------------------------------------------

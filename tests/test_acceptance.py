@@ -15,12 +15,10 @@ import pytest
 from conftest import NORM_LAYERS, Geometry, build_geometry, layers
 
 from norden import (
-    FamilyParams,
     Tensor,
     ValidationError,
     associated_metric,
     einsum_scalar,
-    generate_family,
     is_metric_compatible,
     is_solvable,
     is_torsion_free,
@@ -35,6 +33,7 @@ from norden import (
     validate_structure,
     verify_identities,
 )
+from zoo import family
 
 SEED = 20260819
 PER_N = 20
@@ -57,7 +56,7 @@ def pool() -> list[tuple[int, tuple, Geometry]]:
     for n in NS:
         for _ in range(PER_N):
             lam = _random_lambda(rng, n)
-            out.append((n, lam, build_geometry(generate_family(FamilyParams(n, lam)))))
+            out.append((n, lam, build_geometry(family(lam))))
     return out
 
 
@@ -293,7 +292,7 @@ def test_criterion_08_isotropic_kahler_decision(pool):
     three equivalent characterizations agree on every instance."""
     for n, lam in ISOTROPY_POSITIVES:
         assert _lambda_balance(n, lam) == 0
-        model = generate_family(FamilyParams(n, lam))
+        model = family(lam)
         conn = levi_civita(model)
         pack = structure_pack(model, conn)
         flags = _isotropy_flags(model, conn, pack)
@@ -307,7 +306,7 @@ def test_criterion_08_isotropic_kahler_decision(pool):
         if _lambda_balance(n, lam) == 0:
             continue
         produced += 1
-        model = generate_family(FamilyParams(n, lam))
+        model = family(lam)
         conn = levi_civita(model)
         pack = structure_pack(model, conn)
         flags = _isotropy_flags(model, conn, pack)
@@ -321,7 +320,7 @@ def test_criterion_08_isotropic_kahler_decision(pool):
 
 # --- criterion 9: degenerate controls -------------------------------------
 
-BASE_TEXT = serialize_model(generate_family(FamilyParams(1, (2, 3))))
+BASE_TEXT = serialize_model(family((2, 3)))
 
 BROKEN_FILES = (
     # eta(xi) = 0: point xi at a vector annihilated by eta

@@ -10,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from norden import (
-    FamilyParams,
     Geometry,
     IdentityVerdict,
+    InternalInconsistency,
     exact_sum,
-    generate_family,
     levi_civita,
     report_to_json,
     report_to_text,
@@ -26,6 +25,7 @@ from norden import (
     verify_identities,
 )
 from norden import cli
+from zoo import family
 
 lam_values = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -68,7 +68,7 @@ def test_forms_closed(fam23, heis):
 def test_is_isotropic_kahler(fam23, fam_zero):
     assert not Geometry(fam23.model, conn=fam23.conn).isotropic_kahler
     assert Geometry(fam_zero.model, conn=fam_zero.conn).isotropic_kahler
-    m = generate_family(FamilyParams(1, (1, 1)))
+    m = family((1, 1))
     conn = levi_civita(m)
     assert Geometry(m, conn=conn).isotropic_kahler
     # with norms != 0 despite nabla phi != 0 being possible, the check
@@ -172,7 +172,7 @@ def test_verify_identities_computes_own_packages(fam23):
 @settings(max_examples=6, deadline=None)
 @given(st.lists(lam_values, min_size=2, max_size=2))
 def test_identity_battery_passes_on_random_members(lam):
-    m = generate_family(FamilyParams(1, tuple(lam)))
+    m = family(lam)
     verdicts = verify_identities(m)
     failing = [n for n, v in verdicts.items() if not v.ok]
     assert failing == []
@@ -183,7 +183,7 @@ def test_identity_battery_passes_on_random_members(lam):
 def test_isotropy_criterion_matches_lambda_condition(lam):
     """Isotropic Kahler holds exactly when sum(lambda_k^2) cancels
     between the two metric blocks."""
-    m = generate_family(FamilyParams(1, tuple(lam)))
+    m = family(lam)
     expected = (lam[0] ** 2 - lam[1] ** 2) == 0
     assert Geometry(m).isotropic_kahler == expected
 
@@ -319,6 +319,31 @@ def test_identities_json_is_the_identities_section_of_the_report(fam23, key, tmp
     assert {name: v["witness"] for name, v in out.items() if v["passed"] is False} == {
         name: list(witness) for name, (status, witness) in TAMPERED_VERDICTS[key].items()
         if status == "FAIL"}
+
+
+#: Each layer that checks two independent routes: the layer seeded wrong on
+#: a fresh Geometry, and the message of the check.
+DISAGREEING_ROUTES = {
+    "nabla_eta": ("f", "nabla eta: connection and fundamental-tensor routes disagree"),
+    "n": ("n_from_derivatives",
+          "Nijenhuis tensor: bracket and derivative constructions disagree"),
+}
+
+
+@pytest.mark.parametrize("layer", list(DISAGREEING_ROUTES))
+def test_routes_that_disagree_raise_internal_inconsistency(fam23, layer):
+    """F seeded as 2 F moves the fundamental-tensor route of nabla eta, and
+    the derivative route of N seeded plus c moves away from the bracket
+    route; reading the checked layer then raises."""
+    seeded, message = DISAGREEING_ROUTES[layer]
+    geo = Geometry(fam23.model, conn=fam23.conn)
+    if seeded == "f":
+        geo.f = _scaled(2, geo.f)
+    else:
+        geo.n_from_derivatives = exact_sum([(1, "kij->kij", geo.n_from_derivatives),
+                                            (1, "kij->kij", fam23.model.algebra.c)])
+    with pytest.raises(InternalInconsistency, match=f"^{message}$"):
+        getattr(geo, layer)
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]])

@@ -13,7 +13,8 @@ import pytest
 import norden
 from norden import cli, serialize_model, tensors
 from norden.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, build_parser, main
-from test_golden import GOLDEN, _dense_model, _sha256
+from test_golden import GOLDEN, _sha256
+from zoo import dense_member, dense_model
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -396,8 +397,6 @@ def test_section_builds_no_curvature_tensor(tmp_path, monkeypatch, capsys):
     """``norden section`` reads ``R(x, y, y, x)`` from the connection: once
     the model is read and validated (the Jacobi check is a ``d**4``
     tensor), no contraction step outputs more than ``d**3`` entries."""
-    from test_contraction_plan import dense_member
-
     model = dense_member(3)
     path = tmp_path / "dense7.txt"
     path.write_text(serialize_model(model))
@@ -510,7 +509,7 @@ def test_a_cold_process_reports_the_bytes_of_a_warm_one(tmp_path, capsys):
     plans are all compiled on the spot, equals an in-process report made
     after other reports (one of the same dimension) filled the plans."""
     path = tmp_path / "dense.txt"
-    path.write_text(serialize_model(_dense_model()))
+    path.write_text(serialize_model(dense_model()))
     cold = _run([sys.executable, "-m", "norden", "report", str(path), "--json"])
     assert cold.returncode == EXIT_OK, cold.stderr
     for n, lam in enumerate(("2,3", "1,-1/2,3,2", "1,2,-3/2,1/3,0,-1"), start=1):

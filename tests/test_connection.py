@@ -1,5 +1,6 @@
 """Levi-Civita connection: frozen components, defining properties, and an
 independent Koszul-formula oracle."""
+from dataclasses import replace
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -9,18 +10,17 @@ from hypothesis import strategies as st
 
 from norden import (
     Connection,
-    FamilyParams,
+    DimensionMismatch,
     SingularMetric,
     Tensor,
     covariant_derivative,
     exact_einsum,
-    generate_family,
-    heisenberg_model,
     invert_symmetric,
     is_metric_compatible,
     is_torsion_free,
     levi_civita,
 )
+from zoo import family
 
 lam_values = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -87,16 +87,7 @@ def test_heisenberg_gamma_half_integers(heis):
 
 
 def test_levi_civita_needs_invertible_metric(fam23):
-    from norden import AcnModel
-
-    m = fam23.model
-    degenerate = AcnModel(
-        algebra=m.algebra,
-        phi=m.phi,
-        xi=m.xi,
-        eta=m.eta,
-        g=Tensor([[0, 0, 0], [0, 1, 0], [0, 0, -1]], "dd"),
-    )
+    degenerate = replace(fam23.model, g=Tensor([[0, 0, 0], [0, 1, 0], [0, 0, -1]], "dd"))
     with pytest.raises(SingularMetric):
         levi_civita(degenerate)
 
@@ -114,6 +105,10 @@ def test_covariant_derivative_variance_and_sign(fam23):
     assert neta.variance == "dd"
     expected_down = -np.einsum("mij,m->ij", gamma, m.eta.components)
     assert np.all(neta.components == expected_down)
+    # a constant scalar has zero derivative; a slot of another size is refused
+    assert covariant_derivative(conn, Tensor(Fr(7, 2), "")) == Tensor([0, 0, 0], "d")
+    with pytest.raises(DimensionMismatch, match=r"slots \(3, 2\) do not match .* dimension 3"):
+        covariant_derivative(conn, Tensor(np.zeros((3, 2), dtype=int), "ud"))
 
 
 def test_covariant_derivative_leibniz_on_product(fam23):
@@ -140,12 +135,14 @@ def test_connection_constructor_validates():
 
     with pytest.raises(VarianceMismatch):
         Connection(Tensor(np.zeros((2, 2, 2), dtype=object), "ddd"))
+    with pytest.raises(DimensionMismatch, match=r"must be cubic, got \(2, 2, 3\)"):
+        Connection(Tensor(np.zeros((2, 2, 3), dtype=int), "udd"))
 
 
 @settings(max_examples=8, deadline=None)
 @given(st.lists(lam_values, min_size=2, max_size=2))
 def test_levi_civita_properties_hold_for_random_members(lam):
-    m = generate_family(FamilyParams(1, tuple(lam)))
+    m = family(lam)
     conn = levi_civita(m)
     assert is_torsion_free(conn, m)
     assert is_metric_compatible(conn, m)

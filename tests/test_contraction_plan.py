@@ -26,9 +26,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from norden import AcnModel, FamilyParams, LieAlgebra, Tensor, generate_family, run_report
+from norden import Tensor, run_report
 from norden.lie import validate
-from norden.structures import validate_structure
 from norden import report as report_module
 from norden import tensors
 from norden.tensors import (
@@ -56,61 +55,7 @@ from test_exact_einsum import (
     small,
     sums,
 )
-
-
-def _lambdas(n: int) -> tuple[Fr, ...]:
-    return tuple(Fr((-1) ** k * (k + 2), k % 3 + 1) for k in range(2 * n))
-
-
-def family_member(n: int) -> AcnModel:
-    """The family member of half-dimension ``n`` in its own, sparse basis."""
-    return generate_family(FamilyParams(n, _lambdas(n)))
-
-
-def _inverse(a: list[list[Fr]]) -> list[list[Fr]]:
-    """Gauss-Jordan over Fractions, independent of the library."""
-    d = len(a)
-    m = [list(row) + [Fr(int(i == j)) for j in range(d)] for i, row in enumerate(a)]
-    for col in range(d):
-        pivot = next(r for r in range(col, d) if m[r][col])
-        m[col], m[pivot] = m[pivot], m[col]
-        m[col] = [v / m[col][col] for v in m[col]]
-        for r in range(d):
-            if r != col and m[r][col]:
-                f = m[r][col]
-                m[r] = [v - f * w for v, w in zip(m[r], m[col])]
-    return [row[d:] for row in m]
-
-
-def dense_member(n: int) -> AcnModel:
-    """``family_member(n)`` on the basis ``e_a = sum_i A[i, a] x_i`` with
-    ``A = L U``: ``L`` unit lower triangular and ``U`` upper triangular,
-    every off-diagonal entry ``+-1`` in a fixed pattern, and the diagonal
-    of ``U`` cycling through 2, 1, -1, 1/3, 1, so that ``A`` is dense and
-    not unimodular."""
-    base = family_member(n)
-    d = base.dim
-    diag = [Fr(v) for v in ([2, 1, -1, Fr(1, 3), 1] * d)[:d]]
-    sign = lambda i, j: Fr(1 if (i * j + i + j) % 3 else -1)
-    low = np.array([[Fr(int(i == j)) if i <= j else sign(i, j) for j in range(d)]
-                    for i in range(d)], dtype=object)
-    up = np.array([[diag[i] if i == j else sign(j, i) if j > i else Fr(0)
-                    for j in range(d)] for i in range(d)], dtype=object)
-    a = low.dot(up)
-    a_inv = np.array(_inverse(a.tolist()), dtype=object)
-    c = np.tensordot(a_inv, base.algebra.c.components, axes=(1, 0))
-    c = np.einsum("kij,ia->kaj", c, a)
-    c = np.einsum("kaj,jb->kab", c, a)
-    model = AcnModel(
-        algebra=LieAlgebra(d, Tensor(c, "udd")),
-        phi=Tensor(a_inv.dot(base.phi.components).dot(a), "ud"),
-        xi=Tensor(a_inv.dot(base.xi.components), "u"),
-        eta=Tensor(base.eta.components.dot(a), "d"),
-        g=Tensor(a.T.dot(base.g.components).dot(a), "dd"),
-        name=f"family n={n} on a dense basis",
-    )
-    assert validate_structure(model).ok
-    return model
+from zoo import dense_member, dense_model, family_member
 
 
 @contextmanager
@@ -784,9 +729,7 @@ def test_no_einsum_call_of_a_report_only_permutes_one_operand():
     """Over a whole report on the dense golden model, every term that
     only permutes one operand's letters is returned as a view: numpy's
     einsum never gets one."""
-    from test_golden import _dense_model
-
-    model = _dense_model()
+    model = dense_model()
     calls = []
     real = np.einsum
 

@@ -1,7 +1,6 @@
 """Curvature tensors, scalar curvatures, sectional curvature, and the
 classification of 2-plane sections."""
 from fractions import Fraction as Fr
-from random import Random
 from types import SimpleNamespace
 
 import numpy as np
@@ -12,16 +11,13 @@ from conftest import build_geometry
 
 from norden import (
     Connection,
-    FamilyParams,
     LieAlgebra,
     LinearlyDependent,
     Tensor,
     VarianceMismatch,
     exact_sum,
-    generate_family,
     levi_civita,
     matrix_rank,
-    parse_model,
     riemann,
     section,
 )
@@ -29,7 +25,7 @@ from norden.geometry import curvature_terms
 from norden.lie import _jacobi_terms
 from test_exact_einsum import huge, small
 from test_lie import near_bound, three_product_jacobi
-from test_modelfile import _bench_models
+from zoo import bench_dense, dense_model, family
 
 lam_values = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -102,7 +98,7 @@ def test_flat_member_curvature_vanishes(fam_zero):
 def test_family_scalar_curvature_formulas(lam):
     """tau = -2 sum(lambda_k^2 - lambda_{k+n}^2),
     tau_star = -2 sum(lambda_k lambda_{k+n}), tau_2star = 0."""
-    m = generate_family(FamilyParams(1, tuple(lam)))
+    m = family(lam)
     curv = riemann(m, levi_civita(m))
     assert curv.tau == -2 * (lam[0] ** 2 - lam[1] ** 2)
     assert curv.tau_star == -2 * lam[0] * lam[1]
@@ -113,7 +109,7 @@ def test_family_scalar_curvature_formulas(lam):
 @given(st.lists(lam_values, min_size=2, max_size=2))
 def test_family_curvature_phi_twist_vanishes(lam):
     """R(., ., phi ., phi .) = 0 identically on the family."""
-    m = generate_family(FamilyParams(1, tuple(lam)))
+    m = family(lam)
     curv = riemann(m, levi_civita(m))
     phi = m.phi.components
     twisted = np.einsum(
@@ -184,9 +180,7 @@ def test_classify_section_rejects_a_covector(fam23):
 
 @pytest.fixture(scope="module")
 def dense():
-    from test_golden import _dense_model
-
-    return build_geometry(_dense_model())
+    return build_geometry(dense_model())
 
 
 def _pi1(g, x, y) -> Fr:
@@ -277,12 +271,7 @@ def test_on_dense_models_the_shared_products_equal_the_three_product_forms(n, se
     """Family members moved by seeded rational basis changes, built
     without the library: ``Geometry.r13`` and the Jacobi defect
     (zero here) equal their three-product forms."""
-    models = _bench_models()
-    rng = Random(seed)
-    lam = models.random_lambda(rng, n)
-    structure = models.change_basis(models.family_structure(lam),
-                                    *models.random_basis_change(rng, 2 * n + 1))
-    geo = build_geometry(parse_model(models.to_text(structure, "dense")))
+    geo = build_geometry(bench_dense(n, seed))
     c = geo.model.algebra.c
     assert geo.r13 == three_product_r13(geo.conn.gamma, c)
     assert exact_sum(_jacobi_terms(c)) == three_product_jacobi(c)

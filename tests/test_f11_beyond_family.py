@@ -1,44 +1,19 @@
 """The ``twisted`` gate of the identity battery on F11 models that are not
 the paper's example.
 
-A four-parameter dim-5 algebra carries the n = 2 family's (phi, xi, eta,
-g): ``[x1, x0] = l1 x0`` and ``[x3, x0] = l3 x0``, plus s times the
-brackets ``[x1,x2] = -x2, [x1,x4] = -x4, [x2,x3] = x4, [x3,x4] = x2``,
-plus u times ``[x1,x2] = -x4, [x1,x4] = x2, [x2,x3] = -x2, [x3,x4] = x4``.
-Jacobi holds for every (l1, l3, s, u) and F stays in the pure class, but
-unlike on the family ``R(x, y, phi z, phi u)`` need not vanish, which
-shuts the gate of three identities."""
-from dataclasses import replace
-
+``zoo.f11_dim5(l1, l3, s, u)`` puts the n = 2 family's (phi, xi, eta, g)
+on a four-parameter dim-5 algebra.  Jacobi holds for every parameter and
+F stays in the pure class, but unlike on the family ``R(x, y, phi z, phi
+u)`` need not vanish, which shuts the gate of three identities."""
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from norden import (
-    FamilyParams,
-    Geometry,
-    algebra_from_brackets,
-    generate_family,
-    validate_structure,
-)
+from norden import Geometry, validate_structure
+from zoo import f11_dim5
 
 TWISTED_GATED = ("r_equals_psi4_s", "ricci_from_s", "s_trace_divergence")
 TWISTED_DETAIL = "R(x, y, phi z, phi u) does not vanish identically"
-
-
-def f11_dim5(l1, l3, s, u):
-    """The dim-5 model of the algebra above at ``(l1, l3, s, u)``."""
-    brackets = {
-        (1, 0): [l1, 0, 0, 0, 0],
-        (3, 0): [l3, 0, 0, 0, 0],
-        (1, 2): [0, 0, -s, 0, -u],
-        (1, 4): [0, 0, u, 0, -s],
-        (2, 3): [0, 0, -u, 0, s],
-        (3, 4): [0, 0, s, 0, u],
-    }
-    return replace(generate_family(FamilyParams(2, (0, 0, 0, 0))),
-                   algebra=algebra_from_brackets(5, brackets),
-                   name=f"f11_dim5({l1},{l3},{s},{u})")
 
 
 @settings(max_examples=30, deadline=None)

@@ -9,16 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from norden import (
-    FamilyParams,
     Geometry,
     Tensor,
     covariant_derivative,
-    generate_family,
     nabla_eta_from_fundamental,
     psi4,
     square_norms,
     structure_pack,
 )
+from zoo import family
 
 lam_values = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -79,7 +78,7 @@ def test_heisenberg_one_forms_vanish(heis):
 @settings(max_examples=8, deadline=None)
 @given(st.lists(lam_values, min_size=2, max_size=2))
 def test_family_theta_equals_omega_and_theta_star_zero(lam):
-    geo = Geometry(generate_family(FamilyParams(1, tuple(lam))))
+    geo = Geometry(family(lam))
     assert np.all(geo.theta.components == geo.omega.components)
     assert geo.theta_star.is_zero()
     # omega picks out the lambdas: omega(x_i) = -lambda_{i+n}, lambda_i pattern
@@ -141,7 +140,7 @@ def test_frozen_tensor_s(fam23):
 @given(st.lists(lam_values, min_size=2, max_size=2))
 def test_family_s_is_minus_lambda_outer(lam):
     """S(x_i, x_j) = -lambda_i lambda_j on the nonzero block."""
-    s = Geometry(generate_family(FamilyParams(1, tuple(lam)))).s.components
+    s = Geometry(family(lam)).s.components
     for i in (1, 2):
         for j in (1, 2):
             assert s[i, j] == -lam[i - 1] * lam[j - 1]

@@ -25,7 +25,7 @@ from norden import (
     structure_pack,
     verify_identities,
 )
-from test_golden import _dense_model
+from zoo import dense_model
 
 MODULES = [importlib.import_module(f"norden.{m.name}")
            for m in pkgutil.iter_modules(norden.__path__) if m.name != "__main__"]
@@ -46,7 +46,7 @@ def _spy(monkeypatch, name: str, counts: collections.Counter) -> None:
 
 
 def test_run_report_computes_each_layer_once(monkeypatch):
-    model = _dense_model()
+    model = dense_model()
     counts = collections.Counter()
     for name in ("invert_symmetric", "covariant_derivative", "psi4"):
         _spy(monkeypatch, name, counts)
@@ -61,7 +61,7 @@ def test_one_model_inverts_its_metric_once(monkeypatch):
     """The model keeps its inverse metric: the five entry points, each
     with its own ``Geometry``, and a report on the same model invert
     ``g`` once between them.  A replaced model starts without it."""
-    model = _dense_model()
+    model = dense_model()
     counts = collections.Counter()
     _spy(monkeypatch, "invert_symmetric", counts)
     conn = levi_civita(model)
@@ -81,7 +81,7 @@ def test_one_model_reads_the_signature_of_its_metric_once(monkeypatch):
     """The model keeps the signature of ``g``: parsing (which validates)
     and a report on the parsed model compute it once between them, and
     the report computes the twin metric's once."""
-    text = serialize_model(_dense_model())
+    text = serialize_model(dense_model())
     forms, original = [], norden.signature
 
     def recorded(form):
@@ -365,7 +365,7 @@ def test_layers_add_no_fractions(monkeypatch):
     from fractions import Fraction
     from functools import cached_property
 
-    geo = Geometry(_dense_model())
+    geo = Geometry(dense_model())
     calls = collections.Counter()
     for op in ("__add__", "__radd__", "__sub__", "__rsub__"):
         original = getattr(Fraction, op)

@@ -2,9 +2,11 @@
 models.  The report output is the behavioural contract of the library, so
 a change of arithmetic or rendering that alters a single byte fails here.
 
-There are eight models, of dims 3 to 19: family members with n = 1..5,
+There are nine models, of dims 3 to 19: family members with n = 1..5,
 the n = 2 member moved to a dense basis by a rational, non-unimodular
-change of basis, and two over-bound dense models.  The hashes of
+change of basis, two over-bound dense models, and ``f11_dim5(1, 1, 1,
+3)``, an F11 model beyond the family on which the ``twisted`` gate shuts
+three identities.  The hashes of
 n = 1..4 and the dense model were recorded with the object-Fraction
 contractions that preceded the integer kernel.  The n = 5 member (dim 11) pins two-digit indices in both renderings; its
 hashes were recorded while the JSON report was still rendered by
@@ -13,117 +15,33 @@ JSON hashes were re-recorded once, for report schema 2 (tensors as
 integer numerators over one denominator, sparse ones by their nonzero
 entries); no text hash changed then.
 
-The two over-bound models are ``dense_member(8)`` of
-``test_contraction_plan`` (dim 17) and a seeded dim-19 dense model of
+The models are built by ``zoo.golden_model``.  The two over-bound models
+are its ``dense_member(8)`` (dim 17) and a seeded dim-19 dense model of
 ``benchmarks/models.py``.  Each of their reports runs at least one
 contraction step whose bound reaches ``INT64_SAFE``, so the step runs on
 Python ints; the test checks that, so the pins keep covering that route
 when it changes.  Their hashes were recorded before the JSON writer took
-one join per homogeneous list.
+one join per homogeneous list.  The ``f11_dim5`` hashes were recorded
+when the model joined the golden set, with no library change.
 
 The same models also pin the bytes of ``serialize_model`` in both
 formats; the dense models are the ones whose ``phi``, ``xi`` and ``g``
 have entries with a denominator above 1.  The JSON model-file hashes were
 re-recorded once, when that format gained its final newline.
 """
-import functools
 import hashlib
-from fractions import Fraction
-from random import Random
 from unittest import mock
 
-import numpy as np
 import pytest
 
-from norden import (
-    AcnModel,
-    FamilyParams,
-    LieAlgebra,
-    Tensor,
-    generate_family,
-    parse_model,
-    report_to_json,
-    report_to_text,
-    run_report,
-    serialize_model,
-    validate_structure,
-)
+from norden import report_to_json, report_to_text, run_report, serialize_model
 from norden import tensors
 from norden.tensors import INT64_SAFE
-
-from test_contraction_plan import dense_member
-from test_modelfile import _bench_models
-
-FAMILY_LAMBDAS = {
-    1: (2, 3),
-    2: (1, "-1/2", 3, 2),
-    3: (1, 2, "-3/2", "1/3", 0, -1),
-    4: (2, -1, "1/2", 3, "-2/3", 1, 4, "5/2"),
-    5: (1, -2, "1/2", 3, "-2/3", 1, 4, "5/2", -3, "7/4"),
-}
-
-
-def _dense_model() -> AcnModel:
-    """The n = 2 member above on the basis ``e_a = sum_i A[i, a] x_i`` with
-    ``A = D (I + U)``: ``D`` a rational diagonal, ``U`` strictly upper
-    triangular, so ``A^-1 = (I - U + U^2 - U^3 + U^4) D^-1`` exactly."""
-    base = generate_family(FamilyParams(2, FAMILY_LAMBDAS[2]))
-    d = base.dim
-    diag = Tensor(["2", "1/3", -1, "3/2", "-5/4"], "d").components
-    upper = Tensor([
-        [0, 1, "1/2", -1, 2],
-        [0, 0, 1, "2/3", -1],
-        [0, 0, 0, 1, "1/2"],
-        [0, 0, 0, 0, -3],
-        [0, 0, 0, 0, 0],
-    ], "dd").components
-    eye = Tensor(np.eye(d, dtype=int), "dd").components
-    a = np.diag(diag) @ (eye + upper)
-    inv_unipotent, power = eye.copy(), eye.copy()
-    for _ in range(d - 1):
-        power = power @ -upper
-        inv_unipotent = inv_unipotent + power
-    a_inv = inv_unipotent @ np.diag(Fraction(1) / diag)
-    assert np.all(a @ a_inv == eye)
-    c = np.einsum("km,mij,ia,jb->kab", a_inv, base.algebra.c.components, a, a)
-    model = AcnModel(
-        algebra=LieAlgebra(d, Tensor(c, "udd")),
-        phi=Tensor(a_inv @ base.phi.components @ a, "ud"),
-        xi=Tensor(a_inv @ base.xi.components, "u"),
-        eta=Tensor(base.eta.components @ a, "d"),
-        g=Tensor(a.T @ base.g.components @ a, "dd"),
-        name="family n=2 on a rational dense basis",
-    )
-    assert validate_structure(model).ok
-    return model
-
-
-def _bench_dense_model(n: int, seed: int) -> AcnModel:
-    """A seeded dense model of dimension ``2n + 1`` from
-    ``benchmarks/models.py``, loaded by path: a random family member moved
-    by a random rational basis change, read back from its text file."""
-    models = _bench_models()
-    rng = Random(seed)
-    lam = models.random_lambda(rng, n)
-    s = models.change_basis(models.family_structure(lam),
-                            *models.random_basis_change(rng, 2 * n + 1))
-    return parse_model(models.to_text(s, f"benchmark dense n={n} seed={seed}"))
-
+from zoo import golden_model
 
 #: Models with a contraction step whose bound reaches ``INT64_SAFE``, so
 #: that step runs on Python ints.
 OVER_BOUND = {"dense8", "dense19"}
-
-
-@functools.cache
-def _model(key):
-    if key == "dense":
-        return _dense_model()
-    if key == "dense8":
-        return dense_member(8)
-    if key == "dense19":
-        return _bench_dense_model(9, 31)
-    return generate_family(FamilyParams(key, FAMILY_LAMBDAS[key]))
 
 
 # (sha256 of report_to_json, sha256 of report_to_text)
@@ -144,6 +62,8 @@ GOLDEN = {
         "8e50f6e77210311465ad23d46ff48d1365e5d58ce836dca8f5e32abf367fc807"),
     "dense19": ("5941099fe490bb701e6eb91203387ed862952ed5bdbc5053677dcfeb5069bdc9",
         "e9e45c968ecec04fe28f08a0e2d5b45e337befbcfbb3b28cd2e15a4f78965562"),
+    "f11_dim5": ("bd7b2d09c0937f1d8b037fd21b2dbbbecfc9350600388d29a6ae8dc85002d8ec",
+        "11c75e7d8e4bbe86de411fdcf3af6edcf6dcc3ee654bd32b3d86d1a02acad713"),
 }
 
 
@@ -160,7 +80,7 @@ def test_report_bytes_are_unchanged(key):
         return real(step, nums, bound)
 
     with mock.patch.object(tensors, "_pairwise", pairwise):
-        report = run_report(_model(key))
+        report = run_report(golden_model(key))
     if key in OVER_BOUND:
         assert max(bounds) >= INT64_SAFE
     json_hash, text_hash = GOLDEN[key]
@@ -186,12 +106,14 @@ MODEL_FILE_GOLDEN = {
         "beb5d044983c09f2ec4a008092378cca7540c08e73906b783a6a6cd5735d7468"),
     "dense19": ("5e58e0f718a21b1cb175697256303bb1ad7aab7a027688b9bed174f08ecada1a",
         "10a72ad1916a0e28f770ed1a4cf51741cf78056336cc9401fe738f8f82789c9d"),
+    "f11_dim5": ("a84195742aca1abdf1543eff338297bb82063abfa1526014e097243ceab24a1d",
+        "b31feeac547f121ad2c9cfb5c787efc400f995e8ec4b71549dd792998f36a3a4"),
 }
 
 
 @pytest.mark.parametrize("key", list(MODEL_FILE_GOLDEN))
 def test_model_file_bytes_are_unchanged(key):
-    model = _model(key)
+    model = golden_model(key)
     text_hash, json_hash = MODEL_FILE_GOLDEN[key]
     assert _sha256(serialize_model(model, "text")) == text_hash
     assert _sha256(serialize_model(model, "json")) == json_hash

@@ -18,7 +18,6 @@ from norden import (
     VarianceMismatch,
     algebra_from_brackets,
     bracket,
-    generate_family,
     is_solvable,
     parse_model,
     row_space_basis,
@@ -26,6 +25,7 @@ from norden import (
 )
 from norden.lie import _jacobi_terms, structure_constants
 from norden.tensors import exact_sum
+from zoo import family
 
 lam_values = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -229,7 +229,7 @@ def test_is_solvable_rejects_invalid_input():
 @settings(max_examples=10, deadline=None)
 @given(st.lists(lam_values, min_size=2, max_size=2))
 def test_family_algebras_are_valid_and_solvable(lam):
-    alg = generate_family(FamilyParams(1, tuple(lam))).algebra
+    alg = family(lam).algebra
     assert validate(alg).ok
     assert is_solvable(alg)
 

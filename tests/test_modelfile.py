@@ -1,11 +1,9 @@
 """Model-file parsing, serialization, and exact round-tripping in both
 the text and JSON formats."""
 import dataclasses
-import importlib.util
 import json
 import re
 from fractions import Fraction as Fr
-from pathlib import Path
 from random import Random
 
 import numpy as np
@@ -14,14 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from norden import (
-    AcnModel,
-    FamilyParams,
     ParseError,
     Tensor,
     ValidationError,
     format_scalar,
-    generate_family,
-    heisenberg_model,
     parse_model,
     serialize_model,
     validate_structure,
@@ -30,6 +24,7 @@ from norden import lie, modelfile, tensors
 from norden.lie import LieAlgebra
 from norden.modelfile import _joined_pairs, _pairs
 from norden.tensors import as_pair
+from zoo import bench_models, dense_model, family, family_member, transform_model
 
 VALID_TEXT = """\
 name = worked example
@@ -80,7 +75,7 @@ def test_roundtrip_text_and_json(fam23, fam5):
 
 
 def test_roundtrip_preserves_fractions():
-    m = generate_family(FamilyParams(1, (Fr(5, 7), Fr(-2, 3))))
+    m = family((Fr(5, 7), Fr(-2, 3)))
     for fmt in ("text", "json"):
         reparsed = parse_model(serialize_model(m, fmt=fmt))
         assert reparsed.algebra.c == m.algebra.c
@@ -358,28 +353,11 @@ def test_validation_error_carries_itemized_report():
 
 
 def test_xi_may_sit_anywhere_in_the_basis(fam23):
-    """A cyclic basis relabeling of a valid model stays valid and
-    round-trips."""
-    m = fam23.model
+    """A cyclic basis relabeling of a valid model stays valid (as
+    ``transform_model`` checks) and round-trips."""
     perm = [2, 0, 1]  # new index -> old index
-    p = np.array(perm)
-
-    def permute(t: Tensor) -> Tensor:
-        comps = t.components
-        for axis in range(t.rank):
-            comps = np.take(comps, p, axis=axis)
-        return Tensor(comps, t.variance)
-
-    relabeled = AcnModel(
-        algebra=LieAlgebra(3, permute(m.algebra.c)),
-        phi=permute(m.phi),
-        xi=permute(m.xi),
-        eta=permute(m.eta),
-        g=permute(m.g),
-        name="relabeled",
-    )
-    assert list(relabeled.xi.components) != list(m.xi.components)
-    assert validate_structure(relabeled).ok
+    relabeled = transform_model(fam23.model, np.eye(3, dtype=int)[:, perm], "relabeled")
+    assert list(relabeled.xi.components) != list(fam23.model.xi.components)
     for fmt in ("text", "json"):
         reparsed = parse_model(serialize_model(relabeled, fmt=fmt))
         assert reparsed.g == relabeled.g
@@ -398,7 +376,6 @@ def test_serialization_formats_only_the_listed_brackets(monkeypatch):
     ``[x_0, x_i]``: serializing it formats phi and the metric (d**2 each),
     xi and eta (d each) and the d coefficients of each listed bracket,
     not all d**3 entries of the structure constants."""
-    from test_contraction_plan import family_member
     model = family_member(16)
     d = model.dim
     numerator_texts, sizes = tensors._numerator_texts, []
@@ -421,7 +398,7 @@ def test_structure_constants_that_are_not_antisymmetric_round_trip(edit, fmt):
     mirror is zero keep their structure constants through the writer and
     the reader, so the reread model is rejected as well."""
     if edit == "sym_bracket":
-        models = _bench_models()
+        models = bench_models()
         s = models.family_structure(models.random_lambda(Random(5), 2), edit)
         model = parse_model(models.to_text(s, edit), require_valid=False)
     elif edit == "lone column":
@@ -520,9 +497,7 @@ def test_rendered_rational_models_parse_to_their_tensors(rendered):
 def test_parsing_builds_no_fraction(monkeypatch):
     """Tokens go straight into integer storage: parsing the dense golden
     model, as text and as JSON, constructs no Fraction at all."""
-    from test_golden import _dense_model
-
-    model = _dense_model()
+    model = dense_model()
     texts = [serialize_model(model, fmt) for fmt in ("text", "json")]
     built = []
     new = Fr.__new__
@@ -636,19 +611,10 @@ def test_an_edge_token_reads_as_as_pair_reads_it(token, at):
     assert _read_row([token], None) == _read_one_by_one([token], None)
 
 
-def _bench_models():
-    """``benchmarks/models.py``, which builds model files without the library."""
-    path = Path(__file__).resolve().parents[1] / "benchmarks" / "models.py"
-    spec = importlib.util.spec_from_file_location("bench_models", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.fixture(scope="module")
 def dense_files():
     """A dense dim-7 benchmark model and one of its mutants, text and JSON."""
-    models = _bench_models()
+    models = bench_models()
     rng = Random(7)
     lam = models.random_lambda(rng, 3)
     basis = models.random_basis_change(rng, 7)

@@ -21,10 +21,10 @@ from hypothesis import strategies as st
 
 from norden import ParseError, modelfile, serialize_model
 from norden.cli import EXIT_INPUT, main
-from test_golden import _model
+from zoo import golden_model
 
 #: The golden models of dims 3, 5, 7 and 9, and the dense one of dim 5.
-MODELS = {key: _model(key) for key in (1, 2, 3, 4, "dense")}
+MODELS = {key: golden_model(key) for key in (1, 2, 3, 4, "dense")}
 FILES = [serialize_model(m, fmt) for m in MODELS.values() for fmt in ("text", "json")]
 
 #: Tokens at the edge of the plain-row reader: each is read token by token

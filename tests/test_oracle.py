@@ -6,27 +6,21 @@ formula index by index, and builds R, Ricci, tau, tau_star, tau_2star
 and the divergence of ``phi Omega`` from explicit loops over
 ``sympy.Rational`` entries.  It is compared with
 :class:`norden.Geometry` entry for entry on family members, the
-Heisenberg control, the golden dense model and two family members moved
-to a dense basis by rational, non-unimodular changes of basis built here
-(all of dimension at most 7).
+Heisenberg control, the golden dense model, one dim-5 F11 model beyond
+the family and two family members moved to a dense basis by rational,
+non-unimodular changes of basis built here (all of dimension at most 7).
+Those two also check ``zoo.transform_model``, which builds every other
+moved model of the tests.
 """
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 import pytest
 import sympy
 
-from norden import (
-    AcnModel,
-    FamilyParams,
-    Geometry,
-    LieAlgebra,
-    Tensor,
-    generate_family,
-    heisenberg_model,
-    validate_structure,
-)
-from test_golden import FAMILY_LAMBDAS, _dense_model
+from norden import AcnModel, Geometry, LieAlgebra, Tensor, validate_structure
+from zoo import FAMILY_LAMBDAS, dense_model, f11_dim5, family, golden_model, heis, \
+    transform_model
 
 
 def _rat(v) -> sympy.Rational:
@@ -165,34 +159,39 @@ def _moved(model: AcnModel, a: sympy.Matrix, name: str) -> AcnModel:
     return moved
 
 
-@cache
-def _moved_n1() -> AcnModel:
-    a = sympy.Matrix([[2, 0, 0], [1, sympy.Rational(1, 3), 0],
-                      [-1, sympy.Rational(1, 2), sympy.Rational(-3, 2)]])
-    base = generate_family(FamilyParams(1, FAMILY_LAMBDAS[1]))
-    return _moved(base, a, "n=1 on a rational lower-triangular basis")
-
-
-@cache
-def _moved_n3() -> AcnModel:
+def _dense_7() -> sympy.Matrix:
     d = 7
     lower = sympy.Matrix(d, d, lambda i, j: (-1) ** (i + j) if i > j else 0)
     upper = sympy.Matrix(d, d, lambda i, j: sympy.Rational(1, j - i + 1) if j > i else 0)
     diag = sympy.diag(2, -1, sympy.Rational(1, 2), 3, 1, sympy.Rational(-2, 3), 1)
     a = (sympy.eye(d) + lower) * diag * (sympy.eye(d) + upper)
     assert abs(a.det()) != 1
-    base = generate_family(FamilyParams(3, FAMILY_LAMBDAS[3]))
-    return _moved(base, a, "n=3 on a rational dense basis")
+    return a
+
+
+#: The family members moved here: (n, change of basis, name).
+MOVES = {
+    "moved_n1": (1, sympy.Matrix([[2, 0, 0], [1, sympy.Rational(1, 3), 0],
+                                  [-1, sympy.Rational(1, 2), sympy.Rational(-3, 2)]]),
+                 "n=1 on a rational lower-triangular basis"),
+    "moved_n3": (3, _dense_7(), "n=3 on a rational dense basis"),
+}
+
+
+@cache
+def _moved_member(key: str) -> AcnModel:
+    n, a, name = MOVES[key]
+    return _moved(family(FAMILY_LAMBDAS[n]), a, name)
 
 
 MODELS = {
-    "family_n1": lambda: generate_family(FamilyParams(1, FAMILY_LAMBDAS[1])),
-    "family_n2": lambda: generate_family(FamilyParams(2, FAMILY_LAMBDAS[2])),
-    "family_n3": lambda: generate_family(FamilyParams(3, FAMILY_LAMBDAS[3])),
-    "heisenberg": heisenberg_model,
-    "golden_dense": _dense_model,
-    "moved_n1": _moved_n1,
-    "moved_n3": _moved_n3,
+    "family_n1": lambda: golden_model(1),
+    "family_n2": lambda: golden_model(2),
+    "family_n3": lambda: golden_model(3),
+    "heisenberg": heis,
+    "golden_dense": dense_model,
+    "f11_dim5": lambda: f11_dim5(1, 1, 1, 3),
+    **{key: partial(_moved_member, key) for key in MOVES},
 }
 
 
@@ -227,3 +226,10 @@ def test_moved_models_are_dense_and_not_unimodular():
         g = model.g.components.tolist()
         assert all(v != 0 for row in g for v in row), key
         assert any(Fraction(v).denominator != 1 for row in g for v in row), key
+
+
+@pytest.mark.parametrize("key", list(MOVES))
+def test_transform_model_moves_as_the_sympy_basis_change_does(key):
+    n, a, name = MOVES[key]
+    rows = [[_frac(v) for v in a.row(r)] for r in range(a.rows)]
+    assert transform_model(family(FAMILY_LAMBDAS[n]), rows, name) == _moved_member(key)

@@ -9,17 +9,15 @@ import numpy as np
 import pytest
 
 from norden import (
-    FamilyParams,
     GeometryReport,
     Tensor,
     all_identities_ok,
     format_scalar,
-    generate_family,
     report_to_json,
     report_to_text,
     run_report,
 )
-from test_golden import FAMILY_LAMBDAS, _dense_model
+from zoo import dense_model, golden_model
 
 
 @pytest.fixture(scope="module")
@@ -134,13 +132,11 @@ def test_every_json_leaf_decodes_to_exactly_its_components(which, heis):
     if which == "heis":
         report = run_report(heis.model)
     elif which == "dense":
-        report = run_report(_dense_model())
+        report = run_report(dense_model())
     elif which == "huge":
-        report = replace(run_report(generate_family(FamilyParams(1, (2, 3)))),
-                         tensors=_huge_tensors())
+        report = replace(run_report(golden_model(1)), tensors=_huge_tensors())
     else:
-        report = run_report(generate_family(FamilyParams(int(which[1]),
-                                                         FAMILY_LAMBDAS[int(which[1])])))
+        report = run_report(golden_model(int(which[1])))
     leaves = json.loads(report_to_json(report))["tensors"]
     assert list(leaves) == sorted(report.tensors)
     for key, t in report.tensors.items():

@@ -1,4 +1,5 @@
 """Structure axioms, validation itemization, and the associated metric."""
+from dataclasses import replace
 from fractions import Fraction as Fr
 
 import numpy as np
@@ -7,26 +8,16 @@ import pytest
 from norden import (
     AcnModel,
     DimensionMismatch,
-    FamilyParams,
     Tensor,
     VarianceMismatch,
     associated_metric,
-    generate_family,
     signature,
     validate_structure,
 )
 from norden import tensors
 from norden.family import _structure_tensors
 from norden.lie import algebra_from_brackets
-
-
-def replace(model: AcnModel, **kw) -> AcnModel:
-    fields = dict(
-        algebra=model.algebra, phi=model.phi, xi=model.xi,
-        eta=model.eta, g=model.g, name=model.name,
-    )
-    fields.update(kw)
-    return AcnModel(**fields)
+from zoo import dense_member
 
 
 def test_constructor_checks():
@@ -137,8 +128,6 @@ def test_a_valid_model_formats_no_detail(monkeypatch):
     """Every check of ``validate_structure`` on a valid dense dim-11
     model selects no entry, so no numerator is formatted; a model with a
     broken ``phi`` formats the details of its violations."""
-    from test_contraction_plan import dense_member
-
     model = dense_member(5)
     calls = {"formatted": 0, "texts": 0}
     real_formatted, real_texts = Tensor.formatted, tensors._numerator_texts

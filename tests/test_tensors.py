@@ -34,7 +34,7 @@ from norden import tensors
 from norden.canonical import canonical_json
 from norden.errors import DigitLimit
 from norden.tensors import _exponent_too_large, as_pair, vector
-from test_contraction_plan import dense_member, family_member
+from zoo import dense_member, family_member
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=12
@@ -197,6 +197,8 @@ def test_tensor_equality_and_zero():
     c = Tensor([[1, 0], [0, 1]], "dd")
     assert a == b
     assert a != c          # same entries, different variance
+    assert a.__eq__(a.components) is NotImplemented and a != a.components.tolist()
+    assert repr(c) == "Tensor(variance='dd', shape=(2, 2))"
     assert not Tensor([0, 0], "u").components.any()
     assert Tensor([0, 0], "u").is_zero()
     assert not a.is_zero()
