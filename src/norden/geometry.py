@@ -20,7 +20,9 @@ is its Gamma correction terms alone.  The connection is stored as
 ``gamma[k, i, j]``, the ``x_k`` coefficient of ``nabla_{x_i} x_j``, and
 the curvature as ``r13[l, i, j, k]``, the ``x_l`` component of
 ``R(x_i, x_j) x_k``.  Every subscript that indexes them is written in
-this module.
+this module.  :func:`section` reads ``R(x, y) y`` of one plane from the
+connection alone, by nested covariant derivatives of constant vectors,
+and builds no curvature tensor.
 
 The two decidable classes are the Kahler-type class ``F = 0``
 (:attr:`Geometry.f0`) and the pure class in which ``F`` is carried
@@ -160,33 +162,6 @@ def psi4(s: Tensor, eta: Tensor) -> Tensor:
 
 # --- curvature --------------------------------------------------------------
 
-_SWAP_IJ = str.maketrans("ij", "ji")
-
-
-def curvature_terms(conn: Connection, model: AcnModel, tail: str = "->lijk",
-                    *operands: Tensor) -> list:
-    """The three terms of ``r13[l, i, j, k]`` as :func:`exact_sum` terms:
-    ``P[l, i, j, k] - P[l, j, i, k] - c^m_ij Gamma^l_mk``, with the
-    ``Gamma . Gamma`` product ``P[l, i, j, k] = Gamma^m_jk Gamma^l_im``.
-
-    Each term's subscripts end in ``tail``, which may contract the free
-    letters ``l, i, j, k`` with further ``operands``; the default keeps
-    them, giving ``r13`` itself.  The second term is the first with ``i``
-    and ``j`` swapped in ``tail``.  Without operands ``P`` is computed
-    once, one ``d**5`` contraction, and both terms are views of it; with
-    operands each term contracts ``Gamma``, ``Gamma`` and the operands
-    together, so a contracted tail builds no ``d**4`` tensor.
-    """
-    gamma, c = conn.gamma, model.algebra.c
-    if operands:
-        letters, *factors = "mjk,lim", gamma, gamma
-    else:
-        letters, *factors = "lijk", exact_einsum("mjk,lim->lijk", gamma, gamma)
-    return [(1, letters + tail, *factors, *operands),
-            (-1, letters + tail.translate(_SWAP_IJ), *factors, *operands),
-            (-1, "mij,lmk" + tail, c, gamma, *operands)]
-
-
 @dataclass(frozen=True)
 class Section:
     """A 2-plane: how it meets the structure, and its curvature.
@@ -209,9 +184,11 @@ class Section:
 
 def section(model: AcnModel, conn: Connection, x, y) -> Section:
     """The plane spanned by x, y, classified with exact rank arithmetic,
-    with ``R(x, y, y, x)`` read from the connection ``conn`` of ``model``
-    through :func:`curvature_terms`, so it costs ``d**2``-sized steps and
-    no curvature tensor.
+    with ``R(x, y, y, x) = g(R(x, y) y, x)`` read from the connection
+    ``conn`` of ``model`` by nested covariant derivatives of constant
+    vectors, ``R(x, y) y = nabla_x nabla_y y - nabla_y nabla_x y
+    - nabla_[x, y] y`` with ``nabla_u v = Gamma^k_ij u^i v^j``: every step
+    is ``d**2``-sized and no curvature tensor is built.
 
     Raises :class:`LinearlyDependent` unless x, y span a 2-plane.
     """
@@ -233,9 +210,15 @@ def section(model: AcnModel, conn: Connection, x, y) -> Section:
     # pi1(x, y, y, x) = g(x, x) g(y, y) - g(x, y)^2
     gxx, gxy, gyy = (einsum_scalar("i,i->", *pair) for pair in ((gx, xv), (gx, yv), (gy, yv)))
     pi1 = gxx * gyy - gxy ** 2
-    # R(x, y, y, x) = r13[l, i, j, k] g(x_l, x) x^i y^j y^k
-    terms = curvature_terms(conn, model, ",l,i,j,k->", gx, xv, yv, yv)
-    k = exact_sum(terms).item() / pi1 if pi1 else None
+
+    def nabla(u: Tensor, v: Tensor) -> Tensor:
+        return exact_einsum("kij,i,j->k", conn.gamma, u, v)
+
+    bracket = exact_einsum("kij,i,j->k", model.algebra.c, xv, yv)
+    r = exact_sum([(1, "k,k->", gx, nabla(xv, nabla(yv, yv))),
+                   (-1, "k,k->", gx, nabla(yv, nabla(xv, yv))),
+                   (-1, "k,k->", gx, nabla(bracket, yv))])
+    k = r.item() / pi1 if pi1 else None
     return Section(kind, contains_xi, phi_invariant, totally_real, k)
 
 
@@ -481,8 +464,14 @@ class Geometry:
     @cached_property
     def r13(self) -> Tensor:
         """``R(x_i, x_j) x_k = nabla_i nabla_j x_k - nabla_j nabla_i x_k
-        - nabla_{[x_i, x_j]} x_k``, variance ``"uddd"``."""
-        return exact_sum(curvature_terms(self.conn, self.model))
+        - nabla_{[x_i, x_j]} x_k``, variance ``"uddd"``: ``P[l, i, j, k]
+        - P[l, j, i, k] - c^m_ij Gamma^l_mk`` with the ``Gamma . Gamma``
+        product ``P[l, i, j, k] = Gamma^m_jk Gamma^l_im``, computed once,
+        one ``d**5`` contraction, and read by both terms as views."""
+        gamma = self.conn.gamma
+        p = exact_einsum("mjk,lim->lijk", gamma, gamma)
+        return exact_sum([(1, "lijk->lijk", p), (-1, "lijk->ljik", p),
+                          (-1, "mij,lmk->lijk", self.model.algebra.c, gamma)])
 
     @cached_property
     def r04(self) -> Tensor:

@@ -7,12 +7,12 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import norden
-from norden import cli, serialize_model, tensors
+from norden import cli, serialize_model
 from norden.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, build_parser, main
+from probe import kernel_probe
 from test_golden import GOLDEN, _sha256
 from zoo import dense_member, dense_model
 
@@ -403,22 +403,14 @@ def test_section_builds_no_curvature_tensor(tmp_path, monkeypatch, capsys):
     argv = ["section", str(path), "--x", "1,0,2,0,-1,0,1", "--y", "0,1,0,1/2,0,3,-1"]
     assert main(argv + ["--json"]) == EXIT_OK
     assert json.loads(capsys.readouterr().out)["sectional_curvature"] is not None
-    sizes, loaded = [], []
-
-    def spy(func):
-        def wrapper(*args, **kwargs):
-            out = func(*args, **kwargs)
-            if loaded:
-                sizes.append(np.size(out))
-            return out
-        return wrapper
-
-    monkeypatch.setattr(np, "einsum", spy(np.einsum))
-    monkeypatch.setattr(tensors, "_sparse_step", spy(tensors._sparse_step))
-    load = cli._run_validated
-    monkeypatch.setattr(cli, "_run_validated", lambda args: (load(args), loaded.append(1))[0])
-    assert main(argv + ["--quiet"]) == EXIT_OK
-    assert loaded and sizes and max(sizes) <= model.dim ** 3
+    loaded, load = [], cli._run_validated
+    with kernel_probe() as probe:
+        monkeypatch.setattr(cli, "_run_validated",
+                            lambda args: (load(args), loaded.append(len(probe.steps)))[0])
+        assert main(argv + ["--quiet"]) == EXIT_OK
+    (start,) = loaded
+    sizes = [step.size for step in probe.steps[start:]]
+    assert sizes and max(sizes) <= model.dim ** 3
 
 
 def test_section_dependent_vectors_are_input_error(model_path, capsys):

@@ -46,7 +46,6 @@ from test_exact_einsum import (
     _assert_canonical,
     _assert_each_call_picks_by_its_bound,
     _assert_same,
-    _contraction_calls,
     _dtype,
     _only_permutes,
     _reference,
@@ -55,44 +54,8 @@ from test_exact_einsum import (
     small,
     sums,
 )
+from probe import kernel_probe
 from zoo import dense_member, dense_model, family_member
-
-
-@contextmanager
-def _path_searches():
-    """Record the subscripts and operand shapes of every path search."""
-    seen = []
-    real = np.einsum_path
-
-    def spy(subscripts, *operands, **kwargs):
-        seen.append((subscripts, tuple(np.shape(op) for op in operands)))
-        return real(subscripts, *operands, **kwargs)
-
-    with mock.patch.object(np, "einsum_path", spy):
-        yield seen
-
-
-@contextmanager
-def _step_routes():
-    """Count the pairwise steps by route and dtype: ``("einsum", dtype)``
-    for each step handed to numpy's einsum, ``("sparse", dtype)`` for
-    each step run on the nonzeros of one operand."""
-    seen = Counter()
-    real_einsum, real_sparse = np.einsum, tensors._sparse_step
-
-    def einsum(subscripts, *operands, **kwargs):
-        dtypes = {np.asarray(op).dtype for op in operands}
-        (dtype,) = dtypes
-        seen["einsum", dtype.name] += 1
-        return real_einsum(subscripts, *operands, **kwargs)
-
-    def sparse(x, y, sx, sy):
-        seen["sparse", x.dtype.name] += 1
-        return real_sparse(x, y, sx, sy)
-
-    with mock.patch.object(np, "einsum", einsum), \
-            mock.patch.object(tensors, "_sparse_step", sparse):
-        yield seen
 
 
 CHAIN = "ij,jk,kl->il"
@@ -117,16 +80,17 @@ def test_one_plan_serves_values_on_both_sides_of_the_bound():
         ([Fr(10**25 + k, PRIMES[k % 5]) for k in range(7)], {"object"}),
         ([Fr(-1, 2), 7, 0, Fr(2, 3)], {"int32"}),
     ]
-    with _path_searches() as searches:
+    with kernel_probe() as probe:
         for values, paths in stages:
             operands = _chain_operands(values)
-            with _contraction_calls() as calls:
-                result = exact_einsum(CHAIN, *operands)
+            start = len(probe.steps)
+            result = exact_einsum(CHAIN, *operands)
             _assert_same(result, _reference(CHAIN, *operands))
-            assert len(calls) == 2
-            _assert_each_call_picks_by_its_bound(calls)
-            assert {dtype.name for dtypes, _ in calls for dtype in dtypes} == paths
-    assert len(searches) <= 1
+            steps = probe.steps[start:]
+            assert len(steps) == 2
+            _assert_each_call_picks_by_its_bound(steps)
+            assert {step.dtype for step in steps} == paths
+    assert len(probe.searches) <= 1
 
 
 def test_a_plan_fixes_no_value_of_a_sum():
@@ -227,27 +191,6 @@ def _exact_rule(terms):
     return steps, _dtype(bound) if adds else None, np.asarray(total, dtype=object), den, exact
 
 
-@contextmanager
-def _kernel_dtypes():
-    """Record the dtype each pairwise step of the kernel runs in, and the
-    dtype of each sum it hands to the reduction."""
-    steps, sums = [], []
-    real_pairwise, real_canonical = tensors._pairwise, tensors._canonical
-
-    def pairwise(step, nums, bound):
-        (dtype,) = {num.dtype for num in nums}
-        steps.append(dtype)
-        return real_pairwise(step, nums, bound)
-
-    def canonical(num, den, top):
-        sums.append(num.dtype)
-        return real_canonical(num, den, top)
-
-    with mock.patch.object(tensors, "_pairwise", pairwise), \
-            mock.patch.object(tensors, "_canonical", canonical):
-        yield steps, sums
-
-
 def _assert_the_exact_rule(terms):
     """The kernel's steps and sum pick the dtypes of :func:`_exact_rule`,
     and ``exact_sum`` and ``nonzero_where`` give its exact sum.  Those
@@ -257,17 +200,18 @@ def _assert_the_exact_rule(terms):
     for rule, tight in zip(steps + [summed] * (summed is not None), exact, strict=True):
         assert (rule == object) == (tight == object)
         assert rule != np.int32 or tight == np.int32
-    with _kernel_dtypes() as (kernel_steps, kernel_sums):
+    with kernel_probe() as probe:
         result = exact_sum(terms)
-    assert kernel_steps == steps
+    assert [step.dtype for step in probe.steps] == [dtype.name for dtype in steps]
     if summed is not None:
-        assert kernel_sums == [summed]
+        assert probe.reductions == [summed.name]
     _assert_canonical(result)
     _assert_magnitude(result)
     assert np.array_equal(result.num.astype(object) * den, total * result.den)
-    with _kernel_dtypes() as (kernel_steps, kernel_sums):
+    with kernel_probe() as probe:
         where = nonzero_where(terms)
-    assert kernel_steps == steps and kernel_sums == []
+    assert [step.dtype for step in probe.steps] == [dtype.name for dtype in steps]
+    assert probe.reductions == []
     assert np.array_equal(where, total != 0)
 
 
@@ -355,17 +299,17 @@ def test_a_carried_bound_past_int64_is_checked_against_the_magnitudes(terms, ste
 
 def test_a_second_report_of_the_same_dimension_searches_no_path():
     run_report(dense_member(3))
-    with _path_searches() as searches:
+    with kernel_probe() as probe:
         run_report(family_member(3))
-    assert searches == []
+    assert probe.searches == []
 
 
 def test_each_key_searches_its_path_once():
     _plan.cache_clear()
-    with _path_searches() as searches:
+    with kernel_probe() as probe:
         run_report(dense_member(2))
         run_report(dense_member(2))
-    assert searches and len(searches) == len(set(searches))
+    assert probe.searches and len(probe.searches) == len(set(probe.searches))
 
 
 # Pairwise steps of one run_report by route and dtype, recorded on this
@@ -431,18 +375,11 @@ def test_a_dense_dim_7_report_reads_no_value_to_pick_a_route():
     """Every step of a dim-7 report is below the floor: each is
     dense-only in its plan, no step counts nonzeros, and all run as
     einsum."""
-    model, sides, real = dense_member(3), [], tensors._pairwise
-
-    def pairwise(step, nums, bound):
-        sides.append(step.sides)
-        return real(step, nums, bound)
-
-    with mock.patch.object(tensors, "_pairwise", pairwise), \
-            mock.patch.object(np, "count_nonzero", side_effect=AssertionError), \
-            _step_routes() as routes:
-        run_report(model)
-    assert sides and set(sides) == {None}
-    assert set(routes) == {("einsum", "int32"), ("einsum", "int64")}
+    with kernel_probe() as probe:
+        run_report(dense_member(3))
+    assert probe.steps and all(step.dense_only for step in probe.steps)
+    assert probe.nonzero_counts == 0
+    assert set(probe.routes()) == {("einsum", "int32"), ("einsum", "int64")}
 
 
 #: Nonzero magnitudes of each storage tier, its edges included.
@@ -525,12 +462,13 @@ def test_the_sparse_route_matches_the_reference_and_the_dense_route(case):
     operand sums, or a letter both operands keep (a batch letter), is
     dense-only: it runs as one einsum even when the sparse route is forced."""
     subscripts, (a, b) = case
-    with _step_routes() as natural:
+    with kernel_probe() as natural:
         result = exact_einsum(subscripts, a, b)
-    with mock.patch.object(tensors, "SPARSE_FACTOR", 0), _step_routes() as sparse:
+    with mock.patch.object(tensors, "SPARSE_FACTOR", 0), kernel_probe() as sparse:
         by_sparse = exact_einsum(subscripts, a, b)
-    with _dense_plans(), _step_routes() as dense:
+    with _dense_plans(), kernel_probe() as dense:
         by_dense = exact_einsum(subscripts, a, b)
+    natural, sparse, dense = natural.routes(), sparse.routes(), dense.routes()
     assert result == by_sparse == by_dense
     assert all(t.num.flags.c_contiguous for t in (result, by_sparse, by_dense))
     _assert_canonical(result)
@@ -594,13 +532,13 @@ def test_each_tier_matches_the_fraction_reference_on_both_routes(terms):
     the sum runs on Python ints exactly where its exact bound reaches
     ``2**62``, and in int32 only where that bound is below ``2**31``."""
     with _plans_with_floor(0):
-        with _kernel_dtypes() as (steps, sums), _step_routes() as natural:
+        with kernel_probe() as natural:
             result = exact_sum(terms)
-        with mock.patch.object(tensors, "SPARSE_FACTOR", 0), _step_routes() as sparse:
+        with mock.patch.object(tensors, "SPARSE_FACTOR", 0), kernel_probe() as sparse:
             by_sparse = exact_sum(terms)
         plans = [_plan(subscripts, (a.variance, b.variance), (a.shape, b.shape))
                  for _, subscripts, a, b in terms]
-    with _dense_plans(), _step_routes() as dense:
+    with _dense_plans(), kernel_probe() as dense:
         by_dense = exact_sum(terms)
     assert result == by_sparse == by_dense
     _assert_same(result, _reference_sum(terms))
@@ -611,10 +549,11 @@ def test_each_tier_matches_the_fraction_reference_on_both_routes(terms):
     for (_, _, a, b), plan in zip(terms, plans):
         (step,) = plan.steps
         picks.append(_dtype(step.summed * (a.magnitude or 1) * (b.magnitude or 1)))
-    assert steps == picks and sum(natural.values()) == 2
+    assert [step.dtype for step in natural.steps] == [pick.name for pick in picks]
+    assert len(natural.steps) == 2
     assert Counter(("sparse" if plan.steps[0].sides else "einsum", pick.name)
-                   for plan, pick in zip(plans, picks)) == sparse
-    assert Counter(("einsum", pick.name) for pick in picks) == dense
+                   for plan, pick in zip(plans, picks)) == sparse.routes()
+    assert Counter(("einsum", pick.name) for pick in picks) == dense.routes()
     values, dens, coefs = [], [], []
     for coef, subscripts, a, b in terms:
         values.append(np.einsum(subscripts, a.num.astype(object), b.num.astype(object)))
@@ -623,9 +562,9 @@ def test_each_tier_matches_the_fraction_reference_on_both_routes(terms):
     den = math.lcm(*dens)
     tight = sum(max(_top(v), 1) * max(abs(p * (den // d)), 1)
                 for v, p, d in zip(values, coefs, dens))
-    (summed,) = sums
-    assert (summed == object) == (tight >= INT64_SAFE)
-    assert summed != np.int32 or tight < INT32_SAFE
+    (summed,) = natural.reductions
+    assert (summed == "object") == (tight >= INT64_SAFE)
+    assert summed != "int32" or tight < INT32_SAFE
 
 
 #: A step whose first operand keeps no letter: it sums all of them.  When
@@ -633,21 +572,6 @@ def test_each_tier_matches_the_fraction_reference_on_both_routes(terms):
 #: the one output row (``at = ()`` in ``_sparse_step``); when it takes the
 #: other operand's, it gathers rows of one column from the first.
 KEEPS_NONE = "abcd,abcde->e"
-
-
-@contextmanager
-def _sparse_sides():
-    """Record, for each sparse step, the number of letters the operand
-    whose nonzeros are taken keeps, and the kept size of the other."""
-    seen = []
-    real = tensors._sparse_step
-
-    def spy(x, y, sx, sy):
-        seen.append((len(sx.own), sy.blocks[0]))
-        return real(x, y, sx, sy)
-
-    with mock.patch.object(tensors, "_sparse_step", spy):
-        yield seen
 
 
 def _support(rng, shape, count: int) -> list[tuple[int, ...]]:
@@ -677,12 +601,12 @@ def test_a_dim_13_step_whose_operand_keeps_no_letter_takes_the_sparse_route(take
             if k < 5:
                 y[at + (rng.randrange(d),)] = rng.randint(1, 9)
     a, b = Tensor(x, "dddd"), Tensor(y, "ddddd")
-    with _sparse_sides() as seen:
+    with kernel_probe() as probe:
         result = exact_einsum(KEEPS_NONE, a, b)
-    assert seen == [sides]
-    with _dense_plans(), _sparse_sides() as dense:
+    assert [step.side for step in probe.steps] == [sides]
+    with _dense_plans(), kernel_probe() as dense:
         assert exact_einsum(KEEPS_NONE, a, b) == result
-    assert dense == []
+    assert [step.side for step in dense.steps] == [None]
     want = [sum(int(x[at]) * int(y[at + (e,)]) for at in zip(*np.nonzero(x)))
             for e in range(d)]
     assert result.components.tolist() == want and any(want)
@@ -715,13 +639,12 @@ def test_a_step_whose_operand_keeps_no_letter_matches_the_references(taken, side
 
     a, b = (sparse(sx, 2), dense(sy)) if taken == "keeps_none" else (dense(sx), sparse(sy, 4))
     with _plans_with_floor(0):
-        with mock.patch.object(tensors, "SPARSE_FACTOR", 0), _sparse_sides() as seen, \
-                _kernel_dtypes() as (steps, _):
+        with mock.patch.object(tensors, "SPARSE_FACTOR", 0), kernel_probe() as probe:
             by_sparse = exact_einsum(KEEPS_NONE, a, b)
-    assert seen == [sides] and steps == [np.dtype(tier)]
-    with _dense_plans(), _sparse_sides() as seen:
+    assert [(step.side, step.dtype) for step in probe.steps] == [(sides, tier)]
+    with _dense_plans(), kernel_probe() as probe:
         assert exact_einsum(KEEPS_NONE, a, b) == by_sparse
-    assert seen == []
+    assert [step.side for step in probe.steps] == [None]
     _assert_same(by_sparse, _reference(KEEPS_NONE, a, b))
 
 
@@ -730,32 +653,26 @@ def test_no_einsum_call_of_a_report_only_permutes_one_operand():
     only permutes one operand's letters is returned as a view: numpy's
     einsum never gets one."""
     model = dense_model()
-    calls = []
-    real = np.einsum
-
-    def spy(subscripts, *operands, **kwargs):
-        calls.append(subscripts)
-        return real(subscripts, *operands, **kwargs)
-
-    with mock.patch.object(np, "einsum", spy):
+    with kernel_probe() as probe:
         run_report(model)
+    calls = [step.subscripts for step in probe.steps if step.route == "einsum"]
     assert calls and not any(map(_only_permutes, calls))
 
 
 @pytest.mark.parametrize("kind, n", list(STEP_COUNTS))
 def test_a_report_runs_the_same_int64_and_object_steps(kind, n):
     model = (dense_member if kind == "dense" else family_member)(n)
-    with _step_routes() as steps:
+    with kernel_probe() as probe:
         run_report(model)
-    assert dict(steps) == STEP_COUNTS[kind, n]
+    assert dict(probe.routes()) == STEP_COUNTS[kind, n]
 
 
 @pytest.mark.parametrize("kind, n", list(SCAN_COUNTS))
 def test_a_report_runs_the_same_magnitude_scans(kind, n):
     model = (dense_member if kind == "dense" else family_member)(n)
-    with mock.patch.object(tensors, "_max_abs", wraps=tensors._max_abs) as scans:
+    with kernel_probe() as probe:
         run_report(model)
-    assert scans.call_count == SCAN_COUNTS[kind, n]
+    assert probe.scans == SCAN_COUNTS[kind, n]
 
 
 @pytest.mark.parametrize("kind, n", [("dense", 3), ("family", 6)])
@@ -764,9 +681,9 @@ def test_the_algebra_check_runs_one_d5_step(kind, n):
     two relabelings of it; the antisymmetry defect permutes only.  So
     validating an algebra runs exactly one pairwise step."""
     algebra = (dense_member if kind == "dense" else family_member)(n).algebra
-    with _step_routes() as steps:
+    with kernel_probe() as probe:
         assert validate(algebra).ok
-    assert sum(steps.values()) == 1
+    assert len(probe.steps) == 1
 
 
 def _stored_tensors(name: str, value):

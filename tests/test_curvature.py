@@ -11,6 +11,7 @@ from conftest import build_geometry
 
 from norden import (
     Connection,
+    Geometry,
     LieAlgebra,
     LinearlyDependent,
     Tensor,
@@ -21,7 +22,6 @@ from norden import (
     riemann,
     section,
 )
-from norden.geometry import curvature_terms
 from norden.lie import _jacobi_terms
 from test_exact_einsum import huge, small
 from test_lie import near_bound, three_product_jacobi
@@ -193,9 +193,11 @@ def _pi1(g, x, y) -> Fr:
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_sectional_curvature_is_r04_on_the_plane(fam5, heis, dense, data):
-    """On random rational planes, the curvature read from the connection
-    is ``R(x, y, y, x) / pi1`` with ``R`` the tensor of ``Geometry.r04``,
-    contracted by numpy on Fractions; a plane of rank 1 is refused."""
+    """On random rational planes, the curvature that ``section`` reads
+    from nested covariant derivatives is ``R(x, y, y, x) / pi1`` with
+    ``R`` the tensor of ``Geometry.r04``, a route that shares no term
+    with it, contracted by numpy on Fractions; a plane of rank 1 is
+    refused."""
     geo = data.draw(st.sampled_from([fam5, heis, dense]))
     entry = st.fractions(-3, 3, max_denominator=4)
     x, y = (data.draw(st.lists(entry, min_size=geo.model.dim, max_size=geo.model.dim))
@@ -226,12 +228,12 @@ def test_a_degenerate_plane_has_no_sectional_curvature(fam5, heis, dense):
 
 # --- one Gamma . Gamma product against the three-product form ---------------
 
-def three_product_r13(gamma: Tensor, c: Tensor, tail: str = "->lijk", *operands):
+def three_product_r13(gamma: Tensor, c: Tensor):
     """``r13`` with its own product per term, the form before the product
-    was shared: the reference for :func:`curvature_terms`."""
-    return exact_sum([(1, "mjk,lim" + tail, gamma, gamma, *operands),
-                      (-1, "mik,ljm" + tail, gamma, gamma, *operands),
-                      (-1, "mij,lmk" + tail, c, gamma, *operands)])
+    was shared: the reference for :attr:`Geometry.r13`."""
+    return exact_sum([(1, "mjk,lim->lijk", gamma, gamma),
+                      (-1, "mik,ljm->lijk", gamma, gamma),
+                      (-1, "mij,lmk->lijk", c, gamma)])
 
 
 @st.composite
@@ -239,30 +241,24 @@ def connection_data(draw):
     """Random ``Gamma`` and ``c`` of one dimension, with neither a
     Lie algebra nor a metric behind them: small rationals, numerators
     whose products straddle the int64 bound, and Python-int numerators
-    over prime denominators; plus four random vectors."""
+    over prime denominators."""
     dim = draw(st.integers(1, 4))
     entries = st.one_of(small, near_bound, huge)
     gamma, c = (Tensor(np.array(draw(st.lists(entries, min_size=dim ** 3,
                                               max_size=dim ** 3)),
                                 dtype=object).reshape((dim,) * 3), "udd")
                 for _ in range(2))
-    vectors = [Tensor(draw(st.lists(small, min_size=dim, max_size=dim)), variance)
-               for variance in "duuu"]
-    return Connection(gamma), LieAlgebra(dim, c), vectors
+    return Connection(gamma), LieAlgebra(dim, c)
 
 
 @settings(max_examples=100, deadline=None)
 @given(connection_data())
 def test_r13_from_one_product_equals_the_three_product_form(case):
-    """``curvature_terms`` shares one ``Gamma . Gamma`` product between two
-    terms: exactly the three-product tensor, and, with a contracted tail
-    such as :func:`section`'s, exactly the three-product scalar."""
-    conn, algebra, vectors = case
-    model = SimpleNamespace(algebra=algebra)    # the one field curvature_terms reads
-    assert exact_sum(curvature_terms(conn, model)) == three_product_r13(conn.gamma, algebra.c)
-    tail = ",l,i,j,k->"
-    assert (exact_sum(curvature_terms(conn, model, tail, *vectors))
-            == three_product_r13(conn.gamma, algebra.c, tail, *vectors))
+    """``Geometry.r13`` shares one ``Gamma . Gamma`` product between two
+    terms: exactly the three-product tensor."""
+    conn, algebra = case
+    model = SimpleNamespace(algebra=algebra)    # the one field of the model r13 reads
+    assert Geometry(model, conn).r13 == three_product_r13(conn.gamma, algebra.c)
 
 
 @settings(max_examples=12, deadline=None)

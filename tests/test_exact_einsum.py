@@ -11,16 +11,14 @@ that call's own bound reaches ``2**62`` and in int32 only when it is
 below ``2**31``, and never hand numpy a float array.
 """
 import math
-from contextlib import contextmanager
 from fractions import Fraction as Fr
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from norden import DimensionMismatch, VarianceMismatch, tensors
+from norden import DimensionMismatch, VarianceMismatch
 from norden.geometry import _vanishes
 from norden.tensors import (
     INT32_SAFE,
@@ -31,6 +29,7 @@ from norden.tensors import (
     exact_sum,
     nonzero_where,
 )
+from probe import kernel_probe
 
 LETTERS = "abcd"
 PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
@@ -60,52 +59,16 @@ def _reference(subscripts, *operands):
     return np.einsum(subscripts, *map(_fractions, operands))
 
 
-@contextmanager
-def _contraction_dtypes():
-    """Record the dtypes of the arrays the kernel hands to numpy's einsum."""
-    seen = []
-    real = np.einsum
-
-    def spy(subscripts, *operands, **kwargs):
-        seen.append({np.asarray(op).dtype for op in operands})
-        return real(subscripts, *operands, **kwargs)
-
-    with mock.patch.object(np, "einsum", spy):
-        yield seen
-
-
-@contextmanager
-def _contraction_calls():
-    """Record, for each einsum call the kernel makes, the dtypes of the
-    arrays numpy receives and the call's own bound recomputed from them:
-    the product of their largest magnitudes (zeros count as 1) times the
-    number of index combinations the call sums."""
-    seen = []
-    real = np.einsum
-
-    def spy(subscripts, *operands, **kwargs):
-        inputs, output = subscripts.split("->")
-        sizes = {ch: n for term, op in zip(inputs.split(","), operands)
-                 for ch, n in zip(term, np.shape(op))}
-        bound = math.prod(n for ch, n in sizes.items() if ch not in output)
-        for op in operands:
-            bound *= max(*map(abs, np.asarray(op).ravel().tolist()), 1)
-        seen.append(({np.asarray(op).dtype for op in operands}, bound))
-        return real(subscripts, *operands, **kwargs)
-
-    with mock.patch.object(np, "einsum", spy):
-        yield seen
-
-
-def _assert_each_call_picks_by_its_bound(calls):
-    """Each call runs on Python ints exactly when its own bound reaches
-    ``2**62``, and in int32 only when that bound is below ``2**31``.  The
-    first call, on stored operands, picks the dtype of its bound; a later
-    one picks by the bound an intermediate carries, so it may run in int64
-    below ``2**31``."""
-    for k, (dtypes, bound) in enumerate(calls):
-        want = _dtype(bound)
-        assert dtypes == {want} or (k and want == np.int32 and dtypes == {np.dtype(np.int64)})
+def _assert_each_call_picks_by_its_bound(steps):
+    """Each step of a probe record runs on Python ints exactly when its
+    own bound, recomputed from its operands' values, reaches ``2**62``,
+    and in int32 only when that bound is below ``2**31``.  The first step,
+    on stored operands, picks the dtype of its bound; a later one picks by
+    the bound an intermediate carries, so it may run in int64 below
+    ``2**31``."""
+    for k, step in enumerate(steps):
+        want = _dtype(step.value_bound).name
+        assert step.dtype == want or (k and want == "int32" and step.dtype == "int64")
 
 
 def _assert_canonical(t: Tensor):
@@ -177,15 +140,14 @@ huge = st.one_of(
 def test_matches_reference_on_small_rationals(case):
     subscripts, operands = case
     expected = _reference(subscripts, *operands)
-    with _contraction_calls() as calls:
+    with kernel_probe() as probe:
         result = exact_einsum(subscripts, *operands)
     _assert_same(result, expected)
-    _assert_each_call_picks_by_its_bound(calls)
+    _assert_each_call_picks_by_its_bound(probe.steps)
     if _only_permutes(subscripts):
-        assert calls == []
+        assert probe.steps == []
     else:
-        machine = {np.dtype(np.int32), np.dtype(np.int64)}
-        assert calls and all(dtypes <= machine for dtypes, _ in calls)
+        assert probe.steps and all(step.dtype in ("int32", "int64") for step in probe.steps)
 
 
 #: A denominator past the int64 bound: numerators over it may still be
@@ -222,10 +184,10 @@ def test_a_permutation_is_exact_and_canonical_without_einsum(case, coef):
     subscripts, operand = case
     assert _only_permutes(subscripts)
     expected = _reference(subscripts, operand)
-    with _contraction_dtypes() as seen:
+    with kernel_probe() as probe:
         result = exact_einsum(subscripts, operand)
         scaled = exact_sum([(coef, subscripts, operand)])
-    assert seen == []
+    assert probe.steps == []
     _assert_same(result, expected)
     _assert_same(scaled, Fr(coef) * np.asarray(expected, dtype=object))
     for t in (result, scaled):
@@ -243,9 +205,9 @@ def test_a_lone_permutation_is_reduced_to_its_own_view(top, den):
     operand's denominator, dtype and magnitude, on int32, int64 and Python
     ints, over 1 and over 3."""
     operand = _array([Fr(top, den), Fr(-1, den), 0, Fr(2, den), Fr(5, den), 0], (2, 3))
-    with mock.patch.object(tensors, "_canonical", wraps=tensors._canonical) as canonical:
+    with kernel_probe() as probe:
         result = exact_einsum("ab->ba", operand)
-    assert canonical.call_count == 1
+    assert len(probe.reductions) == 1
     assert np.array_equal(result.num, operand.num.T)
     assert np.shares_memory(result.num, operand.num)
     assert result.num.dtype == operand.num.dtype == _dtype(top)
@@ -257,10 +219,10 @@ def test_a_lone_permutation_is_reduced_to_its_own_view(top, den):
 def test_matches_reference_on_huge_numerators_and_coprime_denominators(case):
     subscripts, operands = case
     expected = _reference(subscripts, *operands)
-    with _contraction_calls() as calls:
+    with kernel_probe() as probe:
         result = exact_einsum(subscripts, *operands)
     _assert_same(result, expected)
-    _assert_each_call_picks_by_its_bound(calls)
+    _assert_each_call_picks_by_its_bound(probe.steps)
 
 
 def test_a_chain_past_the_bound_as_a_whole_runs_every_step_in_int64():
@@ -275,20 +237,20 @@ def test_a_chain_past_the_bound_as_a_whole_runs_every_step_in_int64():
     adj = _array([x - 1, -x, -x, x + 1], (2, 2))    # a @ adj = adj @ a = -I
     operands = (a, adj, a, adj)
     assert (x + 1)**4 * 2**3 >= INT64_SAFE
-    with _contraction_calls() as calls:
+    with kernel_probe() as probe:
         result = exact_einsum("ab,bc,cd,de->ae", *operands)
     _assert_same(result, _reference("ab,bc,cd,de->ae", *operands))
-    _assert_each_call_picks_by_its_bound(calls)
-    assert [dtypes for dtypes, _ in calls] == [{np.dtype(np.int64)}] * 2 + [{np.dtype(np.int32)}]
+    _assert_each_call_picks_by_its_bound(probe.steps)
+    assert [step.dtype for step in probe.steps] == ["int64", "int64", "int32"]
 
 
 def test_huge_numerators_take_the_python_int_path():
     a = _array([Fr(10**25 + 1, 3), Fr(-(10**25), 7), 0], (3,))
     b = _array([Fr(10**24, 11), 13, Fr(5, 17)], (3,))
-    with _contraction_dtypes() as seen:
+    with kernel_probe() as probe:
         result = exact_einsum("i,j->ij", a, b)
     _assert_same(result, _reference("i,j->ij", a, b))
-    assert seen == [{np.dtype(object)}]
+    assert [step.dtype for step in probe.steps] == ["object"]
 
 
 @pytest.mark.parametrize("top, length, path", [
@@ -301,10 +263,10 @@ def test_huge_numerators_take_the_python_int_path():
 def test_bound_straddling_two_to_the_62(top, length, path):
     a = _array([top] * length, (length,))
     b = _array([1] * length, (length,))
-    with _contraction_dtypes() as seen:
+    with kernel_probe() as probe:
         result = exact_einsum("i,i->", a, b)
     assert result.item() == top * length and type(result.components.item()) is int
-    assert seen == [{np.dtype(path)}]
+    assert [step.dtype for step in probe.steps] == [np.dtype(path).name]
     _assert_canonical(result)
 
 
@@ -318,10 +280,10 @@ def test_the_denominators_do_not_pick_the_dtype(left, right):
     side of ``2**62`` still runs one int32 step."""
     a = _array([Fr(1, left)], (1,))
     b = _array([Fr(1, right)], (1,))
-    with _contraction_dtypes() as seen:
+    with kernel_probe() as probe:
         result = exact_einsum("i,i->", a, b)
     assert result.item() == Fr(1, left * right)
-    assert seen == [{np.dtype(np.int32)}]
+    assert [step.dtype for step in probe.steps] == ["int32"]
     _assert_canonical(result)
 
 
@@ -336,10 +298,10 @@ def test_bound_decides_the_path(bits, length, data):
     a, b = _array(xs, (length,)), _array(ys, (length,))
     # An all-zero operand counts as 1 in the kernel's bound.
     bound = max(*map(abs, xs), 1) * max(*map(abs, ys), 1) * length
-    with _contraction_dtypes() as seen:
+    with kernel_probe() as probe:
         result = exact_einsum("i,i->", a, b)
     assert result.item() == sum(x * y for x, y in zip(xs, ys))
-    assert seen == [{_dtype(bound)}]
+    assert [step.dtype for step in probe.steps] == [_dtype(bound).name]
 
 
 def test_zero_operand_gives_canonical_zeros():
@@ -449,9 +411,9 @@ def test_addition_alone_crosses_the_bound(parts):
     terms = [(sign, "i->i", _array([Fr(n, p)], (1,))) for n, p, sign in parts]
     den = math.lcm(*(p for _, p, _ in parts))
     assert sum(n * (den // p) for n, p, _ in parts) >= INT64_SAFE
-    with _contraction_dtypes() as seen:
+    with kernel_probe() as probe:
         result = exact_sum(terms)
-    assert seen == []
+    assert probe.steps == []
     _assert_same(result, _array([sum(sign * Fr(n, p) for n, p, sign in parts)], (1,))
                  .components)
 
