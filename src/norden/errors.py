@@ -7,6 +7,7 @@ callers that need an exception wrap the report in ``ValidationError``.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -78,6 +79,12 @@ class Violation(NamedTuple):
         loc = f" at {self.where}" if self.where is not None else ""
         msg = f": {self.detail}" if self.detail else ""
         return f"{self.rule}{loc}{msg}"
+
+
+#: ``violation((rule, where, detail))`` is ``Violation(rule, where, detail)``
+#: built by ``tuple.__new__``, without the generated ``__new__``, a Python
+#: function: validating a mutant model builds hundreds of violations.
+violation = functools.partial(tuple.__new__, Violation)
 
 
 @dataclass

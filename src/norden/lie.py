@@ -17,7 +17,7 @@ from .errors import (
     InvalidAlgebra,
     ValidationReport,
     VarianceMismatch,
-    Violation,
+    violation,
 )
 from .tensors import (
     Tensor,
@@ -124,12 +124,12 @@ def validate(algebra: LieAlgebra) -> ValidationReport:
     idx = np.arange(algebra.dim)
     defect = nonzero_where([(1, "kij->kij", c), (1, "kji->kij", c)])
     report.violations += [
-        Violation("antisymmetry", (i, j), f"[x{i},x{j}] != -[x{j},x{i}] in components {bad}")
+        violation(("antisymmetry", (i, j), f"[x{i},x{j}] != -[x{j},x{i}] in components {bad}"))
         for (i, j), bad in _components_by_index(defect, idx[:, None] <= idx)]
     defect = nonzero_where(_jacobi_terms(c))
     increasing = (idx[:, None, None] < idx[:, None]) & (idx[:, None] < idx)
     report.violations += [
-        Violation("jacobi", where, f"Jacobi defect nonzero in components {bad}")
+        violation(("jacobi", where, f"Jacobi defect nonzero in components {bad}"))
         for where, bad in _components_by_index(defect, increasing)]
     return report
 

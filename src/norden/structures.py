@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, ValidationReport, VarianceMismatch, Violation
+from .errors import DimensionMismatch, ValidationReport, VarianceMismatch, violation
 from .lie import LieAlgebra, validate as validate_algebra
 from .tensors import (
     Tensor,
@@ -122,41 +122,41 @@ def validate_structure(model: AcnModel) -> ValidationReport:
     identity = Tensor._of(np.eye(model.dim, dtype=np.int32), 1, 1, "ud")   # canonical
     expected = exact_sum([(1, "i,j->ij", xi, eta), (-1, "ij->ij", identity)])
     report.violations += [
-        Violation("phi_square", (i, j), f"(phi^2)[{i},{j}] = {got}, expected {want}")
+        violation(("phi_square", (i, j), f"(phi^2)[{i},{j}] = {got}, expected {want}"))
         for (i, j), got, want in mismatches(phi2, expected)]
 
     eta_xi = einsum_scalar("i,i->", eta, xi)
     if eta_xi != 1:
         report.add("eta_xi", detail=f"eta(xi) = {format_scalar(eta_xi)}, expected 1")
 
-    report.violations += [Violation("phi_xi", (i,), f"(phi xi)[{i}] = {value}")
+    report.violations += [violation(("phi_xi", (i,), f"(phi xi)[{i}] = {value}"))
                           for (i,), value in nonzeros(exact_einsum("ij,j->i", phi, xi))]
 
-    report.violations += [Violation("eta_phi", (j,), f"(eta o phi)[{j}] = {value}")
+    report.violations += [violation(("eta_phi", (j,), f"(eta o phi)[{j}] = {value}"))
                           for (j,), value in nonzeros(exact_einsum("i,ij->j", eta, phi))]
 
     asymmetric = np.argwhere(np.triu(g.num != g.num.T)).tolist()
-    report.violations += [Violation("metric_symmetric", (i, j), f"g[{i},{j}] != g[{j},{i}]")
+    report.violations += [violation(("metric_symmetric", (i, j), f"g[{i},{j}] != g[{j},{i}]"))
                           for i, j in asymmetric]
 
     # g(phi x, phi y) = -g(x, y) + eta(x) eta(y) on basis pairs.
     gphiphi = exact_einsum("ai,ab,bj->ij", phi, g, phi)
     expected = exact_sum([(-1, "ij->ij", g), (1, "i,j->ij", eta, eta)])
     report.violations += [
-        Violation("norden_compatibility", (i, j),
-                  f"g(phi x{i}, phi x{j}) = {got}, expected {want}")
+        violation(("norden_compatibility", (i, j),
+                   f"g(phi x{i}, phi x{j}) = {got}, expected {want}"))
         for (i, j), got, want in mismatches(gphiphi, expected)]
 
     # phi is g-symmetric: g(phi x, y) = g(x, phi y).
     gphi = exact_einsum("ai,aj->ij", phi, g)
     report.violations += [
-        Violation("phi_g_symmetric", (i, j), f"g(phi x{i}, x{j}) != g(x{i}, phi x{j})")
+        violation(("phi_g_symmetric", (i, j), f"g(phi x{i}, x{j}) != g(x{i}, phi x{j})"))
         for i, j in np.argwhere(gphi.num != gphi.num.T).tolist()]
 
     # eta is the g-dual of xi.
     gxi = exact_einsum("ij,j->i", g, xi)
     report.violations += [
-        Violation("eta_g_dual", (i,), f"g(x{i}, xi) = {got}, eta(x{i}) = {want}")
+        violation(("eta_g_dual", (i,), f"g(x{i}, xi) = {got}, eta(x{i}) = {want}"))
         for (i,), got, want in mismatches(gxi, eta)]
 
     # A signature is defined for symmetric forms only.

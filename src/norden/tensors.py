@@ -48,14 +48,25 @@ int32 or int64 operation can wrap; each operand is cast to the picked
 dtype first, so no Python int meets a narrower array.  Each bound is
 first built from what the operands or terms carry: an einsum step's
 result carries that step's bound, ``summed * prod(max(top, 1))``, the
-sparse route's its exact magnitude, and a sum its bound.  A carried bound is never
-below the magnitude, so one below ``2**31`` picks int32 and one below
-``2**62`` picks int64 safely; one that reaches ``2**62`` has its
-inexact operands or terms scanned and is built again from their
-magnitudes.  So every step and every sum picks Python ints exactly where
-the exact magnitudes do, and int32 wherever the carried bound proves it:
-a scan costs a pass over the array, and it is paid only to keep a step
-off Python ints.
+sparse route's its exact magnitude, and a sum its bound.  A carried
+bound is never below the magnitude, so one below ``2**31`` picks int32
+and one below ``2**62`` picks int64 safely; one that reaches ``2**62``
+has its inexact operands or terms scanned and is built again from their
+magnitudes.  So every step and every sum leaves int32 and int64 exactly
+where the exact magnitudes do, and takes int32 wherever the carried
+bound proves it: a scan costs a pass over the array, and it is paid
+only to keep a step in a narrower tier.
+
+A step whose bound still reaches ``2**62`` takes a fourth tier before
+Python ints: the residue route of :func:`_wrapped`, a wrapping uint64
+einsum whose result, read as int64, is proven exact by at most two
+primes.  :func:`_primes` fixes the primes from the bound before any
+residue work, and a bound past that cap, or an entry whose check fails
+(its magnitude is at least ``2**63``), runs the step on Python ints.
+The residue route's result is an int64 array that carries the step's
+bound, like any einsum step's.  So the four tiers of a step are int32,
+int64, residue-checked wrapping int64 and Python ints; a sum has the
+first two and the last.
 
 Everything about a contraction that does not depend on values is
 compiled once into a plan and kept in a bounded cache.  Its key is the
@@ -223,7 +234,7 @@ def format_scalar(value) -> str:
 def _max_abs(num: np.ndarray) -> int:
     if num.dtype == object:
         return max(map(abs, num.flat), default=0)
-    return max(int(num.max(initial=0)), -int(num.min(initial=0)))
+    return int(np.abs(num).max(initial=0))
 
 
 _INT32, _INT64, _OBJECT = np.dtype(np.int32), np.dtype(np.int64), np.dtype(object)
@@ -240,18 +251,19 @@ def _canonical(num: np.ndarray, den: int, top: int) -> tuple[np.ndarray, int, in
     """``num / den``, whose largest magnitude is ``top``, in the canonical
     form: lowest terms, in the dtype :func:`_dtype` picks for ``top``.
     Returns the form's ``num``, ``den`` and ``top``.
-    The common factor is the gcd of ``den`` and the nonzero entries, read
-    in one reduction that starts from ``den % top``: ``top`` is one of
-    those entries, so that start shares every common divisor with ``den``
-    and fits the entries' dtype, as does the factor, a divisor of ``top``."""
+    The common factor is the gcd of ``den`` and the entries, read in one
+    reduction over all of them (a zero entry divides nothing out) that
+    starts from ``den % top``: ``top`` is one of those entries, so that
+    start shares every common divisor with ``den`` and fits the entries'
+    dtype, as does the factor, a divisor of ``top``."""
     if not top:                     # the zero tensor
         den = 1
     elif den != 1:
-        g = int(np.gcd.reduce(num[num != 0], initial=den % top))
+        g = int(np.gcd.reduce(num, axis=None, initial=den % top))
         if g != 1:
             num, den, top = np.asarray(num // g, dtype=num.dtype), den // g, top // g
     dtype = _dtype(top)
-    if num.dtype != dtype:          # never wider: the dtype came from a bound
+    if num.dtype is not dtype:      # never wider: the dtype came from a bound
         num = num.astype(dtype)
     return num, den, top
 
@@ -273,20 +285,28 @@ def _numerator_texts(nums: np.ndarray, den: int) -> tuple[np.ndarray, np.ndarray
     each distinct numerator, in increasing order, and the index of each
     entry's text in it.  The distinct numerators come from one argsort
     (equal numerators take one text, so its order among them is free) and
-    a compare of neighbours, and each is reduced once: by one ``np.gcd``
-    over all of them, widened to int64, when they are not Python ints and
-    ``den`` fits int64, else by ``math.gcd`` (and checked by
-    :func:`_check_digits`)."""
+    a compare of neighbours, and each is reduced once: not at all when
+    ``den`` is 1, by one ``np.gcd`` over all of them when they are not
+    Python ints and ``den`` fits int64 (int32 ones widened when ``den``
+    does not fit int32), else by ``math.gcd``.  Python ints are checked
+    by :func:`_check_digits`."""
     order = nums.argsort()
     ranked = nums[order]
     first = np.empty(ranked.size, dtype=bool)
     first[0] = True
     np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-    inverse = np.empty_like(order)
-    inverse[order] = first.cumsum() - 1
     values = ranked[first]
-    if values.dtype != object and den < 1 << 63:
-        values = values.astype(np.int64, copy=False)    # den may pass int32
+    first[0] = False                # so the running count of firsts is each text's index
+    inverse = np.empty_like(order)
+    inverse[order] = first.cumsum()
+    if den == 1:
+        values = values.tolist()
+        if nums.dtype == _OBJECT:
+            _check_digits(*values)
+        return np.array(list(map(str, values)), dtype=object), inverse
+    if values.dtype != _OBJECT and den < 1 << 63:
+        if den >= INT32_SAFE:
+            values = values.astype(_INT64, copy=False)
         g = np.gcd(values, den)
         pairs = zip((values // g).tolist(), (den // g).tolist())
     else:
@@ -425,7 +445,9 @@ class Tensor:
 def _symmetric_numerators(t: Tensor, name: str) -> list[list[int]]:
     if t.rank != 2 or t.shape[0] != t.shape[1]:
         raise DimensionMismatch(f"{name} needs a square rank-2 tensor, got {t.shape}")
-    asymmetric = np.argwhere(np.triu(t.num != t.num.T))
+    # The first entry that differs from its mirror, in C order, lies above
+    # the diagonal: its mirror differs too and would come first otherwise.
+    asymmetric = np.argwhere(t.num != t.num.T)
     if asymmetric.size:
         i, j = asymmetric[0].tolist()
         raise ValueError(f"{name} needs a symmetric tensor; "
@@ -750,14 +772,15 @@ def _sparse_step(x: np.ndarray, y: np.ndarray, sx: _Side,
 
 
 def _pairwise(step: _Step, nums: list[np.ndarray], bound: int) -> tuple[np.ndarray, int, bool]:
-    """One step on ``nums``, cast to the dtype that ``bound``, the step's
-    own bound, picked: the result, a bound on its largest magnitude and
-    whether that bound is the magnitude itself.  A step with a sparse
-    layout runs on the nonzeros of the operand whose nonzeros times the
-    other's kept size is smaller, when that work times ``SPARSE_FACTOR``
-    is below its dense cost, and reads the exact magnitude from its row
-    sums; any other step is one einsum, whose result carries ``bound``
-    unscanned.  Either result is C-contiguous."""
+    """One step on ``nums``, which :func:`_fit` cast for it: the result, a
+    bound on its largest magnitude and whether that bound is the
+    magnitude itself.  A step with a sparse layout runs on the nonzeros of
+    the operand whose nonzeros times the other's kept size is smaller,
+    when that work times ``SPARSE_FACTOR`` is below its dense cost, and
+    reads the exact magnitude from its row sums; any other step is one
+    einsum, whose result carries ``bound`` unscanned.  Either result is
+    C-contiguous and in the operands' dtype, whose integer arithmetic
+    wraps only for uint64 (see :func:`_wrapped`)."""
     if step.sides is not None:
         (a, b), (sa, sb) = nums, step.sides
         work_a = np.count_nonzero(a) * sb.blocks[0]
@@ -765,13 +788,96 @@ def _pairwise(step: _Step, nums: list[np.ndarray], bound: int) -> tuple[np.ndarr
         if SPARSE_FACTOR * min(work_a, work_b) < step.cost:
             x, y, sx, sy = (a, b, sa, sb) if work_a <= work_b else (b, a, sb, sa)
             return *_sparse_step(x, y, sx, sy), True
-    # A 0-d result comes back as a bare scalar; an int would become int64.
-    out = np.asarray(np.einsum(step.subscripts, *nums), dtype=nums[0].dtype, order="C")
+    out = np.einsum(step.subscripts, *nums)
+    if type(out) is not np.ndarray:     # a 0-d result is a bare scalar, an int for object
+        out = np.asarray(out, dtype=nums[0].dtype)
+    elif not out.flags.c_contiguous:    # einsum may lay its result out as the operands
+        out = np.ascontiguousarray(out)
     return out, bound, False
 
 
-def _fit(carried, summed: int = 1,
-         factors=None) -> tuple[Iterable[np.ndarray], int, list]:
+#: The modulus of uint64 arithmetic, which numpy's integer arrays wrap at.
+_WORD = 1 << 64
+_INT64_MIN = -(1 << 63)
+
+#: ``b -> (p, q)``: the two largest primes below ``2**b``, written as
+#: ``2**b - gap``.  A step of ``m`` operands that sums ``K`` products takes
+#: the pair of ``b = (63 + m - K.bit_length()) // m`` (at most 32), so its
+#: residues, of magnitude at most ``p / 2``, keep ``K * (p / 2)**m`` below
+#: ``2**63``.
+_PRIMES = {b: ((1 << b) - gap, (1 << b) - gap2) for b, (gap, gap2) in {
+    16: (15, 17), 17: (1, 9), 18: (5, 11), 19: (1, 19), 20: (3, 5), 21: (9, 19),
+    22: (3, 17), 23: (15, 21), 24: (3, 17), 25: (39, 49), 26: (5, 27), 27: (39, 79),
+    28: (57, 89), 29: (3, 33), 30: (35, 41), 31: (1, 19), 32: (5, 17)}.items()}
+
+
+def _primes(bound: int, summed: int, operands: int) -> tuple[int, ...] | None:
+    """The primes whose residues, beside the wrapped word, prove exact a
+    step of ``operands`` operands that sums ``summed`` products under
+    ``bound``: the fewest of its pair in :data:`_PRIMES` whose product
+    ``P`` makes ``2**64 * P`` exceed ``bound + 2**63``, none when
+    ``bound`` is below ``2**63``.  ``None`` past the cap of two primes,
+    or when the step has no pair."""
+    span = bound - _INT64_MIN
+    b = min((63 + operands - summed.bit_length()) // operands, 32)
+    pair = _PRIMES.get(b, ())
+    for k in range(len(pair) + 1):
+        if span < _WORD * math.prod(pair[:k]):
+            return pair[:k]
+    return None
+
+
+def _residues(num: np.ndarray, modulus: int) -> np.ndarray:
+    """``num`` modulo ``modulus``: the uint64 words of its entries for
+    ``2**64``, else its balanced int64 residues, of magnitude at most
+    ``modulus / 2``.  A Python-int operand is reduced first."""
+    if num.dtype == _OBJECT:
+        num = num % modulus                     # Python ints from 0 to modulus - 1
+    if modulus == _WORD:
+        return np.asarray(num, dtype=np.uint64)     # a negative entry wraps
+    r = np.asarray(num, dtype=np.int64) % modulus   # int32 widens: modulus may pass 2**31
+    return np.where(r > modulus // 2, r - modulus, r)
+
+
+def _wrapped(step: _Step, nums: list[np.ndarray], bound: int,
+             primes: tuple[int, ...]) -> tuple[np.ndarray, int, bool]:
+    """One step whose ``bound`` reaches ``INT64_SAFE``, on the residue
+    route (H. L. Garner, "The residue number system", 1959): it runs
+    through :func:`_pairwise` on the operands' uint64 words, where the
+    arithmetic wraps, so the result ``r``, read as int64, is the exact
+    result ``x`` modulo ``2**64``; then once per prime ``p`` of ``primes``
+    on balanced residues, where nothing wraps, giving ``x`` modulo ``p``.
+    Where every prime agrees with ``r``, ``x = r`` modulo ``2**64`` times
+    their product ``P``, and ``|x - r| <= bound + 2**63 < 2**64 * P``
+    (:func:`_primes`), so ``x = r``.  An entry that disagrees, or that is
+    ``-2**63``, has ``|x| >= 2**63``: then the whole step runs again on
+    Python ints.  Returns what :func:`_pairwise` does; an int64 result
+    carries ``bound``."""
+    out = _pairwise(step, [_residues(num, _WORD) for num in nums], bound)[0].view(np.int64)
+    agree = out != _INT64_MIN
+    for p in primes:
+        check = _pairwise(step, [_residues(num, p) for num in nums], bound)[0]
+        agree &= out % p == check % p
+    if agree.all():
+        return out, bound, False
+    return _pairwise(step, [num.astype(_OBJECT) for num in nums], bound)
+
+
+def _bound(carried, summed: int, factors) -> int:
+    """The bound of :func:`_fit` on what ``carried`` carries."""
+    if factors is None:
+        bound = summed
+        for _, top, _ in carried:
+            bound *= top or 1
+        return bound
+    bound = 0
+    for (_, top, _), f in zip(carried, factors):
+        bound += (top or 1) * (abs(f) or 1)
+    return bound
+
+
+def _fit(carried, summed: int = 1, factors=None) -> tuple[list[np.ndarray], int, list,
+                                                          tuple[int, ...] | None]:
     """The arithmetic of one pairwise step (``factors`` is ``None``) or
     one sum, whose operands or terms are ``carried`` as ``(num, top,
     exact)``: ``top`` bounds the largest magnitude of ``num`` and
@@ -780,24 +886,24 @@ def _fit(carried, summed: int = 1,
     its factor's magnitude.  Zeros count as 1, so the bound also covers
     each operand's or term's own entries and every partial sum.  A bound
     that reaches ``INT64_SAFE`` has the inexact tops scanned and is built
-    again from the magnitudes.  Returns the numerators, each cast when it
-    is read (so a sum holds one widened term at a time) to the dtype
-    :func:`_dtype` picks for the bound, the bound, and ``carried`` as
-    scanned."""
-    def built() -> int:
-        if factors is not None:
-            return sum((top or 1) * (abs(f) or 1) for (_, top, _), f in zip(carried, factors))
-        bound = summed
-        for _, top, _ in carried:
-            bound *= top or 1
-        return bound
-
-    bound = built()
+    again from the magnitudes; a step whose bound still reaches it takes
+    the residue route of :func:`_wrapped` when :func:`_primes` finds its
+    primes, so the prime count is fixed before any residue work.
+    Returns the numerators, the bound, ``carried`` as scanned and those
+    primes, ``None`` for any other arithmetic.  Those numerators are the
+    operands as they are on the residue route, else each cast, when its
+    dtype is not already the one :func:`_dtype` picks for the bound."""
+    bound = _bound(carried, summed, factors)
     if bound >= INT64_SAFE:
         carried = [(num, top if exact else _max_abs(num), True) for num, top, exact in carried]
-        bound = built()
+        bound = _bound(carried, summed, factors)
+        primes = (_primes(bound, summed, len(carried))
+                  if bound >= INT64_SAFE and factors is None else None)
+        if primes is not None:
+            return [num for num, _, _ in carried], bound, carried, primes
     dtype = _dtype(bound)
-    return (num.astype(dtype, copy=False) for num, _, _ in carried), bound, carried
+    return ([num if num.dtype is dtype else num.astype(dtype) for num, _, _ in carried],
+            bound, carried, None)
 
 
 def _contract(plan: _Plan, operands) -> tuple[tuple[np.ndarray, int, bool], int]:
@@ -807,16 +913,18 @@ def _contract(plan: _Plan, operands) -> tuple[tuple[np.ndarray, int, bool], int]
     magnitude, and the product of the operands' denominators.  A
     permutation is a read-only view of its operand's numerators, with the
     operand's own magnitude and denominator.  Each pairwise step of any
-    other contraction runs through :func:`_pairwise` in the arithmetic
-    :func:`_fit` picks from what its operands carry."""
+    other contraction runs in the arithmetic :func:`_fit` picks from what
+    its operands carry: through :func:`_pairwise`, or :func:`_wrapped`
+    when it picks primes."""
     if plan.perm is not None:
         (op,) = operands
         return (op.num.transpose(plan.perm), op.magnitude, True), op.den
     ops = [(op.num, op.magnitude, True) for op in operands]
     for step in plan.steps:
-        nums, bound, _ = _fit([ops.pop(k) for k in step.pair], step.summed)
-        ops.append(_pairwise(step, list(nums), bound))
-    return ops[0], math.prod(op.den for op in operands)
+        nums, bound, _, primes = _fit([ops.pop(k) for k in step.pair], step.summed)
+        ops.append(_pairwise(step, nums, bound) if primes is None
+                   else _wrapped(step, nums, bound, primes))
+    return ops[0], math.prod([op.den for op in operands])
 
 
 def _numerator_sum(terms) -> tuple[tuple[np.ndarray, int, bool], int, str]:
@@ -826,43 +934,43 @@ def _numerator_sum(terms) -> tuple[tuple[np.ndarray, int, bool], int, str]:
     that denominator and the variance.  The terms add in the arithmetic
     :func:`_fit` picks from what they carry; the sum carries that bound,
     or its exact magnitude when it has one term that carries its own."""
-    variances, carried, dens, coefs = [], [], [], []
+    carried, dens, coefs = [], [], []
+    variance = shape = None
     for coef, subscripts, *operands in terms:
         plan = _plan(subscripts, tuple([op.variance for op in operands]),
-                     tuple([op.shape for op in operands]))
+                     tuple([op.num.shape for op in operands]))
+        if variance is None:
+            variance = plan.variance
+        elif plan.variance != variance:
+            raise VarianceMismatch(f"cannot add variances {variance!r} and {plan.variance!r}")
         term, den = _contract(plan, operands)
+        if shape is None:
+            shape = term[0].shape
+        elif term[0].shape != shape:
+            raise DimensionMismatch(f"cannot add shapes {shape} and {term[0].shape}")
         p, q = (coef, 1) if type(coef) is int else as_pair(coef)
-        variances.append(plan.variance)
         carried.append(term)
         dens.append(den * q)
         coefs.append(p)
-    if not carried:
+    if variance is None:
         raise ValueError("exact_sum needs at least one term")
-    variance = variances[0]
     if len(carried) == 1 and p == 1:    # one term with coefficient 1 adds nothing
         return term, dens[0], variance
-    shape = carried[0][0].shape
-    for var, (num, *_) in zip(variances, carried):
-        if var != variance:
-            raise VarianceMismatch(f"cannot add variances {variance!r} and {var!r}")
-        if num.shape != shape:
-            raise DimensionMismatch(f"cannot add shapes {shape} and {num.shape}")
     den = math.lcm(*dens)
     factors = [p * (den // d) for p, d in zip(coefs, dens)]
-    nums, bound, carried = _fit(carried, factors=factors)
+    nums, bound, carried, _ = _fit(carried, factors=factors)
     # The terms add in place into a copy of the first; a factor of 1
     # multiplies nothing, and one term is multiplied, never copied.
-    total = None
-    for num, f in zip(nums, factors):
-        if total is None:
-            total = num * f if f != 1 else num.copy()
-        elif f == 1:
+    total = nums[0] * factors[0] if factors[0] != 1 else nums[0].copy()
+    for num, f in zip(nums[1:], factors[1:]):
+        if f == 1:
             total += num
         elif f == -1:
             total -= num
         else:
             total += num * f
-    total = np.asarray(total, dtype=num.dtype)      # a 0-d result is a scalar
+    if not shape:                       # a 0-d result is a bare scalar
+        total = np.asarray(total, dtype=nums[0].dtype)
     exact = len(carried) == 1 and carried[0][2]
     top = carried[0][1] * abs(factors[0]) if exact else bound
     return (total, top, exact), den, variance
@@ -900,8 +1008,12 @@ def exact_einsum(subscripts: str, *operands: Tensor) -> Tensor:
 
 
 def einsum_scalar(subscripts: str, *operands: Tensor) -> Fraction:
-    """An exact contraction with empty output, as a Fraction."""
-    return exact_einsum(subscripts, *operands).item()
+    """An exact contraction with empty output, as a Fraction: the
+    unreduced numerator of :func:`_numerator_sum` over its denominator,
+    which ``Fraction`` reduces, so no magnitude scan and no rank-0
+    :class:`Tensor`."""
+    (num, _, _), den, _ = _numerator_sum([(1, subscripts, *operands)])
+    return Fraction(num.item(), den)
 
 
 def vector(x, dim: int, name: str = "vector") -> Tensor:

@@ -5,10 +5,12 @@ scan and path search of ``norden.tensors`` did, for any test that asks.
 a ``with`` block and yields a :class:`Record` of them.  The points are
 ``np.einsum_path`` (the path search of a new plan), ``np.count_nonzero``
 (a step that may take the sparse route reads its operands),
-``tensors._pairwise`` (one step), ``tensors._sparse_step`` (that step on
-the nonzeros of one operand), ``tensors._fit`` (the arithmetic of a step
-or a sum), ``tensors._canonical`` (a reduction) and ``tensors._max_abs``
-(a magnitude scan).  No other test module patches them
+``tensors._pairwise`` (one step), ``tensors._wrapped`` (one step on the
+residue route, which runs ``_pairwise`` once per modulus and records as
+one step), ``tensors._sparse_step`` (a step on the nonzeros of one
+operand), ``tensors._fit`` (the arithmetic of a step or a sum),
+``tensors._canonical`` (a reduction) and ``tensors._max_abs`` (a
+magnitude scan).  No other test module patches them
 (``test_probe.py`` checks that), so this is the one test file that knows
 which private function runs a step and with what arguments.
 
@@ -28,13 +30,17 @@ from norden import tensors
 
 class Step(NamedTuple):
     """One pairwise step: its subscripts; whether its plan makes it
-    dense-only; its route, ``"einsum"`` or ``"sparse"``; the name of its
-    operands' one dtype; the bound ``_fit`` carried into it; the bound
-    recomputed from its operands' values (the product of their largest
-    magnitudes, zeros counting as 1, times the index combinations it sums);
-    the number of entries of its result; and, on the sparse route, the side
-    taken: how many letters the operand whose nonzeros are taken keeps, and
-    the kept size of the other operand."""
+    dense-only; its route, ``"einsum"`` or ``"sparse"``; the name of the
+    dtype it ran in (its operands' one dtype, or ``"uint64"`` for a step
+    the residue route proved exact); the bound ``_fit`` carried into it;
+    the bound recomputed from its operands' values (the product of their
+    largest magnitudes, zeros counting as 1, times the index combinations
+    it sums); the number of entries of its result; on the sparse route,
+    the side taken: how many letters the operand whose nonzeros are taken
+    keeps, and the kept size of the other operand (its first run's, on the
+    residue route); and the number of primes of a residue-route step,
+    ``None`` for any other (a step whose check failed ran in ``"object"``
+    with its primes)."""
     subscripts: str
     dense_only: bool
     route: str
@@ -43,6 +49,7 @@ class Step(NamedTuple):
     value_bound: int
     size: int
     side: tuple[int, int] | None
+    primes: int | None = None
 
 
 @dataclass
@@ -73,8 +80,10 @@ def kernel_probe():
     record = Record()
     real_search, real_count = np.einsum_path, np.count_nonzero
     real_pairwise, real_sparse = tensors._pairwise, tensors._sparse_step
+    real_wrapped = tensors._wrapped
     real_fit, real_canonical, real_max_abs = tensors._fit, tensors._canonical, tensors._max_abs
-    side = []       # the side the sparse route took in the running step
+    side = []       # the sides the sparse route took in the running step
+    wrapping = []   # non-empty inside a residue-route step
 
     def einsum_path(subscripts, *operands, **kwargs):
         record.searches.append((subscripts, tuple(np.shape(op) for op in operands)))
@@ -84,14 +93,33 @@ def kernel_probe():
         record.nonzero_counts += 1
         return real_count(*args, **kwargs)
 
+    def value_bound(step, nums):
+        return step.summed * math.prod(max(real_max_abs(num), 1) for num in nums)
+
     def pairwise(step, nums, bound):
+        if wrapping:
+            return real_pairwise(step, nums, bound)
         (dtype,) = {num.dtype.name for num in nums}
-        value_bound = step.summed * math.prod(max(real_max_abs(num), 1) for num in nums)
+        values = value_bound(step, nums)
         side.clear()
         out, top, exact = real_pairwise(step, nums, bound)
         record.steps.append(Step(step.subscripts, step.sides is None,
-                                 "sparse" if side else "einsum", dtype, bound, value_bound,
+                                 "sparse" if side else "einsum", dtype, bound, values,
                                  out.size, side[0] if side else None))
+        return out, top, exact
+
+    def wrapped(step, nums, bound, primes):
+        values = value_bound(step, nums)
+        side.clear()
+        wrapping.append(True)
+        try:
+            out, top, exact = real_wrapped(step, nums, bound, primes)
+        finally:
+            wrapping.clear()
+        record.steps.append(Step(step.subscripts, step.sides is None,
+                                 "sparse" if side else "einsum",
+                                 "object" if out.dtype == object else "uint64", bound, values,
+                                 out.size, side[0] if side else None, len(primes)))
         return out, top, exact
 
     def sparse_step(x, y, sx, sy):
@@ -99,11 +127,11 @@ def kernel_probe():
         return real_sparse(x, y, sx, sy)
 
     def fit(carried, summed=1, factors=None):
-        nums, bound, scanned = real_fit(carried, summed, factors)
+        nums, bound, scanned, primes = real_fit(carried, summed, factors)
         record.rescans += scanned is not carried     # only a rescan builds a new list
         if factors is not None:
             record.sums.append(tensors._dtype(bound).name)
-        return nums, bound, scanned
+        return nums, bound, scanned, primes
 
     def canonical(num, den, top):
         record.reductions.append(num.dtype.name)
@@ -117,6 +145,7 @@ def kernel_probe():
         for owner, name, spy in ((np, "einsum_path", einsum_path),
                                  (np, "count_nonzero", count_nonzero),
                                  (tensors, "_pairwise", pairwise),
+                                 (tensors, "_wrapped", wrapped),
                                  (tensors, "_sparse_step", sparse_step),
                                  (tensors, "_fit", fit),
                                  (tensors, "_canonical", canonical),

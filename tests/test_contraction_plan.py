@@ -50,6 +50,7 @@ from test_exact_einsum import (
     _only_permutes,
     _reference,
     _reference_sum,
+    _step_dtype,
     huge,
     small,
     sums,
@@ -146,7 +147,8 @@ def _top(num) -> int:
 
 def _exact_rule(terms):
     """What the kernel must pick, found by following the bounds it carries
-    and scanning every intermediate: the dtype of each pairwise step, the
+    and scanning every intermediate: the dtype of each pairwise step (uint64
+    on the residue route, see ``_step_dtype``), the
     dtype of the sum (``None`` for one term whose coefficient has
     numerator 1, which adds nothing), the exact sum as Python ints over
     the lcm of the terms' denominators, with that lcm, and the dtypes that
@@ -170,10 +172,10 @@ def _exact_rule(terms):
             tight = step.summed * math.prod(max(_top(x), 1) for x, _ in picked)
             bound = step.summed * math.prod(max(top, 1) for _, top in picked)
             bound = tight if bound >= INT64_SAFE else bound
-            steps.append(_dtype(bound))
+            out = np.asarray(np.einsum(step.subscripts, *(x for x, _ in picked)), dtype=object)
+            steps.append(_step_dtype(bound, step.summed, _top(out), len(picked)))
             exact.append(_dtype(tight))
-            nums.append((np.asarray(np.einsum(step.subscripts, *(x for x, _ in picked)),
-                                    dtype=object), bound))
+            nums.append((out, bound))
         ((value, top),) = nums
         values.append(value)
         tops.append(top)
@@ -194,11 +196,11 @@ def _exact_rule(terms):
 def _assert_the_exact_rule(terms):
     """The kernel's steps and sum pick the dtypes of :func:`_exact_rule`,
     and ``exact_sum`` and ``nonzero_where`` give its exact sum.  Those
-    dtypes are Python ints exactly where the exact magnitudes pick them,
-    and int32 only where the exact magnitudes pick it."""
+    dtypes are Python ints or the residue route exactly where the exact
+    magnitudes pick Python ints, and int32 only where they pick it."""
     steps, summed, total, den, exact = _exact_rule(terms)
     for rule, tight in zip(steps + [summed] * (summed is not None), exact, strict=True):
-        assert (rule == object) == (tight == object)
+        assert (rule in (object, np.uint64)) == (tight == object)
         assert rule != np.int32 or tight == np.int32
     with kernel_probe() as probe:
         result = exact_sum(terms)
@@ -275,12 +277,12 @@ M = _array([2**60] * 4, (2, 2))
 
 
 @pytest.mark.parametrize("terms, steps, summed", [
-    # 2 * 2**40 * 2**30 puts the first step on Python ints, but its result
-    # is below 2**41: the second step's carried bound is 2**82 and its
-    # exact one 2**51, so it runs in int64.
+    # 2 * 2**40 * 2**30 puts the first step on the residue route, and its
+    # result is below 2**41: the second step's carried bound is 2**82 and
+    # its exact one 2**51, so it runs in int64.
     ([(1, "ab,bc,cd->ad", _array([2**40, 0, 0, 1], (2, 2)),
        _array([0, 1, 2**30, 0], (2, 2)), _array([2**10, 0, 0, 2**10], (2, 2)))],
-     [object, np.int64], None),
+     [np.uint64, np.int64], None),
     # The first step runs in int64 under 2 * 2**60 and cancels to zero:
     # the second step's carried bound is 2**63 and its exact one 4, so it
     # runs in int32.
@@ -332,11 +334,13 @@ def test_each_key_searches_its_path_once():
 # divergence is the trace of Gamma . X, none through a g . g^-1 round
 # trip: three steps take the place of six (the counts were 57 int32 and
 # 30 int64 at dense dim 7, 68 int64 at dense dim 13, 35 object at dense
-# dim 17 and 76 int32 at family dim 13).
+# dim 17 and 76 int32 at family dim 13).  The 32 steps of dense dim 17
+# whose bound reaches 2**62 ran on Python ints ("object") until the
+# residue route, which proves every one of them exact ("uint64").
 STEP_COUNTS = {
     ("dense", 3): {("einsum", "int32"): 58, ("einsum", "int64"): 26},
     ("dense", 6): {("einsum", "int32"): 19, ("einsum", "int64"): 65},
-    ("dense", 8): {("einsum", "int32"): 9, ("einsum", "int64"): 41, ("einsum", "object"): 32,
+    ("dense", 8): {("einsum", "int32"): 9, ("einsum", "int64"): 41, ("einsum", "uint64"): 32,
                    ("sparse", "int32"): 2},
     ("family", 6): {("einsum", "int32"): 73, ("einsum", "int64"): 1, ("sparse", "int32"): 10},
 }
@@ -351,8 +355,10 @@ STEP_COUNTS = {
 # The omega contraction that the F11 test no longer repeats scanned its
 # result once, and its intermediate once more at dense n=8 (from 47, 59, 81
 # and 48).  The three traces read by their definitions scan up to three
-# times fewer (from 46, 58, 79 and 47).
-SCAN_COUNTS = {("dense", 3): 43, ("dense", 6): 55, ("dense", 8): 76, ("family", 6): 46}
+# times fewer (from 46, 58, 79 and 47).  A scalar (einsum_scalar) is the
+# unreduced numerator over its denominator, with no scan: the report's
+# ten scalar layers scan nothing (from 43, 55, 76 and 46).
+SCAN_COUNTS = {("dense", 3): 33, ("dense", 6): 45, ("dense", 8): 66, ("family", 6): 36}
 
 
 @pytest.mark.parametrize("subscripts, shapes, sparse", [
@@ -477,7 +483,7 @@ def test_the_sparse_route_matches_the_reference_and_the_dense_route(case):
                           np.asarray(reference, dtype=object) * result.den)
     (step,) = _plan(subscripts, ("d" * a.rank, "d" * b.rank), (a.shape, b.shape)).steps
     bound = (a.magnitude or 1) * (b.magnitude or 1) * step.summed
-    dtype = _dtype(bound).name
+    dtype = _step_dtype(bound, step.summed, _top(reference)).name
     terms, out = subscripts.split("->")
     left, right = terms.split(",")
     if (set(left) ^ set(right)) - set(out) or set(left) & set(right) & set(out):
@@ -546,9 +552,11 @@ def test_each_tier_matches_the_fraction_reference_on_both_routes(terms):
         for op in operands:
             _assert_canonical(op)
     picks = []
-    for (_, _, a, b), plan in zip(terms, plans):
+    for (_, subscripts, a, b), plan in zip(terms, plans):
         (step,) = plan.steps
-        picks.append(_dtype(step.summed * (a.magnitude or 1) * (b.magnitude or 1)))
+        top = _top(np.einsum(subscripts, a.num.astype(object), b.num.astype(object)))
+        picks.append(_step_dtype(step.summed * (a.magnitude or 1) * (b.magnitude or 1),
+                                 step.summed, top))
     assert [step.dtype for step in natural.steps] == [pick.name for pick in picks]
     assert len(natural.steps) == 2
     assert Counter(("sparse" if plan.steps[0].sides else "einsum", pick.name)

@@ -6,21 +6,25 @@ must agree with it entry for entry, return a :class:`Tensor` in the
 canonical storage (lowest terms, int32 exactly when every numerator is
 below ``2**31``, else int64 exactly when every numerator is below
 ``2**62``) whose entries are canonical (an int, or a Fraction whose
-denominator is not 1), run each einsum call on Python ints exactly when
-that call's own bound reaches ``2**62`` and in int32 only when it is
+denominator is not 1), run each step on Python ints or the residue route
+exactly when its own bound reaches ``2**62`` and in int32 only when it is
 below ``2**31``, and never hand numpy a float array.
 """
+import itertools
 import math
 from fractions import Fraction as Fr
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from norden import DimensionMismatch, VarianceMismatch
 from norden.geometry import _vanishes
 from norden.tensors import (
+    _PRIMES,
+    _primes,
     INT32_SAFE,
     INT64_SAFE,
     Tensor,
@@ -49,6 +53,28 @@ def _dtype(bound: int) -> np.dtype:
                     else object)
 
 
+def _pair(summed: int, operands: int) -> tuple[int, ...]:
+    """The primes of a step of ``operands`` operands that sums ``summed``
+    products: the pair below ``2**b`` for ``b = (63 + operands -
+    summed.bit_length()) // operands``, at most 32."""
+    return _PRIMES.get(min((63 + operands - summed.bit_length()) // operands, 32), ())
+
+
+def _step_dtype(bound: int, summed: int, top: int, operands: int = 2) -> np.dtype:
+    """The dtype a step runs in when its bound, rebuilt from exact
+    magnitudes past ``2**62``, is ``bound``, it has ``operands`` operands
+    and sums ``summed`` products, and its exact result's largest magnitude
+    is ``top``: the dtype of the bound below ``2**62``.  Past it, uint64
+    on the residue route when at most the two primes of its pair, beside
+    ``2**64``, cover ``bound + 2**63`` and the result is below ``2**63``;
+    else Python ints."""
+    if bound < INT64_SAFE:
+        return _dtype(bound)
+    pair = _pair(summed, operands)
+    covered = any(bound + 2**63 < 2**64 * math.prod(pair[:k]) for k in range(len(pair) + 1))
+    return np.dtype(np.uint64 if covered and top < 2**63 else object)
+
+
 def _fractions(t: Tensor) -> np.ndarray:
     arr = np.empty(t.num.size, dtype=object)
     arr[:] = [Fr(v) for v in t.components.ravel().tolist()]
@@ -60,15 +86,20 @@ def _reference(subscripts, *operands):
 
 
 def _assert_each_call_picks_by_its_bound(steps):
-    """Each step of a probe record runs on Python ints exactly when its
-    own bound, recomputed from its operands' values, reaches ``2**62``,
-    and in int32 only when that bound is below ``2**31``.  The first step,
-    on stored operands, picks the dtype of its bound; a later one picks by
-    the bound an intermediate carries, so it may run in int64 below
-    ``2**31``."""
+    """Each step of a probe record runs on Python ints or on the residue
+    route exactly when its own bound, recomputed from its operands' values,
+    reaches ``2**62``, and in int32 only when that bound is below ``2**31``.
+    The residue route proves its result with at most two primes (dtype
+    ``uint64``), or falls back to Python ints.  The first step, on stored
+    operands, picks the dtype of its bound; a later one picks by the bound
+    an intermediate carries, so it may run in int64 below ``2**31``."""
     for k, step in enumerate(steps):
         want = _dtype(step.value_bound).name
-        assert step.dtype == want or (k and want == "int32" and step.dtype == "int64")
+        if want == "object":
+            assert step.dtype == "object" or (step.dtype == "uint64" and step.primes <= 2)
+        else:
+            assert step.primes is None
+            assert step.dtype == want or (k and want == "int32" and step.dtype == "int64")
 
 
 def _assert_canonical(t: Tensor):
@@ -261,12 +292,19 @@ def test_huge_numerators_take_the_python_int_path():
     (INT64_SAFE, 2, object),            # the true result 2**63 overflows int64
 ])
 def test_bound_straddling_two_to_the_62(top, length, path):
+    """``path`` is the dtype of the step's bound.  A bound at ``2**62``
+    takes the residue route, which needs no prime below ``2**63`` and
+    proves a result below ``2**63`` exact (dtype ``uint64``); the result
+    ``2**63`` fails its check and the step runs again on Python ints."""
     a = _array([top] * length, (length,))
     b = _array([1] * length, (length,))
     with kernel_probe() as probe:
         result = exact_einsum("i,i->", a, b)
     assert result.item() == top * length and type(result.components.item()) is int
-    assert [step.dtype for step in probe.steps] == [np.dtype(path).name]
+    ran = np.dtype(path).name
+    if ran == "object" and top * length < 2**63:
+        ran = "uint64"
+    assert [step.dtype for step in probe.steps] == [ran]
     _assert_canonical(result)
 
 
@@ -300,8 +338,13 @@ def test_bound_decides_the_path(bits, length, data):
     bound = max(*map(abs, xs), 1) * max(*map(abs, ys), 1) * length
     with kernel_probe() as probe:
         result = exact_einsum("i,i->", a, b)
-    assert result.item() == sum(x * y for x, y in zip(xs, ys))
-    assert [step.dtype for step in probe.steps] == [_dtype(bound).name]
+    exact = sum(x * y for x, y in zip(xs, ys))
+    assert result.item() == exact
+    assert [step.dtype for step in probe.steps] == [_step_dtype(bound, length, abs(exact)).name]
+    # The residue route takes the fewest primes of its pair that cover the bound.
+    pair = _pair(length, 2)
+    needed = next((k for k in range(3) if bound + 2**63 < 2**64 * math.prod(pair[:k])), None)
+    assert probe.steps[0].primes == (None if bound < INT64_SAFE else needed)
 
 
 def test_zero_operand_gives_canonical_zeros():
@@ -448,6 +491,55 @@ def test_int64_wraparound_is_never_seen():
     assert result.num.dtype == object and result.components.tolist() == [3 * (INT64_SAFE - 1)]
     cancelled = exact_sum([(1, "i->i", top)] * 3 + [(-3, "i->i", top)])
     assert cancelled.is_zero() and cancelled.num.dtype == np.int32 and cancelled.den == 1
+
+
+@pytest.mark.parametrize("x, y, primes, ran, stored", [
+    (2**62, 2**62 - 1, 1, "uint64", "object"),          # 2**63 - 1 fits int64
+    (-(2**62), -(2**62) + 1, 1, "uint64", "object"),    # -(2**63 - 1) fits
+    (-(2**62), -(2**62), 1, "object", "object"),        # -2**63 counts as past it
+    (2**62, 2**62, 1, "object", "object"),              # 2**63 wraps: the check fails
+    (2**62 - 1, 2**62 - 1, 0, "uint64", "object"),      # 2**63 - 2 under a bound below 2**63
+    (2**61, -(2**61) + 5, 0, "uint64", "int32"),        # bound 2**62: no prime
+    (2**62 + 5, -(2**62), 1, "uint64", "int32"),        # a small positive result
+    (-(2**62) - 5, 2**62, 1, "uint64", "int32"),        # a small negative result
+    (2**100 + 1, -(2**100), 2, "uint64", "int32"),      # Python-int operands, two primes
+    (2**130, -(2**130), None, "object", "int32"),       # past the cap of two primes
+], ids=["max", "min+1", "min", "wraps", "near-max", "no-prime", "small", "negative",
+        "two-primes", "past-cap"])
+def test_the_residue_route_is_exact_across_two_to_the_63(x, y, primes, ran, stored):
+    """``x * 1 + y * 1``: a step of two products whose bound, ``2 *
+    max(|x|, |y|)``, reaches ``2**62``.  On the residue route the wrapped
+    word and its primes prove every result below ``2**63`` in magnitude,
+    negative ones included, and the result is stored in the dtype of its
+    own magnitude; a result of ``2**63`` or ``-2**63`` fails the check and
+    runs again on Python ints, as does a step past the cap."""
+    a, b = _array([x, y], (2,)), _array([1, 1], (2,))
+    with kernel_probe() as probe:
+        result = exact_einsum("i,i->", a, b)
+    assert result.item() == x + y
+    _assert_canonical(result)
+    (step,) = probe.steps
+    assert (step.primes, step.dtype, result.num.dtype.name) == (primes, ran, stored)
+
+
+def test_each_prime_pair_keeps_its_residue_sums_in_int64():
+    """The pairs of ``_PRIMES`` are the two largest primes below ``2**b``,
+    and the primes ``_primes`` takes for a step of ``m`` operands that sums
+    ``K`` products keep ``K`` products of balanced residues, each at most
+    ``p // 2`` in magnitude, below ``2**63``: no residue run wraps.  One
+    prime covers a bound of ``2**63``, two a bound of ``2**64`` times the
+    first, and a bound of ``2**64`` times their product is past the cap."""
+    for b, (p, q) in _PRIMES.items():
+        assert p == sympy.prevprime(2**b) and q == sympy.prevprime(p)
+    for m, summed in itertools.product((1, 2, 3), (1, 2, 3, 4, 5, 8, 9, 49, 1089, 2**20,
+                                                   2**33 - 1)):
+        if m < 3 or summed < 2**20:
+            (p,) = _primes(2**63, summed, m)
+            pair = _primes(2**64 * p, summed, m)
+            assert pair[0] == p and len(pair) == 2
+            assert _primes(2**64 * math.prod(pair), summed, m) is None
+            assert all(summed * (prime // 2)**m < 2**63 for prime in pair)
+    assert _primes(2**62, 2**40, 3) == () and _primes(2**63, 2**40, 3) is None
 
 
 @settings(max_examples=100, deadline=None)

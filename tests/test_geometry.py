@@ -155,11 +155,14 @@ def test_no_module_imports_a_name_it_never_uses():
 def test_one_function_picks_the_arithmetic_of_every_step_and_sum():
     """In ``tensors.py`` only ``_fit`` builds the bound of a pairwise step
     or a sum, rescans past ``INT64_SAFE`` and casts to the dtype that
-    ``_dtype`` picks for it; ``_pair_storage`` and ``_canonical`` pick only
-    a stored tensor's dtype, from its exact magnitude, ``_canonical`` also
-    narrows a reduced sum and ``_numerator_texts`` widens for the render's
-    gcd.  ``np.einsum`` is called only in ``_pairwise``.  So one place
-    decides the arithmetic of every step and every sum."""
+    ``_dtype`` picks for it, or picks the primes of the residue route;
+    ``_pair_storage`` and ``_canonical`` pick only a stored tensor's
+    dtype, from its exact magnitude, ``_canonical`` also narrows a reduced
+    sum and ``_numerator_texts`` widens for the render's gcd.  The one
+    other cast is the residue route's fallback in ``_wrapped``: a step
+    whose check fails runs again on Python ints.  ``np.einsum`` is called
+    only in ``_pairwise``.  So one place decides the arithmetic of every
+    step and every sum."""
     sites = collections.defaultdict(set)
     for top in ast.parse(inspect.getsource(norden.tensors)).body:
         if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
@@ -172,7 +175,7 @@ def test_one_function_picks_the_arithmetic_of_every_step_and_sum():
     assert sites == {
         "_dtype": {"_pair_storage", "_canonical", "_fit"},
         "INT64_SAFE": {"_dtype", "_fit"},
-        "astype": {"_canonical", "_numerator_texts", "_fit"},
+        "astype": {"_canonical", "_numerator_texts", "_fit", "_wrapped"},
         "einsum": {"_pairwise"},
     }
 

@@ -19,8 +19,10 @@ The models are built by ``zoo.golden_model``.  The two over-bound models
 are its ``dense_member(8)`` (dim 17) and a seeded dim-19 dense model of
 ``benchmarks/models.py``.  Each of their reports runs at least one
 contraction step whose bound reaches ``INT64_SAFE``, so the step runs on
-Python ints; the test checks that, so the pins keep covering that route
-when it changes.  Their hashes were recorded before the JSON writer took
+the residue route (a wrapping uint64 einsum checked by primes); the test
+checks that, so the pins keep covering that route when it changes, and a
+second test checks that no step of their parse and report falls back to
+Python ints.  Their hashes were recorded before the JSON writer took
 one join per homogeneous list.  The ``f11_dim5`` hashes were recorded
 when the model joined the golden set, with no library change.
 
@@ -33,13 +35,13 @@ import hashlib
 
 import pytest
 
-from norden import report_to_json, report_to_text, run_report, serialize_model
+from norden import parse_model, report_to_json, report_to_text, run_report, serialize_model
 from norden.tensors import INT64_SAFE
 from probe import kernel_probe
 from zoo import golden_model
 
 #: Models with a contraction step whose bound reaches ``INT64_SAFE``, so
-#: that step runs on Python ints.
+#: that step runs on the residue route.
 OVER_BOUND = {"dense8", "dense19"}
 
 
@@ -79,6 +81,21 @@ def test_report_bytes_are_unchanged(key):
     json_hash, text_hash = GOLDEN[key]
     assert _sha256(report_to_json(report)) == json_hash
     assert _sha256(report_to_text(report)) == text_hash
+
+
+@pytest.mark.parametrize("key", sorted(OVER_BOUND))
+def test_the_over_bound_models_run_no_step_on_python_ints(key):
+    """Parsing the model file (validation included) and reporting each
+    over-bound model runs every step whose bound reaches ``INT64_SAFE`` on
+    the residue route, and its check holds for all of them: no step runs
+    on Python ints.  With the golden hashes above, this shows the route
+    exact on committed data."""
+    text = serialize_model(golden_model(key), "text")
+    with kernel_probe() as probe:
+        run_report(parse_model(text))
+    dtypes = {step.dtype for step in probe.steps}
+    assert "uint64" in dtypes and "object" not in dtypes
+    assert all(step.dtype == "uint64" for step in probe.steps if step.bound >= INT64_SAFE)
 
 
 # (sha256 of serialize_model(model, "text"), of serialize_model(model, "json"))

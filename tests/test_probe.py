@@ -3,8 +3,9 @@ reaches, and that no other test module patches a point the probe watches.
 
 :data:`REACH` maps each value-level branch of ``norden.tensors`` to one
 deterministic input that reaches it and to what ``kernel_probe()`` sees
-there: each step's route, dtype and sparse side, the dtype of each sum,
-and how many bounds were rebuilt past ``2**62``.  Each input's result is
+there: each step's route, dtype and sparse side (and, on the residue
+route, its number of primes), the dtype of each sum, and how many bounds
+were rebuilt past ``2**62``.  Each input's result is
 also checked against the reference over Fractions, so a fault planted in
 a branch fails its row.
 """
@@ -57,16 +58,48 @@ def _keeps_none(second):
              _tensor((4,) * 4 + (128,), count=second))]
 
 
+def _off_diagonal(top, other):
+    """``ab,bc->ac`` of ``[[top, 0], [0, 1]]`` and ``[[0, 1], [other, 0]]``:
+    its bound is ``2 * top * other``, while each entry of its result is
+    ``top``, ``other`` or zero."""
+    return [(1, "ab,bc->ac", _array([top, 0, 0, 1], (2, 2)), _array([0, 1, other, 0], (2, 2)))]
+
+
 EINSUM_32 = ("einsum", "int32", None)
 
 #: branch -> (input terms, (steps as (route, dtype, side), sum dtypes, rescans)).
 #: A step takes its two operands in the reverse of the terms' order
 #: (``ab,bc->ac`` runs as ``bc,ab->ac``); "first" and "second" are the step's.
+#: A step on the residue route adds its number of primes to its tuple; its
+#: dtype is ``uint64`` when the check holds and ``object`` when it fails.
 REACH = {
     "permutation view": (lambda: [(1, "abc->cab", _tensor((2, 3, 4)))], ((), (), 0)),
     "einsum int32": (lambda: _step(1), ((EINSUM_32,), (), 0)),
     "einsum int64": (lambda: _step(2**20), ((("einsum", "int64", None),), (), 0)),
-    "einsum object": (lambda: _step(2**40), ((("einsum", "object", None),), (), 1)),
+    # 2 * (3 * 2**70)**2 needs more than two primes: past the cap.
+    "einsum object": (lambda: _step(2**70), ((("einsum", "object", None),), (), 1)),
+    # 2 * (3 * 2**29)**2 is below 2**63: the wrapped word alone is exact.
+    "residue, no prime": (lambda: _step(2**29), ((("einsum", "uint64", None, 0),), (), 1)),
+    "residue, one prime": (lambda: _off_diagonal(2**40, 2**30),
+                           ((("einsum", "uint64", None, 1),), (), 1)),
+    "residue, second prime": (lambda: _off_diagonal(2**50, 2**50),
+                              ((("einsum", "uint64", None, 2),), (), 1)),
+    # Entries near 2**81 pass 2**63: the check fails, and Python ints rerun.
+    "residue fallback": (lambda: _step(2**40), ((("einsum", "object", None, 1),), (), 1)),
+    # 2**70 is stored as a Python int and meets only zeros: the result is 0 or 1.
+    "residue, Python-int operand": (
+        lambda: [(1, "ab,bc->ac", _array([2**70, 0, 0, 1], (2, 2)), _array([0, 0, 1, 1], (2, 2)))],
+        ((("einsum", "uint64", None, 1),), (), 1)),
+    # One three-operand step whose entry 2**66 fails the check.  Primes
+    # picked as for two operands would leave the residues equal to the
+    # entries, which wrap as the word does and would pass the check.
+    "residue, three operands": (
+        lambda: [(1, "a,b,c->abc", _array([2**22, 3], (2,)), _array([2**22, 5], (2,)),
+                  _array([2**22, 7], (2,)))],
+        ((("einsum", "object", None, 1),), (), 1)),
+    "residue on the sparse route": (
+        lambda: [(1, "ab,bc->ac", _tensor((16, 16), 2**60), _tensor((16, 128), count=1))],
+        ((("sparse", "uint64", (1, 16), 1),), (), 1)),
     "sparse on the step's first operand": (lambda: _wide(None, 1),
                                            ((("sparse", "int32", (1, 16)),), (), 0)),
     "sparse on the step's second operand": (lambda: _wide(1, None),
@@ -75,13 +108,13 @@ REACH = {
                                                   ((("sparse", "int32", (0, 128)),), (), 0)),
     "sparse, the other operand keeps no letter": (lambda: _keeps_none(1),
                                                   ((("sparse", "int32", (1, 1)),), (), 0)),
-    # 2 * 2**40 * 2**30 puts the first step on Python ints, but its result
-    # is below 2**41: the second step's carried bound is 2**82, and the
-    # rescan of that result finds 2**51, so it runs in int64.
+    # 2 * 2**40 * 2**30 puts the first step on the residue route, and its
+    # result is below 2**41: the second step's carried bound is 2**82, and
+    # the rescan of that result finds 2**51, so it runs in int64.
     "fit rescan past 2**62": (
         lambda: [(1, "ab,bc,cd->ad", _array([2**40, 0, 0, 1], (2, 2)),
                   _array([0, 1, 2**30, 0], (2, 2)), _array([2**10, 0, 0, 2**10], (2, 2)))],
-        ((("einsum", "object", None), ("einsum", "int64", None)), (), 2)),
+        ((("einsum", "uint64", None, 1), ("einsum", "int64", None)), (), 2)),
     "one term, coefficient 1": (lambda: [(1, "ab,b->a", _tensor((2, 3)), _tensor((3,)))],
                                 ((EINSUM_32,), (), 0)),
     "one term, coefficient -2": (lambda: [(-2, "ab,b->a", _tensor((2, 3)), _tensor((3,)))],
@@ -98,7 +131,8 @@ def test_each_branch_is_reached_by_its_pinned_input(branch):
     terms = build()
     with kernel_probe() as probe:
         result = exact_sum(terms)
-    seen = (tuple((step.route, step.dtype, step.side) for step in probe.steps),
+    seen = (tuple((step.route, step.dtype, step.side)
+                  + (() if step.primes is None else (step.primes,)) for step in probe.steps),
             tuple(probe.sums), probe.rescans)
     assert seen == want
     _assert_same(result, _reference_sum(terms))
@@ -106,7 +140,7 @@ def test_each_branch_is_reached_by_its_pinned_input(branch):
 
 #: The points ``probe.py`` watches: numpy functions and kernel privates.
 NUMPY_POINTS = {"einsum", "einsum_path", "count_nonzero"}
-KERNEL_POINTS = {"_pairwise", "_sparse_step", "_fit", "_canonical", "_max_abs"}
+KERNEL_POINTS = {"_pairwise", "_wrapped", "_sparse_step", "_fit", "_canonical", "_max_abs"}
 
 
 def _kernel_patches(sources: dict[str, str]) -> list[tuple[str, int, str]]:
