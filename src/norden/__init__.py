@@ -54,6 +54,7 @@ from .lie import (
     is_solvable,
     validate,
 )
+from .linalg import invert_symmetric, matrix_rank, row_space_basis, signature
 from .modelfile import parse_model, serialize_model
 from .report import (
     GeometryReport,
@@ -70,10 +71,6 @@ from .tensors import (
     exact_einsum,
     exact_sum,
     format_scalar,
-    invert_symmetric,
-    matrix_rank,
-    row_space_basis,
-    signature,
 )
 
 __version__ = "0.1.0"

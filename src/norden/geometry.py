@@ -58,6 +58,7 @@ from .errors import (
     LinearlyDependent,
     VarianceMismatch,
 )
+from .linalg import matrix_rank
 from .structures import AcnModel
 from .tensors import (
     DOWN,
@@ -67,7 +68,6 @@ from .tensors import (
     exact_einsum,
     exact_sum,
     format_scalar,
-    matrix_rank,
     nonzero_where,
     vector,
 )

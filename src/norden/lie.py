@@ -19,12 +19,12 @@ from .errors import (
     VarianceMismatch,
     violation,
 )
+from .linalg import row_space_basis
 from .tensors import (
     Tensor,
     as_pair,
     exact_einsum,
     nonzero_where,
-    row_space_basis,
     vector,
 )
 

@@ -7,7 +7,6 @@ to JSON or readable text.  Identical models produce identical output.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -15,8 +14,9 @@ import numpy as np
 
 from .canonical import canonical_json, index_labels
 from .geometry import Geometry, IdentityVerdict
+from .linalg import signature
 from .structures import AcnModel, associated_metric
-from .tensors import Tensor, _numerator_texts, format_scalar, signature
+from .tensors import Tensor, _numerator_texts, format_scalar
 
 #: The version of the report JSON, its top-level ``"schema"`` key.
 REPORT_SCHEMA = 2
@@ -178,20 +178,6 @@ def report_to_text(report: GeometryReport) -> str:
     return "\n".join(lines) + "".join(blocks) + "\n"
 
 
-@functools.lru_cache(maxsize=64)
-def _line_labels(key: str, shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The two label tables of :func:`_tensor_block` for a tensor ``key``
-    of ``shape``, as object arrays: each line's start up to its head
-    label, and each tail label (see ``index_labels``).  A report of one
-    dimension reads the same tables for each model."""
-    head, tail = index_labels(shape, "] = ")
-    starts = np.array([f"\n  {key}[{label}" for label in head], dtype=object)
-    tails = np.array(tail, dtype=object)
-    starts.setflags(write=False)        # every later call reads these arrays
-    tails.setflags(write=False)
-    return starts, tails
-
-
 def _tensor_block(key: str, t: Tensor) -> str:
     """The lines of one tensor, each after a line break: its nonzero
     entries in C order, or ``key = 0``.  Each line is three pieces, the
@@ -201,11 +187,11 @@ def _tensor_block(key: str, t: Tensor) -> str:
     flat = np.flatnonzero(nums != 0)
     if not flat.size:
         return f"\n  {key} = 0"
-    starts, tails = _line_labels(key, t.shape)
-    rows, cols = np.divmod(flat, tails.size)
+    head, tail = index_labels(t.shape, "] = ")
+    rows, cols = np.divmod(flat, len(tail))
     texts, inverse = _numerator_texts(nums[flat], t.den)
     pieces = np.empty((flat.size, 3), dtype=object)
-    pieces[:, 0] = starts[rows]
-    pieces[:, 1] = tails[cols]
+    pieces[:, 0] = np.array([f"\n  {key}[{label}" for label in head], dtype=object)[rows]
+    pieces[:, 1] = np.array(tail, dtype=object)[cols]
     pieces[:, 2] = texts[inverse]
     return "".join(pieces.ravel().tolist())

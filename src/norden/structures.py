@@ -19,15 +19,14 @@ import numpy as np
 
 from .errors import DimensionMismatch, ValidationReport, VarianceMismatch, violation
 from .lie import LieAlgebra, validate as validate_algebra
+from .linalg import invert_symmetric, signature
 from .tensors import (
     Tensor,
     einsum_scalar,
     exact_einsum,
     exact_sum,
     format_scalar,
-    invert_symmetric,
     nonzero_where,
-    signature,
 )
 
 

@@ -30,6 +30,7 @@ from norden import Tensor, run_report
 from norden.lie import validate
 from norden import report as report_module
 from norden import tensors
+from norden.linalg import invert_symmetric
 from norden.tensors import (
     INT32_SAFE,
     INT64_SAFE,
@@ -37,7 +38,6 @@ from norden.tensors import (
     _plan,
     exact_einsum,
     exact_sum,
-    invert_symmetric,
     nonzero_where,
 )
 

@@ -30,7 +30,7 @@ from norden import (
     row_space_basis,
     signature,
 )
-from norden import tensors
+from norden import linalg, tensors
 from norden.canonical import canonical_json
 from norden.errors import DigitLimit
 from norden.tensors import _exponent_too_large, as_pair, vector
@@ -687,7 +687,7 @@ def row_rewrites(monkeypatch) -> Counter:
                 self.held.append(row)
             super().__setitem__(i, row)
 
-    gauss_jordan, numerators = tensors._gauss_jordan, tensors._symmetric_numerators
+    gauss_jordan, numerators = linalg._gauss_jordan, linalg._symmetric_numerators
 
     def counted_gauss_jordan(m):
         spy = Matrix(m)
@@ -695,8 +695,8 @@ def row_rewrites(monkeypatch) -> Counter:
         m[:] = spy
         return out
 
-    monkeypatch.setattr(tensors, "_gauss_jordan", counted_gauss_jordan)
-    monkeypatch.setattr(tensors, "_symmetric_numerators",
+    monkeypatch.setattr(linalg, "_gauss_jordan", counted_gauss_jordan)
+    monkeypatch.setattr(linalg, "_symmetric_numerators",
                         lambda t, name: Matrix(numerators(t, name)))
     return seen
 
