@@ -321,10 +321,11 @@ class Geometry:
         """The Levi-Civita connection, from the bracket-only Koszul
         formula ``2 g(nabla_{x_i} x_j, x_k) = g([x_i, x_j], x_k)
         + g([x_k, x_i], x_j) + g([x_k, x_j], x_i)``."""
-        c, g = self.model.algebra.c, self.model.g
+        # lowered[i, j, k] = g([x_i, x_j], x_k); the other two terms relabel it
+        lowered = exact_einsum("mij,mk->ijk", self.model.algebra.c, self.model.g)
         # two_k[i, j, k] = 2 g(nabla_{x_i} x_j, x_k)
-        two_k = exact_sum([(1, "mij,mk->ijk", c, g), (1, "mki,mj->ijk", c, g),
-                           (1, "mkj,mi->ijk", c, g)])
+        two_k = exact_sum([(1, "ijk->ijk", lowered), (1, "kij->ijk", lowered),
+                           (1, "kji->ijk", lowered)])
         # gamma[m, i, j] = (1/2) * two_k[i, j, k] g^{k m}
         return Connection(exact_sum([(Fraction(1, 2), "ijk,km->mij", two_k, self.ginv)]))
 
@@ -495,9 +496,10 @@ class Geometry:
 
     @cached_property
     def tau_2star(self) -> Fraction:
-        """``R`` traced with its third and fourth arguments twisted by phi."""
-        ginv, phi = self.ginv, self.model.phi
-        return einsum_scalar("is,jk,mk,ns,ijmn->", ginv, ginv, phi, phi, self.r04)
+        """``R`` traced with its third and fourth arguments twisted by phi:
+        ``g^{is} g^{jk} R(x_i, x_j, phi x_k, phi x_s)``."""
+        ginv = self.ginv
+        return einsum_scalar("is,jk,ijks->", ginv, ginv, self.twisted_r)
 
     @cached_property
     def psi4_s(self) -> Tensor:

@@ -15,7 +15,6 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import tensors
 from .errors import DimensionMismatch, SingularMetric
 from .tensors import DOWN, UP, Tensor
 
@@ -115,8 +114,10 @@ def invert_symmetric(g: Tensor) -> Tensor:
     :func:`_gauss_jordan` on ``[N | I]``, with ``N`` the integer
     numerators of ``g``, leaves ``p I`` in the left block and ``p N^-1``
     in the right one.  So ``g^-1 = den * right / p`` arrives in integer
-    storage.  The inverse carries variance ``"uu"`` so that contracting
-    it against ``g`` yields the identity with one slot up and one down.
+    storage, built by :meth:`Tensor.of_pairs` from the pairs ``(den * v,
+    p)`` with the sign of ``p`` moved to the numerators.  The inverse
+    carries variance ``"uu"`` so that contracting it against ``g`` yields
+    the identity with one slot up and one down.
     """
     rows = _symmetric_numerators(g, "invert_symmetric")
     n = len(rows)
@@ -124,11 +125,8 @@ def invert_symmetric(g: Tensor) -> Tensor:
     pivots, p = _gauss_jordan(m)
     if pivots != list(range(n)):
         raise SingularMetric("symmetric form is degenerate (no pivot)")
-    sign = 1 if p > 0 else -1
-    right = np.array([row[n:] for row in m], dtype=object).reshape(n, n) * (sign * g.den)
-    # Read through the module, so a patch of ``tensors._max_abs`` or
-    # ``tensors._canonical`` sees this scan and reduction too.
-    return Tensor._of(*tensors._canonical(right, abs(p), tensors._max_abs(right)), UP + UP)
+    scale = g.den if p > 0 else -g.den
+    return Tensor.of_pairs([(v * scale, abs(p)) for row in m for v in row[n:]], (n, n), UP + UP)
 
 
 def signature(g: Tensor) -> tuple[int, int, int]:

@@ -14,10 +14,10 @@ exactly when their ``(variance, shape, den, num)`` are.
 Each tensor also stores ``magnitude``, its largest ``|num|`` entry, found
 where its storage is built, so a contraction reads its operands' bound
 terms without scanning them.  An intermediate (a pairwise step's result,
-a term of a sum) carries a bound instead, and is scanned only when a
-bound reaches ``2**62`` (see below); :func:`exact_sum` scans each result
-once, unless its one term carries its exact magnitude, so ``magnitude``
-stays exact.
+a term of a sum) carries one bound; a stored tensor carries its exact
+magnitude; :func:`exact_sum` scans each result once, so ``magnitude``
+stays exact.  Both are read as bounds, and scanned again only when a
+bound reaches ``2**62`` (see below).
 
 Every computation is a linear combination of contractions,
 :func:`exact_sum` (:func:`exact_einsum` is its one-term case): each
@@ -46,16 +46,17 @@ which bounds every partial sum.  Zeros count as 1 in both.  A bound
 covers every product, partial sum and factor of its step or sum, so no
 int32 or int64 operation can wrap; each operand is cast to the picked
 dtype first, so no Python int meets a narrower array.  Each bound is
-first built from what the operands or terms carry: an einsum step's
-result carries that step's bound, ``summed * prod(max(top, 1))``, the
-sparse route's its exact magnitude, and a sum its bound.  A carried
-bound is never below the magnitude, so one below ``2**31`` picks int32
-and one below ``2**62`` picks int64 safely; one that reaches ``2**62``
-has its inexact operands or terms scanned and is built again from their
-magnitudes.  So every step and every sum leaves int32 and int64 exactly
-where the exact magnitudes do, and takes int32 wherever the carried
-bound proves it: a scan costs a pass over the array, and it is paid
-only to keep a step in a narrower tier.
+first built from what the operands or terms carry, ``(num, top)``: an
+einsum step's result carries that step's bound, ``summed * prod(max(top,
+1))``, the sparse route's the magnitude it read from its row sums, and a
+stored tensor its magnitude.  A carried bound is never below the
+magnitude, so one below ``2**31`` picks int32 and one below ``2**62``
+picks int64 safely; one that reaches ``2**62`` has every operand or term
+scanned and is built again from their magnitudes.  So every step and
+every sum leaves int32 and int64 exactly where the exact magnitudes do,
+and takes int32 wherever the carried bound proves it: a scan costs a
+pass over the array, and it is paid only to keep a step in a narrower
+tier.
 
 A step whose bound still reaches ``2**62`` takes a fourth tier before
 Python ints: the residue route of :func:`_wrapped`, a wrapping uint64
@@ -187,7 +188,7 @@ def as_pair(value) -> tuple[int, int]:
         except (ValueError, ZeroDivisionError) as exc:
             raise ValueError(f"not an exact rational: {value!r}") from exc
         return f.numerator, f.denominator
-    if not isinstance(value, numbers.Rational):
+    if not isinstance(value, numbers.Rational) or isinstance(value, bool):
         raise TypeError(f"exact rational required, got {type(value).__name__}: {value!r}")
     return int(value.numerator), int(value.denominator)
 
@@ -199,6 +200,7 @@ def as_scalar(value) -> Fraction:
     or ``"1.5e3"``; a decimal exponent beyond ``MAX_EXPONENT`` is a
     ``ValueError``.  Floats are rejected: silently converting them would
     smuggle rounding error into a library whose whole point is exactness.
+    Bools are rejected too: ``True`` is a truth value, not the number 1.
     """
     if isinstance(value, Fraction):
         return value
@@ -585,29 +587,28 @@ def _sparse_step(x: np.ndarray, y: np.ndarray, sx: _Side,
     return out, top
 
 
-def _pairwise(step: _Step, nums: list[np.ndarray], bound: int) -> tuple[np.ndarray, int, bool]:
-    """One step on ``nums``, which :func:`_fit` cast for it: the result, a
-    bound on its largest magnitude and whether that bound is the
-    magnitude itself.  A step with a sparse layout runs on the nonzeros of
-    the operand whose nonzeros times the other's kept size is smaller,
-    when that work times ``SPARSE_FACTOR`` is below its dense cost, and
-    reads the exact magnitude from its row sums; any other step is one
-    einsum, whose result carries ``bound`` unscanned.  Either result is
-    C-contiguous and in the operands' dtype, whose integer arithmetic
-    wraps only for uint64 (see :func:`_wrapped`)."""
+def _pairwise(step: _Step, nums: list[np.ndarray], bound: int) -> tuple[np.ndarray, int]:
+    """One step on ``nums``, which :func:`_fit` cast for it: the result and
+    a bound on its largest magnitude.  A step with a sparse layout runs on
+    the nonzeros of the operand whose nonzeros times the other's kept size
+    is smaller, when that work times ``SPARSE_FACTOR`` is below its dense
+    cost, and reads the exact magnitude from its row sums; any other step
+    is one einsum, whose result carries ``bound`` unscanned.  Either
+    result is C-contiguous and in the operands' dtype, whose integer
+    arithmetic wraps only for uint64 (see :func:`_wrapped`)."""
     if step.sides is not None:
         (a, b), (sa, sb) = nums, step.sides
         work_a = np.count_nonzero(a) * sb.blocks[0]
         work_b = np.count_nonzero(b) * sa.blocks[0]
         if SPARSE_FACTOR * min(work_a, work_b) < step.cost:
             x, y, sx, sy = (a, b, sa, sb) if work_a <= work_b else (b, a, sb, sa)
-            return *_sparse_step(x, y, sx, sy), True
+            return _sparse_step(x, y, sx, sy)
     out = np.einsum(step.subscripts, *nums)
     if type(out) is not np.ndarray:     # a 0-d result is a bare scalar, an int for object
         out = np.asarray(out, dtype=nums[0].dtype)
     elif not out.flags.c_contiguous:    # einsum may lay its result out as the operands
         out = np.ascontiguousarray(out)
-    return out, bound, False
+    return out, bound
 
 
 #: The modulus of uint64 arithmetic, which numpy's integer arrays wrap at.
@@ -654,7 +655,7 @@ def _residues(num: np.ndarray, modulus: int) -> np.ndarray:
 
 
 def _wrapped(step: _Step, nums: list[np.ndarray], bound: int,
-             primes: tuple[int, ...]) -> tuple[np.ndarray, int, bool]:
+             primes: tuple[int, ...]) -> tuple[np.ndarray, int]:
     """One step whose ``bound`` reaches ``INT64_SAFE``, on the residue
     route (H. L. Garner, "The residue number system", 1959): it runs
     through :func:`_pairwise` on the operands' uint64 words, where the
@@ -673,7 +674,7 @@ def _wrapped(step: _Step, nums: list[np.ndarray], bound: int,
         check = _pairwise(step, [_residues(num, p) for num in nums], bound)[0]
         agree &= out % p == check % p
     if agree.all():
-        return out, bound, False
+        return out, bound
     return _pairwise(step, [num.astype(_OBJECT) for num in nums], bound)
 
 
@@ -681,50 +682,48 @@ def _bound(carried, summed: int, factors) -> int:
     """The bound of :func:`_fit` on what ``carried`` carries."""
     if factors is None:
         bound = summed
-        for _, top, _ in carried:
+        for _, top in carried:
             bound *= top or 1
         return bound
     bound = 0
-    for (_, top, _), f in zip(carried, factors):
+    for (_, top), f in zip(carried, factors):
         bound += (top or 1) * (abs(f) or 1)
     return bound
 
 
-def _fit(carried, summed: int = 1, factors=None) -> tuple[list[np.ndarray], int, list,
+def _fit(carried, summed: int = 1, factors=None) -> tuple[list[np.ndarray], int,
                                                           tuple[int, ...] | None]:
     """The arithmetic of one pairwise step (``factors`` is ``None``) or
-    one sum, whose operands or terms are ``carried`` as ``(num, top,
-    exact)``: ``top`` bounds the largest magnitude of ``num`` and
-    ``exact`` says it is that magnitude.  A step's bound is ``summed``
-    times the product of the tops; a sum's is the sum of each top times
-    its factor's magnitude.  Zeros count as 1, so the bound also covers
-    each operand's or term's own entries and every partial sum.  A bound
-    that reaches ``INT64_SAFE`` has the inexact tops scanned and is built
-    again from the magnitudes; a step whose bound still reaches it takes
-    the residue route of :func:`_wrapped` when :func:`_primes` finds its
-    primes, so the prime count is fixed before any residue work.
-    Returns the numerators, the bound, ``carried`` as scanned and those
-    primes, ``None`` for any other arithmetic.  Those numerators are the
-    operands as they are on the residue route, else each cast, when its
-    dtype is not already the one :func:`_dtype` picks for the bound."""
+    one sum, whose operands or terms are ``carried`` as ``(num, top)``,
+    with ``top`` a bound on the largest magnitude of ``num``.  A step's
+    bound is ``summed`` times the product of the tops; a sum's is the sum
+    of each top times its factor's magnitude.  Zeros count as 1, so the
+    bound also covers each operand's or term's own entries and every
+    partial sum.  A bound that reaches ``INT64_SAFE`` has every operand
+    or term scanned and is built again from their magnitudes; a step
+    whose bound still reaches it takes the residue route of
+    :func:`_wrapped` when :func:`_primes` finds its primes, so the prime
+    count is fixed before any residue work.  Returns the numerators, the
+    bound and those primes, ``None`` for any other arithmetic.  Those
+    numerators are the operands as they are on the residue route, else
+    each cast, when its dtype is not already the one :func:`_dtype` picks
+    for the bound."""
     bound = _bound(carried, summed, factors)
     if bound >= INT64_SAFE:
-        carried = [(num, top if exact else _max_abs(num), True) for num, top, exact in carried]
+        carried = [(num, _max_abs(num)) for num, _ in carried]
         bound = _bound(carried, summed, factors)
-        primes = (_primes(bound, summed, len(carried))
-                  if bound >= INT64_SAFE and factors is None else None)
-        if primes is not None:
-            return [num for num, _, _ in carried], bound, carried, primes
+        if bound >= INT64_SAFE and factors is None:
+            primes = _primes(bound, summed, len(carried))
+            if primes is not None:
+                return [num for num, _ in carried], bound, primes
     dtype = _dtype(bound)
-    return ([num if num.dtype is dtype else num.astype(dtype) for num, _, _ in carried],
-            bound, carried, None)
+    return [num if num.dtype is dtype else num.astype(dtype) for num, _ in carried], bound, None
 
 
-def _contract(plan: _Plan, operands) -> tuple[tuple[np.ndarray, int, bool], int]:
+def _contract(plan: _Plan, operands) -> tuple[tuple[np.ndarray, int], int]:
     """One contraction of the operands' numerators, unreduced: the
-    integer array carried as ``(num, top, exact)``, with ``top`` a bound
-    on its largest magnitude and ``exact`` whether ``top`` is that
-    magnitude, and the product of the operands' denominators.  A
+    integer array carried as ``(num, top)``, with ``top`` a bound on its
+    largest magnitude, and the product of the operands' denominators.  A
     permutation is a read-only view of its operand's numerators, with the
     operand's own magnitude and denominator.  Each pairwise step of any
     other contraction runs in the arithmetic :func:`_fit` picks from what
@@ -732,22 +731,20 @@ def _contract(plan: _Plan, operands) -> tuple[tuple[np.ndarray, int, bool], int]
     when it picks primes."""
     if plan.perm is not None:
         (op,) = operands
-        return (op.num.transpose(plan.perm), op.magnitude, True), op.den
-    ops = [(op.num, op.magnitude, True) for op in operands]
+        return (op.num.transpose(plan.perm), op.magnitude), op.den
+    ops = [(op.num, op.magnitude) for op in operands]
     for step in plan.steps:
-        nums, bound, _, primes = _fit([ops.pop(k) for k in step.pair], step.summed)
+        nums, bound, primes = _fit([ops.pop(k) for k in step.pair], step.summed)
         ops.append(_pairwise(step, nums, bound) if primes is None
                    else _wrapped(step, nums, bound, primes))
     return ops[0], math.prod([op.den for op in operands])
 
 
-def _numerator_sum(terms) -> tuple[tuple[np.ndarray, int, bool], int, str]:
+def _numerator_sum(terms) -> tuple[np.ndarray, int, str]:
     """The body of :func:`exact_sum` up to the reduction: the terms
-    contracted and added as integers over the lcm of their denominators.
-    Returns the sum carried as :func:`_contract` carries a contraction,
-    that denominator and the variance.  The terms add in the arithmetic
-    :func:`_fit` picks from what they carry; the sum carries that bound,
-    or its exact magnitude when it has one term that carries its own."""
+    contracted and added as integers over the lcm of their denominators,
+    in the arithmetic :func:`_fit` picks from what the terms carry.
+    Returns the unreduced numerators, that denominator and the variance."""
     carried, dens, coefs = [], [], []
     variance = shape = None
     for coef, subscripts, *operands in terms:
@@ -769,10 +766,10 @@ def _numerator_sum(terms) -> tuple[tuple[np.ndarray, int, bool], int, str]:
     if variance is None:
         raise ValueError("exact_sum needs at least one term")
     if len(carried) == 1 and p == 1:    # one term with coefficient 1 adds nothing
-        return term, dens[0], variance
+        return term[0], dens[0], variance
     den = math.lcm(*dens)
     factors = [p * (den // d) for p, d in zip(coefs, dens)]
-    nums, bound, carried, _ = _fit(carried, factors=factors)
+    nums = _fit(carried, factors=factors)[0]
     # The terms add in place into a copy of the first; a factor of 1
     # multiplies nothing, and one term is multiplied, never copied.
     total = nums[0] * factors[0] if factors[0] != 1 else nums[0].copy()
@@ -785,9 +782,7 @@ def _numerator_sum(terms) -> tuple[tuple[np.ndarray, int, bool], int, str]:
             total += num * f
     if not shape:                       # a 0-d result is a bare scalar
         total = np.asarray(total, dtype=nums[0].dtype)
-    exact = len(carried) == 1 and carried[0][2]
-    top = carried[0][1] * abs(factors[0]) if exact else bound
-    return (total, top, exact), den, variance
+    return total, den, variance
 
 
 def exact_sum(terms) -> Tensor:
@@ -797,13 +792,12 @@ def exact_sum(terms) -> Tensor:
     rational coefficient, explicit-mode einsum subscripts and
     :class:`Tensor` operands.  Every term must give the same variance and
     shape.  The terms are contracted on integers, added over one common
-    denominator and reduced once by :func:`_canonical`; the sum is
-    scanned for its largest magnitude first unless it carries that
-    exactly.  See the module docstring for how :func:`_fit` picks int32,
-    int64 or Python ints.
+    denominator, scanned once for their largest magnitude and reduced
+    once by :func:`_canonical`.  See the module docstring for how
+    :func:`_fit` picks int32, int64 or Python ints.
     """
-    (num, top, exact), den, variance = _numerator_sum(terms)
-    return Tensor._of(*_canonical(num, den, top if exact else _max_abs(num)), variance)
+    num, den, variance = _numerator_sum(terms)
+    return Tensor._of(*_canonical(num, den, _max_abs(num)), variance)
 
 
 def nonzero_where(terms) -> np.ndarray:
@@ -811,8 +805,7 @@ def nonzero_where(terms) -> np.ndarray:
     shape: the numerators of the unreduced sum compared with zero, with
     no scan for the largest magnitude and no gcd.  This is how a check
     decides that a sum vanishes, and where it does not."""
-    (num, _, _), _, _ = _numerator_sum(terms)
-    return np.asarray(num != 0)
+    return np.asarray(_numerator_sum(terms)[0] != 0)
 
 
 def exact_einsum(subscripts: str, *operands: Tensor) -> Tensor:
@@ -826,7 +819,7 @@ def einsum_scalar(subscripts: str, *operands: Tensor) -> Fraction:
     unreduced numerator of :func:`_numerator_sum` over its denominator,
     which ``Fraction`` reduces, so no magnitude scan and no rank-0
     :class:`Tensor`."""
-    (num, _, _), den, _ = _numerator_sum([(1, subscripts, *operands)])
+    num, den, _ = _numerator_sum([(1, subscripts, *operands)])
     return Fraction(num.item(), den)
 
 

@@ -102,36 +102,37 @@ def kernel_probe():
         (dtype,) = {num.dtype.name for num in nums}
         values = value_bound(step, nums)
         side.clear()
-        out, top, exact = real_pairwise(step, nums, bound)
+        out, top = real_pairwise(step, nums, bound)
         record.steps.append(Step(step.subscripts, step.sides is None,
                                  "sparse" if side else "einsum", dtype, bound, values,
                                  out.size, side[0] if side else None))
-        return out, top, exact
+        return out, top
 
     def wrapped(step, nums, bound, primes):
         values = value_bound(step, nums)
         side.clear()
         wrapping.append(True)
         try:
-            out, top, exact = real_wrapped(step, nums, bound, primes)
+            out, top = real_wrapped(step, nums, bound, primes)
         finally:
             wrapping.clear()
         record.steps.append(Step(step.subscripts, step.sides is None,
                                  "sparse" if side else "einsum",
                                  "object" if out.dtype == object else "uint64", bound, values,
                                  out.size, side[0] if side else None, len(primes)))
-        return out, top, exact
+        return out, top
 
     def sparse_step(x, y, sx, sy):
         side.append((len(sx.own), sy.blocks[0]))
         return real_sparse(x, y, sx, sy)
 
     def fit(carried, summed=1, factors=None):
-        nums, bound, scanned, primes = real_fit(carried, summed, factors)
-        record.rescans += scanned is not carried     # only a rescan builds a new list
+        scans = record.scans
+        nums, bound, primes = real_fit(carried, summed, factors)
+        record.rescans += record.scans > scans      # only a rescan scans inside _fit
         if factors is not None:
             record.sums.append(tensors._dtype(bound).name)
-        return nums, bound, scanned, primes
+        return nums, bound, primes
 
     def canonical(num, den, top):
         record.reductions.append(num.dtype.name)

@@ -336,29 +336,44 @@ def test_each_key_searches_its_path_once():
 # 30 int64 at dense dim 7, 68 int64 at dense dim 13, 35 object at dense
 # dim 17 and 76 int32 at family dim 13).  The 32 steps of dense dim 17
 # whose bound reaches 2**62 ran on Python ints ("object") until the
-# residue route, which proves every one of them exact ("uint64").
+# residue route, which proves every one of them exact ("uint64").  The
+# Koszul formula contracts c . g once and relabels it for its other two
+# terms, and tau_2star traces the twisted_r layer instead of twisting r04
+# by phi again, so each report runs four steps fewer (the counts were 58
+# int32 and 26 int64 at dense dim 7; 19 and 65 at dense dim 13; 9, 41, 32
+# uint64 and 2 sparse int32 at dense dim 17; 73, 1 int64 and 10 sparse
+# int32 at family dim 13).  At dense dim 17 one step of the trace of
+# twisted_r takes the sparse route in int64.
 STEP_COUNTS = {
-    ("dense", 3): {("einsum", "int32"): 58, ("einsum", "int64"): 26},
-    ("dense", 6): {("einsum", "int32"): 19, ("einsum", "int64"): 65},
-    ("dense", 8): {("einsum", "int32"): 9, ("einsum", "int64"): 41, ("einsum", "uint64"): 32,
-                   ("sparse", "int32"): 2},
-    ("family", 6): {("einsum", "int32"): 73, ("einsum", "int64"): 1, ("sparse", "int32"): 10},
+    ("dense", 3): {("einsum", "int32"): 55, ("einsum", "int64"): 25},
+    ("dense", 6): {("einsum", "int32"): 19, ("einsum", "int64"): 61},
+    ("dense", 8): {("einsum", "int32"): 9, ("einsum", "int64"): 40, ("einsum", "uint64"): 28,
+                   ("sparse", "int32"): 2, ("sparse", "int64"): 1},
+    ("family", 6): {("einsum", "int32"): 70, ("sparse", "int32"): 10},
 }
 
 # Magnitude scans (calls of ``_max_abs``) of one run_report on the same
-# models, recorded on this tree.  An intermediate carries the bound it
-# was computed under and is scanned only when a bound built from what is
-# carried reaches 2**62; exact_sum scans each result once, unless its one
-# term carries its exact magnitude; the sparse route reads its magnitude
-# from its row sums (one scan of those each); the inverse metric is
-# scanned once.  Scanning every intermediate read 100, 100, 98 and 100.
-# The omega contraction that the F11 test no longer repeats scanned its
-# result once, and its intermediate once more at dense n=8 (from 47, 59, 81
-# and 48).  The three traces read by their definitions scan up to three
-# times fewer (from 46, 58, 79 and 47).  A scalar (einsum_scalar) is the
-# unreduced numerator over its denominator, with no scan: the report's
-# ten scalar layers scan nothing (from 43, 55, 76 and 46).
-SCAN_COUNTS = {("dense", 3): 33, ("dense", 6): 45, ("dense", 8): 66, ("family", 6): 36}
+# models, recorded on this tree.  An intermediate carries one bound, the
+# one it was computed under; a stored tensor carries its exact magnitude;
+# exact_sum scans each result once.  A step or sum whose bound, built from
+# what is carried, reaches 2**62 scans every operand or term and builds it
+# again; the sparse route reads its magnitude from its row sums (one scan
+# of those each); the inverse metric reads its magnitude while it builds
+# its storage and scans nothing.  Scanning every intermediate read 100,
+# 100, 98 and 100.  The omega contraction that the F11 test no longer
+# repeats scanned its result once, and its intermediate once more at
+# dense dim 17 (from 47, 59, 81 and 48).  The three traces read by their
+# definitions scan up to three times fewer (from 46, 58, 79 and 47).  A
+# scalar (einsum_scalar) is the unreduced numerator over its denominator,
+# with no scan: the report's ten scalar layers scan nothing (from 43, 55,
+# 76 and 46).  The counts were 33, 45, 66 and 36 while an intermediate
+# also carried whether its bound was its exact magnitude, which spared
+# the scans of stored operands in a rescan and of exact one-term results
+# (34, 56, 130 and 38 without that flag).  The c . g product that the
+# Koszul formula relabels is one more result to scan, the inverse metric
+# one scan fewer, and the rescans of the steps that the relabelings and
+# the twisted_r trace no longer run go with those steps.
+SCAN_COUNTS = {("dense", 3): 33, ("dense", 6): 55, ("dense", 8): 123, ("family", 6): 39}
 
 
 @pytest.mark.parametrize("subscripts, shapes, sparse", [

@@ -315,17 +315,18 @@ _BUILT = {"model", "conn", "ginv"}
 #: ``benchmarks/run.py --trace 1`` so that its spans time this work: all
 #: of its ``Geometry``'s layers, or for the two seeded with the results
 #: of ``structure_pack`` and ``riemann``, those beyond the seeds' layers.
+#: ``tau_2star`` traces ``twisted_r``, so ``riemann`` computes that layer.
 ENTRY_POINT_LAYERS = {
     "levi_civita": _BUILT,
     "structure_pack": _BUILT | set(STRUCTURE_LAYERS) | {
         "n_from_brackets", "n_from_derivatives", "nabla_omega"},
-    "riemann": _BUILT | set(CURVATURE_LAYERS),
+    "riemann": _BUILT | set(CURVATURE_LAYERS) | {"twisted_r"},
     "square_norms": set(NORM_LAYERS),
 }
 VERIFY_IDENTITIES_LAYERS = {
     "fam23": {"curvature_phi_kahler", "div_phi_omega", "f11", "identities",
               "isotropic_kahler", "nabla2_eta", "nabla2_phi", "nabla_omega_star",
-              "omega_norm", "phi_omega", "psi4_s", "ricci_xi_xi", "s_trace", "twisted_r",
+              "omega_norm", "phi_omega", "psi4_s", "ricci_xi_xi", "s_trace",
               *NORM_LAYERS},
     "heis": {"f11", "identities", "nabla2_eta", "nabla2_phi"},
 }

@@ -240,6 +240,12 @@ def test_family_params_reject_an_n_that_is_not_a_positive_int(n):
         FamilyParams(n=n, lam=(1, 2))
 
 
+@pytest.mark.parametrize("lam", [(True, 2), (1, False), (0.5, 2)])
+def test_family_params_reject_a_lambda_that_is_not_an_exact_rational(lam):
+    with pytest.raises(BadParams, match="lambda coefficients must be exact rationals"):
+        FamilyParams(n=1, lam=lam)
+
+
 def test_family_bracket_convention(fam23):
     """[x_i, x_0] = lambda_i x_0 lands in c[0, i, 0]."""
     c = fam23.model.algebra.c.components

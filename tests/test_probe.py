@@ -1,5 +1,6 @@
 """The kernel probe itself: which branch of the kernel each pinned input
-reaches, and that no other test module patches a point the probe watches.
+reaches, that no other test module patches a point the probe watches, and
+that no module of ``norden`` but ``tensors.py`` names one.
 
 :data:`REACH` maps each value-level branch of ``norden.tensors`` to one
 deterministic input that reaches it and to what ``kernel_probe()`` sees
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import norden
 from norden.tensors import exact_sum
 from probe import kernel_probe
 from test_exact_einsum import _array, _assert_same, _reference_sum
@@ -186,3 +188,41 @@ def test_only_the_probe_patches_a_kernel_point():
     assert _kernel_patches(planted) == [("test_a.py", 1, "np.einsum"),
                                         ("test_b.py", 2, "tensors._max_abs"),
                                         ("test_b.py", 3, "norden.tensors._fit")]
+
+
+def _kernel_names(sources: dict[str, str]) -> list[tuple[str, int, str]]:
+    """``(file, line, name)`` for each kernel point that ``sources`` (file
+    name to text) name: imported from a module ``tensors``, or read as an
+    attribute of one."""
+    found = []
+    for file, text in sorted(sources.items()):
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("tensors"):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and ast.unparse(node.value).endswith("tensors"):
+                names = [node.attr]
+            else:
+                continue
+            found += [(file, node.lineno, name) for name in names if name in KERNEL_POINTS]
+    return found
+
+
+def test_no_module_but_the_kernel_names_a_kernel_point():
+    """The probe patches its points as attributes of ``norden.tensors``,
+    so a module that imports one by name runs it unseen, and one that
+    reads it off the module ties that module to the step loop's private
+    calls.  Only ``tensors.py`` names them; a planted name of each form is
+    found."""
+    package = Path(norden.__file__).parent
+    sources = {path.name: path.read_text(encoding="utf-8")
+               for path in package.glob("*.py") if path.name != "tensors.py"}
+    assert sources
+    assert _kernel_names(sources) == []
+    planted = {
+        "a.py": "from .tensors import Tensor, _max_abs\n",
+        "b.py": "from . import tensors\nnum = tensors._canonical(num, 1, 0)\n",
+        "c.py": "import norden.tensors\nfrom norden.tensors import _fit as fit\n"
+                "norden.tensors._pairwise\n",
+    }
+    assert _kernel_names(planted) == [("a.py", 1, "_max_abs"), ("b.py", 2, "_canonical"),
+                                      ("c.py", 2, "_fit"), ("c.py", 3, "_pairwise")]

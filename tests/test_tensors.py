@@ -62,6 +62,11 @@ def test_as_scalar_rejects_floats_and_junk():
         as_scalar("1/0")
     with pytest.raises(TypeError):
         as_scalar(None)
+    for truth in (True, False, np.bool_(True)):
+        with pytest.raises(TypeError, match="exact rational required, got bool"):
+            as_scalar(truth)
+    with pytest.raises(TypeError, match="got bool"):
+        Tensor([True, False], "u")
 
 
 def test_as_scalar_caps_decimal_exponents():
@@ -76,10 +81,11 @@ def test_as_scalar_caps_decimal_exponents():
 
 def _reference_scalar(value) -> Fr:
     """The reader as it stood before integer pairs: a Fraction for every
-    value, strings through ``Fraction``'s own grammar."""
+    value, strings through ``Fraction``'s own grammar; a bool, which is a
+    ``numbers.Rational`` to Python, is no number to either reader."""
     if isinstance(value, Fr):
         return value
-    if isinstance(value, numbers.Rational):
+    if isinstance(value, numbers.Rational) and not isinstance(value, bool):
         return Fr(value)
     if isinstance(value, str):
         if _exponent_too_large(value):
