@@ -9,6 +9,8 @@ half of its entries nonzero holds ``"nonzero": {"i,j,...": num}``, keyed
 by its indices joined with commas (``""`` at rank 0); any other leaf holds
 ``"num": [...]``, every numerator in C order.  The choice reads only the
 nonzero count.  Numerators and ``den`` are JSON integers of any size.
+Within one call, a leaf equal to one written before at the same indent is
+written as that text again.
 A :class:`~norden.errors.Violation` is written as its ``_asdict()`` dict,
 ``{"detail": ..., "rule": ..., "where": ...}``; a list of violations whose
 ``rule`` and ``detail`` are strs and whose ``where`` is None or a tuple of
@@ -45,13 +47,15 @@ def canonical_json(obj) -> str:
     module docstring).  Any other value, a subclass of these types
     included, raises ``TypeError``."""
     out: list[str] = []
-    _json(obj, "\n", out)
+    _json(obj, "\n", out, [])
     return "".join(out)
 
 
-def _json(obj, newline: str, out: list[str]) -> None:
+def _json(obj, newline: str, out: list[str], seen: list) -> None:
     """Append ``obj`` as JSON to ``out``; ``newline`` is a line break plus
-    the indent of the line ``obj`` starts on."""
+    the indent of the line ``obj`` starts on, and ``seen`` the
+    :class:`Tensor` leaves written so far in this call (see
+    :func:`_tensor_json`)."""
     kind = type(obj)
     if kind is dict:
         if not obj:
@@ -61,7 +65,7 @@ def _json(obj, newline: str, out: list[str]) -> None:
         sep = "{" + inner
         for key in sorted(obj):         # a non-str key fails in the encoder
             out += (sep, encode_basestring_ascii(key), ": ")
-            _json(obj[key], inner, out)
+            _json(obj[key], inner, out, seen)
             sep = "," + inner
         out.append(newline + "}")
     elif kind is list or kind is tuple:
@@ -84,13 +88,13 @@ def _json(obj, newline: str, out: list[str]) -> None:
         sep = "[" + inner
         for value in obj:
             out.append(sep)
-            _json(value, inner, out)
+            _json(value, inner, out, seen)
             sep = "," + inner
         out.append(newline + "]")
     elif kind is Tensor:
-        _tensor_json(obj, newline, out)
+        out.append(_tensor_json(obj, newline, seen))
     elif kind is Violation:
-        _json(obj._asdict(), newline, out)
+        _json(obj._asdict(), newline, out, seen)
     elif kind is str:
         out.append(encode_basestring_ascii(obj))
     elif kind is int:
@@ -123,12 +127,18 @@ def _violations_json(vs, newline: str) -> str | None:
                                     map(encode_basestring_ascii, rules), at))
 
 
-def _tensor_json(t: Tensor, newline: str, out: list[str]) -> None:
-    """Append the schema-2 leaf of ``t``.  A sparse leaf's lines are
-    sorted as whole strings: they share their start, and after a key
+def _tensor_json(t: Tensor, newline: str, seen: list) -> str:
+    """The schema-2 leaf of ``t``.  ``seen`` holds the indent, the leaf and
+    the text of each leaf written so far: a leaf equal to one of them at
+    the same indent is that text again (``Tensor.__eq__`` compares the
+    shape, ``den`` and variance before any entry).  A sparse leaf's lines
+    are sorted as whole strings: they share their start, and after a key
     comes ``"``, below ``,`` and every digit, so they sort as
     ``sort_keys`` sorts their keys.  A numerator or ``den`` past Python's
     digit limit raises :class:`~norden.errors.DigitLimit`."""
+    for indent, other, text in seen:
+        if indent == newline and other == t:
+            return text
     _check_digits(t.magnitude, t.den)
     inner = newline + " "
     entry = inner + " "
@@ -144,9 +154,12 @@ def _tensor_json(t: Tensor, newline: str, out: list[str]) -> None:
     else:
         field = '"num": ' + ("[" + entry + ("," + entry).join(map(str, nums.tolist()))
                              + inner + "]" if nums.size else "[]")
-    out += ("{", inner, '"den": ', str(t.den), ",", inner, field, ",", inner, '"shape": ')
-    _json(t.shape, inner, out)
+    out = ["{", inner, '"den": ', str(t.den), ",", inner, field, ",", inner, '"shape": ']
+    _json(t.shape, inner, out, seen)
     out += (",", inner, '"variance": ', encode_basestring_ascii(t.variance), newline, "}")
+    text = "".join(out)
+    seen.append((newline, t, text))
+    return text
 
 
 @functools.lru_cache(maxsize=64)

@@ -174,24 +174,35 @@ def report_to_text(report: GeometryReport) -> str:
     lines += [f"  {verdict_line(name, v)}" for name, v in report.identities.items()]
     lines.append("")
     lines.append("tensors (nonzero components):")
-    blocks = [_tensor_block(key, t) for key, t in report.tensors.items()]
+    seen: list = []
+    blocks = [_tensor_block(key, t, seen) for key, t in report.tensors.items()]
     return "\n".join(lines) + "".join(blocks) + "\n"
 
 
-def _tensor_block(key: str, t: Tensor) -> str:
+def _tensor_block(key: str, t: Tensor, seen: list) -> str:
     """The lines of one tensor, each after a line break: its nonzero
     entries in C order, or ``key = 0``.  Each line is three pieces, the
     start up to the head label, the tail label and the value text,
-    gathered from their tables into one object array and joined once."""
+    gathered from their tables into one object array and joined once.
+    ``seen`` holds each tensor rendered before in this report with its
+    key and lines: a tensor equal to one of them takes those lines with
+    its own key, since every line of a block starts with a line break
+    and the key, and no other line break is in it."""
+    for other, other_key, block in seen:
+        if other == t:
+            return block.replace(f"\n  {other_key}", f"\n  {key}")
     nums = t.num.ravel()
     flat = np.flatnonzero(nums != 0)
     if not flat.size:
-        return f"\n  {key} = 0"
-    head, tail = index_labels(t.shape, "] = ")
-    rows, cols = np.divmod(flat, len(tail))
-    texts, inverse = _numerator_texts(nums[flat], t.den)
-    pieces = np.empty((flat.size, 3), dtype=object)
-    pieces[:, 0] = np.array([f"\n  {key}[{label}" for label in head], dtype=object)[rows]
-    pieces[:, 1] = np.array(tail, dtype=object)[cols]
-    pieces[:, 2] = texts[inverse]
-    return "".join(pieces.ravel().tolist())
+        block = f"\n  {key} = 0"
+    else:
+        head, tail = index_labels(t.shape, "] = ")
+        rows, cols = np.divmod(flat, len(tail))
+        texts, inverse = _numerator_texts(nums[flat], t.den)
+        pieces = np.empty((flat.size, 3), dtype=object)
+        pieces[:, 0] = np.array([f"\n  {key}[{label}" for label in head], dtype=object)[rows]
+        pieces[:, 1] = np.array(tail, dtype=object)[cols]
+        pieces[:, 2] = texts[inverse]
+        block = "".join(pieces.ravel().tolist())
+    seen.append((t, key, block))
+    return block

@@ -24,7 +24,10 @@ Every computation is a linear combination of contractions,
 contraction runs on numerators over the product of its operands'
 denominators, pairwise along numpy's greedy path, the terms are added in
 place as integers over the lcm ``L`` of theirs, and the result is reduced
-once, by the gcd of ``L`` and the nonzero numerators.  A term that only
+once, by the gcd of ``L`` and the nonzero numerators: read from none of
+them when ``L`` and the largest magnitude are coprime, from the nonzero
+entries alone of a large mostly-zero array (``GATHER_SIZE``,
+``GATHER_DENSITY``), and from all entries of any other.  A term that only
 permutes the letters of one operand (the identity included) does no
 arithmetic: it is a transposed, read-only view of that operand's
 numerators, with its denominator and largest magnitude, and it runs no
@@ -48,7 +51,7 @@ int32 or int64 operation can wrap; each operand is cast to the picked
 dtype first, so no Python int meets a narrower array.  Each bound is
 first built from what the operands or terms carry, ``(num, top)``: an
 einsum step's result carries that step's bound, ``summed * prod(max(top,
-1))``, the sparse route's the magnitude it read from its row sums, and a
+1))``, the sparse route's the magnitude it read from its block, and a
 stored tensor its magnitude.  A carried bound is never below the
 magnitude, so one below ``2**31`` picks int32 and one below ``2**62``
 picks int64 safely; one that reaches ``2**62`` has every operand or term
@@ -89,14 +92,19 @@ only one operand sums, or that both keep, makes it dense-only.  Any
 other step counts its operands' nonzeros and takes the sparse route when
 ``SPARSE_FACTOR`` times the smaller of ``nnz(A) * kept(B)`` and
 ``nnz(B) * kept(A)`` is below its dense cost, where ``kept(X)`` is the
-size of the letters ``X`` keeps.  That route takes the nonzeros of the
-cheaper side in ``(kept, summed)`` order, multiplies each by the
-matching row of the other operand, sums the products per output row
-with ``np.add.reduceat`` and scatters them into a zero result, reading
-the largest magnitude from those row sums.  It multiplies and adds the
-same integers as the dense einsum, fewer of them, so the step's bound
-covers every partial sum of either route, and both routes serve every
-dtype.  Both return a C-contiguous result in the step's letter order.
+size of the letters ``X`` keeps.  That route lays the cheaper side ``x``
+out as ``(kept, summed)`` rows and finds its live rows, those holding a
+nonzero, from one scan for its nonzeros and a compare of neighbours.
+It then runs one einsum of those rows against the other operand laid
+out as ``(summed, kept)`` (F. G. Gustavson, "Two fast algorithms for
+sparse matrices: multiplication and permuted transposition", ACM TOMS
+4, 1978, multiplies row by row in the same way) and scatters the block
+into a zero result, reading the largest magnitude from the block.  The
+block multiplies the zeros of live rows too, so it adds a superset of
+the dense einsum's nonzero products; still each entry sums at most
+``summed`` products, so the step's bound covers every partial sum of
+either route, and both routes serve every dtype.  Both return a
+C-contiguous result in the step's letter order.
 
 Every scalar comes in through :func:`as_pair`, which reads it as an
 integer pair ``(p, q)``; ``Tensor(...)`` and :meth:`Tensor.of_pairs`
@@ -143,6 +151,22 @@ SPARSE_FLOOR = 1 << 15
 #: sparse work (nonzeros of one operand times the other's kept size) is
 #: below its dense cost.
 SPARSE_FACTOR = 4
+
+#: :func:`_canonical` reads the common factor of an array with more
+#: entries than this from its nonzero entries alone, when fewer than one in
+#: ``GATHER_DENSITY`` of them are nonzero.  Counting the nonzeros first
+#: costs 1.2 us at 2401 entries against 8.5 us for the gcd over all of
+#: them (int32, numpy 2.4, one core of a 2-vCPU VM); every array of a dim-7
+#: report has at most 2401 entries, and counting on every array made the
+#: dim-7 workload 1.6% slower.  From 4096 entries on the count is a tenth
+#: of that gcd or less, and at 2% nonzero the gcd over the nonzeros of 4096
+#: entries takes 4 us against 10 us over all of them.
+GATHER_SIZE = 1 << 12
+#: At one entry in eight nonzero, gathering them and taking their gcd
+#: costs about as much as the gcd over all the entries (4096 and 28561
+#: int32 and int64 entries): a gcd with zero is cheap, a masked gather is
+#: not.  At one in two the gather costs three times the full gcd.
+GATHER_DENSITY = 8
 
 #: Largest decimal exponent magnitude accepted in a string such as
 #: ``"1e300"``: Python's own limit on the digits of an int parsed from a
@@ -253,15 +277,18 @@ def _canonical(num: np.ndarray, den: int, top: int) -> tuple[np.ndarray, int, in
     """``num / den``, whose largest magnitude is ``top``, in the canonical
     form: lowest terms, in the dtype :func:`_dtype` picks for ``top``.
     Returns the form's ``num``, ``den`` and ``top``.
-    The common factor is the gcd of ``den`` and the entries, read in one
-    reduction over all of them (a zero entry divides nothing out) that
-    starts from ``den % top``: ``top`` is one of those entries, so that
-    start shares every common divisor with ``den`` and fits the entries'
-    dtype, as does the factor, a divisor of ``top``."""
+    The common factor is the gcd of ``den`` and the nonzero entries (a
+    zero entry divides nothing out).  ``top`` is one of those entries, so
+    the factor divides ``gcd(den, top)``: when that is 1 nothing is read.
+    Else one reduction starts from it, which fits the entries' dtype, as
+    does the factor: over the nonzero entries alone when the array has
+    more than ``GATHER_SIZE`` entries and fewer than one in
+    ``GATHER_DENSITY`` of them are nonzero, over all of them otherwise."""
     if not top:                     # the zero tensor
         den = 1
-    elif den != 1:
-        g = int(np.gcd.reduce(num, axis=None, initial=den % top))
+    elif (g := math.gcd(den, top)) != 1:
+        sparse = num.size > GATHER_SIZE and GATHER_DENSITY * np.count_nonzero(num) < num.size
+        g = int(np.gcd.reduce(num[num != 0] if sparse else num, axis=None, initial=g))
         if g != 1:
             num, den, top = np.asarray(num // g, dtype=num.dtype), den // g, top // g
     dtype = _dtype(top)
@@ -456,9 +483,9 @@ def _subscripts(subscripts: str) -> tuple[list[str], str]:
 class _Side(NamedTuple):
     """One operand of a two-operand step, laid out for the sparse route.
     Its axes are read in ``(kept, summed)`` order (``as_coo``) when its
-    nonzeros are taken, or in ``(summed, kept)`` order (``as_rows``) when
-    its rows are gathered, with ``blocks`` the sizes of those two groups.
-    When its nonzeros are taken, ``result`` is the step's result shape,
+    live rows are taken, or in ``(summed, kept)`` order (``as_rows``) when
+    it is the other operand, with ``blocks`` the sizes of those two groups.
+    When its live rows are taken, ``result`` is the step's result shape,
     ``axes`` its transpose to ``(own kept, other's kept)`` order and
     ``own`` the shape of its own kept letters."""
     as_coo: tuple[int, ...]
@@ -515,7 +542,10 @@ def _sides(picked: list[str], kept: str, sizes: dict[str, int]) -> tuple[_Side, 
 @functools.lru_cache(maxsize=1024)
 def _plan(subscripts: str, variances: tuple[str, ...],
           shapes: tuple[tuple[int, ...], ...]) -> _Plan:
-    """The plan of one key; the path is searched on shape-only arrays."""
+    """The plan of one key; the path is searched on shape-only arrays.
+    Every slot of one letter must have the same size: numpy would
+    broadcast a size-1 slot, and the sparse route reshapes by these
+    sizes."""
     terms, output = _subscripts(subscripts)
     if len(terms) != len(shapes):
         raise ValueError(f"{subscripts!r} has {len(terms)} terms for "
@@ -533,7 +563,9 @@ def _plan(subscripts: str, variances: tuple[str, ...],
                              f"operand {k} of rank {len(shape)}")
         slots = dict(zip(term, variance)) | slots       # the first slot wins
         for ch, n in zip(term, shape):
-            sizes[ch] = max(sizes.get(ch, 1), n)
+            if sizes.setdefault(ch, n) != n:
+                raise DimensionMismatch(f"{subscripts!r}: letter {ch!r} has size "
+                                        f"{sizes[ch]} and size {n}")
     for ch in output:
         if ch not in slots:
             raise ValueError("einstein sum subscripts string included output "
@@ -561,38 +593,35 @@ def _plan(subscripts: str, variances: tuple[str, ...],
 
 
 def _sparse_step(x: np.ndarray, y: np.ndarray, sx: _Side,
-                 sy: _Side) -> tuple[np.ndarray, int]:
-    """A step on the nonzeros of ``x``: each nonzero ``x[i, s]`` times the
-    gathered row ``y[s, :]``, the products summed per output row ``i``
-    and scattered, through a transposed view, into a C-contiguous zero
-    result of ``x``'s dtype.  Returns the result and its largest
-    magnitude, read from the row sums alone, since every other entry is
-    zero."""
+                 sy: _Side) -> tuple[tuple, np.ndarray, np.ndarray]:
+    """The operands of a step on the live rows of ``x``, the rows of its
+    ``(kept, summed)`` layout that hold a nonzero: where they sit in that
+    layout, as an index of its kept axes, those rows as a ``(live,
+    summed)`` array, and ``y`` as a ``(summed, kept)`` array.  The live
+    rows come from one scan of ``x`` for its nonzeros, in increasing
+    order, and a compare of neighbours."""
     ns = sx.blocks[1]
     x = np.atleast_1d(x.transpose(sx.as_coo))   # a view, not a copy
-    rows = y.transpose(sy.as_rows).reshape(ns, sy.blocks[0])
-    flat = np.flatnonzero(x != 0)       # i ns + s, increasing
-    out = np.zeros(sx.result, dtype=x.dtype)
-    top = 0
-    if flat.size:
-        row, s = np.divmod(flat, ns)
-        products = rows[s] * x[np.unravel_index(flat, x.shape)][:, None]
-        starts = np.flatnonzero(np.concatenate(([True], row[1:] != row[:-1])))
-        sums = np.add.reduceat(products, starts, axis=0)
-        view = out.transpose(sx.axes)
-        # A step that keeps no letter of x has one output row: ().
-        at = np.unravel_index(row[starts], sx.own) if sx.own else ()
-        view[at] = sums.reshape(-1, *view.shape[len(sx.own):])
-        top = _max_abs(sums)
-    return out, top
+    row = np.flatnonzero(x != 0) // ns
+    if row.size:
+        first = np.empty(row.size, dtype=bool)
+        first[0] = True
+        np.not_equal(row[1:], row[:-1], out=first[1:])
+        row = row[first]
+    # A step that keeps no letter of x has one row, indexed by a boolean
+    # (numpy reads True as one row and False as none): whether it is live.
+    at = np.unravel_index(row, sx.own) if sx.own else bool(row.size)
+    return at, x[at].reshape(-1, ns), y.transpose(sy.as_rows).reshape(ns, sy.blocks[0])
 
 
 def _pairwise(step: _Step, nums: list[np.ndarray], bound: int) -> tuple[np.ndarray, int]:
     """One step on ``nums``, which :func:`_fit` cast for it: the result and
     a bound on its largest magnitude.  A step with a sparse layout runs on
-    the nonzeros of the operand whose nonzeros times the other's kept size
-    is smaller, when that work times ``SPARSE_FACTOR`` is below its dense
-    cost, and reads the exact magnitude from its row sums; any other step
+    the live rows of the operand whose nonzeros times the other's kept
+    size is smaller, when that work times ``SPARSE_FACTOR`` is below its
+    dense cost: one einsum of those rows (:func:`_sparse_step`) scattered
+    into a zero result, whose exact magnitude is read from the block; an
+    operand with no nonzero gives zero and reads nothing.  Any other step
     is one einsum, whose result carries ``bound`` unscanned.  Either
     result is C-contiguous and in the operands' dtype, whose integer
     arithmetic wraps only for uint64 (see :func:`_wrapped`)."""
@@ -602,7 +631,13 @@ def _pairwise(step: _Step, nums: list[np.ndarray], bound: int) -> tuple[np.ndarr
         work_b = np.count_nonzero(b) * sa.blocks[0]
         if SPARSE_FACTOR * min(work_a, work_b) < step.cost:
             x, y, sx, sy = (a, b, sa, sb) if work_a <= work_b else (b, a, sb, sa)
-            return _sparse_step(x, y, sx, sy)
+            at, live, rows = _sparse_step(x, y, sx, sy)
+            out = np.zeros(sx.result, dtype=x.dtype)
+            if not len(live):           # x is zero
+                return out, 0
+            block = np.einsum("is,sk->ik", live, rows)
+            out.transpose(sx.axes)[at] = block.reshape(-1, *sy.own)
+            return out, _max_abs(block)
     out = np.einsum(step.subscripts, *nums)
     if type(out) is not np.ndarray:     # a 0-d result is a bare scalar, an int for object
         out = np.asarray(out, dtype=nums[0].dtype)

@@ -1,7 +1,7 @@
 """``tools/ab.py`` runs end to end: this checkout against itself (A/A) on a
-pool of three small ``dense_basis`` ops, each run ``ROUNDS`` times under
-each tree; and it stops when the two trees print different text for one
-op."""
+pool of three small ``dense_basis`` ops, and on two ``family_sparse`` ops
+at another half-dimension, each run ``ROUNDS`` times under each tree; and
+it stops when the two trees print different text for one op."""
 import importlib.util
 import json
 import subprocess
@@ -32,6 +32,26 @@ def test_an_a_a_run_gives_identical_outputs_and_a_ratio_per_op():
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["workload"] == "dense_basis" and result["pairs"] == 3 * _ab().ROUNDS
     assert 0 < result["q1"] <= result["median"] <= result["q3"]
+
+
+def test_the_pool_is_built_at_the_half_dimension_asked_for(monkeypatch, capsys):
+    """``--n 2`` builds dim-5 ``family_sparse`` models, not the workload's
+    dim-13 ones: every model file of the pool declares ``dim = 5``, and
+    the result names the half-dimension."""
+    ab, dims = _ab(), []
+    real = ab.compare
+
+    def compare(cli_a, cli_b, cases):
+        dims.extend(case.path.read_text(encoding="utf-8").splitlines()[1] for case in cases)
+        return real(cli_a, cli_b, cases)
+
+    monkeypatch.setattr(ab, "compare", compare)
+    tree = str(REPO_ROOT)
+    assert ab.main([tree, tree, "--workload", "family_sparse", "--pool", "2", "--n", "2"]) == 0
+    result = json.loads(capsys.readouterr().out.splitlines()[-1])
+    assert (result["workload"], result["n"], result["pairs"]) == ("family_sparse", 2,
+                                                                 2 * ab.ROUNDS)
+    assert dims == ["dim = 5"] * (2 * ab.ROUNDS)
 
 
 def test_ops_whose_outputs_differ_stop_the_run():

@@ -153,6 +153,22 @@ def test_tensor_leaf_cases(components, variance):
     assert canonical_json({"t": [t]}) == _dumps({"t": [_tensor_dict(t)]})
 
 
+def test_equal_leaves_at_any_indent_are_each_written_as_their_dict():
+    """A leaf equal to one written before takes its text only at the same
+    indent: one tensor at three indents, twice at one of them, beside a
+    tensor that differs from it in variance only and one that differs in
+    one entry."""
+    entries = _with({(0, 1): Fr(1, 2), (1, 0): -3}, (2, 2))
+    t, again = Tensor(entries, "ud"), Tensor(entries, "ud")
+    other_variance = Tensor(entries, "dd")
+    other_entry = Tensor(_with({(0, 1): Fr(1, 2), (1, 0): 3}, (2, 2)), "ud")
+    obj = {"a": t, "b": [again, {"c": t}], "d": again, "e": other_variance, "f": other_entry}
+    plain = {"a": _tensor_dict(t), "b": [_tensor_dict(t), {"c": _tensor_dict(t)}],
+             "d": _tensor_dict(t), "e": _tensor_dict(other_variance),
+             "f": _tensor_dict(other_entry)}
+    assert canonical_json(obj) == _dumps(plain)
+
+
 @pytest.mark.parametrize("components, kind", [
     ([[1, 0], [0, 0]], "nonzero"),      # a quarter nonzero
     ([[1, 0], [0, 2]], "num"),          # half nonzero

@@ -357,8 +357,8 @@ STEP_COUNTS = {
 # one it was computed under; a stored tensor carries its exact magnitude;
 # exact_sum scans each result once.  A step or sum whose bound, built from
 # what is carried, reaches 2**62 scans every operand or term and builds it
-# again; the sparse route reads its magnitude from its row sums (one scan
-# of those each); the inverse metric reads its magnitude while it builds
+# again; the sparse route reads its magnitude from its block (one scan
+# of each block; none when the operand it takes is zero); the inverse metric reads its magnitude while it builds
 # its storage and scans nothing.  Scanning every intermediate read 100,
 # 100, 98 and 100.  The omega contraction that the F11 test no longer
 # repeats scanned its result once, and its intermediate once more at
@@ -411,17 +411,23 @@ TIERS = {
 }
 
 
-def _fill(rng, shape, density: float, kind: str, den: int = 1) -> Tensor:
-    """A tensor of ``shape`` whose entries are nonzero with probability
-    ``density``: small integers, small rationals, integers past int64, or
-    magnitudes of one of :data:`TIERS`, all over ``den``."""
+def _nonzeros(rng, kind: str):
+    """A function that draws one nonzero entry of ``kind``: a small
+    integer, a small rational, an integer past int64, or a magnitude of
+    one of :data:`TIERS`."""
     sign = lambda: rng.choice((-1, 1))
-    draw = {
+    return {
         "int": lambda: sign() * rng.randint(1, 9),
         "rational": lambda: Fr(sign() * rng.randint(1, 9), rng.choice(PRIMES)),
         "huge": lambda: sign() * rng.randint(1, 2**70),
         **{tier: lambda tops=tops: sign() * rng.choice(tops) for tier, tops in TIERS.items()},
     }[kind]
+
+
+def _fill(rng, shape, density: float, kind: str, den: int = 1) -> Tensor:
+    """A tensor of ``shape`` whose entries are nonzero with probability
+    ``density``, drawn by :func:`_nonzeros`, all over ``den``."""
+    draw = _nonzeros(rng, kind)
     count = math.prod(shape)
     return _array([Fr(draw(), den) if rng.random() < density else 0 for _ in range(count)],
                   shape)
@@ -511,6 +517,52 @@ def test_the_sparse_route_matches_the_reference_and_the_dense_route(case):
                                                               ("einsum", dtype)}
 
 
+@st.composite
+def live_row_steps(draw):
+    """A two-operand step at the sparse floor whose first operand ``x`` is
+    drawn row by row in the ``(kept, summed)`` layout of the sparse route:
+    each row is zero, holds one nonzero or holds several, and the last is
+    zero, so the live rows are a random strict subset.  ``x`` keeps one or
+    two letters and sums one or two, in a random order; the other operand
+    is dense and keeps one letter.  Entries are of one kind of
+    :func:`_nonzeros`, over a drawn denominator."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kept = list("ab"[:draw(st.integers(1, 2))])
+    summed = list("cd"[:draw(st.integers(1, 2))])
+    sizes = {ch: draw(st.integers(2, 5)) for ch in kept + summed}
+    sizes["e"] = -(-SPARSE_FLOOR // math.prod(sizes.values()))
+    left, right, out = kept + summed, summed + ["e"], kept + ["e"]
+    for term in (left, right, out):
+        rng.shuffle(term)
+    nk, ns = math.prod(sizes[ch] for ch in kept), math.prod(sizes[ch] for ch in summed)
+    nonzero = _nonzeros(rng, draw(st.sampled_from(("int", "rational", "huge", *TIERS))))
+    den = draw(st.sampled_from((1, 3, 2**31 + 11)))
+    rows = np.zeros((nk, ns), dtype=object)
+    for row in range(nk - 1):
+        for s in rng.sample(range(ns), rng.choice((0, 0, 1, rng.randint(1, ns)))):
+            rows[row, s] = Fr(nonzero(), den)
+    laid = kept + summed
+    x = rows.reshape([sizes[ch] for ch in laid]).transpose([laid.index(ch) for ch in left])
+    y = _fill(rng, tuple(sizes[ch] for ch in right), 1.0, "int")
+    subscripts = f"{''.join(left)},{''.join(right)}->{''.join(out)}"
+    return subscripts, _array(x.ravel().tolist(), x.shape), y, (len(kept), sizes["e"])
+
+
+@settings(max_examples=20, deadline=None)
+@given(live_row_steps())
+def test_the_sparse_route_on_a_random_subset_of_live_rows(case):
+    """The sparse route, forced, takes the mostly-zero operand and runs on
+    its live rows alone; it gives the dense route's tensor and the
+    reference over Fractions, on every tier."""
+    subscripts, x, y, side = case
+    with mock.patch.object(tensors, "SPARSE_FACTOR", 0), kernel_probe() as probe:
+        by_sparse = exact_einsum(subscripts, x, y)
+    assert [(step.route, step.side) for step in probe.steps] == [("sparse", side)]
+    with _dense_plans():
+        assert exact_einsum(subscripts, x, y) == by_sparse
+    _assert_same(by_sparse, _reference(subscripts, x, y))
+
+
 #: Two-operand steps whose letters keep what one operand alone carries,
 #: so they may take the sparse route, and two dense-only ones: a letter
 #: that only one operand sums, and a letter that both keep.
@@ -592,8 +644,8 @@ def test_each_tier_matches_the_fraction_reference_on_both_routes(terms):
 
 #: A step whose first operand keeps no letter: it sums all of them.  When
 #: the sparse route takes that operand's nonzeros, every product lands in
-#: the one output row (``at = ()`` in ``_sparse_step``); when it takes the
-#: other operand's, it gathers rows of one column from the first.
+#: the one output row (indexed by a boolean in ``_sparse_step``); when it
+#: takes the other operand's, it gathers rows of one column from the first.
 KEEPS_NONE = "abcd,abcde->e"
 
 

@@ -20,11 +20,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from norden import DimensionMismatch, VarianceMismatch
+from norden import DimensionMismatch, VarianceMismatch, tensors
 from norden.geometry import _vanishes
 from norden.tensors import (
     _PRIMES,
     _primes,
+    GATHER_SIZE,
     INT32_SAFE,
     INT64_SAFE,
     Tensor,
@@ -570,6 +571,68 @@ def test_sum_variances_and_shapes_must_agree():
         exact_sum([(1, "i->i", u), (1, "i->i", Tensor([1, 2, 3], "u"))])
     # The output slot takes the variance of the first slot carrying its letter.
     assert exact_einsum("ij,j->i", Tensor([[1, 0], [0, 1]], "ud"), u).variance == "u"
+
+
+@pytest.mark.parametrize("subscripts, shapes, sizes", [
+    ("ij,jk->ik", ((2, 1), (3, 2)), "'j' has size 1 and size 3"),   # numpy broadcasts j
+    ("i,i->", ((1,), (3,)), "'i' has size 1 and size 3"),           # and i
+    ("ii->i", ((2, 3),), "'i' has size 2 and size 3"),              # a non-square diagonal
+    # A step at the sparse floor, 16 * 16 * 128, which reshapes by sizes.
+    ("ab,bc->ac", ((16, 16), (17, 128)), "'b' has size 16 and size 17"),
+])
+def test_a_letter_of_two_sizes_is_a_dimension_mismatch(subscripts, shapes, sizes):
+    """Every slot of one letter has one size: a size-1 slot against a
+    longer one is not broadcast, and no mismatch reaches numpy."""
+    operands = [_array(list(range(1, math.prod(shape) + 1)), shape) for shape in shapes]
+    with pytest.raises(DimensionMismatch, match=f"letter {sizes}"):
+        exact_einsum(subscripts, *operands)
+
+
+def _cells(size: int, entries: dict, dtype) -> np.ndarray:
+    """A 1-d array of ``size`` zeros in ``dtype`` but at the indices of
+    ``entries`` (index to value)."""
+    num = np.zeros(size, dtype=dtype)
+    for k, v in entries.items():
+        num[k] = v
+    return num
+
+
+#: case -> (numerators, den, the reduced den, the reduced dtype, nonzero counts).
+#: Each array but the last has more than ``GATHER_SIZE`` entries.
+CANONICAL = {
+    # gcd(5, 6) = 1: no entry is read, and the array is returned as it is.
+    "gcd(den, top) is 1": (_cells(5000, {0: 6, 4999: -4}, np.int32), 5, 5, "int32", 0),
+    # The nonzeros share 2**33 with den, and 3 and -10 fit int32.
+    "mostly zero, reduced and narrowed": (
+        _cells(5000, {7: 3 * 2**33, 4000: -5 * 2**34}, np.int64), 2**35, 4, "int32", 1),
+    # gcd(4, 10) = 2, but the nonzero -3 shares nothing with 4.
+    "mostly zero, one coprime nonzero": (
+        _cells(5000, {0: 10, 1: 4, 2: -3, 4998: -6}, np.int32), 4, 4, "int32", 1),
+    "dense": (np.arange(6, 6 * 5001, 6, dtype=np.int32), 9, 3, "int32", 1),
+    "mostly zero, Python ints": (
+        _cells(5000, {3: 3 * 2**70, 4500: -(2**71)}, object), 2**72, 4, "int32", 1),
+    "at most GATHER_SIZE entries": (
+        _cells(GATHER_SIZE, {0: 2**40, 9: 2**41}, np.int64), 2**41, 2, "int32", 0),
+}
+
+
+@pytest.mark.parametrize("case", list(CANONICAL))
+def test_the_reduction_reads_the_nonzeros_of_a_mostly_zero_array(case):
+    """``_canonical`` returns at once when ``gcd(den, top)`` is 1, counts
+    the nonzeros of an array past ``GATHER_SIZE`` entries, and reads the
+    common factor from the nonzeros alone when few are nonzero: each
+    result equals the input over Fractions, in lowest terms and in the
+    narrowest dtype."""
+    num, den, want_den, want_dtype, counts = CANONICAL[case]
+    top = max(map(abs, num.tolist()))
+    with kernel_probe() as probe:
+        out, out_den, out_top = tensors._canonical(num, den, top)
+    assert (out_den, out.dtype.name, probe.nonzero_counts) == (want_den, want_dtype, counts)
+    assert [Fr(int(v), out_den) for v in out.tolist()] == [Fr(int(v), den) for v in num.tolist()]
+    assert out_top == max(map(abs, out.tolist()))
+    assert math.gcd(out_den, *map(int, out.tolist())) == 1
+    if out_den == den:
+        assert out is num
 
 
 @pytest.mark.parametrize("entry", [exact_sum, nonzero_where])

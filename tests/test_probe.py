@@ -53,11 +53,23 @@ def _wide(first, second):
     return [(1, "ab,bc->ac", _tensor((16, 16), count=first), _tensor((16, 128), count=second))]
 
 
-def _keeps_none(second):
+def _keeps_none(second, first=1):
     """``abcd,abcde->e`` at the sparse floor: the first operand keeps no
-    letter and has one nonzero, the second has ``second`` nonzeros."""
-    return [(1, "abcd,abcde->e", _tensor((4,) * 4, count=1),
+    letter and has ``first`` nonzeros, the second has ``second``."""
+    return [(1, "abcd,abcde->e", _tensor((4,) * 4, count=first),
              _tensor((4,) * 4 + (128,), count=second))]
+
+
+def _rows(value=1, top=1):
+    """``ab,bc->ac`` at the sparse floor (16 x 16, every entry ``top``
+    times a small integer, times 16 x 128), the second operand zero but
+    at three entries, ``value`` times small integers: two in column 0 and
+    one in column 2.  The step takes that operand in ``(c, b)`` layout,
+    so its live rows are 0 and 2 of 128, and row 0 holds two nonzeros."""
+    cells = [0] * (16 * 128)
+    for (b, c), v in {(0, 0): 5, (3, 0): -7, (5, 2): 2}.items():
+        cells[b * 128 + c] = v * value
+    return [(1, "ab,bc->ac", _tensor((16, 16), top), _array(cells, (16, 128)))]
 
 
 def _off_diagonal(top, other):
@@ -110,6 +122,18 @@ REACH = {
                                                   ((("sparse", "int32", (0, 128)),), (), 0)),
     "sparse, the other operand keeps no letter": (lambda: _keeps_none(1),
                                                   ((("sparse", "int32", (1, 1)),), (), 0)),
+    "sparse, two of 128 rows live": (lambda: _rows(), ((("sparse", "int32", (1, 16)),), (), 0)),
+    "sparse, an all-zero operand": (lambda: _wide(None, 0),
+                                    ((("sparse", "int32", (1, 16)),), (), 0)),
+    "sparse, an all-zero operand that keeps no letter": (
+        lambda: _keeps_none(200, 0), ((("sparse", "int32", (0, 128)),), (), 0)),
+    # The bound 16 * 3 * 2**29 * 7 * 2**28 passes 2**63, and no entry of
+    # the result passes 36 * 2**57: the live rows run on words, one prime.
+    "residue, live rows on the sparse route": (
+        lambda: _rows(2**28, 2**29), ((("sparse", "uint64", (1, 16), 1),), (), 1)),
+    # 16 * 3 * 2**70 * 7 * 2**70 is past two primes: the live rows run on Python ints.
+    "object, live rows on the sparse route": (
+        lambda: _rows(2**70, 2**70), ((("sparse", "object", (1, 16)),), (), 1)),
     # 2 * 2**40 * 2**30 puts the first step on the residue route, and its
     # result is below 2**41: the second step's carried bound is 2**82, and
     # the rescan of that result finds 2**51, so it runs in int64.

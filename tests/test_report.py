@@ -5,9 +5,13 @@ import random
 from dataclasses import fields, replace
 from fractions import Fraction as Fr
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from norden import canonical
+from norden import report as report_module
 from norden import (
     GeometryReport,
     Tensor,
@@ -17,6 +21,7 @@ from norden import (
     report_to_text,
     run_report,
 )
+from test_canonical_json import _tensor_dict
 from zoo import dense_model, golden_model
 
 
@@ -224,6 +229,43 @@ def test_text_rendering_of_int64_tensors(rep23):
     _, tail = text.split("tensors (nonzero components):\n")
     assert tail == "".join(line + "\n" for key, t in tensors.items()
                            for line in _tensor_lines(key, t))
+
+
+def _first_of_each_value(tensors: dict[str, Tensor]) -> list[str]:
+    """The keys of the tensors that equal no tensor before them."""
+    items = list(tensors.items())
+    return [key for k, (key, t) in enumerate(items) if all(t != u for _, u in items[:k])]
+
+
+@pytest.mark.parametrize("key, equal", [(2, True), ("f11_dim5", False)])
+def test_each_render_writes_an_equal_tensor_once(key, equal):
+    """On a family report R = psi4(S), and on ``f11_dim5(1, 1, 1, 3)``,
+    whose ``twisted`` gate shuts, R differs from psi4(S): each render gives
+    the bytes of its definition, ``json.dumps`` of the schema-2 leaves and
+    one line per nonzero entry, and writes the entries of each distinct
+    tensor once: the text render formats their numerators once, and the
+    JSON writer checks their digits once."""
+    report = run_report(golden_model(key))
+    assert (report.tensors["riemann"] == report.tensors["psi4_s"]) == equal
+    distinct = _first_of_each_value(report.tensors)
+    assert ("riemann" in distinct) != equal and "psi4_s" in distinct
+    formats, checks = [], []
+    real_texts, real_check = report_module._numerator_texts, canonical._check_digits
+    with mock.patch.object(report_module, "_numerator_texts",
+                           lambda nums, den: formats.append(den) or real_texts(nums, den)), \
+            mock.patch.object(canonical, "_check_digits",
+                              lambda *values: checks.append(values) or real_check(*values)):
+        text = report_to_text(report)
+        formats_done = len(formats)
+        assert report_to_json(report) == json.dumps(
+            {**report_module._report_object(report),
+             "tensors": {k: _tensor_dict(t) for k, t in report.tensors.items()}},
+            sort_keys=True, indent=1)
+    _, tail = text.split("tensors (nonzero components):\n")
+    assert tail == "".join(line + "\n" for k, t in report.tensors.items()
+                           for line in _tensor_lines(k, t))
+    assert formats_done == sum(not report.tensors[k].is_zero() for k in distinct)
+    assert len(checks) == len(distinct)
 
 
 def test_flat_member_report(fam_zero):

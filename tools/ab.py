@@ -5,11 +5,13 @@ Usage (from the repository root)::
 
     python3 tools/ab.py PARENT_TREE CHANGED_TREE --workload dense_basis
     python3 tools/ab.py . . --workload validate_mix --pool 3
+    python3 tools/ab.py PARENT_TREE CHANGED_TREE --workload family_sparse --n 16 --pool 6
 
 Each tree's ``src/norden`` is loaded under a package name of its own, so
 both live in this process at once.  The workload's pool of model files is
 built once, through ``benchmarks/run.py`` of this checkout (imported, not
-edited), at the workload's own dimension with seed ``SEED``.  Every op of
+edited), with seed ``SEED``, at the workload's own half-dimension ``n``
+(dim ``2n + 1``) or at the one ``--n`` gives.  Every op of
 the pool then runs under A and under B, ``ROUNDS`` times, the order
 alternating from one op to the next; both runs must give the same exit
 code and the same stdout.  A and B meet the same machine state within
@@ -18,11 +20,13 @@ two benchmark runs made minutes apart.
 
 Prints the median of the per-op B/A time ratios with its quartiles and
 the number of op pairs; the last line of stdout is the same as one JSON
-object.  Exits 1 when an op's outputs differ.
+object, which also holds the half-dimension.  Exits 1 when an op's
+outputs differ.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import importlib
 import importlib.util
 import json
@@ -76,8 +80,12 @@ def main(argv=None) -> int:
     parser.add_argument("tree_b", type=Path)
     parser.add_argument("--workload", required=True, choices=sorted(run.WORKLOADS))
     parser.add_argument("--pool", type=int, help="ops in the pool (default: the workload's)")
+    parser.add_argument("--n", type=int, help="half-dimension of the pool's models, "
+                        "dim = 2n + 1 (default: the workload's)")
     args = parser.parse_args(argv)
     workload = run.WORKLOADS[args.workload]
+    if args.n is not None:
+        workload = dataclasses.replace(workload, n=args.n)
     lib_a, cli_a = load_tree(args.tree_a, "norden_a")
     _, cli_b = load_tree(args.tree_b, "norden_b")
     with tempfile.TemporaryDirectory() as work:
@@ -93,10 +101,10 @@ def main(argv=None) -> int:
             return 1
     median = statistics.median(ratios)
     q1, _, q3 = statistics.quantiles(ratios, n=4)
-    print(f"# {workload.name} seed={SEED} pool={len(cases)} rounds={ROUNDS}: "
+    print(f"# {workload.name} n={workload.n} seed={SEED} pool={len(cases)} rounds={ROUNDS}: "
           f"B/A median {median:.4f}, quartiles {q1:.4f} {q3:.4f}, {len(ratios)} op pairs")
-    print(json.dumps({"workload": workload.name, "pairs": len(ratios), "median": median,
-                      "q1": q1, "q3": q3}))
+    print(json.dumps({"workload": workload.name, "n": workload.n, "pairs": len(ratios),
+                      "median": median, "q1": q1, "q3": q3}))
     return 0
 
 
