@@ -61,7 +61,7 @@ class _CliFailure(Exception):
 
 def _read_file(path: str) -> str:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:     # drops one leading BOM
             return fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _CliFailure(EXIT_INPUT, f"cannot read {path}: {exc}")

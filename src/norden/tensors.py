@@ -14,10 +14,10 @@ exactly when their ``(variance, shape, den, num)`` are.
 Each tensor also stores ``magnitude``, its largest ``|num|`` entry, found
 where its storage is built, so a contraction reads its operands' bound
 terms without scanning them.  An intermediate (a pairwise step's result,
-a term of a sum) carries one bound; a stored tensor carries its exact
-magnitude; :func:`exact_sum` scans each result once, so ``magnitude``
-stays exact.  Both are read as bounds, and scanned again only when a
-bound reaches ``2**62`` (see below).
+a term of a sum) carries one bound, the one it was computed under; a
+stored tensor carries its exact magnitude; :func:`exact_sum` scans each
+result once, so ``magnitude`` stays exact.  Both are read as bounds, and
+scanned again only when a bound reaches ``2**62`` (see below).
 
 Every computation is a linear combination of contractions,
 :func:`exact_sum` (:func:`exact_einsum` is its one-term case): each
@@ -49,17 +49,16 @@ which bounds every partial sum.  Zeros count as 1 in both.  A bound
 covers every product, partial sum and factor of its step or sum, so no
 int32 or int64 operation can wrap; each operand is cast to the picked
 dtype first, so no Python int meets a narrower array.  Each bound is
-first built from what the operands or terms carry, ``(num, top)``: an
-einsum step's result carries that step's bound, ``summed * prod(max(top,
-1))``, the sparse route's the magnitude it read from its block, and a
-stored tensor its magnitude.  A carried bound is never below the
-magnitude, so one below ``2**31`` picks int32 and one below ``2**62``
-picks int64 safely; one that reaches ``2**62`` has every operand or term
-scanned and is built again from their magnitudes.  So every step and
-every sum leaves int32 and int64 exactly where the exact magnitudes do,
-and takes int32 wherever the carried bound proves it: a scan costs a
-pass over the array, and it is paid only to keep a step in a narrower
-tier.
+first built from what the operands or terms carry, ``(num, top)``: a
+step's result carries the bound :func:`_fit` built for that step, on
+every route, and a stored tensor its magnitude.  A carried bound is
+never below the magnitude, so one below ``2**31`` picks int32 and one
+below ``2**62`` picks int64 safely; one that reaches ``2**62`` has every
+operand or term scanned and is built again from their magnitudes.  So
+every step and every sum leaves int32 and int64 exactly where the exact
+magnitudes do, and takes int32 wherever the carried bound proves it: a
+scan costs a pass over the array, and it is paid only to keep a step in
+a narrower tier.
 
 A step whose bound still reaches ``2**62`` takes a fourth tier before
 Python ints: the residue route of :func:`_wrapped`, a wrapping uint64
@@ -68,7 +67,7 @@ primes.  :func:`_primes` fixes the primes from the bound before any
 residue work, and a bound past that cap, or an entry whose check fails
 (its magnitude is at least ``2**63``), runs the step on Python ints.
 The residue route's result is an int64 array that carries the step's
-bound, like any einsum step's.  So the four tiers of a step are int32,
+bound, like any step's.  So the four tiers of a step are int32,
 int64, residue-checked wrapping int64 and Python ints; a sum has the
 first two and the last.
 
@@ -79,29 +78,30 @@ the output variance, the axis order of a permutation term and, from
 numpy's greedy pairwise path (searched once per key on shape-only
 arrays), each step: the pair it takes, its subscripts, the number of
 index combinations it sums, its dense cost (the product of its letter
-sizes) and the sparse layout of a step that may take the sparse route.
+sizes), its result shape and the sparse layout of a step that may take
+the sparse route.
 A plan holds no value and no dtype: each call reads its operands' stored
 magnitudes, so each step still picks its arithmetic by the bounds above.
 
-Each step then picks its route, in one call that returns the result and
-what it carries.  A step is dense-only, and runs as one ``np.einsum``
-whose result carries the step's bound, when it has one operand, repeats a
-letter inside one term, costs less than ``SPARSE_FLOOR``, or does not
-keep exactly the letters that one operand alone carries: a letter that
-only one operand sums, or that both keep, makes it dense-only.  Any
-other step counts its operands' nonzeros and takes the sparse route when
-``SPARSE_FACTOR`` times the smaller of ``nnz(A) * kept(B)`` and
-``nnz(B) * kept(A)`` is below its dense cost, where ``kept(X)`` is the
-size of the letters ``X`` keeps.  That route lays the cheaper side ``x``
-out as ``(kept, summed)`` rows and finds its live rows, those holding a
-nonzero, from one scan for its nonzeros and a compare of neighbours.
-It then runs one einsum of those rows against the other operand laid
-out as ``(summed, kept)`` (F. G. Gustavson, "Two fast algorithms for
-sparse matrices: multiplication and permuted transposition", ACM TOMS
-4, 1978, multiplies row by row in the same way) and scatters the block
-into a zero result, reading the largest magnitude from the block.  The
-block multiplies the zeros of live rows too, so it adds a superset of
-the dense einsum's nonzero products; still each entry sums at most
+Each step then picks its route, in one call that returns its result.
+A step is dense-only, and runs as one ``np.einsum``, when it has one
+operand, repeats a letter inside one term, costs less than
+``SPARSE_FLOOR``, or does not keep exactly the letters that one operand
+alone carries: a letter that only one operand sums, or that both keep,
+makes it dense-only.  Any other step counts its operands' nonzeros and
+takes the sparse route when ``SPARSE_FACTOR`` times the smaller of
+``nnz(A) * kept(B)`` and ``nnz(B) * kept(A)`` is below its dense cost,
+where ``kept(X)`` is the size of the letters ``X`` keeps.  That route
+lays both operands out as ``(own kept, summed)`` rows and finds the live
+rows of the cheaper side ``x``, those holding a nonzero, from one scan
+for its nonzeros and a compare of neighbours.  It then runs one einsum
+of those rows against the other operand's rows (F. G. Gustavson, "Two
+fast algorithms for sparse matrices: multiplication and permuted
+transposition", ACM TOMS 4, 1978, multiplies row by row in the same
+way) and scatters the block into a zero result; an ``x`` with no
+nonzero leaves that result zero and runs no einsum.  The block
+multiplies the zeros of live rows too, so it adds a superset of the
+dense einsum's nonzero products; still each entry sums at most
 ``summed`` products, so the step's bound covers every partial sum of
 either route, and both routes serve every dtype.  Both return a
 C-contiguous result in the step's letter order.
@@ -481,31 +481,28 @@ def _subscripts(subscripts: str) -> tuple[list[str], str]:
 
 
 class _Side(NamedTuple):
-    """One operand of a two-operand step, laid out for the sparse route.
-    Its axes are read in ``(kept, summed)`` order (``as_coo``) when its
-    live rows are taken, or in ``(summed, kept)`` order (``as_rows``) when
-    it is the other operand, with ``blocks`` the sizes of those two groups.
-    When its live rows are taken, ``result`` is the step's result shape,
-    ``axes`` its transpose to ``(own kept, other's kept)`` order and
-    ``own`` the shape of its own kept letters."""
-    as_coo: tuple[int, ...]
-    as_rows: tuple[int, ...]
-    blocks: tuple[int, int]
-    result: tuple[int, ...]
-    axes: tuple[int, ...]
+    """One operand of a two-operand step, laid out for the sparse route:
+    ``rows`` transposes it to ``(own kept, summed)`` order, the one layout
+    of both operands, ``own`` is the shape of its own kept letters and
+    ``kept`` their size, and ``axes`` transposes the step's result to
+    ``(own kept, other's kept)`` order."""
+    rows: tuple[int, ...]
     own: tuple[int, ...]
+    kept: int
+    axes: tuple[int, ...]
 
 
 class _Step(NamedTuple):
     """One pairwise step: the positions it takes off the operand list (the
     result goes on the end), its einsum subscripts, the number of index
     combinations it sums, its dense cost (the product of its letter
-    sizes) and the sparse layout of its two operands, ``None`` when the
-    step is dense-only."""
+    sizes), its result shape and the sparse layout of its two operands,
+    ``None`` when the step is dense-only."""
     pair: tuple[int, ...]
     subscripts: str
     summed: int
     cost: int
+    shape: tuple[int, ...]
     sides: tuple[_Side, _Side] | None
 
 
@@ -527,15 +524,10 @@ def _sides(picked: list[str], kept: str, sizes: dict[str, int]) -> tuple[_Side, 
     own = [[ch for ch in a if ch not in b], [ch for ch in b if ch not in a]]
     sides = []
     for term, mine, theirs in ((a, *own), (b, *own[::-1])):
-        letters = mine + theirs
-        sides.append(_Side(
-            as_coo=tuple(term.index(ch) for ch in mine + summed),
-            as_rows=tuple(term.index(ch) for ch in summed + mine),
-            blocks=tuple(math.prod(sizes[ch] for ch in group) for group in (mine, summed)),
-            result=tuple(sizes[ch] for ch in kept),
-            axes=tuple(kept.index(ch) for ch in letters),
-            own=tuple(sizes[ch] for ch in mine),
-        ))
+        shape = tuple(sizes[ch] for ch in mine)
+        sides.append(_Side(rows=tuple(term.index(ch) for ch in mine + summed), own=shape,
+                           kept=math.prod(shape),
+                           axes=tuple(kept.index(ch) for ch in mine + theirs)))
     return tuple(sides)
 
 
@@ -587,21 +579,22 @@ def _plan(subscripts: str, variances: tuple[str, ...],
                       or any(len(set(term)) != len(term) for term in picked)
                       or set(kept) != set(picked[0]) ^ set(picked[1]))
         steps.append(_Step(pair, ",".join(picked) + "->" + kept, summed, cost,
+                           tuple(sizes[ch] for ch in kept),
                            None if dense_only else _sides(picked, kept, sizes)))
         left.append(kept)
     return _Plan(slotted, tuple(steps), None)
 
 
-def _sparse_step(x: np.ndarray, y: np.ndarray, sx: _Side,
+def _sparse_step(step: _Step, x: np.ndarray, y: np.ndarray, sx: _Side,
                  sy: _Side) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """The operands of a step on the live rows of ``x``, the rows of its
-    ``(kept, summed)`` layout that hold a nonzero: where they sit in that
-    layout, as an index of its kept axes, those rows as a ``(live,
-    summed)`` array, and ``y`` as a ``(summed, kept)`` array.  The live
-    rows come from one scan of ``x`` for its nonzeros, in increasing
-    order, and a compare of neighbours."""
-    ns = sx.blocks[1]
-    x = np.atleast_1d(x.transpose(sx.as_coo))   # a view, not a copy
+    """The operands of ``step`` on the live rows of ``x``, the rows of its
+    ``(own kept, summed)`` layout that hold a nonzero: where they sit in
+    that layout, as an index of its kept axes, those rows as a ``(live,
+    summed)`` array, and ``y`` in the same layout as a ``(kept, summed)``
+    array.  The live rows come from one scan of ``x`` for its nonzeros,
+    in increasing order, and a compare of neighbours."""
+    ns = step.summed
+    x = np.atleast_1d(x.transpose(sx.rows))     # a view, not a copy
     row = np.flatnonzero(x != 0) // ns
     if row.size:
         first = np.empty(row.size, dtype=bool)
@@ -611,39 +604,37 @@ def _sparse_step(x: np.ndarray, y: np.ndarray, sx: _Side,
     # A step that keeps no letter of x has one row, indexed by a boolean
     # (numpy reads True as one row and False as none): whether it is live.
     at = np.unravel_index(row, sx.own) if sx.own else bool(row.size)
-    return at, x[at].reshape(-1, ns), y.transpose(sy.as_rows).reshape(ns, sy.blocks[0])
+    return at, x[at].reshape(-1, ns), y.transpose(sy.rows).reshape(sy.kept, ns)
 
 
-def _pairwise(step: _Step, nums: list[np.ndarray], bound: int) -> tuple[np.ndarray, int]:
-    """One step on ``nums``, which :func:`_fit` cast for it: the result and
-    a bound on its largest magnitude.  A step with a sparse layout runs on
-    the live rows of the operand whose nonzeros times the other's kept
-    size is smaller, when that work times ``SPARSE_FACTOR`` is below its
-    dense cost: one einsum of those rows (:func:`_sparse_step`) scattered
-    into a zero result, whose exact magnitude is read from the block; an
-    operand with no nonzero gives zero and reads nothing.  Any other step
-    is one einsum, whose result carries ``bound`` unscanned.  Either
-    result is C-contiguous and in the operands' dtype, whose integer
-    arithmetic wraps only for uint64 (see :func:`_wrapped`)."""
+def _pairwise(step: _Step, nums: list[np.ndarray]) -> np.ndarray:
+    """One step on ``nums``, which :func:`_fit` cast for it.  A step with a
+    sparse layout runs on the live rows of the operand whose nonzeros
+    times the other's kept size is smaller, when that work times
+    ``SPARSE_FACTOR`` is below its dense cost: one einsum of those rows
+    against the other operand's rows (:func:`_sparse_step`), scattered
+    into a zero result; an operand with no nonzero gives that zero result
+    and runs no einsum.  Any other step is one einsum.  Either result is
+    C-contiguous and in the operands' dtype, whose integer arithmetic
+    wraps only for uint64 (see :func:`_wrapped`)."""
     if step.sides is not None:
         (a, b), (sa, sb) = nums, step.sides
-        work_a = np.count_nonzero(a) * sb.blocks[0]
-        work_b = np.count_nonzero(b) * sa.blocks[0]
+        work_a = np.count_nonzero(a) * sb.kept
+        work_b = np.count_nonzero(b) * sa.kept
         if SPARSE_FACTOR * min(work_a, work_b) < step.cost:
             x, y, sx, sy = (a, b, sa, sb) if work_a <= work_b else (b, a, sb, sa)
-            at, live, rows = _sparse_step(x, y, sx, sy)
-            out = np.zeros(sx.result, dtype=x.dtype)
-            if not len(live):           # x is zero
-                return out, 0
-            block = np.einsum("is,sk->ik", live, rows)
-            out.transpose(sx.axes)[at] = block.reshape(-1, *sy.own)
-            return out, _max_abs(block)
+            at, live, rows = _sparse_step(step, x, y, sx, sy)
+            out = np.zeros(step.shape, dtype=x.dtype)
+            if len(live):               # else x is zero
+                block = np.einsum("is,ks->ik", live, rows)
+                out.transpose(sx.axes)[at] = block.reshape(-1, *sy.own)
+            return out
     out = np.einsum(step.subscripts, *nums)
     if type(out) is not np.ndarray:     # a 0-d result is a bare scalar, an int for object
         out = np.asarray(out, dtype=nums[0].dtype)
     elif not out.flags.c_contiguous:    # einsum may lay its result out as the operands
         out = np.ascontiguousarray(out)
-    return out, bound
+    return out
 
 
 #: The modulus of uint64 arithmetic, which numpy's integer arrays wrap at.
@@ -689,28 +680,26 @@ def _residues(num: np.ndarray, modulus: int) -> np.ndarray:
     return np.where(r > modulus // 2, r - modulus, r)
 
 
-def _wrapped(step: _Step, nums: list[np.ndarray], bound: int,
-             primes: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    """One step whose ``bound`` reaches ``INT64_SAFE``, on the residue
-    route (H. L. Garner, "The residue number system", 1959): it runs
-    through :func:`_pairwise` on the operands' uint64 words, where the
-    arithmetic wraps, so the result ``r``, read as int64, is the exact
-    result ``x`` modulo ``2**64``; then once per prime ``p`` of ``primes``
-    on balanced residues, where nothing wraps, giving ``x`` modulo ``p``.
-    Where every prime agrees with ``r``, ``x = r`` modulo ``2**64`` times
-    their product ``P``, and ``|x - r| <= bound + 2**63 < 2**64 * P``
+def _wrapped(step: _Step, nums: list[np.ndarray], primes: tuple[int, ...]) -> np.ndarray:
+    """One step whose bound reaches ``INT64_SAFE``, on the residue route
+    (H. L. Garner, "The residue number system", 1959): it runs through
+    :func:`_pairwise` on the operands' uint64 words, where the arithmetic
+    wraps, so the result ``r``, read as int64, is the exact result ``x``
+    modulo ``2**64``; then once per prime ``p`` of ``primes`` on balanced
+    residues, where nothing wraps, giving ``x`` modulo ``p``.  Where every
+    prime agrees with ``r``, ``x = r`` modulo ``2**64`` times their
+    product ``P``, and ``|x - r| <= bound + 2**63 < 2**64 * P``
     (:func:`_primes`), so ``x = r``.  An entry that disagrees, or that is
     ``-2**63``, has ``|x| >= 2**63``: then the whole step runs again on
-    Python ints.  Returns what :func:`_pairwise` does; an int64 result
-    carries ``bound``."""
-    out = _pairwise(step, [_residues(num, _WORD) for num in nums], bound)[0].view(np.int64)
+    Python ints.  Returns the int64 or object result."""
+    out = _pairwise(step, [_residues(num, _WORD) for num in nums]).view(np.int64)
     agree = out != _INT64_MIN
     for p in primes:
-        check = _pairwise(step, [_residues(num, p) for num in nums], bound)[0]
+        check = _pairwise(step, [_residues(num, p) for num in nums])
         agree &= out % p == check % p
     if agree.all():
-        return out, bound
-    return _pairwise(step, [num.astype(_OBJECT) for num in nums], bound)
+        return out
+    return _pairwise(step, [num.astype(_OBJECT) for num in nums])
 
 
 def _bound(carried, summed: int, factors) -> int:
@@ -762,16 +751,17 @@ def _contract(plan: _Plan, operands) -> tuple[tuple[np.ndarray, int], int]:
     permutation is a read-only view of its operand's numerators, with the
     operand's own magnitude and denominator.  Each pairwise step of any
     other contraction runs in the arithmetic :func:`_fit` picks from what
-    its operands carry: through :func:`_pairwise`, or :func:`_wrapped`
-    when it picks primes."""
+    its operands carry, through :func:`_pairwise`, or :func:`_wrapped`
+    when it picks primes, and its result carries the bound :func:`_fit`
+    built."""
     if plan.perm is not None:
         (op,) = operands
         return (op.num.transpose(plan.perm), op.magnitude), op.den
     ops = [(op.num, op.magnitude) for op in operands]
     for step in plan.steps:
         nums, bound, primes = _fit([ops.pop(k) for k in step.pair], step.summed)
-        ops.append(_pairwise(step, nums, bound) if primes is None
-                   else _wrapped(step, nums, bound, primes))
+        out = _pairwise(step, nums) if primes is None else _wrapped(step, nums, primes)
+        ops.append((out, bound))
     return ops[0], math.prod([op.den for op in operands])
 
 
@@ -855,6 +845,8 @@ def einsum_scalar(subscripts: str, *operands: Tensor) -> Fraction:
     which ``Fraction`` reduces, so no magnitude scan and no rank-0
     :class:`Tensor`."""
     num, den, _ = _numerator_sum([(1, subscripts, *operands)])
+    if num.ndim:
+        raise ValueError(f"einsum_scalar needs an empty output: {subscripts!r}")
     return Fraction(num.item(), den)
 
 

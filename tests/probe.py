@@ -7,8 +7,10 @@ a ``with`` block and yields a :class:`Record` of them.  The points are
 (a step that may take the sparse route reads its operands),
 ``tensors._pairwise`` (one step), ``tensors._wrapped`` (one step on the
 residue route, which runs ``_pairwise`` once per modulus and records as
-one step), ``tensors._sparse_step`` (a step on the nonzeros of one
-operand), ``tensors._fit`` (the arithmetic of a step or a sum),
+one step), ``tensors._sparse_step`` (a step on the live rows of one
+operand), ``tensors._fit`` (the arithmetic of a step or a sum: the bound
+it builds for a step is the one that step records, and the tops it reads
+are what earlier steps' results carry),
 ``tensors._canonical`` (a reduction) and ``tensors._max_abs`` (a
 magnitude scan).  No other test module patches them
 (``test_probe.py`` checks that), so this is the one test file that knows
@@ -17,6 +19,7 @@ which private function runs a step and with what arguments.
 The record keeps numbers and names only, never an operand array.
 """
 import math
+import weakref
 from collections import Counter
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
@@ -32,15 +35,16 @@ class Step(NamedTuple):
     """One pairwise step: its subscripts; whether its plan makes it
     dense-only; its route, ``"einsum"`` or ``"sparse"``; the name of the
     dtype it ran in (its operands' one dtype, or ``"uint64"`` for a step
-    the residue route proved exact); the bound ``_fit`` carried into it;
+    the residue route proved exact); the bound ``_fit`` built for it;
     the bound recomputed from its operands' values (the product of their
     largest magnitudes, zeros counting as 1, times the index combinations
     it sums); the number of entries of its result; on the sparse route,
     the side taken: how many letters the operand whose nonzeros are taken
     keeps, and the kept size of the other operand (its first run's, on the
-    residue route); and the number of primes of a residue-route step,
+    residue route); the number of primes of a residue-route step,
     ``None`` for any other (a step whose check failed ran in ``"object"``
-    with its primes)."""
+    with its primes); and the top its result carried into a later
+    ``_fit``, ``None`` when no ``_fit`` of the block read it."""
     subscripts: str
     dense_only: bool
     route: str
@@ -50,6 +54,7 @@ class Step(NamedTuple):
     size: int
     side: tuple[int, int] | None
     primes: int | None = None
+    carried: int | None = None
 
 
 @dataclass
@@ -84,6 +89,8 @@ def kernel_probe():
     real_fit, real_canonical, real_max_abs = tensors._fit, tensors._canonical, tensors._max_abs
     side = []       # the sides the sparse route took in the running step
     wrapping = []   # non-empty inside a residue-route step
+    built = [0]     # the bound _fit built for the running step
+    made = {}       # id of a step's result -> (a weak reference to it, the step's index)
 
     def einsum_path(subscripts, *operands, **kwargs):
         record.searches.append((subscripts, tuple(np.shape(op) for op in operands)))
@@ -96,45 +103,52 @@ def kernel_probe():
     def value_bound(step, nums):
         return step.summed * math.prod(max(real_max_abs(num), 1) for num in nums)
 
-    def pairwise(step, nums, bound):
+    def made_by(step, out, dtype, values, primes=None):
+        made[id(out)] = weakref.ref(out), len(record.steps)
+        record.steps.append(Step(step.subscripts, step.sides is None,
+                                 "sparse" if side else "einsum", dtype, built[0], values,
+                                 out.size, side[0] if side else None, primes))
+        return out
+
+    def pairwise(step, nums):
         if wrapping:
-            return real_pairwise(step, nums, bound)
+            return real_pairwise(step, nums)
         (dtype,) = {num.dtype.name for num in nums}
         values = value_bound(step, nums)
         side.clear()
-        out, top = real_pairwise(step, nums, bound)
-        record.steps.append(Step(step.subscripts, step.sides is None,
-                                 "sparse" if side else "einsum", dtype, bound, values,
-                                 out.size, side[0] if side else None))
-        return out, top
+        return made_by(step, real_pairwise(step, nums), dtype, values)
 
-    def wrapped(step, nums, bound, primes):
+    def wrapped(step, nums, primes):
         values = value_bound(step, nums)
         side.clear()
         wrapping.append(True)
         try:
-            out, top = real_wrapped(step, nums, bound, primes)
+            out = real_wrapped(step, nums, primes)
         finally:
             wrapping.clear()
-        record.steps.append(Step(step.subscripts, step.sides is None,
-                                 "sparse" if side else "einsum",
-                                 "object" if out.dtype == object else "uint64", bound, values,
-                                 out.size, side[0] if side else None, len(primes)))
-        return out, top
+        return made_by(step, out, "object" if out.dtype == object else "uint64", values,
+                       len(primes))
 
-    def sparse_step(x, y, sx, sy):
-        side.append((len(sx.own), sy.blocks[0]))
-        return real_sparse(x, y, sx, sy)
+    def sparse_step(step, x, y, sx, sy):
+        side.append((len(sx.own), sy.kept))
+        return real_sparse(step, x, y, sx, sy)
 
     def fit(carried, summed=1, factors=None):
+        for num, top in carried:
+            ref, k = made.pop(id(num), (None, None))
+            if ref is not None and ref() is num:
+                record.steps[k] = record.steps[k]._replace(carried=top)
         scans = record.scans
         nums, bound, primes = real_fit(carried, summed, factors)
         record.rescans += record.scans > scans      # only a rescan scans inside _fit
-        if factors is not None:
+        if factors is None:
+            built[0] = bound
+        else:
             record.sums.append(tensors._dtype(bound).name)
         return nums, bound, primes
 
     def canonical(num, den, top):
+        made.clear()    # the sum is done: a stored result carries its magnitude
         record.reductions.append(num.dtype.name)
         return real_canonical(num, den, top)
 

@@ -64,3 +64,25 @@ def test_ops_whose_outputs_differ_stop_the_run():
     assert len(ab.compare(same, same, [case, case])) == 2
     with pytest.raises(AssertionError, match="m.txt"):
         ab.compare(same, other, [case])
+
+
+@pytest.mark.parametrize("pool", [2, 3])
+def test_each_op_swaps_which_tree_runs_first_from_one_round_to_the_next(pool, monkeypatch):
+    """Over two rounds of a pool of even or odd size, every op runs A
+    first in one round and B first in the other, and the order alternates
+    from one op to the next within a round (seen by a spy on
+    ``run.run_op``)."""
+    ab, first = _ab(), []
+    cli_a, cli_b = SimpleNamespace(name="A"), SimpleNamespace(name="B")
+    cases = [SimpleNamespace(argv=[f"op{i}"]) for i in range(pool)]
+
+    def run_op(cli, argv):
+        if not first or first[-1][0] != argv:
+            first.append((argv, cli.name))
+        return 0, "", 1.0
+
+    monkeypatch.setattr(ab.run, "run_op", run_op)
+    assert ab.compare(cli_a, cli_b, cases * 2) == [1.0] * (2 * pool)
+    rounds = [[name for _, name in first[r * pool:(r + 1) * pool]] for r in range(2)]
+    assert rounds[0] == ["A", "B", "A"][:pool]
+    assert rounds[1] == ["B" if name == "A" else "A" for name in rounds[0]]

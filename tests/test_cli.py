@@ -117,6 +117,25 @@ def test_a_file_that_is_not_utf8_is_input_error(tmp_path, capsys):
     assert err.startswith(f"cannot read {path}: ") and "decode" in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_model_file_with_a_byte_order_mark_reads_as_without_it(fmt, tmp_path, capsys):
+    """A UTF-8 file that starts with a byte-order mark gives the same exit
+    code and stdout under ``validate`` and ``report`` as without it."""
+    assert main(["family", "--n", "1", "--lambda", "2,3"]
+                + (["--json"] if fmt == "json" else [])) == EXIT_OK
+    text = capsys.readouterr().out
+    plain, marked = tmp_path / f"plain.{fmt}", tmp_path / f"marked.{fmt}"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    for command in ("validate", "report"):
+        runs = []
+        for path in (plain, marked):
+            code = main([command, str(path)])
+            runs.append((code, capsys.readouterr().out))
+        assert runs[0] == runs[1] and runs[0][0] == EXIT_OK
+
+
 def test_a_deeply_nested_json_model_is_input_error(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text('{"dim": ' + "[" * 100_000 + "]" * 100_000 + "}")

@@ -1,6 +1,7 @@
 """The kernel probe itself: which branch of the kernel each pinned input
-reaches, that no other test module patches a point the probe watches, and
-that no module of ``norden`` but ``tensors.py`` names one.
+reaches, what each step's result carries, that no other test module
+patches a point the probe watches, and that no module of ``norden`` but
+``tensors.py`` names one.
 
 :data:`REACH` maps each value-level branch of ``norden.tensors`` to one
 deterministic input that reaches it and to what ``kernel_probe()`` sees
@@ -8,7 +9,9 @@ there: each step's route, dtype and sparse side (and, on the residue
 route, its number of primes), the dtype of each sum, and how many bounds
 were rebuilt past ``2**62``.  Each input's result is
 also checked against the reference over Fractions, so a fault planted in
-a branch fails its row.
+a branch fails its row.  :data:`CARRIED` checks, on two reports and one
+all-zero operand, that each step's result carries the bound ``_fit``
+built for its step.
 """
 import ast
 import math
@@ -17,9 +20,11 @@ from pathlib import Path
 import pytest
 
 import norden
+from norden.report import run_report
 from norden.tensors import exact_sum
 from probe import kernel_probe
 from test_exact_einsum import _array, _assert_same, _reference_sum
+from zoo import dense_member, family_member
 
 TESTS = Path(__file__).resolve().parent
 
@@ -162,6 +167,40 @@ def test_each_branch_is_reached_by_its_pinned_input(branch):
             tuple(probe.sums), probe.rescans)
     assert seen == want
     _assert_same(result, _reference_sum(terms))
+
+
+def _zero_operand():
+    """``-2`` times the all-zero sparse step of :data:`REACH`: the sum's
+    ``_fit`` reads the top its zero result carries."""
+    ((_, subscripts, a, b),) = _wide(None, 0)
+    assert exact_sum([(-2, subscripts, a, b)]).is_zero()
+
+
+#: case -> (what runs, the (route, dtype) of the steps whose result a later
+#: ``_fit`` reads).  The three sparse steps of the dense report each take
+#: an all-zero operand.
+CARRIED = {
+    "dense report": (lambda: run_report(dense_member(8)),
+                     {("einsum", "int32"), ("einsum", "int64"), ("einsum", "uint64"),
+                      ("sparse", "int32"), ("sparse", "int64")}),
+    "family report": (lambda: run_report(family_member(6)),
+                      {("einsum", "int32"), ("sparse", "int32")}),
+    "an all-zero operand": (_zero_operand, {("sparse", "int32")}),
+}
+
+
+@pytest.mark.parametrize("case", list(CARRIED))
+def test_each_step_result_carries_the_bound_fit_built_for_its_step(case):
+    """An intermediate carries one bound, the one it was computed under:
+    the top each step's result carries into a later ``_fit`` is the bound
+    ``_fit`` built for that step, on the einsum, residue and sparse routes
+    alike, a zero result of the sparse route included."""
+    run, routes = CARRIED[case]
+    with kernel_probe() as probe:
+        run()
+    read = [step for step in probe.steps if step.carried is not None]
+    assert [step.carried for step in read] == [step.bound for step in read]
+    assert {(step.route, step.dtype) for step in read} == routes
 
 
 #: The points ``probe.py`` watches: numpy functions and kernel privates.

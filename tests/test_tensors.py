@@ -748,6 +748,16 @@ def test_einsum_scalar_returns_fraction():
     assert isinstance(out, Fr) and out == 14
 
 
+@pytest.mark.parametrize("subscripts, operands", [
+    ("ij->i", (Tensor([[5]], "ud"),)),                          # one entry
+    ("i,j->ij", (Tensor([2], "u"), Tensor(["1/3"], "d"))),      # one entry, two axes
+    ("ij->i", (Tensor([[5, 1], [2, 3]], "ud"),)),               # two entries
+])
+def test_einsum_scalar_refuses_an_output_with_an_axis(subscripts, operands):
+    with pytest.raises(ValueError, match=f"einsum_scalar needs an empty output: '{subscripts}'"):
+        einsum_scalar(subscripts, *operands)
+
+
 def test_vector_components_checks():
     assert list(vector([1, "1/2"], 2).components) == [1, Fr(1, 2)]
     assert vector([1, "1/2"], 2) == Tensor([1, Fr(1, 2)], "u")

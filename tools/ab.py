@@ -13,8 +13,8 @@ built once, through ``benchmarks/run.py`` of this checkout (imported, not
 edited), with seed ``SEED``, at the workload's own half-dimension ``n``
 (dim ``2n + 1``) or at the one ``--n`` gives.  Every op of
 the pool then runs under A and under B, ``ROUNDS`` times, the order
-alternating from one op to the next; both runs must give the same exit
-code and the same stdout.  A and B meet the same machine state within
+alternating from one op to the next and, for each op, from one round to
+the next; both runs must give the same exit code and the same stdout.  A and B meet the same machine state within
 microseconds of each other, so the per-op ratio B/A is far steadier than
 two benchmark runs made minutes apart.
 
@@ -61,14 +61,18 @@ def load_tree(tree: Path, name: str):
 
 
 def compare(cli_a, cli_b, cases) -> list[float]:
-    """The B/A time ratio of every op pair, one per case, A first on even
-    pairs and B first on odd ones.  Raises ``AssertionError`` when the two
-    runs of an op differ in exit code or stdout."""
-    ratios = []
+    """The B/A time ratio of every op pair, one per case, where ``cases``
+    is the pool repeated once per round.  Op ``i`` of round ``r`` runs A
+    first when ``i + r`` is even and B first when it is odd, so each op
+    swaps its order from one round to the next, whatever the pool's size.
+    Raises ``AssertionError`` when the two runs of an op differ in exit
+    code or stdout."""
+    ratios, pool = [], len({id(case) for case in cases})
     for k, case in enumerate(cases):
-        order = (cli_a, cli_b) if k % 2 == 0 else (cli_b, cli_a)
+        a_first = (k % pool + k // pool) % 2 == 0
+        order = (cli_a, cli_b) if a_first else (cli_b, cli_a)
         runs = [run.run_op(cli, case.argv) for cli in order]
-        (code_a, out_a, dt_a), (code_b, out_b, dt_b) = runs if k % 2 == 0 else runs[::-1]
+        (code_a, out_a, dt_a), (code_b, out_b, dt_b) = runs if a_first else runs[::-1]
         assert (code_a, out_a) == (code_b, out_b), f"A and B differ on {case.argv}"
         ratios.append(dt_b / dt_a)
     return ratios
