@@ -11,12 +11,14 @@ Subcommands::
 ``--json`` switches output to JSON, ``--quiet`` suppresses output and
 leaves only the exit code.  Exit codes: 0 = success / all applicable
 checks pass; 1 = validation or identity failure; 2 = input error
-(unreadable file, parse error, bad parameters).
+(unreadable file, parse error, bad parameters); 141 = the reader of
+stdout closed it early (128 + SIGPIPE, as for ``norden report m | head -1``).
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import os
 import re
 import sys
 from fractions import Fraction
@@ -46,6 +48,7 @@ from .tensors import as_scalar, format_scalar
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
+EXIT_PIPE = 141
 
 #: Options whose value is a comma-separated list that may start with a
 #: minus sign, such as ``--x -1,0,0``.
@@ -253,7 +256,17 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    """The console script and ``python -m norden``: :func:`main`, whose
+    output is flushed here, so a reader that closed stdout early ends
+    the run with :data:`EXIT_PIPE` and nothing on stderr."""
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The flush at exit would fail again: stdout now writes nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -88,7 +88,8 @@ A step is dense-only, and runs as one ``np.einsum``, when it has one
 operand, repeats a letter inside one term, costs less than
 ``SPARSE_FLOOR``, or does not keep exactly the letters that one operand
 alone carries: a letter that only one operand sums, or that both keep,
-makes it dense-only.  Any other step counts its operands' nonzeros and
+makes it dense-only.  Any other step counts its operands' nonzeros: when
+either has none, its result is zero, and no einsum runs.  Else it
 takes the sparse route when ``SPARSE_FACTOR`` times the smaller of
 ``nnz(A) * kept(B)`` and ``nnz(B) * kept(A)`` is below its dense cost,
 where ``kept(X)`` is the size of the letters ``X`` keeps.  That route
@@ -98,12 +99,11 @@ for its nonzeros and a compare of neighbours.  It then runs one einsum
 of those rows against the other operand's rows (F. G. Gustavson, "Two
 fast algorithms for sparse matrices: multiplication and permuted
 transposition", ACM TOMS 4, 1978, multiplies row by row in the same
-way) and scatters the block into a zero result; an ``x`` with no
-nonzero leaves that result zero and runs no einsum.  The block
+way) and scatters the block into a zero result.  The block
 multiplies the zeros of live rows too, so it adds a superset of the
 dense einsum's nonzero products; still each entry sums at most
 ``summed`` products, so the step's bound covers every partial sum of
-either route, and both routes serve every dtype.  Both return a
+either route, and both routes serve every dtype.  Every step returns a
 C-contiguous result in the step's letter order.
 
 Every scalar comes in through :func:`as_pair`, which reads it as an
@@ -447,7 +447,7 @@ class Tensor:
     __hash__ = None
 
     def is_zero(self) -> bool:
-        return not np.any(self.num)
+        return not self.magnitude
 
     def __repr__(self) -> str:
         return f"Tensor(variance={self.variance!r}, shape={self.shape})"
@@ -586,49 +586,44 @@ def _plan(subscripts: str, variances: tuple[str, ...],
 
 
 def _sparse_step(step: _Step, x: np.ndarray, y: np.ndarray, sx: _Side,
-                 sy: _Side) -> tuple[tuple, np.ndarray, np.ndarray]:
-    """The operands of ``step`` on the live rows of ``x``, the rows of its
-    ``(own kept, summed)`` layout that hold a nonzero: where they sit in
-    that layout, as an index of its kept axes, those rows as a ``(live,
-    summed)`` array, and ``y`` in the same layout as a ``(kept, summed)``
-    array.  The live rows come from one scan of ``x`` for its nonzeros,
-    in increasing order, and a compare of neighbours."""
+                 sy: _Side) -> np.ndarray:
+    """``step`` on the live rows of ``x``, which holds a nonzero: the rows
+    of its ``(own kept, summed)`` layout that hold one, found from one
+    scan of ``x`` for its nonzeros, in increasing order, and a compare of
+    neighbours.  One einsum multiplies those rows against ``y``'s rows in
+    the same layout, and the block is scattered into a zero result."""
     ns = step.summed
     x = np.atleast_1d(x.transpose(sx.rows))     # a view, not a copy
     row = np.flatnonzero(x != 0) // ns
-    if row.size:
-        first = np.empty(row.size, dtype=bool)
-        first[0] = True
-        np.not_equal(row[1:], row[:-1], out=first[1:])
-        row = row[first]
-    # A step that keeps no letter of x has one row, indexed by a boolean
-    # (numpy reads True as one row and False as none): whether it is live.
-    at = np.unravel_index(row, sx.own) if sx.own else bool(row.size)
-    return at, x[at].reshape(-1, ns), y.transpose(sy.rows).reshape(sy.kept, ns)
+    first = np.empty(row.size, dtype=bool)
+    first[0] = True
+    np.not_equal(row[1:], row[:-1], out=first[1:])
+    # A step that keeps no letter of x has one row, live, indexed by True.
+    at = np.unravel_index(row[first], sx.own) if sx.own else True
+    block = np.einsum("is,ks->ik", x[at].reshape(-1, ns),
+                      y.transpose(sy.rows).reshape(sy.kept, ns))
+    out = np.zeros(step.shape, dtype=x.dtype)
+    out.transpose(sx.axes)[at] = block.reshape(-1, *sy.own)
+    return out
 
 
 def _pairwise(step: _Step, nums: list[np.ndarray]) -> np.ndarray:
     """One step on ``nums``, which :func:`_fit` cast for it.  A step with a
-    sparse layout runs on the live rows of the operand whose nonzeros
-    times the other's kept size is smaller, when that work times
-    ``SPARSE_FACTOR`` is below its dense cost: one einsum of those rows
-    against the other operand's rows (:func:`_sparse_step`), scattered
-    into a zero result; an operand with no nonzero gives that zero result
-    and runs no einsum.  Any other step is one einsum.  Either result is
+    sparse layout counts its operands' nonzeros: when either has none,
+    its result is zero, and no einsum runs.  Else it runs on the live rows
+    of the operand whose nonzeros times the other's kept size is smaller
+    (:func:`_sparse_step`), when that work times ``SPARSE_FACTOR`` is below
+    its dense cost.  Any other step is one einsum.  Every result is
     C-contiguous and in the operands' dtype, whose integer arithmetic
     wraps only for uint64 (see :func:`_wrapped`)."""
     if step.sides is not None:
         (a, b), (sa, sb) = nums, step.sides
         work_a = np.count_nonzero(a) * sb.kept
         work_b = np.count_nonzero(b) * sa.kept
+        if not (work_a and work_b):         # an operand is zero
+            return np.zeros(step.shape, dtype=a.dtype)
         if SPARSE_FACTOR * min(work_a, work_b) < step.cost:
-            x, y, sx, sy = (a, b, sa, sb) if work_a <= work_b else (b, a, sb, sa)
-            at, live, rows = _sparse_step(step, x, y, sx, sy)
-            out = np.zeros(step.shape, dtype=x.dtype)
-            if len(live):               # else x is zero
-                block = np.einsum("is,ks->ik", live, rows)
-                out.transpose(sx.axes)[at] = block.reshape(-1, *sy.own)
-            return out
+            return _sparse_step(step, *((a, b, sa, sb) if work_a <= work_b else (b, a, sb, sa)))
     out = np.einsum(step.subscripts, *nums)
     if type(out) is not np.ndarray:     # a 0-d result is a bare scalar, an int for object
         out = np.asarray(out, dtype=nums[0].dtype)

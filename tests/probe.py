@@ -4,13 +4,14 @@ scan and path search of ``norden.tensors`` did, for any test that asks.
 ``kernel_probe()`` wraps the kernel's observation points for the length of
 a ``with`` block and yields a :class:`Record` of them.  The points are
 ``np.einsum_path`` (the path search of a new plan), ``np.count_nonzero``
-(a step that may take the sparse route reads its operands),
+(a step that may take the sparse route reads its operands; a count of
+zero inside a step that runs no sparse route marks a zero result),
 ``tensors._pairwise`` (one step), ``tensors._wrapped`` (one step on the
 residue route, which runs ``_pairwise`` once per modulus and records as
 one step), ``tensors._sparse_step`` (a step on the live rows of one
-operand), ``tensors._fit`` (the arithmetic of a step or a sum: the bound
-it builds for a step is the one that step records, and the tops it reads
-are what earlier steps' results carry),
+operand, which must hold a nonzero), ``tensors._fit`` (the arithmetic of
+a step or a sum: the bound it builds for a step is the one that step
+records, and the tops it reads are what earlier steps' results carry),
 ``tensors._canonical`` (a reduction) and ``tensors._max_abs`` (a
 magnitude scan).  No other test module patches them
 (``test_probe.py`` checks that), so this is the one test file that knows
@@ -33,7 +34,8 @@ from norden import tensors
 
 class Step(NamedTuple):
     """One pairwise step: its subscripts; whether its plan makes it
-    dense-only; its route, ``"einsum"`` or ``"sparse"``; the name of the
+    dense-only; its route, ``"einsum"``, ``"sparse"`` or ``"zero"`` (an
+    operand had no nonzero, so no einsum ran); the name of the
     dtype it ran in (its operands' one dtype, or ``"uint64"`` for a step
     the residue route proved exact); the bound ``_fit`` built for it;
     the bound recomputed from its operands' values (the product of their
@@ -64,7 +66,8 @@ class Record:
     ``_fit`` calls rebuilt a bound past ``INT64_SAFE`` from scanned
     magnitudes; the dtype name of each array ``_canonical`` reduced; the
     number of magnitude scans; the subscripts and operand shapes of each
-    path search; and the number of nonzero counts."""
+    path search; the number of nonzero counts; and the number of
+    ``_sparse_step`` calls whose ``x`` had no nonzero."""
     steps: list[Step] = field(default_factory=list)
     sums: list[str] = field(default_factory=list)
     rescans: int = 0
@@ -72,6 +75,7 @@ class Record:
     scans: int = 0
     searches: list[tuple[str, tuple]] = field(default_factory=list)
     nonzero_counts: int = 0
+    empty_sparse: int = 0
 
     def routes(self) -> Counter:
         """The steps counted by ``(route, dtype)``."""
@@ -88,6 +92,7 @@ def kernel_probe():
     real_wrapped = tensors._wrapped
     real_fit, real_canonical, real_max_abs = tensors._fit, tensors._canonical, tensors._max_abs
     side = []       # the sides the sparse route took in the running step
+    zeros = []      # non-empty once a count in the running step found no nonzero
     wrapping = []   # non-empty inside a residue-route step
     built = [0]     # the bound _fit built for the running step
     made = {}       # id of a step's result -> (a weak reference to it, the step's index)
@@ -98,7 +103,10 @@ def kernel_probe():
 
     def count_nonzero(*args, **kwargs):
         record.nonzero_counts += 1
-        return real_count(*args, **kwargs)
+        count = real_count(*args, **kwargs)
+        if not count:
+            zeros.append(True)
+        return count
 
     def value_bound(step, nums):
         return step.summed * math.prod(max(real_max_abs(num), 1) for num in nums)
@@ -106,7 +114,8 @@ def kernel_probe():
     def made_by(step, out, dtype, values, primes=None):
         made[id(out)] = weakref.ref(out), len(record.steps)
         record.steps.append(Step(step.subscripts, step.sides is None,
-                                 "sparse" if side else "einsum", dtype, built[0], values,
+                                 "sparse" if side else "zero" if zeros else "einsum",
+                                 dtype, built[0], values,
                                  out.size, side[0] if side else None, primes))
         return out
 
@@ -116,11 +125,13 @@ def kernel_probe():
         (dtype,) = {num.dtype.name for num in nums}
         values = value_bound(step, nums)
         side.clear()
+        zeros.clear()
         return made_by(step, real_pairwise(step, nums), dtype, values)
 
     def wrapped(step, nums, primes):
         values = value_bound(step, nums)
         side.clear()
+        zeros.clear()
         wrapping.append(True)
         try:
             out = real_wrapped(step, nums, primes)
@@ -131,6 +142,7 @@ def kernel_probe():
 
     def sparse_step(step, x, y, sx, sy):
         side.append((len(sx.own), sy.kept))
+        record.empty_sparse += not real_count(x)
         return real_sparse(step, x, y, sx, sy)
 
     def fit(carried, summed=1, factors=None):

@@ -11,7 +11,7 @@ import pytest
 
 import norden
 from norden import cli, serialize_model
-from norden.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, build_parser, main
+from norden.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, EXIT_PIPE, build_parser, main
 from probe import kernel_probe
 from test_golden import GOLDEN, _sha256
 from zoo import dense_member, dense_model
@@ -19,13 +19,14 @@ from zoo import dense_member, dense_model
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(command):
-    """Run ``command`` with the checkout under test first on PYTHONPATH."""
+def _run(command, stdout=subprocess.PIPE):
+    """Run ``command`` with the checkout under test first on PYTHONPATH;
+    stderr is captured, and stdout too unless ``stdout`` says otherwise."""
     env = dict(os.environ)
     src = str(Path(norden.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run(command, capture_output=True, text=True, env=env)
+    return subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
 
 
 @pytest.fixture(scope="module")
@@ -327,6 +328,25 @@ def test_report_json(model_path, capsys):
     obj = json.loads(capsys.readouterr().out)
     assert obj["invariants"]["tau"] == "10"
     assert obj["flags"]["isotropic_kahler"] is False
+
+
+@pytest.mark.parametrize("args", [
+    ["validate", "MODEL"], ["report", "MODEL"], ["report", "MODEL", "--json"],
+    ["identities", "MODEL"], ["family", "--n", "1", "--lambda", "2,3"],
+    ["section", "MODEL", "--x", "1,0,0", "--y", "0,1,0"]], ids=" ".join)
+def test_a_reader_that_closed_stdout_gets_exit_141_and_no_traceback(args, model_path):
+    """``norden report m | head -1`` may close the pipe before norden
+    writes.  Each subcommand then exits with 141 (128 + SIGPIPE) and
+    writes nothing to stderr: no ``BrokenPipeError`` traceback, and not
+    the exit 1 of a validation or identity failure."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _run([sys.executable, "-m", "norden"]
+                    + [model_path if arg == "MODEL" else arg for arg in args], stdout=write)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (EXIT_PIPE, "")
 
 
 def test_report_rejects_invalid_model(broken_path, capsys):

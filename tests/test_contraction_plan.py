@@ -342,12 +342,15 @@ def test_each_key_searches_its_path_once():
 # int32 and 26 int64 at dense dim 7; 19 and 65 at dense dim 13; 9, 41, 32
 # uint64 and 2 sparse int32 at dense dim 17; 73, 1 int64 and 10 sparse
 # int32 at family dim 13).  At dense dim 17 one step of the trace of
-# twisted_r takes the sparse route in int64.
+# twisted_r takes the sparse route in int64.  Each of the three steps at
+# dense dim 17 that may take the sparse route has an all-zero operand:
+# they ran on that route, "sparse", until such a step returned its zero
+# result before it ("zero").
 STEP_COUNTS = {
     ("dense", 3): {("einsum", "int32"): 55, ("einsum", "int64"): 25},
     ("dense", 6): {("einsum", "int32"): 19, ("einsum", "int64"): 61},
     ("dense", 8): {("einsum", "int32"): 9, ("einsum", "int64"): 40, ("einsum", "uint64"): 28,
-                   ("sparse", "int32"): 2, ("sparse", "int64"): 1},
+                   ("zero", "int32"): 2, ("zero", "int64"): 1},
     ("family", 6): {("einsum", "int32"): 70, ("sparse", "int32"): 10},
 }
 
@@ -491,7 +494,9 @@ def test_the_sparse_route_matches_the_reference_and_the_dense_route(case):
     reference that uses neither route.  Both routes run in the dtype the
     step's numerator bound picks.  A step with a letter that only one
     operand sums, or a letter both operands keep (a batch letter), is
-    dense-only: it runs as one einsum even when the sparse route is forced."""
+    dense-only: it runs as one einsum even when the sparse route is forced.
+    Any other step with an all-zero operand returns its zero result on
+    either run."""
     subscripts, (a, b) = case
     with kernel_probe() as natural:
         result = exact_einsum(subscripts, a, b)
@@ -513,12 +518,12 @@ def test_the_sparse_route_matches_the_reference_and_the_dense_route(case):
     left, right = terms.split(",")
     if (set(left) ^ set(right)) - set(out) or set(left) & set(right) & set(out):
         assert step.sides is None
-        assert dict(sparse) == {("einsum", dtype): 1}
+        route = "einsum"
     else:
-        assert dict(sparse) == {("sparse", dtype): 1}
+        route = "zero" if a.is_zero() or b.is_zero() else "sparse"
+    assert dict(sparse) == {(route, dtype): 1}
     assert dict(dense) == {("einsum", dtype): 1}
-    assert sum(natural.values()) == 1 and natural.keys() <= {("sparse", dtype),
-                                                              ("einsum", dtype)}
+    assert sum(natural.values()) == 1 and natural.keys() <= {(route, dtype), ("einsum", dtype)}
 
 
 @st.composite
@@ -556,12 +561,14 @@ def live_row_steps(draw):
 @given(live_row_steps())
 def test_the_sparse_route_on_a_random_subset_of_live_rows(case):
     """The sparse route, forced, takes the mostly-zero operand and runs on
-    its live rows alone; it gives the dense route's tensor and the
-    reference over Fractions, on every tier."""
+    its live rows alone, unless it has none (then the step's result is
+    zero); it gives the dense route's tensor and the reference over
+    Fractions, on every tier."""
     subscripts, x, y, side = case
     with mock.patch.object(tensors, "SPARSE_FACTOR", 0), kernel_probe() as probe:
         by_sparse = exact_einsum(subscripts, x, y)
-    assert [(step.route, step.side) for step in probe.steps] == [("sparse", side)]
+    want = ("zero", None) if x.is_zero() else ("sparse", side)
+    assert [(step.route, step.side) for step in probe.steps] == [want]
     with _dense_plans():
         assert exact_einsum(subscripts, x, y) == by_sparse
     _assert_same(by_sparse, _reference(subscripts, x, y))
@@ -602,9 +609,10 @@ def test_each_tier_matches_the_fraction_reference_on_both_routes(terms):
     """Numerators on both sides of ``2**31`` and ``2**62``, operands of
     different tiers in one step, zero operands, and denominators,
     coefficients and lcms past ``2**31``: the natural run, the forced
-    sparse route and the dense route give the same tensor, equal to the
-    reference over Fractions, and every stored tensor, operand or result,
-    has the narrowest dtype for its magnitude.  Each step's operands are
+    sparse route (a zero result, where an operand is all zero) and the
+    dense route give the same tensor, equal to the reference over
+    Fractions, and every stored tensor, operand or result, has the
+    narrowest dtype for its magnitude.  Each step's operands are
     stored, so it runs in the dtype its exact bound picks on every route;
     the sum runs on Python ints exactly where its exact bound reaches
     ``2**62``, and in int32 only where that bound is below ``2**31``."""
@@ -630,8 +638,10 @@ def test_each_tier_matches_the_fraction_reference_on_both_routes(terms):
                                  step.summed, top))
     assert [step.dtype for step in natural.steps] == [pick.name for pick in picks]
     assert len(natural.steps) == 2
-    assert Counter(("sparse" if plan.steps[0].sides else "einsum", pick.name)
-                   for plan, pick in zip(plans, picks)) == sparse.routes()
+    routes = ["einsum" if plan.steps[0].sides is None
+              else "zero" if a.is_zero() or b.is_zero() else "sparse"
+              for (_, _, a, b), plan in zip(terms, plans)]
+    assert Counter(zip(routes, [pick.name for pick in picks])) == sparse.routes()
     assert Counter(("einsum", pick.name) for pick in picks) == dense.routes()
     values, dens, coefs = [], [], []
     for coef, subscripts, a, b in terms:

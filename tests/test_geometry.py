@@ -161,8 +161,8 @@ def test_one_function_picks_the_arithmetic_of_every_step_and_sum():
     sum and ``_numerator_texts`` widens for the render's gcd.  The one
     other cast is the residue route's fallback in ``_wrapped``: a step
     whose check fails runs again on Python ints.  ``np.einsum`` is called
-    only in ``_pairwise``.  So one place decides the arithmetic of every
-    step and every sum."""
+    only by the two routes of a step, ``_pairwise`` and ``_sparse_step``.
+    So one place decides the arithmetic of every step and every sum."""
     sites = collections.defaultdict(set)
     for top in ast.parse(inspect.getsource(norden.tensors)).body:
         if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
@@ -176,7 +176,7 @@ def test_one_function_picks_the_arithmetic_of_every_step_and_sum():
         "_dtype": {"_pair_storage", "_canonical", "_fit"},
         "INT64_SAFE": {"_dtype", "_fit"},
         "astype": {"_canonical", "_numerator_texts", "_fit", "_wrapped"},
-        "einsum": {"_pairwise"},
+        "einsum": {"_pairwise", "_sparse_step"},
     }
 
 

@@ -9,9 +9,11 @@ there: each step's route, dtype and sparse side (and, on the residue
 route, its number of primes), the dtype of each sum, and how many bounds
 were rebuilt past ``2**62``.  Each input's result is
 also checked against the reference over Fractions, so a fault planted in
-a branch fails its row.  :data:`CARRIED` checks, on two reports and one
-all-zero operand, that each step's result carries the bound ``_fit``
-built for its step.
+a branch fails its row.  :data:`CARRIED` checks, on two reports and an
+all-zero operand on two routes, that each step's result carries the
+bound ``_fit`` built for its step.  A step with an all-zero operand
+returns its zero result before the sparse route: the golden reports and
+a dim-33 family report hand ``_sparse_step`` no ``x`` without a nonzero.
 """
 import ast
 import math
@@ -20,11 +22,13 @@ from pathlib import Path
 import pytest
 
 import norden
+from norden import parse_model, serialize_model
 from norden.report import run_report
 from norden.tensors import exact_sum
 from probe import kernel_probe
 from test_exact_einsum import _array, _assert_same, _reference_sum
-from zoo import dense_member, family_member
+from test_golden import GOLDEN
+from zoo import dense_member, family_member, golden_model
 
 TESTS = Path(__file__).resolve().parent
 
@@ -58,6 +62,12 @@ def _wide(first, second):
     return [(1, "ab,bc->ac", _tensor((16, 16), count=first), _tensor((16, 128), count=second))]
 
 
+def _wide_zero(value):
+    """:func:`_wide` with every entry of the first operand ``value`` times a
+    small integer and the second operand all zero."""
+    return [(1, "ab,bc->ac", _tensor((16, 16), value), _tensor((16, 128), count=0))]
+
+
 def _keeps_none(second, first=1):
     """``abcd,abcde->e`` at the sparse floor: the first operand keeps no
     letter and has ``first`` nonzeros, the second has ``second``."""
@@ -85,6 +95,7 @@ def _off_diagonal(top, other):
 
 
 EINSUM_32 = ("einsum", "int32", None)
+ZERO_32 = ("zero", "int32", None)
 
 #: branch -> (input terms, (steps as (route, dtype, side), sum dtypes, rescans)).
 #: A step takes its two operands in the reverse of the terms' order
@@ -128,10 +139,14 @@ REACH = {
     "sparse, the other operand keeps no letter": (lambda: _keeps_none(1),
                                                   ((("sparse", "int32", (1, 1)),), (), 0)),
     "sparse, two of 128 rows live": (lambda: _rows(), ((("sparse", "int32", (1, 16)),), (), 0)),
-    "sparse, an all-zero operand": (lambda: _wide(None, 0),
-                                    ((("sparse", "int32", (1, 16)),), (), 0)),
+    # An all-zero operand, either one, ends its step with a zero result.
+    "sparse, an all-zero operand": (lambda: _wide(None, 0), ((ZERO_32,), (), 0)),
+    "zero, the step's second operand": (lambda: _wide(0, None), ((ZERO_32,), (), 0)),
     "sparse, an all-zero operand that keeps no letter": (
-        lambda: _keeps_none(200, 0), ((("sparse", "int32", (0, 128)),), (), 0)),
+        lambda: _keeps_none(200, 0), ((ZERO_32,), (), 0)),
+    # 16 * 3 * 2**60 passes 2**62: each modulus meets the zero operand.
+    "residue, an all-zero operand": (lambda: _wide_zero(2**60),
+                                     ((("zero", "uint64", None, 1),), (), 1)),
     # The bound 16 * 3 * 2**29 * 7 * 2**28 passes 2**63, and no entry of
     # the result passes 36 * 2**57: the live rows run on words, one prime.
     "residue, live rows on the sparse route": (
@@ -169,23 +184,25 @@ def test_each_branch_is_reached_by_its_pinned_input(branch):
     _assert_same(result, _reference_sum(terms))
 
 
-def _zero_operand():
-    """``-2`` times the all-zero sparse step of :data:`REACH`: the sum's
-    ``_fit`` reads the top its zero result carries."""
-    ((_, subscripts, a, b),) = _wide(None, 0)
+def _zero_operand(terms):
+    """``-2`` times the one step of ``terms``, which takes an all-zero
+    operand: the sum's ``_fit`` reads the top its zero result carries."""
+    ((_, subscripts, a, b),) = terms
     assert exact_sum([(-2, subscripts, a, b)]).is_zero()
 
 
 #: case -> (what runs, the (route, dtype) of the steps whose result a later
-#: ``_fit`` reads).  The three sparse steps of the dense report each take
-#: an all-zero operand.
+#: ``_fit`` reads).  The three steps of the dense report that may take the
+#: sparse route each take an all-zero operand.
 CARRIED = {
     "dense report": (lambda: run_report(dense_member(8)),
                      {("einsum", "int32"), ("einsum", "int64"), ("einsum", "uint64"),
-                      ("sparse", "int32"), ("sparse", "int64")}),
+                      ("zero", "int32"), ("zero", "int64")}),
     "family report": (lambda: run_report(family_member(6)),
                       {("einsum", "int32"), ("sparse", "int32")}),
-    "an all-zero operand": (_zero_operand, {("sparse", "int32")}),
+    "an all-zero operand": (lambda: _zero_operand(_wide(None, 0)), {("zero", "int32")}),
+    "an all-zero operand on the residue route": (lambda: _zero_operand(_wide_zero(2**60)),
+                                                 {("zero", "uint64")}),
 }
 
 
@@ -194,13 +211,26 @@ def test_each_step_result_carries_the_bound_fit_built_for_its_step(case):
     """An intermediate carries one bound, the one it was computed under:
     the top each step's result carries into a later ``_fit`` is the bound
     ``_fit`` built for that step, on the einsum, residue and sparse routes
-    alike, a zero result of the sparse route included."""
+    alike, and for the zero result of a step with an all-zero operand."""
     run, routes = CARRIED[case]
+    run()       # the zoo builds and caches its model here, outside the probe
     with kernel_probe() as probe:
         run()
     read = [step for step in probe.steps if step.carried is not None]
     assert [step.carried for step in read] == [step.bound for step in read]
     assert {(step.route, step.dtype) for step in read} == routes
+
+
+def test_the_sparse_route_gets_no_all_zero_operand():
+    """A step with an all-zero operand returns its zero result before the
+    sparse route: parse plus report of the golden models and of a dim-33
+    family member run both routes, and every ``_sparse_step`` call gets an
+    ``x`` that holds a nonzero."""
+    with kernel_probe() as probe:
+        for model in [*map(golden_model, GOLDEN), family_member(16)]:
+            run_report(parse_model(serialize_model(model, "text")))
+    assert probe.empty_sparse == 0
+    assert {"sparse", "zero"} <= {step.route for step in probe.steps}
 
 
 #: The points ``probe.py`` watches: numpy functions and kernel privates.

@@ -11,7 +11,7 @@ from fractions import Fraction as Fr
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from norden import (
@@ -30,7 +30,7 @@ from norden import (
     row_space_basis,
     signature,
 )
-from norden import linalg, tensors
+from norden import lie, linalg, tensors
 from norden.canonical import canonical_json
 from norden.errors import DigitLimit
 from norden.tensors import _exponent_too_large, as_pair, vector
@@ -208,6 +208,46 @@ def test_tensor_equality_and_zero():
     assert not Tensor([0, 0], "u").components.any()
     assert Tensor([0, 0], "u").is_zero()
     assert not a.is_zero()
+
+
+_ENTRIES = st.sampled_from([0, 0, 0, 1, -2, Fr(3, 4), Fr(-5, 6), 2**40, -(2**70)])
+
+
+@st.composite
+def _stored_tensors(draw):
+    """A stored tensor of a library constructor, zero entries likely:
+    ``Tensor(...)``, ``Tensor.of_pairs``, ``exact_sum`` of two products
+    that may cancel, ``lie.structure_constants`` of a drawn bracket table
+    (an empty one included) and ``linalg.invert_symmetric``."""
+    dim = draw(st.integers(1, 3))
+    square = lambda: draw(st.lists(_ENTRIES, min_size=dim * dim, max_size=dim * dim))
+    matrix = lambda values: Tensor(np.array(values, dtype=object).reshape(dim, dim), "ud")
+    kind = draw(st.sampled_from(["tensor", "pairs", "sum", "brackets", "inverse"]))
+    if kind == "tensor":
+        return matrix(square())
+    if kind == "pairs":
+        return Tensor.of_pairs([as_pair(v) for v in square()], (dim, dim), "ud")
+    if kind == "sum":
+        t, u = matrix(square()), matrix(square())
+        v = u if draw(st.booleans()) else matrix(square())
+        return exact_sum([(1, "ij,jk->ik", t, u), (-1, "ij,jk->ik", t, v)])
+    if kind == "brackets":
+        listed = draw(st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)),
+                               max_size=3, unique=True))
+        return lie.structure_constants(dim, [(i, j, [as_pair(v) for v in square()[:dim]])
+                                             for i, j in listed])
+    values = square()
+    rows = [[values[min(i, j) * dim + max(i, j)] for j in range(dim)] for i in range(dim)]
+    assume(matrix_rank(rows) == dim)
+    return invert_symmetric(Tensor(rows, "dd"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stored_tensors())
+def test_is_zero_reads_the_stored_magnitude(t):
+    """A stored tensor's magnitude is exact, so ``is_zero()``, which reads
+    it, says whether any numerator is nonzero, on every constructor."""
+    assert t.is_zero() == (not t.num.any())
 
 
 def test_tensor_arithmetic():
