@@ -17,8 +17,9 @@ A :class:`~norden.errors.Violation` is written as its ``_asdict()`` dict,
 ints is written one ``format`` per violation, and any other through the
 dict.
 
-:func:`index_labels` is the one table of index labels: the JSON keys of
-sparse leaves and the lines of the text report read it.
+:func:`index_labels` is the one table of index labels, cached with the
+text around them: the JSON keys of sparse leaves and the lines of the
+text report read it.
 
 The writer dispatches on the exact type of a value: a ``dict``, a
 ``list`` or ``tuple``, a ``Tensor`` leaf, a ``Violation``, a ``str`` and
@@ -145,11 +146,10 @@ def _tensor_json(t: Tensor, newline: str, seen: list) -> str:
     nums = t.num.ravel()
     flat = np.flatnonzero(nums != 0)
     if 2 * flat.size < nums.size:
-        head, tail = index_labels(t.shape, '": ')
+        head, tail = index_labels(t.shape, entry + '"', '": ')
         rows, cols = np.divmod(flat, len(tail))
-        starts = [entry + '"' + label for label in head]
-        lines = sorted([starts[h] + tail[c] + str(v) for h, c, v in
-                        zip(rows.tolist(), cols.tolist(), nums[flat].tolist())])
+        lines = sorted([h + c + str(v) for h, c, v in
+                        zip(head[rows].tolist(), tail[cols].tolist(), nums[flat].tolist())])
         field = '"nonzero": ' + ("{" + ",".join(lines) + inner + "}" if lines else "{}")
     else:
         field = '"num": ' + ("[" + entry + ("," + entry).join(map(str, nums.tolist()))
@@ -163,16 +163,23 @@ def _tensor_json(t: Tensor, newline: str, seen: list) -> str:
 
 
 @functools.lru_cache(maxsize=64)
-def index_labels(shape: tuple[int, ...], end: str) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    """The labels of the indices of ``shape``, in two tables in C order:
-    ``head`` for the first ``rank // 2`` axes, each index followed by a
-    comma, and ``tail`` for the other axes, followed by ``end``.  So the
-    entry at flat index ``h * len(tail) + t`` is labelled
-    ``head[h] + tail[t]``, and up to rank 4 neither table holds more than
-    ``d**2`` strings."""
-    half = len(shape) // 2
-    head = tuple("".join(f"{i}," for i in index)
-                 for index in itertools.product(*map(range, shape[:half])))
-    tail = tuple(",".join(map(str, index)) + end
-                 for index in itertools.product(*map(range, shape[half:])))
+def index_labels(shape: tuple[int, ...], start: str, end: str) -> tuple[np.ndarray, np.ndarray]:
+    """The labels of the indices of ``shape``, in two read-only object
+    arrays in C order: ``head`` for the first ``rank // 2`` axes, ``start``
+    and each index followed by a comma, and ``tail`` for the other axes,
+    followed by ``end``.  So the entry at flat index ``h * len(tail) + t``
+    is labelled ``head[h] + tail[t]``, and up to rank 4 neither array
+    holds more than ``d**2`` strings.  Tables with a ``start`` prefix the
+    head of those without and share their tail."""
+    if start:
+        head, tail = index_labels(shape, "", end)
+        head = start + head
+    else:
+        half = len(shape) // 2
+        head = np.array(["".join(f"{i}," for i in index)
+                         for index in itertools.product(*map(range, shape[:half]))], dtype=object)
+        tail = np.array([",".join(map(str, index)) + end
+                         for index in itertools.product(*map(range, shape[half:]))], dtype=object)
+        tail.setflags(write=False)
+    head.setflags(write=False)
     return head, tail

@@ -182,8 +182,9 @@ def report_to_text(report: GeometryReport) -> str:
 def _tensor_block(key: str, t: Tensor, seen: list) -> str:
     """The lines of one tensor, each after a line break: its nonzero
     entries in C order, or ``key = 0``.  Each line is three pieces, the
-    start up to the head label, the tail label and the value text,
-    gathered from their tables into one object array and joined once.
+    start up to the head label and the tail label, both from
+    :func:`index_labels`, and the value text, gathered into one object
+    array and joined once.
     ``seen`` holds each tensor rendered before in this report with its
     key and lines: a tensor equal to one of them takes those lines with
     its own key, since every line of a block starts with a line break
@@ -196,12 +197,12 @@ def _tensor_block(key: str, t: Tensor, seen: list) -> str:
     if not flat.size:
         block = f"\n  {key} = 0"
     else:
-        head, tail = index_labels(t.shape, "] = ")
+        head, tail = index_labels(t.shape, f"\n  {key}[", "] = ")
         rows, cols = np.divmod(flat, len(tail))
         texts, inverse = _numerator_texts(nums[flat], t.den)
         pieces = np.empty((flat.size, 3), dtype=object)
-        pieces[:, 0] = np.array([f"\n  {key}[{label}" for label in head], dtype=object)[rows]
-        pieces[:, 1] = np.array(tail, dtype=object)[cols]
+        pieces[:, 0] = head[rows]
+        pieces[:, 1] = tail[cols]
         pieces[:, 2] = texts[inverse]
         block = "".join(pieces.ravel().tolist())
     seen.append((t, key, block))

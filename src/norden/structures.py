@@ -96,7 +96,9 @@ def validate_structure(model: AcnModel) -> ValidationReport:
     Includes the underlying algebra's antisymmetry/Jacobi checks, the
     almost contact identities, compatibility of ``g`` with ``phi`` and
     ``eta``, and the signature requirement ``(n+1, n)``, which is checked
-    only when ``g`` is symmetric.
+    only when ``g`` is symmetric.  Each tensor axiom is one zero test of
+    its left side minus its right side; the sides are built and
+    formatted only for the details of the entries it finds.
     """
     report = ValidationReport(subject=model.name or "model")
     report.extend(validate_algebra(model.algebra))
@@ -104,43 +106,44 @@ def validate_structure(model: AcnModel) -> ValidationReport:
     n = model.n
     phi, xi, eta, g = model.phi, model.xi, model.eta, model.g
 
-    def mismatches(lhs: Tensor, rhs: Tensor):
-        """The indices where two tensors of one shape differ, in C order,
-        with the entries of each there, formatted."""
-        same = "ij"[:lhs.rank] + "->" + "ij"[:lhs.rank]
-        where = nonzero_where([(1, same, lhs), (-1, same, rhs)])
-        return zip(np.argwhere(where).tolist(), lhs.formatted(where), rhs.formatted(where))
-
-    def nonzeros(t: Tensor):
-        """The indices of the nonzero entries of ``t``, with the entries."""
-        where = t.num != 0
-        return zip(np.argwhere(where).tolist(), t.formatted(where))
+    def mismatches(*sides):
+        """The indices where the sum of the term list ``sides[0]`` is
+        nonzero, or differs from that of ``sides[1]``, in C order, with
+        each side's entries there, formatted."""
+        lhs, *rhs = sides
+        where = nonzero_where(lhs + [(-c, *term) for side in rhs for c, *term in side])
+        if not where.any():
+            return ()
+        return zip(np.argwhere(where).tolist(),
+                   *[exact_sum(side).formatted(where) for side in sides])
 
     # phi^2 = -Id + eta (x) xi, column by column.
-    phi2 = exact_einsum("ia,aj->ij", phi, phi)
+    square = [(1, "ia,aj->ij", phi, phi)]
     identity = Tensor._of(np.eye(model.dim, dtype=np.int32), 1, 1, "ud")   # canonical
-    expected = exact_sum([(1, "i,j->ij", xi, eta), (-1, "ij->ij", identity)])
+    expected = [(1, "i,j->ij", xi, eta), (-1, "ij->ij", identity)]
     report.violations += [
         violation(("phi_square", (i, j), f"(phi^2)[{i},{j}] = {got}, expected {want}"))
-        for (i, j), got, want in mismatches(phi2, expected)]
+        for (i, j), got, want in mismatches(square, expected)]
 
     eta_xi = einsum_scalar("i,i->", eta, xi)
     if eta_xi != 1:
         report.add("eta_xi", detail=f"eta(xi) = {format_scalar(eta_xi)}, expected 1")
 
+    phi_xi = [(1, "ij,j->i", phi, xi)]
     report.violations += [violation(("phi_xi", (i,), f"(phi xi)[{i}] = {value}"))
-                          for (i,), value in nonzeros(exact_einsum("ij,j->i", phi, xi))]
+                          for (i,), value in mismatches(phi_xi)]
 
+    eta_phi = [(1, "i,ij->j", eta, phi)]
     report.violations += [violation(("eta_phi", (j,), f"(eta o phi)[{j}] = {value}"))
-                          for (j,), value in nonzeros(exact_einsum("i,ij->j", eta, phi))]
+                          for (j,), value in mismatches(eta_phi)]
 
     asymmetric = np.argwhere(np.triu(g.num != g.num.T)).tolist()
     report.violations += [violation(("metric_symmetric", (i, j), f"g[{i},{j}] != g[{j},{i}]"))
                           for i, j in asymmetric]
 
     # g(phi x, phi y) = -g(x, y) + eta(x) eta(y) on basis pairs.
-    gphiphi = exact_einsum("ai,ab,bj->ij", phi, g, phi)
-    expected = exact_sum([(-1, "ij->ij", g), (1, "i,j->ij", eta, eta)])
+    gphiphi = [(1, "ai,ab,bj->ij", phi, g, phi)]
+    expected = [(-1, "ij->ij", g), (1, "i,j->ij", eta, eta)]
     report.violations += [
         violation(("norden_compatibility", (i, j),
                    f"g(phi x{i}, phi x{j}) = {got}, expected {want}"))
@@ -153,10 +156,10 @@ def validate_structure(model: AcnModel) -> ValidationReport:
         for i, j in np.argwhere(gphi.num != gphi.num.T).tolist()]
 
     # eta is the g-dual of xi.
-    gxi = exact_einsum("ij,j->i", g, xi)
+    gxi = [(1, "ij,j->i", g, xi)]
     report.violations += [
         violation(("eta_g_dual", (i,), f"g(x{i}, xi) = {got}, eta(x{i}) = {want}"))
-        for (i,), got, want in mismatches(gxi, eta)]
+        for (i,), got, want in mismatches(gxi, [(1, "i->i", eta)])]
 
     # A signature is defined for symmetric forms only.
     if asymmetric:

@@ -4,6 +4,7 @@ at another half-dimension, each run ``ROUNDS`` times under each tree; and
 it stops when the two trees print different text for one op."""
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,23 @@ def test_an_a_a_run_gives_identical_outputs_and_a_ratio_per_op():
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["workload"] == "dense_basis" and result["pairs"] == 3 * _ab().ROUNDS
     assert 0 < result["q1"] <= result["median"] <= result["q3"]
+
+
+def test_a_reader_that_closed_stdout_gets_exit_141_and_no_traceback():
+    """``python3 tools/ab.py ... | head -1`` may close the pipe before the
+    result is printed: the run then exits with 141 (128 + SIGPIPE) and
+    writes nothing to stderr, as the ``norden`` command does."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "tools/ab.py", ".", ".", "--workload", "dense_basis",
+             "--pool", "1"],
+            cwd=REPO_ROOT, stdout=write, stderr=subprocess.PIPE, text=True, timeout=300,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")
 
 
 def test_the_pool_is_built_at_the_half_dimension_asked_for(monkeypatch, capsys):

@@ -30,15 +30,23 @@ The same models also pin the bytes of ``serialize_model`` in both
 formats; the dense models are the ones whose ``phi``, ``xi`` and ``g``
 have entries with a denominator above 1.  The JSON model-file hashes were
 re-recorded once, when that format gained its final newline.
+
+The stdout of ``norden validate``, as text and ``--json``, is pinned on a
+valid dense dim-7 model file of ``benchmarks/models.py`` and on one mutant
+per ``MUTATIONS`` kind of that file, so the violation details stay
+byte-identical however the axioms are decided.  These hashes were
+recorded while each axiom still built and compared both of its sides.
 """
 import hashlib
+from random import Random
 
 import pytest
 
 from norden import parse_model, report_to_json, report_to_text, run_report, serialize_model
+from norden.cli import main
 from norden.tensors import INT64_SAFE
 from probe import kernel_probe
-from zoo import golden_model
+from zoo import bench_models, golden_model
 
 #: Models with a contraction step whose bound reaches ``INT64_SAFE``, so
 #: that step runs on the residue route.
@@ -127,3 +135,46 @@ def test_model_file_bytes_are_unchanged(key):
     text_hash, json_hash = MODEL_FILE_GOLDEN[key]
     assert _sha256(serialize_model(model, "text")) == text_hash
     assert _sha256(serialize_model(model, "json")) == json_hash
+
+
+def _validation_models(tmp_path) -> dict:
+    """Model files of ``benchmarks/models.py`` at dim 7, one seeded dense
+    basis for all: the valid model under ``None`` and one mutant per
+    ``MUTATIONS`` kind, each broken on the family basis and then moved."""
+    models, rng = bench_models(), Random(7)
+    lam = models.random_lambda(rng, 3)
+    basis = models.random_basis_change(rng, 7)
+    paths = {}
+    for kind in (None, *models.MUTATIONS):
+        s = models.change_basis(models.family_structure(lam, kind), *basis)
+        paths[kind] = tmp_path / f"{kind or 'valid'}.txt"
+        paths[kind].write_text(models.to_text(s, f"dense dim 7, {kind or 'valid'}"),
+                               encoding="utf-8")
+    return paths
+
+
+# (exit code, sha256 of ``norden validate`` stdout, of ``norden validate --json``)
+VALIDATION_GOLDEN = {
+    None: (0, "171b959199bdf277b2b1e0ad6701164ec104f3d1e87249e32e71c4ad2dc3ce1f",
+           "132ad1a198d4c44f9ca09f1ea89bcdbfdc64b7536c6fe1b1e6326df57267b3d5"),
+    "sym_bracket": (1, "2aff4f795bb2136112842e51284bc4b8d5832dbd8e40019aa1331e4ef258330b",
+                    "eeba4d61bce0a8107147e256ce2d009eb7ace338a14cf46c8a5adae140455229"),
+    "jacobi_bracket": (1, "05c3d311dcea8710671969b25a7faee9055c6c4537f9c524bb64d8925df42572",
+                       "61a10557e5832d9bf2567309f49306df97d17af44e2456b9021baf275ad2239a"),
+    "phi_doubled": (1, "2c7bf2135fd6bfcad9b4394af411bf3c63c79ffc1dd08c3eef7892ce5d692c3d",
+                    "ee3b66fc9207526fdf0de93326c8b3d61c040e495f5469ae5ca4a46950b75476"),
+    "eta_doubled": (1, "7943c9b92e1a7472c4632fae4bc663f031d2f6cde4b7a8c8ee51eccdf86eab85",
+                    "45169cc81c3052467d58fc03ae2473c85a8f6e4901d7aac922c0802e98f9170f"),
+    "metric_negated": (1, "9524cc9caaddea35c8db560dea49799e30e33dcfd46661d86710d2a96b778143",
+                       "0f31792f7155bfbafe0fbbd81e01e2de8cdde44a55f85321cc4552c00ef600dc"),
+}
+
+
+@pytest.mark.parametrize("kind", list(VALIDATION_GOLDEN), ids=str)
+def test_validation_bytes_are_unchanged(kind, tmp_path, capsys):
+    path = str(_validation_models(tmp_path)[kind])
+    code, text_hash, json_hash = VALIDATION_GOLDEN[kind]
+    assert main(["validate", path]) == code
+    assert _sha256(capsys.readouterr().out) == text_hash
+    assert main(["validate", path, "--json"]) == code
+    assert _sha256(capsys.readouterr().out) == json_hash

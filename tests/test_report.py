@@ -22,7 +22,7 @@ from norden import (
     run_report,
 )
 from test_canonical_json import _tensor_dict
-from zoo import dense_model, golden_model
+from zoo import dense_model, family, golden_model
 
 
 @pytest.fixture(scope="module")
@@ -266,6 +266,27 @@ def test_each_render_writes_an_equal_tensor_once(key, equal):
                            for line in _tensor_lines(k, t))
     assert formats_done == sum(not report.tensors[k].is_zero() for k in distinct)
     assert len(checks) == len(distinct)
+
+
+def test_a_render_reads_the_label_tables_an_earlier_one_built():
+    """Both renders take their index labels, with the text before them,
+    from ``canonical.index_labels``: the text render's line starts carry
+    the key and the JSON render's carry the leaf's indent.  Rendering the
+    report of a second family member of the same dimension builds no
+    table, and neither does asking for the tables the renders used (a
+    tensor equal to an earlier one takes that one's lines)."""
+    first, second = (run_report(family(lam)) for lam in ((1, "-1/2", 3, 2), (2, 1, -3, 5)))
+    report_to_text(first), report_to_json(first)
+    labels = canonical.index_labels
+    built = labels.cache_info().misses
+    report_to_text(second), report_to_json(second)
+    for key in _first_of_each_value(second.tensors):
+        t = second.tensors[key]
+        if not t.is_zero():
+            assert labels(t.shape, f"\n  {key}[", "] = ")[0][0].startswith(f"\n  {key}[")
+        if 2 * np.count_nonzero(t.num) < t.num.size:
+            labels(t.shape, '\n    "', '": ')
+    assert labels.cache_info().misses == built
 
 
 def test_flat_member_report(fam_zero):

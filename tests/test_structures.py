@@ -14,9 +14,9 @@ from norden import (
     signature,
     validate_structure,
 )
-from norden import tensors
+from norden import structures, tensors
 from norden.family import _structure_tensors
-from norden.lie import algebra_from_brackets
+from norden.lie import algebra_from_brackets, validate as validate_algebra
 from zoo import dense_member
 
 
@@ -126,11 +126,14 @@ def test_broken_phi_g_symmetric(fam23):
 
 def test_a_valid_model_formats_no_detail(monkeypatch):
     """Every check of ``validate_structure`` on a valid dense dim-11
-    model selects no entry, so no numerator is formatted; a model with a
-    broken ``phi`` formats the details of its violations."""
+    model is one zero test that finds no entry, so no compared side is
+    built and no numerator is formatted, and beside the algebra's checks
+    the axioms take seven kernel calls; a model with a broken ``phi``
+    builds the sides of its violations and formats their details."""
     model = dense_member(5)
-    calls = {"formatted": 0, "texts": 0}
+    calls = {"formatted": 0, "texts": 0, "sides": 0, "kernel": 0}
     real_formatted, real_texts = Tensor.formatted, tensors._numerator_texts
+    real_sum = tensors._numerator_sum
 
     def formatted(self, where=None):
         calls["formatted"] += 1
@@ -140,13 +143,25 @@ def test_a_valid_model_formats_no_detail(monkeypatch):
         calls["texts"] += 1
         return real_texts(nums, den)
 
+    def exact_sum(terms):
+        calls["sides"] += 1
+        return tensors.exact_sum(terms)
+
+    def numerator_sum(terms):
+        calls["kernel"] += 1
+        return real_sum(terms)
+
     monkeypatch.setattr(Tensor, "formatted", formatted)
     monkeypatch.setattr(tensors, "_numerator_texts", texts)
+    monkeypatch.setattr(structures, "exact_sum", exact_sum)
+    monkeypatch.setattr(tensors, "_numerator_sum", numerator_sum)
+    assert validate_algebra(model.algebra).ok
+    algebra, calls["kernel"] = calls["kernel"], 0
     assert model.dim == 11 and validate_structure(model).ok
-    assert calls == {"formatted": 8, "texts": 0}
+    assert calls == {"formatted": 0, "texts": 0, "sides": 0, "kernel": algebra + 7}
     broken = replace(model, phi=_phi_with(model, 0, 0, 5))
     assert not validate_structure(broken).ok
-    assert calls["texts"] > 0
+    assert calls["sides"] > 0 and calls["texts"] > 0
 
 
 def test_degenerate_metric_reported(fam23):

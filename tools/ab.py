@@ -21,7 +21,8 @@ two benchmark runs made minutes apart.
 Prints the median of the per-op B/A time ratios with its quartiles and
 the number of op pairs; the last line of stdout is the same as one JSON
 object, which also holds the half-dimension.  Exits 1 when an op's
-outputs differ.
+outputs differ, and 141 (128 + SIGPIPE) with nothing on stderr when the
+reader of stdout closed it early, as for ``python3 tools/ab.py ... | head -1``.
 """
 from __future__ import annotations
 
@@ -30,6 +31,7 @@ import dataclasses
 import importlib
 import importlib.util
 import json
+import os
 import statistics
 import sys
 import tempfile
@@ -113,4 +115,12 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # As norden's cli.entry_point: stdout now writes nowhere, so the
+        # flush at exit stays quiet, and the exit is 128 + SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)
