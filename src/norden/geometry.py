@@ -1,16 +1,14 @@
 """Every layer of one model's geometry, each computed at most once.
 
 :class:`Geometry` holds one model.  The layers of the pipeline -- the
-inverse metric, the Levi-Civita connection, the structure tensors, the
-curvature, the square norms, the scalars of the report and the identity
-verdicts -- are lazily cached properties: a layer is computed the first
-time it is read, from the layers below it, and every later read returns
-the same object.  The cache lives in the ``Geometry`` object and dies with
-it, except for the inverse metric: the model keeps that one
-(:attr:`~norden.structures.AcnModel.ginv`), so every ``Geometry`` of one
-model inverts ``g`` at most once between them.  The model keeps the
-signature of ``g`` the same way (:attr:`~norden.structures.AcnModel.signature`),
-which validation and the report both read.
+Levi-Civita connection, the structure tensors, the curvature, the square
+norms, the scalars of the report and the identity verdicts -- are lazily
+cached properties: a layer is computed the first time it is read, from
+the layers below it, and every later read returns the same object.  The
+cache lives in the ``Geometry`` object and dies with it.  The model keeps
+the products of its own tensors: ``ginv``, ``signature`` and ``eta_eta``
+(see :class:`~norden.structures.AcnModel`), so validation and every
+``Geometry`` of one model build each at most once between them.
 
 For left-invariant data every directional derivative of a component
 vanishes, so the Koszul formula reduces to bracket terms,
@@ -124,8 +122,8 @@ def covariant_derivative(conn: Connection, t: Tensor) -> Tensor:
 def is_torsion_free(conn: Connection, model: AcnModel) -> bool:
     """Exact check of ``nabla_x y - nabla_y x = [x, y]`` on basis pairs."""
     gamma, c = conn.gamma, model.algebra.c
-    return exact_sum([(1, "kij->kij", gamma), (-1, "kji->kij", gamma),
-                      (-1, "kij->kij", c)]).is_zero()
+    return not nonzero_where([(1, "kij->kij", gamma), (-1, "kji->kij", gamma),
+                              (-1, "kij->kij", c)]).any()
 
 
 def is_metric_compatible(conn: Connection, model: AcnModel) -> bool:
@@ -309,12 +307,7 @@ class Geometry:
         if conn is not None:
             self.conn = conn
 
-    # --- metric and connection ------------------------------------------
-
-    @cached_property
-    def ginv(self) -> Tensor:
-        """The model's inverse metric, :attr:`AcnModel.ginv`."""
-        return self.model.ginv
+    # --- connection -----------------------------------------------------
 
     @cached_property
     def conn(self) -> Connection:
@@ -327,7 +320,7 @@ class Geometry:
         two_k = exact_sum([(1, "ijk->ijk", lowered), (1, "kij->ijk", lowered),
                            (1, "kji->ijk", lowered)])
         # gamma[m, i, j] = (1/2) * two_k[i, j, k] g^{k m}
-        return Connection(exact_sum([(Fraction(1, 2), "ijk,km->mij", two_k, self.ginv)]))
+        return Connection(exact_sum([(Fraction(1, 2), "ijk,km->mij", two_k, self.model.ginv)]))
 
     # --- structure tensors ----------------------------------------------
 
@@ -359,12 +352,12 @@ class Geometry:
     @cached_property
     def theta(self) -> Tensor:
         """``theta(z) = g^{ij} F(x_i, x_j, z)``."""
-        return exact_einsum("ij,ijk->k", self.ginv, self.f)
+        return exact_einsum("ij,ijk->k", self.model.ginv, self.f)
 
     @cached_property
     def theta_star(self) -> Tensor:
         """``theta_star(z) = g^{ij} F(x_i, phi x_j, z)``."""
-        return exact_einsum("ij,mj,imk->k", self.ginv, self.model.phi, self.f)
+        return exact_einsum("ij,mj,imk->k", self.model.ginv, self.model.phi, self.f)
 
     @cached_property
     def omega(self) -> Tensor:
@@ -380,7 +373,7 @@ class Geometry:
     @cached_property
     def omega_vec(self) -> Tensor:
         """``Omega``, the vector with ``g(x, Omega) = omega(x)``."""
-        return exact_einsum("ij,j->i", self.ginv, self.omega)
+        return exact_einsum("ij,j->i", self.model.ginv, self.omega)
 
     @cached_property
     def nabla_omega(self) -> Tensor:
@@ -390,38 +383,37 @@ class Geometry:
     def nabla_omega_star(self) -> Tensor:
         return covariant_derivative(self.conn, self.omega_star)
 
-    def _deta_xi(self) -> list:
-        """``xi (x) (nabla eta)`` antisymmetrized, the terms both Nijenhuis
-        routes share."""
-        xi, neta = self.model.xi, self.nabla_eta
-        return [(1, "a,ij->aij", xi, neta), (-1, "a,ji->aij", xi, neta)]
-
     @cached_property
     def n_from_brackets(self) -> Tensor:
         """``N`` from ``phi^2 [x,y] + [phi x, phi y] - phi[phi x, y]
-        - phi[x, phi y]`` plus the ``(nabla eta)`` term; ``N[a, i, j]`` is
-        the ``x_a`` component of ``N(x_i, x_j)``."""
+        - phi[x, phi y] + d eta(x, y) xi``, read from the model alone: for
+        a left-invariant ``eta``, ``d eta(x, y) = -eta([x, y])``.  For the
+        torsion-free connection that is ``(nabla_x eta) y - (nabla_y eta)
+        x``, the derivative route's term, so the two routes share no term.
+        ``N[a, i, j]`` is the ``x_a`` component of ``N(x_i, x_j)``."""
         c, phi = self.model.algebra.c, self.model.phi
         return exact_sum([
             (1, "am,ms,sij->aij", phi, phi, c),
             (1, "ams,mi,sj->aij", c, phi, phi),
             (-1, "am,msj,si->aij", phi, c, phi),
             (-1, "am,mis,sj->aij", phi, c, phi),
-            *self._deta_xi(),
+            (-1, "a,k,kij->aij", self.model.xi, self.model.eta, c),
         ])
 
     @cached_property
     def n_from_derivatives(self) -> Tensor:
         """``N`` from ``(nabla_{phi x} phi) y - (nabla_{phi y} phi) x
-        - phi (nabla_x phi) y + phi (nabla_y phi) x`` plus the same
-        ``(nabla eta)`` term."""
+        - phi (nabla_x phi) y + phi (nabla_y phi) x + d eta(x, y) xi``,
+        with ``d eta(x, y) = (nabla_x eta) y - (nabla_y eta) x``."""
         phi, nphi = self.model.phi, self.nabla_phi
+        xi, neta = self.model.xi, self.nabla_eta
         return exact_sum([
             (1, "mi,maj->aij", phi, nphi),
             (-1, "mj,mai->aij", phi, nphi),
             (-1, "am,imj->aij", phi, nphi),
             (1, "am,jmi->aij", phi, nphi),
-            *self._deta_xi(),
+            (1, "a,ij->aij", xi, neta),
+            (-1, "a,ji->aij", xi, neta),
         ])
 
     @cached_property
@@ -455,10 +447,10 @@ class Geometry:
         """Whether ``F`` has the pure eta-omega form
         ``F(x, y, z) = eta(x) (eta(y) omega(z) + eta(z) omega(y))``.  The
         zero tensor qualifies: the Kahler-type class lies in the closure
-        of every pure class."""
-        eta, omega = self.model.eta, self.omega
-        return not nonzero_where([(1, "ijk->ijk", self.f), (-1, "i,j,k->ijk", eta, eta, omega),
-                                  (-1, "i,k,j->ijk", eta, eta, omega)]).any()
+        of every pure class.  ``eta (x) eta`` is the model's ``eta_eta``."""
+        eta_eta, omega = self.model.eta_eta, self.omega
+        return not nonzero_where([(1, "ijk->ijk", self.f), (-1, "ij,k->ijk", eta_eta, omega),
+                                  (-1, "ik,j->ijk", eta_eta, omega)]).any()
 
     # --- curvature ------------------------------------------------------
 
@@ -487,18 +479,18 @@ class Geometry:
     @cached_property
     def tau(self) -> Fraction:
         """The scalar curvature ``g^{jk} Ric(x_j, x_k)``."""
-        return einsum_scalar("jk,jk->", self.ginv, self.ricci)
+        return einsum_scalar("jk,jk->", self.model.ginv, self.ricci)
 
     @cached_property
     def tau_star(self) -> Fraction:
         """``g^{jk} Ric(x_j, phi x_k)``."""
-        return einsum_scalar("jk,mk,jm->", self.ginv, self.model.phi, self.ricci)
+        return einsum_scalar("jk,mk,jm->", self.model.ginv, self.model.phi, self.ricci)
 
     @cached_property
     def tau_2star(self) -> Fraction:
         """``R`` traced with its third and fourth arguments twisted by phi:
         ``g^{is} g^{jk} R(x_i, x_j, phi x_k, phi x_s)``."""
-        ginv = self.ginv
+        ginv = self.model.ginv
         return einsum_scalar("is,jk,ijks->", ginv, ginv, self.twisted_r)
 
     @cached_property
@@ -537,21 +529,21 @@ class Geometry:
         """``||nabla phi||^2 = g^{ij} g^{ks} g((nabla_{x_i} phi) x_k,
         (nabla_{x_j} phi) x_s)``, the inner ``g`` read from ``F``, which is
         ``nabla phi`` lowered."""
-        ginv = self.ginv
+        ginv = self.model.ginv
         return einsum_scalar("ij,ks,ikb,jbs->", ginv, ginv, self.f, self.nabla_phi)
 
     @cached_property
     def nabla_eta_square_norm(self) -> Fraction:
         """``||nabla eta||^2 = g^{ij} g^{ks} (nabla_{x_i} eta) x_k
         (nabla_{x_j} eta) x_s``."""
-        ginv = self.ginv
+        ginv = self.model.ginv
         return einsum_scalar("ij,ks,ik,js->", ginv, ginv, self.nabla_eta, self.nabla_eta)
 
     @cached_property
     def nijenhuis_square_norm(self) -> Fraction:
         """``||N||^2 = g^{ij} g^{ks} g(N(x_i, x_k), N(x_j, x_s))``, the inner
         ``g`` read from ``N`` lowered once."""
-        ginv = self.ginv
+        ginv = self.model.ginv
         n_lowered = exact_einsum("ab,aik->bik", self.model.g, self.n)
         return einsum_scalar("ij,ks,bik,bjs->", ginv, ginv, n_lowered, self.n)
 
@@ -572,7 +564,7 @@ class Geometry:
     @cached_property
     def s_trace(self) -> Fraction:
         """``tr S = g^{ij} S(x_i, x_j)``."""
-        return einsum_scalar("ij,ij->", self.ginv, self.s)
+        return einsum_scalar("ij,ij->", self.model.ginv, self.s)
 
     @cached_property
     def ricci_xi_xi(self) -> Fraction:
@@ -603,7 +595,7 @@ class Geometry:
         hypothesis fails is reported as not applicable rather than passed,
         and a layer is read only by an identity that applies.
         """
-        phi, eta, r13 = self.model.phi, self.model.eta, self.r13
+        phi, eta, eta_eta, r13 = self.model.phi, self.model.eta, self.model.eta_eta, self.r13
         nnphi, nneta = self.nabla2_phi, self.nabla2_eta
 
         not_pure = None if self.f11 else "model is not in the pure eta-omega class"
@@ -615,7 +607,7 @@ class Geometry:
         # The pure rank-one form (nabla_x omega_star) y
         # = eta(x) eta(y) omega(Omega) + omega_star(x) omega_star(y).
         rank_one = not_pure is None and not nonzero_where([
-            (1, "ij->ij", self.nabla_omega_star), (-self.omega_norm, "i,j->ij", eta, eta),
+            (1, "ij->ij", self.nabla_omega_star), (-self.omega_norm, "ij->ij", eta_eta),
             (-1, "i,j->ij", self.omega_star, self.omega_star),
         ]).any()
         not_rank_one = not_pure or (
@@ -645,7 +637,7 @@ class Geometry:
                 not_pure,
                 lambda: [(1, "ij->ij", self.nabla_omega_star),
                          (-1, "im,mj->ij", self.nabla_omega, phi),
-                         (-self.omega_norm, "i,j->ij", eta, eta)]),
+                         (-self.omega_norm, "ij->ij", eta_eta)]),
             _vanishes(
                 "curvature_phi_twist",
                 "R twisted by phi in the last two slots differs from -R by psi4(S)",
@@ -659,7 +651,7 @@ class Geometry:
             _vanishes(
                 "ricci_from_s", "ricci = tr(S) eta (x) eta + S",
                 twisted,
-                lambda: [(1, "ij->ij", self.ricci), (-self.s_trace, "i,j->ij", eta, eta),
+                lambda: [(1, "ij->ij", self.ricci), (-self.s_trace, "ij->ij", eta_eta),
                          (-1, "ij->ij", self.s)]),
             _agree(
                 "s_trace_divergence", "tr S = div(phi Omega)",

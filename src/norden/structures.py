@@ -39,7 +39,8 @@ class AcnModel:
     coefficient of ``phi(x_j)``), ``xi`` is ``"u"``, ``eta`` is ``"d"``
     and ``g`` is ``"dd"``.  Construction checks shapes and variances
     only; :func:`validate_structure` checks the axioms, so deliberately
-    broken models can be built for testing.
+    broken models can be built for testing.  ``ginv``, ``signature`` and
+    ``eta_eta``, which several layers read, are kept with the model.
     """
 
     algebra: LieAlgebra
@@ -88,6 +89,12 @@ class AcnModel:
         computed on first read and kept with the model; raises
         ``ValueError`` if ``g`` is not symmetric."""
         return signature(self.g)
+
+    @cached_property
+    def eta_eta(self) -> Tensor:
+        """``eta (x) eta``, variance ``"dd"``, computed on first read and
+        kept with the model."""
+        return exact_einsum("i,j->ij", self.eta, self.eta)
 
 
 def validate_structure(model: AcnModel) -> ValidationReport:
@@ -143,7 +150,7 @@ def validate_structure(model: AcnModel) -> ValidationReport:
 
     # g(phi x, phi y) = -g(x, y) + eta(x) eta(y) on basis pairs.
     gphiphi = [(1, "ai,ab,bj->ij", phi, g, phi)]
-    expected = [(-1, "ij->ij", g), (1, "i,j->ij", eta, eta)]
+    expected = [(-1, "ij->ij", g), (1, "ij->ij", model.eta_eta)]
     report.violations += [
         violation(("norden_compatibility", (i, j),
                    f"g(phi x{i}, phi x{j}) = {got}, expected {want}"))
@@ -174,9 +181,9 @@ def validate_structure(model: AcnModel) -> ValidationReport:
 
 
 def associated_metric(model: AcnModel) -> Tensor:
-    """The twin metric ``g~(x, y) = g(x, phi y) + eta(x) eta(y)``.
+    """The twin metric ``g~(x, y) = g(x, phi y) + eta(x) eta(y)``, with
+    :attr:`AcnModel.eta_eta` read as a view.
 
     On a valid model it is again symmetric of signature ``(n+1, n)``.
     """
-    return exact_sum([(1, "ia,aj->ij", model.g, model.phi),
-                      (1, "i,j->ij", model.eta, model.eta)])
+    return exact_sum([(1, "ia,aj->ij", model.g, model.phi), (1, "ij->ij", model.eta_eta)])

@@ -12,13 +12,16 @@ one step), ``tensors._sparse_step`` (a step on the live rows of one
 operand, which must hold a nonzero), ``tensors._fit`` (the arithmetic of
 a step or a sum: the bound it builds for a step is the one that step
 records, and the tops it reads are what earlier steps' results carry),
-``tensors._canonical`` (a reduction) and ``tensors._max_abs`` (a
-magnitude scan).  No other test module patches them
+``tensors._contract`` (one contraction: a product that is not a pure
+permutation is recorded by a key of its own, see
+:attr:`Record.contractions`), ``tensors._canonical`` (a reduction) and
+``tensors._max_abs`` (a magnitude scan).  No other test module patches them
 (``test_probe.py`` checks that), so this is the one test file that knows
 which private function runs a step and with what arguments.
 
 The record keeps numbers and names only, never an operand array.
 """
+import hashlib
 import math
 import weakref
 from collections import Counter
@@ -66,8 +69,12 @@ class Record:
     ``_fit`` calls rebuilt a bound past ``INT64_SAFE`` from scanned
     magnitudes; the dtype name of each array ``_canonical`` reduced; the
     number of magnitude scans; the subscripts and operand shapes of each
-    path search; the number of nonzero counts; and the number of
-    ``_sparse_step`` calls whose ``x`` had no nonzero."""
+    path search; the number of nonzero counts; the number of
+    ``_sparse_step`` calls whose ``x`` had no nonzero; and a key per
+    contraction that is not a pure permutation: its plan's step
+    subscripts, and each operand's variance, denominator, shape and the
+    sha1 of its numerator values, so that equal keys are one product
+    built again."""
     steps: list[Step] = field(default_factory=list)
     sums: list[str] = field(default_factory=list)
     rescans: int = 0
@@ -76,6 +83,7 @@ class Record:
     searches: list[tuple[str, tuple]] = field(default_factory=list)
     nonzero_counts: int = 0
     empty_sparse: int = 0
+    contractions: list[tuple] = field(default_factory=list)
 
     def routes(self) -> Counter:
         """The steps counted by ``(route, dtype)``."""
@@ -91,6 +99,7 @@ def kernel_probe():
     real_pairwise, real_sparse = tensors._pairwise, tensors._sparse_step
     real_wrapped = tensors._wrapped
     real_fit, real_canonical, real_max_abs = tensors._fit, tensors._canonical, tensors._max_abs
+    real_contract = tensors._contract
     side = []       # the sides the sparse route took in the running step
     zeros = []      # non-empty once a count in the running step found no nonzero
     wrapping = []   # non-empty inside a residue-route step
@@ -159,6 +168,13 @@ def kernel_probe():
             record.sums.append(tensors._dtype(bound).name)
         return nums, bound, primes
 
+    def contract(plan, operands):
+        if plan.perm is None:
+            record.contractions.append((
+                tuple(step.subscripts for step in plan.steps),
+                tuple((op.variance, op.den, op.shape, _sha1(op.num)) for op in operands)))
+        return real_contract(plan, operands)
+
     def canonical(num, den, top):
         made.clear()    # the sum is done: a stored result carries its magnitude
         record.reductions.append(num.dtype.name)
@@ -175,7 +191,15 @@ def kernel_probe():
                                  (tensors, "_wrapped", wrapped),
                                  (tensors, "_sparse_step", sparse_step),
                                  (tensors, "_fit", fit),
+                                 (tensors, "_contract", contract),
                                  (tensors, "_canonical", canonical),
                                  (tensors, "_max_abs", max_abs)):
             stack.enter_context(mock.patch.object(owner, name, spy))
         yield record
+
+
+def _sha1(num: np.ndarray) -> str:
+    """The sha1 of ``num``'s values in C order, as int64 words (the same
+    for int32 and int64) or, for Python ints, as their text."""
+    data = repr(num.tolist()).encode() if num.dtype == object else num.astype(np.int64).tobytes()
+    return hashlib.sha1(data).hexdigest()

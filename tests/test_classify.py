@@ -13,6 +13,7 @@ from norden import (
     Geometry,
     IdentityVerdict,
     InternalInconsistency,
+    Tensor,
     exact_sum,
     levi_civita,
     report_to_json,
@@ -25,7 +26,7 @@ from norden import (
     verify_identities,
 )
 from norden import cli
-from zoo import family
+from zoo import dense_member, family, family_member
 
 lam_values = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -346,6 +347,25 @@ def test_routes_that_disagree_raise_internal_inconsistency(fam23, layer):
         getattr(geo, layer)
 
 
+@pytest.mark.parametrize("build, n", [(dense_member, 3), (family_member, 6)])
+def test_a_fault_in_nabla_eta_fails_the_nijenhuis_check(build, n):
+    """The two routes to N share no term: nabla eta plus 1 at [1, 2],
+    which breaks its symmetry, moves the d eta of the derivative route
+    alone, so reading N raises.  The bracket route reads the model and
+    no layer."""
+    model = build(n)
+    geo = Geometry(model)
+    fault = Tensor([[int((i, j) == (1, 2)) for j in range(model.dim)]
+                    for i in range(model.dim)], "dd")
+    geo.nabla_eta = exact_sum([(1, "ij->ij", geo.nabla_eta), (1, "ij->ij", fault)])
+    message = "Nijenhuis tensor: bracket and derivative constructions disagree"
+    with pytest.raises(InternalInconsistency, match=f"^{message}$"):
+        geo.n
+    fresh = Geometry(model)
+    fresh.n_from_brackets
+    assert set(vars(fresh)) == {"model", "n_from_brackets"}
+
+
 @pytest.mark.parametrize("flags", [[], ["--json"]])
 def test_a_witness_past_the_digit_limit_is_input_error(fam23, flags, tmp_path, monkeypatch,
                                                        capsys):
@@ -367,10 +387,10 @@ def test_a_witness_past_the_digit_limit_is_input_error(fam23, flags, tmp_path, m
 # the pure class (heis) only the Ricci identities apply, so r13 is the one
 # curvature layer built; the family reads every curvature layer but tau_star.
 LAYERS_READ = {
-    "heis": ["conn", "f", "f11", "ginv", "identities", "model",
+    "heis": ["conn", "f", "f11", "identities", "model",
              "nabla2_eta", "nabla2_phi", "nabla_eta", "nabla_phi", "omega", "r13"],
     "fam23": ["conn", "curvature_phi_kahler", "div_phi_omega", "f", "f11",
-              "ginv", "identities", "isotropic_kahler", "model", "n",
+              "identities", "isotropic_kahler", "model", "n",
               "n_from_brackets", "n_from_derivatives", "nabla2_eta", "nabla2_phi",
               "nabla_eta", "nabla_eta_square_norm", "nabla_omega", "nabla_omega_star",
               "nabla_phi", "nabla_phi_square_norm", "nijenhuis_square_norm",

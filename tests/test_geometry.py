@@ -15,6 +15,7 @@ import norden
 from norden import (
     Geometry,
     associated_metric,
+    exact_einsum,
     levi_civita,
     parse_model,
     psi4,
@@ -25,7 +26,8 @@ from norden import (
     structure_pack,
     verify_identities,
 )
-from zoo import dense_model
+from probe import kernel_probe
+from zoo import dense_member, dense_model, family_member
 
 MODULES = [importlib.import_module(f"norden.{m.name}")
            for m in pkgutil.iter_modules(norden.__path__) if m.name != "__main__"]
@@ -97,9 +99,32 @@ def test_one_model_reads_the_signature_of_its_metric_once(monkeypatch):
     assert report.signature["metric"] == model.signature == original(model.g)
 
 
+@pytest.mark.parametrize("build, n", [(dense_member, 3), (family_member, 6)])
+def test_a_report_op_builds_each_product_once(build, n):
+    """Parse, which validates, plus a report build eta (x) eta once, kept
+    with the model, and repeat no contraction but two: nabla omega . phi
+    and omega_star (x) omega_star, each built in S and again in the
+    identity battery.  A contraction is keyed by its steps and its operands'
+    values."""
+    text = serialize_model(build(n))
+    with kernel_probe() as probe:
+        run_report(parse_model(text))
+    model = parse_model(text)
+    geo = Geometry(model)
+    nabla_omega, omega_star = geo.nabla_omega, geo.omega_star
+    with kernel_probe() as known:
+        exact_einsum("i,j->ij", model.eta, model.eta)
+        exact_einsum("im,mj->ij", nabla_omega, model.phi)
+        exact_einsum("i,j->ij", omega_star, omega_star)
+    eta_eta, *twice = known.contractions
+    counts = collections.Counter(probe.contractions)
+    assert counts[eta_eta] == 1
+    assert {key: k for key, k in counts.items() if k > 1} == dict.fromkeys(twice, 2)
+
+
 def test_layers_are_cached(fam23):
     geo = Geometry(fam23.model)
-    assert geo.ginv is geo.ginv
+    assert geo.conn is geo.conn
     assert geo.r13 is geo.r13 and geo.tau is geo.tau
     assert geo.identities is geo.identities
     assert geo.f is geo.f and geo.n is geo.n
@@ -310,7 +335,7 @@ def test_public_functions_agree_with_layers(which, request):
     assert report.classes["f11"] == geo.f11
 
 
-_BUILT = {"model", "conn", "ginv"}
+_BUILT = {"model", "conn"}
 #: The layers each entry point computes, called in the order of
 #: ``benchmarks/run.py --trace 1`` so that its spans time this work: all
 #: of its ``Geometry``'s layers, or for the two seeded with the results

@@ -235,7 +235,8 @@ def test_the_sparse_route_gets_no_all_zero_operand():
 
 #: The points ``probe.py`` watches: numpy functions and kernel privates.
 NUMPY_POINTS = {"einsum", "einsum_path", "count_nonzero"}
-KERNEL_POINTS = {"_pairwise", "_wrapped", "_sparse_step", "_fit", "_canonical", "_max_abs"}
+KERNEL_POINTS = {"_pairwise", "_wrapped", "_sparse_step", "_fit", "_contract", "_canonical",
+                 "_max_abs"}
 
 
 def _kernel_patches(sources: dict[str, str]) -> list[tuple[str, int, str]]:

@@ -128,8 +128,10 @@ def test_a_valid_model_formats_no_detail(monkeypatch):
     """Every check of ``validate_structure`` on a valid dense dim-11
     model is one zero test that finds no entry, so no compared side is
     built and no numerator is formatted, and beside the algebra's checks
-    the axioms take seven kernel calls; a model with a broken ``phi``
-    builds the sides of its violations and formats their details."""
+    validation takes eight kernel calls: the seven axioms and the model's
+    ``eta (x) eta``, which a report then reuses; a model with a broken
+    ``phi`` builds the sides of its violations and formats their
+    details."""
     model = dense_member(5)
     calls = {"formatted": 0, "texts": 0, "sides": 0, "kernel": 0}
     real_formatted, real_texts = Tensor.formatted, tensors._numerator_texts
@@ -158,7 +160,7 @@ def test_a_valid_model_formats_no_detail(monkeypatch):
     assert validate_algebra(model.algebra).ok
     algebra, calls["kernel"] = calls["kernel"], 0
     assert model.dim == 11 and validate_structure(model).ok
-    assert calls == {"formatted": 0, "texts": 0, "sides": 0, "kernel": algebra + 7}
+    assert calls == {"formatted": 0, "texts": 0, "sides": 0, "kernel": algebra + 8}
     broken = replace(model, phi=_phi_with(model, 0, 0, 5))
     assert not validate_structure(broken).ok
     assert calls["sides"] > 0 and calls["texts"] > 0

@@ -39,10 +39,10 @@ def test_moving_a_model_and_moving_it_back_gives_the_model(build, data):
                                    lambda: golden_model("f11_dim5"), lambda: golden_model(1)],
                          ids=["dense_member", "dense_model", "bench_dense", "f11_dim5", "family"])
 def test_each_call_returns_a_model_of_its_own_that_has_read_nothing(build):
-    """The first model keeps its inverse metric and signature once read;
-    the next call's model is equal to it, but has read neither."""
+    """The first model keeps its inverse metric, signature and eta (x) eta
+    once read; the next call's model is equal to it, but has read none."""
     first = build()
-    assert first.ginv is not None and first.signature
+    assert first.ginv is not None and first.signature and first.eta_eta is not None
     second = build()
     assert second == first and second is not first
-    assert not {"ginv", "signature"} & set(vars(second))
+    assert not {"ginv", "signature", "eta_eta"} & set(vars(second))
