@@ -113,7 +113,10 @@ class ValidationReport:
         if self.ok:
             return head + "ok"
         lines = [head + f"{len(self.violations)} violation(s)"]
-        lines += [f"  - {v}" for v in self.violations]
+        # Violation.__str__, one format per line without its method call.
+        lines += [f"  - {rule}{'' if where is None else f' at {where}'}"
+                  f"{f': {detail}' if detail else ''}"
+                  for rule, where, detail in self.violations]
         return "\n".join(lines)
 
 

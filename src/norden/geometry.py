@@ -672,12 +672,10 @@ class Geometry:
                 "has the pure rank-one form",
                 not_pure,
                 lambda: (self.curvature_phi_kahler, rank_one)),
-            _vanishes(
+            _verdict(
                 "phi_kahler_criterion_closedness",
                 "the pure rank-one form forces d omega_star = 0",
-                not_rank_one,
-                lambda: [(1, "ij->ij", self.nabla_omega_star),
-                         (-1, "ji->ij", self.nabla_omega_star)]),
+                not_rank_one, self._omega_star_closed),
             _agree(
                 "isotropy_equivalence", "isotropic Kahler <=> omega(Omega) = 0 <=> ||N||^2 = 0",
                 not_pure,
@@ -685,6 +683,15 @@ class Geometry:
                          self.nijenhuis_square_norm == 0)),
         ]
         return {v.name: v for v in verdicts}
+
+    def _omega_star_closed(self) -> tuple[bool, tuple | None]:
+        """``(passed, witness)`` of ``d omega_star = 0``, read from
+        :attr:`forms_closed`; the witness is the first ``(i, j)`` where
+        ``nabla omega_star`` is not symmetric."""
+        if self.forms_closed[1]:
+            return True, None
+        num = self.nabla_omega_star.num
+        return False, tuple(np.argwhere(num != num.T)[0].tolist())
 
     def divergence(self, x) -> Fraction:
         """``div X = tr(nabla X) = Gamma^i_im X^m`` for a constant vector."""

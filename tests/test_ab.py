@@ -1,7 +1,8 @@
 """``tools/ab.py`` runs end to end: this checkout against itself (A/A) on a
 pool of three small ``dense_basis`` ops, and on two ``family_sparse`` ops
-at another half-dimension, each run ``ROUNDS`` times under each tree; and
-it stops when the two trees print different text for one op."""
+at another half-dimension, each run ``ROUNDS`` times under each tree, with
+a median per kind of case on a small ``validate_mix`` pool; and it stops
+when the two trees print different text for one op."""
 import importlib.util
 import json
 import os
@@ -104,3 +105,19 @@ def test_each_op_swaps_which_tree_runs_first_from_one_round_to_the_next(pool, mo
     rounds = [[name for _, name in first[r * pool:(r + 1) * pool]] for r in range(2)]
     assert rounds[0] == ["A", "B", "A"][:pool]
     assert rounds[1] == ["B" if name == "A" else "A" for name in rounds[0]]
+
+
+def test_each_kind_of_case_gets_its_own_median(capsys):
+    """A ``validate_mix`` pool of six ops holds one valid file, four
+    mutants and one malformed file: the result has a median for each
+    kind, keyed by ``valid``, the ``MUTATIONS`` key or the ``MALFORMED``
+    kind, and prints one row per kind under the overall line."""
+    ab, tree = _ab(), str(REPO_ROOT)
+    assert ab.main([tree, tree, "--workload", "validate_mix", "--pool", "6", "--n", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    result = json.loads(lines[-1])
+    mutations, malformed = list(ab.models.MUTATIONS), ab.models.MALFORMED
+    assert list(result["kinds"]) == ["valid", *mutations[:2], malformed[0], *mutations[2:4]]
+    assert all(ratio > 0 for ratio in result["kinds"].values())
+    assert [line.split(":")[0] for line in lines[1:-1]] == [
+        f"#   {kind}" for kind in result["kinds"]]

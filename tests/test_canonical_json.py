@@ -212,6 +212,41 @@ def test_violations_match_json_dumps_of_their_dicts(violations):
         assert canonical_json(v) == _dumps(v._asdict())
 
 
+#: Index entries of a ``where``: small ones, which many violations share,
+#: ints past ``2**63`` and, rarely, a bool, which is written ``true``.
+_where_entries = st.one_of(st.integers(0, 3), st.integers(2 ** 63, 2 ** 70),
+                           st.integers(-(2 ** 70), -(2 ** 63) - 1), st.just(True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.none(), st.just(()),
+                          st.lists(_where_entries, min_size=1, max_size=3).map(tuple)),
+                min_size=1, max_size=4),
+       st.lists(st.tuples(st.sampled_from(["jacobi", "phi_square", 'r"\\\u00e9']),
+                          st.integers(0, 3), texts), max_size=12))
+def test_violation_lists_match_json_dumps_at_two_indents(wheres, picks):
+    """Lists that repeat their rules and ``where`` tuples, so the ``where``
+    text cache is read again within a list and across two indents (the
+    list on its own and inside ``{"v": [...]}``).  A list with a bool in
+    some ``where`` is written through the dict, ``true`` and not ``1``."""
+    violations = [Violation(rule, wheres[k % len(wheres)], detail)
+                  for rule, k, detail in picks]
+    plain = [v._asdict() for v in violations]
+    assert canonical_json(violations) == _dumps(plain)
+    assert canonical_json({"v": violations}) == _dumps({"v": plain})
+    if any(type(i) is bool for v in violations if v.where for i in v.where):
+        assert "true" in canonical_json(violations)
+
+
+def test_a_bool_where_after_its_int_twin_is_written_true():
+    """``(True, 0) == (1, 0)``: after ``(1, 0)`` has been written, at the
+    same indent, ``(True, 0)`` still writes ``true``."""
+    ints, bools = [Violation("r", (1, 0), "d")], [Violation("r", (True, 0), "d")]
+    assert canonical_json(ints) == _dumps([v._asdict() for v in ints])
+    assert canonical_json(bools) == _dumps([v._asdict() for v in bools])
+    assert "true" in canonical_json(bools)
+
+
 @pytest.mark.parametrize("violations", [
     [Violation("r", (1, True), "d")],                       # a bool is true, not 1
     [Violation("r", (0, 1), "d"), Violation(None, [2, -3], 5)],

@@ -5,6 +5,7 @@ import json
 from dataclasses import replace
 from fractions import Fraction as Fr
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -25,7 +26,7 @@ from norden import (
     structure_pack,
     verify_identities,
 )
-from norden import cli
+from norden import cli, geometry
 from zoo import dense_member, family, family_member
 
 lam_values = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -158,6 +159,48 @@ def test_closedness_addendum_applicable_on_flat_member(fam_zero):
                                  curv=fam_zero)
     v = verdicts["phi_kahler_criterion_closedness"]
     assert v.applicable and v.passed
+
+
+def _terms_spy(monkeypatch, gate_open=False) -> list:
+    """Record the term lists of every zero test of the identity battery;
+    with ``gate_open``, the rank-one gate's test finds nothing, whatever
+    ``nabla omega_star`` is."""
+    calls, real = [], geometry.nonzero_where
+
+    def spy(terms):
+        calls.append([term[1] for term in terms])
+        where = real(terms)
+        return where & False if gate_open and calls[-1][-1] == "i,j->ij" else where
+
+    monkeypatch.setattr(geometry, "nonzero_where", spy)
+    return calls
+
+
+def test_closedness_reads_forms_closed_and_runs_no_kernel_call(fam_zero, monkeypatch):
+    """Where the rank-one gate opens, the closedness verdict is
+    ``forms_closed``'s symmetry test: no zero test relabels ``ji->ij``."""
+    calls = _terms_spy(monkeypatch)
+    geo = Geometry(fam_zero.model, conn=fam_zero.conn)
+    v = geo.identities["phi_kahler_criterion_closedness"]
+    assert (v.applicable, v.passed, v.witness) == (True, True, None)
+    assert geo.forms_closed[1] and calls and not any("ji->ij" in c for c in calls)
+
+
+def test_closedness_fails_at_the_first_asymmetric_index(fam_zero, monkeypatch):
+    """An asymmetric ``nabla omega_star`` behind an open rank-one gate fails
+    the closedness identity; its witness is the first ``(i, j)`` in C
+    order with ``num[i, j] != num[j, i]``, the index the two-term zero
+    test named."""
+    calls = _terms_spy(monkeypatch, gate_open=True)
+    geo = Geometry(fam_zero.model, conn=fam_zero.conn)
+    geo.nabla_omega_star = Tensor([[0, 0, 7], [4, 0, Fr(1, 2)], [7, 3, 0]], "dd")
+    v = geo.identities["phi_kahler_criterion_closedness"]
+    assert (v.applicable, v.passed, v.witness) == (True, False, (0, 1))
+    assert geo.forms_closed == (True, False)
+    assert not any("ji->ij" in c for c in calls)
+    t = geo.nabla_omega_star
+    defect = exact_sum([(1, "ij->ij", t), (-1, "ji->ij", t)])
+    assert v.witness == tuple(np.argwhere(defect.num)[0].tolist())
 
 
 def test_verify_identities_computes_own_packages(fam23):

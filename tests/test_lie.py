@@ -25,7 +25,7 @@ from norden import (
 )
 from norden.lie import _jacobi_terms, structure_constants
 from norden.tensors import exact_sum
-from zoo import family
+from zoo import dense_member, family
 
 lam_values = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -326,6 +326,44 @@ def test_validate_lists_each_violation_with_its_components(table):
         c = structure_constants(dim, algebra_table)
         got = [(v.rule, v.where, v.detail) for v in validate(LieAlgebra(dim, c)).violations]
         assert got == _violations_index_by_index(c)
+
+
+def _broken_everywhere() -> LieAlgebra:
+    """A dim-5 table whose every pair ``i <= j`` breaks antisymmetry and
+    whose every triple ``i < j < k`` breaks Jacobi: each bracket, mirrors
+    and diagonal included, is listed with positive coefficients."""
+    dim = 5
+    table = [(i, j, [(1 + (3 * i + 5 * j + 7 * k) % 11, 1 + (i + j + k) % 3)
+                     for k in range(dim)])
+             for i in range(dim) for j in range(dim)]
+    return LieAlgebra(dim, structure_constants(dim, table))
+
+
+def test_every_broken_pair_and_triple_is_listed_with_its_components():
+    algebra = _broken_everywhere()
+    got = [(v.rule, v.where, v.detail) for v in validate(algebra).violations]
+    assert got == _violations_index_by_index(algebra.c)
+    assert [where for rule, where, _ in got if rule == "antisymmetry"] == [
+        (i, j) for i in range(5) for j in range(i, 5)]
+    assert [where for rule, where, _ in got if rule == "jacobi"] == [
+        (i, j, k) for i in range(5) for j in range(i + 1, 5) for k in range(j + 1, 5)]
+
+
+def test_each_defect_is_grouped_by_one_nonzero_and_a_clean_one_by_none(monkeypatch):
+    """A spy on ``np.nonzero``: validating a valid dense algebra calls it
+    not at all, and an algebra that breaks both rules once per defect, on
+    the defect's rows at the kept indices: 15 pairs and 10 triples of 5
+    components each."""
+    calls = []
+    real = np.nonzero
+
+    def spy(a):
+        calls.append(np.shape(a))
+        return real(a)
+
+    monkeypatch.setattr(np, "nonzero", spy)
+    assert validate(dense_member(3).algebra).ok and calls == []
+    assert not validate(_broken_everywhere()).ok and calls == [(15, 5), (10, 5)]
 
 
 def three_product_jacobi(c: Tensor) -> Tensor:

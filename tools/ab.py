@@ -19,10 +19,12 @@ microseconds of each other, so the per-op ratio B/A is far steadier than
 two benchmark runs made minutes apart.
 
 Prints the median of the per-op B/A time ratios with its quartiles and
-the number of op pairs; the last line of stdout is the same as one JSON
-object, which also holds the half-dimension.  Exits 1 when an op's
-outputs differ, and 141 (128 + SIGPIPE) with nothing on stderr when the
-reader of stdout closed it early, as for ``python3 tools/ab.py ... | head -1``.
+the number of op pairs, and under it the median of each kind of case
+(see :func:`kind_of`); the last line of stdout is the same as one JSON
+object, which also holds the half-dimension and, under ``"kinds"``, the
+median per kind.  Exits 1 when an op's outputs differ, and 141 (128 +
+SIGPIPE) with nothing on stderr when the reader of stdout closed it
+early, as for ``python3 tools/ab.py ... | head -1``.
 """
 from __future__ import annotations
 
@@ -60,6 +62,13 @@ def load_tree(tree: Path, name: str):
     sys.modules[name] = lib
     spec.loader.exec_module(lib)
     return lib, importlib.import_module(f"{name}.cli")
+
+
+def kind_of(case) -> str:
+    """The kind of a case: ``valid``, the ``MUTATIONS`` key of a mutant or
+    the ``MALFORMED`` kind of a malformed file, which ``run.build_cases``
+    writes after a ``-`` in the file's name, or ``report``."""
+    return case.path.name.partition("-")[2] or case.kind
 
 
 def compare(cli_a, cli_b, cases) -> list[float]:
@@ -109,8 +118,14 @@ def main(argv=None) -> int:
     q1, _, q3 = statistics.quantiles(ratios, n=4)
     print(f"# {workload.name} n={workload.n} seed={SEED} pool={len(cases)} rounds={ROUNDS}: "
           f"B/A median {median:.4f}, quartiles {q1:.4f} {q3:.4f}, {len(ratios)} op pairs")
+    by_kind = {}
+    for case, ratio in zip(cases * ROUNDS, ratios):
+        by_kind.setdefault(kind_of(case), []).append(ratio)
+    kinds = {kind: statistics.median(r) for kind, r in by_kind.items()}
+    for kind, r in by_kind.items():
+        print(f"#   {kind}: B/A median {kinds[kind]:.4f}, {len(r)} op pairs")
     print(json.dumps({"workload": workload.name, "n": workload.n, "pairs": len(ratios),
-                      "median": median, "q1": q1, "q3": q3}))
+                      "median": median, "q1": q1, "q3": q3, "kinds": kinds}))
     return 0
 
 
