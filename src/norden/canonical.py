@@ -16,10 +16,9 @@ A :class:`~norden.errors.Violation` is written as its ``_asdict()`` dict,
 ``rule`` and ``detail`` are strs and whose ``where`` is None or a tuple of
 ints is written in one join of its encoded fields, and any other through
 the dict.  In that list each distinct rule is encoded once, and each
-``where`` text comes from a bounded cache keyed by the index tuple and
-the indent, since a mutant model's violations name the same few basis
-pairs and triples; the all-int type check comes first, so a bool entry
-is never read as the int it equals.
+``where`` text is one ``%`` of a template built once per call for each
+length of ``where``; the all-int type check comes first, so a bool entry
+never reaches ``%d`` and still writes ``true``.
 
 :func:`index_labels` is the one table of index labels, cached with the
 text around them: the JSON keys of sparse leaves and the lines of the
@@ -116,39 +115,28 @@ def _violations_json(vs, newline: str) -> str | None:
     ``detail`` is a str and every ``where`` is None or a tuple of ints.
     The caller has checked that every item is a :class:`Violation`; the
     fields are type-checked once for the whole list, each distinct rule
-    is encoded once, each ``where`` is read from :func:`_where_json`, and
-    the encoded fields and the fixed text between them are joined once.
-    The type check stays in front of the cache: ``(True, 0) == (1, 0)``,
-    so a bool entry would read the text of an int key."""
+    is encoded once, each ``where`` of length ``k`` is one ``%`` of the
+    list's template of ``k`` ``%d`` entries, and the encoded fields and
+    the fixed text between them are joined once.  The type check comes
+    first: ``%d`` writes a bool entry as ``1``, where JSON has ``true``."""
     rules, wheres, details = zip(*vs)
     if not ({*map(type, rules), *map(type, details)} == {str}
             and {*map(type, wheres)} <= {tuple, type(None)}
             and {*map(type, itertools.chain.from_iterable(filter(None, wheres)))} <= {int}):
         return None
     inner = newline + " "
+    entry = inner + " "
     codes = {rule: encode_basestring_ascii(rule) for rule in set(rules)}
+    forms = {k: "[" + entry + ("," + entry).join(["%d"] * k) + inner + "]" if k else "[]"
+             for k in {len(w) for w in wheres if w is not None}}
     head, repeat = "{" + inner + '"detail": ', itertools.repeat
     pieces = itertools.chain.from_iterable(zip(
         repeat(newline + "}," + newline + head), map(encode_basestring_ascii, details),
         repeat("," + inner + '"rule": '), map(codes.__getitem__, rules),
-        repeat("," + inner + '"where": '), map(_where_json, wheres, repeat(inner))))
+        repeat("," + inner + '"where": '),
+        ["null" if w is None else forms[len(w)] % w for w in wheres]))
     next(pieces)                # the glue before the first violation is its head alone
     return head + "".join(pieces) + newline + "}"
-
-
-@functools.lru_cache(maxsize=4096)
-def _where_json(where: tuple | None, newline: str) -> str:
-    """The JSON text of a violation's ``where``, None or a tuple of ints,
-    as a value on a line whose break and indent are ``newline``.  A
-    mutant model's violations share their indices (one per basis pair or
-    triple), so each text is built once per index and indent; 4096 texts
-    hold every pair, triple and single index up to dimension 28."""
-    if where is None:
-        return "null"
-    if not where:
-        return "[]"
-    entry = newline + " "
-    return "[" + entry + ("," + entry).join(map(int.__repr__, where)) + newline + "]"
 
 
 def _tensor_json(t: Tensor, newline: str, seen: list) -> str:

@@ -8,6 +8,7 @@ callers that need an exception wrap the report in ``ValidationError``.
 from __future__ import annotations
 
 import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -76,9 +77,14 @@ class Violation(NamedTuple):
     detail: str = ""
 
     def __str__(self) -> str:
-        loc = f" at {self.where}" if self.where is not None else ""
-        msg = f": {self.detail}" if self.detail else ""
-        return f"{self.rule}{loc}{msg}"
+        return _violation_text(*self)
+
+
+def _violation_text(rule: str, where: tuple | None, detail: str) -> str:
+    """``rule at where: detail``, without `` at where`` when ``where`` is
+    None and without ``: detail`` when ``detail`` is empty: the text of a
+    :class:`Violation` and of each line of a :class:`ValidationReport`."""
+    return f"{rule}{'' if where is None else f' at {where}'}{f': {detail}' if detail else ''}"
 
 
 #: ``violation((rule, where, detail))`` is ``Violation(rule, where, detail)``
@@ -113,10 +119,7 @@ class ValidationReport:
         if self.ok:
             return head + "ok"
         lines = [head + f"{len(self.violations)} violation(s)"]
-        # Violation.__str__, one format per line without its method call.
-        lines += [f"  - {rule}{'' if where is None else f' at {where}'}"
-                  f"{f': {detail}' if detail else ''}"
-                  for rule, where, detail in self.violations]
+        lines += ["  - " + text for text in itertools.starmap(_violation_text, self.violations)]
         return "\n".join(lines)
 
 

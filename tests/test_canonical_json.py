@@ -225,8 +225,8 @@ _where_entries = st.one_of(st.integers(0, 3), st.integers(2 ** 63, 2 ** 70),
        st.lists(st.tuples(st.sampled_from(["jacobi", "phi_square", 'r"\\\u00e9']),
                           st.integers(0, 3), texts), max_size=12))
 def test_violation_lists_match_json_dumps_at_two_indents(wheres, picks):
-    """Lists that repeat their rules and ``where`` tuples, so the ``where``
-    text cache is read again within a list and across two indents (the
+    """Lists that repeat their rules and mix ``where`` tuples of several
+    lengths, so one list fills several ``%`` templates, at two indents (the
     list on its own and inside ``{"v": [...]}``).  A list with a bool in
     some ``where`` is written through the dict, ``true`` and not ``1``."""
     violations = [Violation(rule, wheres[k % len(wheres)], detail)
