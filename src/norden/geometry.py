@@ -14,13 +14,26 @@ For left-invariant data every directional derivative of a component
 vanishes, so the Koszul formula reduces to bracket terms,
 ``2 g(nabla_{x_i} x_j, x_k) = g([x_i, x_j], x_k) + g([x_k, x_i], x_j)
 + g([x_k, x_j], x_i)``, and the covariant derivative of a constant tensor
-is its Gamma correction terms alone.  The connection is stored as
-``gamma[k, i, j]``, the ``x_k`` coefficient of ``nabla_{x_i} x_j``, and
-the curvature as ``r13[l, i, j, k]``, the ``x_l`` component of
-``R(x_i, x_j) x_k``.  Every subscript that indexes them is written in
-this module.  :func:`section` reads ``R(x, y) y`` of one plane from the
-connection alone, by nested covariant derivatives of constant vectors,
-and builds no curvature tensor.
+is its Gamma correction terms alone.  The curvature is computed lowered,
+where its entries carry the denominators of ``g``, which are smaller than
+those of ``g^{-1}``.  The tensors are indexed as follows, and every
+subscript that indexes them is written in this module:
+
+- ``koszul[i, j, k] = g(nabla_{x_i} x_j, x_k)``, the Koszul tensor ``L``;
+- ``gamma[k, i, j]``, the ``x_k`` coefficient of ``nabla_{x_i} x_j``:
+  ``L`` raised in its last slot;
+- ``r04[i, j, k, u] = R(x_i, x_j, x_k, x_u) = g(R(x_i, x_j) x_k, x_u)``,
+  from ``Gamma`` and ``L``;
+- ``r13[l, i, j, k]``, the ``x_l`` component of ``R(x_i, x_j) x_k``:
+  ``r04`` raised in its last slot, which the report does not read;
+- ``r04_phi[i, j, k, u] = R(x_i, x_j, x_k, phi x_u)``, read by
+  ``twisted_r`` and the phi Ricci identity;
+- ``nabla_f[i, j, a, b] = (nabla_{x_i} F)(x_j, x_a, x_b)``, the second
+  covariant derivative of ``Phi = g(phi ., .)``.
+
+:func:`section` reads ``R(x, y) y`` of one plane from the connection
+alone, by nested covariant derivatives of constant vectors, and builds no
+curvature tensor.
 
 The two decidable classes are the Kahler-type class ``F = 0``
 (:attr:`Geometry.f0`) and the pure class in which ``F`` is carried
@@ -290,9 +303,11 @@ class Geometry:
     """One model and every layer computed from it.
 
     ``Geometry(model)`` computes nothing up front.  It may be seeded with
-    a connection computed elsewhere and with other geometries of the same
-    model, whose computed layers it takes, e.g. ``Geometry(model, conn,
-    other)``.  Seeds set to ``None`` are ignored, so optional arguments
+    the model's Levi-Civita connection, computed elsewhere, and with other
+    geometries of the same model, whose computed layers it takes, e.g.
+    ``Geometry(model, conn, other)``.  No other connection may be seeded:
+    the curvature reads the model's Koszul tensor as well as the
+    connection.  Seeds set to ``None`` are ignored, so optional arguments
     can be passed straight through.  The model must be valid (see
     :func:`norden.structures.validate_structure`); on an invalid model
     the layers are not meaningful.
@@ -310,17 +325,21 @@ class Geometry:
     # --- connection -----------------------------------------------------
 
     @cached_property
-    def conn(self) -> Connection:
-        """The Levi-Civita connection, from the bracket-only Koszul
-        formula ``2 g(nabla_{x_i} x_j, x_k) = g([x_i, x_j], x_k)
-        + g([x_k, x_i], x_j) + g([x_k, x_j], x_i)``."""
+    def koszul(self) -> Tensor:
+        """``L[i, j, k] = g(nabla_{x_i} x_j, x_k)``, variance ``"ddd"``,
+        from the bracket-only Koszul formula ``2 g(nabla_{x_i} x_j, x_k)
+        = g([x_i, x_j], x_k) + g([x_k, x_i], x_j) + g([x_k, x_j], x_i)``."""
         # lowered[i, j, k] = g([x_i, x_j], x_k); the other two terms relabel it
         lowered = exact_einsum("mij,mk->ijk", self.model.algebra.c, self.model.g)
-        # two_k[i, j, k] = 2 g(nabla_{x_i} x_j, x_k)
-        two_k = exact_sum([(1, "ijk->ijk", lowered), (1, "kij->ijk", lowered),
-                           (1, "kji->ijk", lowered)])
-        # gamma[m, i, j] = (1/2) * two_k[i, j, k] g^{k m}
-        return Connection(exact_sum([(Fraction(1, 2), "ijk,km->mij", two_k, self.model.ginv)]))
+        half = Fraction(1, 2)
+        return exact_sum([(half, "ijk->ijk", lowered), (half, "kij->ijk", lowered),
+                          (half, "kji->ijk", lowered)])
+
+    @cached_property
+    def conn(self) -> Connection:
+        """The Levi-Civita connection: :attr:`koszul` raised,
+        ``Gamma^m_ij = L[i, j, k] g^{k m}``."""
+        return Connection(exact_einsum("ijk,km->mij", self.koszul, self.model.ginv))
 
     # --- structure tensors ----------------------------------------------
 
@@ -390,13 +409,15 @@ class Geometry:
         a left-invariant ``eta``, ``d eta(x, y) = -eta([x, y])``.  For the
         torsion-free connection that is ``(nabla_x eta) y - (nabla_y eta)
         x``, the derivative route's term, so the two routes share no term.
-        ``N[a, i, j]`` is the ``x_a`` component of ``N(x_i, x_j)``."""
+        ``N[a, i, j]`` is the ``x_a`` component of ``N(x_i, x_j)``.  The
+        product ``phi [x_i, x_j]`` is built once and read by three terms."""
         c, phi = self.model.algebra.c, self.model.phi
+        phi_c = exact_einsum("am,mij->aij", phi, c)
         return exact_sum([
-            (1, "am,ms,sij->aij", phi, phi, c),
+            (1, "am,mij->aij", phi, phi_c),
             (1, "ams,mi,sj->aij", c, phi, phi),
-            (-1, "am,msj,si->aij", phi, c, phi),
-            (-1, "am,mis,sj->aij", phi, c, phi),
+            (-1, "asj,si->aij", phi_c, phi),
+            (-1, "ais,sj->aij", phi_c, phi),
             (-1, "a,k,kij->aij", self.model.xi, self.model.eta, c),
         ])
 
@@ -404,17 +425,13 @@ class Geometry:
     def n_from_derivatives(self) -> Tensor:
         """``N`` from ``(nabla_{phi x} phi) y - (nabla_{phi y} phi) x
         - phi (nabla_x phi) y + phi (nabla_y phi) x + d eta(x, y) xi``,
-        with ``d eta(x, y) = (nabla_x eta) y - (nabla_y eta) x``."""
+        with ``d eta(x, y) = (nabla_x eta) y - (nabla_y eta) x``: that is
+        ``W(x, y) - W(y, x)`` with ``W(x, y) = (nabla_{phi x} phi) y
+        - phi (nabla_x phi) y + (nabla_x eta)(y) xi``, built once."""
         phi, nphi = self.model.phi, self.nabla_phi
-        xi, neta = self.model.xi, self.nabla_eta
-        return exact_sum([
-            (1, "mi,maj->aij", phi, nphi),
-            (-1, "mj,mai->aij", phi, nphi),
-            (-1, "am,imj->aij", phi, nphi),
-            (1, "am,jmi->aij", phi, nphi),
-            (1, "a,ij->aij", xi, neta),
-            (-1, "a,ji->aij", xi, neta),
-        ])
+        w = exact_sum([(1, "mi,maj->aij", phi, nphi), (-1, "am,imj->aij", phi, nphi),
+                       (1, "a,ij->aij", self.model.xi, self.nabla_eta)])
+        return exact_sum([(1, "aij->aij", w), (-1, "aji->aij", w)])
 
     @cached_property
     def n(self) -> Tensor:
@@ -430,11 +447,20 @@ class Geometry:
         return self.n_from_brackets
 
     @cached_property
+    def nabla_omega_phi(self) -> Tensor:
+        """``(nabla_x omega) phi y``."""
+        return exact_einsum("im,mj->ij", self.nabla_omega, self.model.phi)
+
+    @cached_property
+    def omega_star_squared(self) -> Tensor:
+        """``omega_star (x) omega_star``."""
+        return exact_einsum("i,j->ij", self.omega_star, self.omega_star)
+
+    @cached_property
     def s(self) -> Tensor:
         """``S(x, y) = (nabla_x omega) phi y - omega(phi x) omega(phi y)``."""
-        ostar = self.omega_star
-        return exact_sum([(1, "im,mj->ij", self.nabla_omega, self.model.phi),
-                          (-1, "i,j->ij", ostar, ostar)])
+        return exact_sum([(1, "ij->ij", self.nabla_omega_phi),
+                          (-1, "ij->ij", self.omega_star_squared)])
 
     @cached_property
     def f0(self) -> bool:
@@ -447,34 +473,39 @@ class Geometry:
         """Whether ``F`` has the pure eta-omega form
         ``F(x, y, z) = eta(x) (eta(y) omega(z) + eta(z) omega(y))``.  The
         zero tensor qualifies: the Kahler-type class lies in the closure
-        of every pure class.  ``eta (x) eta`` is the model's ``eta_eta``."""
-        eta_eta, omega = self.model.eta_eta, self.omega
-        return not nonzero_where([(1, "ijk->ijk", self.f), (-1, "ij,k->ijk", eta_eta, omega),
-                                  (-1, "ik,j->ijk", eta_eta, omega)]).any()
+        of every pure class.  ``eta (x) eta`` is the model's ``eta_eta``,
+        and ``eta (x) eta (x) omega`` is built once and read swapped in
+        ``(y, z)`` for the second term."""
+        eta_eta_omega = exact_einsum("ij,k->ijk", self.model.eta_eta, self.omega)
+        return not nonzero_where([(1, "ijk->ijk", self.f), (-1, "ijk->ijk", eta_eta_omega),
+                                  (-1, "ikj->ijk", eta_eta_omega)]).any()
 
     # --- curvature ------------------------------------------------------
 
     @cached_property
-    def r13(self) -> Tensor:
-        """``R(x_i, x_j) x_k = nabla_i nabla_j x_k - nabla_j nabla_i x_k
-        - nabla_{[x_i, x_j]} x_k``, variance ``"uddd"``: ``P[l, i, j, k]
-        - P[l, j, i, k] - c^m_ij Gamma^l_mk`` with the ``Gamma . Gamma``
-        product ``P[l, i, j, k] = Gamma^m_jk Gamma^l_im``, computed once,
-        one ``d**5`` contraction, and read by both terms as views."""
-        gamma = self.conn.gamma
-        p = exact_einsum("mjk,lim->lijk", gamma, gamma)
-        return exact_sum([(1, "lijk->lijk", p), (-1, "lijk->ljik", p),
-                          (-1, "mij,lmk->lijk", self.model.algebra.c, gamma)])
+    def r04(self) -> Tensor:
+        """``R(x_i, x_j, x_k, x_u) = g(R(x_i, x_j) x_k, x_u)`` with ``R(x_i,
+        x_j) x_k = nabla_i nabla_j x_k - nabla_j nabla_i x_k - nabla_{[x_i,
+        x_j]} x_k``, variance ``"dddd"``: ``P[i, j, k, u] - P[j, i, k, u]
+        - c^m_ij L[m, k, u]`` with the :attr:`koszul` tensor ``L`` and the
+        product ``P[i, j, k, u] = Gamma^m_jk L[i, m, u]``, computed once,
+        one ``d**5`` contraction, and read by both terms as views.  The
+        connection must be the model's own."""
+        koszul = self.koszul
+        p = exact_einsum("mjk,imu->ijku", self.conn.gamma, koszul)
+        return exact_sum([(1, "ijku->ijku", p), (-1, "jiku->ijku", p),
+                          (-1, "mij,mku->ijku", self.model.algebra.c, koszul)])
 
     @cached_property
-    def r04(self) -> Tensor:
-        """``R(x, y, z, u) = g(R(x, y) z, u)``, slot order ``(x, y, z, u)``."""
-        return exact_einsum("lijk,lu->ijku", self.r13, self.model.g)
+    def r13(self) -> Tensor:
+        """``r13[l, i, j, k]``, the ``x_l`` component of ``R(x_i, x_j) x_k``,
+        variance ``"uddd"``: :attr:`r04` raised in its last slot."""
+        return exact_einsum("ijku,ul->lijk", self.r04, self.model.ginv)
 
     @cached_property
     def ricci(self) -> Tensor:
-        """``Ric(y, z) = tr(x -> R(x, y) z)``."""
-        return exact_einsum("iiyz->yz", self.r13)
+        """``Ric(y, z) = tr(x -> R(x, y) z) = g^{lu} R(x_l, y, z, x_u)``."""
+        return exact_einsum("lu,lyzu->yz", self.model.ginv, self.r04)
 
     @cached_property
     def tau(self) -> Fraction:
@@ -498,10 +529,14 @@ class Geometry:
         return psi4(self.s, self.model.eta)
 
     @cached_property
+    def r04_phi(self) -> Tensor:
+        """``R(x, y, z, phi u)``."""
+        return exact_einsum("ijkm,mu->ijku", self.r04, self.model.phi)
+
+    @cached_property
     def twisted_r(self) -> Tensor:
-        """``R(x, y, phi z, phi u)``."""
-        phi = self.model.phi
-        return exact_einsum("ijmn,mk,nu->ijku", self.r04, phi, phi)
+        """``R(x, y, phi z, phi u)``, one step from :attr:`r04_phi`."""
+        return exact_einsum("ijmu,mk->ijku", self.r04_phi, self.model.phi)
 
     @cached_property
     def curvature_phi_kahler(self) -> bool:
@@ -510,10 +545,12 @@ class Geometry:
                                   (1, "ijku->ijku", self.r04)]).any()
 
     @cached_property
-    def nabla2_phi(self) -> Tensor:
-        """``nabla nabla phi``: iterating the covariant derivative of
+    def nabla_f(self) -> Tensor:
+        """``nabla F``, variance ``"dddd"``: ``nabla_f[i, j, a, b] =
+        (nabla_{x_i} F)(x_j, x_a, x_b)``, the second derivative of
+        ``Phi = g(phi ., .)``.  Iterating the covariant derivative of
         constant tensors already gives the tensorial second derivative."""
-        return covariant_derivative(self.conn, self.nabla_phi)
+        return covariant_derivative(self.conn, self.f)
 
     @cached_property
     def nabla2_eta(self) -> Tensor:
@@ -595,8 +632,7 @@ class Geometry:
         hypothesis fails is reported as not applicable rather than passed,
         and a layer is read only by an identity that applies.
         """
-        phi, eta, eta_eta, r13 = self.model.phi, self.model.eta, self.model.eta_eta, self.r13
-        nnphi, nneta = self.nabla2_phi, self.nabla2_eta
+        eta_eta = self.model.eta_eta
 
         not_pure = None if self.f11 else "model is not in the pure eta-omega class"
         # When the twisted curvature vanishes identically the curvature
@@ -608,24 +644,28 @@ class Geometry:
         # = eta(x) eta(y) omega(Omega) + omega_star(x) omega_star(y).
         rank_one = not_pure is None and not nonzero_where([
             (1, "ij->ij", self.nabla_omega_star), (-self.omega_norm, "ij->ij", eta_eta),
-            (-1, "i,j->ij", self.omega_star, self.omega_star),
+            (-1, "ij->ij", self.omega_star_squared),
         ]).any()
         not_rank_one = not_pure or (
             None if rank_one else "nabla omega_star does not have the pure rank-one form")
 
         verdicts = [
             # Ricci identities: second-derivative antisymmetrization equals the
-            # curvature action.  They hold for every metric connection.
+            # curvature action.  They hold for every metric connection.  The
+            # phi identity is read on Phi = g(phi ., .), whose nabla is F:
+            # nabla^2 Phi antisymmetrized is -Phi(R(x, y) a, b) - Phi(a, R(x,
+            # y) b) = -R(x, y, a, phi b) - R(x, y, b, phi a), phi being
+            # g-symmetric.
             _vanishes(
                 "ricci_identity_phi", "nabla^2 phi antisymmetrized = curvature acting on phi",
                 None,
-                lambda: [(1, "ijak->ijak", nnphi), (-1, "jiak->ijak", nnphi),
-                         (-1, "aijm,mk->ijak", r13, phi), (1, "mijk,am->ijak", r13, phi)]),
+                lambda: [(1, "ijab->ijab", self.nabla_f), (-1, "jiab->ijab", self.nabla_f),
+                         (1, "ijab->ijab", self.r04_phi), (1, "ijba->ijab", self.r04_phi)]),
             _vanishes(
                 "ricci_identity_eta", "nabla^2 eta antisymmetrized = -eta(R(.,.) .)",
                 None,
-                lambda: [(1, "ijk->ijk", nneta), (-1, "jik->ijk", nneta),
-                         (1, "mijk,m->ijk", r13, eta)]),
+                lambda: [(1, "ijk->ijk", self.nabla2_eta), (-1, "jik->ijk", self.nabla2_eta),
+                         (1, "ijku,u->ijk", self.r04, self.model.xi)]),
             _agree(
                 "norm_chain", "||nabla phi||^2 = -||N||^2 = -2||nabla eta||^2 = 2 omega(Omega)",
                 not_pure,
@@ -636,7 +676,7 @@ class Geometry:
                 "(nabla_x omega_star) y = (nabla_x omega) phi y + eta(x) eta(y) omega(Omega)",
                 not_pure,
                 lambda: [(1, "ij->ij", self.nabla_omega_star),
-                         (-1, "im,mj->ij", self.nabla_omega, phi),
+                         (-1, "ij->ij", self.nabla_omega_phi),
                          (-self.omega_norm, "ij->ij", eta_eta)]),
             _vanishes(
                 "curvature_phi_twist",
@@ -723,7 +763,9 @@ def structure_pack(model: AcnModel, conn: Connection) -> Geometry:
 
 def riemann(model: AcnModel, conn: Connection) -> Geometry:
     """A ``Geometry`` with the curvature computed: ``r13``, ``r04``, Ricci
-    and the three scalar curvatures."""
+    and the three scalar curvatures.  ``conn`` must be the Levi-Civita
+    connection of ``model``: ``r04`` also reads the Koszul tensor of the
+    model."""
     return _computed(Geometry(model, conn), "r13", "r04", "ricci", "tau", "tau_star",
                      "tau_2star")
 

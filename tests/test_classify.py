@@ -161,16 +161,17 @@ def test_closedness_addendum_applicable_on_flat_member(fam_zero):
     assert v.applicable and v.passed
 
 
-def _terms_spy(monkeypatch, gate_open=False) -> list:
+def _terms_spy(monkeypatch, gate=None) -> list:
     """Record the term lists of every zero test of the identity battery;
-    with ``gate_open``, the rank-one gate's test finds nothing, whatever
-    ``nabla omega_star`` is."""
+    the zero test that reads the tensor ``gate`` (the rank-one gate reads
+    ``omega_star (x) omega_star``) finds nothing, whatever ``nabla
+    omega_star`` is."""
     calls, real = [], geometry.nonzero_where
 
     def spy(terms):
         calls.append([term[1] for term in terms])
         where = real(terms)
-        return where & False if gate_open and calls[-1][-1] == "i,j->ij" else where
+        return where & False if any(term[-1] is gate for term in terms) else where
 
     monkeypatch.setattr(geometry, "nonzero_where", spy)
     return calls
@@ -191,8 +192,8 @@ def test_closedness_fails_at_the_first_asymmetric_index(fam_zero, monkeypatch):
     the closedness identity; its witness is the first ``(i, j)`` in C
     order with ``num[i, j] != num[j, i]``, the index the two-term zero
     test named."""
-    calls = _terms_spy(monkeypatch, gate_open=True)
     geo = Geometry(fam_zero.model, conn=fam_zero.conn)
+    calls = _terms_spy(monkeypatch, gate=geo.omega_star_squared)
     geo.nabla_omega_star = Tensor([[0, 0, 7], [4, 0, Fr(1, 2)], [7, 3, 0]], "dd")
     v = geo.identities["phi_kahler_criterion_closedness"]
     assert (v.applicable, v.passed, v.witness) == (True, False, (0, 1))
@@ -235,13 +236,15 @@ def test_isotropy_criterion_matches_lambda_condition(lam):
 # --- failing verdicts and laziness, pinned -----------------------------------
 #
 # No valid model fails an identity, so these replace layers of a Geometry:
-# the curvature with R doubled and tau shifted by 1/2 (index and
-# rational-string witnesses), the structure tensors with Omega zero (a flag
-# witness from isotropy_equivalence), and R alone zero (a flag witness
-# from phi_kahler_criterion).  Each pin is the verdict's (status, witness)
+# R doubled and then tau shifted by 1/2 (index and rational-string
+# witnesses), the structure tensors with Omega zero (a flag witness from
+# isotropy_equivalence), and R zero (a flag witness from
+# phi_kahler_criterion).  R is replaced at r04 before any layer above it
+# is read, so Ricci, the scalar curvatures and both phi twists read the
+# fault too.  Each pin is the verdict's (status, witness)
 # and the sha256 of the JSON and text renders of the family report carrying
-# the tampered verdicts.  The JSON hashes were re-recorded once, for report
-# schema 2; the text hashes have not changed.
+# the tampered verdicts.  The JSON hashes were re-recorded for report
+# schema 2, and both hashes of the two faults in R when they moved to r04.
 
 def _scaled(coef, t):
     """``coef * t``, as one permutation term of the kernel."""
@@ -250,15 +253,17 @@ def _scaled(coef, t):
 
 
 def _tampered(fam23, key):
-    """A fresh ``Geometry`` of the worked example whose structure or
-    curvature layers are computed and then some of them replaced."""
-    geo = (structure_pack if key == "omega_vec" else riemann)(fam23.model, fam23.conn)
-    if key == "curvature":
-        geo.r13, geo.r04, geo.tau = _scaled(2, geo.r13), _scaled(2, geo.r04), geo.tau + Fr(1, 2)
-    elif key == "omega_vec":
+    """A fresh ``Geometry`` of the worked example: its structure layers
+    computed and ``Omega`` replaced, or ``r04`` replaced before any layer
+    is read (and, for ``"curvature"``, ``tau`` then shifted)."""
+    if key == "omega_vec":
+        geo = structure_pack(fam23.model, fam23.conn)
         geo.omega_vec = _scaled(0, geo.omega_vec)
-    else:
-        geo.r04 = _scaled(0, geo.r04)
+        return geo
+    geo = Geometry(fam23.model, fam23.conn)
+    geo.r04 = _scaled(2 if key == "curvature" else 0, fam23.r04)
+    if key == "curvature":
+        geo.tau += Fr(1, 2)
     return geo
 
 
@@ -271,9 +276,9 @@ TAMPERED_VERDICTS = {
         "omega_star_derivative": PASS,
         "curvature_phi_twist": ("FAIL", (0, 1, 0, 1)),
         "r_equals_psi4_s": ("FAIL", (0, 1, 0, 1)),
-        "ricci_from_s": PASS,
+        "ricci_from_s": ("FAIL", (0, 0)),
         "s_trace_divergence": PASS,
-        "scalar_curvature_chain": ("FAIL", ("21/2", "10", "10")),
+        "scalar_curvature_chain": ("FAIL", ("41/2", "10", "20")),
         "phi_kahler_criterion": PASS,
         "phi_kahler_criterion_closedness": NA,
         "isotropy_equivalence": PASS,
@@ -293,15 +298,15 @@ TAMPERED_VERDICTS = {
         "isotropy_equivalence": ("FAIL", (False, True, False)),
     },
     "flat_r04": {
-        "ricci_identity_phi": PASS,
-        "ricci_identity_eta": PASS,
+        "ricci_identity_phi": ("FAIL", (0, 1, 0, 1)),
+        "ricci_identity_eta": ("FAIL", (0, 1, 1)),
         "norm_chain": PASS,
         "omega_star_derivative": PASS,
         "curvature_phi_twist": ("FAIL", (0, 1, 0, 1)),
         "r_equals_psi4_s": ("FAIL", (0, 1, 0, 1)),
-        "ricci_from_s": PASS,
+        "ricci_from_s": ("FAIL", (0, 0)),
         "s_trace_divergence": PASS,
-        "scalar_curvature_chain": PASS,
+        "scalar_curvature_chain": ("FAIL", ("0", "10", "0")),
         "phi_kahler_criterion": ("FAIL", (True, False)),
         "phi_kahler_criterion_closedness": NA,
         "isotropy_equivalence": PASS,
@@ -309,12 +314,12 @@ TAMPERED_VERDICTS = {
 }
 # (sha256 of report_to_json, sha256 of report_to_text)
 TAMPERED_RENDERS = {
-    "curvature": ("5b6c009b713434350329503d70a8db4e47e8b8d5882758eadfead3f7c872d060",
-                  "2233884f79c27d501fdf36f9062ae37f1b42b505bfcdf9daf5810983b8f4afe0"),
+    "curvature": ("aa44d186cac1e38643f5f178baa3d0fe2d798bed44e72868e3c27ffedb2b9e5c",
+                  "ec0905b67cafa8ec9c147134dd235d1d8daa4908b28bb4d861fa553a51997cfc"),
     "omega_vec": ("96d18b06bb5b418de7d13e47da1501e9bc9157faf1204442a973093cfe4ad729",
                   "894f4e7a25f8ae9c3b6775fb436c215231a8eed69695cc206a5727474b37c1ec"),
-    "flat_r04": ("cb70bb7573727effbef03157f5dc7faf4c3c1ed43892f2a87385e7befb21b83b",
-                 "ff0f4dc1e429147150817a5ef718521957f0be66c74e76a23274a699b7da146e"),
+    "flat_r04": ("93de7a6df57d7e04ba1fa0e0586998886157b326f096cedb6fd2d11355340a8e",
+                 "86b10994e07717733f1071d0821028ea244414058c799543679f8877424b7d61"),
 }
 
 
@@ -409,6 +414,38 @@ def test_a_fault_in_nabla_eta_fails_the_nijenhuis_check(build, n):
     assert set(vars(fresh)) == {"model", "n_from_brackets"}
 
 
+#: The verdicts that fail with the sign of the c . L term of r04 flipped.
+CL_SIGN_FAILS = {"ricci_identity_phi", "ricci_identity_eta", "curvature_phi_twist",
+                 "r_equals_psi4_s", "ricci_from_s", "scalar_curvature_chain"}
+
+
+@pytest.mark.parametrize("build, n", [(dense_member, 3), (family_member, 6)])
+def test_the_sign_of_the_c_l_term_of_r04_flipped_fails_six_verdicts(build, n):
+    """``r04`` planted as ``P - P[jiku] + c . L`` before any layer above it
+    is read: both Ricci identities, both checks of R against psi4(S), Ricci
+    against S and the scalar curvature chain fail, and no other verdict."""
+    model = build(n)
+    clean = Geometry(model)
+    geo = Geometry(model, clean.conn)
+    geo.r04 = exact_sum([(1, "ijku->ijku", clean.r04),
+                         (2, "mij,mku->ijku", model.algebra.c, clean.koszul)])
+    assert {name for name, v in geo.identities.items() if not v.ok} == CL_SIGN_FAILS
+
+
+@pytest.mark.parametrize("build, n", [(dense_member, 3), (family_member, 6)])
+def test_one_entry_of_r04_phi_plus_one_fails_the_phi_ricci_identity(build, n):
+    """R(x_1, x_2, x_0, phi x_1) plus 1 moves the curvature side of the phi
+    Ricci identity alone: it fails at that index."""
+    model = build(n)
+    geo = Geometry(model)
+    fault = np.zeros((model.dim,) * 4, dtype=int)
+    fault[1, 2, 0, 1] = 1
+    geo.r04_phi = exact_sum([(1, "ijku->ijku", geo.r04_phi),
+                             (1, "ijku->ijku", Tensor(fault, "dddd"))])
+    v = geo.identities["ricci_identity_phi"]
+    assert (v.passed, v.witness) == (False, (1, 2, 0, 1))
+
+
 @pytest.mark.parametrize("flags", [[], ["--json"]])
 def test_a_witness_past_the_digit_limit_is_input_error(fam23, flags, tmp_path, monkeypatch,
                                                        capsys):
@@ -427,19 +464,20 @@ def test_a_witness_past_the_digit_limit_is_input_error(fam23, flags, tmp_path, m
 
 
 # sorted(vars(geo)) after reading .identities on a fresh Geometry.  Outside
-# the pure class (heis) only the Ricci identities apply, so r13 is the one
-# curvature layer built; the family reads every curvature layer but tau_star.
+# the pure class (heis) only the Ricci identities apply, so r04 and r04_phi
+# are the curvature layers built; the family reads every curvature layer
+# but r13 and tau_star.  Neither builds r13.
 LAYERS_READ = {
-    "heis": ["conn", "f", "f11", "identities", "model",
-             "nabla2_eta", "nabla2_phi", "nabla_eta", "nabla_phi", "omega", "r13"],
+    "heis": ["conn", "f", "f11", "identities", "koszul", "model", "nabla2_eta",
+             "nabla_eta", "nabla_f", "nabla_phi", "omega", "r04", "r04_phi"],
     "fam23": ["conn", "curvature_phi_kahler", "div_phi_omega", "f", "f11",
-              "identities", "isotropic_kahler", "model", "n",
-              "n_from_brackets", "n_from_derivatives", "nabla2_eta", "nabla2_phi",
-              "nabla_eta", "nabla_eta_square_norm", "nabla_omega", "nabla_omega_star",
-              "nabla_phi", "nabla_phi_square_norm", "nijenhuis_square_norm",
-              "omega", "omega_norm", "omega_star", "omega_vec", "phi_omega", "psi4_s",
-              "r04", "r13", "ricci", "ricci_xi_xi", "s", "s_trace", "tau", "tau_2star",
-              "twisted_r"],
+              "identities", "isotropic_kahler", "koszul", "model", "n",
+              "n_from_brackets", "n_from_derivatives", "nabla2_eta", "nabla_eta",
+              "nabla_eta_square_norm", "nabla_f", "nabla_omega", "nabla_omega_phi",
+              "nabla_omega_star", "nabla_phi", "nabla_phi_square_norm",
+              "nijenhuis_square_norm", "omega", "omega_norm", "omega_star",
+              "omega_star_squared", "omega_vec", "phi_omega", "psi4_s", "r04", "r04_phi",
+              "ricci", "ricci_xi_xi", "s", "s_trace", "tau", "tau_2star", "twisted_r"],
 }
 
 

@@ -352,13 +352,25 @@ def test_each_key_searches_its_path_once():
 # runs in int64, as its first operand carries its step's bound.  Each
 # report runs 77 steps where it ran 80 (the counts were 55 int32 at dense
 # dim 7; 19 int32 and 61 int64 at dense dim 13; 9 int32 at dense dim 17;
-# 70 int32 at family dim 13).
+# 70 int32 at family dim 13).  The curvature is computed lowered: r04 is
+# P - P[jiku] - c . L with the Koszul tensor L and one d**5 product P =
+# Gamma . L, Ricci and the eta identity read r04, and a report builds no
+# r13.  The phi identity reads nabla F and R(x, y, z, phi u), from which
+# twisted_r is one step.  N's two routes and the F11 test build each of
+# their products once, and S, the omega_star identity and the rank-one
+# gate share nabla omega . phi and omega_star (x) omega_star.  phi . c is
+# zero on the family in any basis, so at dense dim 17 the bracket route's
+# shared phi . c and its two reads are three zero steps.  Each report
+# runs 66 steps where it ran 77 (the counts were 52 int32 and 25 int64 at
+# dense dim 7; 15 int32 and 62 int64 at dense dim 13; 6 int32, 40 int64,
+# 28 uint64, 2 zero int32 and 1 zero int64 at dense dim 17; 67 int32 and
+# 10 sparse int32 at family dim 13).
 STEP_COUNTS = {
-    ("dense", 3): {("einsum", "int32"): 52, ("einsum", "int64"): 25},
-    ("dense", 6): {("einsum", "int32"): 15, ("einsum", "int64"): 62},
-    ("dense", 8): {("einsum", "int32"): 6, ("einsum", "int64"): 40, ("einsum", "uint64"): 28,
-                   ("zero", "int32"): 2, ("zero", "int64"): 1},
-    ("family", 6): {("einsum", "int32"): 67, ("sparse", "int32"): 10},
+    ("dense", 3): {("einsum", "int32"): 52, ("einsum", "int64"): 14},
+    ("dense", 6): {("einsum", "int32"): 13, ("einsum", "int64"): 53},
+    ("dense", 8): {("einsum", "int32"): 4, ("einsum", "int64"): 40, ("einsum", "uint64"): 18,
+                   ("zero", "int32"): 3, ("zero", "int64"): 1},
+    ("family", 6): {("einsum", "int32"): 59, ("sparse", "int32"): 7},
 }
 
 # Magnitude scans (calls of ``_max_abs``) of one run_report on the same
@@ -389,7 +401,13 @@ STEP_COUNTS = {
 # the twisted_r trace no longer run go with those steps.  The model's
 # eta (x) eta is one more stored tensor, scanned once (from 33, 55 and
 # 29; at dense dim 17 the rescans scan one operand fewer, so it stays 125).
-SCAN_COUNTS = {("dense", 3): 34, ("dense", 6): 56, ("dense", 8): 125, ("family", 6): 30}
+# Each product now built once as a tensor of its own is one more result
+# to scan: phi . c, N's W, eta (x) eta (x) omega, nabla omega . phi,
+# omega_star (x) omega_star and R(x, y, z, phi u); the curvature scans one
+# fewer, r04 and its product where it scanned r13, its product and r04
+# (from 34, 56, 125 and 30).  At dense dims 13 and 17 the steps no longer
+# run take their rescans with them.
+SCAN_COUNTS = {("dense", 3): 39, ("dense", 6): 53, ("dense", 8): 91, ("family", 6): 35}
 
 
 @pytest.mark.parametrize("subscripts, shapes, sparse", [

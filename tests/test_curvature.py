@@ -1,7 +1,6 @@
 """Curvature tensors, scalar curvatures, sectional curvature, and the
 classification of 2-plane sections."""
 from fractions import Fraction as Fr
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,12 +9,12 @@ from hypothesis import strategies as st
 from conftest import build_geometry
 
 from norden import (
-    Connection,
     Geometry,
-    LieAlgebra,
     LinearlyDependent,
     Tensor,
     VarianceMismatch,
+    covariant_derivative,
+    exact_einsum,
     exact_sum,
     levi_civita,
     matrix_rank,
@@ -25,7 +24,7 @@ from norden import (
 from norden.lie import _jacobi_terms
 from test_exact_einsum import huge, small
 from test_lie import near_bound, three_product_jacobi
-from zoo import bench_dense, dense_model, family
+from zoo import bench_dense, dense_member, dense_model, f11_dim5, family, family_member
 
 lam_values = st.fractions(min_value=-4, max_value=4, max_denominator=5)
 
@@ -237,28 +236,25 @@ def three_product_r13(gamma: Tensor, c: Tensor):
 
 
 @st.composite
-def connection_data(draw):
-    """Random ``Gamma`` and ``c`` of one dimension, with neither a
-    Lie algebra nor a metric behind them: small rationals, numerators
-    whose products straddle the int64 bound, and Python-int numerators
-    over prime denominators."""
-    dim = draw(st.integers(1, 4))
+def real_models(draw):
+    """A family member or an F11 algebra of ``zoo.f11_dim5``, with
+    parameters drawn from small rationals, numerators whose products
+    straddle the int64 bound, and Python-int numerators over prime
+    denominators: ``r13`` reads the model's own connection."""
     entries = st.one_of(small, near_bound, huge)
-    gamma, c = (Tensor(np.array(draw(st.lists(entries, min_size=dim ** 3,
-                                              max_size=dim ** 3)),
-                                dtype=object).reshape((dim,) * 3), "udd")
-                for _ in range(2))
-    return Connection(gamma), LieAlgebra(dim, c)
+    if draw(st.booleans()):
+        size = draw(st.sampled_from([2, 4]))
+        return family(draw(st.lists(entries, min_size=size, max_size=size)))
+    return f11_dim5(*draw(st.lists(entries, min_size=4, max_size=4)))
 
 
 @settings(max_examples=100, deadline=None)
-@given(connection_data())
-def test_r13_from_one_product_equals_the_three_product_form(case):
-    """``Geometry.r13`` shares one ``Gamma . Gamma`` product between two
-    terms: exactly the three-product tensor."""
-    conn, algebra = case
-    model = SimpleNamespace(algebra=algebra)    # the one field of the model r13 reads
-    assert Geometry(model, conn).r13 == three_product_r13(conn.gamma, algebra.c)
+@given(real_models())
+def test_r13_from_one_product_equals_the_three_product_form(model):
+    """``Geometry.r13``, raised from ``r04``, which shares one ``Gamma .
+    L`` product between two terms: exactly the three-product tensor."""
+    geo = Geometry(model)
+    assert geo.r13 == three_product_r13(geo.conn.gamma, model.algebra.c)
 
 
 @settings(max_examples=12, deadline=None)
@@ -271,3 +267,41 @@ def test_on_dense_models_the_shared_products_equal_the_three_product_forms(n, se
     c = geo.model.algebra.c
     assert geo.r13 == three_product_r13(geo.conn.gamma, c)
     assert exact_sum(_jacobi_terms(c)) == three_product_jacobi(c)
+
+
+# --- the lowered forms against the raised ones ------------------------------
+
+LOWERED_CASES = {"dense_member(3)": lambda: dense_member(3),
+                 "family_member(6)": lambda: family_member(6),
+                 "f11_dim5": lambda: f11_dim5(1, 1, 1, 3)}
+
+
+@pytest.mark.parametrize("case", list(LOWERED_CASES))
+def test_the_lowered_layers_equal_the_raised_forms_lowered(case):
+    """``nabla_f`` is ``nabla nabla phi`` (the covariant derivative applied
+    twice) lowered by ``g``, and ``r13``, raised from ``r04``, is the
+    three-product form built from ``Gamma`` alone."""
+    model = LOWERED_CASES[case]()
+    geo = Geometry(model)
+    nnphi = covariant_derivative(geo.conn, covariant_derivative(geo.conn, model.phi))
+    assert geo.nabla_f == exact_einsum("ijma,mb->ijab", nnphi, model.g)
+    assert geo.r13 == three_product_r13(geo.conn.gamma, model.algebra.c)
+
+
+def test_with_r_doubled_the_lowered_and_raised_phi_residuals_agree(fam23):
+    """R doubled at ``r04`` breaks the phi Ricci identity.  Its residual on
+    ``Phi = g(phi ., .)``, ``[i, j, a, b]`` with ``a`` the argument of
+    ``phi``, and its residual on ``phi`` read from ``r13`` and ``nabla
+    nabla phi``, ``[i, j, a, k]`` with ``a`` the output, are both nonzero,
+    and the second lowered by ``g`` is the first."""
+    model = fam23.model
+    geo = Geometry(model, fam23.conn)
+    geo.r04 = exact_sum([(2, "ijku->ijku", fam23.r04)])
+    lowered = exact_sum([(1, "ijab->ijab", geo.nabla_f), (-1, "jiab->ijab", geo.nabla_f),
+                         (1, "ijab->ijab", geo.r04_phi), (1, "ijba->ijab", geo.r04_phi)])
+    nnphi = covariant_derivative(geo.conn, geo.nabla_phi)
+    raised = exact_sum([(1, "ijak->ijak", nnphi), (-1, "jiak->ijak", nnphi),
+                        (-1, "aijm,mk->ijak", geo.r13, model.phi),
+                        (1, "mijk,am->ijak", geo.r13, model.phi)])
+    assert not lowered.is_zero() and not raised.is_zero()
+    assert exact_einsum("ijmk,mb->ijkb", raised, model.g) == lowered

@@ -102,24 +102,20 @@ def test_one_model_reads_the_signature_of_its_metric_once(monkeypatch):
 @pytest.mark.parametrize("build, n", [(dense_member, 3), (family_member, 6)])
 def test_a_report_op_builds_each_product_once(build, n):
     """Parse, which validates, plus a report build eta (x) eta once, kept
-    with the model, and repeat no contraction but two: nabla omega . phi
-    and omega_star (x) omega_star, each built in S and again in the
-    identity battery.  A contraction is keyed by its steps and its operands'
-    values."""
+    with the model, and repeat no contraction: nabla omega . phi and
+    omega_star (x) omega_star are layers that S, the identity battery and
+    the rank-one gate read.  A contraction is keyed by its steps and its
+    operands' values."""
     text = serialize_model(build(n))
     with kernel_probe() as probe:
         run_report(parse_model(text))
     model = parse_model(text)
-    geo = Geometry(model)
-    nabla_omega, omega_star = geo.nabla_omega, geo.omega_star
     with kernel_probe() as known:
         exact_einsum("i,j->ij", model.eta, model.eta)
-        exact_einsum("im,mj->ij", nabla_omega, model.phi)
-        exact_einsum("i,j->ij", omega_star, omega_star)
-    eta_eta, *twice = known.contractions
+    (eta_eta,) = known.contractions
     counts = collections.Counter(probe.contractions)
     assert counts[eta_eta] == 1
-    assert {key: k for key, k in counts.items() if k > 1} == dict.fromkeys(twice, 2)
+    assert {key: k for key, k in counts.items() if k > 1} == {}
 
 
 def test_layers_are_cached(fam23):
@@ -206,19 +202,22 @@ def test_one_function_picks_the_arithmetic_of_every_step_and_sum():
 
 
 def test_one_module_indexes_the_connection_and_the_curvature():
-    """Outside ``geometry.py`` no module names ``r13``, and ``gamma`` is
-    read only as ``geo.conn.gamma`` in ``report.py``'s tensor table, which
-    hands it on unindexed.  So every subscript of ``gamma[k, i, j]`` and
-    ``r13[l, i, j, k]`` is written in one module."""
+    """Outside ``geometry.py`` no module names ``koszul`` or ``r13``, and
+    ``gamma`` and ``r04`` are read only as ``geo.conn.gamma`` and
+    ``geo.r04`` in ``report.py``'s tensor table, which hands them on
+    unindexed.  So every subscript of ``gamma[k, i, j]``, ``koszul[i, j,
+    k]``, ``r04[i, j, k, u]`` and ``r13[l, i, j, k]`` is written in one
+    module."""
+    names = ("gamma", "koszul", "r04", "r13")
     sites = collections.defaultdict(list)
     for path in sorted(Path(norden.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             name = (getattr(node, "id", None) or getattr(node, "attr", None)
                     or getattr(node, "arg", None))
-            if name in ("r13", "gamma"):
+            if name in names:
                 sites[path.name].append(ast.unparse(node))
-    assert "r13" in sites.pop("geometry.py")
-    assert sites == {"report.py": ["geo.conn.gamma"]}
+    assert {"self.koszul", "self.r04"} <= set(sites.pop("geometry.py"))
+    assert sites == {"report.py": ["geo.conn.gamma", "geo.r04"]}
 
 
 def _unread_private_names(sources: dict[str, str]) -> list[tuple[str, str]]:
@@ -340,20 +339,24 @@ _BUILT = {"model", "conn"}
 #: ``benchmarks/run.py --trace 1`` so that its spans time this work: all
 #: of its ``Geometry``'s layers, or for the two seeded with the results
 #: of ``structure_pack`` and ``riemann``, those beyond the seeds' layers.
-#: ``tau_2star`` traces ``twisted_r``, so ``riemann`` computes that layer.
+#: ``tau_2star`` traces ``twisted_r``, built from ``r04_phi``, so
+#: ``riemann`` computes those layers.  The connection is raised from the
+#: ``koszul`` layer, which ``r04`` also reads, so ``riemann``, seeded with
+#: the connection, computes ``koszul`` again.
 ENTRY_POINT_LAYERS = {
-    "levi_civita": _BUILT,
+    "levi_civita": _BUILT | {"koszul"},
     "structure_pack": _BUILT | set(STRUCTURE_LAYERS) | {
-        "n_from_brackets", "n_from_derivatives", "nabla_omega"},
-    "riemann": _BUILT | set(CURVATURE_LAYERS) | {"twisted_r"},
+        "n_from_brackets", "n_from_derivatives", "nabla_omega", "nabla_omega_phi",
+        "omega_star_squared"},
+    "riemann": _BUILT | set(CURVATURE_LAYERS) | {"koszul", "r04_phi", "twisted_r"},
     "square_norms": set(NORM_LAYERS),
 }
 VERIFY_IDENTITIES_LAYERS = {
     "fam23": {"curvature_phi_kahler", "div_phi_omega", "f11", "identities",
-              "isotropic_kahler", "nabla2_eta", "nabla2_phi", "nabla_omega_star",
+              "isotropic_kahler", "nabla2_eta", "nabla_f", "nabla_omega_star",
               "omega_norm", "phi_omega", "psi4_s", "ricci_xi_xi", "s_trace",
               *NORM_LAYERS},
-    "heis": {"f11", "identities", "nabla2_eta", "nabla2_phi"},
+    "heis": {"f11", "identities", "nabla2_eta", "nabla_f"},
 }
 
 

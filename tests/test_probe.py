@@ -192,11 +192,13 @@ def _zero_operand(terms):
 
 
 #: case -> (what runs, the (route, dtype) of the steps whose result a later
-#: ``_fit`` reads).  The three steps of the dense report that may take the
-#: sparse route each take an all-zero operand.
+#: ``_fit`` reads).  The four steps of the dense report that may take the
+#: sparse route each take an all-zero operand (``phi . c`` is zero on the
+#: family in any basis).  No int32 einsum step of the dense report feeds a
+#: later ``_fit``; the family report's do.
 CARRIED = {
     "dense report": (lambda: run_report(dense_member(8)),
-                     {("einsum", "int32"), ("einsum", "int64"), ("einsum", "uint64"),
+                     {("einsum", "int64"), ("einsum", "uint64"),
                       ("zero", "int32"), ("zero", "int64")}),
     "family report": (lambda: run_report(family_member(6)),
                       {("einsum", "int32"), ("sparse", "int32")}),
