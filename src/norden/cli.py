@@ -11,8 +11,9 @@ Subcommands::
 ``--json`` switches output to JSON, ``--quiet`` suppresses output and
 leaves only the exit code.  Exit codes: 0 = success / all applicable
 checks pass; 1 = validation or identity failure; 2 = input error
-(unreadable file, parse error, bad parameters); 141 = the reader of
-stdout closed it early (128 + SIGPIPE, as for ``norden report m | head -1``).
+(unreadable file, parse error, bad parameters) or a model too large
+for the memory at hand; 141 = the reader of stdout closed it early
+(128 + SIGPIPE, as for ``norden report m | head -1``).
 """
 from __future__ import annotations
 
@@ -252,6 +253,13 @@ def main(argv=None) -> int:
     except NordenError as exc:
         if not args.quiet:
             print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        # Nothing bounds a model's size before it runs: one too large for
+        # the memory at hand is refused here, after its first large request.
+        if not args.quiet:
+            print(f"error: out of memory: {exc}" if str(exc) else "error: out of memory",
+                  file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -14,8 +14,10 @@ a step or a sum: the bound it builds for a step is the one that step
 records, and the tops it reads are what earlier steps' results carry),
 ``tensors._contract`` (one contraction: a product that is not a pure
 permutation is recorded by a key of its own, see
-:attr:`Record.contractions`), ``tensors._canonical`` (a reduction) and
-``tensors._max_abs`` (a magnitude scan).  No other test module patches them
+:attr:`Record.contractions`), ``tensors._numerator_sum`` (one kernel call:
+each ``exact_sum``, ``nonzero_where`` and ``einsum_scalar`` makes one),
+``tensors._canonical`` (a reduction) and ``tensors._max_abs`` (a magnitude
+scan).  No other test module patches them
 (``test_probe.py`` checks that), so this is the one test file that knows
 which private function runs a step and with what arguments.
 
@@ -70,7 +72,8 @@ class Record:
     magnitudes; the dtype name of each array ``_canonical`` reduced; the
     number of magnitude scans; the subscripts and operand shapes of each
     path search; the number of nonzero counts; the number of
-    ``_sparse_step`` calls whose ``x`` had no nonzero; and a key per
+    ``_sparse_step`` calls whose ``x`` had no nonzero; the number of
+    kernel calls (of ``_numerator_sum``); and a key per
     contraction that is not a pure permutation: its plan's step
     subscripts, and each operand's variance, denominator, shape and the
     sha1 of its numerator values, so that equal keys are one product
@@ -83,6 +86,7 @@ class Record:
     searches: list[tuple[str, tuple]] = field(default_factory=list)
     nonzero_counts: int = 0
     empty_sparse: int = 0
+    kernel_calls: int = 0
     contractions: list[tuple] = field(default_factory=list)
 
     def routes(self) -> Counter:
@@ -99,7 +103,7 @@ def kernel_probe():
     real_pairwise, real_sparse = tensors._pairwise, tensors._sparse_step
     real_wrapped = tensors._wrapped
     real_fit, real_canonical, real_max_abs = tensors._fit, tensors._canonical, tensors._max_abs
-    real_contract = tensors._contract
+    real_contract, real_numerator_sum = tensors._contract, tensors._numerator_sum
     side = []       # the sides the sparse route took in the running step
     zeros = []      # non-empty once a count in the running step found no nonzero
     wrapping = []   # non-empty inside a residue-route step
@@ -175,6 +179,10 @@ def kernel_probe():
                 tuple((op.variance, op.den, op.shape, _sha1(op.num)) for op in operands)))
         return real_contract(plan, operands)
 
+    def numerator_sum(terms):
+        record.kernel_calls += 1
+        return real_numerator_sum(terms)
+
     def canonical(num, den, top):
         made.clear()    # the sum is done: a stored result carries its magnitude
         record.reductions.append(num.dtype.name)
@@ -192,6 +200,7 @@ def kernel_probe():
                                  (tensors, "_sparse_step", sparse_step),
                                  (tensors, "_fit", fit),
                                  (tensors, "_contract", contract),
+                                 (tensors, "_numerator_sum", numerator_sum),
                                  (tensors, "_canonical", canonical),
                                  (tensors, "_max_abs", max_abs)):
             stack.enter_context(mock.patch.object(owner, name, spy))

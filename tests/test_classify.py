@@ -461,28 +461,3 @@ def test_a_witness_past_the_digit_limit_is_input_error(fam23, flags, tmp_path, m
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: a number has more than 4300 digits")
     assert err.count("\n") == 1
-
-
-# sorted(vars(geo)) after reading .identities on a fresh Geometry.  Outside
-# the pure class (heis) only the Ricci identities apply, so r04 and r04_phi
-# are the curvature layers built; the family reads every curvature layer
-# but r13 and tau_star.  Neither builds r13.
-LAYERS_READ = {
-    "heis": ["conn", "f", "f11", "identities", "koszul", "model", "nabla2_eta",
-             "nabla_eta", "nabla_f", "nabla_phi", "omega", "r04", "r04_phi"],
-    "fam23": ["conn", "curvature_phi_kahler", "div_phi_omega", "f", "f11",
-              "identities", "isotropic_kahler", "koszul", "model", "n",
-              "n_from_brackets", "n_from_derivatives", "nabla2_eta", "nabla_eta",
-              "nabla_eta_square_norm", "nabla_f", "nabla_omega", "nabla_omega_phi",
-              "nabla_omega_star", "nabla_phi", "nabla_phi_square_norm",
-              "nijenhuis_square_norm", "omega", "omega_norm", "omega_star",
-              "omega_star_squared", "omega_vec", "phi_omega", "psi4_s", "r04", "r04_phi",
-              "ricci", "ricci_xi_xi", "s", "s_trace", "tau", "tau_2star", "twisted_r"],
-}
-
-
-@pytest.mark.parametrize("key", list(LAYERS_READ))
-def test_identities_read_only_the_layers_of_applicable_identities(fam23, heis, key):
-    geo = Geometry({"heis": heis, "fam23": fam23}[key].model)
-    geo.identities
-    assert sorted(vars(geo)) == LAYERS_READ[key]

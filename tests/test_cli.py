@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import norden
-from norden import cli, serialize_model
+from norden import Geometry, cli, serialize_model
 from norden.cli import EXIT_FAIL, EXIT_INPUT, EXIT_OK, EXIT_PIPE, build_parser, main
 from probe import kernel_probe
 from test_golden import GOLDEN, _sha256
@@ -19,14 +19,16 @@ from zoo import dense_member, dense_model
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
-def _run(command, stdout=subprocess.PIPE):
+def _run(command, stdout=subprocess.PIPE, preexec_fn=None):
     """Run ``command`` with the checkout under test first on PYTHONPATH;
-    stderr is captured, and stdout too unless ``stdout`` says otherwise."""
+    stderr is captured, and stdout too unless ``stdout`` says otherwise.
+    ``preexec_fn`` runs in the child before the command."""
     env = dict(os.environ)
     src = str(Path(norden.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
-    return subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env)
+    return subprocess.run(command, stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+                          preexec_fn=preexec_fn)
 
 
 @pytest.fixture(scope="module")
@@ -201,6 +203,47 @@ def test_a_result_past_the_digit_limit_is_input_error(past_digit_limit, command,
     assert out == ""
     assert err == ("error: a number has more than 4300 digits, Python's limit for "
                    "writing an integer as text (sys.set_int_max_str_digits)\n")
+
+
+def _out_of_memory(geo):
+    raise MemoryError("Unable to allocate 6.08 GiB for an array")
+
+
+@pytest.mark.parametrize("command", [["report"], ["report", "--json"], ["identities"]],
+                         ids=" ".join)
+def test_running_out_of_memory_is_input_error(model_path, command, capsys, monkeypatch):
+    """A layer that cannot get its memory ends the run with exit 2 and
+    one line on stderr, as an input error does, not with a traceback."""
+    monkeypatch.setattr(Geometry, "koszul", property(_out_of_memory))
+    assert main(command + [model_path]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: out of memory: Unable to allocate 6.08 GiB for an array\n"
+    assert main(command + [model_path, "--quiet"]) == EXIT_INPUT
+    assert capsys.readouterr() == ("", "")
+
+
+def test_a_model_too_large_for_the_memory_at_hand_is_input_error(tmp_path):
+    """A valid dim-201 family file, run with the child's address space
+    capped at 3 GiB: its Jacobi check asks numpy for a 201**4 int32 array
+    (6.08 GiB), which fails at once.  ``validate`` and ``report`` exit
+    with 2 and one line on stderr."""
+    resource = pytest.importorskip("resource")
+    path = tmp_path / "dim201.txt"
+    lam = ",".join(str(k % 7 - 3) for k in range(200))
+    assert main(["family", "--n", "100", "--lambda", lam,
+                 "--emit-model", str(path), "--quiet"]) == EXIT_OK
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    cap = 3 << 30 if hard == resource.RLIM_INFINITY else min(3 << 30, hard)
+
+    def capped():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+
+    for command in ("validate", "report"):
+        proc = _run([sys.executable, "-m", "norden", command, str(path)], preexec_fn=capped)
+        assert (proc.returncode, proc.stdout) == (EXIT_INPUT, ""), proc.stderr
+        assert proc.stderr.startswith("error: out of memory: Unable to allocate")
+        assert proc.stderr.count("\n") == 1
 
 
 def test_the_digit_limit_is_python_s_own(past_digit_limit, capsys):

@@ -334,61 +334,6 @@ def test_public_functions_agree_with_layers(which, request):
     assert report.classes["f11"] == geo.f11
 
 
-_BUILT = {"model", "conn"}
-#: The layers each entry point computes, called in the order of
-#: ``benchmarks/run.py --trace 1`` so that its spans time this work: all
-#: of its ``Geometry``'s layers, or for the two seeded with the results
-#: of ``structure_pack`` and ``riemann``, those beyond the seeds' layers.
-#: ``tau_2star`` traces ``twisted_r``, built from ``r04_phi``, so
-#: ``riemann`` computes those layers.  The connection is raised from the
-#: ``koszul`` layer, which ``r04`` also reads, so ``riemann``, seeded with
-#: the connection, computes ``koszul`` again.
-ENTRY_POINT_LAYERS = {
-    "levi_civita": _BUILT | {"koszul"},
-    "structure_pack": _BUILT | set(STRUCTURE_LAYERS) | {
-        "n_from_brackets", "n_from_derivatives", "nabla_omega", "nabla_omega_phi",
-        "omega_star_squared"},
-    "riemann": _BUILT | set(CURVATURE_LAYERS) | {"koszul", "r04_phi", "twisted_r"},
-    "square_norms": set(NORM_LAYERS),
-}
-VERIFY_IDENTITIES_LAYERS = {
-    "fam23": {"curvature_phi_kahler", "div_phi_omega", "f11", "identities",
-              "isotropic_kahler", "nabla2_eta", "nabla_f", "nabla_omega_star",
-              "omega_norm", "phi_omega", "psi4_s", "ricci_xi_xi", "s_trace",
-              *NORM_LAYERS},
-    "heis": {"f11", "identities", "nabla2_eta", "nabla_f"},
-}
-
-
-@pytest.mark.parametrize("which", ["fam23", "heis"])
-def test_each_entry_point_computes_exactly_its_layers(which, request, monkeypatch):
-    model = request.getfixturevalue(which).model
-    built = []
-
-    class Recorded(Geometry):
-        def __init__(self, *args):
-            super().__init__(*args)
-            built.append(self)
-
-    def computed(*seeds) -> set:
-        (geo,) = built
-        built.clear()
-        return set(vars(geo)).difference(*map(vars, seeds))
-
-    monkeypatch.setattr(norden.geometry, "Geometry", Recorded)
-    conn = levi_civita(model)
-    got = {"levi_civita": computed()}
-    pack = structure_pack(model, conn)
-    got["structure_pack"] = computed()
-    curv = riemann(model, conn)
-    got["riemann"] = computed()
-    verify_identities(model, conn=conn, pack=pack, curv=curv)
-    got["verify_identities"] = computed(pack, curv)
-    square_norms(model, conn, pack=pack)
-    got["square_norms"] = computed(pack)
-    assert got == {**ENTRY_POINT_LAYERS, "verify_identities": VERIFY_IDENTITIES_LAYERS[which]}
-
-
 def test_layers_add_no_fractions(monkeypatch):
     """Every tensor layer is summed on integer numerators.  Computing all
     layers of the dense golden model adds or subtracts Fractions only in

@@ -9,9 +9,10 @@ there: each step's route, dtype and sparse side (and, on the residue
 route, its number of primes), the dtype of each sum, and how many bounds
 were rebuilt past ``2**62``.  Each input's result is
 also checked against the reference over Fractions, so a fault planted in
-a branch fails its row.  :data:`CARRIED` checks, on two reports and an
-all-zero operand on two routes, that each step's result carries the
-bound ``_fit`` built for its step.  A step with an all-zero operand
+a branch fails its row.  :data:`CARRIED` checks, on an all-zero operand
+on two routes, that each step's result carries the bound ``_fit`` built
+for its step; ``kernel_record.py`` checks the same on every report it
+records.  A step with an all-zero operand
 returns its zero result before the sparse route: the golden reports and
 a dim-33 family report hand ``_sparse_step`` no ``x`` without a nonzero.
 """
@@ -28,7 +29,7 @@ from norden.tensors import exact_sum
 from probe import kernel_probe
 from test_exact_einsum import _array, _assert_same, _reference_sum
 from test_golden import GOLDEN
-from zoo import dense_member, family_member, golden_model
+from zoo import family_member, golden_model
 
 TESTS = Path(__file__).resolve().parent
 
@@ -192,16 +193,8 @@ def _zero_operand(terms):
 
 
 #: case -> (what runs, the (route, dtype) of the steps whose result a later
-#: ``_fit`` reads).  The four steps of the dense report that may take the
-#: sparse route each take an all-zero operand (``phi . c`` is zero on the
-#: family in any basis).  No int32 einsum step of the dense report feeds a
-#: later ``_fit``; the family report's do.
+#: ``_fit`` reads).
 CARRIED = {
-    "dense report": (lambda: run_report(dense_member(8)),
-                     {("einsum", "int64"), ("einsum", "uint64"),
-                      ("zero", "int32"), ("zero", "int64")}),
-    "family report": (lambda: run_report(family_member(6)),
-                      {("einsum", "int32"), ("sparse", "int32")}),
     "an all-zero operand": (lambda: _zero_operand(_wide(None, 0)), {("zero", "int32")}),
     "an all-zero operand on the residue route": (lambda: _zero_operand(_wide_zero(2**60)),
                                                  {("zero", "uint64")}),
@@ -212,10 +205,9 @@ CARRIED = {
 def test_each_step_result_carries_the_bound_fit_built_for_its_step(case):
     """An intermediate carries one bound, the one it was computed under:
     the top each step's result carries into a later ``_fit`` is the bound
-    ``_fit`` built for that step, on the einsum, residue and sparse routes
-    alike, and for the zero result of a step with an all-zero operand."""
+    ``_fit`` built for that step, here for the zero result of a step with
+    an all-zero operand."""
     run, routes = CARRIED[case]
-    run()       # the zoo builds and caches its model here, outside the probe
     with kernel_probe() as probe:
         run()
     read = [step for step in probe.steps if step.carried is not None]
@@ -237,8 +229,8 @@ def test_the_sparse_route_gets_no_all_zero_operand():
 
 #: The points ``probe.py`` watches: numpy functions and kernel privates.
 NUMPY_POINTS = {"einsum", "einsum_path", "count_nonzero"}
-KERNEL_POINTS = {"_pairwise", "_wrapped", "_sparse_step", "_fit", "_contract", "_canonical",
-                 "_max_abs"}
+KERNEL_POINTS = {"_pairwise", "_wrapped", "_sparse_step", "_fit", "_contract",
+                 "_numerator_sum", "_canonical", "_max_abs"}
 
 
 def _kernel_patches(sources: dict[str, str]) -> list[tuple[str, int, str]]:
