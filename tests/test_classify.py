@@ -27,6 +27,7 @@ from norden import (
     verify_identities,
 )
 from norden import cli, geometry
+import kernel_record
 from zoo import dense_member, family, family_member
 
 lam_values = st.fractions(min_value=-4, max_value=4, max_denominator=5)
@@ -461,3 +462,10 @@ def test_a_witness_past_the_digit_limit_is_input_error(fam23, flags, tmp_path, m
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: a number has more than 4300 digits")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", ["heis", "fam23"])
+def test_identities_read_only_the_layers_of_applicable_identities(key):
+    name = f"layers:{key}"
+    got, pinned = kernel_record.fresh(name), kernel_record.load()[name]
+    assert got["Geometry.identities"] == pinned["Geometry.identities"]

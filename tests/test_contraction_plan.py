@@ -55,6 +55,7 @@ from test_exact_einsum import (
     small,
     sums,
 )
+import kernel_record
 from probe import kernel_probe
 from zoo import dense_member, dense_model, family_member
 
@@ -676,6 +677,27 @@ def test_no_einsum_call_of_a_report_only_permutes_one_operand():
         run_report(model)
     calls = [step.subscripts for step in probe.steps if step.route == "einsum"]
     assert calls and not any(map(_only_permutes, calls))
+
+
+REPORTS = [("dense", 3), ("dense", 6), ("dense", 8), ("family", 6)]
+
+
+def _report_row(kind: str, n: int) -> tuple[dict, dict]:
+    """A fresh record of ``run_report`` on the model, and its stored row."""
+    name = f"run_report:{kind}_member({n})"
+    return kernel_record.fresh(name), kernel_record.load()[name]
+
+
+@pytest.mark.parametrize("kind, n", REPORTS)
+def test_a_report_runs_the_same_int64_and_object_steps(kind, n):
+    got, pinned = _report_row(kind, n)
+    assert got["steps"] == pinned["steps"]
+
+
+@pytest.mark.parametrize("kind, n", REPORTS)
+def test_a_report_runs_the_same_magnitude_scans(kind, n):
+    got, pinned = _report_row(kind, n)
+    assert got["scans"] == pinned["scans"]
 
 
 @pytest.mark.parametrize("kind, n", [("dense", 3), ("family", 6)])

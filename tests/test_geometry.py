@@ -26,6 +26,7 @@ from norden import (
     structure_pack,
     verify_identities,
 )
+import kernel_record
 from probe import kernel_probe
 from zoo import dense_member, dense_model, family_member
 
@@ -332,6 +333,18 @@ def test_public_functions_agree_with_layers(which, request):
     assert report.invariants["s_trace"] == geo.s_trace
     assert report.invariants["div_phi_omega_vec"] == geo.div_phi_omega
     assert report.classes["f11"] == geo.f11
+
+
+ENTRY_POINTS = ["levi_civita", "structure_pack", "riemann", "verify_identities", "square_norms"]
+
+
+@pytest.mark.parametrize("which", ["fam23", "heis"])
+def test_each_entry_point_computes_exactly_its_layers(which):
+    """Each entry point computes the layers ``kernel_record.json`` holds
+    for it: all of its ``Geometry``'s layers, or those beyond its seeds'."""
+    name = f"layers:{which}"
+    got, pinned = kernel_record.fresh(name), kernel_record.load()[name]
+    assert {key: got[key] for key in ENTRY_POINTS} == {key: pinned[key] for key in ENTRY_POINTS}
 
 
 def test_layers_add_no_fractions(monkeypatch):

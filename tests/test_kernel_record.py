@@ -10,7 +10,7 @@ from kernel_record import PATH, ROWS
 
 @pytest.mark.parametrize("name", list(ROWS))
 def test_a_fresh_record_equals_its_row(name):
-    assert ROWS[name]() == kernel_record.load()[name]
+    assert kernel_record.fresh(name) == kernel_record.load()[name]
 
 
 def test_the_file_holds_each_row_once_in_the_writers_layout():

@@ -9,10 +9,10 @@ there: each step's route, dtype and sparse side (and, on the residue
 route, its number of primes), the dtype of each sum, and how many bounds
 were rebuilt past ``2**62``.  Each input's result is
 also checked against the reference over Fractions, so a fault planted in
-a branch fails its row.  :data:`CARRIED` checks, on an all-zero operand
-on two routes, that each step's result carries the bound ``_fit`` built
-for its step; ``kernel_record.py`` checks the same on every report it
-records.  A step with an all-zero operand
+a branch fails its row.  :data:`CARRIED` checks, on two reports and an
+all-zero operand on two routes, that each step's result carries the
+bound ``_fit`` built for its step, and ``kernel_record.py`` checks the
+same on every report it records.  A step with an all-zero operand
 returns its zero result before the sparse route: the golden reports and
 a dim-33 family report hand ``_sparse_step`` no ``x`` without a nonzero.
 """
@@ -26,10 +26,11 @@ import norden
 from norden import parse_model, serialize_model
 from norden.report import run_report
 from norden.tensors import exact_sum
+import kernel_record
 from probe import kernel_probe
 from test_exact_einsum import _array, _assert_same, _reference_sum
 from test_golden import GOLDEN
-from zoo import family_member, golden_model
+from zoo import dense_member, family_member, golden_model
 
 TESTS = Path(__file__).resolve().parent
 
@@ -192,9 +193,17 @@ def _zero_operand(terms):
     assert exact_sum([(-2, subscripts, a, b)]).is_zero()
 
 
+def _carried(name: str) -> set[tuple[str, str]]:
+    """The (route, dtype) of the carried steps that row ``name`` holds."""
+    return {tuple(entry.split()) for entry in kernel_record.load()[name]["carried"]}
+
+
 #: case -> (what runs, the (route, dtype) of the steps whose result a later
 #: ``_fit`` reads).
 CARRIED = {
+    "dense report": (lambda: run_report(dense_member(8)), _carried("run_report:dense_member(8)")),
+    "family report": (lambda: run_report(family_member(6)),
+                      _carried("run_report:family_member(6)")),
     "an all-zero operand": (lambda: _zero_operand(_wide(None, 0)), {("zero", "int32")}),
     "an all-zero operand on the residue route": (lambda: _zero_operand(_wide_zero(2**60)),
                                                  {("zero", "uint64")}),
@@ -205,9 +214,10 @@ CARRIED = {
 def test_each_step_result_carries_the_bound_fit_built_for_its_step(case):
     """An intermediate carries one bound, the one it was computed under:
     the top each step's result carries into a later ``_fit`` is the bound
-    ``_fit`` built for that step, here for the zero result of a step with
-    an all-zero operand."""
+    ``_fit`` built for that step, on the einsum, residue and sparse routes
+    alike, and for the zero result of a step with an all-zero operand."""
     run, routes = CARRIED[case]
+    run()       # the zoo builds and caches its model here, outside the probe
     with kernel_probe() as probe:
         run()
     read = [step for step in probe.steps if step.carried is not None]
